@@ -8,11 +8,6 @@ namespace flowdiff::core {
 
 namespace {
 
-/// Batch size one shard task feeds per queue grab. Bounding it keeps a
-/// chatty tenant from starving quieter ones on a small pool: the task
-/// requeues itself after each batch instead of monopolizing a worker.
-constexpr std::size_t kFeedBatch = 4096;
-
 MonitorOptions shard_options(const ManagerConfig& config) {
   MonitorOptions options = config.options;
   // Cross-tenant parallelism owns the pool; see the header.
@@ -72,7 +67,6 @@ bool MonitorManager::register_tenant(const std::string& tenant) {
 }
 
 void MonitorManager::run_shard(const std::shared_ptr<Shard>& shard) {
-  std::vector<of::ControlEvent> batch;
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(shard->mu);
@@ -81,37 +75,36 @@ void MonitorManager::run_shard(const std::shared_ptr<Shard>& shard) {
         shard->idle_cv.notify_all();
         return;
       }
-      const std::size_t take = std::min(shard->pending.size(), kFeedBatch);
-      batch.assign(shard->pending.begin(),
-                   shard->pending.begin() + static_cast<std::ptrdiff_t>(take));
-      shard->pending.erase(
-          shard->pending.begin(),
-          shard->pending.begin() + static_cast<std::ptrdiff_t>(take));
+      // Take the whole queue by trading buffers: the feeder refills the
+      // capacity the last batch leaves behind, so the steady state copies
+      // each event once (into pending) and allocates nothing.
+      shard->batch.clear();
+      shard->batch.swap(shard->pending);
     }
+    // shard->batch is touched only by the shard's one task in flight.
+    std::string fault;
     try {
-      for (const auto& event : batch) {
-        if (config_.feed_hook) config_.feed_hook(shard->tenant, event);
-        shard->monitor->feed(event);
+      if (config_.feed_hook) {
+        for (const auto& event : shard->batch) {
+          config_.feed_hook(shard->tenant, event);
+        }
       }
+      // One sanitizer call and one arrival-clock read per batch.
+      shard->monitor->feed(shard->batch);
+      continue;
     } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->state = ShardState::kFaulted;
-      shard->fault = e.what();
-      shard->dropped += shard->pending.size();
-      shard->pending.clear();
-      shard->task_scheduled = false;
-      shard->idle_cv.notify_all();
-      return;
+      fault = e.what();
     } catch (...) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->state = ShardState::kFaulted;
-      shard->fault = "unknown exception during feed";
-      shard->dropped += shard->pending.size();
-      shard->pending.clear();
-      shard->task_scheduled = false;
-      shard->idle_cv.notify_all();
-      return;
+      fault = "unknown exception during feed";
     }
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->state = ShardState::kFaulted;
+    shard->fault = std::move(fault);
+    shard->dropped += shard->pending.size();
+    shard->pending.clear();
+    shard->task_scheduled = false;
+    shard->idle_cv.notify_all();
+    return;
   }
 }
 

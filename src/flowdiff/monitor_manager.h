@@ -10,7 +10,9 @@
 //     queue per shard and are fed by at most one executor task per shard
 //     at a time, so per-tenant order (the thing windowing depends on) is
 //     preserved at any worker count while distinct tenants proceed in
-//     parallel on the manager's util::Executor pool.
+//     parallel on the manager's util::Executor pool. The task hands the
+//     monitor whole batches (SlidingMonitor::feed(vector)), taking the
+//     entire queue by buffer swap.
 //   * Shard faults are isolated: an exception escaping one shard's feed
 //     marks that shard kFaulted (with the message retained) and drops its
 //     backlog; every other tenant keeps running, and the aggregate health
@@ -33,7 +35,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -77,9 +78,9 @@ struct ManagerConfig {
   /// pool and nested parallel_for degrades to inline anyway.
   MonitorOptions options;
   int workers = 0;
-  /// Test seam: runs inside the shard task for every event, before the
-  /// monitor sees it. An exception thrown here exercises the same fault
-  /// path a throwing monitor would.
+  /// Test seam: runs inside the shard task for every event of a batch, in
+  /// order, before the batch is fed to the monitor. An exception thrown
+  /// here exercises the same fault path a throwing monitor would.
   std::function<void(const std::string& tenant, const of::ControlEvent&)>
       feed_hook;
 };
@@ -153,7 +154,11 @@ class MonitorManager {
     std::condition_variable idle_cv;  ///< pending empty and no task running.
     std::unique_ptr<SlidingMonitor> monitor;
     ShardState state = ShardState::kRunning;
-    std::deque<of::ControlEvent> pending;
+    /// Events fed but not yet taken by a shard task.
+    std::vector<of::ControlEvent> pending;
+    /// The batch the shard's task is feeding: the whole queue, taken by
+    /// swap with pending so both buffers' capacity is reused.
+    std::vector<of::ControlEvent> batch;
     bool task_scheduled = false;
     std::uint64_t events = 0;
     std::uint64_t dropped = 0;

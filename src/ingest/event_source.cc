@@ -37,18 +37,18 @@ void close_fd(int& fd) {
 
 std::size_t EventSource::parse_line(std::string_view line,
                                     std::vector<of::ControlEvent>& out) {
-  // parse_control_events is all-or-nothing over its input, so feeding it
-  // one line at a time converts that contract into per-line rejection:
-  // comments and blanks come back as an empty vector, a record as one
-  // event, garbage as nullopt.
-  auto parsed = of::parse_control_events(line);
-  if (!parsed) {
+  // The appending parser is all-or-nothing over its input (a rejected
+  // line leaves `out` as it was), so feeding it one line at a time
+  // converts that contract into per-line rejection: comments and blanks
+  // append nothing, a record one event, garbage is counted and skipped.
+  const std::size_t before = out.size();
+  if (!of::parse_control_events(line, out)) {
     ++stats_.lines_rejected;
     return 0;
   }
-  for (auto& event : *parsed) out.push_back(std::move(event));
-  stats_.events += parsed->size();
-  return parsed->size();
+  const std::size_t produced = out.size() - before;
+  stats_.events += produced;
+  return produced;
 }
 
 std::size_t EventSource::consume_text(std::string* partial,

@@ -47,14 +47,24 @@ bool StreamSanitizer::is_truncated(const of::ControlEvent& event) const {
 }
 
 void StreamSanitizer::push(const of::ControlEvent& event, const Sink& sink) {
+  push_one(event, sink);
+  flush_metrics();
+}
+
+void StreamSanitizer::push(const std::vector<of::ControlEvent>& events,
+                           const Sink& sink) {
+  for (const auto& event : events) push_one(event, sink);
+  flush_metrics();
+}
+
+void StreamSanitizer::push_one(const of::ControlEvent& event,
+                               const Sink& sink) {
   ++window_.fed;
   ++total_.fed;
-  metrics().fed.inc();
 
   if (config_.drop_truncated && is_truncated(event)) {
     ++window_.truncated;
     ++total_.truncated;
-    metrics().truncated.inc();
     return;
   }
 
@@ -63,45 +73,32 @@ void StreamSanitizer::push(const of::ControlEvent& event, const Sink& sink) {
     // restored without rewriting history downstream.
     ++window_.late_dropped;
     ++total_.late_dropped;
-    metrics().late_dropped.inc();
     return;
   }
 
-  // Dedup identity (the serialized line) is computed lazily: most events
-  // carry a unique timestamp, and serializing every arrival just to compare
-  // it against nothing dominated the ingest hot path. Only a same-timestamp
-  // collision forces the serialization — of this event and, on demand, of
-  // buffered neighbors that skipped theirs (empty string = not yet
-  // computed; a real serialization is never empty).
   std::string identity;
-  if (config_.dedup) {
-    const auto [lo, hi] = buffer_.equal_range(event.ts);
-    if (lo != hi) {
-      identity = of::serialize_event(event);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second.first.empty()) {
-          it->second.first = of::serialize_event(it->second.second);
-        }
-        if (it->second.first == identity) {
-          ++window_.duplicates;
-          ++total_.duplicates;
-          metrics().duplicates.inc();
-          return;
-        }
-      }
-    }
+  if (config_.dedup && is_duplicate(event, identity)) {
+    ++window_.duplicates;
+    ++total_.duplicates;
+    return;
   }
 
   if (max_ts_ != kNoTs && event.ts < max_ts_) {
     // Within-horizon displacement; the buffer will restore it.
     ++window_.reordered;
     ++total_.reordered;
-    metrics().reordered.inc();
   }
 
-  buffer_.emplace(event.ts, std::make_pair(std::move(identity), event));
+  if (ring_count_ > 0 && event.ts < ring_at(ring_count_ - 1).event.ts) {
+    side_.emplace(event.ts, Slot{event, std::move(identity)});
+  } else {
+    if (ring_count_ == ring_.size()) ring_grow();
+    Slot& slot = ring_at(ring_count_++);
+    slot.event = event;
+    slot.identity = std::move(identity);
+  }
+  depth_peak_ = std::max(depth_peak_, buffered());
   max_ts_ = std::max(max_ts_, event.ts);
-  metrics().buffer_depth.set(static_cast<std::int64_t>(buffer_.size()));
   // Saturate instead of underflowing when a deeply negative timestamp
   // meets the horizon (signed overflow would be UB under UBSan).
   const SimTime watermark =
@@ -111,27 +108,104 @@ void StreamSanitizer::push(const of::ControlEvent& event, const Sink& sink) {
   release(watermark, sink);
 }
 
-void StreamSanitizer::push(const std::vector<of::ControlEvent>& events,
-                           const Sink& sink) {
-  for (const auto& event : events) push(event, sink);
+bool StreamSanitizer::is_duplicate(const of::ControlEvent& event,
+                                   std::string& identity) {
+  // Dedup identity (the serialized line) is computed lazily and only for
+  // neighbours that could match: the line starts with the record kind and
+  // the controller (the timestamp is equal by construction), so a
+  // neighbour differing in either can never serialize the same. Half of a
+  // clean capture shares its timestamp with a neighbour — a FlowMod and
+  // its PacketOut are logged in the same microsecond — and the prefilter
+  // keeps all of those off the serializer.
+  const auto same_record = [&event, &identity](Slot& slot) {
+    if (slot.event.msg.index() != event.msg.index() ||
+        slot.event.controller != event.controller) {
+      return false;
+    }
+    if (identity.empty()) identity = of::serialize_event(event);
+    if (slot.identity.empty()) slot.identity = of::serialize_event(slot.event);
+    return slot.identity == identity;
+  };
+  if (ring_count_ > 0 && event.ts <= ring_at(ring_count_ - 1).event.ts) {
+    // The ring is time-sorted: binary-search the first slot at event.ts.
+    std::size_t lo = 0;
+    std::size_t hi = ring_count_;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (ring_at(mid).event.ts < event.ts) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    for (; lo < ring_count_ && ring_at(lo).event.ts == event.ts; ++lo) {
+      if (same_record(ring_at(lo))) return true;
+    }
+  }
+  const auto [first, last] = side_.equal_range(event.ts);
+  for (auto it = first; it != last; ++it) {
+    if (same_record(it->second)) return true;
+  }
+  return false;
 }
 
 void StreamSanitizer::release(SimTime watermark, const Sink& sink) {
-  while (!buffer_.empty() && buffer_.begin()->first <= watermark) {
-    const of::ControlEvent& event = buffer_.begin()->second.second;
+  for (;;) {
+    const bool ring_ready =
+        ring_count_ > 0 && ring_at(0).event.ts <= watermark;
+    const bool side_ready =
+        !side_.empty() && side_.begin()->first <= watermark;
+    if (!ring_ready && !side_ready) break;
+    // On equal timestamps the ring's event arrived first (see header).
+    const bool from_side =
+        side_ready &&
+        (!ring_ready || side_.begin()->first < ring_at(0).event.ts);
+    const of::ControlEvent& event =
+        from_side ? side_.begin()->second.event : ring_at(0).event;
     ++window_.kept;
     ++total_.kept;
-    metrics().kept.inc();
     note_pairing(event);
     sink(event);
-    buffer_.erase(buffer_.begin());
+    if (from_side) {
+      side_.erase(side_.begin());
+    } else {
+      ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
+      --ring_count_;
+    }
   }
   released_up_to_ = std::max(released_up_to_, watermark);
-  metrics().buffer_depth.set(static_cast<std::int64_t>(buffer_.size()));
+}
+
+void StreamSanitizer::ring_grow() {
+  std::vector<Slot> grown(ring_.empty() ? 64 : 2 * ring_.size());
+  for (std::size_t i = 0; i < ring_count_; ++i) {
+    grown[i] = std::move(ring_at(i));
+  }
+  ring_.swap(grown);
+  ring_head_ = 0;
 }
 
 void StreamSanitizer::flush(const Sink& sink) {
-  if (!buffer_.empty()) release(max_ts_, sink);
+  if (buffered() > 0) release(max_ts_, sink);
+  flush_metrics();
+}
+
+void StreamSanitizer::flush_metrics() {
+  IngestMetrics& m = metrics();
+  const auto advance = [](obs::Counter& counter, std::uint64_t now,
+                          std::uint64_t then) {
+    if (now != then) counter.inc(now - then);
+  };
+  advance(m.fed, total_.fed, metered_.fed);
+  advance(m.kept, total_.kept, metered_.kept);
+  advance(m.duplicates, total_.duplicates, metered_.duplicates);
+  advance(m.reordered, total_.reordered, metered_.reordered);
+  advance(m.late_dropped, total_.late_dropped, metered_.late_dropped);
+  advance(m.truncated, total_.truncated, metered_.truncated);
+  metered_ = total_;
+  m.buffer_depth.set(static_cast<std::int64_t>(depth_peak_));
+  m.buffer_depth.set(static_cast<std::int64_t>(buffered()));
+  depth_peak_ = buffered();
 }
 
 void StreamSanitizer::note_pairing(const of::ControlEvent& event) {
@@ -168,7 +242,7 @@ SanitizedLog sanitize_log(const std::vector<of::ControlEvent>& events,
   const auto sink = [&out](const of::ControlEvent& event) {
     out.log.append(event);
   };
-  for (const auto& event : events) sanitizer.push(event, sink);
+  sanitizer.push(events, sink);
   sanitizer.flush(sink);
   out.quality = sanitizer.take_window_quality();
   return out;

@@ -12,7 +12,9 @@
 //     watermark (max timestamp seen - lateness_horizon) passes them, so
 //     any arrival displaced by at most the horizon is emitted back in
 //     timestamp order; arrivals behind an already-released watermark are
-//     dropped and counted (late_dropped);
+//     dropped and counted (late_dropped). In-order arrivals — nearly all
+//     of a live capture — append to a reused ring; only displaced ones
+//     pay for an ordered side buffer;
 //   * duplicate suppression — an arrival identical to a buffered event
 //     with the same timestamp (same message type, switch, flow key,
 //     xid/cookie-equivalent uid, counters) is dropped and counted;
@@ -26,7 +28,9 @@
 //
 // The per-window tally lands in a StreamQuality record
 // (take_window_quality()), which the monitor attaches to WindowAudits and
-// diff/diagnosis use for degraded-mode confidence grading.
+// diff/diagnosis use for degraded-mode confidence grading. The ingest.*
+// obs counters and the ingest.buffer.depth gauge are updated once per
+// push()/flush() call, not per event.
 //
 // Invariant: a clean, time-ordered stream passes through bit-identically
 // (same events, same order) with zero duplicates/late/truncated counts —
@@ -40,6 +44,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "ingest/stream_quality.h"
 #include "openflow/control_log.h"
@@ -84,14 +89,16 @@ class StreamSanitizer {
   /// fed == kept + duplicates + late_dropped + truncated.
   [[nodiscard]] const StreamQuality& total() const { return total_; }
 
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const {
+    return ring_count_ + side_.size();
+  }
 
   /// How far (in stream time, µs) the release watermark trails the newest
   /// arrival — the reordering delay the sanitizer is currently imposing on
   /// detection. At most the lateness horizon; 0 before any push and after
   /// flush() has caught the watermark up.
   [[nodiscard]] SimDuration watermark_lag() const {
-    if (max_ts_ == kNoTs || buffer_.empty()) return 0;
+    if (max_ts_ == kNoTs || buffered() == 0) return 0;
     const SimTime released =
         released_up_to_ == kNoTs ? max_ts_ - config_.lateness_horizon
                                  : released_up_to_;
@@ -101,18 +108,55 @@ class StreamSanitizer {
   [[nodiscard]] const SanitizerConfig& config() const { return config_; }
 
  private:
+  /// One buffered arrival. `identity` is the event's cached serialization
+  /// (the duplicate-suppression identity), computed lazily on the first
+  /// same-timestamp collision that passes the kind/controller prefilter —
+  /// empty means "not computed yet", which a real serialization can never
+  /// be.
+  struct Slot {
+    of::ControlEvent event;
+    std::string identity;
+  };
+
+  /// push() minus the obs flush: the per-event body shared by both push
+  /// overloads.
+  void push_one(const of::ControlEvent& event, const Sink& sink);
+  /// True when a buffered event at the arrival's timestamp is the same
+  /// capture record (dedup).
+  [[nodiscard]] bool is_duplicate(const of::ControlEvent& event,
+                                  std::string& identity);
   /// Emits every buffered event with ts <= watermark, oldest first.
   void release(SimTime watermark, const Sink& sink);
   /// Pairs released PacketIns/FlowMods by flow uid (uid 0 = unknown).
   void note_pairing(const of::ControlEvent& event);
   [[nodiscard]] bool is_truncated(const of::ControlEvent& event) const;
+  /// Adds the counts since the last flush to the ingest.* metrics and
+  /// publishes the buffer depth (the peak first, so the gauge's high-water
+  /// mark sees it).
+  void flush_metrics();
+
+  [[nodiscard]] Slot& ring_at(std::size_t i) {
+    return ring_[(ring_head_ + i) & (ring_.size() - 1)];
+  }
+  void ring_grow();
 
   SanitizerConfig config_;
-  /// Reorder buffer keyed by timestamp. The string is the event's cached
-  /// serialization (the duplicate-suppression identity), computed lazily
-  /// on the first same-timestamp collision — empty means "not computed
-  /// yet", which a real serialization can never be.
-  std::multimap<SimTime, std::pair<std::string, of::ControlEvent>> buffer_;
+  /// Reorder buffer, in two parts whose merge by (ts, arrival order) is
+  /// the release order:
+  ///   * ring_ — arrivals at or after the newest buffered timestamp (all
+  ///     of a time-ordered stream), appended to a reused power-of-two
+  ///     ring, so the in-order steady state allocates nothing;
+  ///   * side_ — displaced arrivals, ordered by timestamp and, within one
+  ///     timestamp, by arrival (multimap insertion at the equal range's
+  ///     end), O(log n) per insert however reversed the stream is.
+  /// Of a ring event and a side event with equal timestamps, the ring's
+  /// always arrived first: once a side event at ts T exists, the ring's
+  /// back is past T until that event is released, so nothing later
+  /// appends to the ring at T.
+  std::vector<Slot> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_count_ = 0;
+  std::multimap<SimTime, Slot> side_;
   /// Timestamps are signed and a corrupted capture can legally parse to a
   /// negative one, so -1 is not a safe "nothing yet" sentinel: it would
   /// make flush() strand (and never account for) events at ts <= -1.
@@ -121,6 +165,11 @@ class StreamSanitizer {
   SimTime released_up_to_ = kNoTs; ///< Highest watermark already released.
   StreamQuality window_;
   StreamQuality total_;
+  /// total_ as of the last flush_metrics(), and the deepest buffered()
+  /// since then: the obs counters advance by the difference once per
+  /// public call instead of once per event.
+  StreamQuality metered_;
+  std::size_t depth_peak_ = 0;
   /// flow uid -> bitmask (1 = PacketIn seen, 2 = FlowMod seen) since the
   /// last take_window_quality().
   std::unordered_map<std::uint64_t, unsigned> pair_seen_;

@@ -348,6 +348,27 @@ std::string serialize(const std::vector<ControlEvent>& events) {
 
 std::string serialize(const ControlLog& log) { return serialize(log.events()); }
 
+bool parse_control_events(std::string_view text,
+                          std::vector<ControlEvent>& out) {
+  const std::size_t mark = out.size();
+  LineScanner lines(text);
+  while (const auto line = lines.next()) {
+    FieldScanner r(*line);
+    const auto kind = r.token();
+    const auto ts = r.number<SimTime>();
+    const auto ctrl = r.number<std::uint32_t>();
+    ControlEvent& event = out.emplace_back();
+    if (kind && ts && ctrl) {
+      event.ts = *ts;
+      event.controller = ControllerId{*ctrl};
+      if (parse_event_body(*kind, r, event)) continue;
+    }
+    out.resize(mark);
+    return false;
+  }
+  return true;
+}
+
 std::optional<std::vector<ControlEvent>> parse_control_events(
     std::string_view text) {
   std::vector<ControlEvent> events;
@@ -355,19 +376,7 @@ std::optional<std::vector<ControlEvent>> parse_control_events(
   // one allocation up front instead of log2(n) growth reallocations.
   events.reserve(static_cast<std::size_t>(
       std::count(text.begin(), text.end(), '\n') + 1));
-  LineScanner lines(text);
-  while (const auto line = lines.next()) {
-    FieldScanner r(*line);
-    const auto kind = r.token();
-    const auto ts = r.number<SimTime>();
-    const auto ctrl = r.number<std::uint32_t>();
-    if (!kind || !ts || !ctrl) return std::nullopt;
-    ControlEvent event;
-    event.ts = *ts;
-    event.controller = ControllerId{*ctrl};
-    if (!parse_event_body(*kind, r, event)) return std::nullopt;
-    events.push_back(std::move(event));
-  }
+  if (!parse_control_events(text, events)) return std::nullopt;
   return events;
 }
 

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "openflow/control_log.h"
 #include "openflow/timed_flow.h"
@@ -42,6 +43,13 @@ namespace flowdiff::of {
 /// arrival order matters, e.g. feeding the ingest sanitizer).
 [[nodiscard]] std::optional<std::vector<ControlEvent>> parse_control_events(
     std::string_view text);
+
+/// Appending form of parse_control_events: parses `text` onto the end of
+/// the caller's (typically reused) vector, reserving nothing itself. On a
+/// malformed line `out` is rolled back to its size on entry and false is
+/// returned; comment and blank lines append nothing.
+[[nodiscard]] bool parse_control_events(std::string_view text,
+                          std::vector<ControlEvent>& out);
 
 /// Flow sequences (e.g. single-VM tcpdump-style captures) serialize as
 ///   FLOW <ts> <src_ip> <sport> <dst_ip> <dport> <proto>

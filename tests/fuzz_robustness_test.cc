@@ -3,6 +3,8 @@
 // serialization round-trips, detector stability under noise floods.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <optional>
 #include <string>
 #include <vector>
@@ -315,6 +317,81 @@ TEST(AdversarialNumericSweep, EveryNumericFieldFailsCleanlyOrSurvives) {
       check(join_fields(shortened), /*must_fail=*/true);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile arrival order: the sanitizer's reorder buffer must stay
+// O(log n) per event however the displacement is arranged. A buffer with
+// linear-time insertion (one sorted array shifted by memmove) needs
+// minutes on these streams; the wall-clock budget turns that into a
+// failure instead of a CI timeout.
+
+constexpr int kHostileEvents = 200000;
+constexpr double kHostileBudgetSeconds = 15.0;
+
+of::ControlEvent hostile_packet_in(SimTime ts, std::uint64_t uid) {
+  of::PacketIn pin;
+  pin.sw = SwitchId{1};
+  pin.in_port = PortId{1};
+  pin.key = of::FlowKey{Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2),
+                        static_cast<std::uint16_t>(1024 + uid % 60000), 80,
+                        of::Proto::kTcp};
+  pin.flow_uid = uid;
+  return of::ControlEvent{ts, ControllerId{0}, pin};
+}
+
+/// Sanitizes `arrivals` (default 1 s horizon, so nothing here is late)
+/// within the budget and checks that every event comes out, in order.
+void expect_sanitized_within_budget(
+    const std::vector<of::ControlEvent>& arrivals,
+    std::uint64_t expect_reordered) {
+  ingest::StreamSanitizer sanitizer{ingest::SanitizerConfig{}};
+  std::vector<of::ControlEvent> out;
+  out.reserve(arrivals.size());
+  const ingest::StreamSanitizer::Sink sink =
+      [&out](const of::ControlEvent& e) { out.push_back(e); };
+  const auto start = std::chrono::steady_clock::now();
+  sanitizer.push(arrivals, sink);
+  sanitizer.flush(sink);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), kHostileBudgetSeconds);
+  const ingest::StreamQuality& q = sanitizer.total();
+  EXPECT_EQ(q.fed, arrivals.size());
+  EXPECT_EQ(q.kept, arrivals.size());
+  EXPECT_EQ(q.reordered, expect_reordered);
+  ASSERT_EQ(out.size(), arrivals.size());
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.ts < b.ts;
+                             }));
+}
+
+TEST(HostileOrder, StreamReversedWithinHorizonStaysFast) {
+  // 200k events 4 µs apart span 0.8 s: the whole stream fits inside the
+  // 1 s horizon and arrives newest first, so every arrival after the
+  // first is displaced.
+  std::vector<of::ControlEvent> arrivals;
+  arrivals.reserve(kHostileEvents);
+  for (int i = kHostileEvents - 1; i >= 0; --i) {
+    arrivals.push_back(hostile_packet_in(kSecond + i * 4, i + 1));
+  }
+  expect_sanitized_within_budget(arrivals, kHostileEvents - 1);
+}
+
+TEST(HostileOrder, AlternatingFarDisplacedArrivalsStayFast) {
+  // In-order arrivals every 10 µs keep about 100k events (1 s) buffered;
+  // every other arrival is displaced 0.9 s back, deep behind that backlog
+  // but ahead of the watermark.
+  std::vector<of::ControlEvent> arrivals;
+  arrivals.reserve(kHostileEvents);
+  for (int i = 0; i < kHostileEvents / 2; ++i) {
+    const SimTime t = kSecond + i * 10;
+    arrivals.push_back(hostile_packet_in(t, 2 * i + 1));
+    arrivals.push_back(
+        hostile_packet_in(t - 900 * kMillisecond - 5, 2 * i + 2));
+  }
+  expect_sanitized_within_budget(arrivals, kHostileEvents / 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@
 // confidence grading the diff layer builds on it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "faults/corruptor.h"
 #include "flowdiff/diff.h"
 #include "ingest/sanitizer.h"
+#include "obs/metrics.h"
 #include "openflow/log_io.h"
+#include "reference_sanitizer.h"
 
 namespace flowdiff::ingest {
 namespace {
@@ -223,6 +226,82 @@ TEST(StreamSanitizer, SanitizeLogIsDeterministicAndIdempotent) {
   EXPECT_EQ(of::serialize(again.log), of::serialize(first.log));
   EXPECT_FALSE(again.quality.degraded());
   EXPECT_EQ(again.quality.kept, again.quality.fed);
+}
+
+TEST(StreamSanitizer, ObsMetricsFlushPerCallWithTheBatchPeakDepth) {
+  // The ingest.* counters advance once per push(vector)/flush call, and
+  // the depth gauge must still record the deepest buffer reached inside
+  // the batch, not only the depth the batch ended at.
+  obs::set_enabled(true);
+  obs::Registry& registry = obs::Registry::global();
+  registry.reset();
+  of::ControlLog log;
+  SimTime t = 0;
+  for (int i = 0; i < 3000; ++i) {
+    // A 20 ms gap every 200 events releases the whole 10 ms horizon at
+    // once, so the depth inside a batch swings well above its end value.
+    t += (i % 200 == 199) ? 20 * kMillisecond : 250;
+    log.append(packet_in(t, 1 + i, static_cast<std::uint16_t>(40000 + i)));
+    if (i % 5 == 0) log.append(flow_removed(t, 3000, 2));
+  }
+  faults::StreamCorruptor corruptor(
+      faults::CorruptorConfig::uniform(0.05, 21));
+  const auto arrivals = corruptor.corrupt(log);
+
+  SanitizerConfig config;
+  config.lateness_horizon = 10 * kMillisecond;
+  StreamSanitizer sanitizer(config);
+  // The reference fed one event at a time gives the depth each arrival
+  // reached: what is buffered after it plus what it released.
+  reference::StreamSanitizer twin(config);
+  std::size_t twin_released = 0;
+  const auto twin_sink = [&twin_released](const of::ControlEvent&) {
+    ++twin_released;
+  };
+  const auto sink = [](const of::ControlEvent&) {};
+  obs::Gauge& depth = registry.gauge("ingest.buffer.depth");
+  const auto expect_counters_match = [&registry, &sanitizer] {
+    const StreamQuality& q = sanitizer.total();
+    EXPECT_EQ(registry.counter("ingest.fed").value(), q.fed);
+    EXPECT_EQ(registry.counter("ingest.kept").value(), q.kept);
+    EXPECT_EQ(registry.counter("ingest.duplicates").value(), q.duplicates);
+    EXPECT_EQ(registry.counter("ingest.reordered").value(), q.reordered);
+    EXPECT_EQ(registry.counter("ingest.late_dropped").value(),
+              q.late_dropped);
+    EXPECT_EQ(registry.counter("ingest.truncated").value(), q.truncated);
+  };
+
+  bool peak_above_end = false;
+  std::vector<of::ControlEvent> batch;
+  for (std::size_t from = 0; from < arrivals.size(); from += 97) {
+    const std::size_t to = std::min(arrivals.size(), from + 97);
+    batch.assign(arrivals.begin() + static_cast<std::ptrdiff_t>(from),
+                 arrivals.begin() + static_cast<std::ptrdiff_t>(to));
+    std::size_t peak = twin.buffered();
+    for (const auto& event : batch) {
+      twin_released = 0;
+      twin.push(event, twin_sink);
+      peak = std::max(peak, twin.buffered() + twin_released);
+    }
+    depth.reset();
+    sanitizer.push(batch, sink);
+    expect_counters_match();
+    EXPECT_EQ(depth.peak(), static_cast<std::int64_t>(peak)) << "at " << from;
+    EXPECT_EQ(depth.value(), static_cast<std::int64_t>(sanitizer.buffered()));
+    peak_above_end = peak_above_end || peak > sanitizer.buffered() + 1;
+  }
+  EXPECT_TRUE(peak_above_end) << "no batch exercised the peak";
+  const std::size_t before_flush = sanitizer.buffered();
+  depth.reset();
+  sanitizer.flush(sink);
+  expect_counters_match();
+  EXPECT_EQ(depth.peak(), static_cast<std::int64_t>(before_flush));
+  EXPECT_EQ(depth.value(), 0);
+  EXPECT_GT(sanitizer.total().duplicates, 0u);
+  EXPECT_GT(sanitizer.total().truncated, 0u);
+  EXPECT_GT(sanitizer.total().late_dropped, 0u);
+  obs::set_enabled(false);
+  registry.reset();
 }
 
 TEST(StreamCorruptor, DeterministicWithTalliedStats) {

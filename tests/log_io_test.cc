@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "controller/controller.h"
 #include "simnet/network.h"
@@ -100,6 +102,34 @@ TEST(LogIo, RejectsMalformedInput) {
   const auto ok = parse_control_log("# comment\n\n");
   ASSERT_TRUE(ok.has_value());
   EXPECT_TRUE(ok->empty());
+}
+
+TEST(LogIo, AppendingParseRollsBackARejectedInput) {
+  const std::string text = serialize(sample_log());
+  std::vector<ControlEvent> out;
+  ASSERT_TRUE(parse_control_events(text, out));
+  ASSERT_EQ(out.size(), sample_log().size());
+  const std::string before = serialize(out);
+
+  // A good line ahead of the bad one must not survive either: the
+  // overload is all-or-nothing over its input.
+  EXPECT_FALSE(parse_control_events(
+      "PIN 2000 0 3 1 10.0.0.1 40000 10.0.0.2 80 6 43\nPIN 100\n", out));
+  EXPECT_FALSE(parse_control_events("BOGUS 1 2 3", out));
+  EXPECT_EQ(serialize(out), before);
+
+  // Blank and comment lines append nothing.
+  EXPECT_TRUE(parse_control_events("", out));
+  EXPECT_TRUE(parse_control_events("# comment\n\n#another\n", out));
+  EXPECT_EQ(serialize(out), before);
+
+  // A good line appends after what is already there.
+  ASSERT_TRUE(parse_control_events(
+      "PIN 2000 0 3 1 10.0.0.1 40000 10.0.0.2 80 6 43", out));
+  ASSERT_EQ(out.size(), sample_log().size() + 1);
+  EXPECT_EQ(out.back().ts, 2000);
+  out.pop_back();
+  EXPECT_EQ(serialize(out), before);
 }
 
 // Corrupted captures land adversarial bytes in numeric fields; every one

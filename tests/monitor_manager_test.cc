@@ -123,6 +123,49 @@ TEST(MonitorManager, ParallelWorkersMatchSerialTranscripts) {
   }
 }
 
+TEST(MonitorManager, OversizedBatchMatchesEventByEventFeeding) {
+  // One feed of many thousands of events, behind the sanitizer: the shard
+  // hands its whole queue to the monitor in one batched call, and the
+  // result must match feeding the same events one call at a time, inline
+  // or on a pool. feed_hook must see every event, in order.
+  const CorpusFixture corpus("corrupted_slowdown");
+  const auto& events = corpus.corpus_case.events;
+  ASSERT_GT(events.size(), 3u * 4096u);
+  std::vector<std::string> lines;
+  lines.reserve(events.size());
+  for (const auto& event : events) lines.push_back(of::serialize_event(event));
+
+  std::string one_by_one;
+  {
+    ManagerConfig config;
+    config.options = corpus.options();
+    MonitorManager manager(config);
+    for (const auto& event : events) ASSERT_TRUE(manager.feed("t", event));
+    manager.stop_all();
+    one_by_one = tenant_transcript(manager, "t");
+  }
+  EXPECT_EQ(one_by_one, corpus.golden);
+
+  for (const int workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ManagerConfig config;
+    config.options = corpus.options();
+    config.workers = workers;
+    std::vector<std::string> seen;  // Written by the shard's one task.
+    config.feed_hook = [&seen](const std::string&,
+                               const of::ControlEvent& event) {
+      seen.push_back(of::serialize_event(event));
+    };
+    MonitorManager manager(config);
+    ASSERT_TRUE(manager.feed("t", events));
+    manager.stop_all();
+    EXPECT_EQ(tenant_transcript(manager, "t"), one_by_one);
+    EXPECT_EQ(manager.status("t")->events, events.size());
+    EXPECT_TRUE(seen == lines) << "feed_hook saw " << seen.size() << " of "
+                               << lines.size() << " events or out of order";
+  }
+}
+
 TEST(MonitorManager, FaultIsOneTenantsProblem) {
   const CorpusFixture corpus("steady");
   ManagerConfig config;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -189,13 +190,46 @@ TEST(ParallelModel, ScrapeUnderLoadKeepsTranscriptIdentical) {
         }
       });
 
-      monitor->feed(scenario().current);
+      // Waits (bounded) until the scrape count passes `seen`; false if the
+      // scraper stalled.
+      const auto scraped_past = [&](int seen) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (scrapes.load() <= seen &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return scrapes.load() > seen;
+      };
+      // Let the scraper land its first request before feeding: on a busy
+      // host the whole feed can otherwise finish before it connects.
+      ASSERT_TRUE(scraped_past(0)) << "scraper never completed a request";
+
+      // Feed in slices, and hold each slice open until a scrape that began
+      // no earlier than its feed has completed: every stage of the stream
+      // is scraped mid-load, however fast the host runs the feed.
+      const auto& events = scenario().current.events();
+      constexpr std::size_t kSlices = 8;
+      std::size_t unscraped_slices = 0;
+      for (std::size_t s = 0; s < kSlices; ++s) {
+        const int before = scrapes.load();
+        const auto first = static_cast<std::ptrdiff_t>(events.size() * s /
+                                                        kSlices);
+        const auto last = static_cast<std::ptrdiff_t>(
+            events.size() * (s + 1) / kSlices);
+        monitor->feed(std::vector<of::ControlEvent>(events.begin() + first,
+                                                    events.begin() + last));
+        // The request in flight at `before` may have started before this
+        // slice's feed; the one after it cannot have.
+        if (!scraped_past(before + 1)) ++unscraped_slices;
+      }
       monitor->flush();
       stop.store(true, std::memory_order_relaxed);
       scraper.join();
       plane.stop();
-      EXPECT_GT(scrapes.load(), 0)
-          << "scraper never completed a request; the test lost its point";
+      EXPECT_EQ(unscraped_slices, 0U)
+          << "the scraper stalled across a feed slice, so that slice was "
+             "never scraped mid-load; the test lost its point";
 
       std::vector<std::string> transcript;
       for (const auto& audit : monitor->audits()) {

@@ -15,11 +15,14 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "experiment/corpus.h"
+#include "flowdiff/monitor.h"
+#include "flowdiff/monitor_manager.h"
 #include "openflow/log_io.h"
 #include "http_test_util.h"
 
@@ -305,6 +308,68 @@ TEST(ServeCli, FileAndSocketTenantsDemuxServeTelemetryAndFlushOnSigterm) {
     ASSERT_TRUE(transcript.has_value()) << tenant;
     EXPECT_EQ(*transcript, corpus.golden)
         << tenant << " transcript drifted from the single-tenant golden";
+  }
+}
+
+TEST(ServeCli, ByControllerTenantsMatchPerEventDemux) {
+  // --by-controller splits every poll's batch into per-controller runs and
+  // feeds each controller's tenant once per poll. The transcripts must be
+  // byte-identical to the demux that fed the manager one event at a time.
+  const Corpus corpus("corrupted_slowdown");
+  const fs::path dir = fs::path(::testing::TempDir()) / "serve_by_controller";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string services = corpus.write_services(dir / "services.txt");
+  const fs::path transcripts = dir / "transcripts";
+
+  // The capture spread over three controllers in short interleaved runs.
+  std::vector<of::ControlEvent> events = corpus.corpus_case.events;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i].controller = ControllerId{static_cast<std::uint32_t>(i / 3 % 3)};
+  }
+  const std::string text = of::serialize(events);
+  const fs::path log = dir / "mixed.log";
+  ASSERT_TRUE(of::write_file(log.string(), ""));
+
+  Child child = spawn_serve(
+      {"--follow", log.string() + "@mixed", "--by-controller", "--window",
+       corpus.window_seconds(), "--sanitize", "--services", services,
+       "--transcripts", transcripts.string(), "--poll-ms", "20",
+       "--exit-after-idle", "0.5"});
+  ASSERT_GT(child.pid, 0);
+  ASSERT_FALSE(child.wait_for_line("-> tenant mixed").empty());
+  // Append in pieces so polls see batches of different sizes.
+  {
+    std::ofstream out(log, std::ios::binary | std::ios::app);
+    constexpr std::size_t kPieces = 8;
+    for (std::size_t p = 0; p < kPieces; ++p) {
+      const std::size_t from = text.size() * p / kPieces;
+      const std::size_t to = text.size() * (p + 1) / kPieces;
+      out.write(text.data() + from, static_cast<std::streamsize>(to - from));
+      out.flush();
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    }
+  }
+  EXPECT_GE(child.wait_exit(), 0);
+
+  core::ManagerConfig config;
+  config.options.window = corpus.corpus_case.config.window;
+  config.options.sanitize = true;
+  config.options.services =
+      corpus.corpus_case.config.flowdiff.model.special_nodes;
+  core::MonitorManager reference(config);
+  for (const auto& event : events) {
+    reference.feed("ctrl" + std::to_string(event.controller.value), event);
+  }
+  reference.stop_all();
+  ASSERT_EQ(reference.tenants().size(), 3u);
+  for (const std::string& tenant : reference.tenants()) {
+    const auto transcript =
+        of::read_file((transcripts / (tenant + ".transcript")).string());
+    ASSERT_TRUE(transcript.has_value()) << tenant;
+    EXPECT_EQ(*transcript,
+              core::render_monitor_transcript(*reference.snapshot(tenant)))
+        << tenant;
   }
 }
 

@@ -861,6 +861,11 @@ int cmd_serve(std::vector<std::string> args) {
           : 0;
   double last_event_at = monotonic_seconds();
   std::vector<of::ControlEvent> batch;
+  struct ControllerRun {
+    ControllerId controller;
+    std::vector<of::ControlEvent> events;
+  };
+  std::vector<ControllerRun> runs;  // --by-controller; reused across polls.
 
   while (!cli::shutdown_requested()) {
     std::size_t produced = 0;
@@ -871,10 +876,24 @@ int cmd_serve(std::vector<std::string> args) {
       produced += batch.size();
       if (parsed->by_controller) {
         // Demux by controller id: each event lands in its controller's
-        // shard regardless of which source carried it.
+        // shard regardless of which source carried it. The poll's batch is
+        // split into per-controller runs (arrival order kept within each)
+        // so every controller's tenant is fed once per poll.
+        std::size_t used = 0;
         for (const of::ControlEvent& event : batch) {
-          manager.feed("ctrl" + std::to_string(event.controller.value),
-                       event);
+          std::size_t i = 0;
+          while (i < used && runs[i].controller != event.controller) ++i;
+          if (i == used) {
+            if (used == runs.size()) runs.emplace_back();
+            runs[used].controller = event.controller;
+            runs[used].events.clear();
+            ++used;
+          }
+          runs[i].events.push_back(event);
+        }
+        for (std::size_t i = 0; i < used; ++i) {
+          manager.feed("ctrl" + std::to_string(runs[i].controller.value),
+                       runs[i].events);
         }
       } else {
         manager.feed(source->tenant(), batch);
