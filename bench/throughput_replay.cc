@@ -8,12 +8,6 @@
 // repo root as BENCH_throughput.json by tools/ci.sh) so every PR extends
 // a recorded perf trajectory instead of guessing.
 //
-// The pre-optimization text parser (std::istringstream + per-field
-// std::string tokens + std::stoi/std::stoul, the seed implementation this
-// PR replaced) is kept here verbatim as `legacy::parse_control_events`;
-// each run measures both parsers on the same bytes, so the speedup claim
-// stays reproducible instead of decaying into a changelog anecdote.
-//
 // Correctness is pinned in-run: when a case has a committed .golden
 // transcript, the replayed transcript must match byte for byte or the
 // bench exits nonzero — a fast wrong parser scores zero.
@@ -24,6 +18,8 @@
 // rolling monitor) timed in both modes. The two modes must render
 // byte-identical transcripts or the bench exits nonzero — the same
 // fast-but-wrong-scores-zero rule, applied to the incremental modeler.
+// Schema 4 drops the seed-parser comparison leg (`parse_legacy` and the
+// `parse_speedup_vs_legacy` ratios).
 //
 // Usage: throughput_replay [--quick] [--iters=N] [--corpus=DIR]
 //                          [--out=FILE] [--listen=ADDR:PORT]
@@ -36,13 +32,11 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -57,204 +51,6 @@
 
 namespace flowdiff {
 namespace {
-
-// --- The seed parser, kept for the trajectory's baseline leg -----------------
-namespace legacy {
-
-using namespace flowdiff::of;
-
-/// Whitespace tokenizer with typed extraction; any failure poisons it.
-/// (Verbatim pre-optimization implementation: whole-capture istringstream,
-/// per-field std::string allocations, throwing std::stoi/std::stoul in
-/// match parsing.)
-class Reader {
- public:
-  explicit Reader(std::string_view line) : stream_(std::string(line)) {}
-
-  std::optional<std::string> token() {
-    std::string t;
-    if (!(stream_ >> t)) return std::nullopt;
-    return t;
-  }
-
-  template <typename Int>
-  std::optional<Int> number() {
-    const auto t = token();
-    if (!t) return std::nullopt;
-    Int value{};
-    const auto [p, ec] =
-        std::from_chars(t->data(), t->data() + t->size(), value);
-    if (ec != std::errc{} || p != t->data() + t->size()) return std::nullopt;
-    return value;
-  }
-
-  std::optional<Ipv4> ip() {
-    const auto t = token();
-    if (!t) return std::nullopt;
-    return Ipv4::parse(*t);
-  }
-
-  std::optional<FlowKey> key() {
-    FlowKey k;
-    const auto src = ip();
-    const auto sport = number<std::uint16_t>();
-    const auto dst = ip();
-    const auto dport = number<std::uint16_t>();
-    const auto proto = number<int>();
-    if (!src || !sport || !dst || !dport || !proto) return std::nullopt;
-    k.src_ip = *src;
-    k.src_port = *sport;
-    k.dst_ip = *dst;
-    k.dst_port = *dport;
-    k.proto = static_cast<Proto>(*proto);
-    return k;
-  }
-
-  std::optional<FlowMatch> match() {
-    FlowMatch m;
-    auto next = [this]() { return token(); };
-    const auto fields = std::array{next(), next(), next(), next(), next(),
-                                   next()};
-    for (const auto& f : fields) {
-      if (!f) return std::nullopt;
-    }
-    auto parse_ip = [](const std::string& t) -> std::optional<Ipv4> {
-      return t == "-" ? std::nullopt : Ipv4::parse(t);
-    };
-    auto parse_u16 = [](const std::string& t) -> std::optional<std::uint16_t> {
-      if (t == "-") return std::nullopt;
-      return static_cast<std::uint16_t>(std::stoul(t));
-    };
-    if (*fields[0] != "-") m.src_ip = parse_ip(*fields[0]);
-    if (*fields[1] != "-") m.src_port = parse_u16(*fields[1]);
-    if (*fields[2] != "-") m.dst_ip = parse_ip(*fields[2]);
-    if (*fields[3] != "-") m.dst_port = parse_u16(*fields[3]);
-    if (*fields[4] != "-") {
-      m.proto = static_cast<Proto>(std::stoi(*fields[4]));
-    }
-    if (*fields[5] != "-") {
-      m.in_port = PortId{static_cast<std::uint32_t>(std::stoul(*fields[5]))};
-    }
-    return m;
-  }
-
- private:
-  std::istringstream stream_;
-};
-
-std::optional<std::vector<ControlEvent>> parse_control_events(
-    std::string_view text) {
-  std::vector<ControlEvent> events;
-  std::istringstream lines{std::string(text)};
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    Reader r(line);
-    const auto kind = r.token();
-    const auto ts = r.number<SimTime>();
-    const auto ctrl = r.number<std::uint32_t>();
-    if (!kind || !ts || !ctrl) return std::nullopt;
-    ControlEvent event;
-    event.ts = *ts;
-    event.controller = ControllerId{*ctrl};
-
-    if (*kind == "PIN") {
-      PacketIn pin;
-      const auto sw = r.number<std::uint32_t>();
-      const auto in_port = r.number<std::uint32_t>();
-      const auto key = r.key();
-      const auto uid = r.number<std::uint64_t>();
-      if (!sw || !in_port || !key || !uid) return std::nullopt;
-      pin.sw = SwitchId{*sw};
-      pin.in_port = PortId{*in_port};
-      pin.key = *key;
-      pin.flow_uid = *uid;
-      event.msg = pin;
-    } else if (*kind == "FMOD") {
-      FlowMod fm;
-      const auto sw = r.number<std::uint32_t>();
-      const auto out_port = r.number<std::uint32_t>();
-      const auto idle = r.number<SimDuration>();
-      const auto hard = r.number<SimDuration>();
-      const auto match = r.match();
-      const auto key = r.key();
-      const auto uid = r.number<std::uint64_t>();
-      if (!sw || !out_port || !idle || !hard || !match || !key || !uid) {
-        return std::nullopt;
-      }
-      fm.sw = SwitchId{*sw};
-      fm.out_port = PortId{*out_port};
-      fm.idle_timeout = *idle;
-      fm.hard_timeout = *hard;
-      fm.match = *match;
-      fm.key = *key;
-      fm.flow_uid = *uid;
-      event.msg = fm;
-    } else if (*kind == "POUT") {
-      PacketOut po;
-      const auto sw = r.number<std::uint32_t>();
-      const auto out_port = r.number<std::uint32_t>();
-      const auto key = r.key();
-      const auto uid = r.number<std::uint64_t>();
-      if (!sw || !out_port || !key || !uid) return std::nullopt;
-      po.sw = SwitchId{*sw};
-      po.out_port = PortId{*out_port};
-      po.key = *key;
-      po.flow_uid = *uid;
-      event.msg = po;
-    } else if (*kind == "FREM") {
-      FlowRemoved fr;
-      const auto sw = r.number<std::uint32_t>();
-      const auto reason = r.number<int>();
-      const auto duration = r.number<SimDuration>();
-      const auto bytes = r.number<std::uint64_t>();
-      const auto pkts = r.number<std::uint64_t>();
-      const auto match = r.match();
-      const auto key = r.key();
-      if (!sw || !reason || !duration || !bytes || !pkts || !match || !key) {
-        return std::nullopt;
-      }
-      fr.sw = SwitchId{*sw};
-      fr.reason = static_cast<RemovedReason>(*reason);
-      fr.duration = *duration;
-      fr.byte_count = *bytes;
-      fr.packet_count = *pkts;
-      fr.match = *match;
-      fr.key = *key;
-      event.msg = fr;
-    } else if (*kind == "STAT") {
-      FlowStatsReply st;
-      const auto sw = r.number<std::uint32_t>();
-      const auto age = r.number<SimDuration>();
-      const auto bytes = r.number<std::uint64_t>();
-      const auto pkts = r.number<std::uint64_t>();
-      const auto match = r.match();
-      const auto key = r.key();
-      if (!sw || !age || !bytes || !pkts || !match || !key) {
-        return std::nullopt;
-      }
-      st.sw = SwitchId{*sw};
-      st.age = *age;
-      st.byte_count = *bytes;
-      st.packet_count = *pkts;
-      st.match = *match;
-      st.key = *key;
-      event.msg = st;
-    } else if (*kind == "ECHO") {
-      EchoReply echo;
-      const auto sw = r.number<std::uint32_t>();
-      if (!sw) return std::nullopt;
-      echo.sw = SwitchId{*sw};
-      event.msg = echo;
-    } else {
-      return std::nullopt;  // Unknown record type.
-    }
-    events.push_back(std::move(event));
-  }
-  return events;
-}
-
-}  // namespace legacy
 
 // --- Timing helpers ----------------------------------------------------------
 
@@ -296,7 +92,6 @@ struct CaseResult {
   bool golden_ok = true;
   bool has_golden = false;
   StageRate parse;
-  StageRate parse_legacy;
   StageRate sanitize;
   StageRate monitor;
   StageRate end_to_end;
@@ -403,7 +198,6 @@ int run(int argc, char** argv) {
   std::size_t total_events = 0;
   std::size_t total_bytes = 0;
   double total_parse_s = 0.0;
-  double total_legacy_s = 0.0;
   double total_e2e_s = 0.0;
 
   for (const auto& path : logs) {
@@ -417,7 +211,7 @@ int run(int argc, char** argv) {
     if (!parsed_case) return fail("corpus header/parse failed: " + r.name);
     r.events = parsed_case->events.size();
 
-    // Stage 1: the zero-copy parser vs the seed parser, same bytes.
+    // Stage 1: the line parser.
     r.parse = rate(time_best(iters,
                              [&] {
                                const auto events =
@@ -425,14 +219,6 @@ int run(int argc, char** argv) {
                                if (!events) std::abort();
                              }),
                    r.events, r.bytes);
-    r.parse_legacy =
-        rate(time_best(iters,
-                       [&] {
-                         const auto events =
-                             legacy::parse_control_events(*text);
-                         if (!events) std::abort();
-                       }),
-             r.events, r.bytes);
 
     // Stage 2: sanitizer restore pass over the parsed arrivals.
     r.sanitize =
@@ -492,7 +278,6 @@ int run(int argc, char** argv) {
     total_events += r.events;
     total_bytes += r.bytes;
     total_parse_s += r.parse.secs;
-    total_legacy_s += r.parse_legacy.secs;
     total_e2e_s += r.end_to_end.secs;
     results.push_back(std::move(r));
   }
@@ -584,18 +369,13 @@ int run(int argc, char** argv) {
   const double parse_eps =
       total_parse_s > 0.0 ? static_cast<double>(total_events) / total_parse_s
                           : 0.0;
-  const double legacy_eps =
-      total_legacy_s > 0.0
-          ? static_cast<double>(total_events) / total_legacy_s
-          : 0.0;
   const double e2e_eps =
       total_e2e_s > 0.0 ? static_cast<double>(total_events) / total_e2e_s
                         : 0.0;
-  const double speedup = legacy_eps > 0.0 ? parse_eps / legacy_eps : 0.0;
 
   std::string json = "{\n";
   json += "  \"bench\": \"throughput_replay\",\n";
-  json += "  \"schema\": 3,\n";
+  json += "  \"schema\": 4,\n";
   json += std::string("  \"quick\": ") + (quick ? "true" : "false") + ",\n";
   json += "  \"iterations\": " + std::to_string(iters) + ",\n";
   json += "  \"cases\": [\n";
@@ -609,24 +389,16 @@ int run(int argc, char** argv) {
             ",\n";
     json += "     \"stages\": {\n";
     append_stage(json, "parse", r.parse, true);
-    append_stage(json, "parse_legacy", r.parse_legacy, true);
     append_stage(json, "sanitize", r.sanitize, true);
     append_stage(json, "monitor", r.monitor, true);
     append_stage(json, "end_to_end", r.end_to_end, false);
-    json += "     },\n";
-    json += "     \"parse_speedup_vs_legacy\": " +
-            num(r.parse_legacy.events_per_sec > 0.0
-                    ? r.parse.events_per_sec / r.parse_legacy.events_per_sec
-                    : 0.0) +
-            "}";
+    json += "     }}";
     json += (i + 1 < results.size()) ? ",\n" : "\n";
   }
   json += "  ],\n";
   json += "  \"total\": {\"events\": " + std::to_string(total_events) +
           ", \"bytes\": " + std::to_string(total_bytes) + ",\n";
   json += "    \"parse_events_per_sec\": " + num(parse_eps) + ",\n";
-  json += "    \"parse_legacy_events_per_sec\": " + num(legacy_eps) + ",\n";
-  json += "    \"parse_speedup_vs_legacy\": " + num(speedup) + ",\n";
   json += "    \"end_to_end_events_per_sec\": " + num(e2e_eps) + ",\n";
   json += "    \"end_to_end_mb_per_sec\": " +
           num(total_e2e_s > 0.0
@@ -729,19 +501,14 @@ int run(int argc, char** argv) {
               static_cast<double>(total_bytes) / 1.0e6,
               quick ? " [quick]" : "");
   for (const CaseResult& r : results) {
-    std::printf(
-        "  %-20s parse %10.0f ev/s (legacy %10.0f, x%.2f)  e2e %9.0f ev/s%s\n",
-        r.name.c_str(), r.parse.events_per_sec,
-        r.parse_legacy.events_per_sec,
-        r.parse_legacy.events_per_sec > 0.0
-            ? r.parse.events_per_sec / r.parse_legacy.events_per_sec
-            : 0.0,
-        r.end_to_end.events_per_sec, r.has_golden ? "  [golden ok]" : "");
+    std::printf("  %-20s parse %10.0f ev/s  e2e %9.0f ev/s%s\n",
+                r.name.c_str(), r.parse.events_per_sec,
+                r.end_to_end.events_per_sec,
+                r.has_golden ? "  [golden ok]" : "");
   }
   std::printf(
-      "  TOTAL parse %.0f ev/s vs legacy %.0f ev/s (x%.2f), end-to-end "
-      "%.0f ev/s, peak RSS %.1f MB\n",
-      parse_eps, legacy_eps, speedup, e2e_eps, peak_rss_mb());
+      "  TOTAL parse %.0f ev/s, end-to-end %.0f ev/s, peak RSS %.1f MB\n",
+      parse_eps, e2e_eps, peak_rss_mb());
   std::printf(
       "  window close: %.3f ms incremental vs %.3f ms from scratch "
       "(x%.2f)\n",

@@ -37,49 +37,55 @@ void close_fd(int& fd) {
 
 std::size_t EventSource::parse_line(std::string_view line,
                                     std::vector<of::ControlEvent>& out) {
-  // The appending parser is all-or-nothing over its input (a rejected
-  // line leaves `out` as it was), so feeding it one line at a time
-  // converts that contract into per-line rejection: comments and blanks
-  // append nothing, a record one event, garbage is counted and skipped.
-  const std::size_t before = out.size();
-  if (!of::parse_control_events(line, out)) {
+  // Per-line rejection: comments and blanks append nothing, a record one
+  // event, garbage is counted and skipped.
+  if (of::is_comment_or_blank(line)) return 0;
+  if (!of::parse_event_line(line, out.emplace_back())) {
+    out.pop_back();
     ++stats_.lines_rejected;
     return 0;
   }
-  const std::size_t produced = out.size() - before;
-  stats_.events += produced;
-  return produced;
+  ++stats_.events;
+  return 1;
 }
 
-std::size_t EventSource::consume_text(std::string* partial,
+std::size_t EventSource::consume_text(PendingLine& pending,
                                       std::string_view chunk,
                                       std::vector<of::ControlEvent>& out) {
   stats_.bytes += chunk.size();
   std::size_t produced = 0;
   while (!chunk.empty()) {
     const auto nl = chunk.find('\n');
-    if (nl == std::string_view::npos) {
-      partial->append(chunk);
-      break;
-    }
-    std::string_view line = chunk.substr(0, nl);
-    if (partial->empty()) {
-      produced += parse_line(line, out);
+    const std::string_view piece = chunk.substr(0, nl);
+    if (pending.discarding) {
+      // The rest of an over-long line, already counted as rejected.
+    } else if (pending.text.size() + piece.size() > kMaxPendingLine) {
+      ++stats_.lines_rejected;
+      pending.text.clear();
+      pending.discarding = true;
+    } else if (nl == std::string_view::npos) {
+      pending.text.append(piece);
+    } else if (pending.text.empty()) {
+      produced += parse_line(piece, out);
     } else {
-      partial->append(line);
-      produced += parse_line(*partial, out);
-      partial->clear();
+      pending.text.append(piece);
+      produced += parse_line(pending.text, out);
+      pending.text.clear();
     }
+    if (nl == std::string_view::npos) break;
+    pending.discarding = false;
     chunk.remove_prefix(nl + 1);
   }
   return produced;
 }
 
-std::size_t EventSource::finish_partial(std::string* partial,
+std::size_t EventSource::finish_partial(PendingLine& pending,
                                         std::vector<of::ControlEvent>& out) {
-  if (partial->empty()) return 0;
-  const std::size_t produced = parse_line(*partial, out);
-  partial->clear();
+  const std::size_t produced =
+      pending.discarding || pending.text.empty()
+          ? 0
+          : parse_line(pending.text, out);
+  pending.clear();
   return produced;
 }
 
@@ -120,9 +126,8 @@ std::size_t FileTailSource::drain_fd(std::vector<of::ControlEvent>& out) {
     const ssize_t n = ::pread(fd_, buf, sizeof(buf), offset_);
     if (n <= 0) break;
     offset_ += n;
-    produced += consume_text(&partial_, std::string_view(buf,
-                                                         static_cast<std::size_t>(n)),
-                             out);
+    produced += consume_text(
+        partial_, std::string_view(buf, static_cast<std::size_t>(n)), out);
   }
   return produced;
 }
@@ -154,7 +159,7 @@ std::size_t FileTailSource::poll(std::vector<of::ControlEvent>& out) {
   struct stat at_path{};
   if (::stat(config_.path.c_str(), &at_path) == 0 &&
       (at_path.st_dev != dev_ || at_path.st_ino != ino_)) {
-    produced += finish_partial(&partial_, out);
+    produced += finish_partial(partial_, out);
     close_fd(fd_);
     ++stats_.rotations;
     const bool from_start = config_.from_start;
@@ -264,19 +269,19 @@ std::size_t SocketSource::drain_client(Client& client,
     const ssize_t n = ::recv(client.fd, buf, sizeof(buf), 0);
     if (n > 0) {
       produced += consume_text(
-          &client.partial, std::string_view(buf, static_cast<std::size_t>(n)),
+          client.partial, std::string_view(buf, static_cast<std::size_t>(n)),
           out);
       continue;
     }
     if (n == 0) {
       // Orderly shutdown: a final line without a newline still counts.
-      produced += finish_partial(&client.partial, out);
+      produced += finish_partial(client.partial, out);
       *closed = true;
     }
     // n < 0 with EAGAIN/EWOULDBLOCK: drained for now. Any other error:
     // treat as a disconnect too — the producer is gone either way.
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      produced += finish_partial(&client.partial, out);
+      produced += finish_partial(client.partial, out);
       *closed = true;
     }
     break;

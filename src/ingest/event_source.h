@@ -27,7 +27,10 @@
 // a daemon must outlive a corrupted producer, so per-line rejection
 // replaces the parse-the-whole-file-or-fail contract of log_io. Comment
 // ('#') and blank lines are ignored exactly like the file parser does,
-// which is what lets serve tail a golden-corpus capture verbatim.
+// which is what lets serve tail a golden-corpus capture verbatim. A line
+// longer than kMaxPendingLine is one malformed line too: its bytes are
+// dropped as they arrive instead of being buffered, so a producer that
+// never sends '\n' cannot grow the daemon's memory.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +42,10 @@
 #include "openflow/control_log.h"
 
 namespace flowdiff::ingest {
+
+/// Longest line a source buffers while it waits for the line's '\n'; far
+/// above the longest record (a FREM line is under 200 bytes).
+inline constexpr std::size_t kMaxPendingLine = 64 * 1024;
 
 /// Counters every source accumulates; surfaced per source in the serve
 /// summary and on the telemetry plane.
@@ -81,14 +88,27 @@ class EventSource {
  protected:
   explicit EventSource(std::string tenant) : tenant_(std::move(tenant)) {}
 
-  /// Splits `chunk` into lines against the caller's carry-over buffer and
-  /// parses each complete line (comments/blanks ignored, malformed lines
-  /// counted and skipped). Returns events appended to `out`.
-  std::size_t consume_text(std::string* partial, std::string_view chunk,
+  /// A stream's carry-over between reads: the unterminated tail of the
+  /// last chunk, or, once that tail outgrew kMaxPendingLine, the state of
+  /// dropping bytes up to the next '\n'.
+  struct PendingLine {
+    std::string text;
+    bool discarding = false;
+
+    void clear() {
+      text.clear();
+      discarding = false;
+    }
+  };
+
+  /// Splits `chunk` into lines against the stream's carry-over and parses
+  /// each complete line (comments/blanks ignored, malformed lines counted
+  /// and skipped). Returns events appended to `out`.
+  std::size_t consume_text(PendingLine& pending, std::string_view chunk,
                            std::vector<of::ControlEvent>& out);
-  /// Parses whatever is left in `partial` as a final, unterminated line
-  /// (stream ended without a trailing newline).
-  std::size_t finish_partial(std::string* partial,
+  /// Parses whatever is pending as a final, unterminated line (stream
+  /// ended without a trailing newline) and clears the carry-over.
+  std::size_t finish_partial(PendingLine& pending,
                              std::vector<of::ControlEvent>& out);
 
   SourceStats stats_;
@@ -130,7 +150,7 @@ class FileTailSource : public EventSource {
   ino_t ino_ = 0;
   off_t offset_ = 0;     ///< Bytes of the current file consumed.
   bool at_eof_ = true;   ///< Last poll ended at EOF with no rotation due.
-  std::string partial_;  ///< Trailing incomplete line carried over.
+  PendingLine partial_;  ///< Trailing incomplete line carried over.
 };
 
 // --- socket accept --------------------------------------------------------
@@ -168,7 +188,7 @@ class SocketSource : public EventSource {
  private:
   struct Client {
     int fd = -1;
-    std::string partial;
+    PendingLine partial;
   };
 
   std::size_t drain_client(Client& client, std::vector<of::ControlEvent>& out,

@@ -4,6 +4,13 @@
 
 namespace flowdiff::of {
 
+ControlLog::ControlLog(std::vector<ControlEvent>&& events)
+    : events_(std::move(events)),
+      sorted_(std::is_sorted(events_.begin(), events_.end(),
+                             [](const ControlEvent& a, const ControlEvent& b) {
+                               return a.ts < b.ts;
+                             })) {}
+
 void ControlLog::append(ControlEvent event) {
   if (sorted_ && !events_.empty() && event.ts < events_.back().ts) {
     sorted_ = false;

@@ -13,13 +13,15 @@ namespace flowdiff::of {
 
 class ControlLog {
  public:
+  ControlLog() = default;
+
+  /// Adopts `events` (e.g. a parsed capture) without copying them; one
+  /// order check here replaces the per-append one.
+  explicit ControlLog(std::vector<ControlEvent>&& events);
+
   /// Appends an event. Out-of-order appends are tolerated; the log sorts
   /// itself lazily on the next ordered access, so bulk appends stay O(n).
   void append(ControlEvent event);
-
-  /// Pre-sizes the backing storage for a known batch (e.g. a parsed
-  /// capture file) so bulk appends don't reallocate along the way.
-  void reserve(std::size_t n) { events_.reserve(n); }
 
   /// Drops every event but keeps the allocated capacity — lets a hot loop
   /// (the monitor's window scratch buffer) reuse one allocation across

@@ -1,11 +1,14 @@
 #include "openflow/log_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <array>
-#include <charconv>
-#include <cstdio>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <vector>
 
 namespace flowdiff::of {
@@ -50,236 +53,210 @@ constexpr bool is_field_space(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
 
-/// Zero-copy whitespace tokenizer over one line: every token is a view
-/// into the caller's buffer, numbers go through std::from_chars — no
-/// copies, no exceptions, no per-field allocations. Any failure poisons
-/// the line (callers bail to nullopt), matching the capture format's
-/// all-or-nothing contract.
-class FieldScanner {
- public:
-  explicit FieldScanner(std::string_view line) : rest_(line) {}
+/// Decimal value of `c`, or something > 9 for any non-digit byte.
+constexpr unsigned digit_of(char c) {
+  return static_cast<unsigned>(static_cast<unsigned char>(c)) - unsigned{'0'};
+}
 
-  std::optional<std::string_view> token() {
-    std::size_t i = 0;
-    while (i < rest_.size() && is_field_space(rest_[i])) ++i;
-    if (i == rest_.size()) {
-      rest_ = {};
-      return std::nullopt;
+/// One forward cursor over one capture line. Each field is decoded in a
+/// single scan from the cursor: skip field space, consume and decode the
+/// token's bytes, then require the token to end right there (end of line
+/// or field space). Any failure rejects the whole line, matching the
+/// capture format's all-or-nothing contract. Numbers follow
+/// std::from_chars over the whole token: at least one digit, leading
+/// zeros allowed, no '+', '-' only on signed fields, and values outside
+/// the field's range reject instead of truncating.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The next token as a view (empty at end of line).
+  std::string_view word() {
+    skip_space();
+    const char* begin = p_;
+    while (p_ != end_ && !is_field_space(*p_)) ++p_;
+    return {begin, static_cast<std::size_t>(p_ - begin)};
+  }
+
+  template <typename UInt>
+  bool unsigned_field(UInt& out) {
+    std::uint64_t value = 0;
+    if (!skip_space() || !digits(value) ||
+        value > std::numeric_limits<UInt>::max()) {
+      return false;
     }
-    std::size_t j = i;
-    while (j < rest_.size() && !is_field_space(rest_[j])) ++j;
-    const std::string_view tok = rest_.substr(i, j - i);
-    rest_.remove_prefix(j);
-    return tok;
+    out = static_cast<UInt>(value);
+    return true;
   }
 
   template <typename Int>
-  std::optional<Int> number() {
-    const auto t = token();
-    if (!t) return std::nullopt;
-    return parse_number<Int>(*t);
+  bool signed_field(Int& out) {
+    if (!skip_space()) return false;
+    const bool negative = *p_ == '-';
+    if (negative) ++p_;
+    std::uint64_t magnitude = 0;
+    constexpr auto kMax =
+        static_cast<std::uint64_t>(std::numeric_limits<Int>::max());
+    if (!digits(magnitude) || magnitude > kMax + (negative ? 1 : 0)) {
+      return false;
+    }
+    // Two's-complement wrap maps the magnitude 2^(N-1) onto Int's minimum.
+    out = static_cast<Int>(negative ? std::uint64_t{0} - magnitude
+                                    : magnitude);
+    return true;
   }
 
-  /// Full-token numeric parse: trailing bytes, sign mismatches, and values
-  /// outside Int's range all reject (std::from_chars never throws, unlike
-  /// the std::stoi family this replaced).
-  template <typename Int>
-  static std::optional<Int> parse_number(std::string_view t) {
-    Int value{};
-    const auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), value);
-    if (ec != std::errc{} || p != t.data() + t.size()) return std::nullopt;
-    return value;
+  /// Enum fields (protocol, removal reason) are logged as an int and cast.
+  template <typename Enum>
+  bool enum_field(Enum& out) {
+    int value = 0;
+    if (!signed_field(value)) return false;
+    out = static_cast<Enum>(value);
+    return true;
   }
 
-  std::optional<Ipv4> ip() {
-    const auto t = token();
-    if (!t) return std::nullopt;
-    return Ipv4::parse(*t);
+  template <typename Tag>
+  bool id_field(Id<Tag>& out) {
+    return unsigned_field(out.value);
   }
 
-  std::optional<FlowKey> key() {
-    FlowKey k;
-    const auto src = ip();
-    const auto sport = number<std::uint16_t>();
-    const auto dst = ip();
-    const auto dport = number<std::uint16_t>();
-    const auto proto = number<int>();
-    if (!src || !sport || !dst || !dport || !proto) return std::nullopt;
-    k.src_ip = *src;
-    k.src_port = *sport;
-    k.dst_ip = *dst;
-    k.dst_port = *dport;
-    k.proto = static_cast<Proto>(*proto);
-    return k;
+  /// Dotted quad, each octet at most 255 (Ipv4::parse's rules).
+  bool ip(Ipv4& out) {
+    if (!skip_space()) return false;
+    std::uint32_t raw = 0;
+    for (int octet = 0; octet < 4; ++octet) {
+      if (octet > 0) {
+        if (p_ == end_ || *p_ != '.') return false;
+        ++p_;
+      }
+      if (p_ == end_ || digit_of(*p_) > 9) return false;
+      unsigned value = 0;
+      do {
+        value = value * 10 + digit_of(*p_++);
+        if (value > 255) return false;
+      } while (p_ != end_ && digit_of(*p_) <= 9);
+      raw = raw << 8 | value;
+    }
+    out = Ipv4{raw};
+    return at_token_end();
   }
 
-  std::optional<FlowMatch> match() {
-    FlowMatch m;
-    auto next = [this]() { return token(); };
-    const auto fields = std::array{next(), next(), next(), next(), next(),
-                                   next()};
-    for (const auto& f : fields) {
-      if (!f) return std::nullopt;
-    }
-    // Wildcard ('-') means "field absent"; anything else must parse, and a
-    // present-but-garbled field rejects the whole line rather than being
-    // silently widened to a wildcard.
-    if (*fields[0] != "-") {
-      m.src_ip = Ipv4::parse(*fields[0]);
-      if (!m.src_ip) return std::nullopt;
-    }
-    if (*fields[1] != "-") {
-      m.src_port = parse_u16(*fields[1]);
-      if (!m.src_port) return std::nullopt;
-    }
-    if (*fields[2] != "-") {
-      m.dst_ip = Ipv4::parse(*fields[2]);
-      if (!m.dst_ip) return std::nullopt;
-    }
-    if (*fields[3] != "-") {
-      m.dst_port = parse_u16(*fields[3]);
-      if (!m.dst_port) return std::nullopt;
-    }
-    if (*fields[4] != "-") {
-      const auto proto = parse_number<int>(*fields[4]);
-      if (!proto) return std::nullopt;
-      m.proto = static_cast<Proto>(*proto);
-    }
-    if (*fields[5] != "-") {
-      const auto port = parse_number<std::uint32_t>(*fields[5]);
-      if (!port) return std::nullopt;
-      m.in_port = PortId{*port};
-    }
-    return m;
+  bool key(FlowKey& k) {
+    return ip(k.src_ip) && unsigned_field(k.src_port) && ip(k.dst_ip) &&
+           unsigned_field(k.dst_port) && enum_field(k.proto);
+  }
+
+  /// Six match slots into a default (all-wildcard) `m`. A lone '-' leaves
+  /// the field absent; anything else must decode, so a garbled field
+  /// rejects the line rather than silently widening to a wildcard.
+  bool match(FlowMatch& m) {
+    return slot(m.src_ip, [this](Ipv4& v) { return ip(v); }) &&
+           slot(m.src_port, [this](auto& v) { return unsigned_field(v); }) &&
+           slot(m.dst_ip, [this](Ipv4& v) { return ip(v); }) &&
+           slot(m.dst_port, [this](auto& v) { return unsigned_field(v); }) &&
+           slot(m.proto, [this](Proto& v) { return enum_field(v); }) &&
+           slot(m.in_port, [this](PortId& v) { return id_field(v); });
   }
 
  private:
-  /// Port fields reject values > 65535 outright (from_chars'
-  /// result_out_of_range) instead of truncating them modulo 2^16.
-  static std::optional<std::uint16_t> parse_u16(std::string_view t) {
-    return parse_number<std::uint16_t>(t);
+  /// Moves to the next token's first byte; false at end of line.
+  bool skip_space() {
+    while (p_ != end_ && is_field_space(*p_)) ++p_;
+    return p_ != end_;
   }
 
-  std::string_view rest_;
-};
+  [[nodiscard]] bool at_token_end() const {
+    return p_ == end_ || is_field_space(*p_);
+  }
 
-/// Splits text into '\n'-terminated line views without copying; blank and
-/// '#'-comment lines are skipped here so every line handed back is a
-/// candidate record.
-class LineScanner {
- public:
-  explicit LineScanner(std::string_view text) : rest_(text) {}
+  /// One or more decimal digits making up the rest of the token, with an
+  /// inline uint64 overflow check.
+  bool digits(std::uint64_t& out) {
+    constexpr std::uint64_t kCutoff =
+        std::numeric_limits<std::uint64_t>::max() / 10;
+    constexpr unsigned kLastDigit =
+        std::numeric_limits<std::uint64_t>::max() % 10;
+    if (p_ == end_ || digit_of(*p_) > 9) return false;
+    std::uint64_t value = 0;
+    do {
+      const unsigned d = digit_of(*p_++);
+      if (value > kCutoff || (value == kCutoff && d > kLastDigit)) {
+        return false;
+      }
+      value = value * 10 + d;
+    } while (p_ != end_ && digit_of(*p_) <= 9);
+    out = value;
+    return at_token_end();
+  }
 
-  std::optional<std::string_view> next() {
-    while (!rest_.empty()) {
-      const std::size_t eol = rest_.find('\n');
-      std::string_view line = rest_.substr(0, eol);
-      rest_.remove_prefix(eol == std::string_view::npos ? rest_.size()
-                                                        : eol + 1);
-      if (line.empty() || line[0] == '#') continue;
-      return line;
+  template <typename T, typename Decode>
+  bool slot(std::optional<T>& out, Decode decode) {
+    if (!skip_space()) return false;
+    if (*p_ == '-' && (p_ + 1 == end_ || is_field_space(p_[1]))) {
+      ++p_;
+      return true;
     }
-    return std::nullopt;
+    T value{};
+    if (!decode(value)) return false;
+    out = value;
+    return true;
   }
 
- private:
-  std::string_view rest_;
+  const char* p_;
+  const char* end_;
 };
 
-/// Parses the payload of one event line (everything after the leading
-/// kind/ts/ctrl triple, which the caller already consumed).
-bool parse_event_body(std::string_view kind, FieldScanner& r,
-                      ControlEvent& event) {
+/// Decodes the fields after `<kind> <ts> <ctrl>` into a fresh alternative.
+bool parse_body(std::string_view kind, LineCursor& c, ControlMessage& msg) {
   if (kind == "PIN") {
-    PacketIn pin;
-    const auto sw = r.number<std::uint32_t>();
-    const auto in_port = r.number<std::uint32_t>();
-    const auto key = r.key();
-    const auto uid = r.number<std::uint64_t>();
-    if (!sw || !in_port || !key || !uid) return false;
-    pin.sw = SwitchId{*sw};
-    pin.in_port = PortId{*in_port};
-    pin.key = *key;
-    pin.flow_uid = *uid;
-    event.msg = pin;
-  } else if (kind == "FMOD") {
-    FlowMod fm;
-    const auto sw = r.number<std::uint32_t>();
-    const auto out_port = r.number<std::uint32_t>();
-    const auto idle = r.number<SimDuration>();
-    const auto hard = r.number<SimDuration>();
-    const auto match = r.match();
-    const auto key = r.key();
-    const auto uid = r.number<std::uint64_t>();
-    if (!sw || !out_port || !idle || !hard || !match || !key || !uid) {
-      return false;
-    }
-    fm.sw = SwitchId{*sw};
-    fm.out_port = PortId{*out_port};
-    fm.idle_timeout = *idle;
-    fm.hard_timeout = *hard;
-    fm.match = *match;
-    fm.key = *key;
-    fm.flow_uid = *uid;
-    event.msg = fm;
-  } else if (kind == "POUT") {
-    PacketOut po;
-    const auto sw = r.number<std::uint32_t>();
-    const auto out_port = r.number<std::uint32_t>();
-    const auto key = r.key();
-    const auto uid = r.number<std::uint64_t>();
-    if (!sw || !out_port || !key || !uid) return false;
-    po.sw = SwitchId{*sw};
-    po.out_port = PortId{*out_port};
-    po.key = *key;
-    po.flow_uid = *uid;
-    event.msg = po;
-  } else if (kind == "FREM") {
-    FlowRemoved fr;
-    const auto sw = r.number<std::uint32_t>();
-    const auto reason = r.number<int>();
-    const auto duration = r.number<SimDuration>();
-    const auto bytes = r.number<std::uint64_t>();
-    const auto pkts = r.number<std::uint64_t>();
-    const auto match = r.match();
-    const auto key = r.key();
-    if (!sw || !reason || !duration || !bytes || !pkts || !match || !key) {
-      return false;
-    }
-    fr.sw = SwitchId{*sw};
-    fr.reason = static_cast<RemovedReason>(*reason);
-    fr.duration = *duration;
-    fr.byte_count = *bytes;
-    fr.packet_count = *pkts;
-    fr.match = *match;
-    fr.key = *key;
-    event.msg = fr;
-  } else if (kind == "STAT") {
-    FlowStatsReply st;
-    const auto sw = r.number<std::uint32_t>();
-    const auto age = r.number<SimDuration>();
-    const auto bytes = r.number<std::uint64_t>();
-    const auto pkts = r.number<std::uint64_t>();
-    const auto match = r.match();
-    const auto key = r.key();
-    if (!sw || !age || !bytes || !pkts || !match || !key) {
-      return false;
-    }
-    st.sw = SwitchId{*sw};
-    st.age = *age;
-    st.byte_count = *bytes;
-    st.packet_count = *pkts;
-    st.match = *match;
-    st.key = *key;
-    event.msg = st;
-  } else if (kind == "ECHO") {
-    EchoReply echo;
-    const auto sw = r.number<std::uint32_t>();
-    if (!sw) return false;
-    echo.sw = SwitchId{*sw};
-    event.msg = echo;
-  } else {
-    return false;  // Unknown record type.
+    auto& pin = msg.emplace<PacketIn>();
+    return c.id_field(pin.sw) && c.id_field(pin.in_port) && c.key(pin.key) &&
+           c.unsigned_field(pin.flow_uid);
+  }
+  if (kind == "FMOD") {
+    auto& fm = msg.emplace<FlowMod>();
+    return c.id_field(fm.sw) && c.id_field(fm.out_port) &&
+           c.signed_field(fm.idle_timeout) &&
+           c.signed_field(fm.hard_timeout) && c.match(fm.match) &&
+           c.key(fm.key) && c.unsigned_field(fm.flow_uid);
+  }
+  if (kind == "POUT") {
+    auto& po = msg.emplace<PacketOut>();
+    return c.id_field(po.sw) && c.id_field(po.out_port) && c.key(po.key) &&
+           c.unsigned_field(po.flow_uid);
+  }
+  if (kind == "FREM") {
+    auto& fr = msg.emplace<FlowRemoved>();
+    return c.id_field(fr.sw) && c.enum_field(fr.reason) &&
+           c.signed_field(fr.duration) && c.unsigned_field(fr.byte_count) &&
+           c.unsigned_field(fr.packet_count) && c.match(fr.match) &&
+           c.key(fr.key);
+  }
+  if (kind == "STAT") {
+    auto& st = msg.emplace<FlowStatsReply>();
+    return c.id_field(st.sw) && c.signed_field(st.age) &&
+           c.unsigned_field(st.byte_count) &&
+           c.unsigned_field(st.packet_count) && c.match(st.match) &&
+           c.key(st.key);
+  }
+  if (kind == "ECHO") return c.id_field(msg.emplace<EchoReply>().sw);
+  return false;  // Unknown record type.
+}
+
+/// Calls `fn(line)` on each '\n'-separated line of `text` that is not a
+/// comment or blank; returns false as soon as `fn` does.
+template <typename Fn>
+bool for_each_record_line(std::string_view text, Fn&& fn) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end) {
+    const auto* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    const char* eol = nl != nullptr ? nl : end;
+    const std::string_view line(p, static_cast<std::size_t>(eol - p));
+    p = nl != nullptr ? nl + 1 : end;
+    if (!is_comment_or_blank(line) && !fn(line)) return false;
   }
   return true;
 }
@@ -348,25 +325,21 @@ std::string serialize(const std::vector<ControlEvent>& events) {
 
 std::string serialize(const ControlLog& log) { return serialize(log.events()); }
 
+bool parse_event_line(std::string_view line, ControlEvent& event) {
+  LineCursor c(line);
+  const std::string_view kind = c.word();
+  return c.signed_field(event.ts) && c.id_field(event.controller) &&
+         parse_body(kind, c, event.msg);
+}
+
 bool parse_control_events(std::string_view text,
                           std::vector<ControlEvent>& out) {
   const std::size_t mark = out.size();
-  LineScanner lines(text);
-  while (const auto line = lines.next()) {
-    FieldScanner r(*line);
-    const auto kind = r.token();
-    const auto ts = r.number<SimTime>();
-    const auto ctrl = r.number<std::uint32_t>();
-    ControlEvent& event = out.emplace_back();
-    if (kind && ts && ctrl) {
-      event.ts = *ts;
-      event.controller = ControllerId{*ctrl};
-      if (parse_event_body(*kind, r, event)) continue;
-    }
-    out.resize(mark);
-    return false;
-  }
-  return true;
+  const bool ok = for_each_record_line(text, [&out](std::string_view line) {
+    return parse_event_line(line, out.emplace_back());
+  });
+  if (!ok) out.resize(mark);
+  return ok;
 }
 
 std::optional<std::vector<ControlEvent>> parse_control_events(
@@ -383,10 +356,7 @@ std::optional<std::vector<ControlEvent>> parse_control_events(
 std::optional<ControlLog> parse_control_log(std::string_view text) {
   auto events = parse_control_events(text);
   if (!events) return std::nullopt;
-  ControlLog log;
-  log.reserve(events->size());
-  for (auto& event : *events) log.append(std::move(event));
-  return log;
+  return ControlLog(std::move(*events));
 }
 
 std::string serialize(const FlowSequence& flows) {
@@ -404,16 +374,12 @@ std::optional<FlowSequence> parse_flow_sequence(std::string_view text) {
   FlowSequence flows;
   flows.reserve(static_cast<std::size_t>(
       std::count(text.begin(), text.end(), '\n') + 1));
-  LineScanner lines(text);
-  while (const auto line = lines.next()) {
-    FieldScanner r(*line);
-    const auto kind = r.token();
-    if (!kind || *kind != "FLOW") return std::nullopt;
-    const auto ts = r.number<SimTime>();
-    const auto key = r.key();
-    if (!ts || !key) return std::nullopt;
-    flows.push_back(TimedFlow{*ts, *key});
-  }
+  const bool ok = for_each_record_line(text, [&flows](std::string_view line) {
+    LineCursor c(line);
+    TimedFlow& flow = flows.emplace_back();
+    return c.word() == "FLOW" && c.signed_field(flow.ts) && c.key(flow.key);
+  });
+  if (!ok) return std::nullopt;
   return flows;
 }
 
@@ -426,11 +392,36 @@ bool write_file(const std::string& path, std::string_view content) {
 }
 
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  // O_NONBLOCK: opening a FIFO that has no writer must fail the regular-
+  // file check below instead of blocking; it does not affect regular files.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> text;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    // One byte of headroom past the stat size, so the read that meets EOF
+    // needs no regrowth; a file longer than its stat size (procfs reports
+    // 0, or a writer appended since) grows the buffer until EOF.
+    text.emplace(static_cast<std::size_t>(st.st_size) + 1, '\0');
+    std::size_t used = 0;
+    for (;;) {
+      if (used == text->size()) {
+        text->resize(std::max<std::size_t>(2 * used, 4096));
+      }
+      const ssize_t n = ::read(fd, text->data() + used, text->size() - used);
+      if (n > 0) {
+        used += static_cast<std::size_t>(n);
+      } else if (n == 0) {
+        text->resize(used);
+        break;
+      } else if (errno != EINTR) {
+        text.reset();
+        break;
+      }
+    }
+  }
+  ::close(fd);
+  return text;
 }
 
 }  // namespace flowdiff::of

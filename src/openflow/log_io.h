@@ -8,9 +8,17 @@
 //   FMOD <ts> <ctrl> <sw> <out_port> <idle> <hard> <match:6 fields, '-'=any> <key:5> <uid>
 //   POUT <ts> <ctrl> <sw> <out_port> <key:5> <uid>
 //   FREM <ts> <ctrl> <sw> <reason> <duration> <bytes> <pkts> <match:6> <key:5>
+//   STAT <ts> <ctrl> <sw> <age> <bytes> <pkts> <match:6> <key:5>
 //   ECHO <ts> <ctrl> <sw>
 //
-// Lines starting with '#' and blank lines are ignored.
+// Tokenization: lines end at '\n'; fields are separated by runs of
+// ' ', '\t', '\r', '\v' or '\f' (so a record's CRLF '\r' is field space).
+// Empty lines and lines whose first byte is '#' are skipped; a line of
+// field space only is malformed. Every field must decode in full as its
+// type (decimal, at least one digit, no '+', '-' only on signed fields,
+// in range), and a lone '-' means "any" in match slots only. Tokens
+// after a record's last field are ignored. Live sources reject any line
+// longer than 64 KiB (ingest::kMaxPendingLine) without buffering it.
 #pragma once
 
 #include <optional>
@@ -38,6 +46,17 @@ namespace flowdiff::of {
 /// round-trip to disk, e.g. the golden-trace corpus.
 [[nodiscard]] std::string serialize(const std::vector<ControlEvent>& events);
 
+/// True for the lines every parser skips: empty, or starting with '#'.
+[[nodiscard]] constexpr bool is_comment_or_blank(std::string_view line) {
+  return line.empty() || line.front() == '#';
+}
+
+/// Parses one record line (no '\n', not a comment or blank) into `event`,
+/// replacing its timestamp, controller and message. False when the line
+/// is malformed; `event` then holds a partial decode to discard.
+[[nodiscard]] bool parse_event_line(std::string_view line,
+                                    ControlEvent& event);
+
 /// Parses log lines preserving file order (parse_control_log wraps this
 /// and hands back a lazily self-sorting ControlLog; use this form when
 /// arrival order matters, e.g. feeding the ingest sanitizer).
@@ -58,6 +77,10 @@ namespace flowdiff::of {
     std::string_view text);
 
 /// Convenience file helpers; return false / nullopt on I/O errors.
+/// read_file loads a regular file with one fstat and one sized read (plus
+/// the read that meets EOF); it also returns nullopt for a directory or
+/// any other non-regular file, so such a path never loads as an empty
+/// capture.
 bool write_file(const std::string& path, std::string_view content);
 [[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 

@@ -42,6 +42,25 @@ TEST(ControlLog, OutOfOrderAppendGetsSorted) {
   EXPECT_EQ(log.events()[2].ts, 300);
 }
 
+TEST(ControlLog, AdoptedEventsKeepArrivalTiesAndSortLazily) {
+  // Adopting a vector keeps equal timestamps in their given order (the
+  // stable sort the append path uses) and sorts out-of-order input.
+  std::vector<ControlEvent> events = {packet_in_at(300, 1),
+                                      packet_in_at(100, 2), flow_mod_at(300),
+                                      packet_in_at(200, 3)};
+  const ControlLog log(std::move(events));
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.begin_time(), 100);
+  EXPECT_EQ(log.events()[1].ts, 200);
+  EXPECT_TRUE(std::holds_alternative<PacketIn>(log.events()[2].msg));
+  EXPECT_TRUE(std::holds_alternative<FlowMod>(log.events()[3].msg));
+
+  const ControlLog sorted(
+      std::vector<ControlEvent>{packet_in_at(1), packet_in_at(1),
+                                packet_in_at(2)});
+  EXPECT_EQ(sorted.end_time(), 2);
+}
+
 TEST(ControlLog, SliceIsHalfOpen) {
   ControlLog log;
   for (SimTime ts : {100, 200, 300, 400}) log.append(packet_in_at(ts));

@@ -173,6 +173,41 @@ TEST(FileTailSource, MalformedLinesAreCountedAndSkipped) {
   fs::remove_all(dir);
 }
 
+TEST(FileTailSource, OverlongLineIsRejectedOnceAndNotBuffered) {
+  const fs::path dir = fresh_dir("evsrc_overlong");
+  const fs::path log = dir / "a.log";
+  // A record padded with trailing field space to exactly the cap is still
+  // a record, also when it arrives across two polls.
+  std::string at_cap = pin_line(1000, 0, 1);
+  at_cap.pop_back();
+  at_cap.resize(kMaxPendingLine, ' ');
+  append(log, at_cap.substr(0, 100));
+
+  FileTailSource source("t", FileTailConfig{log.string(), true});
+  std::vector<of::ControlEvent> events;
+  EXPECT_EQ(poll_all(source, events), 0u);
+  append(log, at_cap.substr(100) + "\n");
+  EXPECT_EQ(poll_all(source, events), 1u);
+
+  // One byte more is rejected, counted once however long it keeps going.
+  append(log, pin_line(2000, 0, 2) + std::string(kMaxPendingLine + 1, 'x'));
+  EXPECT_EQ(poll_all(source, events), 1u);
+  EXPECT_EQ(source.stats().lines_rejected, 1u);
+  for (int i = 0; i < 4; ++i) {
+    append(log, std::string(3 * kMaxPendingLine, '7'));
+    EXPECT_EQ(poll_all(source, events), 0u);
+  }
+  EXPECT_EQ(source.stats().lines_rejected, 1u);
+
+  // The line after it parses normally.
+  append(log, "tail of the long line\n" + pin_line(3000, 0, 3));
+  EXPECT_EQ(poll_all(source, events), 1u);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events.back().ts, SimTime{3000});
+  EXPECT_EQ(source.stats().lines_rejected, 1u);
+  fs::remove_all(dir);
+}
+
 TEST(FileTailSource, FromEndSkipsExistingContent) {
   const fs::path dir = fresh_dir("evsrc_end");
   const fs::path log = dir / "a.log";
@@ -247,6 +282,45 @@ TEST(SocketSource, DisconnectFlushesFinalUnterminatedLine) {
   }
   EXPECT_EQ(source.stats().disconnects, 1u);
   EXPECT_TRUE(source.idle());
+}
+
+TEST(SocketSource, ClientStreamingWithoutNewlinesIsCappedPerLine) {
+  SocketSource source("t", SocketSourceConfig{});
+  ASSERT_TRUE(source.start()) << source.last_error();
+  const int fd = flowdiff::testing::http_connect(source.port());
+  ASSERT_GE(fd, 0);
+
+  std::vector<of::ControlEvent> events;
+  send_all(fd, pin_line(1000, 0, 1));
+  poll_until(source, events, 1);
+  ASSERT_EQ(events.size(), 1u);
+
+  // Far more than the cap without a newline, in pieces the source drains
+  // between polls: one rejection, nothing delivered.
+  for (int i = 0; i < 8; ++i) {
+    send_all(fd, std::string(kMaxPendingLine / 2, '9'));
+    source.poll(events);
+  }
+  send_all(fd, "\n" + pin_line(2000, 0, 2));
+  poll_until(source, events, 2);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].ts, SimTime{2000});
+  EXPECT_EQ(source.stats().lines_rejected, 1u);
+
+  // A producer that disconnects mid-way through an over-long line is not
+  // counted twice, and its dropped tail is not flushed as a record.
+  for (int i = 0; i < 4; ++i) {
+    send_all(fd, std::string(kMaxPendingLine / 2, '5'));
+    source.poll(events);
+  }
+  ::close(fd);
+  for (int i = 0; i < 500 && source.stats().disconnects == 0; ++i) {
+    source.poll(events);
+    ::usleep(2000);
+  }
+  EXPECT_EQ(source.stats().disconnects, 1u);
+  EXPECT_EQ(events.size(), 2u);
+  EXPECT_EQ(source.stats().lines_rejected, 2u);
 }
 
 TEST(SocketSource, ReconnectContinuesTheSameTenantStream) {

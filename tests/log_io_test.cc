@@ -1,6 +1,7 @@
 #include "openflow/log_io.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <string>
@@ -53,6 +54,16 @@ ControlLog sample_log() {
   fr.key = key();
   log.append(ControlEvent{9 * kSecond, ControllerId{0}, fr});
 
+  FlowStatsReply st;
+  st.sw = SwitchId{4};
+  st.age = 3 * kSecond;
+  st.byte_count = 4096;
+  st.packet_count = 7;
+  st.match = FlowMatch::exact(key(40001));
+  st.match.in_port = PortId{5};
+  st.key = key(40001);
+  log.append(ControlEvent{9500 * kMillisecond, ControllerId{1}, st});
+
   log.append(ControlEvent{10 * kSecond, ControllerId{1},
                           EchoReply{SwitchId{3}}});
   return log;
@@ -83,6 +94,15 @@ TEST(LogIo, ControlLogRoundTrip) {
   EXPECT_EQ(fr->byte_count, 123456u);
   EXPECT_FALSE(fr->match.src_port.has_value());  // Wildcard survived.
   EXPECT_EQ(fr->match.src_ip, key().src_ip);
+  const auto* st = std::get_if<FlowStatsReply>(&parsed->events()[4].msg);
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->sw, SwitchId{4});
+  EXPECT_EQ(st->age, 3 * kSecond);
+  EXPECT_EQ(st->byte_count, 4096u);
+  EXPECT_EQ(st->packet_count, 7u);
+  EXPECT_EQ(st->match.in_port, PortId{5});
+  EXPECT_EQ(st->key, key(40001));
+  EXPECT_EQ(parsed->events()[4].controller, ControllerId{1});
 }
 
 TEST(LogIo, SerializedTwiceIsIdentical) {
@@ -230,6 +250,40 @@ TEST(LogIo, FileRoundTrip) {
   EXPECT_EQ(*back, content);
   std::remove(path.c_str());
   EXPECT_FALSE(read_file(path + ".does.not.exist").has_value());
+}
+
+TEST(LogIo, ReadFileRejectsDirectoriesAndNonRegularFiles) {
+  // A directory used to load as "" and so diff as an empty baseline.
+  EXPECT_FALSE(read_file(::testing::TempDir()).has_value());
+  EXPECT_FALSE(read_file("/").has_value());
+  EXPECT_FALSE(read_file("/dev/null").has_value());  // Character device.
+  // A FIFO with no writer is refused, not waited on.
+  const std::string fifo = ::testing::TempDir() + "/flowdiff_log_io_fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_FALSE(read_file(fifo).has_value());
+  std::remove(fifo.c_str());
+}
+
+TEST(LogIo, ReadFileReadsPastItsStatSize) {
+  // procfs files stat as 0 bytes but have content: the loader must keep
+  // reading to EOF, not stop at the size it saw at open.
+  const auto status = read_file("/proc/self/status");
+  ASSERT_TRUE(status.has_value());
+  EXPECT_NE(status->find("VmRSS"), std::string::npos);
+  EXPECT_EQ(status->back(), '\n');
+}
+
+TEST(LogIo, EmptyFileIsAValidEmptyCapture) {
+  const std::string path = ::testing::TempDir() + "/flowdiff_log_io_empty.log";
+  ASSERT_TRUE(write_file(path, ""));
+  const auto text = read_file(path);
+  ASSERT_TRUE(text.has_value());
+  EXPECT_TRUE(text->empty());
+  const auto log = parse_control_log(*text);
+  ASSERT_TRUE(log.has_value());
+  EXPECT_TRUE(log->empty());
+  std::remove(path.c_str());
 }
 
 TEST(LogIo, SimulatedLogSurvivesRoundTrip) {
