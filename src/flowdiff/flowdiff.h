@@ -16,6 +16,7 @@
 
 #include "flowdiff/diagnosis.h"
 #include "flowdiff/diff.h"
+#include "flowdiff/incremental_model.h"
 #include "flowdiff/model.h"
 #include "flowdiff/task_automaton.h"
 #include "flowdiff/task_mining.h"
@@ -63,7 +64,11 @@ class FlowDiff {
  public:
   explicit FlowDiff(FlowDiffConfig config);
 
-  /// Builds a behavior model from a control log.
+  /// Builds a behavior model from a control log: feeds the time-sorted
+  /// events through the incremental modeler and finalizes. Falls back to
+  /// the from-scratch Modeler::build wherever IncrementalModeler::ready()
+  /// is false: `min_edge_flows == 0`, a log past the DD-pair budget, or an
+  /// empty log (whose model is trivial either way).
   [[nodiscard]] BehaviorModel model(const of::ControlLog& log) const;
 
   /// Diffs `current` against `baseline`; task automata (if given) are
@@ -88,10 +93,16 @@ class FlowDiff {
   /// The modeling engine (owns the worker pool sized by
   /// FlowDiffConfig::parallelism); copies of the facade share it.
   [[nodiscard]] const Modeler& modeler() const { return *modeler_; }
+  /// The one delta-maintained modeler, on the Modeler's config and pool;
+  /// model() and every SlidingMonitor built on this facade use it.
+  [[nodiscard]] const IncrementalModeler& incremental_modeler() const {
+    return incremental_;
+  }
 
  private:
   FlowDiffConfig config_;
   std::shared_ptr<Modeler> modeler_;
+  IncrementalModeler incremental_;
 };
 
 }  // namespace flowdiff::core

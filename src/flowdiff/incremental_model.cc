@@ -14,8 +14,8 @@ namespace flowdiff::core {
 
 namespace {
 
-/// Stored DD pairs across all triples before the window falls back to the
-/// from-scratch oracle — bounds feed-time memory on adversarial streams
+/// Stored DD pairs across all triples before the window drops them and
+/// stops storing more — bounds feed-time memory on adversarial streams
 /// (a stored pair is 16 bytes, so the cap is ~16 MB of pairing state).
 constexpr std::uint64_t kMaxDdSamples = 1'000'000;
 
@@ -107,12 +107,12 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
     const auto out_n = static_cast<std::uint64_t>(
         st.edges.find(HostEdge{b, c})->second.starts.size());
     if (in_n < app.min_edge_flows || out_n < app.min_edge_flows) continue;
-    if (agg.pairs.size() < app.min_edge_flows) continue;
+    if (agg.hist.total() < app.min_edge_flows) continue;
     DelayDistributionSig::PairDd pair;
     pair.hist = agg.hist;
     pair.in_flows = in_n;
     pair.out_flows = out_n;
-    pair.samples = static_cast<std::uint64_t>(agg.pairs.size());
+    pair.samples = agg.hist.total();
     pair.peak_ms = pair.hist.top_peak().center;
     pair.mean_ms = hist_mean(pair.hist);
     sig.dd.per_pair[t->first] = std::move(pair);
@@ -199,8 +199,10 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
     }
 
     // Only triples that passed the window gates can pass the (tighter)
-    // segment gates, so re-bucketing the window's survivors is exact.
+    // segment gates, so re-bucketing the window's survivors is exact. Over
+    // the DD budget there are no pairs to re-bucket.
     for (const auto& [triple, window_pair] : sig.dd.per_pair) {
+      if (st.dd_over_budget) break;
       const auto& [a, b, c] = triple;
       const auto in_n = count_in_range(
           st.edges.find(HostEdge{a, b})->second.starts, t0, t1);
@@ -280,6 +282,11 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
   }
 
   analyze_group_stability(per_segment, config, out);
+  if (st.dd_over_budget) {
+    for (const auto& [triple, pair] : sig.dd.per_pair) {
+      out.unstable_dd_pairs.insert(triple);
+    }
+  }
 }
 
 /// Infrastructure signatures from the incremental state. CRT and UTIL are
@@ -358,10 +365,9 @@ InfraSignatures assemble_infra(const IncrementalWindowState& st) {
 
 void IncrementalWindowState::reset() {
   active = false;
-  fallback = false;
+  dd_over_budget = false;
   begin = 0;
   end = 0;
-  last_ts = 0;
   events = 0;
   occurrences.clear();
   open.clear();
@@ -392,15 +398,7 @@ void IncrementalModeler::feed(IncrementalWindowState& st,
   if (!st.active) {
     st.active = true;
     st.begin = event.ts;
-    st.last_ts = event.ts;
-  } else if (event.ts < st.last_ts) {
-    // The oracle sorts the window log before parsing; an in-window
-    // timestamp regression means sorted order differs from feed order, so
-    // the aggregates no longer replay the oracle's computation.
-    st.fallback = true;
   }
-  if (st.fallback) return;
-  st.last_ts = event.ts;
   st.end = event.ts;
   ++st.events;
 
@@ -496,8 +494,17 @@ void IncrementalModeler::record_pair(IncrementalWindowState& st,
              .first;
   }
   it->second.hist.add(to_millis(t_out - t_in));
-  it->second.pairs.emplace_back(t_in, t_out);
-  if (++st.dd_samples > kMaxDdSamples) st.fallback = true;
+  ++st.dd_samples;
+  if (st.dd_over_budget) return;
+  if (st.dd_samples <= kMaxDdSamples) {
+    it->second.pairs.emplace_back(t_in, t_out);
+    return;
+  }
+  // Over budget: free every stored pair; the histograms keep counting.
+  st.dd_over_budget = true;
+  for (auto& [triple, agg] : st.triples) {
+    std::vector<std::pair<SimTime, SimTime>>().swap(agg.pairs);
+  }
 }
 
 BehaviorModel IncrementalModeler::finalize(

@@ -20,13 +20,14 @@
 // time proportional to the model, not the log.
 //
 // The oracle-identity invariant: `finalize` is BIT-IDENTICAL to
-// `Modeler::build` on the same window. Every divergence risk is either
-// engineered away (aggregates replay the exact floating-point add sequences
-// of the from-scratch extractors) or detected at feed time and turned into a
-// fallback (`fallback()` true → the monitor hands the window log to the
-// from-scratch oracle instead). Fallback triggers: out-of-order events
-// inside one window (the oracle sorts; the stream cannot), DD sample-budget
-// overflow, and unsupported configs (`min_edge_flows == 0`).
+// `Modeler::build` on the same window. Every divergence risk is engineered
+// away (aggregates replay the exact floating-point add sequences of the
+// from-scratch extractors) or named: events must be fed in timestamp order
+// (the monitor rejects regressions before they get here; `FlowDiff::model`
+// feeds the sorted log), `min_edge_flows == 0` is unsupported, and a window
+// past the DD-pair budget keeps exact window-wide DD histograms but drops
+// its `(t_in, t_out)` pairs, so its DD stability is unknown
+// (`dd_over_budget`; finalize marks every DD pair unstable).
 // incremental_model_test and parallel_model_test enforce the invariant.
 #pragma once
 
@@ -49,10 +50,12 @@ namespace flowdiff::core {
 struct IncrementalWindowState {
   // --- lifecycle ---------------------------------------------------------
   bool active = false;      ///< Saw at least one event.
-  bool fallback = false;    ///< Aggregates invalid; rebuild from scratch.
+  /// Stored DD pairs passed the budget: they were dropped and no more are
+  /// kept. Window-wide DD histograms and sample counts stay exact; the
+  /// per-segment DD stability check cannot run.
+  bool dd_over_budget = false;
   SimTime begin = 0;        ///< First event timestamp.
   SimTime end = 0;          ///< Latest event timestamp.
-  SimTime last_ts = 0;      ///< For out-of-order detection.
   std::uint64_t events = 0;
 
   // --- incremental parse (mirrors parse_log on an in-order stream) -------
@@ -75,13 +78,14 @@ struct IncrementalWindowState {
   // --- per-triple delay partials (DD source data) -------------------------
   struct TripleAgg {
     explicit TripleAgg(double bin_ms) : hist(bin_ms) {}
-    Histogram hist;
+    Histogram hist;  ///< Every paired sample; total() is the sample count.
     /// (t_in, t_out) per paired sample; finalize re-buckets these per
-    /// stability segment without touching the raw log.
+    /// stability segment without touching the raw log. Emptied for good
+    /// once the window goes over the DD budget.
     std::vector<std::pair<SimTime, SimTime>> pairs;
   };
   std::map<EdgePair, TripleAgg> triples;
-  std::uint64_t dd_samples = 0;
+  std::uint64_t dd_samples = 0;  ///< Paired samples across all triples.
   /// Streaming-pairing recency state: flows into / out of each node within
   /// the pairing window, pruned lazily on access.
   std::unordered_map<Ipv4, std::deque<std::pair<Ipv4, SimTime>>> in_recent;
@@ -107,18 +111,24 @@ class IncrementalModeler {
   /// `min_edge_flows == 0` is refused: the from-scratch DD/PC extractors
   /// then emit zero-sample pairs the stream never observes.
   [[nodiscard]] static bool supported(const ModelConfig& config);
+  /// supported() on this modeler's own config.
+  [[nodiscard]] bool supported() const { return supported_; }
 
-  /// Folds one event into the window aggregates. Events must arrive in the
-  /// monitor's feed order; a timestamp regression inside the window flips
-  /// `state.fallback` (further feeds become no-ops).
+  /// Folds one event into the window aggregates. Events must arrive in
+  /// non-decreasing timestamp order; the aggregates replay the sorted log
+  /// and cannot be reordered afterwards. No-op for unsupported configs.
   void feed(IncrementalWindowState& state, const of::ControlEvent& event) const;
 
-  /// True when `finalize` would return the oracle-identical model.
+  /// True when the window holds events and `finalize` returns the
+  /// oracle-identical model (supported config, within the DD budget).
   [[nodiscard]] bool ready(const IncrementalWindowState& state) const {
-    return supported_ && state.active && !state.fallback;
+    return supported_ && state.active && !state.dd_over_budget;
   }
 
-  /// Assembles the BehaviorModel for the closed window. Requires `ready()`.
+  /// Assembles the BehaviorModel for the closed window (a never-fed state
+  /// gives the empty model). Over the DD budget every DD pair is marked
+  /// unstable instead of being judged per segment. Requires a supported
+  /// config.
   [[nodiscard]] BehaviorModel finalize(const IncrementalWindowState& state) const;
 
   [[nodiscard]] const ModelConfig& config() const { return config_; }

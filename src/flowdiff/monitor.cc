@@ -1,7 +1,9 @@
 #include "flowdiff/monitor.h"
 
 #include <chrono>
+#include <limits>
 #include <map>
+#include <utility>
 
 #include "flowdiff/monitor_options.h"
 
@@ -56,14 +58,20 @@ struct MonitorMetrics {
       obs::Registry::global().counter("monitor.pipeline.stalls");
   obs::LatencyHistogram& pipeline_stall_ms =
       obs::Registry::global().histogram("monitor.pipeline.stall_ms", 1.0);
-  /// Windows modeled from delta-maintained aggregates vs. windows that had
-  /// to rebuild from scratch (out-of-order events, aggregate overflow,
-  /// unsupported config). fallbacks staying at zero on a clean stream is
-  /// the incremental path's health signal.
+  /// Windows modeled from delta-maintained aggregates, and the subset that
+  /// went past the DD-pair budget (DD stability unknown; the fallbacks name
+  /// stays because perfbench's monitor.fallback_share reads it). fallbacks
+  /// staying at zero is the incremental path's health signal.
   obs::Counter& incremental_windows =
       obs::Registry::global().counter("monitor.incremental.windows");
   obs::Counter& incremental_fallbacks =
       obs::Registry::global().counter("monitor.incremental.fallbacks");
+  /// Unsanitized events older than the newest one ingested, dropped.
+  obs::Counter& rejected_out_of_order =
+      obs::Registry::global().counter("monitor.rejected_out_of_order");
+  /// Idle windows of a timestamp gap stepped over without a close.
+  obs::Counter& idle_windows_skipped =
+      obs::Registry::global().counter("monitor.idle_windows_skipped");
 };
 
 MonitorMetrics& metrics() {
@@ -92,12 +100,8 @@ SlidingMonitor::SlidingMonitor(MonitorConfig config)
       feed_wall_(std::chrono::steady_clock::now()),
       watchdog_(config_.watchdog) {
   if (config_.sanitize) sanitizer_.emplace(config_.ingest);
-  // Built from the Modeler's own config (post special-node resolution) and
-  // its executor, so the incremental finalize fans out on the same pool and
-  // sees exactly the config the from-scratch oracle uses.
-  if (config_.incremental) {
-    inc_.emplace(flowdiff_.modeler().config(),
-                 flowdiff_.modeler().shared_executor());
+  if (config_.incremental && flowdiff_.incremental_modeler().supported()) {
+    inc_ = &flowdiff_.incremental_modeler();
   }
   if (pipelined()) {
     pipeline_thread_ = std::thread([this] { pipeline_loop(); });
@@ -132,12 +136,47 @@ void SlidingMonitor::feed(const of::ControlEvent& event) {
 void SlidingMonitor::ingest_event(const of::ControlEvent& event) {
   if (window_start_ < 0) {
     window_start_ = event.ts;
+  } else if (event.ts < newest_ts_) {
+    // The feed contract is time order; a regression cannot join a window
+    // already (partly) modeled, in either mode.
+    ++window_rejected_;
+    rejected_total_.fetch_add(1, std::memory_order_relaxed);
+    metrics().rejected_out_of_order.inc();
+    return;
   }
-  while (event.ts >= window_start_ + config_.window) {
-    close_window(window_start_ + config_.window);
+  newest_ts_ = event.ts;
+  // Unsigned distances: exact for any pair of int64 timestamps.
+  const auto window = static_cast<std::uint64_t>(config_.window);
+  const auto since_start = [&] {
+    return static_cast<std::uint64_t>(event.ts) -
+           static_cast<std::uint64_t>(window_start_);
+  };
+  if (event.ts >= window_start_ && since_start() >= window) {
+    close_window(window_start_ + config_.window);  // <= event.ts: no overflow.
+    if (const std::uint64_t idle = since_start() / window; idle > 0) {
+      skip_idle_windows(idle);
+    }
   }
-  current_.append(event);
-  if (inc_) inc_->feed(inc_state_, event);
+  if (inc_ != nullptr) {
+    inc_->feed(inc_state_, event);
+  } else {
+    current_.append(event);
+  }
+}
+
+void SlidingMonitor::skip_idle_windows(std::uint64_t count) {
+  const SimTime from = window_start_;
+  window_start_ = static_cast<SimTime>(
+      static_cast<std::uint64_t>(window_start_) +
+      count * static_cast<std::uint64_t>(config_.window));
+  metrics().idle_windows_skipped.inc(count);
+  if (obs::enabled()) {
+    obs::FlightRecorder::global().record(
+        obs::Severity::kInfo, "monitor", "idle windows skipped",
+        {{"windows", std::to_string(count)},
+         {"until_s", fmt_double(to_seconds(window_start_), 1)}},
+        to_seconds(from));
+  }
 }
 
 void SlidingMonitor::feed(const of::ControlLog& log) { feed(log.events()); }
@@ -158,8 +197,9 @@ void SlidingMonitor::flush() {
   if (sanitizer_) {
     sanitizer_->flush(ingest_sink_);
   }
-  if (window_start_ >= 0 && !current_.empty()) {
-    close_window(current_.end_time() + 1);
+  if (window_start_ >= 0 && !window_empty()) {
+    const SimTime end = inc_ != nullptr ? inc_state_.end : current_.end_time();
+    close_window(end == std::numeric_limits<SimTime>::max() ? end : end + 1);
   }
   drain();
 }
@@ -243,6 +283,8 @@ MonitorHealth SlidingMonitor::health() const {
     health.suppressed_changes = suppressed_total_;
     health.quality = quality_total_;
   }
+  health.rejected_out_of_order =
+      rejected_total_.load(std::memory_order_relaxed);
   health.stream_degraded = health.quality.degraded();
   if (health.watchdog_alerts > 0) {
     health.reasons.push_back(
@@ -258,6 +300,12 @@ MonitorHealth SlidingMonitor::health() const {
         std::to_string(health.suppressed_changes) +
         " change(s) suppressed as low confidence");
   }
+  if (health.rejected_out_of_order > 0) {
+    health.reasons.push_back(
+        std::to_string(health.rejected_out_of_order) +
+        " out-of-order event(s) rejected (unsanitized feed must be "
+        "time-ordered)");
+  }
   health.healthy = health.reasons.empty();
   return health;
 }
@@ -265,11 +313,6 @@ MonitorHealth SlidingMonitor::health() const {
 void SlidingMonitor::close_window(SimTime window_end) {
   const SimTime begin = window_start_;
   window_start_ = window_end;
-  of::ControlLog window_log = std::move(current_);
-  // Recycle the previously retired window's storage (empty, capacity
-  // intact) so steady-state windowing stops allocating per window.
-  current_ = std::move(scratch_);
-  current_.clear();
   // Window attribution: counters accumulated while this window was open.
   // Events still in the reorder buffer were fed but not yet kept; they
   // reconcile in the window that releases them.
@@ -283,49 +326,54 @@ void SlidingMonitor::close_window(SimTime window_end) {
     const std::lock_guard<std::mutex> lock(mu_);
     quality_total_ += quality;
   }
-  if (window_log.empty()) {
-    scratch_ = std::move(window_log);  // Idle window: nothing to model.
-    return;  // inc_state_ was never fed, so it is still fresh.
-  }
+  if (window_empty()) return;  // Idle window: nothing to model.
   PendingWindow pending;
-  pending.log = std::move(window_log);
   pending.begin = begin;
   pending.end = window_end;
   pending.quality = quality;
-  if (inc_) pending.inc = std::move(inc_state_);
+  pending.rejected = std::exchange(window_rejected_, 0);
+  if (inc_ != nullptr) {
+    pending.inc = std::move(inc_state_);
+  } else {
+    pending.log = std::move(current_);
+  }
   pending.arrival_wall = feed_wall_;
   pending.close_wall = std::chrono::steady_clock::now();
   if (pipelined()) {
-    // The pipeline thread owns the log and aggregates from here; refill the
-    // feed side's scratch storage from the recycling pools the pipeline
-    // thread feeds (empty pools just mean a fresh allocation, as during
-    // warmup while the first windows are still in flight).
+    // The pipeline thread owns the window from here; refill the feed
+    // side's storage from the recycling pools the pipeline thread feeds
+    // (an empty pool just means a fresh allocation, as during warmup while
+    // the first windows are still in flight).
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      if (!log_pool_.empty()) {
-        scratch_ = std::move(log_pool_.back());
+      if (inc_ == nullptr && !log_pool_.empty()) {
+        current_ = std::move(log_pool_.back());
         log_pool_.pop_back();
       }
-      if (inc_ && !state_pool_.empty()) {
+      if (inc_ != nullptr && !state_pool_.empty()) {
         inc_state_ = std::move(state_pool_.back());
         state_pool_.pop_back();
       }
     }
-    // Moving a struct copies its scalar members, so the moved-from state
-    // still carries stale flags; pooled entries arrive reset, but reset
-    // again unconditionally — it is a cheap no-op on clean state.
-    if (inc_) inc_state_.reset();
+    // A moved-from log or state keeps stale scalars; pooled entries arrive
+    // cleared, but clear again unconditionally — a cheap no-op.
+    if (inc_ != nullptr) {
+      inc_state_.reset();
+    } else {
+      current_.clear();
+    }
     enqueue_window(std::move(pending));
     return;
   }
   process_window(std::move(pending));
-  // process_window read the log and aggregates in place; take the storage
-  // back (cleared, capacity intact) as the next window's scratch.
-  scratch_ = std::move(pending.log);
-  scratch_.clear();
-  if (inc_) {
+  // process_window read the window in place; take the storage back
+  // (cleared, capacity intact) for the next window.
+  if (inc_ != nullptr) {
     pending.inc.reset();
     inc_state_ = std::move(pending.inc);
+  } else {
+    pending.log.clear();
+    current_ = std::move(pending.log);
   }
 }
 
@@ -386,12 +434,13 @@ void SlidingMonitor::pipeline_loop() {
       // here — cleared, capacity intact — for the feed thread to pick up
       // at its next close. Before this, pipelined mode allocated fresh
       // window storage every cycle while the synchronous path reused its
-      // scratch; monitor_pipeline_test exercises the handoff under TSan.
-      pending.log.clear();
-      log_pool_.push_back(std::move(pending.log));
-      if (inc_) {
+      // own; monitor_pipeline_test exercises the handoff under TSan.
+      if (inc_ != nullptr) {
         pending.inc.reset();
         state_pool_.push_back(std::move(pending.inc));
+      } else {
+        pending.log.clear();
+        log_pool_.push_back(std::move(pending.log));
       }
       if (queue_.empty()) queue_idle_.notify_all();
     }
@@ -406,7 +455,6 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
     const std::chrono::duration<double, std::milli> d = to - from;
     return d.count() < 0.0 ? 0.0 : d.count();
   };
-  const of::ControlLog& window_log = pending.log;
   const SimTime begin = pending.begin;
   const SimTime window_end = pending.end;
   ingest::StreamQuality quality = pending.quality;
@@ -416,7 +464,7 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
   WindowAudit audit;
   audit.window_begin = begin;
   audit.window_end = window_end;
-  audit.events = window_log.size();
+  audit.events = inc_ != nullptr ? pending.inc.events : pending.log.size();
   audit.quality = quality;
   if (quality.degraded() && obs::enabled()) {
     obs::FlightRecorder::global().record(
@@ -429,27 +477,37 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
     ++windows_;
   }
   metrics().windows.inc();
-  metrics().events.inc(window_log.size());
-  metrics().events_per_window.observe(
-      static_cast<double>(window_log.size()));
+  metrics().events.inc(audit.events);
+  metrics().events_per_window.observe(static_cast<double>(audit.events));
   metrics().latency_ingest.observe(latency.ingest_ms);
   metrics().latency_queue.observe(latency.queue_ms);
 
-  // Delta-maintained fast path: when the feed side kept the window's
-  // aggregates valid, finalize them instead of rebuilding from the raw log.
-  // Bit-identical by construction (incremental_model.h); any window the
-  // stream could not represent falls back to the from-scratch oracle.
-  const bool use_incremental = inc_ && inc_->ready(pending.inc);
-  if (inc_) {
-    (use_incremental ? metrics().incremental_windows
-                     : metrics().incremental_fallbacks)
-        .inc();
+  // Incremental mode finalizes the delta-maintained aggregates
+  // (bit-identical to the oracle, incremental_model.h); oracle mode
+  // rebuilds the raw window from scratch.
+  const bool dd_over_budget = inc_ != nullptr && pending.inc.dd_over_budget;
+  if (inc_ != nullptr) {
+    metrics().incremental_windows.inc();
+    if (dd_over_budget) metrics().incremental_fallbacks.inc();
   }
-  BehaviorModel model = use_incremental ? inc_->finalize(pending.inc)
-                                        : flowdiff_.model(window_log);
+  BehaviorModel model = inc_ != nullptr
+                            ? inc_->finalize(pending.inc)
+                            : flowdiff_.modeler().build(pending.log);
   const auto model_done = std::chrono::steady_clock::now();
   latency.model_ms = wall_ms(wall_start, model_done);
   metrics().latency_model.observe(latency.model_ms);
+  // Stream-side notes every decision string ends with, in this order.
+  std::string notes;
+  if (quality.degraded()) {
+    notes += "; stream DEGRADED (" + quality.summary() + ")";
+  }
+  if (pending.rejected > 0) {
+    notes += "; rejected " + std::to_string(pending.rejected) +
+             " out-of-order event(s)";
+  }
+  if (dd_over_budget) {
+    notes += "; DD budget exceeded: DD stability unknown";
+  }
   if (!baseline_) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -457,10 +515,7 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
       baseline_begin_ = begin;
     }
     audit.baseline_capture = true;
-    audit.decision = "adopted as baseline (first non-idle window)";
-    if (quality.degraded()) {
-      audit.decision += "; stream DEGRADED (" + quality.summary() + ")";
-    }
+    audit.decision = "adopted as baseline (first non-idle window)" + notes;
     if (obs::enabled()) {
       obs::FlightRecorder::global().record(
           obs::Severity::kInfo, "monitor", "baseline adopted",
@@ -537,9 +592,7 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
                        family_breakdown(report.suppressed) + "]";
     }
   }
-  if (quality.degraded()) {
-    audit.decision += "; stream DEGRADED (" + quality.summary() + ")";
-  }
+  audit.decision += notes;
   if (clean && config_.rolling_baseline) {
     {
       const std::lock_guard<std::mutex> lock(mu_);

@@ -9,6 +9,7 @@
 // slow legitimate drift (growing workload) is absorbed.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -66,11 +67,13 @@ struct MonitorConfig {
   /// ranked by their share of the family's divergence.
   std::size_t provenance_top_k = 5;
   /// Maintain per-window signature aggregates incrementally at feed time
-  /// (core::IncrementalModeler) so a closing window only runs the cheap
-  /// finalize instead of the full from-scratch model build. Bit-identical
-  /// to the from-scratch path by construction; windows the incremental
-  /// state cannot represent (out-of-order events, aggregate overflow,
-  /// unsupported config) fall back to core::Modeler automatically.
+  /// (the facade's core::IncrementalModeler) and keep nothing else per
+  /// window: a closing window only runs the cheap finalize. Bit-identical
+  /// to the from-scratch build, except that a window past the DD-pair
+  /// budget has its DD pairs marked unstable (its audit says so). Off, or
+  /// with an unsupported config (`min_edge_flows == 0`), the monitor keeps
+  /// each window's raw events and runs Modeler::build on them — the oracle
+  /// mode the identity tests compare against.
   bool incremental = true;
   /// > 0 enables pipelined window processing: a closed window's model+diff
   /// runs on a dedicated pipeline thread while feed() keeps ingesting the
@@ -146,6 +149,9 @@ struct MonitorHealth {
   std::size_t alarms = 0;
   /// Unknown changes withheld across all windows (degraded stream).
   std::uint64_t suppressed_changes = 0;
+  /// Events rejected for arriving older than the newest one ingested (an
+  /// unsanitized feed broke its time-order contract). Live, not per window.
+  std::uint64_t rejected_out_of_order = 0;
   bool stream_degraded = false;
   /// Sanitizer tallies accumulated over every closed window (all-zero
   /// without a sanitizer).
@@ -172,12 +178,17 @@ class SlidingMonitor {
   SlidingMonitor& operator=(const SlidingMonitor&) = delete;
 
   /// Feeds one control event. Without a sanitizer events must arrive in
-  /// time order; with MonitorConfig::sanitize they may arrive in raw
-  /// capture order (displaced up to the lateness horizon) and the monitor
-  /// windows the restored stream. Closing a window (a sanitized event's
-  /// timestamp crossing the boundary) triggers the diff for the window
-  /// that just ended — inline in synchronous mode, on the pipeline thread
-  /// (with bounded backlog) in pipelined mode.
+  /// time order: an event older than the newest one already ingested is
+  /// rejected and counted (MonitorHealth::rejected_out_of_order, a note on
+  /// the window's audit decision), never modeled. With
+  /// MonitorConfig::sanitize they may arrive in raw capture order
+  /// (displaced up to the lateness horizon) and the monitor windows the
+  /// restored stream. Closing a window (a sanitized event's timestamp
+  /// crossing the boundary) triggers the diff for the window that just
+  /// ended — inline in synchronous mode, on the pipeline thread (with
+  /// bounded backlog) in pipelined mode. Idle windows in a timestamp gap
+  /// are skipped in one step, however long the gap (counted by
+  /// monitor.idle_windows_skipped).
   void feed(const of::ControlEvent& event);
 
   /// Convenience: feeds a whole log.
@@ -238,13 +249,16 @@ class SlidingMonitor {
 
  private:
   struct PendingWindow {
+    /// The window's raw events; oracle mode (inc_ disengaged) only.
     of::ControlLog log;
     SimTime begin = 0;
     SimTime end = 0;
     ingest::StreamQuality quality;
+    /// Out-of-order events rejected while this window was open, plus any
+    /// rejected during the idle windows before it.
+    std::uint64_t rejected = 0;
     /// The window's delta-maintained aggregates (moved off the feed side at
-    /// close). process_window finalizes these when ready; the raw log stays
-    /// the fallback input and the audit/metrics source either way.
+    /// close), the window's only copy when inc_ is engaged.
     IncrementalWindowState inc;
     /// Detection-latency clock edges (steady_clock, the tracing-span
     /// clock): when the window's newest event arrived at feed(), and when
@@ -256,6 +270,12 @@ class SlidingMonitor {
   /// feed() after the sanitizer (or directly, when sanitize is off).
   void ingest_event(const of::ControlEvent& event);
   void close_window(SimTime window_end);
+  /// Moves the window start past `count` idle windows without closing
+  /// each one (nothing was fed into them, so there is nothing to close).
+  void skip_idle_windows(std::uint64_t count);
+  [[nodiscard]] bool window_empty() const {
+    return inc_ != nullptr ? !inc_state_.active : current_.empty();
+  }
   /// Models + diffs one closed window and commits the outcome; runs on the
   /// caller in synchronous mode, on pipeline_thread_ otherwise. Reads the
   /// pending log in place, so a synchronous caller gets the (cleared)
@@ -273,11 +293,11 @@ class SlidingMonitor {
 
   MonitorConfig config_;
   FlowDiff flowdiff_;
-  /// Engaged when config_.incremental and the model config supports exact
-  /// delta maintenance; shares the Modeler's executor pool.
-  std::optional<IncrementalModeler> inc_;
-  /// Aggregates of the window currently being fed. Touched by the feed
-  /// thread only; moved into the PendingWindow at close.
+  /// flowdiff_'s incremental modeler, set when config_.incremental and the
+  /// model config supports it; null in oracle mode.
+  const IncrementalModeler* inc_ = nullptr;
+  /// Aggregates of the window currently being fed (incremental mode).
+  /// Touched by the feed thread only; moved into the PendingWindow at close.
   IncrementalWindowState inc_state_;
   /// Engaged when config_.sanitize; feed() pushes raw arrivals through it
   /// and ingest_event() consumes the restored stream.
@@ -288,12 +308,17 @@ class SlidingMonitor {
   ingest::StreamSanitizer::Sink ingest_sink_;
   std::optional<BehaviorModel> baseline_;
   SimTime baseline_begin_ = -1;
+  /// Raw events of the window being fed (oracle mode only). Its storage is
+  /// recycled across windows, so steady-state windowing allocates nothing.
   of::ControlLog current_;
-  /// Retired window storage recycled by close_window (synchronous mode):
-  /// cleared but with capacity intact, so steady-state windowing allocates
-  /// nothing per window.
-  of::ControlLog scratch_;
   SimTime window_start_ = -1;
+  /// Newest timestamp ingested so far (valid once window_start_ >= 0).
+  SimTime newest_ts_ = 0;
+  /// Out-of-order rejections not yet attributed to a processed window.
+  std::uint64_t window_rejected_ = 0;
+  /// All out-of-order rejections; written by the feed thread, read by
+  /// health() from any thread.
+  std::atomic<std::uint64_t> rejected_total_{0};
   /// Wall time of the most recent feed()/push batch: the arrival stamp of
   /// the newest event, the first detection-latency clock edge. Touched by
   /// the feed thread only.
@@ -326,7 +351,7 @@ class SlidingMonitor {
   std::uint64_t stalls_ = 0;
   /// Pipeline-mode storage recycling (guarded by mu_): the pipeline thread
   /// returns each processed window's cleared log / aggregate storage here,
-  /// and the feed thread refills scratch_ / inc_state_ from the pools at
+  /// and the feed thread refills current_ / inc_state_ from the pools at
   /// the next close — steady-state pipelined windowing then allocates
   /// nothing per window, matching the synchronous path's scratch reuse.
   std::vector<of::ControlLog> log_pool_;

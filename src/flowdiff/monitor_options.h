@@ -33,11 +33,12 @@ struct MonitorOptions {
   /// (validate() rejects it rather than silently ignoring the horizon);
   /// unset with `sanitize` uses the SanitizerConfig default (1s).
   std::optional<SimDuration> lateness;
-  /// Maintain window aggregates incrementally at feed time so closing a
-  /// window runs the cheap finalize instead of a from-scratch model build
-  /// (bit-identical; automatic per-window fallback). Off forces every
-  /// window through the from-scratch path — the oracle mode the identity
-  /// tests compare against.
+  /// Maintain window aggregates incrementally at feed time, as the only
+  /// per-window store, so closing a window runs the cheap finalize instead
+  /// of a from-scratch model build (bit-identical; a window past the
+  /// DD-pair budget marks its DD pairs unstable). Off keeps each window's
+  /// raw events and rebuilds it from scratch — the oracle mode the
+  /// identity tests compare against.
   bool incremental = true;
   /// Closed-windows-in-flight backlog for pipelined window processing
   /// (0 = synchronous). Backlogs past kMaxPipelineDepth are rejected —

@@ -147,6 +147,8 @@ std::string render_health_json(const MonitorHealth& health) {
   out += ",\"windows\":" + std::to_string(health.windows);
   out += ",\"alarms\":" + std::to_string(health.alarms);
   out += ",\"suppressed_changes\":" + std::to_string(health.suppressed_changes);
+  out += ",\"rejected_out_of_order\":" +
+         std::to_string(health.rejected_out_of_order);
   out += std::string(",\"stream_degraded\":") +
          (health.stream_degraded ? "true" : "false");
   out += ",\"quality\":" + quality_json(health.quality);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "flowdiff/flowdiff.h"
 #include "flowdiff/monitor.h"
 #include "ingest/sanitizer.h"
+#include "obs/metrics.h"
 #include "openflow/log_io.h"
 #include "workload/tasks.h"
 
@@ -392,6 +394,80 @@ TEST(HostileOrder, AlternatingFarDisplacedArrivalsStayFast) {
         hostile_packet_in(t - 900 * kMillisecond - 5, 2 * i + 2));
   }
   expect_sanitized_within_budget(arrivals, kHostileEvents / 2);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile timestamps: one far-future event must not make the monitor walk
+// every idle window in the gap (about 2e11 windows here). An optimizer can
+// delete such a loop outright, so tools/ci.sh also runs this at -O0.
+
+constexpr double kHostileTimestampBudgetSeconds = 2.0;
+
+TEST(HostileTimestamp, FarFutureEventSkipsIdleWindowsInOneStep) {
+  constexpr SimDuration kWindow = 40 * kSecond;
+  constexpr SimTime kFar = 9'000'000'000'000'000'000;  // ~98.6% of INT64_MAX.
+  for (const bool sanitize : {false, true}) {
+    SCOPED_TRACE(sanitize ? "sanitized" : "unsanitized");
+    obs::Registry::global().reset();
+    obs::set_enabled(true);
+    core::MonitorConfig config;
+    config.window = kWindow;
+    config.sanitize = sanitize;
+    config.sample_metrics = false;
+    core::SlidingMonitor monitor(config);
+    const auto start = std::chrono::steady_clock::now();
+    monitor.feed(hostile_packet_in(0, 1));
+    monitor.feed(hostile_packet_in(kFar, 2));
+    monitor.flush();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    const std::uint64_t skipped =
+        obs::Registry::global().counter("monitor.idle_windows_skipped").value();
+    obs::set_enabled(false);
+    obs::Registry::global().reset();
+
+    EXPECT_LT(took.count(), kHostileTimestampBudgetSeconds);
+    // [0, 40 s) closes normally; every window from 40 s up to the one
+    // holding kFar is idle.
+    EXPECT_EQ(skipped, static_cast<std::uint64_t>(kFar / kWindow) - 1);
+    ASSERT_EQ(monitor.audits().size(), 2u);
+    EXPECT_EQ(monitor.audits()[0].events, 1u);
+    EXPECT_EQ(monitor.audits()[1].events, 1u);
+    EXPECT_EQ(monitor.audits()[1].window_begin, kFar);
+    const ingest::StreamQuality q = monitor.stream_quality();
+    EXPECT_EQ(q.fed, q.kept + q.duplicates + q.late_dropped + q.truncated);
+    EXPECT_EQ(q.fed, sanitize ? 2u : 0u);
+  }
+}
+
+TEST(HostileTimestamp, GapEndingAtInt64MaxDoesNotOverflow) {
+  // Window arithmetic right at the top of the range: the far event is the
+  // last timestamp whose window still ends inside int64 (the flush closes
+  // it at INT64_MAX), and the gap before it spans most of the range. It is
+  // an echo, which no signature family models: the modelers' flow-rate
+  // horizon (one second past the window start) is not range-safe up here.
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  for (const bool sanitize : {false, true}) {
+    SCOPED_TRACE(sanitize ? "sanitized" : "unsanitized");
+    core::MonitorConfig config;
+    config.window = 40 * kSecond;
+    config.sanitize = sanitize;
+    config.sample_metrics = false;
+    core::SlidingMonitor monitor(config);
+    const auto start = std::chrono::steady_clock::now();
+    monitor.feed(hostile_packet_in(0, 1));
+    of::EchoReply echo;
+    echo.sw = SwitchId{1};
+    monitor.feed(of::ControlEvent{kMax - 1, ControllerId{0}, echo});
+    monitor.flush();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took.count(), kHostileTimestampBudgetSeconds);
+    ASSERT_EQ(monitor.audits().size(), 2u);
+    EXPECT_LE(monitor.audits()[1].window_begin, kMax - 1);
+    EXPECT_GT(monitor.audits()[1].window_begin, kMax - 40 * kSecond);
+    EXPECT_EQ(monitor.audits()[1].window_end, kMax);
+  }
 }
 
 // ---------------------------------------------------------------------------

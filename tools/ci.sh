@@ -25,7 +25,11 @@
 #   5. corruption sweep: run bench/corruption_sweep in the UBSan tree —
 #      diagnosis accuracy vs corruption rate, end to end under the
 #      sanitizer;
-#   6. throughput bench: run bench/throughput_replay (full timed leg, the
+#   6. unoptimized (Debug, -O0) pass: rebuild the robustness suite without
+#      optimization and rerun the hostile-input cases under a ctest
+#      timeout — the optimizer once deleted a loop that walked every idle
+#      window of a timestamp gap, so the hang only showed at -O0;
+#   7. throughput bench: run bench/throughput_replay (full timed leg, the
 #      uninstrumented tier-1 tree) over the golden-trace corpus and
 #      refresh BENCH_throughput.json at the repo root — the recorded perf
 #      trajectory every PR extends. Sanitizer trees skip the timed leg but
@@ -33,7 +37,8 @@
 #      (ThroughputReplay.Quick) that the full ASan suite includes.
 #
 # Usage: tools/ci.sh [--skip-asan] [--skip-ubsan] [--skip-tsan]
-# Run from anywhere; build trees land in <repo>/build-ci{,-asan,-ubsan,-tsan}.
+# Run from anywhere; build trees land in
+# <repo>/build-ci{,-asan,-ubsan,-tsan,-debug}.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -164,5 +169,13 @@ if [[ "$skip_tsan" -eq 0 ]]; then
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L incremental
 fi
+
+echo "== Debug (-O0): hostile order + hostile timestamps =="
+# Only the robustness suite is built; other suites' tests register as
+# NOT_BUILT placeholders, which the -R filter leaves out.
+cmake -B "$repo/build-ci-debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug
+cmake --build "$repo/build-ci-debug" -j "$jobs" --target fuzz_robustness_test
+ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
+  --no-tests=error --timeout 60 -R '^(HostileOrder|HostileTimestamp)\.'
 
 echo "CI passed."

@@ -131,13 +131,13 @@ void print_help(std::FILE* out) {
       "  --lateness SEC   sanitizer reorder horizon in seconds (default 1; "
       "implies\n"
       "                   --sanitize; rejected without it or >= --window)\n"
-      "  --no-incremental rebuild every window's model from scratch instead "
-      "of\n"
-      "                   maintaining signature aggregates incrementally at "
-      "feed\n"
-      "                   time (on by default; output is bit-identical — "
-      "this is\n"
-      "                   the A/B oracle switch for timing comparisons)\n"
+      "  --no-incremental oracle mode: keep each window's raw events and "
+      "rebuild\n"
+      "                   its model from scratch instead of maintaining "
+      "signature\n"
+      "                   aggregates at feed time (on by default; output is\n"
+      "                   bit-identical — the A/B switch for timing "
+      "comparisons)\n"
       "  --listen ADDR:PORT  serve the live telemetry plane over HTTP "
       "(/metrics\n"
       "                   /healthz /series /recorder /audits /provenance "
