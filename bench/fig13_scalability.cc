@@ -3,15 +3,9 @@
 //      placed three-tier applications on the 320-server tree.
 //  (b) FlowDiff processing (modeling) time versus the number of
 //      applications — sub-linear in the paper.
-//  (c) beyond the paper: the same modeling work across executor worker
-//      counts — the per-group fan-out should cut wall time while staying
-//      bit-identical to the serial build.
-#include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "experiment/scalability.h"
-#include "flowdiff/model.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -69,48 +63,6 @@ int run() {
     std::printf("\n");
   }
   std::printf("\n");
-
-  // (c) Worker sweep: one capture, many pool sizes. The paper's processing
-  // time is serial; the executor should recover most of the per-group
-  // parallelism on a multi-app log.
-  {
-    exp::ScalabilityConfig config;
-    config.app_count = 9;
-    config.seed = 1000;
-    const of::ControlLog log = exp::capture_scalability_log(config);
-    std::printf("(c) model-build worker sweep (9 apps, %zu events, "
-                "%d reps, %u hardware threads):\n",
-                log.size(), kReps, std::thread::hardware_concurrency());
-    if (std::thread::hardware_concurrency() <= 1) {
-      std::printf("  NOTE: single-core host -- worker counts cannot beat "
-                  "serial wall time here; the sweep still validates "
-                  "overhead and determinism.\n");
-    }
-    TextTable sweep({"workers", "build s (mean)", "build s (sd)",
-                     "speedup vs serial"});
-    double serial_sec = 0.0;
-    for (const int workers : {0, 1, 2, 4, 8}) {
-      const core::Modeler modeler{core::ModelConfig{}, workers};
-      RunningStats build;
-      for (int rep = 0; rep < kReps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto model = modeler.build(log);
-        const auto t1 = std::chrono::steady_clock::now();
-        build.add(std::chrono::duration<double>(t1 - t0).count());
-        if (rep == 0 && workers == 0) {
-          std::printf("  serial reference: %zu groups\n",
-                      model.groups.size());
-        }
-      }
-      if (workers == 0) serial_sec = build.mean();
-      sweep.add_row({std::to_string(workers), fmt_double(build.mean(), 4),
-                     fmt_double(build.stddev(), 4),
-                     workers == 0
-                         ? std::string("1.00x")
-                         : fmt_double(serial_sec / build.mean(), 2) + "x"});
-    }
-    std::printf("%s\n", sweep.render().c_str());
-  }
 
   // Sub-linearity check over the upper half of the sweep (tiny runs are
   // dominated by fixed costs): per-app processing time must not grow.

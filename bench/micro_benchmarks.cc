@@ -88,63 +88,6 @@ void BM_BuildModel(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildModel)->Arg(100)->Arg(1000)->Arg(5000)->Iterations(20);
 
-/// Like synth_log, but `groups` disjoint three-node chains so the model
-/// build has real per-group fan-out to parallelize.
-of::ControlLog synth_multi_group_log(int groups, int flows_per_group) {
-  of::ControlLog log;
-  for (int g = 0; g < groups; ++g) {
-    const auto net = static_cast<std::uint8_t>(g + 1);
-    const Ipv4 a(10, 1, net, 1);
-    const Ipv4 b(10, 1, net, 2);
-    const Ipv4 c(10, 1, net, 3);
-    for (int i = 0; i < flows_per_group; ++i) {
-      const SimTime t = i * 10 * kMillisecond;
-      const auto sport = static_cast<std::uint16_t>(40000 + (i % 20000));
-      for (int hop = 0; hop < 2; ++hop) {
-        of::PacketIn pin;
-        pin.sw = SwitchId{static_cast<std::uint32_t>(3 * g + hop)};
-        pin.in_port = PortId{1};
-        pin.key = of::FlowKey{a, b, sport, 80, of::Proto::kTcp};
-        log.append(of::ControlEvent{t + hop * 300, ControllerId{0}, pin});
-        of::FlowMod fm;
-        fm.sw = pin.sw;
-        fm.out_port = PortId{2};
-        fm.key = pin.key;
-        log.append(
-            of::ControlEvent{t + hop * 300 + 150, ControllerId{0}, fm});
-      }
-      of::PacketIn pin;
-      pin.sw = SwitchId{static_cast<std::uint32_t>(3 * g + 2)};
-      pin.in_port = PortId{1};
-      pin.key = of::FlowKey{b, c, sport, 3306, of::Proto::kTcp};
-      log.append(
-          of::ControlEvent{t + 25 * kMillisecond, ControllerId{0}, pin});
-    }
-  }
-  return log;  // Out-of-order appends are fine; the log sorts lazily.
-}
-
-// The executor fan-out on a model build with many groups; Arg is the
-// worker count (0 = the serial reference the others must beat while
-// producing the identical model).
-void BM_ModelBuildParallel(benchmark::State& state) {
-  static const of::ControlLog& log = *new of::ControlLog(
-      synth_multi_group_log(/*groups=*/12, /*flows_per_group=*/1200));
-  const core::Modeler modeler{core::ModelConfig{},
-                              static_cast<int>(state.range(0))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(modeler.build(log));
-  }
-  state.SetItemsProcessed(state.iterations() * log.size());
-}
-BENCHMARK(BM_ModelBuildParallel)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(10);
-
 void BM_DiffModels(benchmark::State& state) {
   const core::FlowDiff flowdiff{core::FlowDiffConfig{}};
   const auto base = flowdiff.model(synth_log(2000));

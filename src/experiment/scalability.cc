@@ -60,9 +60,7 @@ ScalabilityResult run_scalability(const ScalabilityConfig& config) {
     if (bucket < seconds) result.packet_ins_per_sec_series[bucket] += 1.0;
   }
 
-  core::FlowDiffConfig fd_config;
-  fd_config.parallelism = config.workers;
-  const core::FlowDiff flowdiff(fd_config);
+  const core::FlowDiff flowdiff{core::FlowDiffConfig{}};
   const auto t0 = std::chrono::steady_clock::now();
   const auto model = flowdiff.model(log);
   const auto t1 = std::chrono::steady_clock::now();

@@ -20,9 +20,6 @@ struct ScalabilityConfig {
   SimDuration duration = 20 * kSecond;
   std::uint64_t seed = 42;
   double reuse_prob = 0.6;
-  /// Worker threads for the timed model build (0 = serial). The model is
-  /// bit-identical at any count; only processing_sec changes.
-  int workers = 0;
 };
 
 struct ScalabilityResult {
@@ -38,9 +35,8 @@ struct ScalabilityResult {
 ScalabilityResult run_scalability(const ScalabilityConfig& config);
 
 /// Runs only the simulation half of the experiment and returns the control
-/// log the controller captured — the multi-app workload tests and benches
-/// use it to feed FlowDiff themselves (determinism across worker counts,
-/// worker sweeps) without re-simulating per configuration.
+/// log the controller captured — the multi-app workload tests use it to
+/// feed FlowDiff themselves without re-simulating per configuration.
 of::ControlLog capture_scalability_log(const ScalabilityConfig& config);
 
 }  // namespace flowdiff::exp

@@ -13,15 +13,14 @@ void FlowDiffConfig::set_special_nodes(std::set<Ipv4> nodes) {
 
 FlowDiff::FlowDiff(FlowDiffConfig config)
     : config_(std::move(config)),
-      modeler_(std::make_shared<Modeler>(config_.model,
-                                         config_.parallelism)),
-      incremental_(modeler_->config(), modeler_->shared_executor()) {}
+      modeler_(config_.model),
+      incremental_(config_.model) {}
 
 BehaviorModel FlowDiff::model(const of::ControlLog& log) const {
   IncrementalWindowState state;
   for (const auto& event : log.events()) incremental_.feed(state, event);
   if (incremental_.ready(state)) return incremental_.finalize(state);
-  return modeler_->build(log);
+  return modeler_.build(log);
 }
 
 DiffReport FlowDiff::diff(const BehaviorModel& baseline,

@@ -29,9 +29,6 @@ struct FlowDiffConfig {
   DiffThresholds thresholds;
   ValidationConfig validation;
   DetectorConfig detector;
-  /// Worker threads for model building (util/executor). 0 = serial inline
-  /// on the calling thread; any value yields bit-identical models.
-  int parallelism = 0;
 
   /// Propagates the special-node list into every sub-config that needs it.
   void set_special_nodes(std::set<Ipv4> nodes);
@@ -90,18 +87,17 @@ class FlowDiff {
       bool mask_subjects) const;
 
   [[nodiscard]] const FlowDiffConfig& config() const { return config_; }
-  /// The modeling engine (owns the worker pool sized by
-  /// FlowDiffConfig::parallelism); copies of the facade share it.
-  [[nodiscard]] const Modeler& modeler() const { return *modeler_; }
-  /// The one delta-maintained modeler, on the Modeler's config and pool;
-  /// model() and every SlidingMonitor built on this facade use it.
+  /// The from-scratch modeler (the oracle; see Modeler).
+  [[nodiscard]] const Modeler& modeler() const { return modeler_; }
+  /// The one delta-maintained modeler, on the Modeler's config; model()
+  /// and every SlidingMonitor built on this facade use it.
   [[nodiscard]] const IncrementalModeler& incremental_modeler() const {
     return incremental_;
   }
 
  private:
   FlowDiffConfig config_;
-  std::shared_ptr<Modeler> modeler_;
+  Modeler modeler_;
   IncrementalModeler incremental_;
 };
 

@@ -1,7 +1,6 @@
 #include "flowdiff/incremental_model.h"
 
 #include <algorithm>
-#include <future>
 #include <set>
 #include <utility>
 #include <vector>
@@ -380,13 +379,8 @@ void IncrementalWindowState::reset() {
   per_poll_bps.clear();
 }
 
-IncrementalModeler::IncrementalModeler(ModelConfig config,
-                                       std::shared_ptr<Executor> executor)
-    : config_(std::move(config)),
-      supported_(supported(config_)),
-      executor_(std::move(executor)) {
-  if (!executor_) executor_ = std::make_shared<Executor>(0);
-}
+IncrementalModeler::IncrementalModeler(ModelConfig config)
+    : config_(std::move(config)), supported_(supported(config_)) {}
 
 bool IncrementalModeler::supported(const ModelConfig& config) {
   return config.app.min_edge_flows >= 1;
@@ -562,21 +556,20 @@ BehaviorModel IncrementalModeler::finalize(
     work[static_cast<std::size_t>(ia->second)].triples.push_back(&entry);
   }
 
-  std::future<void> infra = executor_->submit([&model, &st] {
+  {
     const obs::Span infra_span("model/infra");
     model.infra = assemble_infra(st);
-  });
+  }
 
   model.groups.resize(group_count);
   const int segments = std::max(2, config_.stability_segments);
   {
     const obs::Span sig_span("model/signatures");
-    executor_->parallel_for(group_count, [&](std::size_t g) {
+    for (std::size_t g = 0; g < group_count; ++g) {
       assemble_group(st, work[g], groups.groups[g], model.begin, model.end,
                      segments, config_, model.groups[g]);
-    });
+    }
   }
-  infra.get();
   return model;
 }
 

@@ -27,14 +27,14 @@
 // feeds the sorted log), `min_edge_flows == 0` is unsupported, and a window
 // past the DD-pair budget keeps exact window-wide DD histograms but drops
 // its `(t_in, t_out)` pairs, so its DD stability is unknown
-// (`dd_over_budget`; finalize marks every DD pair unstable).
+// (`dd_over_budget`; finalize marks every DD pair unstable). Timestamps
+// must be non-negative: -1 marks an unanswered hop, as in `parse_log`.
 // incremental_model_test and parallel_model_test enforce the invariant.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -45,8 +45,7 @@
 namespace flowdiff::core {
 
 /// Delta-maintained aggregates for one in-flight window. Owned by the
-/// monitor's feed side; moved (cheaply — containers only) into the pending
-/// window at close and recycled afterwards.
+/// monitor, finalized in place at close and reset for the next window.
 struct IncrementalWindowState {
   // --- lifecycle ---------------------------------------------------------
   bool active = false;      ///< Saw at least one event.
@@ -100,12 +99,11 @@ struct IncrementalWindowState {
 };
 
 /// Builds `BehaviorModel`s from delta-maintained window state. Stateless
-/// apart from the config and the (shared) executor the per-group finalize
-/// fans out on; all mutable state lives in `IncrementalWindowState`, so one
-/// modeler serves any number of concurrent windows.
+/// apart from the config; all mutable state lives in
+/// `IncrementalWindowState`, so one modeler serves any number of windows.
 class IncrementalModeler {
  public:
-  IncrementalModeler(ModelConfig config, std::shared_ptr<Executor> executor);
+  explicit IncrementalModeler(ModelConfig config);
 
   /// True when the config permits bit-identical incremental maintenance.
   /// `min_edge_flows == 0` is refused: the from-scratch DD/PC extractors
@@ -115,8 +113,9 @@ class IncrementalModeler {
   [[nodiscard]] bool supported() const { return supported_; }
 
   /// Folds one event into the window aggregates. Events must arrive in
-  /// non-decreasing timestamp order; the aggregates replay the sorted log
-  /// and cannot be reordered afterwards. No-op for unsupported configs.
+  /// non-decreasing timestamp order with `ts >= 0`; the aggregates replay
+  /// the sorted log and cannot be reordered afterwards. No-op for
+  /// unsupported configs.
   void feed(IncrementalWindowState& state, const of::ControlEvent& event) const;
 
   /// True when the window holds events and `finalize` returns the
@@ -143,7 +142,6 @@ class IncrementalModeler {
 
   ModelConfig config_;
   bool supported_;
-  std::shared_ptr<Executor> executor_;
   /// Same 5-tuple re-appearing further apart than this opens a new
   /// occurrence — must match parse_log's default for oracle identity.
   SimDuration grouping_window_ = 2 * kSecond;

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <future>
 #include <string>
 #include <utility>
 
 #include "flowdiff/flowdiff.h"
-#include "obs/executor_metrics.h"
 #include "obs/trace.h"
 
 namespace flowdiff::core {
@@ -29,9 +27,7 @@ ParsedLog slice_parsed(const ParsedLog& log, SimTime t0, SimTime t1) {
   return out;
 }
 
-/// Extracts the stability sub-model for segment `s` of `segments` — one
-/// independent work item of the parallel build; the result lands in a
-/// position-indexed slot, so extraction order never matters.
+/// Extracts the stability sub-model for segment `s` of `segments`.
 GroupSignatures extract_segment_signatures(const ParsedLog& parsed,
                                            const std::set<Ipv4>& members,
                                            const ModelConfig& config, int s,
@@ -47,7 +43,7 @@ GroupSignatures extract_segment_signatures(const ParsedLog& parsed,
 }  // namespace
 
 /// Pure reduction: reads the full-window signatures in `group.sig` and the
-/// position-indexed `per_segment` slots, writes only the unstable sets
+/// per-segment sub-models, writes only the unstable sets
 /// (std::set — insertion order is irrelevant to the result).
 void analyze_group_stability(const std::vector<GroupSignatures>& per_segment,
                              const ModelConfig& config, GroupModel& group) {
@@ -130,16 +126,7 @@ void analyze_group_stability(const std::vector<GroupSignatures>& per_segment,
   }
 }
 
-Modeler::Modeler(ModelConfig config, int workers)
-    : config_(std::move(config)),
-      observer_(std::make_shared<obs::ExecutorMetrics>("model.exec")),
-      executor_(std::make_shared<Executor>(
-          workers, static_cast<Executor::Observer*>(observer_.get()))) {}
-
-Modeler::Modeler(ModelConfig config, std::shared_ptr<Executor> executor)
-    : config_(std::move(config)), executor_(std::move(executor)) {
-  if (!executor_) executor_ = std::make_shared<Executor>(0);
-}
+Modeler::Modeler(ModelConfig config) : config_(std::move(config)) {}
 
 BehaviorModel Modeler::build(const of::ControlLog& log) const {
   obs::Span span("model");
@@ -170,117 +157,63 @@ BehaviorModel Modeler::build(const of::ControlLog& log) const {
 
   // Partition the log per group up front so modeling stays linear in the
   // log size no matter how many applications run (the paper's sub-linear
-  // processing-time claim depends on this). The scan is sharded across the
-  // pool: each shard classifies a contiguous slice into per-group buckets,
-  // and the buckets are concatenated in shard order afterwards, so the
-  // partition is element-for-element what the single pass produced.
+  // processing-time claim depends on this).
   std::map<Ipv4, int> index_of;
   for (std::size_t g = 0; g < groups.groups.size(); ++g) {
     for (const Ipv4 ip : groups.groups[g]) {
       index_of.emplace(ip, static_cast<int>(g));
     }
   }
-  const std::size_t partition_group_count = groups.groups.size();
-  std::vector<ParsedLog> per_group(partition_group_count);
+  const std::size_t group_count = groups.groups.size();
+  std::vector<ParsedLog> per_group(group_count);
   for (auto& pg : per_group) {
     pg.begin = parsed.begin;
     pg.end = parsed.end;
   }
   {
     const obs::Span partition_span("model/partition");
-    struct PartitionShard {
-      std::vector<std::vector<FlowOccurrence>> occurrences;
-      std::vector<std::vector<RemovedRecord>> removed;
+    const auto classify = [&index_of](const of::FlowKey& key) {
+      const auto it = index_of.find(key.src_ip);
+      if (it == index_of.end()) return -1;
+      if (!index_of.contains(key.dst_ip)) return -1;
+      return it->second;
     };
-    const std::size_t shard_count =
-        executor_->serial()
-            ? 1
-            : static_cast<std::size_t>(executor_->workers()) * 2;
-    std::vector<PartitionShard> shards(shard_count);
-    executor_->parallel_for(shard_count, [&](std::size_t s) {
-      PartitionShard& shard = shards[s];
-      shard.occurrences.resize(partition_group_count);
-      shard.removed.resize(partition_group_count);
-      const auto classify = [&index_of](const of::FlowKey& key) {
-        const auto it = index_of.find(key.src_ip);
-        if (it == index_of.end()) return -1;
-        if (!index_of.contains(key.dst_ip)) return -1;
-        return it->second;
-      };
-      const std::size_t ob = parsed.occurrences.size() * s / shard_count;
-      const std::size_t oe =
-          parsed.occurrences.size() * (s + 1) / shard_count;
-      for (std::size_t i = ob; i < oe; ++i) {
-        const int g = classify(parsed.occurrences[i].key);
-        if (g >= 0) {
-          shard.occurrences[static_cast<std::size_t>(g)].push_back(
-              parsed.occurrences[i]);
-        }
+    for (const auto& occ : parsed.occurrences) {
+      const int g = classify(occ.key);
+      if (g >= 0) {
+        per_group[static_cast<std::size_t>(g)].occurrences.push_back(occ);
       }
-      const std::size_t rb = parsed.removed.size() * s / shard_count;
-      const std::size_t re = parsed.removed.size() * (s + 1) / shard_count;
-      for (std::size_t i = rb; i < re; ++i) {
-        const int g = classify(parsed.removed[i].key);
-        if (g >= 0) {
-          shard.removed[static_cast<std::size_t>(g)].push_back(
-              parsed.removed[i]);
-        }
-      }
-    });
-    for (std::size_t g = 0; g < partition_group_count; ++g) {
-      for (const PartitionShard& shard : shards) {
-        per_group[g].occurrences.insert(per_group[g].occurrences.end(),
-                                        shard.occurrences[g].begin(),
-                                        shard.occurrences[g].end());
-        per_group[g].removed.insert(per_group[g].removed.end(),
-                                    shard.removed[g].begin(),
-                                    shard.removed[g].end());
+    }
+    for (const auto& rec : parsed.removed) {
+      const int g = classify(rec.key);
+      if (g >= 0) {
+        per_group[static_cast<std::size_t>(g)].removed.push_back(rec);
       }
     }
   }
 
-  // Infrastructure signatures only read `parsed`; they build on a parallel
-  // branch alongside the application groups.
-  std::future<void> infra = executor_->submit([&model, &parsed] {
+  {
     const obs::Span infra_span("model/infra");
     model.infra = extract_infra_signatures(parsed);
-  });
+  }
 
-  // Fan-out: the unit of work is one (group, sub-model) pair — unit 0 of
-  // each group is the full-window signature extraction, units 1..segments
-  // the stability sub-models. Flattening avoids nested waits on the pool,
-  // and every unit writes only its own position-indexed slot, which is
-  // what makes the parallel build bit-identical to the serial one.
-  const std::size_t group_count = groups.groups.size();
+  // Per group: the full-window signatures, then the stability sub-models
+  // of each segment, then the stability judgement over them.
   const int segments = std::max(2, config.stability_segments);
-  const auto units_per_group = static_cast<std::size_t>(segments) + 1;
   model.groups.resize(group_count);
-  std::vector<std::vector<GroupSignatures>> per_segment(group_count);
-  for (auto& segs : per_segment) {
-    segs.resize(static_cast<std::size_t>(segments));
+  const obs::Span sig_span("model/signatures");
+  for (std::size_t g = 0; g < group_count; ++g) {
+    GroupModel& group = model.groups[g];
+    group.sig =
+        extract_group_signatures(per_group[g], groups.groups[g], config.app);
+    std::vector<GroupSignatures> per_segment;
+    per_segment.reserve(static_cast<std::size_t>(segments));
+    for (int s = 0; s < segments; ++s) {
+      per_segment.push_back(extract_segment_signatures(
+          per_group[g], groups.groups[g], config, s, segments));
+    }
+    analyze_group_stability(per_segment, config, group);
   }
-  {
-    const obs::Span sig_span("model/signatures");
-    executor_->parallel_for(
-        group_count * units_per_group, [&](std::size_t unit) {
-          const std::size_t g = unit / units_per_group;
-          const auto k = static_cast<int>(unit % units_per_group);
-          if (k == 0) {
-            model.groups[g].sig = extract_group_signatures(
-                per_group[g], groups.groups[g], config.app);
-          } else {
-            per_segment[g][static_cast<std::size_t>(k - 1)] =
-                extract_segment_signatures(per_group[g], groups.groups[g],
-                                           config, k - 1, segments);
-          }
-        });
-    const obs::Span stability_span("model/stability");
-    executor_->parallel_for(group_count, [&](std::size_t g) {
-      analyze_group_stability(per_segment[g], config, model.groups[g]);
-    });
-  }
-
-  infra.get();
   return model;
 }
 

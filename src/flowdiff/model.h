@@ -8,7 +8,6 @@
 // balancing is excluded to avoid false positives.
 #pragma once
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "flowdiff/app_groups.h"
 #include "flowdiff/app_signatures.h"
 #include "flowdiff/infra_signatures.h"
-#include "util/executor.h"
 
 namespace flowdiff::core {
 
@@ -54,36 +52,20 @@ struct BehaviorModel {
   of::FlowSequence flow_starts;  ///< Kept for task detection/validation.
 };
 
-/// Builds BehaviorModels from control logs. Owns the ModelConfig and the
-/// Executor the build fans out on: per-app-group signature extraction, the
-/// per-segment stability sub-models inside each group, and the
-/// infrastructure signatures are all independent work items. Every
-/// reduction writes into a position-indexed slot (group index, segment
-/// index), so the assembled model is bit-identical to the serial build at
-/// any worker count — parallel_model_test verifies this, don't break it.
-///
-/// `workers == 0` (the default) builds serially inline on the calling
-/// thread; the Modeler then never creates a thread.
+/// Builds BehaviorModels from control logs, from scratch. It is the oracle
+/// for IncrementalModeler: the identity tests compare against it, the
+/// monitor runs it with `incremental = false`, and FlowDiff::model falls
+/// back to it where the incremental result cannot be exact.
 class Modeler {
  public:
-  explicit Modeler(ModelConfig config, int workers = 0);
-  /// Shares an existing pool (e.g. several Modelers behind one CLI run).
-  Modeler(ModelConfig config, std::shared_ptr<Executor> executor);
+  explicit Modeler(ModelConfig config);
 
   [[nodiscard]] BehaviorModel build(const of::ControlLog& log) const;
 
   [[nodiscard]] const ModelConfig& config() const { return config_; }
-  [[nodiscard]] Executor& executor() const { return *executor_; }
-  /// The pool itself, for co-owning consumers (e.g. the incremental
-  /// modeler finalizing windows on the same workers).
-  [[nodiscard]] std::shared_ptr<Executor> shared_executor() const {
-    return executor_;
-  }
 
  private:
   ModelConfig config_;
-  std::shared_ptr<Executor::Observer> observer_;  ///< Outlives executor_.
-  std::shared_ptr<Executor> executor_;
 };
 
 /// Index of the group in `model` best matching `members` (by overlap);

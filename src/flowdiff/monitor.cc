@@ -52,12 +52,6 @@ struct MonitorMetrics {
   /// (µs of stream time buffered for reordering; 0 without a sanitizer).
   obs::Gauge& watermark_lag_us =
       obs::Registry::global().gauge("monitor.watermark_lag_us");
-  obs::Gauge& pipeline_depth =
-      obs::Registry::global().gauge("monitor.pipeline.depth");
-  obs::Counter& pipeline_stalls =
-      obs::Registry::global().counter("monitor.pipeline.stalls");
-  obs::LatencyHistogram& pipeline_stall_ms =
-      obs::Registry::global().histogram("monitor.pipeline.stall_ms", 1.0);
   /// Windows modeled from delta-maintained aggregates, and the subset that
   /// went past the DD-pair budget (DD stability unknown; the fallbacks name
   /// stays because perfbench's monitor.fallback_share reads it). fallbacks
@@ -66,7 +60,8 @@ struct MonitorMetrics {
       obs::Registry::global().counter("monitor.incremental.windows");
   obs::Counter& incremental_fallbacks =
       obs::Registry::global().counter("monitor.incremental.fallbacks");
-  /// Unsanitized events older than the newest one ingested, dropped.
+  /// Events older than the newest one ingested (unsanitized feeds) or with
+  /// a negative timestamp, dropped.
   obs::Counter& rejected_out_of_order =
       obs::Registry::global().counter("monitor.rejected_out_of_order");
   /// Idle windows of a timestamp gap stepped over without a close.
@@ -103,23 +98,10 @@ SlidingMonitor::SlidingMonitor(MonitorConfig config)
   if (config_.incremental && flowdiff_.incremental_modeler().supported()) {
     inc_ = &flowdiff_.incremental_modeler();
   }
-  if (pipelined()) {
-    pipeline_thread_ = std::thread([this] { pipeline_loop(); });
-  }
 }
 
 SlidingMonitor::SlidingMonitor(const MonitorOptions& options)
     : SlidingMonitor(options.monitor_config()) {}
-
-SlidingMonitor::~SlidingMonitor() {
-  if (!pipeline_thread_.joinable()) return;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  queue_work_.notify_all();
-  pipeline_thread_.join();
-}
 
 void SlidingMonitor::feed(const of::ControlEvent& event) {
   feed_wall_ = std::chrono::steady_clock::now();
@@ -133,15 +115,25 @@ void SlidingMonitor::feed(const of::ControlEvent& event) {
   sanitizer_->push(event, ingest_sink_);
 }
 
+void SlidingMonitor::reject_event() {
+  ++window_rejected_;
+  rejected_total_.fetch_add(1, std::memory_order_relaxed);
+  metrics().rejected_out_of_order.inc();
+}
+
 void SlidingMonitor::ingest_event(const of::ControlEvent& event) {
+  if (event.ts < 0) {
+    // Negative time would collide with the "no window yet" sentinel and
+    // the modelers' "unanswered hop" marker (-1).
+    reject_event();
+    return;
+  }
   if (window_start_ < 0) {
     window_start_ = event.ts;
   } else if (event.ts < newest_ts_) {
     // The feed contract is time order; a regression cannot join a window
     // already (partly) modeled, in either mode.
-    ++window_rejected_;
-    rejected_total_.fetch_add(1, std::memory_order_relaxed);
-    metrics().rejected_out_of_order.inc();
+    reject_event();
     return;
   }
   newest_ts_ = event.ts;
@@ -201,13 +193,6 @@ void SlidingMonitor::flush() {
     const SimTime end = inc_ != nullptr ? inc_state_.end : current_.end_time();
     close_window(end == std::numeric_limits<SimTime>::max() ? end : end + 1);
   }
-  drain();
-}
-
-void SlidingMonitor::drain() {
-  if (!pipeline_thread_.joinable()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  queue_idle_.wait(lock, [this] { return queue_.empty() && !processing_; });
 }
 
 bool SlidingMonitor::has_baseline() const {
@@ -244,11 +229,6 @@ SimTime SlidingMonitor::baseline_captured_at() const {
   return baseline_begin_;
 }
 
-std::uint64_t SlidingMonitor::pipeline_stalls() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return stalls_;
-}
-
 ingest::StreamQuality SlidingMonitor::stream_quality() const {
   return sanitizer_ ? sanitizer_->total() : ingest::StreamQuality{};
 }
@@ -268,7 +248,6 @@ MonitorSnapshot SlidingMonitor::snapshot() const {
   snap.alarms = alarms_;
   snap.provenance.assign(provenance_.begin(), provenance_.end());
   snap.provenance_dropped = provenance_dropped_;
-  snap.pipeline_stalls = stalls_;
   return snap;
 }
 
@@ -279,7 +258,6 @@ MonitorHealth SlidingMonitor::health() const {
     const std::lock_guard<std::mutex> lock(mu_);
     health.windows = windows_;
     health.alarms = alarms_.size();
-    health.pipeline_stalls = stalls_;
     health.suppressed_changes = suppressed_total_;
     health.quality = quality_total_;
   }
@@ -303,8 +281,8 @@ MonitorHealth SlidingMonitor::health() const {
   if (health.rejected_out_of_order > 0) {
     health.reasons.push_back(
         std::to_string(health.rejected_out_of_order) +
-        " out-of-order event(s) rejected (unsanitized feed must be "
-        "time-ordered)");
+        " out-of-order or negative-timestamp event(s) rejected "
+        "(timestamps must be >= 0, and an unsanitized feed time-ordered)");
   }
   health.healthy = health.reasons.empty();
   return health;
@@ -327,127 +305,19 @@ void SlidingMonitor::close_window(SimTime window_end) {
     quality_total_ += quality;
   }
   if (window_empty()) return;  // Idle window: nothing to model.
-  PendingWindow pending;
-  pending.begin = begin;
-  pending.end = window_end;
-  pending.quality = quality;
-  pending.rejected = std::exchange(window_rejected_, 0);
+  process_window(begin, window_end, quality,
+                 std::exchange(window_rejected_, 0),
+                 std::chrono::steady_clock::now());
   if (inc_ != nullptr) {
-    pending.inc = std::move(inc_state_);
+    inc_state_.reset();
   } else {
-    pending.log = std::move(current_);
-  }
-  pending.arrival_wall = feed_wall_;
-  pending.close_wall = std::chrono::steady_clock::now();
-  if (pipelined()) {
-    // The pipeline thread owns the window from here; refill the feed
-    // side's storage from the recycling pools the pipeline thread feeds
-    // (an empty pool just means a fresh allocation, as during warmup while
-    // the first windows are still in flight).
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (inc_ == nullptr && !log_pool_.empty()) {
-        current_ = std::move(log_pool_.back());
-        log_pool_.pop_back();
-      }
-      if (inc_ != nullptr && !state_pool_.empty()) {
-        inc_state_ = std::move(state_pool_.back());
-        state_pool_.pop_back();
-      }
-    }
-    // A moved-from log or state keeps stale scalars; pooled entries arrive
-    // cleared, but clear again unconditionally — a cheap no-op.
-    if (inc_ != nullptr) {
-      inc_state_.reset();
-    } else {
-      current_.clear();
-    }
-    enqueue_window(std::move(pending));
-    return;
-  }
-  process_window(std::move(pending));
-  // process_window read the window in place; take the storage back
-  // (cleared, capacity intact) for the next window.
-  if (inc_ != nullptr) {
-    pending.inc.reset();
-    inc_state_ = std::move(pending.inc);
-  } else {
-    pending.log.clear();
-    current_ = std::move(pending.log);
+    current_.clear();
   }
 }
 
-void SlidingMonitor::enqueue_window(PendingWindow pending) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.size() >= config_.pipeline_depth) {
-      // Backpressure: ingestion outran the modeler. Block until the
-      // pipeline catches up; the stall is the signal a production deploy
-      // would alert on (window too small, or workers too few).
-      ++stalls_;
-      metrics().pipeline_stalls.inc();
-      if (obs::enabled()) {
-        obs::FlightRecorder::global().record(
-            obs::Severity::kWarn, "monitor", "pipeline backpressure stall",
-            {{"backlog", std::to_string(queue_.size())},
-             {"depth_limit", std::to_string(config_.pipeline_depth)}},
-            to_seconds(pending.begin));
-      }
-      const auto stall_start = std::chrono::steady_clock::now();
-      queue_space_.wait(lock, [this] {
-        return queue_.size() < config_.pipeline_depth;
-      });
-      const std::chrono::duration<double, std::milli> stalled =
-          std::chrono::steady_clock::now() - stall_start;
-      metrics().pipeline_stall_ms.observe(stalled.count());
-    }
-    queue_.push_back(std::move(pending));
-    metrics().pipeline_depth.set(
-        static_cast<std::int64_t>(queue_.size()));
-  }
-  queue_work_.notify_one();
-}
-
-void SlidingMonitor::pipeline_loop() {
-  for (;;) {
-    PendingWindow pending;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        queue_idle_.notify_all();
-        return;  // stop_ set and backlog drained.
-      }
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-      processing_ = true;
-      metrics().pipeline_depth.set(
-          static_cast<std::int64_t>(queue_.size()));
-    }
-    queue_space_.notify_one();
-    process_window(std::move(pending));
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      processing_ = false;
-      // process_window reads the pending storage in place (never moves it),
-      // so the retired window's log and aggregates are safe to recycle
-      // here — cleared, capacity intact — for the feed thread to pick up
-      // at its next close. Before this, pipelined mode allocated fresh
-      // window storage every cycle while the synchronous path reused its
-      // own; monitor_pipeline_test exercises the handoff under TSan.
-      if (inc_ != nullptr) {
-        pending.inc.reset();
-        state_pool_.push_back(std::move(pending.inc));
-      } else {
-        pending.log.clear();
-        log_pool_.push_back(std::move(pending.log));
-      }
-      if (queue_.empty()) queue_idle_.notify_all();
-    }
-  }
-}
-
-void SlidingMonitor::process_window(PendingWindow&& pending) {
+void SlidingMonitor::process_window(
+    SimTime begin, SimTime window_end, const ingest::StreamQuality& quality,
+    std::uint64_t rejected, std::chrono::steady_clock::time_point close_wall) {
   const obs::Span span("monitor/window");
   const auto wall_start = std::chrono::steady_clock::now();
   const auto wall_ms = [](std::chrono::steady_clock::time_point from,
@@ -455,16 +325,13 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
     const std::chrono::duration<double, std::milli> d = to - from;
     return d.count() < 0.0 ? 0.0 : d.count();
   };
-  const SimTime begin = pending.begin;
-  const SimTime window_end = pending.end;
-  ingest::StreamQuality quality = pending.quality;
   StageLatency latency;
-  latency.ingest_ms = wall_ms(pending.arrival_wall, pending.close_wall);
-  latency.queue_ms = wall_ms(pending.close_wall, wall_start);
+  latency.ingest_ms = wall_ms(feed_wall_, close_wall);
+  latency.queue_ms = wall_ms(close_wall, wall_start);
   WindowAudit audit;
   audit.window_begin = begin;
   audit.window_end = window_end;
-  audit.events = inc_ != nullptr ? pending.inc.events : pending.log.size();
+  audit.events = inc_ != nullptr ? inc_state_.events : current_.size();
   audit.quality = quality;
   if (quality.degraded() && obs::enabled()) {
     obs::FlightRecorder::global().record(
@@ -485,14 +352,13 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
   // Incremental mode finalizes the delta-maintained aggregates
   // (bit-identical to the oracle, incremental_model.h); oracle mode
   // rebuilds the raw window from scratch.
-  const bool dd_over_budget = inc_ != nullptr && pending.inc.dd_over_budget;
+  const bool dd_over_budget = inc_ != nullptr && inc_state_.dd_over_budget;
   if (inc_ != nullptr) {
     metrics().incremental_windows.inc();
     if (dd_over_budget) metrics().incremental_fallbacks.inc();
   }
-  BehaviorModel model = inc_ != nullptr
-                            ? inc_->finalize(pending.inc)
-                            : flowdiff_.modeler().build(pending.log);
+  BehaviorModel model = inc_ != nullptr ? inc_->finalize(inc_state_)
+                                        : flowdiff_.modeler().build(current_);
   const auto model_done = std::chrono::steady_clock::now();
   latency.model_ms = wall_ms(wall_start, model_done);
   metrics().latency_model.observe(latency.model_ms);
@@ -501,8 +367,8 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
   if (quality.degraded()) {
     notes += "; stream DEGRADED (" + quality.summary() + ")";
   }
-  if (pending.rejected > 0) {
-    notes += "; rejected " + std::to_string(pending.rejected) +
+  if (rejected > 0) {
+    notes += "; rejected " + std::to_string(rejected) +
              " out-of-order event(s)";
   }
   if (dd_over_budget) {
@@ -533,9 +399,8 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
   const bool clean = report.clean();
   // Any unknown or suppressed change earns the window a provenance record:
   // alarmed windows explain what fired, suppressed-only windows explain
-  // why nothing did. The id is assigned here (the processing thread is the
-  // sole window consumer, so the sequence is deterministic) but the record
-  // commits with the audit under the lock.
+  // why nothing did. The id is assigned here but the record commits with
+  // the audit under the lock.
   std::optional<ProvenanceRecord> record;
   if (!report.unknown.empty() || !report.suppressed.empty()) {
     record = build_provenance(report, config_.provenance_top_k);
@@ -611,7 +476,7 @@ void SlidingMonitor::process_window(PendingWindow&& pending) {
     const auto decided = std::chrono::steady_clock::now();
     record->latency = latency;
     record->latency.decide_ms = wall_ms(diff_done, decided);
-    record->latency.total_ms = wall_ms(pending.arrival_wall, decided);
+    record->latency.total_ms = wall_ms(feed_wall_, decided);
     metrics().latency_decide.observe(record->latency.decide_ms);
     if (record->alarmed) {
       metrics().latency_event_to_alarm.observe(record->latency.total_ms);
@@ -691,8 +556,7 @@ std::string render_monitor_transcript(const SlidingMonitor& monitor) {
 
 std::string render_provenance_transcript(const SlidingMonitor& monitor) {
   // Like render_monitor_transcript: wall-clock latency fields omitted, so
-  // identical runs — at any worker count or pipeline depth — produce
-  // identical text.
+  // identical runs produce identical text.
   std::string out;
   out += "=== provenance transcript ===\n";
   out += "records=" + std::to_string(monitor.provenance().size()) +

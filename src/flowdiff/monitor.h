@@ -11,12 +11,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "flowdiff/flowdiff.h"
@@ -75,15 +73,6 @@ struct MonitorConfig {
   /// each window's raw events and runs Modeler::build on them — the oracle
   /// mode the identity tests compare against.
   bool incremental = true;
-  /// > 0 enables pipelined window processing: a closed window's model+diff
-  /// runs on a dedicated pipeline thread while feed() keeps ingesting the
-  /// next window. The value bounds the closed-windows-in-flight backlog;
-  /// when it is full, feed() blocks (backpressure) until the pipeline
-  /// catches up, recording a flight-recorder event and bumping
-  /// monitor.pipeline.stalls. Windows are processed strictly in closing
-  /// order by one thread, so alarms, audits, and baseline evolution are
-  /// identical to the synchronous mode (pipeline_depth == 0).
-  std::size_t pipeline_depth = 0;
 };
 
 struct MonitorAlarm {
@@ -132,7 +121,6 @@ struct MonitorSnapshot {
   /// Retained provenance ring, oldest first (see SlidingMonitor docs).
   std::vector<ProvenanceRecord> provenance;
   std::uint64_t provenance_dropped = 0;
-  std::uint64_t pipeline_stalls = 0;
 };
 
 /// Live self-assessment of the monitor, the /healthz contract: healthy
@@ -144,13 +132,13 @@ struct MonitorHealth {
   bool healthy = true;
   std::vector<std::string> reasons;  ///< Why unhealthy; empty when healthy.
   std::uint64_t watchdog_alerts = 0;
-  std::uint64_t pipeline_stalls = 0;
   std::size_t windows = 0;
   std::size_t alarms = 0;
   /// Unknown changes withheld across all windows (degraded stream).
   std::uint64_t suppressed_changes = 0;
   /// Events rejected for arriving older than the newest one ingested (an
-  /// unsanitized feed broke its time-order contract). Live, not per window.
+  /// unsanitized feed broke its time-order contract) or for carrying a
+  /// negative timestamp. Live, not per window.
   std::uint64_t rejected_out_of_order = 0;
   bool stream_degraded = false;
   /// Sanitizer tallies accumulated over every closed window (all-zero
@@ -158,12 +146,10 @@ struct MonitorHealth {
   ingest::StreamQuality quality;
 };
 
-/// In pipelined mode (MonitorConfig::pipeline_depth > 0), feed() may block
-/// on backpressure and window results materialize asynchronously; call
-/// flush() (or drain()) before reading alarms()/audits() — both synchronize
-/// with the pipeline thread, so reads after them are race-free. For live
-/// reads while another thread is still feeding, use snapshot()/health(),
-/// which copy under the commit lock.
+/// Every closed window is modeled, diffed and committed on the thread that
+/// fed the event closing it. alarms()/audits()/provenance() are for that
+/// thread; readers on other threads (the telemetry plane, the serve
+/// manager) use snapshot()/health(), which copy under the commit lock.
 class SlidingMonitor {
  public:
   explicit SlidingMonitor(MonitorConfig config);
@@ -172,21 +158,20 @@ class SlidingMonitor {
   /// have run MonitorOptions::validate() first; the options' `listen`
   /// field is outside the monitor's scope and ignored here.
   explicit SlidingMonitor(const MonitorOptions& options);
-  ~SlidingMonitor();
 
   SlidingMonitor(const SlidingMonitor&) = delete;
   SlidingMonitor& operator=(const SlidingMonitor&) = delete;
 
-  /// Feeds one control event. Without a sanitizer events must arrive in
-  /// time order: an event older than the newest one already ingested is
-  /// rejected and counted (MonitorHealth::rejected_out_of_order, a note on
-  /// the window's audit decision), never modeled. With
+  /// Feeds one control event. Timestamps must be non-negative, and without
+  /// a sanitizer events must arrive in time order: an event with `ts < 0`,
+  /// or older than the newest one already ingested, is rejected and counted
+  /// (MonitorHealth::rejected_out_of_order, a note on the window's audit
+  /// decision), never modeled. With
   /// MonitorConfig::sanitize they may arrive in raw capture order
   /// (displaced up to the lateness horizon) and the monitor windows the
   /// restored stream. Closing a window (a sanitized event's timestamp
-  /// crossing the boundary) triggers the diff for the window that just
-  /// ended — inline in synchronous mode, on the pipeline thread (with
-  /// bounded backlog) in pipelined mode. Idle windows in a timestamp gap
+  /// crossing the boundary) models and diffs the window that just ended,
+  /// inline. Idle windows in a timestamp gap
   /// are skipped in one step, however long the gap (counted by
   /// monitor.idle_windows_skipped).
   void feed(const of::ControlEvent& event);
@@ -198,13 +183,8 @@ class SlidingMonitor {
   /// parsed with of::parse_control_events) in the order given.
   void feed(const std::vector<of::ControlEvent>& events);
 
-  /// Closes the current partial window (end of stream / shutdown) and, in
-  /// pipelined mode, waits until every enqueued window was processed.
+  /// Closes the current partial window (end of stream / shutdown).
   void flush();
-
-  /// Waits until the pipeline backlog is empty (no partial-window close).
-  /// No-op in synchronous mode.
-  void drain();
 
   [[nodiscard]] bool has_baseline() const;
   [[nodiscard]] const std::vector<MonitorAlarm>& alarms() const {
@@ -232,8 +212,6 @@ class SlidingMonitor {
       std::uint64_t id) const;
   [[nodiscard]] std::size_t windows_processed() const;
   [[nodiscard]] SimTime baseline_captured_at() const;
-  /// feed() calls that hit a full pipeline backlog and had to wait.
-  [[nodiscard]] std::uint64_t pipeline_stalls() const;
   /// Whole-run sanitizer totals (all-zero when sanitize is off). After
   /// flush(), fed == kept + duplicates + late_dropped + truncated.
   [[nodiscard]] ingest::StreamQuality stream_quality() const;
@@ -248,27 +226,10 @@ class SlidingMonitor {
   [[nodiscard]] std::uint64_t watchdog_alerts() const;
 
  private:
-  struct PendingWindow {
-    /// The window's raw events; oracle mode (inc_ disengaged) only.
-    of::ControlLog log;
-    SimTime begin = 0;
-    SimTime end = 0;
-    ingest::StreamQuality quality;
-    /// Out-of-order events rejected while this window was open, plus any
-    /// rejected during the idle windows before it.
-    std::uint64_t rejected = 0;
-    /// The window's delta-maintained aggregates (moved off the feed side at
-    /// close), the window's only copy when inc_ is engaged.
-    IncrementalWindowState inc;
-    /// Detection-latency clock edges (steady_clock, the tracing-span
-    /// clock): when the window's newest event arrived at feed(), and when
-    /// the window closed. process_window adds the model/diff/decide edges.
-    std::chrono::steady_clock::time_point arrival_wall{};
-    std::chrono::steady_clock::time_point close_wall{};
-  };
-
   /// feed() after the sanitizer (or directly, when sanitize is off).
   void ingest_event(const of::ControlEvent& event);
+  /// Rejects one event that breaks the feed contract (time order, ts >= 0).
+  void reject_event();
   void close_window(SimTime window_end);
   /// Moves the window start past `count` idle windows without closing
   /// each one (nothing was fed into them, so there is nothing to close).
@@ -276,28 +237,26 @@ class SlidingMonitor {
   [[nodiscard]] bool window_empty() const {
     return inc_ != nullptr ? !inc_state_.active : current_.empty();
   }
-  /// Models + diffs one closed window and commits the outcome; runs on the
-  /// caller in synchronous mode, on pipeline_thread_ otherwise. Reads the
-  /// pending log in place, so a synchronous caller gets the (cleared)
-  /// storage back afterwards — close_window recycles it as the next
-  /// window's scratch buffer.
-  void process_window(PendingWindow&& pending);
+  /// Models + diffs the window [begin, window_end) held in inc_state_ (or
+  /// current_ in oracle mode) and commits the outcome; the caller resets
+  /// the window storage afterwards.
+  void process_window(SimTime begin, SimTime window_end,
+                      const ingest::StreamQuality& quality,
+                      std::uint64_t rejected,
+                      std::chrono::steady_clock::time_point close_wall);
   /// Stamps the wall time onto the audit record and files it, together
   /// with the window's provenance record (if the diff produced one).
   void finish_audit(WindowAudit audit,
                     std::chrono::steady_clock::time_point wall_start,
                     std::optional<ProvenanceRecord> record);
-  void enqueue_window(PendingWindow pending);
-  void pipeline_loop();
-  [[nodiscard]] bool pipelined() const { return config_.pipeline_depth > 0; }
 
   MonitorConfig config_;
   FlowDiff flowdiff_;
   /// flowdiff_'s incremental modeler, set when config_.incremental and the
   /// model config supports it; null in oracle mode.
   const IncrementalModeler* inc_ = nullptr;
-  /// Aggregates of the window currently being fed (incremental mode).
-  /// Touched by the feed thread only; moved into the PendingWindow at close.
+  /// Aggregates of the window currently being fed (incremental mode), the
+  /// window's only copy. Its storage is reused across windows.
   IncrementalWindowState inc_state_;
   /// Engaged when config_.sanitize; feed() pushes raw arrivals through it
   /// and ingest_event() consumes the restored stream.
@@ -311,23 +270,24 @@ class SlidingMonitor {
   /// Raw events of the window being fed (oracle mode only). Its storage is
   /// recycled across windows, so steady-state windowing allocates nothing.
   of::ControlLog current_;
+  /// Start of the open window; -1 until the first accepted event (every
+  /// accepted timestamp is >= 0).
   SimTime window_start_ = -1;
   /// Newest timestamp ingested so far (valid once window_start_ >= 0).
   SimTime newest_ts_ = 0;
-  /// Out-of-order rejections not yet attributed to a processed window.
+  /// Rejections not yet attributed to a processed window.
   std::uint64_t window_rejected_ = 0;
-  /// All out-of-order rejections; written by the feed thread, read by
-  /// health() from any thread.
+  /// All rejections; written by the feed thread, read by health() from any
+  /// thread.
   std::atomic<std::uint64_t> rejected_total_{0};
   /// Wall time of the most recent feed()/push batch: the arrival stamp of
-  /// the newest event, the first detection-latency clock edge. Touched by
-  /// the feed thread only.
+  /// the newest event, the first detection-latency clock edge.
   std::chrono::steady_clock::time_point feed_wall_;
   std::vector<MonitorAlarm> alarms_;
   std::deque<WindowAudit> audits_;
   std::size_t audits_dropped_ = 0;
   /// Provenance ring (guarded by mu_ like audits_); the sequence counter
-  /// is touched only by the window-processing thread.
+  /// is touched only by the feed thread.
   std::deque<ProvenanceRecord> provenance_;
   std::uint64_t provenance_dropped_ = 0;
   std::uint64_t provenance_seq_ = 0;
@@ -338,25 +298,9 @@ class SlidingMonitor {
   std::uint64_t suppressed_total_ = 0;
   obs::Watchdog watchdog_;
 
-  // Pipelined mode only. mu_ guards the queue and the result/baseline
-  // state committed by process_window; the pipeline thread is the sole
-  // consumer, so windows retire in FIFO order.
+  /// Guards the committed results (baseline, alarms, audits, provenance,
+  /// counters) against snapshot()/health() readers on other threads.
   mutable std::mutex mu_;
-  std::condition_variable queue_space_;  ///< Backpressure: queue shrank.
-  std::condition_variable queue_work_;   ///< Work arrived (or stop).
-  std::condition_variable queue_idle_;   ///< Backlog empty and not busy.
-  std::deque<PendingWindow> queue_;
-  bool processing_ = false;  ///< Pipeline thread is inside process_window.
-  bool stop_ = false;
-  std::uint64_t stalls_ = 0;
-  /// Pipeline-mode storage recycling (guarded by mu_): the pipeline thread
-  /// returns each processed window's cleared log / aggregate storage here,
-  /// and the feed thread refills current_ / inc_state_ from the pools at
-  /// the next close — steady-state pipelined windowing then allocates
-  /// nothing per window, matching the synchronous path's scratch reuse.
-  std::vector<of::ControlLog> log_pool_;
-  std::vector<IncrementalWindowState> state_pool_;
-  std::thread pipeline_thread_;
 };
 
 /// Renders the monitor's audits and alarms as a deterministic transcript:
@@ -376,8 +320,8 @@ class SlidingMonitor {
 
 /// Deterministic transcript of the monitor's provenance ring (wall-clock
 /// latency fields omitted, like render_monitor_transcript omits wall_ms):
-/// the golden corpus pins this byte for byte, and the parallel-identity
-/// harness requires it invariant across worker counts and pipeline depths.
+/// the golden corpus pins this byte for byte, and the identity harness
+/// requires it invariant between incremental and oracle mode.
 /// Call after flush().
 [[nodiscard]] std::string render_provenance_transcript(
     const SlidingMonitor& monitor);

@@ -6,17 +6,6 @@
 
 namespace flowdiff::core {
 
-namespace {
-
-MonitorOptions shard_options(const ManagerConfig& config) {
-  MonitorOptions options = config.options;
-  // Cross-tenant parallelism owns the pool; see the header.
-  options.workers = 0;
-  return options;
-}
-
-}  // namespace
-
 const char* to_string(ShardState state) {
   switch (state) {
     case ShardState::kRunning:
@@ -53,7 +42,7 @@ std::shared_ptr<MonitorManager::Shard> MonitorManager::find_or_create(
   }
   auto shard = std::make_shared<Shard>(tenant);
   shard->monitor =
-      std::make_unique<SlidingMonitor>(shard_options(config_));
+      std::make_unique<SlidingMonitor>(config_.options);
   shard->last_fed_tick = tick_;
   shards_.emplace(tenant, shard);
   if (created) *created = true;
@@ -292,7 +281,6 @@ MonitorHealth MonitorManager::aggregate_health() const {
     aggregate.windows += shard_health->windows;
     aggregate.alarms += shard_health->alarms;
     aggregate.watchdog_alerts += shard_health->watchdog_alerts;
-    aggregate.pipeline_stalls += shard_health->pipeline_stalls;
     aggregate.suppressed_changes += shard_health->suppressed_changes;
     aggregate.rejected_out_of_order += shard_health->rejected_out_of_order;
     aggregate.stream_degraded =

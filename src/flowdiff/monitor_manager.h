@@ -27,10 +27,8 @@
 //
 // With ManagerConfig::workers == 0 the executor runs tasks inline on the
 // feeding thread — fully deterministic, and the mode the demux golden
-// tests pin. Shard-internal model building inherits the shard options'
-// own workers knob; a parallel_for issued from inside a manager worker
-// task degrades to serial inline (see util/executor.h), so nesting cannot
-// deadlock.
+// tests pin. Each shard models its windows serially on whichever thread
+// runs its task.
 #pragma once
 
 #include <condition_variable>
@@ -72,11 +70,8 @@ struct ShardStatus {
 
 struct ManagerConfig {
   /// Shard option template: every tenant's monitor is built from this.
-  /// `workers` here sizes the *manager's* cross-tenant pool; the shards
-  /// themselves run their models serially (their options' workers knob is
-  /// forced to 0) because cross-tenant parallelism already saturates the
-  /// pool and nested parallel_for degrades to inline anyway.
   MonitorOptions options;
+  /// Size of the cross-tenant pool (0 = shard tasks run inline).
   int workers = 0;
   /// Test seam: runs inside the shard task for every event of a batch, in
   /// order, before the batch is fed to the monitor. An exception thrown

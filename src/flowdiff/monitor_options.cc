@@ -8,13 +8,9 @@ std::optional<std::string> MonitorOptions::validate() const {
   if (window <= 0) {
     return "window must be positive (got " + std::to_string(window) + "us)";
   }
-  if (workers < 0) {
-    return "workers must be >= 0 (got " + std::to_string(workers) + ")";
-  }
-  if (pipeline_depth > kMaxPipelineDepth) {
-    return "pipeline_depth " + std::to_string(pipeline_depth) +
-           " exceeds the backlog cap of " + std::to_string(kMaxPipelineDepth) +
-           " (each slot pins a full window in memory)";
+  if (workers != 0) {
+    return "workers must be 0 (got " + std::to_string(workers) +
+           "): windows are modeled serially";
   }
   if (lateness && !sanitize) {
     return "lateness horizon set without sanitize: the horizon only "
@@ -58,11 +54,9 @@ MonitorConfig MonitorOptions::monitor_config() const {
   config.sanitize = sanitize;
   if (lateness) config.ingest.lateness_horizon = *lateness;
   config.incremental = incremental;
-  config.pipeline_depth = pipeline_depth;
   config.max_audits = max_audits;
   config.max_provenance = max_provenance;
   config.provenance_top_k = provenance_top_k;
-  config.flowdiff.parallelism = workers;
   config.flowdiff.set_special_nodes(services);
   config.tasks = tasks;
   return config;

@@ -2,7 +2,7 @@
 //
 // Before this existed every entry point (CLI monitor/report, tests, the
 // serve daemon's per-tenant shards) assembled its own MonitorConfig from
-// loose flags — sanitize here, lateness there, pipeline depth somewhere
+// loose flags — sanitize here, lateness there, window length somewhere
 // else — and inconsistent combinations were silently clamped or ignored.
 // MonitorOptions is the API boundary instead: callers fill in the public
 // knobs, validate() rejects combinations that make no sense (with a
@@ -40,12 +40,10 @@ struct MonitorOptions {
   /// raw events and rebuilds it from scratch — the oracle mode the
   /// identity tests compare against.
   bool incremental = true;
-  /// Closed-windows-in-flight backlog for pipelined window processing
-  /// (0 = synchronous). Backlogs past kMaxPipelineDepth are rejected —
-  /// each slot pins a whole window's events in memory.
-  std::size_t pipeline_depth = 0;
-  /// Worker threads for model building (0 = serial inline; results are
-  /// bit-identical at any count). Negative is rejected.
+  /// No longer a knob: windows are modeled serially, so validate() rejects
+  /// any nonzero value and monitor_config() ignores it. Kept only because
+  /// perfbench/flowbench.cc assigns it; the next benchmark change deletes
+  /// it. (serve's cross-tenant pool is ManagerConfig::workers.)
   int workers = 0;
   /// Audit / provenance records retained per monitor. 0 = unbounded,
   /// which validate() rejects when `listen` is set: a long-running daemon
@@ -61,8 +59,6 @@ struct MonitorOptions {
   std::set<Ipv4> services;
   /// Learned task automata changes are validated against.
   std::vector<TaskAutomaton> tasks;
-
-  static constexpr std::size_t kMaxPipelineDepth = 4096;
 
   /// Nullopt when the combination is coherent; otherwise a one-line
   /// message naming the offending knob(s). Nothing is clamped or fixed

@@ -143,7 +143,6 @@ std::string render_health_json(const MonitorHealth& health) {
   }
   out += "]";
   out += ",\"watchdog_alerts\":" + std::to_string(health.watchdog_alerts);
-  out += ",\"pipeline_stalls\":" + std::to_string(health.pipeline_stalls);
   out += ",\"windows\":" + std::to_string(health.windows);
   out += ",\"alarms\":" + std::to_string(health.alarms);
   out += ",\"suppressed_changes\":" + std::to_string(health.suppressed_changes);

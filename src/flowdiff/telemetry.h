@@ -95,8 +95,8 @@ class TelemetryPlane {
 };
 
 /// The /healthz JSON body: the MonitorHealth verdict plus watchdog,
-/// pipeline-stall, and sanitizer drop counters. Stable keys; tests and
-/// scripts parse it.
+/// rejection, and sanitizer drop counters. Stable keys; tests and scripts
+/// parse it.
 [[nodiscard]] std::string render_health_json(const MonitorHealth& health);
 
 /// The /audits trail as CSV: one row per retained window with quality and

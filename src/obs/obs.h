@@ -4,7 +4,6 @@
 // use; consumers (CLI, tests) can take the whole thing.
 #pragma once
 
-#include "obs/executor_metrics.h"  // IWYU pragma: export
 #include "obs/export.h"           // IWYU pragma: export
 #include "obs/flight_recorder.h"  // IWYU pragma: export
 #include "obs/metrics.h"          // IWYU pragma: export

@@ -1,21 +1,10 @@
 #include "util/executor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
 
 namespace flowdiff {
 
-namespace {
-
-// A parallel_for issued from inside a worker task must not wait on the
-// queue it is itself draining; it degrades to the inline path instead.
-thread_local bool tls_in_worker = false;
-
-}  // namespace
-
-Executor::Executor(int workers, Observer* observer)
-    : workers_(std::max(workers, 0)), observer_(observer) {
+Executor::Executor(int workers) : workers_(std::max(workers, 0)) {
   threads_.reserve(static_cast<std::size_t>(workers_));
   for (int w = 0; w < workers_; ++w) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -32,111 +21,31 @@ Executor::~Executor() {
 }
 
 std::future<void> Executor::submit(std::function<void()> task) {
-  const auto enqueued = std::chrono::steady_clock::now();
-  // The wrapper finishes the bookkeeping before it returns, i.e. before
-  // the packaged_task fulfills the future: whoever unblocks from get()
-  // already sees this task in tasks_completed().
-  std::packaged_task<void()> work(
-      [this, enqueued, task = std::move(task)] {
-        const auto start = std::chrono::steady_clock::now();
-        try {
-          task();
-        } catch (...) {
-          finish_task(enqueued, start);
-          throw;  // packaged_task captures it into the future.
-        }
-        finish_task(enqueued, start);
-      });
+  std::packaged_task<void()> work(std::move(task));
   std::future<void> future = work.get_future();
   if (serial()) {
     work();
     return future;
   }
-  std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(work));
-    depth = queue_.size();
-    peak_depth_ = std::max(peak_depth_, depth);
   }
-  if (observer_ != nullptr) observer_->on_queue_depth(depth);
   cv_.notify_one();
   return future;
 }
 
-void Executor::parallel_for(std::size_t n,
-                            const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (serial() || tls_in_worker || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  // More shards than workers smooths imbalance between work items (group
-  // sizes vary a lot); contiguous ranges keep slot writes cache-friendly.
-  const auto want =
-      static_cast<std::size_t>(workers_) * 4;
-  const std::size_t shards = std::min(n, want);
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t begin = n * s / shards;
-    const std::size_t end = n * (s + 1) / shards;
-    futures.push_back(submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-std::uint64_t Executor::tasks_completed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return completed_;
-}
-
-std::size_t Executor::peak_queue_depth() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return peak_depth_;
-}
-
 void Executor::worker_loop() {
-  tls_in_worker = true;
   for (;;) {
     std::packaged_task<void()> task;
-    std::size_t depth = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ and drained.
       task = std::move(queue_.front());
       queue_.pop_front();
-      depth = queue_.size();
     }
-    if (observer_ != nullptr) observer_->on_queue_depth(depth);
     task();
-  }
-}
-
-void Executor::finish_task(std::chrono::steady_clock::time_point enqueued,
-                           std::chrono::steady_clock::time_point start) {
-  const auto end = std::chrono::steady_clock::now();
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++completed_;
-  }
-  if (observer_ != nullptr) {
-    const std::chrono::duration<double, std::milli> queued =
-        start - enqueued;
-    const std::chrono::duration<double, std::milli> ran = end - start;
-    observer_->on_task_done(serial() ? 0.0 : queued.count(), ran.count());
   }
 }
 

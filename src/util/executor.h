@@ -1,30 +1,16 @@
 // A small fixed worker pool with a task-future API.
 //
-// The modeling hot path (per-group signature extraction, stability
-// sub-models, infrastructure signatures) is embarrassingly parallel; this
-// executor is the one concurrency primitive the pipeline uses for it.
-// Three properties the callers rely on:
+// MonitorManager schedules its per-tenant shard tasks here. Two
+// properties it relies on:
 //
 //   * `workers == 0` runs everything serially, inline, on the calling
 //     thread — no threads are created, submit() returns an already-ready
-//     future. Parallelism is therefore an opt-in runtime knob
-//     (`FlowDiffConfig::parallelism`, CLI `--workers=N`), and the serial
-//     mode is the reference semantics parallel runs must reproduce.
-//   * parallel_for(n, fn) calls fn(i) exactly once for every i in [0, n)
-//     and returns only when all calls finished. Callers obtain determinism
-//     by writing into position-indexed slots; the executor promises
-//     nothing about execution order.
-//   * A parallel_for issued from inside a worker task degrades to the
-//     serial inline path instead of re-submitting to the (possibly full)
-//     queue, so nested parallelism cannot deadlock the pool.
-//
-// An optional Observer receives queue-depth and per-task timing callbacks;
-// obs/executor_metrics.h adapts it onto the metrics registry (util cannot
-// depend on obs).
+//     future. That is `serve`'s default, and the mode the demux goldens pin.
+//   * The destructor runs every task already submitted before it joins the
+//     workers, so a queued task never outlives its pool unrun.
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -36,21 +22,8 @@ namespace flowdiff {
 
 class Executor {
  public:
-  /// Instrumentation hook. Callbacks fire on whichever thread triggered
-  /// the transition (submitters and workers), so implementations must be
-  /// thread safe; they must not call back into the executor.
-  struct Observer {
-    virtual ~Observer() = default;
-    /// Queue length just after a task was enqueued or dequeued.
-    virtual void on_queue_depth(std::size_t depth) = 0;
-    /// One task finished; `queue_ms` is time spent waiting in the queue,
-    /// `run_ms` time spent executing (both 0 on the serial inline path).
-    virtual void on_task_done(double queue_ms, double run_ms) = 0;
-  };
-
-  /// `workers <= 0` creates no threads (serial inline mode). The observer,
-  /// when given, must outlive the executor.
-  explicit Executor(int workers = 0, Observer* observer = nullptr);
+  /// `workers <= 0` creates no threads (serial inline mode).
+  explicit Executor(int workers = 0);
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -63,36 +36,15 @@ class Executor {
   /// rethrows any exception the task escaped with.
   std::future<void> submit(std::function<void()> task);
 
-  /// Runs fn(0) ... fn(n-1), blocking until every call returned. Work is
-  /// sharded into contiguous index ranges across the pool; serial mode
-  /// (and calls from inside a worker task) run the loop inline. The first
-  /// exception thrown by any fn(i) is rethrown here after all shards
-  /// settle.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& fn);
-
-  /// Tasks ever finished (parallel_for shards count as one task each).
-  [[nodiscard]] std::uint64_t tasks_completed() const;
-  /// High-water mark of the pending-task queue since construction.
-  [[nodiscard]] std::size_t peak_queue_depth() const;
-
  private:
   void worker_loop();
-  /// Bookkeeping run inside the task wrapper, before the future becomes
-  /// ready — a caller that observed future.get() return sees the counters
-  /// already updated.
-  void finish_task(std::chrono::steady_clock::time_point enqueued,
-                   std::chrono::steady_clock::time_point start);
 
   const int workers_;
-  Observer* const observer_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::packaged_task<void()>> queue_;
   bool stop_ = false;
-  std::uint64_t completed_ = 0;
-  std::size_t peak_depth_ = 0;
   std::vector<std::thread> threads_;
 };
 

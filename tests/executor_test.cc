@@ -1,17 +1,14 @@
-// util/executor: the fixed worker pool behind the parallel model build.
-// Covers serial-inline mode, shard coverage, exception propagation, the
-// nested-parallel_for degradation, and the observer hook.
+// util/executor: the fixed worker pool behind MonitorManager's cross-tenant
+// scheduling. Covers serial-inline mode, worker-thread submission,
+// exception propagation, and draining on destruction.
 #include "util/executor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <future>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 namespace flowdiff {
 namespace {
@@ -34,33 +31,6 @@ TEST(ExecutorTest, SubmitRunsOnWorkerThread) {
   std::thread::id ran_on;
   exec.submit([&] { ran_on = std::this_thread::get_id(); }).get();
   EXPECT_NE(ran_on, caller);
-  EXPECT_GE(exec.tasks_completed(), 1u);
-}
-
-TEST(ExecutorTest, ParallelForCoversEveryIndexExactlyOnce) {
-  for (const int workers : {0, 1, 3, 8}) {
-    Executor exec(workers);
-    constexpr std::size_t kN = 997;  // Prime: uneven shard boundaries.
-    std::vector<std::atomic<int>> hits(kN);
-    exec.parallel_for(kN, [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " workers " << workers;
-    }
-  }
-}
-
-TEST(ExecutorTest, ParallelForMatchesSerialReduction) {
-  std::vector<long> expected(1000);
-  std::iota(expected.begin(), expected.end(), 0);
-
-  Executor exec(4);
-  std::vector<long> out(expected.size(), -1);
-  exec.parallel_for(out.size(), [&](std::size_t i) {
-    out[i] = static_cast<long>(i);
-  });
-  EXPECT_EQ(out, expected);
 }
 
 TEST(ExecutorTest, SubmitPropagatesException) {
@@ -69,78 +39,18 @@ TEST(ExecutorTest, SubmitPropagatesException) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(ExecutorTest, ParallelForPropagatesException) {
-  for (const int workers : {0, 4}) {
-    Executor exec(workers);
-    EXPECT_THROW(exec.parallel_for(64,
-                                   [](std::size_t i) {
-                                     if (i == 13) {
-                                       throw std::runtime_error("unlucky");
-                                     }
-                                   }),
-                 std::runtime_error)
-        << "workers " << workers;
-  }
-}
-
-TEST(ExecutorTest, NestedParallelForDegradesToInlineWithoutDeadlock) {
-  Executor exec(2);
-  std::atomic<int> total{0};
-  // Outer shards occupy the pool; inner loops must run inline on the
-  // worker or the pool deadlocks waiting on itself.
-  exec.parallel_for(8, [&](std::size_t) {
-    exec.parallel_for(8, [&](std::size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ExecutorTest, SingleItemLoopRunsInline) {
-  Executor exec(4);
-  const auto caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  exec.parallel_for(1, [&](std::size_t) {
-    ran_on = std::this_thread::get_id();
-  });
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(ExecutorTest, ObserverSeesCompletedTasks) {
-  struct CountingObserver final : Executor::Observer {
-    std::atomic<std::size_t> done{0};
-    std::atomic<std::size_t> depth_updates{0};
-    void on_queue_depth(std::size_t) override {
-      depth_updates.fetch_add(1, std::memory_order_relaxed);
-    }
-    void on_task_done(double queue_ms, double run_ms) override {
-      EXPECT_GE(queue_ms, 0.0);
-      EXPECT_GE(run_ms, 0.0);
-      done.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  CountingObserver observer;
+TEST(ExecutorTest, DestructorRunsEveryQueuedTask) {
+  std::atomic<int> ran{0};
   {
-    Executor exec(2, &observer);
-    exec.parallel_for(100, [](std::size_t) {});
-    exec.submit([] {}).get();
+    Executor exec(1);  // One worker: submissions necessarily queue up.
+    for (int i = 0; i < 16; ++i) {
+      exec.submit([&ran] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ran.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
   }
-  EXPECT_GE(observer.done.load(), 2u);
-  EXPECT_GE(observer.depth_updates.load(), 1u);
-}
-
-TEST(ExecutorTest, TasksCompletedAndPeakDepthAdvance) {
-  Executor exec(1);  // One worker: submissions necessarily queue up.
-  std::vector<std::future<void>> futures;
-  futures.reserve(16);
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(exec.submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(exec.tasks_completed(), 16u);
-  EXPECT_GE(exec.peak_queue_depth(), 1u);
+  EXPECT_EQ(ran.load(), 16);
 }
 
 }  // namespace

@@ -470,6 +470,30 @@ TEST(HostileTimestamp, GapEndingAtInt64MaxDoesNotOverflow) {
   }
 }
 
+TEST(HostileTimestamp, NegativeTimestampsAreRejectedAndCounted) {
+  // A stream shifted below zero must not vanish silently: negative time
+  // collides with the "no window yet" sentinel (-1), so every event is
+  // rejected, counted, and turns the monitor unhealthy.
+  constexpr std::uint64_t kEvents = 200;
+  for (const bool sanitize : {false, true}) {
+    SCOPED_TRACE(sanitize ? "sanitized" : "unsanitized");
+    core::MonitorConfig config;
+    config.window = 40 * kSecond;
+    config.sanitize = sanitize;
+    config.sample_metrics = false;
+    core::SlidingMonitor monitor(config);
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      const auto ts = -400'000 * kSecond + static_cast<SimTime>(i) * kSecond;
+      monitor.feed(hostile_packet_in(ts, i + 1));
+    }
+    monitor.flush();
+    const core::MonitorHealth health = monitor.health();
+    EXPECT_EQ(health.rejected_out_of_order, kEvents);
+    EXPECT_FALSE(health.healthy);
+    EXPECT_EQ(monitor.windows_processed(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Detector robustness across noise densities.
 

@@ -140,7 +140,7 @@ std::vector<of::ControlEvent> random_stream(std::uint64_t seed,
 
 struct OraclePair {
   explicit OraclePair(const ModelConfig& config)
-      : modeler(config), inc(config, modeler.shared_executor()) {}
+      : modeler(config), inc(config) {}
   Modeler modeler;
   IncrementalModeler inc;
 };
@@ -255,14 +255,12 @@ TEST(IncrementalModel, ResetClearsEverything) {
 /// path on vs. off — the off mode forces every window through the
 /// from-scratch oracle, so equality here is end-to-end bit-identity.
 /// 1 s windows, rolling baseline, no metric sampling.
-MonitorConfig monitor_config(bool incremental, std::size_t pipeline_depth = 0,
-                             bool sanitize = false) {
+MonitorConfig monitor_config(bool incremental, bool sanitize = false) {
   MonitorConfig config;
   config.window = kSecond;
   config.rolling_baseline = true;
   config.sample_metrics = false;
   config.incremental = incremental;
-  config.pipeline_depth = pipeline_depth;
   config.sanitize = sanitize;
   return config;
 }
@@ -280,10 +278,7 @@ TEST(IncrementalModel, MonitorMatchesOracleModeAcrossDepths) {
   const auto events = random_stream(21, 8 * kSecond);
   const std::string oracle = run_monitor(monitor_config(false), events);
   ASSERT_FALSE(oracle.empty());
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{2}}) {
-    EXPECT_EQ(run_monitor(monitor_config(true, depth), events), oracle)
-        << "pipeline_depth=" << depth;
-  }
+  EXPECT_EQ(run_monitor(monitor_config(true), events), oracle);
 }
 
 TEST(IncrementalModel, SanitizerDegradedStreamMatchesOracleMode) {
@@ -306,12 +301,9 @@ TEST(IncrementalModel, SanitizerDegradedStreamMatchesOracleMode) {
     if (rng.bernoulli(0.05)) arrivals.push_back(events[i]);  // Duplicate.
   }
   const std::string oracle =
-      run_monitor(monitor_config(false, 0, true), arrivals);
+      run_monitor(monitor_config(false, true), arrivals);
   ASSERT_FALSE(oracle.empty());
-  for (const std::size_t depth : {std::size_t{0}, std::size_t{2}}) {
-    EXPECT_EQ(run_monitor(monitor_config(true, depth, true), arrivals), oracle)
-        << "pipeline_depth=" << depth;
-  }
+  EXPECT_EQ(run_monitor(monitor_config(true, true), arrivals), oracle);
 }
 
 /// Counters only count while obs is on: a fresh, enabled registry for the

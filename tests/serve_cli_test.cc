@@ -129,9 +129,9 @@ struct Child {
   }
 };
 
-/// fork/execs `flowdiff serve <args>` with stdout piped back (non-blocking
-/// so wait_for_line can poll).
-Child spawn_serve(const std::vector<std::string>& args) {
+/// fork/execs `flowdiff <args>` with stdout piped back (non-blocking so
+/// wait_for_line can poll).
+Child spawn_cli(const std::vector<std::string>& args) {
   Child child;
   int out_pipe[2];
   if (::pipe(out_pipe) != 0) return child;
@@ -144,7 +144,6 @@ Child spawn_serve(const std::vector<std::string>& args) {
     std::vector<char*> argv;
     std::vector<std::string> strings;
     strings.emplace_back("flowdiff");
-    strings.emplace_back("serve");
     for (const auto& arg : args) strings.push_back(arg);
     argv.reserve(strings.size() + 1);
     for (auto& s : strings) argv.push_back(s.data());
@@ -158,6 +157,11 @@ Child spawn_serve(const std::vector<std::string>& args) {
   // Non-blocking stdout: wait_for_line polls.
   ::fcntl(child.out_fd, F_SETFL, O_NONBLOCK);
   return child;
+}
+
+Child spawn_serve(std::vector<std::string> args) {
+  args.insert(args.begin(), "serve");
+  return spawn_cli(args);
 }
 
 std::uint16_t parse_trailing_port(const std::string& line) {
@@ -378,6 +382,35 @@ TEST(ServeCli, RejectsIncoherentKnobsInsteadOfClamping) {
   // monitor: lateness without sanitize is an error, not a silent fix-up.
   Child child = spawn_serve({"--follow", "/dev/null@t0", "--window", "10",
                              "--lateness", "20", "--sanitize"});
+  ASSERT_GT(child.pid, 0);
+  EXPECT_EQ(child.wait_exit(), 2);
+}
+
+TEST(ServeCli, RejectsMalformedWorkerCountsBeforeStartingAPool) {
+  // --workers sizes serve's cross-tenant pool: a plain decimal in [0, 64].
+  // Anything else is a usage error, raised before any thread starts.
+  for (const char* value : {"abc", "-1", "65", "99999999999", ""}) {
+    SCOPED_TRACE(std::string("--workers=") + value);
+    Child child = spawn_serve({"--follow", "/dev/null@t0",
+                               std::string("--workers=") + value,
+                               "--exit-after-idle", "0.2"});
+    ASSERT_GT(child.pid, 0);
+    EXPECT_EQ(child.wait_exit(), 2);
+  }
+  Child accepted = spawn_serve({"--follow", "/dev/null@t0", "--workers", "2",
+                                "--exit-after-idle", "0.2"});
+  ASSERT_GT(accepted.pid, 0);
+  EXPECT_EQ(accepted.wait_exit(), 0);
+}
+
+TEST(ServeCli, WorkersIsUnknownOutsideServe) {
+  // Windows are modeled serially; only serve has a pool to size.
+  const Corpus corpus("steady");
+  Child plain = spawn_cli({"summary", corpus.log_path.string()});
+  ASSERT_GT(plain.pid, 0);
+  EXPECT_EQ(plain.wait_exit(), 0);
+  Child child = spawn_cli({"summary", corpus.log_path.string(),
+                           "--workers=4"});
   ASSERT_GT(child.pid, 0);
   EXPECT_EQ(child.wait_exit(), 2);
 }

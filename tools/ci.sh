@@ -14,14 +14,15 @@
 #      diagnosis refinement, determinism pins), and the serve/provenance
 #      suites, which previously only reran under ASan/TSan;
 #   4. ThreadSanitizer pass: rebuild with FLOWDIFF_SANITIZE=thread and
-#      rerun the concurrency-heavy suites (executor pool, parallel model
-#      build, monitor pipeline thread, obs layer), plus the http-labeled
-#      telemetry-plane suite — scraping a live monitor is the cross-thread
-#      read path most likely to hide a race — the provenance-labeled
-#      suites (provenance records are built on the window-processing
-#      thread and read from the serve thread and explain CLI), and the
-#      serve-labeled daemon suites: MonitorManager schedules per-tenant
-#      shards across a worker pool while the telemetry plane reads them;
+#      rerun the concurrency-heavy suites (executor pool, sliding monitor,
+#      incremental model, the scrape-under-load identity suite, obs layer),
+#      plus the http-labeled telemetry-plane suite — scraping a live
+#      monitor is the cross-thread read path most likely to hide a race —
+#      the provenance-labeled suites (provenance records are built on the
+#      feeding thread and read from the serve thread and explain CLI), and
+#      the serve-labeled daemon suites: MonitorManager schedules
+#      per-tenant shards across a worker pool while the telemetry plane
+#      reads them;
 #   5. corruption sweep: run bench/corruption_sweep in the UBSan tree —
 #      diagnosis accuracy vs corruption rate, end to end under the
 #      sanitizer;
@@ -103,9 +104,9 @@ if [[ "$skip_asan" -eq 0 ]]; then
   echo "== ASan: serve daemon (ctest -L serve) =="
   ctest --test-dir "$repo/build-ci-asan" --output-on-failure -j "$jobs" \
     --no-tests=error -L serve
-  # Delta-maintained window modeling: the pools recycling window storage
-  # between feed and pipeline threads are exactly where a stale pointer
-  # would hide.
+  # Delta-maintained window modeling: each window's aggregates are
+  # finalized in place and reset for reuse, which is exactly where a
+  # stale pointer into recycled storage would hide.
   echo "== ASan: incremental window modeling (ctest -L incremental) =="
   ctest --test-dir "$repo/build-ci-asan" --output-on-failure -j "$jobs" \
     --no-tests=error -L incremental
@@ -143,15 +144,15 @@ fi
 if [[ "$skip_tsan" -eq 0 ]]; then
   echo "== TSan: build + concurrency tests (FLOWDIFF_SANITIZE=thread) =="
   run_suite "$repo/build-ci-tsan" \
-    "--tests=^(ExecutorTest|ParallelModel|MonitorPipeline|IncrementalModel|SlidingMonitor|ObsTest|TimeseriesTest|FlightRecorderTest)\." \
+    "--tests=^(ExecutorTest|ParallelModel|IncrementalModel|SlidingMonitor|ObsTest|TimeseriesTest|FlightRecorderTest)\." \
     -DFLOWDIFF_SANITIZE=thread
   # The scrape path is where a torn window commit would surface as a data
-  # race: the serve thread reading monitor state while feed/pipeline
-  # threads commit windows.
+  # race: the serve thread reading monitor state while the feeding thread
+  # commits windows.
   echo "== TSan: telemetry plane under scrape load (ctest -L http) =="
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L http
-  # Provenance rings commit on the window-processing thread and are read
+  # Provenance rings commit on the feeding thread and are read
   # concurrently by /provenance scrapes and the explain CLI.
   echo "== TSan: alarm provenance (ctest -L provenance) =="
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -j "$jobs" \
@@ -162,9 +163,9 @@ if [[ "$skip_tsan" -eq 0 ]]; then
   echo "== TSan: serve daemon (ctest -L serve) =="
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L serve
-  # Incremental window state moves feed thread -> pending queue -> pipeline
-  # thread -> recycling pool -> feed thread; the idle/busy alternation test
-  # drives that handoff under TSan.
+  # Windows are modeled on whichever thread feeds them: a manager worker
+  # in serve, the caller elsewhere, while health()/snapshot() read the
+  # committed results from other threads.
   echo "== TSan: incremental window modeling (ctest -L incremental) =="
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L incremental

@@ -28,8 +28,26 @@ int emit(const std::string& path, const std::string& text) {
   return 0;
 }
 
-/// Matches `--NAME VALUE` and `--NAME=VALUE`; advances *i past a consumed
-/// two-token form. False when args[*i] is not this flag.
+bool parse_double(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == nullptr || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
+volatile std::sig_atomic_t g_shutdown = 0;
+
+void on_shutdown_signal(int) { g_shutdown = 1; }
+
+}  // namespace
+
+int fail(const std::string& message) {
+  std::fprintf(stderr, "flowdiff: %s\n", message.c_str());
+  return 2;
+}
+
 bool flag_value(const std::vector<std::string>& args, std::size_t* i,
                 const char* name, std::string* value) {
   const std::string& arg = args[*i];
@@ -45,33 +63,10 @@ bool flag_value(const std::vector<std::string>& args, std::size_t* i,
   return false;
 }
 
-bool parse_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
+bool reject_unknown_flag(const std::string& arg) {
+  if (arg.rfind("--", 0) != 0) return false;
+  fail("unknown argument: " + arg);
   return true;
-}
-
-bool parse_size(const std::string& text, std::size_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
-
-volatile std::sig_atomic_t g_shutdown = 0;
-
-void on_shutdown_signal(int) { g_shutdown = 1; }
-
-}  // namespace
-
-int fail(const std::string& message) {
-  std::fprintf(stderr, "flowdiff: %s\n", message.c_str());
-  return 2;
 }
 
 GlobalOptions extract_global_options(std::vector<std::string>& args) {
@@ -103,8 +98,6 @@ GlobalOptions extract_global_options(std::vector<std::string>& args) {
       opts.series_path = arg.substr(std::strlen("--series="));
     } else if (flag_value(args, &i, "--artifacts", &value)) {
       opts.artifacts_dir = value;
-    } else if (flag_value(args, &i, "--workers", &value)) {
-      opts.workers = std::stoi(value);
     } else {
       kept.push_back(arg);
     }
@@ -175,10 +168,8 @@ std::optional<of::ControlLog> load_log(const std::string& path) {
 }
 
 std::optional<MonitorFlags> parse_monitor_flags(
-    const std::vector<std::string>& args, const GlobalOptions& global,
-    std::string* error) {
+    const std::vector<std::string>& args, std::string* error) {
   MonitorFlags parsed;
-  parsed.options.workers = global.workers;
   std::string services_path;
   std::vector<std::string> task_paths;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -196,13 +187,6 @@ std::optional<MonitorFlags> parse_monitor_flags(
       parsed.options.window = from_seconds(seconds);
     } else if (args[i] == "--rolling") {
       parsed.options.rolling_baseline = true;
-    } else if (flag_value(args, &i, "--pipeline", &value)) {
-      std::size_t depth = 0;
-      if (!parse_size(value, &depth)) {
-        *error = "unparseable --pipeline value: " + value;
-        return std::nullopt;
-      }
-      parsed.options.pipeline_depth = depth;
     } else if (args[i] == "--sanitize") {
       parsed.options.sanitize = true;
     } else if (args[i] == "--incremental") {

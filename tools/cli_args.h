@@ -1,8 +1,8 @@
 // Shared flag parsing and run plumbing for the flowdiff CLI.
 //
 // Every subcommand used to hand-roll its own copies of the global flags
-// (--workers, --artifacts, --stats/--trace/--series) and the monitor knob
-// set (--window, --sanitize, --lateness, --pipeline, --listen, ...), and
+// (--artifacts, --stats/--trace/--series) and the monitor knob set
+// (--window, --sanitize, --lateness, --listen, ...), and
 // the copies drifted: `monitor` accepted --listen=ADDR while `report` only
 // took the two-token form, and inconsistent knob combinations were clamped
 // wherever each parser felt like it. This module is the single source of
@@ -27,7 +27,15 @@ namespace flowdiff::cli {
 /// status (2), so call sites read `return fail(...)`.
 int fail(const std::string& message);
 
-// --- global flags (--workers / --artifacts / --stats / --trace / --series) -
+/// Matches `--NAME VALUE` and `--NAME=VALUE` at args[*i]; advances *i past
+/// a consumed two-token form. False when args[*i] is not this flag.
+bool flag_value(const std::vector<std::string>& args, std::size_t* i,
+                const char* name, std::string* value);
+
+/// True (after printing why) when `arg` is a `--flag` no parser consumed.
+bool reject_unknown_flag(const std::string& arg);
+
+// --- global flags (--artifacts / --stats / --trace / --series) ------------
 
 struct GlobalOptions {
   bool stats = false;
@@ -37,7 +45,6 @@ struct GlobalOptions {
   std::string trace_path;     ///< empty => stderr
   std::string series_path;    ///< empty => stderr
   std::string artifacts_dir;  ///< empty => no artifact directory
-  int workers = 0;            ///< model-building worker threads
 };
 
 /// Strips the global flags wherever they appear (both --flag VALUE and
@@ -69,15 +76,13 @@ struct MonitorFlags {
   std::vector<std::string> rest;
 };
 
-/// Parses the shared monitor knobs — --window SEC, --rolling, --pipeline
-/// DEPTH, --sanitize, --lateness SEC (implies --sanitize), --listen
-/// ADDR:PORT, --services FILE, --task FILE — into a MonitorOptions seeded
-/// with the global --workers count, then runs MonitorOptions::validate().
-/// nullopt (with *error set) on unreadable files, unparseable values, or a
-/// rejected combination.
+/// Parses the shared monitor knobs — --window SEC, --rolling, --sanitize,
+/// --lateness SEC (implies --sanitize), --listen ADDR:PORT, --services
+/// FILE, --task FILE — into a MonitorOptions, then runs
+/// MonitorOptions::validate(). nullopt (with *error set) on unreadable
+/// files, unparseable values, or a rejected combination.
 std::optional<MonitorFlags> parse_monitor_flags(
-    const std::vector<std::string>& args, const GlobalOptions& global,
-    std::string* error);
+    const std::vector<std::string>& args, std::string* error);
 
 // --- graceful shutdown + telemetry plane (--listen / serve) ----------------
 

@@ -18,9 +18,8 @@
 // hold FLOW lines; automata use TaskAutomaton::serialize(). A services
 // file lists special-purpose node IPs, one per line.
 //
-// Every subcommand accepts the global flags --workers=N (worker threads
-// for model building; results are bit-identical at any count) and
-// --artifacts=DIR, which collects every run artifact under one directory:
+// Every subcommand accepts the global flag --artifacts=DIR, which collects
+// every run artifact under one directory:
 // stats.txt, trace.json, series.csv and (monitor/report) report.md. The
 // older per-artifact flags --stats[=FILE], --trace[=FILE] and
 // --series[=FILE] remain as aliases and override the corresponding
@@ -32,6 +31,7 @@
 // cli_args.h — one parser, one validation pass (MonitorOptions::validate),
 // identical behavior across monitor/report/serve.
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,21 +72,19 @@ void print_help(std::FILE* out) {
       "  flowdiff detect <automaton>... --in <capture.flows> "
       "[--services FILE]\n"
       "  flowdiff monitor <log> [--window SECONDS] [--services FILE] "
-      "[--task FILE]... [--rolling] [--pipeline DEPTH] [--sanitize] "
+      "[--task FILE]... [--rolling] [--sanitize] "
       "[--lateness SEC] [--listen ADDR:PORT] [--report FILE]\n"
       "  flowdiff report <log> [--window SECONDS] [--services FILE] "
-      "[--task FILE]... [--rolling] [--pipeline DEPTH] [--sanitize] "
+      "[--task FILE]... [--rolling] [--sanitize] "
       "[--lateness SEC] [--listen ADDR:PORT] [--out FILE] [--html]\n"
       "  flowdiff serve (--follow FILE[@TENANT] | --socket "
       "ADDR:PORT[@TENANT] | --unix PATH[@TENANT])... [monitor knobs] "
-      "[--by-controller] [--listen ADDR:PORT] [--transcripts DIR]\n"
+      "[--by-controller] [--workers N] [--listen ADDR:PORT] "
+      "[--transcripts DIR]\n"
       "  flowdiff explain <alarm-id> (--artifacts DIR | --from "
       "ADDR:PORT)\n"
       "  flowdiff help [serve]\n"
       "global flags (any subcommand):\n"
-      "  --workers=N      worker threads for model building (default 0 = "
-      "serial\n"
-      "                   inline; any N produces bit-identical models)\n"
       "  --artifacts=DIR  write every run artifact into DIR (created if "
       "missing):\n"
       "                     DIR/stats.txt   metrics registry "
@@ -115,11 +113,6 @@ void print_help(std::FILE* out) {
       "monitor/report/serve knobs (parsed identically everywhere):\n"
       "  --window SECONDS window length (default 30)\n"
       "  --rolling        roll the baseline forward on clean windows\n"
-      "  --pipeline DEPTH overlap window modeling with ingest on a "
-      "pipeline\n"
-      "                   thread; DEPTH bounds the backlog (0 = "
-      "synchronous).\n"
-      "                   Alarms and audits are identical either way.\n"
       "  --sanitize       run ingest through the stream sanitizer: raw "
       "arrival\n"
       "                   order in, duplicates and truncated records "
@@ -180,6 +173,12 @@ void print_serve_help(std::FILE* out) {
       "                             over TCP (port 0 picks one; the bound\n"
       "                             port is announced on stdout).\n"
       "  --unix PATH[@TENANT]       same over a unix-domain socket.\n"
+      "  --workers N                threads shared by the tenant shards "
+      "(0-64;\n"
+      "                             default 0 runs every shard inline on "
+      "the\n"
+      "                             poll thread). Each shard models its\n"
+      "                             windows serially.\n"
       "routing:\n"
       "  --by-controller            ignore tenant labels and route every\n"
       "                             event by its controller id to tenant\n"
@@ -214,11 +213,11 @@ void print_serve_help(std::FILE* out) {
       "identical\n"
       "                             to `flowdiff monitor` on the same "
       "log)\n"
-      "monitor knobs: --window --rolling --pipeline --sanitize --lateness "
+      "monitor knobs: --window --rolling --sanitize --lateness "
       "--no-incremental\n"
       "  --services --task (see `flowdiff help`); each shard gets the "
       "same\n"
-      "  configuration. --workers sizes the cross-tenant pool.\n"
+      "  configuration.\n"
       "telemetry (--listen ADDR:PORT):\n"
       "  /healthz                   aggregate verdict — 503 as soon as "
       "ANY\n"
@@ -242,8 +241,8 @@ int usage() {
   return 2;
 }
 
-/// Set by main() before the subcommand runs; subcommands read the worker
-/// count and the artifacts directory (for the default report path) here.
+/// Set by main() before the subcommand runs; subcommands read the
+/// artifacts directory (for the default report path) here.
 cli::GlobalOptions g_opts;
 
 int cmd_summary(const std::vector<std::string>& args) {
@@ -252,6 +251,8 @@ int cmd_summary(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--services" && i + 1 < args.size()) {
       services_path = args[++i];
+    } else if (cli::reject_unknown_flag(args[i])) {
+      return 2;
     } else {
       positional.push_back(args[i]);
     }
@@ -260,7 +261,6 @@ int cmd_summary(const std::vector<std::string>& args) {
   const auto log = cli::load_log(positional[0]);
   if (!log) return fail("cannot load control log " + positional[0]);
   core::FlowDiffConfig config;
-  config.parallelism = g_opts.workers;
   if (!services_path.empty()) {
     auto services = cli::load_services(services_path);
     if (!services) return fail("cannot load services " + services_path);
@@ -303,6 +303,8 @@ int cmd_diff(std::vector<std::string> args) {
       services_path = args[++i];
     } else if (args[i] == "--task" && i + 1 < args.size()) {
       task_paths.push_back(args[++i]);
+    } else if (cli::reject_unknown_flag(args[i])) {
+      return 2;
     } else {
       positional.push_back(args[i]);
     }
@@ -310,7 +312,6 @@ int cmd_diff(std::vector<std::string> args) {
   if (positional.size() != 2) return usage();
 
   core::FlowDiffConfig config;
-  config.parallelism = g_opts.workers;
   if (!services_path.empty()) {
     auto services = cli::load_services(services_path);
     if (!services) return fail("cannot load services " + services_path);
@@ -450,7 +451,7 @@ struct MonitorCliArgs {
 std::optional<MonitorCliArgs> parse_monitor_args(
     const std::vector<std::string>& args, bool report_mode) {
   std::string error;
-  const auto shared = cli::parse_monitor_flags(args, g_opts, &error);
+  const auto shared = cli::parse_monitor_flags(args, &error);
   if (!shared) {
     fail(error);
     return std::nullopt;
@@ -466,6 +467,8 @@ std::optional<MonitorCliArgs> parse_monitor_args(
       parsed.out_path = rest[++i];
     } else if (report_mode && rest[i] == "--html") {
       parsed.html = true;
+    } else if (cli::reject_unknown_flag(rest[i])) {
+      return std::nullopt;
     } else {
       positional.push_back(rest[i]);
     }
@@ -584,6 +587,13 @@ int cmd_monitor(std::vector<std::string> args) {
               monitor.windows_processed(),
               to_seconds(monitor.baseline_captured_at()),
               monitor.alarms().size());
+  if (const std::uint64_t rejected = monitor.health().rejected_out_of_order;
+      rejected > 0) {
+    std::fprintf(stderr,
+                 "flowdiff: %llu event(s) rejected: older than the newest "
+                 "one ingested, or a negative timestamp\n",
+                 static_cast<unsigned long long>(rejected));
+  }
   if (obs::enabled() && !monitor.audits().empty()) {
     // Quality columns appear only once a window actually degraded, so a
     // clean run prints the same table with or without --sanitize.
@@ -689,7 +699,25 @@ struct ServeCliArgs {
   double evict_idle_s = 0;       ///< 0 = never evict
   double exit_after_idle_s = 0;  ///< 0 = run until signalled
   std::string transcripts_dir;
+  int workers = 0;  ///< MonitorManager pool size (0 = inline)
 };
+
+/// Largest --workers serve accepts: far past any speedup the cross-tenant
+/// pool has shown, and small enough that a typo cannot ask for thousands
+/// of threads.
+constexpr int kMaxServeWorkers = 64;
+
+/// Parses a --workers value: a plain decimal in [0, kMaxServeWorkers].
+std::optional<int> parse_worker_count(const std::string& text) {
+  int value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < 0 ||
+      value > kMaxServeWorkers) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 /// Splits "TARGET@TENANT" at the last '@' (targets may contain none).
 ServeSourceSpec split_source(ServeSourceSpec::Kind kind,
@@ -709,7 +737,7 @@ ServeSourceSpec split_source(ServeSourceSpec::Kind kind,
 std::optional<ServeCliArgs> parse_serve_args(
     const std::vector<std::string>& args) {
   std::string error;
-  const auto shared = cli::parse_monitor_flags(args, g_opts, &error);
+  const auto shared = cli::parse_monitor_flags(args, &error);
   if (!shared) {
     fail(error);
     return std::nullopt;
@@ -719,7 +747,16 @@ std::optional<ServeCliArgs> parse_serve_args(
   const auto& rest = shared->rest;
   std::size_t sockets = 0;
   for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--follow" && i + 1 < rest.size()) {
+    std::string value;
+    if (cli::flag_value(rest, &i, "--workers", &value)) {
+      const auto workers = parse_worker_count(value);
+      if (!workers) {
+        fail("--workers must be an integer from 0 to " +
+             std::to_string(kMaxServeWorkers) + " (got '" + value + "')");
+        return std::nullopt;
+      }
+      parsed.workers = *workers;
+    } else if (rest[i] == "--follow" && i + 1 < rest.size()) {
       auto spec = split_source(ServeSourceSpec::Kind::kFile, rest[++i]);
       if (spec.tenant.empty()) {
         spec.tenant =
@@ -827,7 +864,7 @@ int cmd_serve(std::vector<std::string> args) {
 
   core::ManagerConfig manager_config;
   manager_config.options = parsed->options;
-  manager_config.workers = g_opts.workers;
+  manager_config.workers = parsed->workers;
   core::MonitorManager manager(manager_config);
   for (const auto& source : sources) {
     if (!parsed->by_controller) manager.register_tenant(source->tenant());
