@@ -454,8 +454,8 @@ int run(int argc, char** argv) {
             ", \"p99\": " + num(e2a ? e2a->quantile(0.99) : 0.0) +
             ", \"mean\": " + num(e2a ? e2a->mean() : 0.0) + "},\n";
     json += "    \"stages\": {";
-    const std::array<const char*, 5> stages = {"ingest", "queue", "model",
-                                               "diff", "decide"};
+    const std::array<const char*, 4> stages = {"ingest", "model", "diff",
+                                               "decide"};
     for (std::size_t s = 0; s < stages.size(); ++s) {
       const auto* h =
           find_hist(std::string("monitor.latency.") + stages[s] + "_ms");

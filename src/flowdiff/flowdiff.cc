@@ -1,5 +1,7 @@
 #include "flowdiff/flowdiff.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
 #include "util/table.h"
 
@@ -16,11 +18,30 @@ FlowDiff::FlowDiff(FlowDiffConfig config)
       modeler_(config_.model),
       incremental_(config_.model) {}
 
-BehaviorModel FlowDiff::model(const of::ControlLog& log) const {
+BehaviorModel FlowDiff::model(const of::ControlLog& log,
+                              std::uint64_t* rejected) const {
+  // Sorted, so the negative timestamps are a prefix.
+  const auto& events = log.events();
+  const auto first = std::partition_point(
+      events.begin(), events.end(),
+      [](const of::ControlEvent& event) { return event.ts < 0; });
+  if (rejected != nullptr) {
+    *rejected = static_cast<std::uint64_t>(first - events.begin());
+  }
   IncrementalWindowState state;
-  for (const auto& event : log.events()) incremental_.feed(state, event);
-  if (incremental_.ready(state)) return incremental_.finalize(state);
-  return modeler_.build(log);
+  if (incremental_.supported()) {
+    state.reserve(static_cast<std::size_t>(
+        std::count_if(first, events.end(), [](const of::ControlEvent& event) {
+          return std::holds_alternative<of::PacketIn>(event.msg);
+        })));
+    for (auto it = first; it != events.end(); ++it) {
+      incremental_.feed(state, *it);
+    }
+    if (incremental_.ready(state)) return incremental_.finalize(state);
+  }
+  if (first == events.begin()) return modeler_.build(log);
+  return modeler_.build(
+      of::ControlLog(std::vector<of::ControlEvent>(first, events.end())));
 }
 
 DiffReport FlowDiff::diff(const BehaviorModel& baseline,

@@ -65,8 +65,11 @@ class FlowDiff {
   /// events through the incremental modeler and finalizes. Falls back to
   /// the from-scratch Modeler::build wherever IncrementalModeler::ready()
   /// is false: `min_edge_flows == 0`, a log past the DD-pair budget, or an
-  /// empty log (whose model is trivial either way).
-  [[nodiscard]] BehaviorModel model(const of::ControlLog& log) const;
+  /// empty log (whose model is trivial either way). Events with a negative
+  /// timestamp are dropped on both paths; `rejected`, when given, receives
+  /// their count.
+  [[nodiscard]] BehaviorModel model(const of::ControlLog& log,
+                                    std::uint64_t* rejected = nullptr) const;
 
   /// Diffs `current` against `baseline`; task automata (if given) are
   /// matched against the current log's flow starts to validate changes.

@@ -1,7 +1,10 @@
 #include "flowdiff/incremental_model.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,19 +20,35 @@ namespace {
 /// stops storing more — bounds feed-time memory on adversarial streams
 /// (a stored pair is 16 bytes, so the cap is ~16 MB of pairing state).
 constexpr std::uint64_t kMaxDdSamples = 1'000'000;
+static_assert(sizeof(IncrementalWindowState::DdPair) == 16);
+
+using State = IncrementalWindowState;
+
+/// One edge as finalize reads it: its host pair and its flow-start times,
+/// nondecreasing, as a slice of one window-wide array.
+struct EdgeView {
+  HostEdge edge;
+  std::span<const SimTime> starts;
+  const State::EdgeAgg* agg = nullptr;
+};
+
+/// One triple as finalize reads it.
+struct TripleView {
+  EdgePair triple;
+  std::uint32_t id = 0;  ///< Triple id: dd_hists slot and pair chain.
+  std::uint32_t in_edge = 0;
+  std::uint32_t out_edge = 0;
+};
 
 /// Member edges / triples of one application group, in sorted (map) order —
 /// the same order the from-scratch extractor visits them in.
 struct GroupWork {
-  std::vector<const std::pair<const HostEdge, IncrementalWindowState::EdgeAgg>*>
-      edges;
-  std::vector<
-      const std::pair<const EdgePair, IncrementalWindowState::TripleAgg>*>
-      triples;
+  std::vector<const EdgeView*> edges;
+  std::vector<const TripleView*> triples;
   std::uint64_t start_total = 0;
 };
 
-std::uint64_t count_in_range(const std::vector<SimTime>& starts, SimTime t0,
+std::uint64_t count_in_range(std::span<const SimTime> starts, SimTime t0,
                              SimTime t1) {
   const auto lo = std::lower_bound(starts.begin(), starts.end(), t0);
   const auto hi = std::lower_bound(lo, starts.end(), t1);
@@ -47,21 +66,20 @@ double hist_mean(const Histogram& hist) {
 }
 
 /// Window-wide signatures plus the per-segment stability sub-models for one
-/// group, assembled from the delta-maintained aggregates. Writes only its
-/// own position-indexed GroupModel slot, so the parallel fan-out stays
-/// bit-identical to serial.
-void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
-                    const std::set<Ipv4>& members, SimTime begin, SimTime end,
-                    int segments, const ModelConfig& config, GroupModel& out) {
+/// group, assembled from the delta-maintained aggregates. `views` is
+/// indexed by edge id.
+void assemble_group(const State& st, const std::vector<EdgeView>& views,
+                    const GroupWork& work, const std::set<Ipv4>& members,
+                    SimTime begin, SimTime end, int segments,
+                    const ModelConfig& config, GroupModel& out) {
   const AppSignatureConfig& app = config.app;
   GroupSignatures& sig = out.sig;
   sig.members = members;
 
   // --- CG + CI + FS per-edge, straight off the aggregates -----------------
-  for (const auto* e : work.edges) {
-    const HostEdge& edge = e->first;
-    const auto& agg = e->second;
-    const auto n = static_cast<std::uint64_t>(agg.starts.size());
+  for (const EdgeView* e : work.edges) {
+    const HostEdge& edge = e->edge;
+    const auto n = static_cast<std::uint64_t>(e->starts.size());
     if (n > 0) {
       if (n >= app.min_edge_flows) {
         sig.cg.graph.add_edge(edge.first, edge.second);
@@ -73,12 +91,12 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
       dst_ci.edge_counts[edge] += n;
       dst_ci.total += n;
     }
-    if (n > 0 || agg.removed > 0) {
+    if (n > 0 || e->agg->removed > 0) {
       auto& fs = sig.fs.per_edge[edge];
       fs.flow_count = n;
-      fs.first_ts = n > 0 ? agg.starts.front() : 0;
-      fs.bytes = agg.bytes;
-      fs.duration_ms = agg.duration_ms;
+      fs.first_ts = n > 0 ? e->starts.front() : 0;
+      fs.bytes = e->agg->bytes;
+      fs.duration_ms = e->agg->duration_ms;
     }
   }
 
@@ -88,8 +106,8 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
     const auto buckets =
         static_cast<std::size_t>((rate_end - begin) / kSecond) + 1;
     std::vector<double> per_sec(buckets, 0.0);
-    for (const auto* e : work.edges) {
-      for (const SimTime ts : e->second.starts) {
+    for (const EdgeView* e : work.edges) {
+      for (const SimTime ts : e->starts) {
         const auto b = static_cast<std::size_t>((ts - begin) / kSecond);
         if (b < buckets) per_sec[b] += 1.0;
       }
@@ -98,23 +116,26 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
   }
 
   // --- DD window-wide: gate the streamed triples --------------------------
-  for (const auto* t : work.triples) {
-    const auto& [a, b, c] = t->first;
-    const auto& agg = t->second;
-    const auto in_n = static_cast<std::uint64_t>(
-        st.edges.find(HostEdge{a, b})->second.starts.size());
-    const auto out_n = static_cast<std::uint64_t>(
-        st.edges.find(HostEdge{b, c})->second.starts.size());
+  // Survivors to re-bucket per segment; past the DD budget there are no
+  // stored pairs to re-bucket.
+  std::vector<const TripleView*> rebucket;
+  for (const TripleView* t : work.triples) {
+    const auto in_n =
+        static_cast<std::uint64_t>(views[t->in_edge].starts.size());
+    const auto out_n =
+        static_cast<std::uint64_t>(views[t->out_edge].starts.size());
     if (in_n < app.min_edge_flows || out_n < app.min_edge_flows) continue;
-    if (agg.hist.total() < app.min_edge_flows) continue;
+    const Histogram& hist = st.dd_hists[t->id];
+    if (hist.total() < app.min_edge_flows) continue;
     DelayDistributionSig::PairDd pair;
-    pair.hist = agg.hist;
+    pair.hist = hist;
     pair.in_flows = in_n;
     pair.out_flows = out_n;
-    pair.samples = agg.hist.total();
+    pair.samples = hist.total();
     pair.peak_ms = pair.hist.top_peak().center;
     pair.mean_ms = hist_mean(pair.hist);
-    sig.dd.per_pair[t->first] = std::move(pair);
+    sig.dd.per_pair[t->triple] = std::move(pair);
+    if (!st.dd_over_budget) rebucket.push_back(t);
   }
 
   // --- PC window-wide ------------------------------------------------------
@@ -130,12 +151,11 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
     series.reserve(work.edges.size());
     std::vector<double> group_series;
     if (app.pc_control_for_group) group_series.assign(epochs, 0.0);
-    for (const auto* e : work.edges) {
-      if (e->second.starts.empty()) continue;
-      EdgeSeries s{&e->first,
-                   static_cast<std::uint64_t>(e->second.starts.size()),
+    for (const EdgeView* e : work.edges) {
+      if (e->starts.empty()) continue;
+      EdgeSeries s{&e->edge, static_cast<std::uint64_t>(e->starts.size()),
                    std::vector<double>(epochs, 0.0)};
-      for (const SimTime ts : e->second.starts) {
+      for (const SimTime ts : e->starts) {
         const auto ep = static_cast<std::size_t>((ts - begin) / app.pc_epoch);
         if (ep < epochs) {
           s.series[ep] += 1.0;
@@ -184,50 +204,17 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
     GroupSignatures& seg = per_segment[s];
 
     std::uint64_t seg_total = 0;
-    for (const auto* e : work.edges) {
-      const auto n = count_in_range(e->second.starts, t0, t1);
+    for (const EdgeView* e : work.edges) {
+      const auto n = count_in_range(e->starts, t0, t1);
       seg_total += n;
       if (n == 0) continue;
-      const HostEdge& edge = e->first;
+      const HostEdge& edge = e->edge;
       auto& src_ci = seg.ci.per_node[edge.first];
       src_ci.edge_counts[edge] += n;
       src_ci.total += n;
       auto& dst_ci = seg.ci.per_node[edge.second];
       dst_ci.edge_counts[edge] += n;
       dst_ci.total += n;
-    }
-
-    // Only triples that passed the window gates can pass the (tighter)
-    // segment gates, so re-bucketing the window's survivors is exact. Over
-    // the DD budget there are no pairs to re-bucket.
-    for (const auto& [triple, window_pair] : sig.dd.per_pair) {
-      if (st.dd_over_budget) break;
-      const auto& [a, b, c] = triple;
-      const auto in_n = count_in_range(
-          st.edges.find(HostEdge{a, b})->second.starts, t0, t1);
-      if (in_n < app.min_edge_flows) continue;
-      const auto out_n = count_in_range(
-          st.edges.find(HostEdge{b, c})->second.starts, t0, t1);
-      if (out_n < app.min_edge_flows) continue;
-      const auto& pairs = st.triples.find(triple)->second.pairs;
-      std::uint64_t samples = 0;
-      for (const auto& [t_in, t_out] : pairs) {
-        if (t_out >= t0 && t_out < t1 && t_in >= t0) ++samples;
-      }
-      if (samples < app.min_edge_flows) continue;
-      DelayDistributionSig::PairDd pair;
-      pair.hist = Histogram{app.dd_bin_ms};
-      for (const auto& [t_in, t_out] : pairs) {
-        if (t_out >= t0 && t_out < t1 && t_in >= t0) {
-          pair.hist.add(to_millis(t_out - t_in));
-        }
-      }
-      pair.in_flows = in_n;
-      pair.out_flows = out_n;
-      pair.samples = samples;
-      pair.peak_ms = pair.hist.top_peak().center;
-      pair.mean_ms = hist_mean(pair.hist);
-      seg.dd.per_pair[triple] = std::move(pair);
     }
 
     if (seg_total > 0 && t1 > t0) {
@@ -241,12 +228,12 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
       std::vector<EdgeSeries> series;
       std::vector<double> group_series;
       if (app.pc_control_for_group) group_series.assign(epochs, 0.0);
-      for (const auto* e : work.edges) {
-        const auto& starts = e->second.starts;
-        const auto lo = std::lower_bound(starts.begin(), starts.end(), t0);
-        const auto hi = std::lower_bound(lo, starts.end(), t1);
+      for (const EdgeView* e : work.edges) {
+        const auto lo =
+            std::lower_bound(e->starts.begin(), e->starts.end(), t0);
+        const auto hi = std::lower_bound(lo, e->starts.end(), t1);
         if (lo == hi) continue;
-        EdgeSeries es{&e->first, static_cast<std::uint64_t>(hi - lo),
+        EdgeSeries es{&e->edge, static_cast<std::uint64_t>(hi - lo),
                       std::vector<double>(epochs, 0.0)};
         for (auto it = lo; it != hi; ++it) {
           const auto ep = static_cast<std::size_t>((*it - t0) / app.pc_epoch);
@@ -280,6 +267,50 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
     }
   }
 
+  // Per-segment DD. Only triples that passed the window gates can pass the
+  // (tighter) segment gates, so re-bucketing the window's survivors is
+  // exact. A pair counts in a segment when both its times fall in it, so
+  // it can only count in the segment holding its t_out (none when t_out is
+  // the window's last timestamp, which the half-open segments leave out):
+  // one walk over a triple's pairs fills every segment, and a histogram
+  // only counts, so the newest-first order is free.
+  for (const TripleView* t : rebucket) {
+    std::vector<std::uint64_t> in_n(seg_count);
+    std::vector<std::uint64_t> out_n(seg_count);
+    std::vector<std::uint64_t> samples(seg_count, 0);
+    std::vector<Histogram> hists(seg_count, Histogram{app.dd_bin_ms});
+    for (std::size_t s = 0; s < seg_count; ++s) {
+      in_n[s] = count_in_range(views[t->in_edge].starts, bound[s],
+                               bound[s + 1]);
+      out_n[s] = count_in_range(views[t->out_edge].starts, bound[s],
+                                bound[s + 1]);
+    }
+    for (std::uint32_t p = st.triples.at(t->id).value.last_pair;
+         p != State::kNone; p = st.dd_pairs[p].prev) {
+      const State::DdPair& dd = st.dd_pairs[p];
+      const auto s = static_cast<std::size_t>(
+          std::upper_bound(bound.begin(), bound.end(), dd.t_out) -
+          bound.begin() - 1);
+      if (s == seg_count || dd.t_out - dd.delay_us < bound[s]) continue;
+      ++samples[s];
+      hists[s].add(to_millis(dd.delay_us));
+    }
+    for (std::size_t s = 0; s < seg_count; ++s) {
+      if (in_n[s] < app.min_edge_flows || out_n[s] < app.min_edge_flows ||
+          samples[s] < app.min_edge_flows) {
+        continue;
+      }
+      DelayDistributionSig::PairDd pair;
+      pair.hist = std::move(hists[s]);
+      pair.in_flows = in_n[s];
+      pair.out_flows = out_n[s];
+      pair.samples = samples[s];
+      pair.peak_ms = pair.hist.top_peak().center;
+      pair.mean_ms = hist_mean(pair.hist);
+      per_segment[s].dd.per_pair[t->triple] = std::move(pair);
+    }
+  }
+
   analyze_group_stability(per_segment, config, out);
   if (st.dd_over_budget) {
     for (const auto& [triple, pair] : sig.dd.per_pair) {
@@ -294,7 +325,7 @@ void assemble_group(const IncrementalWindowState& st, const GroupWork& work,
 /// hops collapse on the fly, topology edges dedupe on integer codes before
 /// any node string is built, and ISL stats accumulate in the identical
 /// walk order.
-InfraSignatures assemble_infra(const IncrementalWindowState& st) {
+InfraSignatures assemble_infra(const State& st) {
   InfraSignatures out;
 
   // Integer node codes: high bit selects switch vs host; strings are built
@@ -326,14 +357,21 @@ InfraSignatures assemble_infra(const IncrementalWindowState& st) {
     }
   };
 
-  std::vector<const SwitchHop*> walk;
+  std::vector<const State::Hop*> walk;
   for (const auto& occ : st.occurrences) {
-    if (occ.hops.empty()) continue;
+    // Newest-first along the hop chain, keeping the oldest hop of each run
+    // of same-switch hops; then reversed into path order.
     walk.clear();
-    for (const auto& hop : occ.hops) {
-      if (!walk.empty() && walk.back()->sw == hop.sw) continue;
-      walk.push_back(&hop);
+    for (std::uint32_t h = occ.last_hop; h != State::kNone;
+         h = st.hops[h].prev) {
+      const State::Hop& hop = st.hops[h];
+      if (!walk.empty() && walk.back()->sw == hop.sw) {
+        walk.back() = &hop;
+      } else {
+        walk.push_back(&hop);
+      }
     }
+    std::reverse(walk.begin(), walk.end());
     std::size_t answered = 0;
     while (answered < walk.size() && walk[answered]->flow_mod_ts >= 0) {
       ++answered;
@@ -343,8 +381,8 @@ InfraSignatures assemble_infra(const IncrementalWindowState& st) {
       add_undirected(kSwitchBit | walk.back()->sw.value, occ.key.dst_ip.raw());
     }
     for (std::size_t i = 0; i + 1 < answered; ++i) {
-      const SwitchHop& a = *walk[i];
-      const SwitchHop& b = *walk[i + 1];
+      const State::Hop& a = *walk[i];
+      const State::Hop& b = *walk[i + 1];
       add_undirected(kSwitchBit | a.sw.value, kSwitchBit | b.sw.value);
       if (b.packet_in_ts >= a.flow_mod_ts) {
         out.isl.latency_ms[{a.sw.value, b.sw.value}].add(
@@ -354,40 +392,56 @@ InfraSignatures assemble_infra(const IncrementalWindowState& st) {
   }
 
   out.crt.response_ms = st.crt_response_ms;
-  for (const auto& [key, bps] : st.per_poll_bps) {
-    out.load.mbps[key.first].add(bps / 1e6);
+  // A switch's polls arrive in time order, so arrival order visits each
+  // switch's samples in the (switch, time) order the extractor sums in.
+  for (const State::Poll& poll : st.polls) {
+    out.load.mbps[poll.sw].add(poll.bps / 1e6);
   }
   return out;
 }
 
 }  // namespace
 
+void IncrementalWindowState::reserve(std::size_t packet_ins) {
+  occurrences.reserve(packet_ins);
+  hops.reserve(packet_ins);
+  open.reserve(packet_ins);
+}
+
 void IncrementalWindowState::reset() {
+  if (!active) return;
   active = false;
   dd_over_budget = false;
   begin = 0;
   end = 0;
   events = 0;
-  occurrences.clear();
+  recycle(occurrences);
+  recycle(hops);
   open.clear();
+  hosts.clear();
   edges.clear();
+  // The histogram pool is sized by the triples it served.
+  if (dd_hists.size() > 4 * triples.size()) {
+    std::vector<Histogram>().swap(dd_hists);
+  }
   triples.clear();
+  recycle(dd_pairs);
   dd_samples = 0;
-  in_recent.clear();
-  out_recent.clear();
   crt_response_ms = RunningStats{};
-  per_poll_bps.clear();
+  recycle(polls);
+  newest_poll.clear();
 }
 
 IncrementalModeler::IncrementalModeler(ModelConfig config)
     : config_(std::move(config)), supported_(supported(config_)) {}
 
 bool IncrementalModeler::supported(const ModelConfig& config) {
-  return config.app.min_edge_flows >= 1;
+  return config.app.min_edge_flows >= 1 &&
+         config.app.dd_window <=
+             SimDuration{std::numeric_limits<std::uint32_t>::max()};
 }
 
-void IncrementalModeler::feed(IncrementalWindowState& st,
-                              const of::ControlEvent& event) const {
+void IncrementalModeler::feed(State& st, const of::ControlEvent& event) const {
   if (!supported_) return;
   if (!st.active) {
     st.active = true;
@@ -397,112 +451,142 @@ void IncrementalModeler::feed(IncrementalWindowState& st,
   ++st.events;
 
   if (const auto* pin = std::get_if<of::PacketIn>(&event.msg)) {
-    auto it = st.open.find(pin->key);
-    if (it == st.open.end() ||
-        event.ts - it->second.last_ts > grouping_window_) {
-      FlowOccurrence occ;
-      occ.key = pin->key;
-      occ.first_ts = event.ts;
-      st.occurrences.push_back(std::move(occ));
-      it = st.open
-               .insert_or_assign(
-                   pin->key,
-                   IncrementalWindowState::Open{st.occurrences.size() - 1,
-                                                event.ts})
-               .first;
-      on_start(st, pin->key, event.ts);
+    const auto [slot, inserted] = st.open.insert(pin->key);
+    std::uint32_t index = st.open.at(slot).value;
+    if (inserted ||
+        event.ts - st.occurrences[index].last_ts > grouping_window_) {
+      index = start_occurrence(st, pin->key, event.ts);
+      st.open.at(slot).value = index;
     }
-    auto& occ = st.occurrences[it->second.index];
-    occ.hops.push_back(
-        SwitchHop{pin->sw, pin->in_port, PortId{}, event.ts, -1});
-    it->second.last_ts = event.ts;
+    State::Occurrence& occ = st.occurrences[index];
+    st.hops.push_back(State::Hop{pin->sw, occ.last_hop, event.ts, -1});
+    occ.last_hop = static_cast<std::uint32_t>(st.hops.size() - 1);
+    occ.last_ts = event.ts;
   } else if (const auto* fm = std::get_if<of::FlowMod>(&event.msg)) {
-    auto it = st.open.find(fm->key);
-    if (it == st.open.end()) return;
-    auto& occ = st.occurrences[it->second.index];
-    for (auto hop = occ.hops.rbegin(); hop != occ.hops.rend(); ++hop) {
-      if (hop->sw == fm->sw && hop->flow_mod_ts < 0) {
-        hop->flow_mod_ts = event.ts;
-        hop->out_port = fm->out_port;
-        st.crt_response_ms.add(to_millis(event.ts - hop->packet_in_ts));
+    const std::uint32_t slot = st.open.find(fm->key);
+    if (slot == st.open.npos) return;
+    State::Occurrence& occ = st.occurrences[st.open.at(slot).value];
+    // Newest unanswered hop at this switch, as parse_log answers it.
+    for (std::uint32_t h = occ.last_hop; h != State::kNone;
+         h = st.hops[h].prev) {
+      State::Hop& hop = st.hops[h];
+      if (hop.sw == fm->sw && hop.flow_mod_ts < 0) {
+        hop.flow_mod_ts = event.ts;
+        st.crt_response_ms.add(to_millis(event.ts - hop.packet_in_ts));
         break;
       }
     }
-    it->second.last_ts = event.ts;
+    occ.last_ts = event.ts;
   } else if (const auto* fr = std::get_if<of::FlowRemoved>(&event.msg)) {
-    auto& agg = st.edges[HostEdge{fr->key.src_ip, fr->key.dst_ip}];
+    auto& agg = st.edges.at(intern_edge(st, fr->key)).value;
     agg.bytes.add(static_cast<double>(fr->byte_count));
     agg.duration_ms.add(to_millis(fr->duration));
     ++agg.removed;
   } else if (const auto* fs = std::get_if<of::FlowStatsReply>(&event.msg)) {
     if (fs->age > 0) {
-      st.per_poll_bps[{fs->sw.value, event.ts}] +=
+      const auto [slot, inserted] = st.newest_poll.insert(fs->sw.value);
+      std::uint32_t& newest = st.newest_poll.at(slot).value;
+      if (inserted || st.polls[newest].ts != event.ts) {
+        newest = static_cast<std::uint32_t>(st.polls.size());
+        st.polls.push_back(State::Poll{fs->sw.value, event.ts, 0.0});
+      }
+      st.polls[newest].bps +=
           static_cast<double>(fs->byte_count) * 8.0 / to_seconds(fs->age);
     }
   }
 }
 
-void IncrementalModeler::on_start(IncrementalWindowState& st,
-                                  const of::FlowKey& key, SimTime ts) const {
-  const Ipv4 src = key.src_ip;
-  const Ipv4 dst = key.dst_ip;
-  st.edges[HostEdge{src, dst}].starts.push_back(ts);
+std::uint32_t IncrementalModeler::start_occurrence(State& st,
+                                                   const of::FlowKey& key,
+                                                   SimTime ts) const {
+  const std::uint32_t edge = intern_edge(st, key);
+  State::EdgeAgg& agg = st.edges.at(edge).value;
+  ++agg.starts;
+  const std::uint32_t src = agg.src;
+  const std::uint32_t dst = agg.dst;
 
   // Streaming DD pairing. Every (in-flow, out-flow) pair the from-scratch
   // extractor would form with 0 <= t_out - t_in <= dd_window is recorded
-  // exactly once, at the arrival of the later of the two flows.
+  // exactly once, at the arrival of the later of the two flows. The chains
+  // run newest-first, so each walk stops at the first flow out of reach.
   const SimDuration window = config_.app.dd_window;
-  if (auto it = st.in_recent.find(src); it != st.in_recent.end()) {
-    // This start is the out-flow of `src`: pair with earlier flows into it.
-    auto& dq = it->second;
-    while (!dq.empty() && ts - dq.front().second > window) dq.pop_front();
-    for (const auto& [a, t_in] : dq) {
-      if (a == dst) continue;  // Pure replies carry no dependency signal.
-      record_pair(st, EdgePair{a, src, dst}, t_in, ts);
-    }
+  // This start is the out-flow of `src`: pair with earlier flows into it.
+  for (std::uint32_t i = st.hosts.at(src).value.newest_in; i != State::kNone;
+       i = st.occurrences[i].prev_in) {
+    const State::Occurrence& in = st.occurrences[i];
+    if (ts - in.first_ts > window) break;
+    // Pure replies carry no dependency signal.
+    if (st.edges.at(in.edge).value.src == dst) continue;
+    record_pair(st, in.edge, edge, in.first_ts, ts);
   }
-  if (auto it = st.out_recent.find(dst); it != st.out_recent.end()) {
-    // This start is the in-flow into `dst`: an out-flow of `dst` already
-    // processed can only pair with it when the timestamps are equal
-    // (anything earlier would make the delta negative).
-    auto& dq = it->second;
-    while (!dq.empty() && dq.front().second < ts) dq.pop_front();
-    for (const auto& [d, t_out] : dq) {
-      if (d == src) continue;
-      record_pair(st, EdgePair{src, dst, d}, ts, t_out);
-    }
+  // This start is the in-flow into `dst`: an out-flow of `dst` already
+  // processed can only pair with it when the timestamps are equal
+  // (anything earlier would make the delta negative).
+  for (std::uint32_t j = st.hosts.at(dst).value.newest_out; j != State::kNone;
+       j = st.occurrences[j].prev_out) {
+    const State::Occurrence& out = st.occurrences[j];
+    if (out.first_ts < ts) break;
+    if (st.edges.at(out.edge).value.dst == src) continue;
+    record_pair(st, edge, out.edge, ts, out.first_ts);
   }
-  st.in_recent[dst].emplace_back(src, ts);
-  st.out_recent[src].emplace_back(dst, ts);
+
+  const auto index = static_cast<std::uint32_t>(st.occurrences.size());
+  State::HostChains& into = st.hosts.at(dst).value;
+  State::HostChains& out_of = st.hosts.at(src).value;
+  st.occurrences.push_back(State::Occurrence{
+      key, edge, State::kNone, into.newest_in, out_of.newest_out, ts, ts});
+  into.newest_in = index;
+  out_of.newest_out = index;
+  return index;
 }
 
-void IncrementalModeler::record_pair(IncrementalWindowState& st,
-                                     const EdgePair& triple, SimTime t_in,
-                                     SimTime t_out) const {
-  auto it = st.triples.find(triple);
-  if (it == st.triples.end()) {
-    it = st.triples
-             .try_emplace(triple,
-                          IncrementalWindowState::TripleAgg{
-                              config_.app.dd_bin_ms})
-             .first;
+std::uint32_t IncrementalModeler::intern_edge(State& st,
+                                              const of::FlowKey& key) {
+  const std::uint32_t src = st.hosts.insert(key.src_ip.raw()).first;
+  const std::uint32_t dst = st.hosts.insert(key.dst_ip.raw()).first;
+  const auto [edge, inserted] =
+      st.edges.insert(std::uint64_t{src} << 32 | dst);
+  if (inserted) {
+    st.edges.at(edge).value.src = src;
+    st.edges.at(edge).value.dst = dst;
   }
-  it->second.hist.add(to_millis(t_out - t_in));
+  return edge;
+}
+
+void IncrementalModeler::record_pair(State& st, std::uint32_t in_edge,
+                                     std::uint32_t out_edge, SimTime t_in,
+                                     SimTime t_out) const {
+  const auto [id, inserted] =
+      st.triples.insert(std::uint64_t{in_edge} << 32 | out_edge);
+  State::TripleAgg& agg = st.triples.at(id).value;
+  if (inserted) {
+    agg.in_edge = in_edge;
+    agg.out_edge = out_edge;
+    const double bin_ms = config_.app.dd_bin_ms;
+    if (id == st.dd_hists.size()) {
+      st.dd_hists.emplace_back(bin_ms);
+    } else if (st.dd_hists[id].bin_width() == bin_ms) {
+      st.dd_hists[id].clear();
+    } else {
+      st.dd_hists[id] = Histogram{bin_ms};
+    }
+  }
+  st.dd_hists[id].add(to_millis(t_out - t_in));
   ++st.dd_samples;
   if (st.dd_over_budget) return;
   if (st.dd_samples <= kMaxDdSamples) {
-    it->second.pairs.emplace_back(t_in, t_out);
+    st.dd_pairs.push_back(State::DdPair{
+        t_out, static_cast<std::uint32_t>(t_out - t_in), agg.last_pair});
+    agg.last_pair = static_cast<std::uint32_t>(st.dd_pairs.size() - 1);
     return;
   }
   // Over budget: free every stored pair; the histograms keep counting.
   st.dd_over_budget = true;
-  for (auto& [triple, agg] : st.triples) {
-    std::vector<std::pair<SimTime, SimTime>>().swap(agg.pairs);
-  }
+  std::vector<State::DdPair>().swap(st.dd_pairs);
+  for (auto& entry : st.triples) entry.value.last_pair = State::kNone;
 }
 
-BehaviorModel IncrementalModeler::finalize(
-    const IncrementalWindowState& st) const {
+BehaviorModel IncrementalModeler::finalize(const State& st) const {
   const obs::Span span("model");
   static obs::LatencyHistogram& build_ms =
       obs::Registry::global().histogram("model.build_ms", 5.0);
@@ -526,34 +610,79 @@ BehaviorModel IncrementalModeler::finalize(
 
   const AppGroups groups =
       discover_groups(model.flow_starts, config_.special_nodes);
-  std::map<Ipv4, int> index_of;
+  std::vector<int> group_of(st.hosts.size(), -1);
   for (std::size_t g = 0; g < groups.groups.size(); ++g) {
     for (const Ipv4 ip : groups.groups[g]) {
-      index_of.emplace(ip, static_cast<int>(g));
+      const std::uint32_t host = st.hosts.find(ip.raw());
+      if (host != st.hosts.npos && group_of[host] < 0) {
+        group_of[host] = static_cast<int>(g);
+      }
     }
   }
+  const auto ip_of = [&st](std::uint32_t host) {
+    return Ipv4{st.hosts.at(host).key};
+  };
 
-  // Bucket the global aggregate maps per group; map order per bucket is the
+  // Every edge's flow starts as one slice of a window-wide array: a
+  // counting sort of the occurrences by edge, stable, so each slice stays
+  // in time order.
+  const std::size_t edge_count = st.edges.size();
+  std::vector<std::size_t> offset(edge_count + 1, 0);
+  for (std::uint32_t e = 0; e < edge_count; ++e) {
+    offset[e + 1] = offset[e] + st.edges.at(e).value.starts;
+  }
+  std::vector<SimTime> starts(st.occurrences.size());
+  {
+    std::vector<std::size_t> next(offset.begin(), offset.end() - 1);
+    for (const auto& occ : st.occurrences) {
+      starts[next[occ.edge]++] = occ.first_ts;
+    }
+  }
+  std::vector<EdgeView> views(edge_count);
+  for (std::uint32_t e = 0; e < edge_count; ++e) {
+    const State::EdgeAgg& agg = st.edges.at(e).value;
+    views[e] = EdgeView{HostEdge{ip_of(agg.src), ip_of(agg.dst)},
+                        std::span<const SimTime>(starts).subspan(
+                            offset[e], offset[e + 1] - offset[e]),
+                        &agg};
+  }
+  std::vector<TripleView> triple_views(st.triples.size());
+  for (std::uint32_t t = 0; t < st.triples.size(); ++t) {
+    const State::TripleAgg& agg = st.triples.at(t).value;
+    triple_views[t] = TripleView{
+        EdgePair{views[agg.in_edge].edge.first, views[agg.in_edge].edge.second,
+                 views[agg.out_edge].edge.second},
+        t, agg.in_edge, agg.out_edge};
+  }
+
+  // Sort once into map order, then bucket per group: each bucket keeps the
   // per-group sorted order the from-scratch extractor iterates in.
+  std::vector<const EdgeView*> edge_order(edge_count);
+  for (std::size_t e = 0; e < edge_count; ++e) edge_order[e] = &views[e];
+  std::sort(edge_order.begin(), edge_order.end(),
+            [](const EdgeView* x, const EdgeView* y) {
+              return x->edge < y->edge;
+            });
+  std::sort(triple_views.begin(), triple_views.end(),
+            [](const TripleView& x, const TripleView& y) {
+              return x.triple < y.triple;
+            });
+
   const std::size_t group_count = groups.groups.size();
   std::vector<GroupWork> work(group_count);
-  for (const auto& entry : st.edges) {
-    const auto src = index_of.find(entry.first.first);
-    if (src == index_of.end()) continue;
-    const auto dst = index_of.find(entry.first.second);
-    if (dst == index_of.end() || dst->second != src->second) continue;
-    auto& w = work[static_cast<std::size_t>(src->second)];
-    w.edges.push_back(&entry);
-    w.start_total += entry.second.starts.size();
+  for (const EdgeView* e : edge_order) {
+    const int g = group_of[e->agg->src];
+    if (g < 0 || group_of[e->agg->dst] != g) continue;
+    auto& w = work[static_cast<std::size_t>(g)];
+    w.edges.push_back(e);
+    w.start_total += e->starts.size();
   }
-  for (const auto& entry : st.triples) {
-    const auto ia = index_of.find(std::get<0>(entry.first));
-    if (ia == index_of.end()) continue;
-    const auto ib = index_of.find(std::get<1>(entry.first));
-    if (ib == index_of.end() || ib->second != ia->second) continue;
-    const auto ic = index_of.find(std::get<2>(entry.first));
-    if (ic == index_of.end() || ic->second != ia->second) continue;
-    work[static_cast<std::size_t>(ia->second)].triples.push_back(&entry);
+  for (const TripleView& t : triple_views) {
+    const State::EdgeAgg& in = *views[t.in_edge].agg;
+    const int g = group_of[in.src];
+    if (g < 0 || group_of[in.dst] != g) continue;
+    if (group_of[views[t.out_edge].agg->dst] != g) continue;
+    work[static_cast<std::size_t>(g)].triples.push_back(&t);
   }
 
   {
@@ -566,8 +695,8 @@ BehaviorModel IncrementalModeler::finalize(
   {
     const obs::Span sig_span("model/signatures");
     for (std::size_t g = 0; g < group_count; ++g) {
-      assemble_group(st, work[g], groups.groups[g], model.begin, model.end,
-                     segments, config_, model.groups[g]);
+      assemble_group(st, views, work[g], groups.groups[g], model.begin,
+                     model.end, segments, config_, model.groups[g]);
     }
   }
   return model;

@@ -8,11 +8,14 @@
 //
 //   - the parsed flow structure (occurrence grouping, hop answering) exactly
 //     as `parse_log` would produce it on the same in-order stream,
-//   - per-edge aggregates (flow-start times, FlowRemoved byte/duration
+//   - per-edge aggregates (flow-start counts, FlowRemoved byte/duration
 //     running sums) that CG/CI/FS read directly,
 //   - per-triple delay partials (DD histograms + sample lists) built by
-//     streaming in-flow/out-flow pairing against bounded recency deques,
+//     streaming in-flow/out-flow pairing along per-host recency chains,
 //   - controller response-time and switch-load running sums (CRT/UTIL).
+//
+// Edges and triples are kept in first-seen order; finalize sorts them
+// once into the map order the from-scratch extractors iterate in.
 //
 // Closing a window then only runs `finalize`, which assembles a
 // `BehaviorModel` from the aggregates — group discovery, gate checks,
@@ -33,20 +36,27 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <unordered_map>
-#include <utility>
+#include <limits>
 #include <vector>
 
 #include "flowdiff/model.h"
 #include "openflow/control_log.h"
+#include "util/flat_map.h"
 
 namespace flowdiff::core {
 
 /// Delta-maintained aggregates for one in-flight window. Owned by the
 /// monitor, finalized in place at close and reset for the next window.
+///
+/// Every container is flat and window-local: hosts, edges and triples are
+/// interned to dense ids in first-seen order, and per-entity state lives in
+/// vectors indexed by those ids. Feeding an event allocates nothing once
+/// the state has held a window at least as large (reset() keeps every
+/// buffer under the recycle() rule of util/flat_map.h).
 struct IncrementalWindowState {
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
   // --- lifecycle ---------------------------------------------------------
   bool active = false;      ///< Saw at least one event.
   /// Stored DD pairs passed the budget: they were dropped and no more are
@@ -58,43 +68,93 @@ struct IncrementalWindowState {
   std::uint64_t events = 0;
 
   // --- incremental parse (mirrors parse_log on an in-order stream) -------
-  struct Open {
-    std::size_t index;
-    SimTime last_ts;
+  /// One switch's PacketIn (and the FlowMod answering it), linked to the
+  /// previous hop of its occurrence. Ports are not kept: no signature
+  /// reads them.
+  struct Hop {
+    SwitchId sw;
+    std::uint32_t prev = kNone;
+    SimTime packet_in_ts = 0;
+    SimTime flow_mod_ts = -1;   ///< -1 while unanswered.
   };
-  std::vector<FlowOccurrence> occurrences;
-  std::unordered_map<of::FlowKey, Open> open;
+  /// One flow occurrence, in first_ts (= arrival) order. It is also the
+  /// flow-start record of its edge and of the DD recency chains of its two
+  /// hosts.
+  struct Occurrence {
+    of::FlowKey key;
+    std::uint32_t edge = 0;        ///< Edge id of (src_ip, dst_ip).
+    std::uint32_t last_hop = kNone;
+    std::uint32_t prev_in = kNone;   ///< Previous occurrence into dst_ip.
+    std::uint32_t prev_out = kNone;  ///< Previous occurrence out of src_ip.
+    SimTime first_ts = 0;
+    SimTime last_ts = 0;  ///< Newest PacketIn/FlowMod (grouping window).
+  };
+  std::vector<Occurrence> occurrences;
+  std::vector<Hop> hops;
+  /// 5-tuple -> its newest occurrence.
+  FlatMap<of::FlowKey, std::uint32_t> open;
+
+  // --- hosts: window-local dense ids ---------------------------------------
+  /// Heads of a host's DD recency chains: its newest in-flow and out-flow
+  /// occurrence. The chains run back through Occurrence::prev_in/prev_out
+  /// in time order, so pairing walks only the flows inside the window.
+  struct HostChains {
+    std::uint32_t newest_in = kNone;
+    std::uint32_t newest_out = kNone;
+  };
+  FlatMap<std::uint32_t, HostChains> hosts;  ///< Ipv4::raw() -> chains.
 
   // --- per-edge aggregates (CG/CI/FS/PC source data) ----------------------
   struct EdgeAgg {
-    std::vector<SimTime> starts;  ///< Flow-start times, nondecreasing.
+    std::uint32_t src = 0;        ///< Host ids.
+    std::uint32_t dst = 0;
+    std::uint64_t starts = 0;     ///< Occurrences on the edge.
     RunningStats bytes;           ///< FlowRemoved counters, arrival order.
     RunningStats duration_ms;
     std::uint64_t removed = 0;    ///< Entry may exist with zero starts.
   };
-  std::map<HostEdge, EdgeAgg> edges;
+  FlatMap<std::uint64_t, EdgeAgg> edges;  ///< src id << 32 | dst id.
 
   // --- per-triple delay partials (DD source data) -------------------------
   struct TripleAgg {
-    explicit TripleAgg(double bin_ms) : hist(bin_ms) {}
-    Histogram hist;  ///< Every paired sample; total() is the sample count.
-    /// (t_in, t_out) per paired sample; finalize re-buckets these per
-    /// stability segment without touching the raw log. Emptied for good
-    /// once the window goes over the DD budget.
-    std::vector<std::pair<SimTime, SimTime>> pairs;
+    std::uint32_t in_edge = 0;     ///< Edge ids of (a, b) and (b, c).
+    std::uint32_t out_edge = 0;
+    std::uint32_t last_pair = kNone;  ///< Newest stored pair.
   };
-  std::map<EdgePair, TripleAgg> triples;
+  FlatMap<std::uint64_t, TripleAgg> triples;  ///< in_edge << 32 | out_edge.
+  /// Every paired sample of triple id i lands in dd_hists[i]; total() is
+  /// the sample count. A pool: slots past triples.size() are spare
+  /// histograms kept for the next window.
+  std::vector<Histogram> dd_hists;
+  /// One paired sample, linked to the previous pair of its triple;
+  /// finalize re-buckets these per stability segment without touching the
+  /// raw log. Freed for good once the window goes over the DD budget.
+  struct DdPair {
+    SimTime t_out = 0;
+    std::uint32_t delay_us = 0;  ///< t_out - t_in, at most dd_window.
+    std::uint32_t prev = kNone;
+  };
+  std::vector<DdPair> dd_pairs;
   std::uint64_t dd_samples = 0;  ///< Paired samples across all triples.
-  /// Streaming-pairing recency state: flows into / out of each node within
-  /// the pairing window, pruned lazily on access.
-  std::unordered_map<Ipv4, std::deque<std::pair<Ipv4, SimTime>>> in_recent;
-  std::unordered_map<Ipv4, std::deque<std::pair<Ipv4, SimTime>>> out_recent;
 
   // --- infra running sums (CRT/UTIL) --------------------------------------
   RunningStats crt_response_ms;  ///< FlowMod - PacketIn, arrival order.
-  std::map<std::pair<std::uint32_t, SimTime>, double> per_poll_bps;
+  /// Summed FlowStatsReply rates of one switch's poll at one timestamp.
+  struct Poll {
+    std::uint32_t sw = 0;
+    SimTime ts = 0;
+    double bps = 0.0;
+  };
+  std::vector<Poll> polls;  ///< Arrival order.
+  FlatMap<std::uint32_t, std::uint32_t> newest_poll;  ///< Switch -> poll.
 
-  /// Drops all window state, keeping vector capacity where containers allow.
+  /// Sizes the flow arrays for a window of `packet_ins` PacketIns (an
+  /// upper bound on its occurrences and hops), so it fills without
+  /// growing.
+  void reserve(std::size_t packet_ins);
+
+  /// Empties the window, keeping every buffer under the recycle() rule; a
+  /// never-fed state keeps its buffers untouched.
   void reset();
 };
 
@@ -107,7 +167,8 @@ class IncrementalModeler {
 
   /// True when the config permits bit-identical incremental maintenance.
   /// `min_edge_flows == 0` is refused: the from-scratch DD/PC extractors
-  /// then emit zero-sample pairs the stream never observes.
+  /// then emit zero-sample pairs the stream never observes. So is a
+  /// `dd_window` past 2^32 µs, which a stored pair's delay cannot hold.
   [[nodiscard]] static bool supported(const ModelConfig& config);
   /// supported() on this modeler's own config.
   [[nodiscard]] bool supported() const { return supported_; }
@@ -128,17 +189,22 @@ class IncrementalModeler {
   /// gives the empty model). Over the DD budget every DD pair is marked
   /// unstable instead of being judged per segment. Requires a supported
   /// config.
-  [[nodiscard]] BehaviorModel finalize(const IncrementalWindowState& state) const;
+  [[nodiscard]] BehaviorModel finalize(
+      const IncrementalWindowState& state) const;
 
   [[nodiscard]] const ModelConfig& config() const { return config_; }
 
  private:
-  /// New-occurrence hook: maintains per-edge start times and the streaming
-  /// DD pairing state.
-  void on_start(IncrementalWindowState& state, const of::FlowKey& key,
-                SimTime ts) const;
-  void record_pair(IncrementalWindowState& state, const EdgePair& triple,
-                   SimTime t_in, SimTime t_out) const;
+  /// Appends a new occurrence of `key` starting at `ts`, counts it on its
+  /// edge and pairs it against its hosts' recency chains (streaming DD).
+  /// Returns its index.
+  std::uint32_t start_occurrence(IncrementalWindowState& state,
+                                 const of::FlowKey& key, SimTime ts) const;
+  /// Edge id of (key.src_ip, key.dst_ip), interning both hosts.
+  static std::uint32_t intern_edge(IncrementalWindowState& state,
+                                   const of::FlowKey& key);
+  void record_pair(IncrementalWindowState& state, std::uint32_t in_edge,
+                   std::uint32_t out_edge, SimTime t_in, SimTime t_out) const;
 
   ModelConfig config_;
   bool supported_;

@@ -35,8 +35,6 @@ struct MonitorMetrics {
   // the monitor committing its verdict.
   obs::LatencyHistogram& latency_ingest =
       obs::Registry::global().histogram("monitor.latency.ingest_ms", 5.0);
-  obs::LatencyHistogram& latency_queue =
-      obs::Registry::global().histogram("monitor.latency.queue_ms", 1.0);
   obs::LatencyHistogram& latency_model =
       obs::Registry::global().histogram("monitor.latency.model_ms", 1.0);
   obs::LatencyHistogram& latency_diff =
@@ -306,8 +304,7 @@ void SlidingMonitor::close_window(SimTime window_end) {
   }
   if (window_empty()) return;  // Idle window: nothing to model.
   process_window(begin, window_end, quality,
-                 std::exchange(window_rejected_, 0),
-                 std::chrono::steady_clock::now());
+                 std::exchange(window_rejected_, 0));
   if (inc_ != nullptr) {
     inc_state_.reset();
   } else {
@@ -317,7 +314,7 @@ void SlidingMonitor::close_window(SimTime window_end) {
 
 void SlidingMonitor::process_window(
     SimTime begin, SimTime window_end, const ingest::StreamQuality& quality,
-    std::uint64_t rejected, std::chrono::steady_clock::time_point close_wall) {
+    std::uint64_t rejected) {
   const obs::Span span("monitor/window");
   const auto wall_start = std::chrono::steady_clock::now();
   const auto wall_ms = [](std::chrono::steady_clock::time_point from,
@@ -326,8 +323,7 @@ void SlidingMonitor::process_window(
     return d.count() < 0.0 ? 0.0 : d.count();
   };
   StageLatency latency;
-  latency.ingest_ms = wall_ms(feed_wall_, close_wall);
-  latency.queue_ms = wall_ms(close_wall, wall_start);
+  latency.ingest_ms = wall_ms(feed_wall_, wall_start);
   WindowAudit audit;
   audit.window_begin = begin;
   audit.window_end = window_end;
@@ -347,7 +343,6 @@ void SlidingMonitor::process_window(
   metrics().events.inc(audit.events);
   metrics().events_per_window.observe(static_cast<double>(audit.events));
   metrics().latency_ingest.observe(latency.ingest_ms);
-  metrics().latency_queue.observe(latency.queue_ms);
 
   // Incremental mode finalizes the delta-maintained aggregates
   // (bit-identical to the oracle, incremental_model.h); oracle mode

@@ -242,8 +242,7 @@ class SlidingMonitor {
   /// the window storage afterwards.
   void process_window(SimTime begin, SimTime window_end,
                       const ingest::StreamQuality& quality,
-                      std::uint64_t rejected,
-                      std::chrono::steady_clock::time_point close_wall);
+                      std::uint64_t rejected);
   /// Stamps the wall time onto the audit record and files it, together
   /// with the window's provenance record (if the diff produced one).
   void finish_audit(WindowAudit audit,

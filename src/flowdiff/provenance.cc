@@ -296,7 +296,6 @@ bool parse_latency(Parser& p, StageLatency* lat) {
       if (!key || !p.eat(':')) return false;
       double* slot = nullptr;
       if (*key == "ingest") slot = &lat->ingest_ms;
-      else if (*key == "queue") slot = &lat->queue_ms;
       else if (*key == "model") slot = &lat->model_ms;
       else if (*key == "diff") slot = &lat->diff_ms;
       else if (*key == "decide") slot = &lat->decide_ms;
@@ -438,11 +437,11 @@ bool parse_record(Parser& p, ProvenanceRecord* rec) {
 bool StageLatency::complete() const {
   // Every stage stamped non-negative and the end-to-end total covers the
   // stage sum (tolerance: the stamps are converted to double ms pairwise).
-  if (ingest_ms < 0.0 || queue_ms < 0.0 || model_ms < 0.0 || diff_ms < 0.0 ||
-      decide_ms < 0.0 || total_ms < 0.0) {
+  if (ingest_ms < 0.0 || model_ms < 0.0 || diff_ms < 0.0 || decide_ms < 0.0 ||
+      total_ms < 0.0) {
     return false;
   }
-  const double sum = ingest_ms + queue_ms + model_ms + diff_ms + decide_ms;
+  const double sum = ingest_ms + model_ms + diff_ms + decide_ms;
   return total_ms + 0.5 >= sum;
 }
 
@@ -495,7 +494,6 @@ std::string render_provenance_text(const ProvenanceRecord& rec,
   }
   if (with_latency) {
     out += "latency: ingest " + fmt_double(rec.latency.ingest_ms, 3) +
-           "ms + queue " + fmt_double(rec.latency.queue_ms, 3) +
            "ms + model " + fmt_double(rec.latency.model_ms, 3) +
            "ms + diff " + fmt_double(rec.latency.diff_ms, 3) +
            "ms + decide " + fmt_double(rec.latency.decide_ms, 3) +
@@ -542,7 +540,6 @@ std::string render_provenance_json(const ProvenanceRecord& rec) {
   }
   out += "], \"quality\": " + quality_json(rec.quality);
   out += ", \"latency_ms\": {\"ingest\": " + num(rec.latency.ingest_ms) +
-         ", \"queue\": " + num(rec.latency.queue_ms) +
          ", \"model\": " + num(rec.latency.model_ms) +
          ", \"diff\": " + num(rec.latency.diff_ms) +
          ", \"decide\": " + num(rec.latency.decide_ms) +

@@ -66,8 +66,6 @@ struct StageLatency {
                            ///< (sanitizer reorder-buffer residence
                            ///< included: with a sanitizer the close fires
                            ///< only once the watermark releases the event).
-  double queue_ms = 0.0;   ///< Window close -> process start (pipeline
-                           ///< backlog wait; ~0 in synchronous mode).
   double model_ms = 0.0;   ///< core::Modeler build of the window model.
   double diff_ms = 0.0;    ///< diff + validate + diagnose (FlowDiff::diff).
   double decide_ms = 0.0;  ///< Diff end -> verdict committed.

@@ -42,12 +42,12 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ingest/stream_quality.h"
 #include "openflow/control_log.h"
+#include "util/flat_map.h"
 
 namespace flowdiff::ingest {
 
@@ -171,8 +171,8 @@ class StreamSanitizer {
   StreamQuality metered_;
   std::size_t depth_peak_ = 0;
   /// flow uid -> bitmask (1 = PacketIn seen, 2 = FlowMod seen) since the
-  /// last take_window_quality().
-  std::unordered_map<std::uint64_t, unsigned> pair_seen_;
+  /// last take_window_quality(), which recycles the table's buffers.
+  FlatMap<std::uint64_t, unsigned> pair_seen_;
 };
 
 /// Convenience: runs a whole raw arrival sequence through a sanitizer and

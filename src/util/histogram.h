@@ -18,6 +18,11 @@ class Histogram {
   explicit Histogram(double bin_width, double origin = 0.0);
 
   void add(double value);
+  /// Drops every sample, keeping the bin storage for reuse.
+  void clear() {
+    counts_.clear();
+    total_ = 0;
+  }
 
   [[nodiscard]] double bin_width() const { return bin_width_; }
   [[nodiscard]] double origin() const { return origin_; }

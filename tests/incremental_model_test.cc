@@ -20,6 +20,7 @@
 #include "flowdiff/flowdiff.h"
 #include "flowdiff/model.h"
 #include "flowdiff/monitor.h"
+#include "incremental_stream.h"
 #include "obs/metrics.h"
 #include "openflow/control_log.h"
 #include "openflow/log_io.h"
@@ -27,116 +28,6 @@
 
 namespace flowdiff::core {
 namespace {
-
-Ipv4 host(int app, int i) {
-  return Ipv4(10, 0, static_cast<std::uint8_t>(app),
-              static_cast<std::uint8_t>(i + 1));
-}
-
-of::ControlEvent pin(SimTime ts, std::uint32_t sw, const of::FlowKey& k) {
-  of::PacketIn msg;
-  msg.sw = SwitchId{sw};
-  msg.in_port = PortId{1};
-  msg.key = k;
-  return of::ControlEvent{ts, ControllerId{0}, msg};
-}
-
-of::ControlEvent fmod(SimTime ts, std::uint32_t sw, const of::FlowKey& k) {
-  of::FlowMod msg;
-  msg.sw = SwitchId{sw};
-  msg.out_port = PortId{2};
-  msg.key = k;
-  return of::ControlEvent{ts, ControllerId{0}, msg};
-}
-
-of::ControlEvent fremoved(SimTime ts, std::uint32_t sw, const of::FlowKey& k,
-                          SimDuration duration, std::uint64_t bytes) {
-  of::FlowRemoved msg;
-  msg.sw = SwitchId{sw};
-  msg.key = k;
-  msg.duration = duration;
-  msg.byte_count = bytes;
-  msg.packet_count = bytes / 100;
-  return of::ControlEvent{ts, ControllerId{0}, msg};
-}
-
-of::ControlEvent fstats(SimTime ts, std::uint32_t sw, const of::FlowKey& k,
-                        SimDuration age, std::uint64_t bytes) {
-  of::FlowStatsReply msg;
-  msg.sw = SwitchId{sw};
-  msg.key = k;
-  msg.age = age;
-  msg.byte_count = bytes;
-  return of::ControlEvent{ts, ControllerId{0}, msg};
-}
-
-/// A randomized admit/retire stream over three small app clusters:
-/// dependency chains a -> b -> c (so DD triples form), multi-hop installs,
-/// FlowRemoved retirements, stats polls, PacketOut/EchoReply noise,
-/// duplicate timestamps (time advances by 0 with real probability), and
-/// occasional multi-window gaps (empty windows). Returned time-sorted
-/// (stable), so feeding it in order is a valid monitor stream.
-std::vector<of::ControlEvent> random_stream(std::uint64_t seed,
-                                            SimTime duration) {
-  Rng rng(seed);
-  std::vector<of::ControlEvent> events;
-  SimTime now = 0;
-  std::uint16_t next_port = 20000;
-  while (now < duration) {
-    const int app = static_cast<int>(rng.uniform_int(0, 2));
-    const int a = static_cast<int>(rng.uniform_int(0, 3));
-    int b = static_cast<int>(rng.uniform_int(0, 3));
-    if (rng.bernoulli(0.05)) b = a;  // Occasional self-flow (x, x).
-    const of::FlowKey key{host(app, a), host(app, b), next_port++, 80,
-                          of::Proto::kTcp};
-    const auto hops = rng.uniform_int(1, 3);
-    SimTime t = now;
-    for (std::int64_t h = 0; h < hops; ++h) {
-      const auto sw = static_cast<std::uint32_t>(app * 4 + h + 1);
-      events.push_back(pin(t, sw, key));
-      if (!rng.bernoulli(0.1)) {  // 10% of installs go unanswered.
-        events.push_back(
-            fmod(t + rng.uniform_int(0, 2 * kMillisecond), sw, key));
-      }
-      t += rng.uniform_int(0, 5 * kMillisecond);
-    }
-    if (rng.bernoulli(0.7)) {  // Chain: the dependency DD should pair.
-      const int c = static_cast<int>(rng.uniform_int(0, 3));
-      const of::FlowKey out{host(app, b), host(app, c), next_port++, 80,
-                            of::Proto::kTcp};
-      events.push_back(pin(t + rng.uniform_int(0, 400 * kMillisecond),
-                           static_cast<std::uint32_t>(app * 4 + 1), out));
-    }
-    if (rng.bernoulli(0.6)) {  // Retirement with counters.
-      events.push_back(fremoved(
-          now + rng.uniform_int(kMillisecond, 2 * kSecond),
-          static_cast<std::uint32_t>(app * 4 + 1), key,
-          rng.uniform_int(kMillisecond, kSecond),
-          static_cast<std::uint64_t>(rng.uniform_int(100, 1 << 20))));
-    }
-    if (rng.bernoulli(0.2)) {  // Stats poll (age 0 sometimes: ignored).
-      events.push_back(fstats(
-          now + rng.uniform_int(0, kSecond),
-          static_cast<std::uint32_t>(app * 4 + 1), key,
-          rng.bernoulli(0.2) ? 0 : rng.uniform_int(1, kSecond),
-          static_cast<std::uint64_t>(rng.uniform_int(100, 1 << 16))));
-    }
-    if (rng.bernoulli(0.1)) {
-      of::EchoReply echo;
-      echo.sw = SwitchId{static_cast<std::uint32_t>(app * 4 + 1)};
-      events.push_back(of::ControlEvent{now, ControllerId{0}, echo});
-    }
-    // Duplicate timestamps are the norm here: ~1/3 of iterations do not
-    // advance time at all.
-    if (!rng.bernoulli(0.35)) now += rng.uniform_int(1, 40 * kMillisecond);
-    if (rng.bernoulli(0.01)) now += 3 * kSecond;  // Multi-window gap.
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const of::ControlEvent& x, const of::ControlEvent& y) {
-                     return x.ts < y.ts;
-                   });
-  return events;
-}
 
 struct OraclePair {
   explicit OraclePair(const ModelConfig& config)
@@ -201,6 +92,40 @@ TEST(IncrementalModel, ConfigVariantsMatchOracle) {
   }
 }
 
+TEST(IncrementalModel, PairAtTheLastTimestampMatchesOracle) {
+  // The window ends on an in-flow and an out-flow of one node at the same
+  // timestamp: a zero-delay pair whose t_in and t_out are both the window
+  // end, which the half-open stability segments leave out of every
+  // segment.
+  ModelConfig config;
+  config.app.min_edge_flows = 1;
+  OraclePair o(config);
+  const Ipv4 a = host(0, 0);
+  const Ipv4 b = host(0, 1);
+  const Ipv4 c = host(0, 2);
+  std::vector<of::ControlEvent> events;
+  std::uint16_t port = 1000;
+  for (int i = 0; i < 8; ++i) {
+    const SimTime t = i * 100 * kMillisecond;
+    events.push_back(pin(t, 1, of::FlowKey{a, b, port++, 80, of::Proto::kTcp}));
+    events.push_back(pin(t + 10 * kMillisecond, 1,
+                         of::FlowKey{b, c, port++, 80, of::Proto::kTcp}));
+  }
+  events.push_back(pin(750 * kMillisecond, 1,
+                       of::FlowKey{a, b, port++, 80, of::Proto::kTcp}));
+  events.push_back(pin(750 * kMillisecond, 1,
+                       of::FlowKey{b, c, port++, 80, of::Proto::kTcp}));
+  IncrementalWindowState state;
+  of::ControlLog log;
+  for (const auto& event : events) {
+    log.append(event);
+    o.inc.feed(state, event);
+  }
+  ASSERT_TRUE(o.inc.ready(state));
+  EXPECT_EQ(describe_model(o.inc.finalize(state)),
+            describe_model(o.modeler.build(log)));
+}
+
 TEST(IncrementalModel, UnsupportedConfigRefusesIncrementalPath) {
   // min_edge_flows == 0 makes the from-scratch extractors emit zero-sample
   // pairs the stream never observes; the incremental path must refuse
@@ -208,6 +133,12 @@ TEST(IncrementalModel, UnsupportedConfigRefusesIncrementalPath) {
   ModelConfig config;
   config.app.min_edge_flows = 0;
   EXPECT_FALSE(IncrementalModeler::supported(config));
+  // A stored DD pair keeps its delay in 32 bits of microseconds.
+  ModelConfig wide;
+  wide.app.dd_window = SimDuration{1} << 32;
+  EXPECT_FALSE(IncrementalModeler::supported(wide));
+  wide.app.dd_window = (SimDuration{1} << 32) - 1;
+  EXPECT_TRUE(IncrementalModeler::supported(wide));
   OraclePair o(config);
   IncrementalWindowState state;
   o.inc.feed(state, pin(100, 1,
@@ -237,18 +168,51 @@ TEST(IncrementalModel, ResetClearsEverything) {
   EXPECT_FALSE(state.dd_over_budget);
   EXPECT_EQ(state.events, 0u);
   EXPECT_TRUE(state.occurrences.empty());
+  EXPECT_TRUE(state.hops.empty());
+  EXPECT_TRUE(state.open.empty());
+  EXPECT_TRUE(state.hosts.empty());
   EXPECT_TRUE(state.edges.empty());
   EXPECT_TRUE(state.triples.empty());
-  // A recycled state must behave exactly like a fresh one.
-  const auto events = random_stream(8, 2 * kSecond);
-  of::ControlLog log;
-  for (const auto& event : events) {
-    log.append(event);
-    o.inc.feed(state, event);
+  EXPECT_TRUE(state.dd_pairs.empty());
+  EXPECT_TRUE(state.polls.empty());
+  EXPECT_EQ(state.dd_samples, 0u);
+
+  // A recycled state must behave exactly like a fresh one, whatever the
+  // previous window left in its buffers: big -> small -> big, then a
+  // window past the DD budget followed by a normal one.
+  struct Window {
+    const char* name;
+    std::vector<of::ControlEvent> events;
+  };
+  const std::vector<Window> windows = {
+      {"big", random_stream(8, 4 * kSecond)},
+      {"small", random_stream(9, kSecond / 4)},
+      {"big again", random_stream(10, 4 * kSecond)},
+      {"over the DD budget", dense_fan_in(0)},
+      {"normal after the budget", random_stream(11, 2 * kSecond)},
+  };
+  for (const Window& window : windows) {
+    SCOPED_TRACE(window.name);
+    state.reset();
+    IncrementalWindowState fresh;
+    of::ControlLog log;
+    for (const auto& event : window.events) {
+      log.append(event);
+      o.inc.feed(state, event);
+      o.inc.feed(fresh, event);
+    }
+    const std::string got = describe_model(o.inc.finalize(state));
+    EXPECT_EQ(got, describe_model(o.inc.finalize(fresh)));
+    EXPECT_EQ(state.dd_over_budget, fresh.dd_over_budget);
+    if (state.dd_over_budget) {
+      // Past the budget the oracle's DD stability differs by design
+      // (FacadeModel.DdBudgetOverflowDropsPairsAndFacadeUsesOracle).
+      EXPECT_FALSE(o.inc.ready(state));
+      continue;
+    }
+    ASSERT_TRUE(o.inc.ready(state));
+    EXPECT_EQ(got, describe_model(o.modeler.build(log)));
   }
-  ASSERT_TRUE(o.inc.ready(state));
-  EXPECT_EQ(describe_model(o.inc.finalize(state)),
-            describe_model(o.modeler.build(log)));
 }
 
 /// Monitor transcripts (audits, alarms, provenance) with the incremental
@@ -366,6 +330,52 @@ TEST(FacadeModel, CorpusCapturesMatchOracleWholeAndPerWindow) {
   EXPECT_GE(windows, 7);
 }
 
+/// `events` with every timestamp moved by `shift`, as a (sorted) log.
+of::ControlLog shifted_log(const std::vector<of::ControlEvent>& events,
+                           SimDuration shift) {
+  of::ControlLog log;
+  for (of::ControlEvent event : events) {
+    event.ts += shift;
+    log.append(std::move(event));
+  }
+  return log;
+}
+
+TEST(FacadeModel, NegativeTimestampsAreDroppedAndCounted) {
+  const auto text =
+      of::read_file(std::string(FLOWDIFF_CORPUS_DIR) + "/steady.log");
+  ASSERT_TRUE(text.has_value());
+  const auto corpus_case = exp::parse_corpus_case(*text);
+  ASSERT_TRUE(corpus_case.has_value());
+  const auto& events = corpus_case->events;
+  for (const std::uint64_t min_flows : {std::uint64_t{5}, std::uint64_t{0}}) {
+    SCOPED_TRACE("min_edge_flows=" + std::to_string(min_flows));
+    FlowDiffConfig config = corpus_case->config.flowdiff;
+    config.model.app.min_edge_flows = min_flows;
+    const FlowDiff fd(config);
+
+    // The whole capture before t = 0: nothing is modeled. (Unchecked, the
+    // negative FlowMod times read as unanswered hops: 30 topology edges
+    // and no ISL pairs instead of the capture's 36 and 10.)
+    const of::ControlLog early = shifted_log(events, -400000 * kSecond);
+    std::uint64_t rejected = 0;
+    EXPECT_EQ(describe_model(fd.model(early, &rejected)),
+              describe_model(fd.model(of::ControlLog{})));
+    EXPECT_EQ(rejected, events.size());
+
+    // Straddling t = 0: exactly the non-negative suffix is modeled.
+    const of::ControlLog whole = shifted_log(events, 0);
+    const SimTime mid = whole.events()[whole.size() / 2].ts;
+    const of::ControlLog straddling = shifted_log(events, -mid);
+    const of::ControlLog kept = whole.slice(mid, whole.end_time() + 1);
+    const of::ControlLog kept_shifted = shifted_log(kept.events(), -mid);
+    EXPECT_EQ(describe_model(fd.model(straddling, &rejected)),
+              describe_model(fd.model(kept_shifted)));
+    EXPECT_EQ(rejected, whole.size() - kept.size());
+    EXPECT_GT(rejected, 0u);
+  }
+}
+
 TEST(FacadeModel, ShuffledRandomStreamMatchesOracle) {
   for (const std::uint64_t min_flows : {std::uint64_t{1}, std::uint64_t{5}}) {
     FlowDiffConfig config;
@@ -401,30 +411,6 @@ TEST(FacadeModel, UnsupportedConfigUsesOracle) {
   EXPECT_EQ(counter("model.incremental_finalizes"), 0u);
 }
 
-/// A dense fan-in/fan-out at one node: kFan in-flows into `hub` within
-/// 100 ms, then kFan + 1 out-flows of it within the next 100 ms, from two
-/// clients to two servers. Every in/out combination is a DD pair inside
-/// the 500 ms pairing window: kFan * (kFan + 1) > 1M pairs over only four
-/// triples.
-constexpr int kFan = 1000;
-
-std::vector<of::ControlEvent> dense_fan_in(SimTime t0) {
-  const Ipv4 hub = host(0, 0);
-  std::vector<of::ControlEvent> events;
-  std::uint16_t port = 1024;
-  for (int i = 0; i < kFan; ++i) {
-    const of::FlowKey in{host(0, 1 + i % 2), hub, port++, 80,
-                         of::Proto::kTcp};
-    events.push_back(pin(t0 + i * 100, 1, in));
-  }
-  for (int j = 0; j <= kFan; ++j) {
-    const of::FlowKey out{hub, host(0, 3 + j % 2), port++, 80,
-                          of::Proto::kTcp};
-    events.push_back(pin(t0 + 100 * kMillisecond + j * 100, 1, out));
-  }
-  return events;
-}
-
 TEST(FacadeModel, DdBudgetOverflowDropsPairsAndFacadeUsesOracle) {
   const auto events = dense_fan_in(0);
   const FlowDiff fd(FlowDiffConfig{});
@@ -438,10 +424,10 @@ TEST(FacadeModel, DdBudgetOverflowDropsPairsAndFacadeUsesOracle) {
   for (const auto& event : events) fd.incremental_modeler().feed(state, event);
   ASSERT_TRUE(state.dd_over_budget);
   EXPECT_FALSE(fd.incremental_modeler().ready(state));
+  EXPECT_EQ(state.dd_pairs.capacity(), 0u);
   std::uint64_t hist_total = 0;
-  for (const auto& [triple, agg] : state.triples) {
-    EXPECT_EQ(agg.pairs.capacity(), 0u);
-    hist_total += agg.hist.total();
+  for (std::size_t id = 0; id < state.triples.size(); ++id) {
+    hist_total += state.dd_hists[id].total();
   }
   EXPECT_EQ(hist_total, std::uint64_t{kFan} * (kFan + 1));
   EXPECT_EQ(state.dd_samples, hist_total);

@@ -78,8 +78,7 @@ TEST(Provenance, EveryCorpusAlarmHasRankedContributorsAndFullLatency) {
       }
       EXPECT_TRUE(record->latency.complete())
           << name << ": incomplete stage latencies (ingest="
-          << record->latency.ingest_ms << " queue="
-          << record->latency.queue_ms << " model="
+          << record->latency.ingest_ms << " model="
           << record->latency.model_ms << " diff=" << record->latency.diff_ms
           << " decide=" << record->latency.decide_ms
           << " total=" << record->latency.total_ms << ")";

@@ -1,0 +1,252 @@
+// Allocation counts on the per-window hot paths. Once a state has held a
+// window at least as large, feeding the incremental modeler and the
+// sanitizer's pair tracking must not allocate. IncrementalWindowState::
+// reset() must neither allocate nor free. The one release rule (a buffer
+// whose capacity exceeds 4x what the closing window used is freed) must
+// fire after a burst window and at no other time. This binary replaces the
+// global operator new/delete with counting versions.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "flowdiff/incremental_model.h"
+#include "flowdiff/model.h"
+#include "incremental_stream.h"
+#include "ingest/sanitizer.h"
+#include "openflow/control_log.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_frees{0};
+
+void* counted_alloc(std::size_t size, std::size_t align) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (size == 0) size = 1;
+  void* p = align > alignof(std::max_align_t)
+                ? std::aligned_alloc(align, (size + align - 1) / align * align)
+                : std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_frees.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size, 0); }
+void* operator new[](std::size_t size) { return counted_alloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, 0);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, 0);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  counted_free(p);
+}
+
+namespace flowdiff::core {
+namespace {
+
+struct Heap {
+  std::uint64_t allocs = 0;
+  std::uint64_t frees = 0;
+};
+
+/// Heap calls made by `body`, which must not let a gtest assertion allocate
+/// inside the counted region.
+template <typename Body>
+Heap count_heap(Body&& body) {
+  g_allocs = 0;
+  g_frees = 0;
+  g_counting = true;
+  body();
+  g_counting = false;
+  return Heap{g_allocs.load(), g_frees.load()};
+}
+
+ModelConfig sparse_config() {
+  ModelConfig config;
+  config.app.min_edge_flows = 1;
+  return config;
+}
+
+void feed_all(const IncrementalModeler& inc, IncrementalWindowState& state,
+              const std::vector<of::ControlEvent>& events) {
+  for (const auto& event : events) inc.feed(state, event);
+}
+
+std::vector<of::ControlEvent> prefix(const std::vector<of::ControlEvent>& all,
+                                     std::size_t n) {
+  return {all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n)};
+}
+
+TEST(WindowAlloc, FeedAllocatesNothingForAWindowAlreadySeen) {
+  const IncrementalModeler inc(sparse_config());
+  const auto window = random_stream(3, 2 * kSecond);
+  IncrementalWindowState state;
+  feed_all(inc, state, window);
+  const std::string first = describe_model(inc.finalize(state));
+  state.reset();
+
+  const Heap again = count_heap([&] { feed_all(inc, state, window); });
+  EXPECT_EQ(again.allocs, 0u);
+  EXPECT_EQ(again.frees, 0u);
+  EXPECT_EQ(describe_model(inc.finalize(state)), first);
+
+  // A prefix is no larger in any dimension (events, flows, hosts, edges,
+  // triples, DD pairs, polls, histogram bins).
+  state.reset();
+  const auto half = prefix(window, window.size() / 2);
+  const Heap smaller = count_heap([&] { feed_all(inc, state, half); });
+  EXPECT_EQ(smaller.allocs, 0u);
+  of::ControlLog log;
+  for (const auto& event : half) log.append(event);
+  EXPECT_EQ(describe_model(inc.finalize(state)),
+            describe_model(Modeler(sparse_config()).build(log)));
+}
+
+TEST(WindowAlloc, ResetNeitherAllocatesNorFrees) {
+  const IncrementalModeler inc(sparse_config());
+  IncrementalWindowState state;
+  EXPECT_EQ(count_heap([&] { state.reset(); }).allocs, 0u);  // Never fed.
+  const auto window = random_stream(5, 2 * kSecond);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    feed_all(inc, state, window);
+    const Heap reset = count_heap([&] { state.reset(); });
+    EXPECT_EQ(reset.allocs, 0u);
+    EXPECT_EQ(reset.frees, 0u);
+  }
+  // The buffers survived: occurrences, hops and the tables kept capacity.
+  EXPECT_GT(state.occurrences.capacity(), 0u);
+  EXPECT_GT(state.hops.capacity(), 0u);
+  EXPECT_GT(state.open.capacity(), 0u);
+  EXPECT_GT(state.triples.capacity(), 0u);
+}
+
+TEST(WindowAlloc, BurstBuffersAreReleasedAfterAQuietWindowOnly) {
+  const IncrementalModeler inc(sparse_config());
+  const auto burst = random_stream(13, 8 * kSecond);
+  IncrementalWindowState state;
+  feed_all(inc, state, burst);
+  // The burst window used what it grew: nothing to release yet.
+  EXPECT_EQ(count_heap([&] { state.reset(); }).frees, 0u);
+
+  // A quiet window an order of magnitude smaller: closing it releases the
+  // burst's buffers instead of pinning them.
+  const auto quiet = prefix(burst, burst.size() / 20);
+  feed_all(inc, state, quiet);
+  const std::size_t quiet_occurrences = state.occurrences.size();
+  const Heap released = count_heap([&] { state.reset(); });
+  EXPECT_EQ(released.allocs, 0u);
+  EXPECT_GT(released.frees, 0u);
+  EXPECT_GT(quiet_occurrences, 0u);
+  EXPECT_EQ(state.occurrences.capacity(), 0u);
+  EXPECT_EQ(state.hops.capacity(), 0u);
+  EXPECT_EQ(state.open.capacity(), 0u);
+  EXPECT_EQ(state.dd_pairs.capacity(), 0u);
+
+  // Regrown to the quiet size, repeated quiet windows keep their buffers.
+  feed_all(inc, state, quiet);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    EXPECT_EQ(count_heap([&] { state.reset(); }).frees, 0u);
+    EXPECT_EQ(count_heap([&] { feed_all(inc, state, quiet); }).allocs, 0u);
+  }
+}
+
+/// An in-order, duplicate-free PacketIn/FlowMod stream with flow uids:
+/// `pairs` flows from `t0`, 1 ms apart.
+std::vector<of::ControlEvent> paired_stream(SimTime t0, int pairs,
+                                            std::uint64_t first_uid) {
+  std::vector<of::ControlEvent> events;
+  for (int i = 0; i < pairs; ++i) {
+    const of::FlowKey key{host(0, i % 7), host(1, i % 5),
+                          static_cast<std::uint16_t>(1024 + i), 80,
+                          of::Proto::kTcp};
+    const SimTime ts = t0 + i * kMillisecond;
+    of::ControlEvent in = pin(ts, 1, key);
+    std::get<of::PacketIn>(in.msg).flow_uid = first_uid + i;
+    of::ControlEvent out = fmod(ts + 100, 1, key);
+    std::get<of::FlowMod>(out.msg).flow_uid = first_uid + i;
+    events.push_back(in);
+    events.push_back(out);
+  }
+  return events;
+}
+
+TEST(WindowAlloc, SanitizerPairTrackingAllocatesNothingForAWindowAlreadySeen) {
+  ingest::StreamSanitizer sanitizer{ingest::SanitizerConfig{}};
+  std::uint64_t kept = 0;
+  const ingest::StreamSanitizer::Sink sink =
+      [&kept](const of::ControlEvent&) { ++kept; };
+  constexpr int kPairs = 4000;
+  const auto first = paired_stream(0, kPairs, 1);
+  const auto second = paired_stream(kPairs * kMillisecond, kPairs, kPairs + 1);
+  const auto third =
+      paired_stream(2 * kPairs * kMillisecond, kPairs, 2 * kPairs + 1);
+  sanitizer.push(first, sink);
+  const ingest::StreamQuality warm = sanitizer.take_window_quality();
+  EXPECT_GT(warm.pairs_matched, 0u);
+
+  ingest::StreamQuality quality;
+  const Heap window = count_heap([&] {
+    sanitizer.push(second, sink);
+    quality = sanitizer.take_window_quality();
+  });
+  EXPECT_EQ(window.allocs, 0u);
+  EXPECT_EQ(window.frees, 0u);
+  EXPECT_GT(quality.pairs_matched, 0u);
+
+  const Heap next = count_heap([&] {
+    sanitizer.push(third, sink);
+    quality = sanitizer.take_window_quality();
+  });
+  EXPECT_EQ(next.allocs, 0u);
+  EXPECT_EQ(next.frees, 0u);
+  EXPECT_GT(quality.pairs_matched, 0u);
+}
+
+}  // namespace
+}  // namespace flowdiff::core

@@ -26,10 +26,13 @@
 #   5. corruption sweep: run bench/corruption_sweep in the UBSan tree —
 #      diagnosis accuracy vs corruption rate, end to end under the
 #      sanitizer;
-#   6. unoptimized (Debug, -O0) pass: rebuild the robustness suite without
-#      optimization and rerun the hostile-input cases under a ctest
-#      timeout — the optimizer once deleted a loop that walked every idle
-#      window of a timestamp gap, so the hang only showed at -O0;
+#   6. unoptimized (Debug, -O0) pass with -D_GLIBCXX_ASSERTIONS: rebuild
+#      the robustness suite without optimization and rerun the
+#      hostile-input cases under a ctest timeout — the optimizer once
+#      deleted a loop that walked every idle window of a timestamp gap, so
+#      the hang only showed at -O0 — then rebuild the incremental-labeled
+#      suites and rerun them (ctest -L incremental) with bounds-checked
+#      container indexing;
 #   7. throughput bench: run bench/throughput_replay (full timed leg, the
 #      uninstrumented tier-1 tree) over the golden-trace corpus and
 #      refresh BENCH_throughput.json at the repo root — the recorded perf
@@ -172,11 +175,20 @@ if [[ "$skip_tsan" -eq 0 ]]; then
 fi
 
 echo "== Debug (-O0): hostile order + hostile timestamps =="
-# Only the robustness suite is built; other suites' tests register as
-# NOT_BUILT placeholders, which the -R filter leaves out.
-cmake -B "$repo/build-ci-debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug
-cmake --build "$repo/build-ci-debug" -j "$jobs" --target fuzz_robustness_test
+# Only the robustness suite and the incremental-labeled suites are built;
+# other suites' tests register as NOT_BUILT placeholders, which the -R and
+# -L filters leave out. _GLIBCXX_ASSERTIONS bounds-checks every container
+# index: the window state clears its buffers instead of freeing them, so
+# an index past size() but inside the retained capacity is invisible to
+# ASan and only an assertion catches it.
+cmake -B "$repo/build-ci-debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
+cmake --build "$repo/build-ci-debug" -j "$jobs" --target fuzz_robustness_test \
+  incremental_model_test parallel_model_test window_alloc_test
 ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
   --no-tests=error --timeout 60 -R '^(HostileOrder|HostileTimestamp)\.'
+echo "== Debug (-O0, _GLIBCXX_ASSERTIONS): incremental window modeling =="
+ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
+  --no-tests=error -L incremental
 
 echo "CI passed."

@@ -245,6 +245,16 @@ int usage() {
 /// artifacts directory (for the default report path) here.
 cli::GlobalOptions g_opts;
 
+/// Offline modeling drops events with a negative timestamp; say how many.
+void report_negative_timestamps(const std::string& path,
+                                std::uint64_t rejected) {
+  if (rejected == 0) return;
+  std::fprintf(stderr,
+               "flowdiff: %s: %llu event(s) with a negative timestamp "
+               "dropped before modeling\n",
+               path.c_str(), static_cast<unsigned long long>(rejected));
+}
+
 int cmd_summary(const std::vector<std::string>& args) {
   std::string services_path;
   std::vector<std::string> positional;
@@ -267,7 +277,9 @@ int cmd_summary(const std::vector<std::string>& args) {
     config.set_special_nodes(std::move(*services));
   }
   const core::FlowDiff flowdiff(config);
-  const auto model = flowdiff.model(*log);
+  std::uint64_t rejected = 0;
+  const auto model = flowdiff.model(*log, &rejected);
+  report_negative_timestamps(positional[0], rejected);
   std::printf("log: %zu events over %.1fs (%zu PacketIn, %zu FlowMod, "
               "%zu FlowRemoved)\n",
               log->size(), to_seconds(log->end_time() - log->begin_time()),
@@ -331,8 +343,13 @@ int cmd_diff(std::vector<std::string> args) {
   if (!baseline || !current) return fail("cannot load control logs");
 
   const core::FlowDiff flowdiff(config);
-  const auto report = flowdiff.diff(flowdiff.model(*baseline),
-                                    flowdiff.model(*current), tasks);
+  std::uint64_t rejected_baseline = 0;
+  std::uint64_t rejected_current = 0;
+  const auto baseline_model = flowdiff.model(*baseline, &rejected_baseline);
+  const auto current_model = flowdiff.model(*current, &rejected_current);
+  report_negative_timestamps(positional[0], rejected_baseline);
+  report_negative_timestamps(positional[1], rejected_current);
+  const auto report = flowdiff.diff(baseline_model, current_model, tasks);
   std::fputs(report.render().c_str(), stdout);
   return report.clean() ? 0 : 1;
 }
