@@ -32,7 +32,7 @@
 // its `(t_in, t_out)` pairs, so its DD stability is unknown
 // (`dd_over_budget`; finalize marks every DD pair unstable). Timestamps
 // must be non-negative: -1 marks an unanswered hop, as in `parse_log`.
-// incremental_model_test and parallel_model_test enforce the invariant.
+// incremental_model_test and monitor_identity_test enforce the invariant.
 #pragma once
 
 #include <cstdint>

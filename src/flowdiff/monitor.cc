@@ -516,7 +516,7 @@ void SlidingMonitor::finish_audit(
   // points of the pipeline's own series.
   if (config_.sample_metrics && obs::enabled()) {
     obs::Sampler::global().sample(window_end_s);
-    if (config_.self_watchdog) watchdog_.check(obs::Sampler::global());
+    watchdog_.check(obs::Sampler::global());
   }
 }
 

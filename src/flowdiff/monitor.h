@@ -38,12 +38,10 @@ struct MonitorConfig {
   /// them). 0 keeps everything — unbounded, for short offline runs only.
   std::size_t max_audits = 4096;
   /// Snapshot the metrics registry into obs::Sampler::global() once per
-  /// closed window (virtual-time cadence; no-op while obs is disabled).
+  /// closed window (virtual-time cadence; no-op while obs is disabled),
+  /// then run the EWMA self-watchdog over the pipeline's own series, filing
+  /// flight-recorder warnings when the diagnoser itself degrades.
   bool sample_metrics = true;
-  /// Run the EWMA watchdog over the pipeline's own series after each
-  /// sample and file flight-recorder warnings when the diagnoser itself
-  /// degrades.
-  bool self_watchdog = true;
   /// Self-watchdog tuning (EWMA weight, warmup, rules); empty rules select
   /// obs::default_pipeline_rules(). Tests use this to induce deterministic
   /// watchdog alerts (and the /healthz 503 flip).

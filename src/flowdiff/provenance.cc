@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 
+#include "obs/export.h"
 #include "util/table.h"
 #include "util/time.h"
 
@@ -13,36 +14,7 @@ namespace flowdiff::core {
 
 namespace {
 
-/// Shortest decimal form that re-parses to the same double (same contract
-/// as the obs JSON exporter): the provenance JSON round-trips losslessly.
-std::string num(double v) {
-  char best[64];
-  std::snprintf(best, sizeof(best), "%.17g", v);
-  double parsed = 0.0;
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    if (std::sscanf(shorter, "%lf", &parsed) == 1 && parsed == v) {
-      std::memcpy(best, shorter, sizeof(best));
-      break;
-    }
-  }
-  if (std::strchr(best, 'e') != nullptr) {
-    for (int prec = 0; prec < 17; ++prec) {
-      char fixed[64];
-      const int len = std::snprintf(fixed, sizeof(fixed), "%.*f", prec, v);
-      if (len < 0 || static_cast<std::size_t>(len) >= sizeof(fixed) ||
-          static_cast<std::size_t>(len) > std::strlen(best)) {
-        break;
-      }
-      if (std::sscanf(fixed, "%lf", &parsed) == 1 && parsed == v) {
-        std::memcpy(best, fixed, sizeof(best));
-        break;
-      }
-    }
-  }
-  return best;
-}
+using obs::json_number;
 
 std::string json_escape(std::string_view text) {
   std::string out;
@@ -525,25 +497,26 @@ std::string render_provenance_json(const ProvenanceRecord& rec) {
     out += "\", \"suppressed\": ";
     out += fam.suppressed ? "true" : "false";
     out += ", \"changes\": " + std::to_string(fam.changes) +
-           ", \"score\": " + num(fam.score) +
-           ", \"share\": " + num(fam.share) + ", \"confidence\": \"";
+           ", \"score\": " + json_number(fam.score) +
+           ", \"share\": " + json_number(fam.share) + ", \"confidence\": \"";
     out += to_string(fam.confidence);
     out += "\", \"top\": [";
     for (std::size_t j = 0; j < fam.top.size(); ++j) {
       const ProvenanceContributor& c = fam.top[j];
       if (j > 0) out += ", ";
       out += "{\"label\": \"" + json_escape(c.label) +
-             "\", \"weight\": " + num(c.weight) +
-             ", \"share\": " + num(c.share) + "}";
+             "\", \"weight\": " + json_number(c.weight) +
+             ", \"share\": " + json_number(c.share) + "}";
     }
     out += "]}";
   }
   out += "], \"quality\": " + quality_json(rec.quality);
-  out += ", \"latency_ms\": {\"ingest\": " + num(rec.latency.ingest_ms) +
-         ", \"model\": " + num(rec.latency.model_ms) +
-         ", \"diff\": " + num(rec.latency.diff_ms) +
-         ", \"decide\": " + num(rec.latency.decide_ms) +
-         ", \"total\": " + num(rec.latency.total_ms) + "}}";
+  out += ", \"latency_ms\": {\"ingest\": " +
+         json_number(rec.latency.ingest_ms) +
+         ", \"model\": " + json_number(rec.latency.model_ms) +
+         ", \"diff\": " + json_number(rec.latency.diff_ms) +
+         ", \"decide\": " + json_number(rec.latency.decide_ms) +
+         ", \"total\": " + json_number(rec.latency.total_ms) + "}}";
   return out;
 }
 

@@ -20,7 +20,7 @@
 //
 // Everything except the latency breakdown is a pure function of the
 // DiffReport, so records are bit-identical across worker counts and
-// pipeline depths (parallel_model_test pins this); the wall-clock latency
+// modeling modes (monitor_identity_test pins this); the wall-clock latency
 // fields are excluded from the deterministic transcript the same way
 // WindowAudit::wall_ms is excluded from render_monitor_transcript.
 #pragma once

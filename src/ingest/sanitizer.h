@@ -34,7 +34,7 @@
 //
 // Invariant: a clean, time-ordered stream passes through bit-identically
 // (same events, same order) with zero duplicates/late/truncated counts —
-// parallel_model_test and the golden corpus pin this.
+// monitor_identity_test and the golden corpus pin this.
 #pragma once
 
 #include <cstdint>

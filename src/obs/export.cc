@@ -17,37 +17,6 @@ namespace flowdiff::obs {
 
 namespace {
 
-/// Shortest decimal form that re-parses to the same double, preferring
-/// plain fixed notation over scientific when no longer ("10", not "1e+01").
-std::string num(double v) {
-  char best[64];
-  std::snprintf(best, sizeof(best), "%.17g", v);
-  double parsed = 0.0;
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-    if (std::sscanf(shorter, "%lf", &parsed) == 1 && parsed == v) {
-      std::memcpy(best, shorter, sizeof(best));
-      break;
-    }
-  }
-  if (std::strchr(best, 'e') != nullptr) {
-    for (int prec = 0; prec < 17; ++prec) {
-      char fixed[64];
-      const int len = std::snprintf(fixed, sizeof(fixed), "%.*f", prec, v);
-      if (len < 0 || static_cast<std::size_t>(len) >= sizeof(fixed) ||
-          static_cast<std::size_t>(len) > std::strlen(best)) {
-        break;
-      }
-      if (std::sscanf(fixed, "%lf", &parsed) == 1 && parsed == v) {
-        std::memcpy(best, fixed, sizeof(best));
-        break;
-      }
-    }
-  }
-  return best;
-}
-
 std::string quote(std::string_view name) {
   // Prometheus exposition label values: backslash, double-quote, and
   // line-feed must be escaped (a raw newline would split the sample line).
@@ -182,6 +151,35 @@ struct JsonParser {
 
 }  // namespace
 
+std::string json_number(double v) {
+  char best[64];
+  std::snprintf(best, sizeof(best), "%.17g", v);
+  double parsed = 0.0;
+  for (int prec = 1; prec < 17; ++prec) {
+    char shorter[64];
+    std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+    if (std::sscanf(shorter, "%lf", &parsed) == 1 && parsed == v) {
+      std::memcpy(best, shorter, sizeof(best));
+      break;
+    }
+  }
+  if (std::strchr(best, 'e') != nullptr) {
+    for (int prec = 0; prec < 17; ++prec) {
+      char fixed[64];
+      const int len = std::snprintf(fixed, sizeof(fixed), "%.*f", prec, v);
+      if (len < 0 || static_cast<std::size_t>(len) >= sizeof(fixed) ||
+          static_cast<std::size_t>(len) > std::strlen(best)) {
+        break;
+      }
+      if (std::sscanf(fixed, "%lf", &parsed) == 1 && parsed == v) {
+        std::memcpy(best, fixed, sizeof(best));
+        break;
+      }
+    }
+  }
+  return best;
+}
+
 Snapshot snapshot() {
   Snapshot snap = Registry::global().snapshot();
   snap.spans = Trace::global().aggregates();
@@ -290,11 +288,13 @@ std::string render_json(const Snapshot& snap) {
   first = true;
   for (const auto& [name, h] : snap.histograms) {
     out += first ? "\n" : ",\n";
-    out += "    " + quote(name) + ": {\"bin_width\": " + num(h.bin_width) +
-           ", \"origin\": " + num(h.origin) +
+    out += "    " + quote(name) +
+           ": {\"bin_width\": " + json_number(h.bin_width) +
+           ", \"origin\": " + json_number(h.origin) +
            ", \"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + num(h.sum) + ", \"min\": " + num(h.min) +
-           ", \"max\": " + num(h.max) + ", \"counts\": [";
+           ", \"sum\": " + json_number(h.sum) +
+           ", \"min\": " + json_number(h.min) +
+           ", \"max\": " + json_number(h.max) + ", \"counts\": [";
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       if (i > 0) out += ", ";
       out += std::to_string(h.counts[i]);
@@ -309,8 +309,8 @@ std::string render_json(const Snapshot& snap) {
   for (const auto& [name, s] : snap.spans) {
     out += first ? "\n" : ",\n";
     out += "    " + quote(name) + ": {\"count\": " + std::to_string(s.count) +
-           ", \"total_ms\": " + num(s.total_ms) +
-           ", \"max_ms\": " + num(s.max_ms) + "}";
+           ", \"total_ms\": " + json_number(s.total_ms) +
+           ", \"max_ms\": " + json_number(s.max_ms) + "}";
     first = false;
   }
   out += first ? "}\n" : "\n  }\n";
@@ -351,11 +351,11 @@ std::string render_prometheus(const Snapshot& snap, std::string_view prefix) {
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       cumulative += h.counts[i];
       out += metric + "_bucket{le=\"" +
-             num(h.origin + h.bin_width * static_cast<double>(i + 1)) +
+             json_number(h.origin + h.bin_width * static_cast<double>(i + 1)) +
              "\"} " + std::to_string(cumulative) + "\n";
     }
     out += metric + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
-    out += metric + "_sum " + num(h.sum) + "\n";
+    out += metric + "_sum " + json_number(h.sum) + "\n";
     out += metric + "_count " + std::to_string(h.count) + "\n";
   }
   // Span aggregates: one family per statistic, samples grouped under their
@@ -373,14 +373,14 @@ std::string render_prometheus(const Snapshot& snap, std::string_view prefix) {
     out += "# TYPE " + base + "_span_total_ms gauge\n";
     for (const auto& [name, s] : snap.spans) {
       out += base + "_span_total_ms{span=" + quote(name) + "} " +
-             num(s.total_ms) + "\n";
+             json_number(s.total_ms) + "\n";
     }
     out += "# HELP " + base +
            "_span_max_ms FlowDiff tracing span max wall ms\n";
     out += "# TYPE " + base + "_span_max_ms gauge\n";
     for (const auto& [name, s] : snap.spans) {
       out += base + "_span_max_ms{span=" + quote(name) + "} " +
-             num(s.max_ms) + "\n";
+             json_number(s.max_ms) + "\n";
     }
   }
   return out;

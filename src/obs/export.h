@@ -27,6 +27,12 @@ namespace flowdiff::obs {
 /// unregistered) while obs is disabled.
 void update_process_gauges();
 
+/// Shortest decimal form that re-parses to the same double, preferring
+/// plain fixed notation over scientific when no longer ("10", not "1e+01").
+/// Every JSON number the obs exporters and provenance records write goes
+/// through it, so they round-trip losslessly.
+[[nodiscard]] std::string json_number(double v);
+
 [[nodiscard]] std::string render_table(const Snapshot& snap);
 [[nodiscard]] std::string render_json(const Snapshot& snap);
 /// Metric names are sanitized (non-alphanumerics -> '_') and prefixed,

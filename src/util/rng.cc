@@ -41,7 +41,12 @@ double Rng::lognormal_mean_sd(double mean, double sd) {
 }
 
 double Rng::normal(double mean, double sd) {
-  return std::normal_distribution<double>{mean, sd}(engine_);
+  // A standard normal scaled by hand: the distribution's own parameters
+  // require sd > 0, and callers pass sd == 0 for "no jitter". libstdc++
+  // computes exactly z * sd + mean, so every sd > 0 draw is unchanged, and
+  // sd == 0 consumes the same engine draws and returns the mean.
+  const double z = std::normal_distribution<double>{}(engine_);
+  return z * sd + mean;
 }
 
 Rng Rng::fork() {

@@ -39,7 +39,8 @@ class Rng {
   /// Benson et al. ON/OFF traffic model in the paper's scalability study.
   double lognormal_mean_sd(double mean, double sd);
 
-  /// Normal with the given mean and standard deviation.
+  /// Normal with the given mean and standard deviation; sd == 0 returns
+  /// `mean` and advances the stream exactly as any other sd would.
   double normal(double mean, double sd);
 
   /// Derives an independent child generator; deterministic given this

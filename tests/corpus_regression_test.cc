@@ -70,6 +70,14 @@ TEST(CorpusRegression, EveryCaseReplaysToItsGolden) {
         << "transcript drifted from " << golden_path.filename()
         << "; if the change is intentional, regenerate with "
            "tools/gen_corpus and commit the diff";
+
+    // The oracle mode (every window rebuilt from its raw events) is pinned
+    // to the same golden, so the corpus holds both modeling paths to one
+    // spec rather than only to each other.
+    auto oracle_case = *corpus_case;
+    oracle_case.config.incremental = false;
+    EXPECT_EQ(replay_corpus_case(oracle_case), *golden)
+        << "oracle-mode transcript drifted from " << golden_path.filename();
   }
 }
 

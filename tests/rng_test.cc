@@ -94,6 +94,19 @@ TEST(Rng, LognormalTargetsMeanAndSd) {
   EXPECT_NEAR(s.stddev(), 30.0, 1.5);
 }
 
+TEST(Rng, NormalWithZeroSpreadReturnsMeanAndKeepsStreamInStep) {
+  Rng zero(17);
+  Rng unit(17);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zero.normal(4.5, 0.0), 4.5);
+    unit.normal(4.5, 1.0);
+  }
+  // Both generators consumed the same draws, so they stay in lockstep.
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(zero.uniform(), unit.uniform());
+  }
+}
+
 TEST(Rng, ForkDecorrelates) {
   Rng parent(31);
   Rng child = parent.fork();

@@ -189,12 +189,6 @@ std::optional<MonitorFlags> parse_monitor_flags(
       parsed.options.rolling_baseline = true;
     } else if (args[i] == "--sanitize") {
       parsed.options.sanitize = true;
-    } else if (args[i] == "--incremental") {
-      parsed.options.incremental = true;
-    } else if (args[i] == "--no-incremental") {
-      // Forces every window through the from-scratch model build — the
-      // oracle mode, for A/B timing and identity checks.
-      parsed.options.incremental = false;
     } else if (flag_value(args, &i, "--lateness", &value)) {
       double seconds = 0;
       if (!parse_double(value, &seconds)) {

@@ -124,13 +124,6 @@ void print_help(std::FILE* out) {
       "  --lateness SEC   sanitizer reorder horizon in seconds (default 1; "
       "implies\n"
       "                   --sanitize; rejected without it or >= --window)\n"
-      "  --no-incremental oracle mode: keep each window's raw events and "
-      "rebuild\n"
-      "                   its model from scratch instead of maintaining "
-      "signature\n"
-      "                   aggregates at feed time (on by default; output is\n"
-      "                   bit-identical — the A/B switch for timing "
-      "comparisons)\n"
       "  --listen ADDR:PORT  serve the live telemetry plane over HTTP "
       "(/metrics\n"
       "                   /healthz /series /recorder /audits /provenance "
@@ -213,11 +206,9 @@ void print_serve_help(std::FILE* out) {
       "identical\n"
       "                             to `flowdiff monitor` on the same "
       "log)\n"
-      "monitor knobs: --window --rolling --sanitize --lateness "
-      "--no-incremental\n"
-      "  --services --task (see `flowdiff help`); each shard gets the "
-      "same\n"
-      "  configuration.\n"
+      "monitor knobs: --window --rolling --sanitize --lateness --services\n"
+      "  --task (see `flowdiff help`); each shard gets the same "
+      "configuration.\n"
       "telemetry (--listen ADDR:PORT):\n"
       "  /healthz                   aggregate verdict — 503 as soon as "
       "ANY\n"
