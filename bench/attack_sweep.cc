@@ -6,8 +6,9 @@
 // with untouched steady windows through one SlidingMonitor. A window counts
 // toward recall only when it alarms AND the dependency-matrix diagnosis
 // ranks the matching adversarial class first; any alarm on an interleaved
-// steady window is a false alarm. Detection latency comes from the alarm
-// provenance plane's stage clock (newest-event arrival -> verdict).
+// steady window is a false alarm. Every figure is a verdict count, so a
+// rerun reproduces the JSON byte for byte (perfbench's verdict_ms times
+// the verdicts).
 //
 // The nominal row (intensity 1.0, the committed corpus setting) is a gate:
 // recall must be >= 0.9 with zero false alarms, or the bench exits
@@ -123,7 +124,6 @@ struct SweepResult {
   std::size_t recalled = 0;        ///< Alarmed with the right class on top.
   std::size_t steady_windows = 0;
   std::size_t false_alarms = 0;
-  double mean_detect_ms = 0.0;     ///< Provenance total over recalled wins.
 };
 
 SweepResult sweep_one(Family family, double intensity, std::size_t trials) {
@@ -155,7 +155,6 @@ SweepResult sweep_one(Family family, double intensity, std::size_t trials) {
   result.attack_windows = trials;
   result.steady_windows = trials;
   const core::ProblemClass expected = expected_class(family);
-  double detect_ms = 0.0;
   for (const auto& alarm : snapshot.alarms) {
     // Each 40 s capture lands in exactly one monitor window; the audit
     // trail maps the alarm's window back to its position in the feed
@@ -191,14 +190,6 @@ SweepResult sweep_one(Family family, double intensity, std::size_t trials) {
         alarm.report.unknown);
     if (ranked.empty() || ranked[0].cls != expected) continue;
     ++result.recalled;
-    for (const auto& record : snapshot.provenance) {
-      if (record.window_begin == alarm.window_begin && record.alarmed) {
-        detect_ms += record.latency.total_ms;
-      }
-    }
-  }
-  if (result.recalled > 0) {
-    result.mean_detect_ms = detect_ms / static_cast<double>(result.recalled);
   }
   return result;
 }
@@ -219,9 +210,7 @@ std::string render_json(const std::vector<SweepResult>& results,
             ", \"attack_windows\": " + std::to_string(r.attack_windows) +
             ", \"recall\": " + fmt_double(recall, 3) +
             ", \"steady_windows\": " + std::to_string(r.steady_windows) +
-            ", \"false_alarms\": " + std::to_string(r.false_alarms) +
-            ", \"mean_detection_ms\": " + fmt_double(r.mean_detect_ms, 2) +
-            "}";
+            ", \"false_alarms\": " + std::to_string(r.false_alarms) + "}";
     json += i + 1 < results.size() ? ",\n" : "\n";
   }
   json += "  ],\n";
@@ -247,8 +236,7 @@ int run(bool quick, const std::string& out_path) {
   const std::size_t trials = quick ? 1 : 2;
 
   std::vector<SweepResult> results;
-  TextTable table({"family", "intensity", "recall", "false alarms",
-                   "detect (ms)"});
+  TextTable table({"family", "intensity", "recall", "false alarms"});
   std::size_t nominal_attacks = 0;
   std::size_t nominal_recalled = 0;
   std::size_t nominal_false = 0;
@@ -265,8 +253,7 @@ int run(bool quick, const std::string& out_path) {
                      std::to_string(r.recalled) + "/" +
                          std::to_string(r.attack_windows),
                      std::to_string(r.false_alarms) + "/" +
-                         std::to_string(r.steady_windows),
-                     fmt_double(r.mean_detect_ms, 1)});
+                         std::to_string(r.steady_windows)});
     }
   }
   std::printf("%s\n", table.render().c_str());

@@ -48,6 +48,54 @@ double dd_shape_distance(const DelayDistributionSig::PairDd& a,
   return delta;
 }
 
+bool dd_gate(std::uint64_t in_flows, std::uint64_t out_flows,
+             std::uint64_t samples, const AppSignatureConfig& config) {
+  return in_flows >= config.min_edge_flows &&
+         out_flows >= config.min_edge_flows &&
+         samples >= config.min_edge_flows && samples > 0;
+}
+
+void summarize_delays(DelayDistributionSig::PairDd& pair) {
+  pair.peak_ms = pair.hist.top_peak().center;
+  double weighted = 0.0;
+  for (std::size_t b = 0; b < pair.hist.bin_count(); ++b) {
+    weighted +=
+        pair.hist.bin_center(b) * static_cast<double>(pair.hist.count_at(b));
+  }
+  pair.mean_ms = weighted / static_cast<double>(pair.hist.total());
+}
+
+bool pair_delays(std::span<const SimTime> in_times,
+                 std::span<const SimTime> out_times,
+                 const AppSignatureConfig& config,
+                 DelayDistributionSig::PairDd& pair) {
+  if (in_times.size() < config.min_edge_flows ||
+      out_times.size() < config.min_edge_flows) {
+    return false;  // Fails the gate whatever the pairing finds.
+  }
+  pair.hist = Histogram{config.dd_bin_ms};
+  pair.in_flows = in_times.size();
+  pair.out_flows = out_times.size();
+  pair.samples = 0;
+  // A sliding lower bound over the sorted out-flows keeps this
+  // near-linear.
+  std::size_t lo = 0;
+  for (const SimTime t_in : in_times) {
+    while (lo < out_times.size() && out_times[lo] < t_in) ++lo;
+    for (std::size_t j = lo; j < out_times.size(); ++j) {
+      const SimDuration delta = out_times[j] - t_in;
+      if (delta > config.dd_window) break;
+      pair.hist.add(to_millis(delta));
+      ++pair.samples;
+    }
+  }
+  if (!dd_gate(pair.in_flows, pair.out_flows, pair.samples, config)) {
+    return false;
+  }
+  summarize_delays(pair);
+  return true;
+}
+
 GroupSignatures extract_group_signatures(const ParsedLog& log,
                                          const std::set<Ipv4>& members,
                                          const AppSignatureConfig& config) {
@@ -123,36 +171,12 @@ GroupSignatures extract_group_signatures(const ParsedLog& log,
     starts_by_edge[HostEdge{tf.key.src_ip, tf.key.dst_ip}].push_back(tf.ts);
   }
   for (const auto& [in_edge, in_times] : starts_by_edge) {
-    if (in_times.size() < config.min_edge_flows) continue;
     const Ipv4 node = in_edge.second;
     for (const auto& [out_edge, out_times] : starts_by_edge) {
       if (out_edge.first != node) continue;
       if (out_edge.second == in_edge.first) continue;  // Skip pure replies.
-      if (out_times.size() < config.min_edge_flows) continue;
       DelayDistributionSig::PairDd pair;
-      pair.hist = Histogram{config.dd_bin_ms};
-      pair.in_flows = in_times.size();
-      pair.out_flows = out_times.size();
-      // All (f_in, f_out) pairs with 0 <= delta <= window. Both vectors are
-      // time-sorted, so a sliding lower bound keeps this near-linear.
-      std::size_t lo = 0;
-      for (const SimTime t_in : in_times) {
-        while (lo < out_times.size() && out_times[lo] < t_in) ++lo;
-        for (std::size_t j = lo; j < out_times.size(); ++j) {
-          const SimDuration delta = out_times[j] - t_in;
-          if (delta > config.dd_window) break;
-          pair.hist.add(to_millis(delta));
-          ++pair.samples;
-        }
-      }
-      if (pair.samples < config.min_edge_flows) continue;
-      pair.peak_ms = pair.hist.top_peak().center;
-      double weighted = 0.0;
-      for (std::size_t b = 0; b < pair.hist.bin_count(); ++b) {
-        weighted += pair.hist.bin_center(b) *
-                    static_cast<double>(pair.hist.count_at(b));
-      }
-      pair.mean_ms = weighted / static_cast<double>(pair.hist.total());
+      if (!pair_delays(in_times, out_times, config, pair)) continue;
       out.dd.per_pair[EdgePair{in_edge.first, node, out_edge.second}] =
           std::move(pair);
     }

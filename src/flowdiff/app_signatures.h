@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -113,6 +114,26 @@ struct DelayDistributionSig {
   };
   std::map<EdgePair, PairDd> per_pair;
 };
+
+/// The DD gate every producer applies: both edges and the pair's sample
+/// count reach `min_edge_flows`, and the pair has at least one sample (a
+/// pair without delays has no peak or mean to compare).
+[[nodiscard]] bool dd_gate(std::uint64_t in_flows, std::uint64_t out_flows,
+                           std::uint64_t samples,
+                           const AppSignatureConfig& config);
+
+/// Sets `pair.peak_ms` and `pair.mean_ms` from `pair.hist` (non-empty).
+void summarize_delays(DelayDistributionSig::PairDd& pair);
+
+/// The DD of one adjacent edge pair from its two edges' flow starts, each
+/// in time order: every (t_in, t_out) with 0 <= t_out - t_in <= dd_window
+/// is one sample. False when the pair fails dd_gate (`pair` is then
+/// unspecified). The from-scratch extractor pairs whole logs with it; the
+/// incremental finalize pairs each stability segment's slices.
+bool pair_delays(std::span<const SimTime> in_times,
+                 std::span<const SimTime> out_times,
+                 const AppSignatureConfig& config,
+                 DelayDistributionSig::PairDd& pair);
 
 /// Max per-bin difference of pairs-per-in-flow rates between two delay
 /// histograms. A genuine dependency contributes ~1 pair per in-flow, so

@@ -29,19 +29,14 @@ BehaviorModel FlowDiff::model(const of::ControlLog& log,
     *rejected = static_cast<std::uint64_t>(first - events.begin());
   }
   IncrementalWindowState state;
-  if (incremental_.supported()) {
-    state.reserve(static_cast<std::size_t>(
-        std::count_if(first, events.end(), [](const of::ControlEvent& event) {
-          return std::holds_alternative<of::PacketIn>(event.msg);
-        })));
-    for (auto it = first; it != events.end(); ++it) {
-      incremental_.feed(state, *it);
-    }
-    if (incremental_.ready(state)) return incremental_.finalize(state);
+  state.reserve(static_cast<std::size_t>(
+      std::count_if(first, events.end(), [](const of::ControlEvent& event) {
+        return std::holds_alternative<of::PacketIn>(event.msg);
+      })));
+  for (auto it = first; it != events.end(); ++it) {
+    incremental_.feed(state, *it);
   }
-  if (first == events.begin()) return modeler_.build(log);
-  return modeler_.build(
-      of::ControlLog(std::vector<of::ControlEvent>(first, events.end())));
+  return incremental_.finalize(state);
 }
 
 DiffReport FlowDiff::diff(const BehaviorModel& baseline,

@@ -62,12 +62,10 @@ class FlowDiff {
   explicit FlowDiff(FlowDiffConfig config);
 
   /// Builds a behavior model from a control log: feeds the time-sorted
-  /// events through the incremental modeler and finalizes. Falls back to
-  /// the from-scratch Modeler::build wherever IncrementalModeler::ready()
-  /// is false: `min_edge_flows == 0`, a log past the DD-pair budget, or an
-  /// empty log (whose model is trivial either way). Events with a negative
-  /// timestamp are dropped on both paths; `rejected`, when given, receives
-  /// their count.
+  /// events through the incremental modeler and finalizes, which is
+  /// bit-identical to the from-scratch Modeler::build. Events with a
+  /// negative timestamp are dropped first; `rejected`, when given,
+  /// receives their count.
   [[nodiscard]] BehaviorModel model(const of::ControlLog& log,
                                     std::uint64_t* rejected = nullptr) const;
 
@@ -90,7 +88,8 @@ class FlowDiff {
       bool mask_subjects) const;
 
   [[nodiscard]] const FlowDiffConfig& config() const { return config_; }
-  /// The from-scratch modeler (the oracle; see Modeler).
+  /// The from-scratch modeler (the oracle; see Modeler): only the
+  /// monitor's oracle mode and the identity tests run it.
   [[nodiscard]] const Modeler& modeler() const { return modeler_; }
   /// The one delta-maintained modeler, on the Modeler's config; model()
   /// and every SlidingMonitor built on this facade use it.

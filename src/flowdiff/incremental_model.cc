@@ -1,7 +1,6 @@
 #include "flowdiff/incremental_model.h"
 
 #include <algorithm>
-#include <limits>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -16,12 +15,6 @@ namespace flowdiff::core {
 
 namespace {
 
-/// Stored DD pairs across all triples before the window drops them and
-/// stops storing more — bounds feed-time memory on adversarial streams
-/// (a stored pair is 16 bytes, so the cap is ~16 MB of pairing state).
-constexpr std::uint64_t kMaxDdSamples = 1'000'000;
-static_assert(sizeof(IncrementalWindowState::DdPair) == 16);
-
 using State = IncrementalWindowState;
 
 /// One edge as finalize reads it: its host pair and its flow-start times,
@@ -35,7 +28,7 @@ struct EdgeView {
 /// One triple as finalize reads it.
 struct TripleView {
   EdgePair triple;
-  std::uint32_t id = 0;  ///< Triple id: dd_hists slot and pair chain.
+  std::uint32_t id = 0;  ///< Triple id: dd_hists slot.
   std::uint32_t in_edge = 0;
   std::uint32_t out_edge = 0;
 };
@@ -45,24 +38,85 @@ struct TripleView {
 struct GroupWork {
   std::vector<const EdgeView*> edges;
   std::vector<const TripleView*> triples;
-  std::uint64_t start_total = 0;
 };
 
-std::uint64_t count_in_range(std::span<const SimTime> starts, SimTime t0,
-                             SimTime t1) {
+/// The part of `starts` (nondecreasing) inside [t0, t1).
+std::span<const SimTime> slice(std::span<const SimTime> starts, SimTime t0,
+                               SimTime t1) {
   const auto lo = std::lower_bound(starts.begin(), starts.end(), t0);
   const auto hi = std::lower_bound(lo, starts.end(), t1);
-  return static_cast<std::uint64_t>(hi - lo);
+  return {lo, hi};
 }
 
-/// Histogram-weighted mean, exactly as the from-scratch extractor computes
-/// it (ascending-bin accumulation off bin midpoints).
-double hist_mean(const Histogram& hist) {
-  double weighted = 0.0;
-  for (std::size_t bin = 0; bin < hist.bin_count(); ++bin) {
-    weighted += hist.bin_center(bin) * static_cast<double>(hist.count_at(bin));
+/// A group edge's flow starts inside the window or one of its segments.
+struct EdgeSlice {
+  const HostEdge* edge;
+  std::span<const SimTime> starts;  ///< Non-empty.
+};
+
+/// The group's non-empty edge slices inside [t0, t1), in map order.
+void slice_edges(const GroupWork& work, SimTime t0, SimTime t1,
+                 std::vector<EdgeSlice>& out) {
+  out.clear();
+  for (const EdgeView* e : work.edges) {
+    const auto starts = slice(e->starts, t0, t1);
+    if (!starts.empty()) out.push_back(EdgeSlice{&e->edge, starts});
   }
-  return weighted / static_cast<double>(hist.total());
+}
+
+/// CI: each slice's flow count on both its endpoints.
+void add_ci(const std::vector<EdgeSlice>& slices,
+            ComponentInteractionSig& ci) {
+  for (const EdgeSlice& s : slices) {
+    const auto n = static_cast<std::uint64_t>(s.starts.size());
+    auto& src_ci = ci.per_node[s.edge->first];
+    src_ci.edge_counts[*s.edge] += n;
+    src_ci.total += n;
+    auto& dst_ci = ci.per_node[s.edge->second];
+    dst_ci.edge_counts[*s.edge] += n;
+    dst_ci.total += n;
+  }
+}
+
+/// PC over `epochs` epochs of `app.pc_epoch` from `t0`, exactly as the
+/// from-scratch extractor computes it on the same flow starts.
+void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
+            std::size_t epochs, const AppSignatureConfig& app,
+            PartialCorrelationSig& pc) {
+  std::vector<std::vector<double>> series(slices.size(),
+                                          std::vector<double>(epochs, 0.0));
+  std::vector<double> group_series;
+  if (app.pc_control_for_group) group_series.assign(epochs, 0.0);
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    for (const SimTime ts : slices[i].starts) {
+      const auto ep = static_cast<std::size_t>((ts - t0) / app.pc_epoch);
+      if (ep < epochs) {
+        series[i][ep] += 1.0;
+        if (app.pc_control_for_group) group_series[ep] += 1.0;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    const HostEdge& in = *slices[i].edge;
+    if (slices[i].starts.size() < app.min_edge_flows) continue;
+    for (std::size_t o = 0; o < slices.size(); ++o) {
+      const HostEdge& out = *slices[o].edge;
+      if (out.first != in.second) continue;
+      if (out.second == in.first) continue;
+      if (slices[o].starts.size() < app.min_edge_flows) continue;
+      double rho;
+      if (app.pc_control_for_group) {
+        std::vector<double> control(epochs, 0.0);
+        for (std::size_t ep = 0; ep < epochs; ++ep) {
+          control[ep] = group_series[ep] - series[i][ep] - series[o][ep];
+        }
+        rho = partial_correlation(series[i], series[o], control);
+      } else {
+        rho = pearson(series[i], series[o]);
+      }
+      pc.rho[EdgePair{in.first, in.second, out.second}] = rho;
+    }
+  }
 }
 
 /// Window-wide signatures plus the per-segment stability sub-models for one
@@ -76,20 +130,12 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
   GroupSignatures& sig = out.sig;
   sig.members = members;
 
-  // --- CG + CI + FS per-edge, straight off the aggregates -----------------
+  // --- CG + FS per-edge, straight off the aggregates ----------------------
   for (const EdgeView* e : work.edges) {
     const HostEdge& edge = e->edge;
     const auto n = static_cast<std::uint64_t>(e->starts.size());
-    if (n > 0) {
-      if (n >= app.min_edge_flows) {
-        sig.cg.graph.add_edge(edge.first, edge.second);
-      }
-      auto& src_ci = sig.ci.per_node[edge.first];
-      src_ci.edge_counts[edge] += n;
-      src_ci.total += n;
-      auto& dst_ci = sig.ci.per_node[edge.second];
-      dst_ci.edge_counts[edge] += n;
-      dst_ci.total += n;
+    if (n > 0 && n >= app.min_edge_flows) {
+      sig.cg.graph.add_edge(edge.first, edge.second);
     }
     if (n > 0 || e->agg->removed > 0) {
       auto& fs = sig.fs.per_edge[edge];
@@ -99,15 +145,20 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
       fs.duration_ms = e->agg->duration_ms;
     }
   }
+  std::vector<EdgeSlice> slices;
+  for (const EdgeView* e : work.edges) {
+    if (!e->starts.empty()) slices.push_back(EdgeSlice{&e->edge, e->starts});
+  }
+  add_ci(slices, sig.ci);
 
   // --- FS group-wide flow rate --------------------------------------------
-  if (work.start_total > 0) {
+  if (!slices.empty()) {
     const SimTime rate_end = std::max(end, begin + kSecond);
     const auto buckets =
         static_cast<std::size_t>((rate_end - begin) / kSecond) + 1;
     std::vector<double> per_sec(buckets, 0.0);
-    for (const EdgeView* e : work.edges) {
-      for (const SimTime ts : e->starts) {
+    for (const EdgeSlice& s : slices) {
+      for (const SimTime ts : s.starts) {
         const auto b = static_cast<std::size_t>((ts - begin) / kSecond);
         if (b < buckets) per_sec[b] += 1.0;
       }
@@ -116,207 +167,60 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
   }
 
   // --- DD window-wide: gate the streamed triples --------------------------
-  // Survivors to re-bucket per segment; past the DD budget there are no
-  // stored pairs to re-bucket.
-  std::vector<const TripleView*> rebucket;
+  // Survivors, the only triples that can pass the (tighter) segment gates.
+  std::vector<const TripleView*> survivors;
   for (const TripleView* t : work.triples) {
     const auto in_n =
         static_cast<std::uint64_t>(views[t->in_edge].starts.size());
     const auto out_n =
         static_cast<std::uint64_t>(views[t->out_edge].starts.size());
-    if (in_n < app.min_edge_flows || out_n < app.min_edge_flows) continue;
     const Histogram& hist = st.dd_hists[t->id];
-    if (hist.total() < app.min_edge_flows) continue;
+    if (!dd_gate(in_n, out_n, hist.total(), app)) continue;
     DelayDistributionSig::PairDd pair;
     pair.hist = hist;
     pair.in_flows = in_n;
     pair.out_flows = out_n;
     pair.samples = hist.total();
-    pair.peak_ms = pair.hist.top_peak().center;
-    pair.mean_ms = hist_mean(pair.hist);
+    summarize_delays(pair);
     sig.dd.per_pair[t->triple] = std::move(pair);
-    if (!st.dd_over_budget) rebucket.push_back(t);
+    survivors.push_back(t);
   }
 
   // --- PC window-wide ------------------------------------------------------
-  if (work.start_total > 0 && end > begin) {
-    const auto epochs =
-        static_cast<std::size_t>((end - begin) / app.pc_epoch) + 1;
-    struct EdgeSeries {
-      const HostEdge* edge;
-      std::uint64_t n;
-      std::vector<double> series;
-    };
-    std::vector<EdgeSeries> series;
-    series.reserve(work.edges.size());
-    std::vector<double> group_series;
-    if (app.pc_control_for_group) group_series.assign(epochs, 0.0);
-    for (const EdgeView* e : work.edges) {
-      if (e->starts.empty()) continue;
-      EdgeSeries s{&e->edge, static_cast<std::uint64_t>(e->starts.size()),
-                   std::vector<double>(epochs, 0.0)};
-      for (const SimTime ts : e->starts) {
-        const auto ep = static_cast<std::size_t>((ts - begin) / app.pc_epoch);
-        if (ep < epochs) {
-          s.series[ep] += 1.0;
-          if (app.pc_control_for_group) group_series[ep] += 1.0;
-        }
-      }
-      series.push_back(std::move(s));
-    }
-    for (const auto& in : series) {
-      if (in.n < app.min_edge_flows) continue;
-      const Ipv4 node = in.edge->second;
-      for (const auto& out_s : series) {
-        if (out_s.edge->first != node) continue;
-        if (out_s.edge->second == in.edge->first) continue;
-        if (out_s.n < app.min_edge_flows) continue;
-        double rho;
-        if (app.pc_control_for_group) {
-          std::vector<double> control(epochs, 0.0);
-          for (std::size_t ep = 0; ep < epochs; ++ep) {
-            control[ep] = group_series[ep] - in.series[ep] - out_s.series[ep];
-          }
-          rho = partial_correlation(in.series, out_s.series, control);
-        } else {
-          rho = pearson(in.series, out_s.series);
-        }
-        sig.pc.rho[EdgePair{in.edge->first, node, out_s.edge->second}] = rho;
-      }
-    }
+  if (!slices.empty() && end > begin) {
+    add_pc(slices, begin,
+           static_cast<std::size_t>((end - begin) / app.pc_epoch) + 1, app,
+           sig.pc);
   }
 
   // --- Per-segment stability sub-models ------------------------------------
-  // The from-scratch build re-extracts each segment from a sliced log; here
-  // every segment is reconstructed from the same aggregates via binary
-  // search on the per-edge start times and a re-bucketing pass over the
-  // stored DD pairs. Stability only reads CI/DD/PC of the segments.
-  const auto seg_count = static_cast<std::size_t>(segments);
+  // The from-scratch build re-extracts each segment from a log sliced by
+  // flow start; here each segment is the same slices of the per-edge start
+  // times, found by binary search. DD pairs the survivors' slices afresh:
+  // a pair counts in a segment only when both its flows start in it.
+  // Stability only reads CI/DD/PC of the segments.
   const SimTime span_us = std::max<SimTime>(end - begin, 1);
-  std::vector<SimTime> bound(seg_count + 1);
-  for (std::size_t k = 0; k <= seg_count; ++k) {
-    bound[k] = begin + span_us * static_cast<SimTime>(k) / segments;
-  }
-  std::vector<GroupSignatures> per_segment(seg_count);
-  for (std::size_t s = 0; s < seg_count; ++s) {
-    const SimTime t0 = bound[s];
-    const SimTime t1 = bound[s + 1];
-    GroupSignatures& seg = per_segment[s];
-
-    std::uint64_t seg_total = 0;
-    for (const EdgeView* e : work.edges) {
-      const auto n = count_in_range(e->starts, t0, t1);
-      seg_total += n;
-      if (n == 0) continue;
-      const HostEdge& edge = e->edge;
-      auto& src_ci = seg.ci.per_node[edge.first];
-      src_ci.edge_counts[edge] += n;
-      src_ci.total += n;
-      auto& dst_ci = seg.ci.per_node[edge.second];
-      dst_ci.edge_counts[edge] += n;
-      dst_ci.total += n;
+  std::vector<GroupSignatures> per_segment(static_cast<std::size_t>(segments));
+  for (int s = 0; s < segments; ++s) {
+    const SimTime t0 = begin + span_us * s / segments;
+    const SimTime t1 = begin + span_us * (s + 1) / segments;
+    GroupSignatures& seg = per_segment[static_cast<std::size_t>(s)];
+    slice_edges(work, t0, t1, slices);
+    add_ci(slices, seg.ci);
+    if (!slices.empty() && t1 > t0) {
+      add_pc(slices, t0, static_cast<std::size_t>((t1 - t0) / app.pc_epoch) + 1,
+             app, seg.pc);
     }
-
-    if (seg_total > 0 && t1 > t0) {
-      const auto epochs =
-          static_cast<std::size_t>((t1 - t0) / app.pc_epoch) + 1;
-      struct EdgeSeries {
-        const HostEdge* edge;
-        std::uint64_t n;
-        std::vector<double> series;
-      };
-      std::vector<EdgeSeries> series;
-      std::vector<double> group_series;
-      if (app.pc_control_for_group) group_series.assign(epochs, 0.0);
-      for (const EdgeView* e : work.edges) {
-        const auto lo =
-            std::lower_bound(e->starts.begin(), e->starts.end(), t0);
-        const auto hi = std::lower_bound(lo, e->starts.end(), t1);
-        if (lo == hi) continue;
-        EdgeSeries es{&e->edge, static_cast<std::uint64_t>(hi - lo),
-                      std::vector<double>(epochs, 0.0)};
-        for (auto it = lo; it != hi; ++it) {
-          const auto ep = static_cast<std::size_t>((*it - t0) / app.pc_epoch);
-          if (ep < epochs) {
-            es.series[ep] += 1.0;
-            if (app.pc_control_for_group) group_series[ep] += 1.0;
-          }
-        }
-        series.push_back(std::move(es));
-      }
-      for (const auto& in : series) {
-        if (in.n < app.min_edge_flows) continue;
-        const Ipv4 node = in.edge->second;
-        for (const auto& out_s : series) {
-          if (out_s.edge->first != node) continue;
-          if (out_s.edge->second == in.edge->first) continue;
-          if (out_s.n < app.min_edge_flows) continue;
-          double rho;
-          if (app.pc_control_for_group) {
-            std::vector<double> control(epochs, 0.0);
-            for (std::size_t ep = 0; ep < epochs; ++ep) {
-              control[ep] = group_series[ep] - in.series[ep] - out_s.series[ep];
-            }
-            rho = partial_correlation(in.series, out_s.series, control);
-          } else {
-            rho = pearson(in.series, out_s.series);
-          }
-          seg.pc.rho[EdgePair{in.edge->first, node, out_s.edge->second}] = rho;
-        }
-      }
-    }
-  }
-
-  // Per-segment DD. Only triples that passed the window gates can pass the
-  // (tighter) segment gates, so re-bucketing the window's survivors is
-  // exact. A pair counts in a segment when both its times fall in it, so
-  // it can only count in the segment holding its t_out (none when t_out is
-  // the window's last timestamp, which the half-open segments leave out):
-  // one walk over a triple's pairs fills every segment, and a histogram
-  // only counts, so the newest-first order is free.
-  for (const TripleView* t : rebucket) {
-    std::vector<std::uint64_t> in_n(seg_count);
-    std::vector<std::uint64_t> out_n(seg_count);
-    std::vector<std::uint64_t> samples(seg_count, 0);
-    std::vector<Histogram> hists(seg_count, Histogram{app.dd_bin_ms});
-    for (std::size_t s = 0; s < seg_count; ++s) {
-      in_n[s] = count_in_range(views[t->in_edge].starts, bound[s],
-                               bound[s + 1]);
-      out_n[s] = count_in_range(views[t->out_edge].starts, bound[s],
-                                bound[s + 1]);
-    }
-    for (std::uint32_t p = st.triples.at(t->id).value.last_pair;
-         p != State::kNone; p = st.dd_pairs[p].prev) {
-      const State::DdPair& dd = st.dd_pairs[p];
-      const auto s = static_cast<std::size_t>(
-          std::upper_bound(bound.begin(), bound.end(), dd.t_out) -
-          bound.begin() - 1);
-      if (s == seg_count || dd.t_out - dd.delay_us < bound[s]) continue;
-      ++samples[s];
-      hists[s].add(to_millis(dd.delay_us));
-    }
-    for (std::size_t s = 0; s < seg_count; ++s) {
-      if (in_n[s] < app.min_edge_flows || out_n[s] < app.min_edge_flows ||
-          samples[s] < app.min_edge_flows) {
-        continue;
-      }
+    for (const TripleView* t : survivors) {
       DelayDistributionSig::PairDd pair;
-      pair.hist = std::move(hists[s]);
-      pair.in_flows = in_n[s];
-      pair.out_flows = out_n[s];
-      pair.samples = samples[s];
-      pair.peak_ms = pair.hist.top_peak().center;
-      pair.mean_ms = hist_mean(pair.hist);
-      per_segment[s].dd.per_pair[t->triple] = std::move(pair);
+      if (pair_delays(slice(views[t->in_edge].starts, t0, t1),
+                      slice(views[t->out_edge].starts, t0, t1), app, pair)) {
+        seg.dd.per_pair[t->triple] = std::move(pair);
+      }
     }
   }
 
   analyze_group_stability(per_segment, config, out);
-  if (st.dd_over_budget) {
-    for (const auto& [triple, pair] : sig.dd.per_pair) {
-      out.unstable_dd_pairs.insert(triple);
-    }
-  }
 }
 
 /// Infrastructure signatures from the incremental state. CRT and UTIL are
@@ -411,7 +315,6 @@ void IncrementalWindowState::reserve(std::size_t packet_ins) {
 void IncrementalWindowState::reset() {
   if (!active) return;
   active = false;
-  dd_over_budget = false;
   begin = 0;
   end = 0;
   events = 0;
@@ -425,24 +328,15 @@ void IncrementalWindowState::reset() {
     std::vector<Histogram>().swap(dd_hists);
   }
   triples.clear();
-  recycle(dd_pairs);
-  dd_samples = 0;
   crt_response_ms = RunningStats{};
   recycle(polls);
   newest_poll.clear();
 }
 
 IncrementalModeler::IncrementalModeler(ModelConfig config)
-    : config_(std::move(config)), supported_(supported(config_)) {}
-
-bool IncrementalModeler::supported(const ModelConfig& config) {
-  return config.app.min_edge_flows >= 1 &&
-         config.app.dd_window <=
-             SimDuration{std::numeric_limits<std::uint32_t>::max()};
-}
+    : config_(std::move(config)) {}
 
 void IncrementalModeler::feed(State& st, const of::ControlEvent& event) const {
-  if (!supported_) return;
   if (!st.active) {
     st.active = true;
     st.begin = event.ts;
@@ -572,18 +466,6 @@ void IncrementalModeler::record_pair(State& st, std::uint32_t in_edge,
     }
   }
   st.dd_hists[id].add(to_millis(t_out - t_in));
-  ++st.dd_samples;
-  if (st.dd_over_budget) return;
-  if (st.dd_samples <= kMaxDdSamples) {
-    st.dd_pairs.push_back(State::DdPair{
-        t_out, static_cast<std::uint32_t>(t_out - t_in), agg.last_pair});
-    agg.last_pair = static_cast<std::uint32_t>(st.dd_pairs.size() - 1);
-    return;
-  }
-  // Over budget: free every stored pair; the histograms keep counting.
-  st.dd_over_budget = true;
-  std::vector<State::DdPair>().swap(st.dd_pairs);
-  for (auto& entry : st.triples) entry.value.last_pair = State::kNone;
 }
 
 BehaviorModel IncrementalModeler::finalize(const State& st) const {
@@ -673,9 +555,7 @@ BehaviorModel IncrementalModeler::finalize(const State& st) const {
   for (const EdgeView* e : edge_order) {
     const int g = group_of[e->agg->src];
     if (g < 0 || group_of[e->agg->dst] != g) continue;
-    auto& w = work[static_cast<std::size_t>(g)];
-    w.edges.push_back(e);
-    w.start_total += e->starts.size();
+    work[static_cast<std::size_t>(g)].edges.push_back(e);
   }
   for (const TripleView& t : triple_views) {
     const State::EdgeAgg& in = *views[t.in_edge].agg;

@@ -10,8 +10,8 @@
 //     as `parse_log` would produce it on the same in-order stream,
 //   - per-edge aggregates (flow-start counts, FlowRemoved byte/duration
 //     running sums) that CG/CI/FS read directly,
-//   - per-triple delay partials (DD histograms + sample lists) built by
-//     streaming in-flow/out-flow pairing along per-host recency chains,
+//   - per-triple DD histograms built by streaming in-flow/out-flow pairing
+//     along per-host recency chains,
 //   - controller response-time and switch-load running sums (CRT/UTIL).
 //
 // Edges and triples are kept in first-seen order; finalize sorts them
@@ -19,19 +19,18 @@
 //
 // Closing a window then only runs `finalize`, which assembles a
 // `BehaviorModel` from the aggregates — group discovery, gate checks,
-// per-segment stability reconstruction, and an optimized infra walk — in
-// time proportional to the model, not the log.
+// per-segment stability reconstruction from the per-edge flow starts, and
+// an optimized infra walk — in time proportional to the model and its DD
+// pairs, not the log.
 //
 // The oracle-identity invariant: `finalize` is BIT-IDENTICAL to
-// `Modeler::build` on the same window. Every divergence risk is engineered
-// away (aggregates replay the exact floating-point add sequences of the
-// from-scratch extractors) or named: events must be fed in timestamp order
-// (the monitor rejects regressions before they get here; `FlowDiff::model`
-// feeds the sorted log), `min_edge_flows == 0` is unsupported, and a window
-// past the DD-pair budget keeps exact window-wide DD histograms but drops
-// its `(t_in, t_out)` pairs, so its DD stability is unknown
-// (`dd_over_budget`; finalize marks every DD pair unstable). Timestamps
-// must be non-negative: -1 marks an unanswered hop, as in `parse_log`.
+// `Modeler::build` on the same window, for every config. Every divergence
+// risk is engineered away (aggregates replay the exact floating-point add
+// sequences of the from-scratch extractors, and both sides share the DD
+// pairing and gate of app_signatures.h) or named: events must be fed in
+// timestamp order (the monitor rejects regressions before they get here;
+// `FlowDiff::model` feeds the sorted log), and timestamps must be
+// non-negative: -1 marks an unanswered hop, as in `parse_log`.
 // incremental_model_test and monitor_identity_test enforce the invariant.
 #pragma once
 
@@ -59,10 +58,6 @@ struct IncrementalWindowState {
 
   // --- lifecycle ---------------------------------------------------------
   bool active = false;      ///< Saw at least one event.
-  /// Stored DD pairs passed the budget: they were dropped and no more are
-  /// kept. Window-wide DD histograms and sample counts stay exact; the
-  /// per-segment DD stability check cannot run.
-  bool dd_over_budget = false;
   SimTime begin = 0;        ///< First event timestamp.
   SimTime end = 0;          ///< Latest event timestamp.
   std::uint64_t events = 0;
@@ -79,7 +74,7 @@ struct IncrementalWindowState {
   };
   /// One flow occurrence, in first_ts (= arrival) order. It is also the
   /// flow-start record of its edge and of the DD recency chains of its two
-  /// hosts.
+  /// hosts; finalize sorts these by edge into the per-edge start slices.
   struct Occurrence {
     of::FlowKey key;
     std::uint32_t edge = 0;        ///< Edge id of (src_ip, dst_ip).
@@ -116,26 +111,18 @@ struct IncrementalWindowState {
   FlatMap<std::uint64_t, EdgeAgg> edges;  ///< src id << 32 | dst id.
 
   // --- per-triple delay partials (DD source data) -------------------------
+  /// A triple with at least one paired sample. Per-segment DD is paired
+  /// afresh from its two edges' start slices at finalize, so no pair is
+  /// stored.
   struct TripleAgg {
     std::uint32_t in_edge = 0;     ///< Edge ids of (a, b) and (b, c).
     std::uint32_t out_edge = 0;
-    std::uint32_t last_pair = kNone;  ///< Newest stored pair.
   };
   FlatMap<std::uint64_t, TripleAgg> triples;  ///< in_edge << 32 | out_edge.
   /// Every paired sample of triple id i lands in dd_hists[i]; total() is
   /// the sample count. A pool: slots past triples.size() are spare
   /// histograms kept for the next window.
   std::vector<Histogram> dd_hists;
-  /// One paired sample, linked to the previous pair of its triple;
-  /// finalize re-buckets these per stability segment without touching the
-  /// raw log. Freed for good once the window goes over the DD budget.
-  struct DdPair {
-    SimTime t_out = 0;
-    std::uint32_t delay_us = 0;  ///< t_out - t_in, at most dd_window.
-    std::uint32_t prev = kNone;
-  };
-  std::vector<DdPair> dd_pairs;
-  std::uint64_t dd_samples = 0;  ///< Paired samples across all triples.
 
   // --- infra running sums (CRT/UTIL) --------------------------------------
   RunningStats crt_response_ms;  ///< FlowMod - PacketIn, arrival order.
@@ -165,30 +152,14 @@ class IncrementalModeler {
  public:
   explicit IncrementalModeler(ModelConfig config);
 
-  /// True when the config permits bit-identical incremental maintenance.
-  /// `min_edge_flows == 0` is refused: the from-scratch DD/PC extractors
-  /// then emit zero-sample pairs the stream never observes. So is a
-  /// `dd_window` past 2^32 µs, which a stored pair's delay cannot hold.
-  [[nodiscard]] static bool supported(const ModelConfig& config);
-  /// supported() on this modeler's own config.
-  [[nodiscard]] bool supported() const { return supported_; }
-
   /// Folds one event into the window aggregates. Events must arrive in
   /// non-decreasing timestamp order with `ts >= 0`; the aggregates replay
-  /// the sorted log and cannot be reordered afterwards. No-op for
-  /// unsupported configs.
+  /// the sorted log and cannot be reordered afterwards.
   void feed(IncrementalWindowState& state, const of::ControlEvent& event) const;
 
-  /// True when the window holds events and `finalize` returns the
-  /// oracle-identical model (supported config, within the DD budget).
-  [[nodiscard]] bool ready(const IncrementalWindowState& state) const {
-    return supported_ && state.active && !state.dd_over_budget;
-  }
-
-  /// Assembles the BehaviorModel for the closed window (a never-fed state
-  /// gives the empty model). Over the DD budget every DD pair is marked
-  /// unstable instead of being judged per segment. Requires a supported
-  /// config.
+  /// Assembles the BehaviorModel for the closed window, bit-identical to
+  /// Modeler::build on the same events (a never-fed state gives the empty
+  /// model).
   [[nodiscard]] BehaviorModel finalize(
       const IncrementalWindowState& state) const;
 
@@ -207,7 +178,6 @@ class IncrementalModeler {
                    std::uint32_t out_edge, SimTime t_in, SimTime t_out) const;
 
   ModelConfig config_;
-  bool supported_;
   /// Same 5-tuple re-appearing further apart than this opens a new
   /// occurrence — must match parse_log's default for oracle identity.
   SimDuration grouping_window_ = 2 * kSecond;

@@ -53,9 +53,9 @@ struct BehaviorModel {
 };
 
 /// Builds BehaviorModels from control logs, from scratch. It is the oracle
-/// for IncrementalModeler: the identity tests compare against it, the
-/// monitor runs it with `incremental = false`, and FlowDiff::model falls
-/// back to it where the incremental result cannot be exact.
+/// for IncrementalModeler, which is bit-identical to it for every config:
+/// the identity tests compare against it, and only the monitor's oracle
+/// mode (`incremental = false`) runs it in src/.
 class Modeler {
  public:
   explicit Modeler(ModelConfig config);

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <limits>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "flowdiff/monitor_options.h"
@@ -50,14 +51,10 @@ struct MonitorMetrics {
   /// (µs of stream time buffered for reordering; 0 without a sanitizer).
   obs::Gauge& watermark_lag_us =
       obs::Registry::global().gauge("monitor.watermark_lag_us");
-  /// Windows modeled from delta-maintained aggregates, and the subset that
-  /// went past the DD-pair budget (DD stability unknown; the fallbacks name
-  /// stays because perfbench's monitor.fallback_share reads it). fallbacks
-  /// staying at zero is the incremental path's health signal.
+  /// Windows modeled from delta-maintained aggregates (every window
+  /// outside oracle mode).
   obs::Counter& incremental_windows =
       obs::Registry::global().counter("monitor.incremental.windows");
-  obs::Counter& incremental_fallbacks =
-      obs::Registry::global().counter("monitor.incremental.fallbacks");
   /// Events older than the newest one ingested (unsanitized feeds) or with
   /// a negative timestamp, dropped.
   obs::Counter& rejected_out_of_order =
@@ -93,9 +90,7 @@ SlidingMonitor::SlidingMonitor(MonitorConfig config)
       feed_wall_(std::chrono::steady_clock::now()),
       watchdog_(config_.watchdog) {
   if (config_.sanitize) sanitizer_.emplace(config_.ingest);
-  if (config_.incremental && flowdiff_.incremental_modeler().supported()) {
-    inc_ = &flowdiff_.incremental_modeler();
-  }
+  if (config_.incremental) inc_ = &flowdiff_.incremental_modeler();
 }
 
 SlidingMonitor::SlidingMonitor(const MonitorOptions& options)
@@ -195,7 +190,7 @@ void SlidingMonitor::flush() {
 
 bool SlidingMonitor::has_baseline() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return baseline_.has_value();
+  return baseline_ != nullptr;
 }
 
 std::size_t SlidingMonitor::audits_dropped() const {
@@ -239,7 +234,7 @@ MonitorSnapshot SlidingMonitor::snapshot() const {
   MonitorSnapshot snap;
   const std::lock_guard<std::mutex> lock(mu_);
   snap.windows = windows_;
-  snap.has_baseline = baseline_.has_value();
+  snap.has_baseline = baseline_ != nullptr;
   snap.baseline_begin = baseline_begin_;
   snap.audits.assign(audits_.begin(), audits_.end());
   snap.audits_dropped = audits_dropped_;
@@ -346,14 +341,15 @@ void SlidingMonitor::process_window(
 
   // Incremental mode finalizes the delta-maintained aggregates
   // (bit-identical to the oracle, incremental_model.h); oracle mode
-  // rebuilds the raw window from scratch.
-  const bool dd_over_budget = inc_ != nullptr && inc_state_.dd_over_budget;
-  if (inc_ != nullptr) {
-    metrics().incremental_windows.inc();
-    if (dd_over_budget) metrics().incremental_fallbacks.inc();
-  }
-  BehaviorModel model = inc_ != nullptr ? inc_->finalize(inc_state_)
-                                        : flowdiff_.modeler().build(current_);
+  // rebuilds the raw window from scratch. The previous window's model goes
+  // first, so at most the baseline and this window's model are alive.
+  last_model_.reset();
+  if (inc_ != nullptr) metrics().incremental_windows.inc();
+  const std::shared_ptr<const BehaviorModel> model =
+      std::make_shared<const BehaviorModel>(
+          inc_ != nullptr ? inc_->finalize(inc_state_)
+                          : flowdiff_.modeler().build(current_));
+  last_model_ = model;
   const auto model_done = std::chrono::steady_clock::now();
   latency.model_ms = wall_ms(wall_start, model_done);
   metrics().latency_model.observe(latency.model_ms);
@@ -366,13 +362,10 @@ void SlidingMonitor::process_window(
     notes += "; rejected " + std::to_string(rejected) +
              " out-of-order event(s)";
   }
-  if (dd_over_budget) {
-    notes += "; DD budget exceeded: DD stability unknown";
-  }
   if (!baseline_) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      baseline_ = std::move(model);
+      baseline_ = model;
       baseline_begin_ = begin;
     }
     audit.baseline_capture = true;
@@ -386,7 +379,7 @@ void SlidingMonitor::process_window(
     return;
   }
 
-  DiffReport report = flowdiff_.diff(*baseline_, model, config_.tasks,
+  DiffReport report = flowdiff_.diff(*baseline_, *model, config_.tasks,
                                      &quality);
   const auto diff_done = std::chrono::steady_clock::now();
   latency.diff_ms = wall_ms(model_done, diff_done);
@@ -456,7 +449,7 @@ void SlidingMonitor::process_window(
   if (clean && config_.rolling_baseline) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      baseline_ = std::move(model);
+      baseline_ = model;
       baseline_begin_ = begin;
     }
     audit.rebaselined = true;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -64,12 +65,10 @@ struct MonitorConfig {
   std::size_t provenance_top_k = 5;
   /// Maintain per-window signature aggregates incrementally at feed time
   /// (the facade's core::IncrementalModeler) and keep nothing else per
-  /// window: a closing window only runs the cheap finalize. Bit-identical
-  /// to the from-scratch build, except that a window past the DD-pair
-  /// budget has its DD pairs marked unstable (its audit says so). Off, or
-  /// with an unsupported config (`min_edge_flows == 0`), the monitor keeps
-  /// each window's raw events and runs Modeler::build on them — the oracle
-  /// mode the identity tests compare against.
+  /// window: a closing window only runs the cheap finalize, bit-identical
+  /// to the from-scratch build. Off, the monitor keeps each window's raw
+  /// events and runs Modeler::build on them — the oracle mode the identity
+  /// tests compare against.
   bool incremental = true;
 };
 
@@ -222,6 +221,15 @@ class SlidingMonitor {
   [[nodiscard]] MonitorHealth health() const;
   /// Alerts the self-watchdog has filed so far; safe from any thread.
   [[nodiscard]] std::uint64_t watchdog_alerts() const;
+  /// The model of the most recently processed window (null before the
+  /// first), shared with the baseline when it was adopted; read-only, for
+  /// the feeding thread. The identity tests compare it across modeling
+  /// modes window by window. It is released when the next window is
+  /// modeled, so holding it does not raise the monitor's peak memory.
+  [[nodiscard]] std::shared_ptr<const BehaviorModel> last_window_model()
+      const {
+    return last_model_;
+  }
 
  private:
   /// feed() after the sanitizer (or directly, when sanitize is off).
@@ -262,8 +270,10 @@ class SlidingMonitor {
   /// std::function, and rebuilding it per fed event showed up in the
   /// ingest throughput bench.
   ingest::StreamSanitizer::Sink ingest_sink_;
-  std::optional<BehaviorModel> baseline_;
+  std::shared_ptr<const BehaviorModel> baseline_;
   SimTime baseline_begin_ = -1;
+  /// See last_window_model(); touched only by the feed thread.
+  std::shared_ptr<const BehaviorModel> last_model_;
   /// Raw events of the window being fed (oracle mode only). Its storage is
   /// recycled across windows, so steady-state windowing allocates nothing.
   of::ControlLog current_;

@@ -35,8 +35,7 @@ struct MonitorOptions {
   std::optional<SimDuration> lateness;
   /// Maintain window aggregates incrementally at feed time, as the only
   /// per-window store, so closing a window runs the cheap finalize instead
-  /// of a from-scratch model build (bit-identical; a window past the
-  /// DD-pair budget marks its DD pairs unstable). Off keeps each window's
+  /// of a from-scratch model build (bit-identical). Off keeps each window's
   /// raw events and rebuilds it from scratch — the oracle mode the
   /// identity tests compare against.
   bool incremental = true;

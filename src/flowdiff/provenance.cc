@@ -15,33 +15,7 @@ namespace flowdiff::core {
 namespace {
 
 using obs::json_number;
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
+using obs::json_string;
 
 std::optional<SignatureKind> kind_from_string(std::string_view name) {
   static constexpr std::pair<const char*, SignatureKind> kKinds[] = {
@@ -168,30 +142,8 @@ struct Parser {
     return pos < s.size() && s[pos] == c;
   }
   std::optional<std::string> string() {
-    if (!eat('"')) return std::nullopt;
-    std::string out;
-    while (pos < s.size() && s[pos] != '"') {
-      char c = s[pos++];
-      if (c == '\\' && pos < s.size()) {
-        const char esc = s[pos++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          default:
-            c = esc;  // \" and \\ (and anything else, verbatim).
-        }
-      }
-      out += c;
-    }
-    if (!eat('"')) return std::nullopt;
-    return out;
+    ws();
+    return obs::parse_json_string(s, pos);
   }
   std::optional<double> number() {
     ws();
@@ -483,7 +435,7 @@ std::string render_provenance_json(const ProvenanceRecord& rec) {
                     ", \"window_end_us\": " + std::to_string(rec.window_end) +
                     ", \"events\": " + std::to_string(rec.events) +
                     ", \"alarmed\": " + (rec.alarmed ? "true" : "false") +
-                    ", \"verdict\": \"" + json_escape(rec.verdict) + "\"" +
+                    ", \"verdict\": " + json_string(rec.verdict) +
                     ", \"changes\": " + std::to_string(rec.changes) +
                     ", \"known\": " + std::to_string(rec.known) +
                     ", \"unknown\": " + std::to_string(rec.unknown) +
@@ -504,8 +456,8 @@ std::string render_provenance_json(const ProvenanceRecord& rec) {
     for (std::size_t j = 0; j < fam.top.size(); ++j) {
       const ProvenanceContributor& c = fam.top[j];
       if (j > 0) out += ", ";
-      out += "{\"label\": \"" + json_escape(c.label) +
-             "\", \"weight\": " + json_number(c.weight) +
+      out += "{\"label\": " + json_string(c.label) +
+             ", \"weight\": " + json_number(c.weight) +
              ", \"share\": " + json_number(c.share) + "}";
     }
     out += "]}";

@@ -15,39 +15,6 @@ namespace flowdiff::core {
 
 namespace {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// CSV cell quoting: always quoted, inner quotes doubled — the quality and
 /// decision columns contain commas and percent signs.
 std::string csv_quote(std::string_view text) {
@@ -102,7 +69,7 @@ obs::HttpResponse json_error(int status, std::string_view message) {
   obs::HttpResponse response;
   response.status = status;
   response.content_type = "application/json";
-  response.body = "{\"error\":\"" + json_escape(message) + "\"}\n";
+  response.body = "{\"error\":" + obs::json_string(message) + "}\n";
   return response;
 }
 
@@ -139,7 +106,7 @@ std::string render_health_json(const MonitorHealth& health) {
   out += ",\"reasons\":[";
   for (std::size_t i = 0; i < health.reasons.size(); ++i) {
     if (i > 0) out += ',';
-    out += '"' + json_escape(health.reasons[i]) + '"';
+    out += obs::json_string(health.reasons[i]);
   }
   out += "]";
   out += ",\"watchdog_alerts\":" + std::to_string(health.watchdog_alerts);
@@ -202,7 +169,7 @@ std::string render_audits_json(const MonitorSnapshot& snap) {
     out += std::string(",\"degraded\":") +
            (audit.quality.degraded() ? "true" : "false");
     out += ",\"quality\":" + quality_json(audit.quality);
-    out += ",\"decision\":\"" + json_escape(audit.decision) + "\"}";
+    out += ",\"decision\":" + obs::json_string(audit.decision) + "}";
   }
   out += "]}\n";
   return out;
@@ -213,7 +180,7 @@ std::string render_tenants_json(const std::vector<ShardStatus>& statuses) {
   for (std::size_t i = 0; i < statuses.size(); ++i) {
     const ShardStatus& s = statuses[i];
     if (i > 0) out += ',';
-    out += "{\"tenant\":\"" + json_escape(s.tenant) + "\"";
+    out += "{\"tenant\":" + obs::json_string(s.tenant);
     out += std::string(",\"state\":\"") + to_string(s.state) + "\"";
     out += ",\"events\":" + std::to_string(s.events);
     out += ",\"dropped\":" + std::to_string(s.dropped);
@@ -221,7 +188,7 @@ std::string render_tenants_json(const std::vector<ShardStatus>& statuses) {
     out += ",\"alarms\":" + std::to_string(s.alarms);
     out += std::string(",\"healthy\":") + (s.healthy ? "true" : "false");
     if (!s.fault.empty()) {
-      out += ",\"fault\":\"" + json_escape(s.fault) + "\"";
+      out += ",\"fault\":" + obs::json_string(s.fault);
     }
     out += "}";
   }

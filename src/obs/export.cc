@@ -81,14 +81,8 @@ struct JsonParser {
     return pos < s.size() && s[pos] == c;
   }
   std::optional<std::string> string() {
-    if (!eat('"')) return std::nullopt;
-    std::string out;
-    while (pos < s.size() && s[pos] != '"') {
-      if (s[pos] == '\\' && pos + 1 < s.size()) ++pos;
-      out += s[pos++];
-    }
-    if (!eat('"')) return std::nullopt;
-    return out;
+    ws();
+    return parse_json_string(s, pos);
   }
   std::optional<double> number() {
     ws();
@@ -178,6 +172,83 @@ std::string json_number(double v) {
     }
   }
   return best;
+}
+
+std::string json_string(std::string_view text) {
+  std::string out = "\"";
+  out.reserve(text.size() + 2);
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+std::optional<std::string> parse_json_string(std::string_view text,
+                                             std::size_t& pos) {
+  if (pos >= text.size() || text[pos] != '"') return std::nullopt;
+  std::string out;
+  for (++pos; pos < text.size() && text[pos] != '"'; ++pos) {
+    char c = text[pos];
+    if (c == '\\' && pos + 1 < text.size()) {
+      switch (const char esc = text[++pos]) {
+        case 'n':
+          c = '\n';
+          break;
+        case 'r':
+          c = '\r';
+          break;
+        case 't':
+          c = '\t';
+          break;
+        case 'u': {
+          unsigned code = 0;
+          for (int k = 0; k < 4; ++k) {
+            if (++pos >= text.size() ||
+                std::isxdigit(static_cast<unsigned char>(text[pos])) == 0) {
+              return std::nullopt;
+            }
+            const char h = text[pos];
+            code = code * 16 + static_cast<unsigned>(
+                                   h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
+          }
+          if (code >= 0x80) return std::nullopt;
+          c = static_cast<char>(code);
+          break;
+        }
+        default:
+          c = esc;
+      }
+    }
+    out += c;
+  }
+  if (pos >= text.size()) return std::nullopt;
+  ++pos;  // The closing quote.
+  return out;
 }
 
 Snapshot snapshot() {

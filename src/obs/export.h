@@ -33,6 +33,20 @@ void update_process_gauges();
 /// through it, so they round-trip losslessly.
 [[nodiscard]] std::string json_number(double v);
 
+/// `text` as a quoted JSON string: quote and backslash escaped, \n \r \t
+/// by name, other bytes below 0x20 as \u00XX, every other byte verbatim.
+/// Every JSON string the obs exporters, the telemetry plane and provenance
+/// records write goes through it.
+[[nodiscard]] std::string json_string(std::string_view text);
+
+/// Reads the JSON string literal that starts at `text[pos]` (its opening
+/// quote) and moves `pos` past the closing quote. Decodes what json_string
+/// writes: \" \\ \n \r \t, and \u00XX below 0x80; any other escaped byte
+/// stands for itself. Nullopt on an unterminated string or a \u escape
+/// outside that range. The obs, telemetry and provenance parsers share it.
+[[nodiscard]] std::optional<std::string> parse_json_string(
+    std::string_view text, std::size_t& pos);
+
 [[nodiscard]] std::string render_table(const Snapshot& snap);
 [[nodiscard]] std::string render_json(const Snapshot& snap);
 /// Metric names are sanitized (non-alphanumerics -> '_') and prefixed,

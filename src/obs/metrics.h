@@ -7,8 +7,8 @@
 //
 // Observability is off by default. Every mutation checks one relaxed atomic
 // flag first, so instrumented hot paths pay a single predictable branch
-// when disabled — the micro_benchmarks suite verifies the model+diff path
-// stays within noise of the uninstrumented seed.
+// when disabled — perfbench's obs.overhead_pct row times the production
+// path with obs off and on.
 //
 // Call-site idiom (resolves the name lookup once):
 //

@@ -5,6 +5,8 @@
 #include <cctype>
 #include <cstdio>
 
+#include "obs/export.h"
+
 namespace flowdiff::obs {
 
 namespace {
@@ -35,16 +37,6 @@ std::string num_compact(double v) {
     }
   }
   return buf;
-}
-
-std::string quote(std::string_view name) {
-  std::string out = "\"";
-  for (const char c : name) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -224,7 +216,7 @@ std::string render_series_json(
   for (const auto& [name, s] : series) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    " + quote(name) +
+    out += "    " + json_string(name) +
            ": {\"stride\": " + std::to_string(s.stride()) + ", \"points\": [";
     bool first_point = true;
     for (const SeriesPoint& p : s.points()) {
@@ -253,7 +245,7 @@ std::string render_series_json(
   for (const auto& [name, points] : series) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    " + quote(name) + ": {\"stride\": 0, \"points\": [";
+    out += "    " + json_string(name) + ": {\"stride\": 0, \"points\": [";
     bool first_point = true;
     for (const SeriesPoint& p : points) {
       if (!first_point) out += ", ";
@@ -293,14 +285,8 @@ struct SeriesJsonParser {
     return pos < s.size() && s[pos] == c;
   }
   std::optional<std::string> string() {
-    if (!eat('"')) return std::nullopt;
-    std::string out;
-    while (pos < s.size() && s[pos] != '"') {
-      if (s[pos] == '\\' && pos + 1 < s.size()) ++pos;
-      out += s[pos++];
-    }
-    if (!eat('"')) return std::nullopt;
-    return out;
+    ws();
+    return parse_json_string(s, pos);
   }
   std::optional<double> number() {
     ws();

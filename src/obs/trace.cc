@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "obs/export.h"
+
 namespace flowdiff::obs {
 
 namespace {
@@ -87,15 +89,6 @@ void Span::close() {
 }
 
 std::string render_span_json(const std::vector<SpanRecord>& records) {
-  auto quote = [](const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-    return out;
-  };
   auto ms = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -109,7 +102,7 @@ std::string render_span_json(const std::vector<SpanRecord>& records) {
     out += "    {\"id\": " + std::to_string(rec.id) +
            ", \"parent\": " + std::to_string(rec.parent) +
            ", \"depth\": " + std::to_string(rec.depth) +
-           ", \"name\": " + quote(rec.name) +
+           ", \"name\": " + json_string(rec.name) +
            ", \"start_ms\": " + ms(rec.start_ms) +
            ", \"duration_ms\": " + ms(rec.duration_ms) + "}";
   }

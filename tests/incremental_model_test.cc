@@ -48,7 +48,6 @@ int sweep_stream(const std::vector<of::ControlEvent>& events,
   SimTime window_start = events.empty() ? 0 : events.front().ts;
   auto close = [&] {
     if (log.empty()) return;  // Empty window: nothing to compare.
-    EXPECT_TRUE(o.inc.ready(state)) << "in-order stream fell back";
     const std::string got = describe_model(o.inc.finalize(state));
     const std::string want = describe_model(o.modeler.build(log));
     EXPECT_EQ(got, want) << "window " << compared << " diverged";
@@ -121,37 +120,55 @@ TEST(IncrementalModel, PairAtTheLastTimestampMatchesOracle) {
     log.append(event);
     o.inc.feed(state, event);
   }
-  ASSERT_TRUE(o.inc.ready(state));
   EXPECT_EQ(describe_model(o.inc.finalize(state)),
             describe_model(o.modeler.build(log)));
 }
 
-TEST(IncrementalModel, UnsupportedConfigRefusesIncrementalPath) {
-  // min_edge_flows == 0 makes the from-scratch extractors emit zero-sample
-  // pairs the stream never observes; the incremental path must refuse
-  // rather than risk divergence.
+/// Two flows through 10.0.0.2, 8 s apart: adjacent edges whose only
+/// combination lies far outside the DD pairing window.
+std::vector<of::ControlEvent> unpaired_chain() {
+  return {pin(1 * kSecond, 1,
+              of::FlowKey{Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 1000, 80,
+                          of::Proto::kTcp}),
+          pin(9 * kSecond, 1,
+              of::FlowKey{Ipv4(10, 0, 0, 2), Ipv4(10, 0, 0, 3), 1001, 80,
+                          of::Proto::kTcp})};
+}
+
+TEST(IncrementalModel, ZeroMinEdgeFlowsMatchesOracle) {
+  // With min_edge_flows == 0 every adjacent edge pair passes the edge
+  // gates, but a pair without a single delay has nothing to summarize: the
+  // DD gate refuses it on both sides.
   ModelConfig config;
   config.app.min_edge_flows = 0;
-  EXPECT_FALSE(IncrementalModeler::supported(config));
-  // A stored DD pair keeps its delay in 32 bits of microseconds.
-  ModelConfig wide;
-  wide.app.dd_window = SimDuration{1} << 32;
-  EXPECT_FALSE(IncrementalModeler::supported(wide));
-  wide.app.dd_window = (SimDuration{1} << 32) - 1;
-  EXPECT_TRUE(IncrementalModeler::supported(wide));
   OraclePair o(config);
   IncrementalWindowState state;
-  o.inc.feed(state, pin(100, 1,
-                        of::FlowKey{host(0, 0), host(0, 1), 1, 80,
-                                    of::Proto::kTcp}));
-  EXPECT_FALSE(o.inc.ready(state));
+  of::ControlLog log;
+  for (const auto& event : unpaired_chain()) {
+    log.append(event);
+    o.inc.feed(state, event);
+  }
+  const std::string want = describe_model(o.modeler.build(log));
+  EXPECT_EQ(want.find("\ndd "), std::string::npos) << want;
+  EXPECT_EQ(describe_model(o.inc.finalize(state)), want);
+
+  EXPECT_GT(sweep_stream(random_stream(12, 4 * kSecond), config, kSecond), 0);
+  // No stored delay bounds the pairing window any more: one past 2^32 µs
+  // pairs every in/out combination of a window.
+  config.app.min_edge_flows = 1;
+  config.app.dd_window = SimDuration{1} << 32;
+  EXPECT_GT(sweep_stream(random_stream(13, 4 * kSecond), config, kSecond), 0);
 }
 
 TEST(IncrementalModel, FreshStateIsNotReady) {
+  // A never-fed state holds no window: it finalizes to the empty model,
+  // the oracle's model of the empty log.
   ModelConfig config;
   OraclePair o(config);
-  const IncrementalWindowState state;  // Empty window: never fed.
-  EXPECT_FALSE(o.inc.ready(state));
+  const IncrementalWindowState state;
+  EXPECT_FALSE(state.active);
+  EXPECT_EQ(describe_model(o.inc.finalize(state)),
+            describe_model(o.modeler.build(of::ControlLog{})));
 }
 
 TEST(IncrementalModel, ResetClearsEverything) {
@@ -165,7 +182,6 @@ TEST(IncrementalModel, ResetClearsEverything) {
   ASSERT_TRUE(state.active);
   state.reset();
   EXPECT_FALSE(state.active);
-  EXPECT_FALSE(state.dd_over_budget);
   EXPECT_EQ(state.events, 0u);
   EXPECT_TRUE(state.occurrences.empty());
   EXPECT_TRUE(state.hops.empty());
@@ -173,13 +189,11 @@ TEST(IncrementalModel, ResetClearsEverything) {
   EXPECT_TRUE(state.hosts.empty());
   EXPECT_TRUE(state.edges.empty());
   EXPECT_TRUE(state.triples.empty());
-  EXPECT_TRUE(state.dd_pairs.empty());
   EXPECT_TRUE(state.polls.empty());
-  EXPECT_EQ(state.dd_samples, 0u);
 
   // A recycled state must behave exactly like a fresh one, whatever the
   // previous window left in its buffers: big -> small -> big, then a
-  // window past the DD budget followed by a normal one.
+  // window of over a million DD pairs followed by a normal one.
   struct Window {
     const char* name;
     std::vector<of::ControlEvent> events;
@@ -188,8 +202,8 @@ TEST(IncrementalModel, ResetClearsEverything) {
       {"big", random_stream(8, 4 * kSecond)},
       {"small", random_stream(9, kSecond / 4)},
       {"big again", random_stream(10, 4 * kSecond)},
-      {"over the DD budget", dense_fan_in(0)},
-      {"normal after the budget", random_stream(11, 2 * kSecond)},
+      {"dense fan-in", dense_fan_in(0)},
+      {"normal after the fan-in", random_stream(11, 2 * kSecond)},
   };
   for (const Window& window : windows) {
     SCOPED_TRACE(window.name);
@@ -203,14 +217,6 @@ TEST(IncrementalModel, ResetClearsEverything) {
     }
     const std::string got = describe_model(o.inc.finalize(state));
     EXPECT_EQ(got, describe_model(o.inc.finalize(fresh)));
-    EXPECT_EQ(state.dd_over_budget, fresh.dd_over_budget);
-    if (state.dd_over_budget) {
-      // Past the budget the oracle's DD stability differs by design
-      // (FacadeModel.DdBudgetOverflowDropsPairsAndFacadeUsesOracle).
-      EXPECT_FALSE(o.inc.ready(state));
-      continue;
-    }
-    ASSERT_TRUE(o.inc.ready(state));
     EXPECT_EQ(got, describe_model(o.modeler.build(log)));
   }
 }
@@ -400,60 +406,45 @@ TEST(FacadeModel, EmptyLogMatchesOracle) {
   expect_facade_matches_oracle(fd, of::ControlLog{}, "empty log");
 }
 
-TEST(FacadeModel, UnsupportedConfigUsesOracle) {
+TEST(FacadeModel, ZeroMinEdgeFlowsMatchesOracle) {
   FlowDiffConfig config;
   config.model.app.min_edge_flows = 0;
   const FlowDiff fd(config);
-  of::ControlLog log;
-  for (const auto& event : random_stream(45, 3 * kSecond)) log.append(event);
+  of::ControlLog random;
+  for (const auto& event : random_stream(45, 3 * kSecond)) random.append(event);
+  of::ControlLog chain;
+  for (const auto& event : unpaired_chain()) chain.append(event);
   const ObsScope obs_on;
-  expect_facade_matches_oracle(fd, log, "min_edge_flows=0");
-  EXPECT_EQ(counter("model.incremental_finalizes"), 0u);
+  expect_facade_matches_oracle(fd, random, "min_edge_flows=0");
+  // The oracle once kept the chain's delay-less pair, with a NaN mean.
+  const std::string model = describe_model(fd.model(chain));
+  EXPECT_EQ(model.find("nan"), std::string::npos) << model;
+  expect_facade_matches_oracle(fd, chain, "unpaired chain");
+  EXPECT_EQ(counter("model.incremental_finalizes"), 3u);
 }
 
-TEST(FacadeModel, DdBudgetOverflowDropsPairsAndFacadeUsesOracle) {
+TEST(FacadeModel, PastTheOldDdBudgetMatchesOracle) {
+  // Over a million DD pairs in one log, past the pair log the incremental
+  // modeler once kept: per-segment DD is still judged from the edges' flow
+  // starts, exactly as the oracle judges it.
   const auto events = dense_fan_in(0);
   const FlowDiff fd(FlowDiffConfig{});
   of::ControlLog log;
   for (const auto& event : events) log.append(event);
-  expect_facade_matches_oracle(fd, log, "dense fan-in past the DD budget");
-
-  // The incremental state itself: bounded (no stored pairs), window-wide
-  // DD exact, every DD pair stability-unknown.
-  IncrementalWindowState state;
-  for (const auto& event : events) fd.incremental_modeler().feed(state, event);
-  ASSERT_TRUE(state.dd_over_budget);
-  EXPECT_FALSE(fd.incremental_modeler().ready(state));
-  EXPECT_EQ(state.dd_pairs.capacity(), 0u);
-  std::uint64_t hist_total = 0;
-  for (std::size_t id = 0; id < state.triples.size(); ++id) {
-    hist_total += state.dd_hists[id].total();
-  }
-  EXPECT_EQ(hist_total, std::uint64_t{kFan} * (kFan + 1));
-  EXPECT_EQ(state.dd_samples, hist_total);
-
-  const BehaviorModel degraded = fd.incremental_modeler().finalize(state);
-  const BehaviorModel oracle = fd.modeler().build(log);
-  ASSERT_EQ(degraded.groups.size(), oracle.groups.size());
+  const ObsScope obs_on;
+  const BehaviorModel model = fd.model(log);
+  EXPECT_EQ(counter("model.incremental_finalizes"), 1u);
+  EXPECT_EQ(describe_model(model), describe_model(fd.modeler().build(log)));
+  std::uint64_t samples = 0;
   std::size_t dd_pairs = 0;
-  for (std::size_t g = 0; g < oracle.groups.size(); ++g) {
-    const auto& got = degraded.groups[g];
-    const auto& want = oracle.groups[g];
-    ASSERT_EQ(got.sig.dd.per_pair.size(), want.sig.dd.per_pair.size());
-    for (const auto& [triple, pair] : want.sig.dd.per_pair) {
-      const auto it = got.sig.dd.per_pair.find(triple);
-      ASSERT_NE(it, got.sig.dd.per_pair.end());
-      EXPECT_EQ(it->second.samples, pair.samples);
-      EXPECT_EQ(it->second.hist.counts(), pair.hist.counts());
-      EXPECT_EQ(it->second.peak_ms, pair.peak_ms);
-      EXPECT_EQ(it->second.mean_ms, pair.mean_ms);
-      EXPECT_TRUE(got.unstable_dd_pairs.contains(triple));
+  for (const GroupModel& group : model.groups) {
+    for (const auto& [triple, pair] : group.sig.dd.per_pair) {
+      samples += pair.samples;
       ++dd_pairs;
     }
-    EXPECT_EQ(got.unstable_ci_nodes, want.unstable_ci_nodes);
-    EXPECT_EQ(got.unstable_pc_pairs, want.unstable_pc_pairs);
   }
   EXPECT_EQ(dd_pairs, 4u);
+  EXPECT_EQ(samples, std::uint64_t{kFan} * (kFan + 1));
 }
 
 // --- Monitor: one store per window ------------------------------------------
@@ -510,32 +501,52 @@ TEST(IncrementalModel, UnsanitizedOutOfOrderEventIsRejectedInBothModes) {
   EXPECT_EQ(per_mode[0], per_mode[1]);
 }
 
-TEST(IncrementalModel, DdBudgetWindowIsAuditedNotRebuilt) {
-  const ObsScope obs_on;
-  MonitorConfig config = monitor_config(true);
-  SlidingMonitor monitor(config);
-  monitor.feed(dense_fan_in(0));
-  monitor.flush();
-  ASSERT_EQ(monitor.audits().size(), 1u);
-  EXPECT_NE(monitor.audits()[0].decision.find(
-                "DD budget exceeded: DD stability unknown"),
-            std::string::npos)
-      << monitor.audits()[0].decision;
-  EXPECT_EQ(counter("monitor.incremental.windows"), 1u);
-  EXPECT_EQ(counter("monitor.incremental.fallbacks"), 1u);
+/// Transcript and per-window models of one monitor run per mode: [0] is
+/// incremental, [1] oracle.
+struct ModeRuns {
+  std::string transcript[2];
+  std::vector<std::string> models[2];
+};
+
+ModeRuns run_both_modes(MonitorConfig config,
+                        const std::vector<of::ControlEvent>& events) {
+  ModeRuns runs;
+  for (const bool incremental : {true, false}) {
+    config.incremental = incremental;
+    SlidingMonitor monitor(config);
+    const int i = incremental ? 0 : 1;
+    runs.models[i] = feed_window_models(monitor, events);
+    runs.transcript[i] = render_monitor_transcript(monitor) + "\n" +
+                         render_provenance_transcript(monitor);
+  }
+  return runs;
 }
 
-TEST(IncrementalModel, UnsupportedConfigMonitorRunsOracleMode) {
-  const auto events = random_stream(61, 6 * kSecond);
-  MonitorConfig config = monitor_config(false);
-  config.flowdiff.model.app.min_edge_flows = 0;
-  const std::string oracle = run_monitor(config, events);
-  config.incremental = true;
+TEST(IncrementalModel, DdBudgetWindowIsAuditedNotRebuilt) {
+  // One window of over a million DD pairs, past the budget of the pair log
+  // the incremental modeler once kept: it is finalized, not rebuilt, and
+  // reads exactly as in oracle mode, transcript and model.
   const ObsScope obs_on;
-  EXPECT_EQ(run_monitor(config, events), oracle);
-  EXPECT_EQ(counter("monitor.incremental.windows"), 0u);
-  EXPECT_EQ(counter("monitor.incremental.fallbacks"), 0u);
-  EXPECT_EQ(counter("model.incremental_finalizes"), 0u);
+  const ModeRuns runs = run_both_modes(monitor_config(true), dense_fan_in(0));
+  ASSERT_EQ(runs.models[1].size(), 1u);
+  expect_same_window_models(runs.models[0], runs.models[1], "dense fan-in");
+  EXPECT_EQ(runs.transcript[0], runs.transcript[1]);
+  EXPECT_EQ(counter("monitor.incremental.windows"), 1u);
+  EXPECT_EQ(counter("model.incremental_finalizes"), 1u);
+  EXPECT_EQ(counter("monitor.windows"), 2u);
+}
+
+TEST(IncrementalModel, ZeroMinEdgeFlowsMonitorMatchesOracleMode) {
+  MonitorConfig config = monitor_config(true);
+  config.flowdiff.model.app.min_edge_flows = 0;
+  const ObsScope obs_on;
+  const ModeRuns runs = run_both_modes(config, random_stream(61, 6 * kSecond));
+  ASSERT_FALSE(runs.models[1].empty());
+  expect_same_window_models(runs.models[0], runs.models[1],
+                            "min_edge_flows=0");
+  EXPECT_EQ(runs.transcript[0], runs.transcript[1]);
+  EXPECT_EQ(counter("monitor.incremental.windows"), runs.models[0].size());
+  EXPECT_EQ(counter("model.incremental_finalizes"), runs.models[0].size());
 }
 
 TEST(IncrementalModel, OracleModeNeverFinalizes) {

@@ -1,12 +1,18 @@
 // Synthetic control-event streams shared by the incremental-modeling
-// suites: randomized admit/retire windows and a dense fan-in that goes past
-// the DD-pair budget.
+// suites (randomized admit/retire windows and a dense fan-in of over a
+// million DD pairs in one window), and a reader of a monitor's model
+// window by window.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "flowdiff/model.h"
+#include "flowdiff/monitor.h"
 #include "openflow/control_log.h"
 #include "util/rng.h"
 
@@ -148,6 +154,47 @@ inline std::vector<of::ControlEvent> dense_fan_in(SimTime t0) {
     events.push_back(pin(t0 + 100 * kMillisecond + j * 100, 1, out));
   }
   return events;
+}
+
+/// Feeds `events` to `monitor` one at a time and returns describe_model of
+/// each window's model as the window closes, flush included: the per-window
+/// models the identity checks compare across modeling modes. A feed that
+/// closes more than one window hides all but the last model, and fails the
+/// test.
+inline std::vector<std::string> feed_window_models(
+    SlidingMonitor& monitor, const std::vector<of::ControlEvent>& events) {
+  std::vector<std::string> models;
+  const auto take = [&] {
+    const std::size_t closed = monitor.windows_processed();
+    if (closed == models.size()) return;
+    if (closed > models.size() + 1) {
+      ADD_FAILURE() << "one feed closed windows " << models.size() << ".."
+                    << closed - 1;
+    }
+    models.resize(closed - 1);
+    models.push_back(describe_model(*monitor.last_window_model()));
+  };
+  for (const auto& event : events) {
+    monitor.feed(event);
+    take();
+  }
+  monitor.flush();
+  take();
+  return models;
+}
+
+/// Expects equal per-window model lists, naming the first window whose
+/// model differs (the full dumps are too long to print).
+inline void expect_same_window_models(const std::vector<std::string>& got,
+                                      const std::vector<std::string>& want,
+                                      const std::string& what) {
+  EXPECT_EQ(got.size(), want.size()) << what << ": window count";
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (got[i] != want[i]) {
+      ADD_FAILURE() << what << ": the model of window " << i << " differs";
+      return;
+    }
+  }
 }
 
 }  // namespace flowdiff::core

@@ -1,13 +1,16 @@
 // End-to-end identity of window modeling on the Fig. 13 multi-app
-// workload and a repeated steady corpus capture: the incremental monitor
-// must emit the same alarm/audit/provenance sequence as the from-scratch
-// oracle, the ingest sanitizer must be invisible on a clean stream, and a
-// telemetry scraper on another thread must never perturb (or tear) what
-// the monitor commits.
+// workload, the corpus captures and a repeated steady capture: the
+// incremental monitor must emit the same alarm/audit/provenance sequence
+// as the from-scratch oracle, and the same model for every window; the
+// ingest sanitizer must be invisible on a clean stream, and a telemetry
+// scraper on another thread must never perturb (or tear) what the monitor
+// commits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "flowdiff/monitor.h"
 #include "flowdiff/telemetry.h"
 #include "http_test_util.h"
+#include "incremental_stream.h"
 #include "openflow/log_io.h"
 
 namespace flowdiff::core {
@@ -133,6 +137,46 @@ TEST(MonitorIdentity, IncrementalMatchesFromScratchOracle) {
   ASSERT_FALSE(steady_oracle.empty());
   EXPECT_EQ(steady_transcript(true), steady_oracle)
       << "incremental diverged from oracle on the repeated steady capture";
+}
+
+TEST(MonitorIdentity, PerWindowModelsMatchOracle) {
+  // Transcripts show verdicts, not models: a window modeled from the wrong
+  // events can still render the same. So compare describe_model of every
+  // window between the modes, on every corpus capture (plain and
+  // sanitized) and on the repeated steady capture.
+  const auto both_modes = [](exp::CorpusCase corpus_case,
+                             const std::string& what) {
+    std::vector<std::string> models[2];
+    for (const bool incremental : {true, false}) {
+      corpus_case.config.incremental = incremental;
+      SlidingMonitor monitor(corpus_case.config);
+      models[incremental ? 0 : 1] =
+          feed_window_models(monitor, corpus_case.events);
+    }
+    EXPECT_FALSE(models[1].empty()) << what;
+    expect_same_window_models(models[0], models[1], what);
+  };
+  namespace fs = std::filesystem;
+  std::vector<fs::path> logs;
+  for (const auto& entry : fs::directory_iterator(FLOWDIFF_CORPUS_DIR)) {
+    if (entry.path().extension() == ".log") logs.push_back(entry.path());
+  }
+  std::sort(logs.begin(), logs.end());
+  ASSERT_GE(logs.size(), 7u);
+  for (const auto& path : logs) {
+    const auto text = of::read_file(path.string());
+    ASSERT_TRUE(text.has_value()) << path;
+    auto corpus_case = exp::parse_corpus_case(*text);
+    ASSERT_TRUE(corpus_case.has_value()) << path;
+    for (const bool sanitize : {false, true}) {
+      corpus_case->config.sanitize = sanitize;
+      both_modes(*corpus_case, path.filename().string() +
+                                   (sanitize ? " sanitized" : " plain"));
+    }
+  }
+  const exp::CorpusCase steady = steady_repeated(3);
+  ASSERT_FALSE(steady.events.empty()) << "steady.log missing or empty";
+  both_modes(steady, "steady.log repeated");
 }
 
 TEST(MonitorIdentity, SanitizerOnCleanStreamIsInvariant) {

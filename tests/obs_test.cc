@@ -227,6 +227,7 @@ TEST_F(ObsTest, ScopedTimerFeedsHistogram) {
 
 TEST_F(ObsTest, JsonExportRoundTrips) {
   Registry::global().counter("rt.counter").inc(7);
+  Registry::global().counter("rt.line\nbreak").inc(2);
   Gauge& g = Registry::global().gauge("rt.gauge");
   g.set(11);
   g.set(4);
@@ -253,6 +254,7 @@ TEST_F(ObsTest, JsonExportRoundTrips) {
 
   ASSERT_EQ(after->counters.size(), before.counters.size());
   EXPECT_EQ(find(after->counters, "rt.counter")->second, 7u);
+  EXPECT_EQ(find(after->counters, "rt.line\nbreak")->second, 2u);
 
   const auto gauge = find(after->gauges, "rt.gauge");
   EXPECT_EQ(gauge->second.value, 4);
@@ -349,6 +351,29 @@ TEST_F(ObsTest, PrometheusEscapesLabelValuesAndHelpText) {
       << text;
   // The raw span name (with its literal newline) must appear nowhere.
   EXPECT_EQ(text.find("evil\"name\\with\nnewline"), std::string::npos);
+}
+
+TEST_F(ObsTest, JsonStringEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_string(""), "\"\"");
+  EXPECT_EQ(json_string("plain ascii, 100%"), "\"plain ascii, 100%\"");
+  EXPECT_EQ(json_string("q\"b\\n\nr\rt\t"), "\"q\\\"b\\\\n\\nr\\rt\\t\"");
+  EXPECT_EQ(json_string(std::string_view("\x00\x01\x1f\x20", 4)),
+            "\"\\u0000\\u0001\\u001f \"");
+  // Bytes at or above 0x80 (UTF-8) pass through.
+  EXPECT_EQ(json_string("\xc3\xa9"), "\"\xc3\xa9\"");
+
+  // parse_json_string reads every byte back.
+  std::string all;
+  for (int c = 0; c < 256; ++c) all += static_cast<char>(c);
+  const std::string quoted = json_string(all) + ",";
+  std::size_t pos = 0;
+  EXPECT_EQ(parse_json_string(quoted, pos), all);
+  EXPECT_EQ(pos, quoted.size() - 1);
+  for (const std::string_view bad : {"\"open", "\"\\u00e9\"", "\"\\u00g0\"",
+                                     "\"\\u00\"", "no quote"}) {
+    pos = 0;
+    EXPECT_FALSE(parse_json_string(bad, pos).has_value()) << bad;
+  }
 }
 
 TEST_F(ObsTest, SpanTreeRendersNesting) {

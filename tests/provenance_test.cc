@@ -114,6 +114,44 @@ TEST(Provenance, CollectionJsonRoundTripsLosslessly) {
             json);
 }
 
+TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
+  // Verdicts and labels are free text: every control byte must leave as a
+  // JSON escape (raw ones make the document invalid) and come back intact.
+  const auto parsed = load_case("slowdown");
+  ASSERT_TRUE(parsed.has_value());
+  core::SlidingMonitor monitor(parsed->config);
+  monitor.feed(parsed->events);
+  monitor.flush();
+  ASSERT_FALSE(monitor.provenance().empty());
+  core::ProvenanceRecord rec = monitor.provenance().front();
+  ASSERT_FALSE(rec.families.empty());
+  ASSERT_FALSE(rec.families[0].top.empty());
+  rec.verdict = std::string("bell\x07 quote\" tab\t nul") + '\0';
+  rec.families[0].top[0].label = "unit\x1fsep\\back\nline";
+
+  const std::string json = core::render_provenance_collection_json({rec}, 0);
+  EXPECT_NE(json.find("bell\\u0007 quote\\\" tab\\t nul\\u0000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("unit\\u001fsep\\\\back\\nline"), std::string::npos)
+      << json;
+  for (const char c : json) {
+    EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n')
+        << "raw control byte " << static_cast<int>(c);
+  }
+  const auto back = core::parse_provenance_json(json);
+  ASSERT_TRUE(back.has_value()) << json;
+  ASSERT_EQ(back->size(), 1u);
+  EXPECT_EQ((*back)[0].verdict, rec.verdict);
+  EXPECT_EQ((*back)[0].families[0].top[0].label,
+            rec.families[0].top[0].label);
+  EXPECT_EQ(core::render_provenance_collection_json(*back, 0), json);
+  // Only the escapes json_string writes are read: \u00XX below 0x80.
+  std::string wide = json;
+  wide.replace(wide.find("\\u0007"), 6, "\\u00e9");
+  EXPECT_FALSE(core::parse_provenance_json(wide).has_value());
+}
+
 TEST(Provenance, RingRotationDropsOldestRecords) {
   // corrupted_slowdown yields one suppressed-family record per degraded
   // window — several records, enough to exercise rotation.

@@ -246,6 +246,7 @@ TEST_F(TimeseriesTest, SamplerIsNoOpWhileDisabled) {
 TEST_F(TimeseriesTest, SeriesJsonRoundTrips) {
   Registry::global().counter("ts.rt.count").inc(3);
   Registry::global().gauge("ts.rt.gauge").set(-2);
+  Registry::global().gauge("ts.rt.tab\there \"quoted\"").set(1);
   Sampler sampler;
   sampler.sample(1.0);
   sampler.sample(2.0);

@@ -135,7 +135,7 @@ TEST(WindowAlloc, FeedAllocatesNothingForAWindowAlreadySeen) {
   EXPECT_EQ(describe_model(inc.finalize(state)), first);
 
   // A prefix is no larger in any dimension (events, flows, hosts, edges,
-  // triples, DD pairs, polls, histogram bins).
+  // triples, polls, histogram bins).
   state.reset();
   const auto half = prefix(window, window.size() / 2);
   const Heap smaller = count_heap([&] { feed_all(inc, state, half); });
@@ -185,7 +185,6 @@ TEST(WindowAlloc, BurstBuffersAreReleasedAfterAQuietWindowOnly) {
   EXPECT_EQ(state.occurrences.capacity(), 0u);
   EXPECT_EQ(state.hops.capacity(), 0u);
   EXPECT_EQ(state.open.capacity(), 0u);
-  EXPECT_EQ(state.dd_pairs.capacity(), 0u);
 
   // Regrown to the quiet size, repeated quiet windows keep their buffers.
   feed_all(inc, state, quiet);
