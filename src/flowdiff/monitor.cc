@@ -203,15 +203,6 @@ std::uint64_t SlidingMonitor::provenance_dropped() const {
   return provenance_dropped_;
 }
 
-std::optional<ProvenanceRecord> SlidingMonitor::find_provenance(
-    std::uint64_t id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& rec : provenance_) {
-    if (rec.id == id) return rec;
-  }
-  return std::nullopt;
-}
-
 std::size_t SlidingMonitor::windows_processed() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return windows_;
@@ -391,7 +382,7 @@ void SlidingMonitor::process_window(
   // the audit under the lock.
   std::optional<ProvenanceRecord> record;
   if (!report.unknown.empty() || !report.suppressed.empty()) {
-    record = build_provenance(report, config_.provenance_top_k);
+    record = build_provenance(report);
     record->id = ++provenance_seq_;
     record->window_index = audit.index;
     record->window_begin = begin;

@@ -60,9 +60,6 @@ struct MonitorConfig {
   /// or suppressed changes gets one; oldest rotate out, counted by
   /// provenance_dropped()). 0 keeps everything — short offline runs only.
   std::size_t max_provenance = 256;
-  /// Contributing components listed per family in a provenance record,
-  /// ranked by their share of the family's divergence.
-  std::size_t provenance_top_k = 5;
   /// Maintain per-window signature aggregates incrementally at feed time
   /// (the facade's core::IncrementalModeler) and keep nothing else per
   /// window: a closing window only runs the cheap finalize, bit-identical
@@ -197,16 +194,12 @@ class SlidingMonitor {
   /// Provenance records retained (newest max_provenance), oldest first:
   /// one per window whose diff produced unknown or suppressed changes,
   /// explaining what drove (or withheld) the alarm. Call after flush();
-  /// concurrent readers should use snapshot() or find_provenance().
+  /// concurrent readers should use snapshot().
   [[nodiscard]] const std::deque<ProvenanceRecord>& provenance() const {
     return provenance_;
   }
   /// Provenance records rotated out by the max_provenance cap.
   [[nodiscard]] std::uint64_t provenance_dropped() const;
-  /// Copy of the record with the given id, taken under the commit lock
-  /// (safe from any thread); nullopt if unknown or rotated out.
-  [[nodiscard]] std::optional<ProvenanceRecord> find_provenance(
-      std::uint64_t id) const;
   [[nodiscard]] std::size_t windows_processed() const;
   [[nodiscard]] SimTime baseline_captured_at() const;
   /// Whole-run sanitizer totals (all-zero when sanitize is off). After

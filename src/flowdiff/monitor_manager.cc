@@ -283,6 +283,7 @@ MonitorHealth MonitorManager::aggregate_health() const {
     aggregate.watchdog_alerts += shard_health->watchdog_alerts;
     aggregate.suppressed_changes += shard_health->suppressed_changes;
     aggregate.rejected_out_of_order += shard_health->rejected_out_of_order;
+    aggregate.quality += shard_health->quality;
     aggregate.stream_degraded =
         aggregate.stream_degraded || shard_health->stream_degraded;
     if (!shard_health->healthy) {

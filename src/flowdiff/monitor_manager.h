@@ -135,7 +135,8 @@ class MonitorManager {
       const std::string& tenant) const;
 
   /// Whole-daemon verdict: healthy iff every shard is healthy and none
-  /// faulted. Reasons are prefixed with the tenant ("tenant2: ...").
+  /// faulted. Reasons are prefixed with the tenant ("tenant2: ..."); the
+  /// counters and the stream quality are summed over the shards.
   [[nodiscard]] MonitorHealth aggregate_health() const;
 
   [[nodiscard]] std::size_t shard_count() const;

@@ -26,23 +26,9 @@ std::optional<std::string> MonitorOptions::validate() const {
            "us): the sanitizer would hold every event past its window's "
            "close";
   }
-  if (provenance_top_k == 0) {
-    return "provenance_top_k must be >= 1 (a record with no contributors "
-           "explains nothing)";
-  }
-  if (!listen.empty()) {
-    if (!obs::parse_listen_address(listen)) {
-      return "malformed listen address '" + listen +
-             "' (expected ADDR:PORT, :PORT, or PORT)";
-    }
-    if (max_audits == 0) {
-      return "max_audits=0 (unbounded) combined with a live listen "
-             "endpoint: a long-running monitor would grow without limit";
-    }
-    if (max_provenance == 0) {
-      return "max_provenance=0 (unbounded) combined with a live listen "
-             "endpoint: a long-running monitor would grow without limit";
-    }
+  if (!listen.empty() && !obs::parse_listen_address(listen)) {
+    return "malformed listen address '" + listen +
+           "' (expected ADDR:PORT, :PORT, or PORT)";
   }
   return std::nullopt;
 }
@@ -54,9 +40,6 @@ MonitorConfig MonitorOptions::monitor_config() const {
   config.sanitize = sanitize;
   if (lateness) config.ingest.lateness_horizon = *lateness;
   config.incremental = incremental;
-  config.max_audits = max_audits;
-  config.max_provenance = max_provenance;
-  config.provenance_top_k = provenance_top_k;
   config.flowdiff.set_special_nodes(services);
   config.tasks = tasks;
   return config;

@@ -9,6 +9,8 @@
 // message naming the offending pair), and monitor_config() lowers the
 // validated bundle onto the internal MonitorConfig that SlidingMonitor —
 // and every per-tenant shard a MonitorManager creates — actually runs.
+// Retention is not an option: every monitor built from MonitorOptions keeps
+// MonitorConfig's bounded defaults (4096 audits, 256 provenance records).
 #pragma once
 
 #include <optional>
@@ -44,13 +46,6 @@ struct MonitorOptions {
   /// perfbench/flowbench.cc assigns it; the next benchmark change deletes
   /// it. (serve's cross-tenant pool is ManagerConfig::workers.)
   int workers = 0;
-  /// Audit / provenance records retained per monitor. 0 = unbounded,
-  /// which validate() rejects when `listen` is set: a long-running daemon
-  /// with unbounded retention grows without limit.
-  std::size_t max_audits = 4096;
-  std::size_t max_provenance = 256;
-  /// Contributors listed per family in a provenance record (>= 1).
-  std::size_t provenance_top_k = 5;
   /// Telemetry-plane endpoint ("ADDR:PORT", ":PORT", or "PORT"); empty
   /// serves nothing. Must parse via obs::parse_listen_address.
   std::string listen;

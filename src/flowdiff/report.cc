@@ -362,11 +362,4 @@ std::string render_run_report(const MonitorSnapshot& snap,
   return doc.take();
 }
 
-std::string render_run_report(const SlidingMonitor& monitor,
-                              const obs::Sampler& sampler,
-                              const obs::FlightRecorder& recorder,
-                              const RunReportOptions& options) {
-  return render_run_report(monitor.snapshot(), sampler, recorder, options);
-}
-
 }  // namespace flowdiff::core

@@ -29,18 +29,12 @@ struct RunReportOptions {
 /// Renders the joined report from a coherent monitor snapshot. The sampler
 /// and recorder are usually obs::Sampler::global() /
 /// obs::FlightRecorder::global() after a monitor run with observability
-/// enabled; empty ones degrade to a summary-only document. This is the
-/// overload the telemetry plane's /report endpoint uses mid-run: the
-/// snapshot was taken under the commit lock, so the report never shows a
-/// half-committed window.
+/// enabled; empty ones degrade to a summary-only document. The telemetry
+/// plane's /report endpoint renders mid-run: the snapshot was taken under
+/// the commit lock, so the report never shows a half-committed window.
+/// After flush(), pass SlidingMonitor::snapshot().
 [[nodiscard]] std::string render_run_report(
     const MonitorSnapshot& snap, const obs::Sampler& sampler,
-    const obs::FlightRecorder& recorder, const RunReportOptions& options = {});
-
-/// Convenience overload: snapshots the monitor and renders. After flush()
-/// this is byte-identical to what the snapshot overload produces mid-run.
-[[nodiscard]] std::string render_run_report(
-    const SlidingMonitor& monitor, const obs::Sampler& sampler,
     const obs::FlightRecorder& recorder, const RunReportOptions& options = {});
 
 }  // namespace flowdiff::core

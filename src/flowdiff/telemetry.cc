@@ -2,10 +2,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <string_view>
 #include <utility>
 
 #include "flowdiff/monitor_manager.h"
+#include "flowdiff/report.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/timeseries.h"
@@ -57,14 +60,6 @@ obs::HttpResponse text_response(int status, std::string body) {
   return response;
 }
 
-obs::HttpResponse no_monitor_response() {
-  obs::HttpResponse response;
-  response.status = 503;
-  response.content_type = "application/json";
-  response.body = "{\"error\":\"no monitor attached\"}\n";
-  return response;
-}
-
 obs::HttpResponse json_error(int status, std::string_view message) {
   obs::HttpResponse response;
   response.status = status;
@@ -73,20 +68,30 @@ obs::HttpResponse json_error(int status, std::string_view message) {
   return response;
 }
 
-/// Parses an optional ?from=/?to= time bound (seconds, decimal). Leaves
-/// *out untouched when the parameter is absent; returns false when it is
-/// present but not a number.
-bool parse_time_bound(const std::optional<std::string>& raw, double* out) {
-  if (!raw) return true;
-  if (raw->empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
+/// Parses the optional ?from=/?to= bounds (seconds, decimal) into *from
+/// and *to, which stay unbounded when absent. Returns the 400 answer when
+/// a bound is present but not a number.
+std::optional<obs::HttpResponse> parse_time_range(
+    const obs::HttpRequest& request, double* from, double* to) {
+  *from = -std::numeric_limits<double>::infinity();
+  *to = std::numeric_limits<double>::infinity();
+  for (const auto& [name, out] :
+       {std::pair{"from", from}, std::pair{"to", to}}) {
+    const std::optional<std::string> raw = request.param(name);
+    if (!raw) continue;
+    char* end = nullptr;
+    const double value = std::strtod(raw->c_str(), &end);
+    if (raw->empty() || end == nullptr || *end != '\0') {
+      return json_error(400, std::string("unparseable ") + name +
+                                 " bound: " + *raw);
+    }
+    *out = value;
+  }
+  return std::nullopt;
 }
 
-/// Same contract for unsigned integer parameters (?id=, ?limit=).
+/// Parses an optional unsigned integer parameter (?id=, ?limit=). Leaves
+/// *out untouched when it is absent; false when present but not a number.
 bool parse_u64_param(const std::optional<std::string>& raw,
                      std::uint64_t* out) {
   if (!raw) return true;
@@ -232,8 +237,8 @@ std::string render_tenant_series_json(const MonitorSnapshot& snap) {
   return out;
 }
 
-TelemetryPlane::TelemetryPlane(TelemetryConfig config)
-    : config_(std::move(config)), server_(config_.http) {
+TelemetryPlane::TelemetryPlane(obs::HttpServerConfig config)
+    : server_(std::move(config)) {
   register_routes();
 }
 
@@ -257,6 +262,120 @@ void TelemetryPlane::stop() {
   manager_.store(nullptr, std::memory_order_release);
 }
 
+namespace {
+
+/// The /healthz answer: the verdict as JSON, 503 once unhealthy.
+obs::HttpResponse health_response(const MonitorHealth& health) {
+  obs::HttpResponse response;
+  response.status = health.healthy ? 200 : 503;
+  response.content_type = "application/json";
+  response.body = render_health_json(health);
+  return response;
+}
+
+/// The per-monitor endpoints, written once: /<endpoint> serves them over
+/// the attached monitor and /tenants/<id>/<endpoint> over one manager
+/// shard. Each endpoint reads only the accessor it needs, so a /healthz
+/// scrape never copies the audit trail.
+obs::HttpResponse monitor_endpoint(
+    std::string_view endpoint, const obs::HttpRequest& request,
+    const std::function<MonitorHealth()>& health,
+    const std::function<MonitorSnapshot()>& snapshot) {
+  if (endpoint == "healthz") return health_response(health());
+  obs::HttpResponse response;
+  response.content_type = "application/json";
+  if (endpoint == "audits") {
+    const std::string format = request.param("format").value_or("csv");
+    double from = 0;
+    double to = 0;
+    if (auto bad = parse_time_range(request, &from, &to)) return *bad;
+    if (format != "json" && format != "csv") {
+      return text_response(400, "unknown format: " + format + "\n");
+    }
+    MonitorSnapshot snap = snapshot();
+    if (request.param("from").has_value() ||
+        request.param("to").has_value()) {
+      // Keep audits whose window overlaps [from, to] seconds.
+      std::vector<WindowAudit> kept;
+      for (WindowAudit& audit : snap.audits) {
+        if (to_seconds(audit.window_end) >= from &&
+            to_seconds(audit.window_begin) <= to) {
+          kept.push_back(std::move(audit));
+        }
+      }
+      snap.audits = std::move(kept);
+    }
+    if (format == "json") {
+      response.body = render_audits_json(snap);
+    } else {
+      response.content_type = "text/csv; charset=utf-8";
+      response.body = render_audits_csv(snap);
+    }
+    return response;
+  }
+  if (endpoint == "provenance") {
+    if (request.param("id").has_value()) {
+      std::uint64_t id = 0;
+      if (!parse_u64_param(request.param("id"), &id)) {
+        return json_error(400, "unparseable id: " +
+                                   request.param("id").value_or(""));
+      }
+      const MonitorSnapshot snap = snapshot();
+      for (const ProvenanceRecord& record : snap.provenance) {
+        if (record.id == id) {
+          response.body = render_provenance_json(record) + "\n";
+          return response;
+        }
+      }
+      return json_error(404, "no provenance record with id " +
+                                 std::to_string(id) +
+                                 " (unknown or rotated out)");
+    }
+    std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
+    if (!parse_u64_param(request.param("limit"), &limit)) {
+      return json_error(400, "unparseable limit: " +
+                                 request.param("limit").value_or(""));
+    }
+    MonitorSnapshot snap = snapshot();
+    if (limit < snap.provenance.size()) {
+      // Newest N: the ring is oldest-first.
+      snap.provenance.erase(snap.provenance.begin(),
+                            snap.provenance.end() -
+                                static_cast<std::ptrdiff_t>(limit));
+    }
+    response.body = render_provenance_collection_json(
+        snap.provenance, snap.provenance_dropped);
+    return response;
+  }
+  if (endpoint == "report") {
+    const std::string format = request.param("format").value_or("md");
+    if (format != "md" && format != "html") {
+      return text_response(400, "unknown format: " + format + "\n");
+    }
+    RunReportOptions options;
+    options.html = format == "html";
+    response.content_type = options.html ? "text/html; charset=utf-8"
+                                         : "text/markdown; charset=utf-8";
+    response.body = render_run_report(snapshot(), obs::Sampler::global(),
+                                      obs::FlightRecorder::global(), options);
+    return response;
+  }
+  return json_error(404, "no such endpoint: " + std::string(endpoint));
+}
+
+/// The same endpoints over the attached monitor (the top-level routes);
+/// 503 while none is attached.
+obs::HttpResponse monitor_endpoint(std::string_view endpoint,
+                                   const obs::HttpRequest& request,
+                                   const SlidingMonitor* monitor) {
+  if (monitor == nullptr) return json_error(503, "no monitor attached");
+  return monitor_endpoint(
+      endpoint, request, [monitor] { return monitor->health(); },
+      [monitor] { return monitor->snapshot(); });
+}
+
+}  // namespace
+
 void TelemetryPlane::register_routes() {
   server_.handle("/", [](const obs::HttpRequest&) {
     return text_response(
@@ -273,56 +392,50 @@ void TelemetryPlane::register_routes() {
         "  /provenance  alarm provenance records (JSON; ?id=N or ?limit=N)\n"
         "  /report      run report (?format=md|html)\n"
         "  /tenants     multi-tenant shard registry (serve mode); per-tenant\n"
-        "               /tenants/<id>/{healthz,series,audits,provenance,"
-        "report,transcript}\n");
+        "               /tenants/<id>/{healthz,audits,provenance,report} "
+        "take\n"
+        "               the parameters above, plus /tenants/<id>/{series,"
+        "transcript}\n");
   });
 
-  server_.handle("/metrics", [this](const obs::HttpRequest&) {
+  server_.handle("/metrics", [](const obs::HttpRequest&) {
     obs::update_process_gauges();
     obs::HttpResponse response;
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    response.body =
-        obs::render_prometheus(obs::snapshot(), config_.prometheus_prefix);
+    response.body = obs::render_prometheus(obs::snapshot());
     return response;
   });
 
-  server_.handle("/healthz", [this](const obs::HttpRequest&) {
-    obs::HttpResponse response;
-    response.content_type = "application/json";
-    const SlidingMonitor* m = monitor();
-    if (m != nullptr) {
-      const MonitorHealth health = m->health();
-      response.status = health.healthy ? 200 : 503;
-      response.body = render_health_json(health);
-      return response;
+  server_.handle("/healthz", [this](const obs::HttpRequest& request) {
+    if (const SlidingMonitor* m = monitor()) {
+      return monitor_endpoint("healthz", request, m);
     }
     if (const MonitorManager* mgr = manager()) {
       // Aggregate verdict: any shard degrading or faulting flips the
       // whole daemon's health check — a load balancer should stop
       // trusting a diagnoser that cannot vouch for every tenant.
-      const MonitorHealth health = mgr->aggregate_health();
-      response.status = health.healthy ? 200 : 503;
-      response.body = render_health_json(health);
-      return response;
+      return health_response(mgr->aggregate_health());
     }
     // A plane with nothing attached is alive but idle; report healthy so
     // a scraper between replay stages sees liveness, not an outage.
+    obs::HttpResponse response;
+    response.content_type = "application/json";
     response.body = "{\"healthy\":true,\"monitor_attached\":false}\n";
     return response;
   });
 
+  for (const char* endpoint : {"audits", "provenance", "report"}) {
+    server_.handle(std::string("/") + endpoint,
+                   [this, endpoint](const obs::HttpRequest& request) {
+                     return monitor_endpoint(endpoint, request, monitor());
+                   });
+  }
+
   server_.handle("/series", [](const obs::HttpRequest& request) {
     const std::string format = request.param("format").value_or("csv");
-    double from = -std::numeric_limits<double>::infinity();
-    double to = std::numeric_limits<double>::infinity();
-    if (!parse_time_bound(request.param("from"), &from)) {
-      return json_error(400, "unparseable from bound: " +
-                                 request.param("from").value_or(""));
-    }
-    if (!parse_time_bound(request.param("to"), &to)) {
-      return json_error(400, "unparseable to bound: " +
-                                 request.param("to").value_or(""));
-    }
+    double from = 0;
+    double to = 0;
+    if (auto bad = parse_time_range(request, &from, &to)) return *bad;
     obs::HttpResponse response;
     if (format != "json" && format != "csv") {
       return text_response(400, "unknown format: " + format + "\n");
@@ -371,83 +484,6 @@ void TelemetryPlane::register_routes() {
     return text_response(200, std::move(body));
   });
 
-  server_.handle("/audits", [this](const obs::HttpRequest& request) {
-    const SlidingMonitor* m = monitor();
-    if (m == nullptr) return no_monitor_response();
-    const std::string format = request.param("format").value_or("csv");
-    double from = -std::numeric_limits<double>::infinity();
-    double to = std::numeric_limits<double>::infinity();
-    if (!parse_time_bound(request.param("from"), &from)) {
-      return json_error(400, "unparseable from bound: " +
-                                 request.param("from").value_or(""));
-    }
-    if (!parse_time_bound(request.param("to"), &to)) {
-      return json_error(400, "unparseable to bound: " +
-                                 request.param("to").value_or(""));
-    }
-    MonitorSnapshot snap = m->snapshot();
-    if (request.param("from").has_value() ||
-        request.param("to").has_value()) {
-      // Keep audits whose window overlaps [from, to] seconds.
-      std::vector<WindowAudit> kept;
-      for (WindowAudit& audit : snap.audits) {
-        if (to_seconds(audit.window_end) >= from &&
-            to_seconds(audit.window_begin) <= to) {
-          kept.push_back(std::move(audit));
-        }
-      }
-      snap.audits = std::move(kept);
-    }
-    obs::HttpResponse response;
-    if (format == "json") {
-      response.content_type = "application/json";
-      response.body = render_audits_json(snap);
-    } else if (format == "csv") {
-      response.content_type = "text/csv; charset=utf-8";
-      response.body = render_audits_csv(snap);
-    } else {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
-    return response;
-  });
-
-  server_.handle("/provenance", [this](const obs::HttpRequest& request) {
-    const SlidingMonitor* m = monitor();
-    if (m == nullptr) return no_monitor_response();
-    obs::HttpResponse response;
-    response.content_type = "application/json";
-    if (request.param("id").has_value()) {
-      std::uint64_t id = 0;
-      if (!parse_u64_param(request.param("id"), &id)) {
-        return json_error(400, "unparseable id: " +
-                                   request.param("id").value_or(""));
-      }
-      const auto record = m->find_provenance(id);
-      if (!record) {
-        return json_error(404, "no provenance record with id " +
-                                   std::to_string(id) +
-                                   " (unknown or rotated out)");
-      }
-      response.body = render_provenance_json(*record) + "\n";
-      return response;
-    }
-    std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
-    if (!parse_u64_param(request.param("limit"), &limit)) {
-      return json_error(400, "unparseable limit: " +
-                                 request.param("limit").value_or(""));
-    }
-    MonitorSnapshot snap = m->snapshot();
-    if (limit < snap.provenance.size()) {
-      // Newest N: the ring is oldest-first.
-      snap.provenance.erase(snap.provenance.begin(),
-                            snap.provenance.end() -
-                                static_cast<std::ptrdiff_t>(limit));
-    }
-    response.body = render_provenance_collection_json(
-        snap.provenance, snap.provenance_dropped);
-    return response;
-  });
-
   server_.handle("/tenants", [this](const obs::HttpRequest&) {
     const MonitorManager* mgr = manager();
     if (mgr == nullptr) return json_error(503, "no manager attached");
@@ -459,24 +495,6 @@ void TelemetryPlane::register_routes() {
 
   server_.handle_prefix("/tenants/", [this](const obs::HttpRequest& request) {
     return handle_tenants(request);
-  });
-
-  server_.handle("/report", [this](const obs::HttpRequest& request) {
-    const SlidingMonitor* m = monitor();
-    if (m == nullptr) return no_monitor_response();
-    const std::string format = request.param("format").value_or("md");
-    if (format != "md" && format != "html") {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
-    RunReportOptions options = config_.report;
-    options.html = format == "html";
-    obs::HttpResponse response;
-    response.content_type = options.html ? "text/html; charset=utf-8"
-                                         : "text/markdown; charset=utf-8";
-    response.body =
-        render_run_report(m->snapshot(), obs::Sampler::global(),
-                          obs::FlightRecorder::global(), options);
-    return response;
   });
 }
 
@@ -498,91 +516,39 @@ obs::HttpResponse TelemetryPlane::handle_tenants(
 
   const auto status = mgr->status(tenant);
   if (!status) return json_error(404, "unknown tenant: " + tenant);
+  // Shards are never erased, so a tenant with a status has a snapshot
+  // and a health verdict.
+  const auto health = [mgr, &tenant] { return mgr->health(tenant).value(); };
+  const auto snapshot = [mgr, &tenant] {
+    return mgr->snapshot(tenant).value();
+  };
 
   obs::HttpResponse response;
   response.content_type = "application/json";
-
   if (endpoint.empty()) {
     response.body = render_tenants_json({*status});
     return response;
   }
-  if (endpoint == "healthz") {
-    const auto health = mgr->health(tenant);
-    if (!health) return json_error(404, "unknown tenant: " + tenant);
-    response.status = health->healthy ? 200 : 503;
-    response.body = render_health_json(*health);
-    return response;
-  }
-
-  const auto snap = mgr->snapshot(tenant);
-  if (!snap) return json_error(404, "unknown tenant: " + tenant);
-
   if (endpoint == "series") {
     const std::string format = request.param("format").value_or("csv");
     if (format == "json") {
-      response.body = render_tenant_series_json(*snap);
+      response.body = render_tenant_series_json(snapshot());
     } else if (format == "csv") {
       response.content_type = "text/csv; charset=utf-8";
-      response.body = render_tenant_series_csv(*snap);
+      response.body = render_tenant_series_csv(snapshot());
     } else {
       return text_response(400, "unknown format: " + format + "\n");
     }
-    return response;
-  }
-  if (endpoint == "audits") {
-    const std::string format = request.param("format").value_or("csv");
-    if (format == "json") {
-      response.body = render_audits_json(*snap);
-    } else if (format == "csv") {
-      response.content_type = "text/csv; charset=utf-8";
-      response.body = render_audits_csv(*snap);
-    } else {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
-    return response;
-  }
-  if (endpoint == "provenance") {
-    if (request.param("id").has_value()) {
-      std::uint64_t id = 0;
-      if (!parse_u64_param(request.param("id"), &id)) {
-        return json_error(400, "unparseable id: " +
-                                   request.param("id").value_or(""));
-      }
-      for (const ProvenanceRecord& record : snap->provenance) {
-        if (record.id == id) {
-          response.body = render_provenance_json(record) + "\n";
-          return response;
-        }
-      }
-      return json_error(404, "no provenance record with id " +
-                                 std::to_string(id) +
-                                 " (unknown or rotated out)");
-    }
-    response.body = render_provenance_collection_json(snap->provenance,
-                                                      snap->provenance_dropped);
-    return response;
-  }
-  if (endpoint == "report") {
-    const std::string format = request.param("format").value_or("md");
-    if (format != "md" && format != "html") {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
-    RunReportOptions options = config_.report;
-    options.html = format == "html";
-    response.content_type = options.html ? "text/html; charset=utf-8"
-                                         : "text/markdown; charset=utf-8";
-    response.body = render_run_report(*snap, obs::Sampler::global(),
-                                      obs::FlightRecorder::global(), options);
     return response;
   }
   if (endpoint == "transcript") {
     // The deterministic monitor transcript for this shard — what the demux
     // goldens pin against the single-tenant corpus transcripts.
     response.content_type = "text/plain; charset=utf-8";
-    response.body = render_monitor_transcript(*snap);
+    response.body = render_monitor_transcript(snapshot());
     return response;
   }
-  return json_error(404, "no such tenant endpoint: " + endpoint);
+  return monitor_endpoint(endpoint, request, health, snapshot);
 }
 
 }  // namespace flowdiff::core

@@ -1,14 +1,20 @@
 // Live telemetry plane: the embedded HTTP endpoint over a running monitor.
 //
-// TelemetryPlane binds an obs::HttpServer and wires the six operational
+// TelemetryPlane binds an obs::HttpServer and wires the operational
 // endpoints — /metrics (Prometheus exposition), /healthz (health verdict),
 // /series (sampled time series), /recorder (flight-recorder excerpt),
-// /audits (per-window audit trail), /report (on-demand run report) — onto
-// the observability stack and an attached SlidingMonitor. Handlers run on
-// the server thread and read ONLY snapshot-style accessors that copy under
-// the producers' own locks (SlidingMonitor::snapshot()/health(),
+// /audits (per-window audit trail), /provenance (alarm provenance records),
+// /report (on-demand run report) — onto the observability stack and an
+// attached SlidingMonitor. Handlers run on the server thread and read ONLY
+// snapshot-style accessors that copy under the producers' own locks
+// (SlidingMonitor::snapshot()/health(), MonitorManager::snapshot()/health(),
 // Sampler::global(), FlightRecorder::global()), so a scrape arriving in the
 // middle of a window commit observes whole windows only.
+//
+// The per-monitor endpoints (healthz, audits, provenance, report) have one
+// implementation: /X serves it over the attached monitor, and
+// /tenants/<id>/X over one MonitorManager shard, with the same parameters,
+// status codes and bodies.
 //
 // The attached monitor is a raw pointer by design: a CLI run constructs the
 // plane before the monitor exists (so the listener is up for the whole
@@ -22,7 +28,6 @@
 #include <string>
 
 #include "flowdiff/monitor.h"
-#include "flowdiff/report.h"
 #include "obs/http_server.h"
 
 namespace flowdiff::core {
@@ -30,20 +35,12 @@ namespace flowdiff::core {
 class MonitorManager;  // flowdiff/monitor_manager.h
 struct ShardStatus;
 
-struct TelemetryConfig {
-  obs::HttpServerConfig http;
-  /// Options for the /report endpoint's document.
-  RunReportOptions report;
-  /// Metric-name prefix for the /metrics Prometheus exposition.
-  std::string prometheus_prefix = "flowdiff";
-};
-
 /// The plane: construct, optionally attach() a monitor, start(). stop() is
 /// idempotent and run by the destructor. attach() may be called at any
 /// time, including while serving — replays swap monitors per stage.
 class TelemetryPlane {
  public:
-  explicit TelemetryPlane(TelemetryConfig config = {});
+  explicit TelemetryPlane(obs::HttpServerConfig config = {});
   ~TelemetryPlane();
 
   TelemetryPlane(const TelemetryPlane&) = delete;
@@ -88,7 +85,6 @@ class TelemetryPlane {
   [[nodiscard]] obs::HttpResponse handle_tenants(
       const obs::HttpRequest& request) const;
 
-  TelemetryConfig config_;
   std::atomic<const SlidingMonitor*> monitor_{nullptr};
   std::atomic<const MonitorManager*> manager_{nullptr};
   obs::HttpServer server_;

@@ -268,5 +268,42 @@ TEST(MonitorManager, AggregateHealthSumsShards) {
   EXPECT_EQ(aggregate.alarms, clean->alarms + slow->alarms);
 }
 
+TEST(MonitorManager, AggregateHealthSumsStreamQuality) {
+  // Two sanitized tenants fed different corrupted captures: the daemon's
+  // /healthz must carry the field-wise sum of their stream quality, not
+  // an all-zero record.
+  const CorpusFixture corrupted("corrupted_slowdown");
+  ManagerConfig config;
+  config.options = corrupted.options();
+  ASSERT_TRUE(config.options.sanitize);
+  MonitorManager manager(config);
+  const auto& events = corrupted.corpus_case.events;
+  ASSERT_TRUE(manager.feed("whole", events));
+  ASSERT_TRUE(manager.feed(
+      "half", std::vector<of::ControlEvent>(
+                  events.begin(), events.begin() + events.size() / 2)));
+  manager.stop_all();
+
+  const auto whole = manager.health("whole");
+  const auto half = manager.health("half");
+  ASSERT_TRUE(whole && half);
+  ASSERT_GT(whole->quality.duplicates, 0u) << "corpus must carry duplicates";
+  ASSERT_GT(half->quality.fed, 0u);
+  ASSERT_NE(whole->quality.fed, half->quality.fed);
+
+  const ingest::StreamQuality& sum = manager.aggregate_health().quality;
+  const ingest::StreamQuality& a = whole->quality;
+  const ingest::StreamQuality& b = half->quality;
+  EXPECT_EQ(sum.fed, a.fed + b.fed);
+  EXPECT_EQ(sum.kept, a.kept + b.kept);
+  EXPECT_EQ(sum.duplicates, a.duplicates + b.duplicates);
+  EXPECT_EQ(sum.reordered, a.reordered + b.reordered);
+  EXPECT_EQ(sum.late_dropped, a.late_dropped + b.late_dropped);
+  EXPECT_EQ(sum.truncated, a.truncated + b.truncated);
+  EXPECT_EQ(sum.pairs_matched, a.pairs_matched + b.pairs_matched);
+  EXPECT_EQ(sum.orphan_packet_ins, a.orphan_packet_ins + b.orphan_packet_ins);
+  EXPECT_EQ(sum.orphan_flow_mods, a.orphan_flow_mods + b.orphan_flow_mods);
+}
+
 }  // namespace
 }  // namespace flowdiff::core

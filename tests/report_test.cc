@@ -66,7 +66,7 @@ TEST_F(ReportTest, MarkdownJoinsTimelineSeriesAndRecorder) {
   ASSERT_FALSE(monitor.alarms().empty());
 
   const std::string report =
-      render_run_report(monitor, obs::Sampler::global(),
+      render_run_report(monitor.snapshot(), obs::Sampler::global(),
                         obs::FlightRecorder::global());
 
   // All top-level sections are present.
@@ -110,7 +110,7 @@ TEST_F(ReportTest, HtmlModeProducesMarkup) {
   options.html = true;
   options.title = "lab run";
   const std::string report =
-      render_run_report(monitor, obs::Sampler::global(),
+      render_run_report(monitor.snapshot(), obs::Sampler::global(),
                         obs::FlightRecorder::global(), options);
   EXPECT_EQ(report.rfind("<!DOCTYPE html>", 0), 0u);
   EXPECT_NE(report.find("<title>lab run</title>"), std::string::npos);
@@ -133,7 +133,7 @@ TEST_F(ReportTest, DegradesWithoutTelemetry) {
   obs::set_enabled(true);
 
   const std::string report =
-      render_run_report(monitor, obs::Sampler::global(),
+      render_run_report(monitor.snapshot(), obs::Sampler::global(),
                         obs::FlightRecorder::global());
   EXPECT_NE(report.find("## Summary"), std::string::npos);
   EXPECT_NE(report.find("No series were sampled"), std::string::npos);
@@ -153,7 +153,7 @@ TEST_F(ReportTest, AuditRotationIsReportedNotHidden) {
   ASSERT_GE(monitor.audits_dropped(), 1u);
 
   const std::string report =
-      render_run_report(monitor, obs::Sampler::global(),
+      render_run_report(monitor.snapshot(), obs::Sampler::global(),
                         obs::FlightRecorder::global());
   EXPECT_NE(report.find("rotated out of the audit trail"),
             std::string::npos);

@@ -14,11 +14,6 @@ namespace flowdiff::cli {
 
 namespace {
 
-bool has_suffix(const std::string& str, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return str.size() >= n && str.compare(str.size() - n, n, suffix) == 0;
-}
-
 int emit(const std::string& path, const std::string& text) {
   if (path.empty()) {
     std::fputs(text.c_str(), stderr);
@@ -46,6 +41,11 @@ void on_shutdown_signal(int) { g_shutdown = 1; }
 int fail(const std::string& message) {
   std::fprintf(stderr, "flowdiff: %s\n", message.c_str());
   return 2;
+}
+
+bool has_suffix(const std::string& str, const char* suffix) {
+  const std::size_t n = std::strlen(suffix);
+  return str.size() >= n && str.compare(str.size() - n, n, suffix) == 0;
 }
 
 bool flag_value(const std::vector<std::string>& args, std::size_t* i,
@@ -255,9 +255,9 @@ int start_telemetry_plane(std::optional<core::TelemetryPlane>& plane,
                           const std::string& listen) {
   const auto addr = obs::parse_listen_address(listen);
   if (!addr) return fail("malformed --listen address: " + listen);
-  core::TelemetryConfig config;
-  config.http.address = addr->first;
-  config.http.port = addr->second;
+  obs::HttpServerConfig config;
+  config.address = addr->first;
+  config.port = addr->second;
   plane.emplace(std::move(config));
   if (!plane->start()) {
     return fail("cannot start telemetry plane on " + listen + ": " +

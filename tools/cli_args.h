@@ -27,6 +27,9 @@ namespace flowdiff::cli {
 /// status (2), so call sites read `return fail(...)`.
 int fail(const std::string& message);
 
+/// True when `str` ends with `suffix` (artifact formats go by extension).
+bool has_suffix(const std::string& str, const char* suffix);
+
 /// Matches `--NAME VALUE` and `--NAME=VALUE` at args[*i]; advances *i past
 /// a consumed two-token form. False when args[*i] is not this flag.
 bool flag_value(const std::vector<std::string>& args, std::size_t* i,

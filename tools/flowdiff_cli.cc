@@ -37,6 +37,7 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -219,8 +220,10 @@ void print_serve_help(std::FILE* out) {
       "  /tenants/<id>/healthz      per-tenant health verdict\n"
       "  /tenants/<id>/series       per-window counters from the audit "
       "trail\n"
-      "  /tenants/<id>/audits       per-window audit trail (csv|json)\n"
-      "  /tenants/<id>/provenance   alarm provenance records (?id=N)\n"
+      "  /tenants/<id>/audits       per-window audit trail (csv|json,\n"
+      "                             ?from=/?to= seconds)\n"
+      "  /tenants/<id>/provenance   alarm provenance records (?id=N or\n"
+      "                             ?limit=N)\n"
       "  /tenants/<id>/report       run report (md|html)\n"
       "  /tenants/<id>/transcript   deterministic monitor transcript\n"
       "exit status: 0 clean, 1 any shard alarmed, 2 usage or I/O error\n",
@@ -495,18 +498,11 @@ std::optional<MonitorCliArgs> parse_monitor_args(
   return parsed;
 }
 
-bool has_suffix(const std::string& str, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return str.size() >= n && str.compare(str.size() - n, n, suffix) == 0;
-}
-
-/// Feeds the log file into the monitor and (by default) flushes it. With
-/// --sanitize the file is parsed in raw arrival order (a corrupted
-/// capture's reordering must reach the sanitizer); otherwise through the
-/// time-sorted ControlLog as before. A --listen run defers the flush until
-/// shutdown so /healthz keeps seeing a live partial window.
+/// Feeds the log file into the monitor. With --sanitize the file is parsed
+/// in raw arrival order (a corrupted capture's reordering must reach the
+/// sanitizer); otherwise through the time-sorted ControlLog.
 int feed_monitor_from_file(core::SlidingMonitor& monitor,
-                           const MonitorCliArgs& parsed, bool flush = true) {
+                           const MonitorCliArgs& parsed) {
   const auto text = of::read_file(parsed.log_path);
   if (!text) return fail("cannot load control log " + parsed.log_path);
   if (parsed.options.sanitize) {
@@ -518,7 +514,6 @@ int feed_monitor_from_file(core::SlidingMonitor& monitor,
     if (!log) return fail("malformed control log " + parsed.log_path);
     monitor.feed(*log);
   }
-  if (flush) monitor.flush();
   return 0;
 }
 
@@ -527,10 +522,10 @@ int feed_monitor_from_file(core::SlidingMonitor& monitor,
 int write_run_report(const core::SlidingMonitor& monitor,
                      const std::string& path, bool html) {
   core::RunReportOptions options;
-  options.html = html || has_suffix(path, ".html");
+  options.html = html || cli::has_suffix(path, ".html");
   const std::string report = core::render_run_report(
-      monitor, obs::Sampler::global(), obs::FlightRecorder::global(),
-      options);
+      monitor.snapshot(), obs::Sampler::global(),
+      obs::FlightRecorder::global(), options);
   if (path.empty()) {
     std::fputs(report.c_str(), stdout);
     return 0;
@@ -554,43 +549,44 @@ int write_provenance_artifact(const core::SlidingMonitor& monitor) {
   return 0;
 }
 
-int cmd_monitor(std::vector<std::string> args) {
-  const auto parsed = parse_monitor_args(args, /*report_mode=*/false);
-  if (!parsed) return usage();
-  // The report joins sampled series and flight-recorder events; without
-  // the obs layer there would be nothing to join. The telemetry plane
-  // serves the same stack, so --listen implies it too.
-  if (!parsed->report_path.empty() || !parsed->options.listen.empty()) {
-    obs::set_enabled(true);
-  }
-
-  core::SlidingMonitor monitor(parsed->options);
+/// The file-monitor run `monitor` and `report` share: builds the monitor,
+/// serves it on --listen, feeds the log and flushes, then hands the
+/// finished monitor to `finish` for the command's own output and writes
+/// the provenance artifact. A --listen run keeps serving the fed but
+/// unflushed run (so /healthz still sees a live partial window) until the
+/// operator or a supervisor signals, and only then flushes the final
+/// window. Exits 1 when the run alarmed.
+int run_file_monitor(
+    const MonitorCliArgs& parsed,
+    const std::function<int(const core::SlidingMonitor&)>& finish) {
+  core::SlidingMonitor monitor(parsed.options);
   // Declared after the monitor: the plane destructs (joining its server
   // thread) first on every exit path, so no handler can observe a dead
   // monitor.
   std::optional<core::TelemetryPlane> plane;
-  if (!parsed->options.listen.empty()) {
-    if (const int rc = cli::start_telemetry_plane(plane,
-                                                  parsed->options.listen);
+  if (!parsed.options.listen.empty()) {
+    if (const int rc =
+            cli::start_telemetry_plane(plane, parsed.options.listen);
         rc != 0) {
       return rc;
     }
     plane->attach(&monitor);
   }
-  if (const int rc =
-          feed_monitor_from_file(monitor, *parsed, /*flush=*/!plane);
-      rc != 0) {
+  if (const int rc = feed_monitor_from_file(monitor, parsed); rc != 0) {
     return rc;
   }
-  if (plane) {
-    // Keep serving the finished-but-unflushed run until the operator (or a
-    // supervisor) signals; then flush the final window and fall through to
-    // the normal summary/report/artifact path.
-    cli::wait_for_shutdown();
-    monitor.flush();
-    plane->stop();
-  }
+  if (plane) cli::wait_for_shutdown();
+  monitor.flush();
+  if (plane) plane->stop();
+  if (const int rc = finish(monitor); rc != 0) return rc;
+  if (const int rc = write_provenance_artifact(monitor); rc != 0) return rc;
+  return monitor.alarms().empty() ? 0 : 1;
+}
 
+/// `monitor`'s output for a finished run: the summary line, the audit
+/// table (with obs on), each alarm's report, and the --report file.
+int print_monitor_run(const core::SlidingMonitor& monitor,
+                      const MonitorCliArgs& parsed) {
   std::printf("windows: %zu (baseline captured at t=%.1fs), alarms: %zu\n",
               monitor.windows_processed(),
               to_seconds(monitor.baseline_captured_at()),
@@ -643,13 +639,22 @@ int cmd_monitor(std::vector<std::string> args) {
                 to_seconds(alarm.window_end));
     std::fputs(alarm.report.render().c_str(), stdout);
   }
-  if (!parsed->report_path.empty()) {
-    const int rc =
-        write_run_report(monitor, parsed->report_path, parsed->html);
-    if (rc != 0) return rc;
+  if (parsed.report_path.empty()) return 0;
+  return write_run_report(monitor, parsed.report_path, parsed.html);
+}
+
+int cmd_monitor(std::vector<std::string> args) {
+  const auto parsed = parse_monitor_args(args, /*report_mode=*/false);
+  if (!parsed) return usage();
+  // The report joins sampled series and flight-recorder events; without
+  // the obs layer there would be nothing to join. The telemetry plane
+  // serves the same stack, so --listen implies it too.
+  if (!parsed->report_path.empty() || !parsed->options.listen.empty()) {
+    obs::set_enabled(true);
   }
-  if (const int rc = write_provenance_artifact(monitor); rc != 0) return rc;
-  return monitor.alarms().empty() ? 0 : 1;
+  return run_file_monitor(*parsed, [&parsed](const core::SlidingMonitor& m) {
+    return print_monitor_run(m, *parsed);
+  });
 }
 
 int cmd_report(std::vector<std::string> args) {
@@ -660,34 +665,10 @@ int cmd_report(std::vector<std::string> args) {
   // flight-recorder tail on stderr.
   obs::set_enabled(true);
   obs::FlightRecorder::install_abnormal_exit_dump();
-
-  core::SlidingMonitor monitor(parsed->options);
-  std::optional<core::TelemetryPlane> plane;  // Destructs before monitor.
-  if (!parsed->options.listen.empty()) {
-    if (const int rc = cli::start_telemetry_plane(plane,
-                                                  parsed->options.listen);
-        rc != 0) {
-      return rc;
-    }
-    plane->attach(&monitor);
-  }
-  if (const int rc =
-          feed_monitor_from_file(monitor, *parsed, /*flush=*/!plane);
-      rc != 0) {
-    return rc;
-  }
-  if (plane) {
-    cli::wait_for_shutdown();
-    monitor.flush();
-    plane->stop();
-  }
-
-  const int rc = write_run_report(monitor, parsed->out_path, parsed->html);
-  if (rc != 0) return rc;
-  if (const int prc = write_provenance_artifact(monitor); prc != 0) {
-    return prc;
-  }
-  return monitor.alarms().empty() ? 0 : 1;
+  return run_file_monitor(
+      *parsed, [&parsed](const core::SlidingMonitor& monitor) {
+        return write_run_report(monitor, parsed->out_path, parsed->html);
+      });
 }
 
 // --- serve: the multi-tenant live-source daemon ----------------------------
