@@ -132,7 +132,6 @@ SweepResult sweep_one(Family family, double intensity, std::size_t trials) {
   config.flowdiff = lab.flowdiff_config();
   config.window = 40 * kSecond;
   config.rolling_baseline = false;
-  config.sample_metrics = false;
 
   core::SlidingMonitor monitor(config);
   Attackers holders;

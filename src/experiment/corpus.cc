@@ -59,7 +59,6 @@ std::optional<CorpusCase> parse_corpus_case(std::string_view text) {
 
   CorpusCase out;
   out.config.rolling_baseline = false;
-  out.config.sample_metrics = false;  // Replays must not touch global obs.
   std::set<Ipv4> services;
   std::istringstream fields{std::string(header)};
   std::string field;

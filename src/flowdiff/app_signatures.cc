@@ -189,16 +189,12 @@ GroupSignatures extract_group_signatures(const ParsedLog& log,
                             (log.end - log.begin) / config.pc_epoch) +
                         1;
     std::map<HostEdge, std::vector<double>> series;
-    std::vector<double> group_series(epochs, 0.0);
     for (const auto& tf : starts) {
       auto& s = series[HostEdge{tf.key.src_ip, tf.key.dst_ip}];
       if (s.empty()) s.assign(epochs, 0.0);
       const auto e =
           static_cast<std::size_t>((tf.ts - log.begin) / config.pc_epoch);
-      if (e < epochs) {
-        s[e] += 1.0;
-        group_series[e] += 1.0;
-      }
+      if (e < epochs) s[e] += 1.0;
     }
     for (const auto& [in_edge, in_series] : series) {
       const Ipv4 node = in_edge.second;
@@ -207,19 +203,8 @@ GroupSignatures extract_group_signatures(const ParsedLog& log,
         if (out_edge.first != node) continue;
         if (out_edge.second == in_edge.first) continue;
         if (edge_flows[out_edge] < config.min_edge_flows) continue;
-        double rho;
-        if (config.pc_control_for_group) {
-          // Control for the rest of the group's activity (exclude the two
-          // edges themselves from the control series).
-          std::vector<double> control(epochs, 0.0);
-          for (std::size_t e = 0; e < epochs; ++e) {
-            control[e] = group_series[e] - in_series[e] - out_series[e];
-          }
-          rho = partial_correlation(in_series, out_series, control);
-        } else {
-          rho = pearson(in_series, out_series);
-        }
-        out.pc.rho[EdgePair{in_edge.first, node, out_edge.second}] = rho;
+        out.pc.rho[EdgePair{in_edge.first, node, out_edge.second}] =
+            pearson(in_series, out_series);
       }
     }
   }

@@ -32,12 +32,6 @@ struct AppSignatureConfig {
   /// pairings do not drown the genuine dependency delays.
   SimDuration dd_window = 500 * kMillisecond;
   SimDuration pc_epoch = kSecond;     ///< Epoch for flow-count series.
-  /// When true, the PC signature is the first-order partial correlation of
-  /// the two edges' per-epoch counts controlling for the group-wide count —
-  /// removing the common variance a bursty workload induces on *all* edges,
-  /// so only the direct dependency remains. Default is the plain Pearson
-  /// coefficient, which is how the paper computes the signature.
-  bool pc_control_for_group = false;
   std::uint64_t min_edge_flows = 5;   ///< Ignore sparser edges.
 };
 

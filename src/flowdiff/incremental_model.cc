@@ -85,15 +85,10 @@ void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
             PartialCorrelationSig& pc) {
   std::vector<std::vector<double>> series(slices.size(),
                                           std::vector<double>(epochs, 0.0));
-  std::vector<double> group_series;
-  if (app.pc_control_for_group) group_series.assign(epochs, 0.0);
   for (std::size_t i = 0; i < slices.size(); ++i) {
     for (const SimTime ts : slices[i].starts) {
       const auto ep = static_cast<std::size_t>((ts - t0) / app.pc_epoch);
-      if (ep < epochs) {
-        series[i][ep] += 1.0;
-        if (app.pc_control_for_group) group_series[ep] += 1.0;
-      }
+      if (ep < epochs) series[i][ep] += 1.0;
     }
   }
   for (std::size_t i = 0; i < slices.size(); ++i) {
@@ -104,17 +99,8 @@ void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
       if (out.first != in.second) continue;
       if (out.second == in.first) continue;
       if (slices[o].starts.size() < app.min_edge_flows) continue;
-      double rho;
-      if (app.pc_control_for_group) {
-        std::vector<double> control(epochs, 0.0);
-        for (std::size_t ep = 0; ep < epochs; ++ep) {
-          control[ep] = group_series[ep] - series[i][ep] - series[o][ep];
-        }
-        rho = partial_correlation(series[i], series[o], control);
-      } else {
-        rho = pearson(series[i], series[o]);
-      }
-      pc.rho[EdgePair{in.first, in.second, out.second}] = rho;
+      pc.rho[EdgePair{in.first, in.second, out.second}] =
+          pearson(series[i], series[o]);
     }
   }
 }

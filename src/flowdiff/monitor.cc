@@ -87,8 +87,7 @@ SlidingMonitor::SlidingMonitor(MonitorConfig config)
     : config_(std::move(config)),
       flowdiff_(config_.flowdiff),
       ingest_sink_([this](const of::ControlEvent& e) { ingest_event(e); }),
-      feed_wall_(std::chrono::steady_clock::now()),
-      watchdog_(config_.watchdog) {
+      feed_wall_(std::chrono::steady_clock::now()) {
   if (config_.sanitize) sanitizer_.emplace(config_.ingest);
   if (config_.incremental) inc_ = &flowdiff_.incremental_modeler();
 }
@@ -217,10 +216,6 @@ ingest::StreamQuality SlidingMonitor::stream_quality() const {
   return sanitizer_ ? sanitizer_->total() : ingest::StreamQuality{};
 }
 
-std::uint64_t SlidingMonitor::watchdog_alerts() const {
-  return watchdog_.alerts();
-}
-
 MonitorSnapshot SlidingMonitor::snapshot() const {
   MonitorSnapshot snap;
   const std::lock_guard<std::mutex> lock(mu_);
@@ -237,7 +232,7 @@ MonitorSnapshot SlidingMonitor::snapshot() const {
 
 MonitorHealth SlidingMonitor::health() const {
   MonitorHealth health;
-  health.watchdog_alerts = watchdog_.alerts();
+  health.watchdog_alerts = obs::Sampler::global().watchdog_alerts();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     health.windows = windows_;
@@ -249,9 +244,7 @@ MonitorHealth SlidingMonitor::health() const {
       rejected_total_.load(std::memory_order_relaxed);
   health.stream_degraded = health.quality.degraded();
   if (health.watchdog_alerts > 0) {
-    health.reasons.push_back(
-        "watchdog filed " + std::to_string(health.watchdog_alerts) +
-        " pipeline degradation warning(s)");
+    health.reasons.push_back(watchdog_reason(health.watchdog_alerts));
   }
   if (health.stream_degraded) {
     health.reasons.push_back("capture stream degraded (" +
@@ -496,12 +489,14 @@ void SlidingMonitor::finish_audit(
   metrics().audits_dropped.set(static_cast<std::int64_t>(dropped));
 
   // Per-window telemetry cadence: snapshot every registered metric at the
-  // window's virtual end time, then let the watchdog look at the newest
-  // points of the pipeline's own series.
-  if (config_.sample_metrics && obs::enabled()) {
-    obs::Sampler::global().sample(window_end_s);
-    watchdog_.check(obs::Sampler::global());
-  }
+  // window's virtual end time (the sampler runs the self-watchdog, and
+  // refuses an end time at or before one already sampled).
+  obs::Sampler::global().sample(window_end_s);
+}
+
+std::string watchdog_reason(std::uint64_t alerts) {
+  return "watchdog filed " + std::to_string(alerts) +
+         " pipeline degradation warning(s)";
 }
 
 std::string render_monitor_transcript(const MonitorSnapshot& snap) {

@@ -22,7 +22,6 @@
 #include "flowdiff/incremental_model.h"
 #include "flowdiff/provenance.h"
 #include "ingest/sanitizer.h"
-#include "obs/watchdog.h"
 
 namespace flowdiff::core {
 
@@ -38,15 +37,6 @@ struct MonitorConfig {
   /// Audit records retained (oldest rotate out; audits_dropped() counts
   /// them). 0 keeps everything — unbounded, for short offline runs only.
   std::size_t max_audits = 4096;
-  /// Snapshot the metrics registry into obs::Sampler::global() once per
-  /// closed window (virtual-time cadence; no-op while obs is disabled),
-  /// then run the EWMA self-watchdog over the pipeline's own series, filing
-  /// flight-recorder warnings when the diagnoser itself degrades.
-  bool sample_metrics = true;
-  /// Self-watchdog tuning (EWMA weight, warmup, rules); empty rules select
-  /// obs::default_pipeline_rules(). Tests use this to induce deterministic
-  /// watchdog alerts (and the /healthz 503 flip).
-  obs::WatchdogConfig watchdog;
   /// Route feed() through an ingest::StreamSanitizer: raw capture
   /// arrivals may be out of order, duplicated, or truncated; the monitor
   /// then windows the *sanitized* stream, stamps each WindowAudit with its
@@ -125,6 +115,9 @@ struct MonitorSnapshot {
 struct MonitorHealth {
   bool healthy = true;
   std::vector<std::string> reasons;  ///< Why unhealthy; empty when healthy.
+  /// Warnings of the process-wide self-watchdog
+  /// (obs::Sampler::global().watchdog_alerts()); every monitor in the
+  /// process reports the same count.
   std::uint64_t watchdog_alerts = 0;
   std::size_t windows = 0;
   std::size_t alarms = 0;
@@ -141,9 +134,13 @@ struct MonitorHealth {
 };
 
 /// Every closed window is modeled, diffed and committed on the thread that
-/// fed the event closing it. alarms()/audits()/provenance() are for that
-/// thread; readers on other threads (the telemetry plane, the serve
-/// manager) use snapshot()/health(), which copy under the commit lock.
+/// fed the event closing it, then sampled into obs::Sampler::global() at
+/// its virtual end time (a no-op while obs is disabled; the sampler runs
+/// the process's self-watchdog and refuses an end time it has passed, so
+/// monitors sharing a process share one clock). alarms()/audits()/
+/// provenance() are for that thread; readers on other threads (the
+/// telemetry plane, the serve manager) use snapshot()/health(), which copy
+/// under the commit lock.
 class SlidingMonitor {
  public:
   explicit SlidingMonitor(MonitorConfig config);
@@ -212,8 +209,6 @@ class SlidingMonitor {
   [[nodiscard]] MonitorSnapshot snapshot() const;
   /// Live health verdict (see MonitorHealth); safe from any thread.
   [[nodiscard]] MonitorHealth health() const;
-  /// Alerts the self-watchdog has filed so far; safe from any thread.
-  [[nodiscard]] std::uint64_t watchdog_alerts() const;
   /// The model of the most recently processed window (null before the
   /// first), shared with the baseline when it was adopted; read-only, for
   /// the feeding thread. The identity tests compare it across modeling
@@ -296,12 +291,15 @@ class SlidingMonitor {
   /// every closed window, and unknown changes withheld as low-confidence.
   ingest::StreamQuality quality_total_;
   std::uint64_t suppressed_total_ = 0;
-  obs::Watchdog watchdog_;
 
   /// Guards the committed results (baseline, alarms, audits, provenance,
   /// counters) against snapshot()/health() readers on other threads.
   mutable std::mutex mu_;
 };
+
+/// The MonitorHealth reason the self-watchdog adds once it has filed
+/// `alerts` warnings.
+[[nodiscard]] std::string watchdog_reason(std::uint64_t alerts);
 
 /// Renders the monitor's audits and alarms as a deterministic transcript:
 /// identical runs produce identical text (wall-clock fields are omitted),

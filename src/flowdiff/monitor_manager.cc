@@ -4,6 +4,8 @@
 #include <exception>
 #include <utility>
 
+#include "obs/timeseries.h"
+
 namespace flowdiff::core {
 
 const char* to_string(ShardState state) {
@@ -275,12 +277,18 @@ std::optional<MonitorHealth> MonitorManager::health(
 
 MonitorHealth MonitorManager::aggregate_health() const {
   MonitorHealth aggregate;
+  // The self-watchdog is process-wide (obs::Sampler), so its count and its
+  // reason appear once, not once per shard.
+  aggregate.watchdog_alerts = obs::Sampler::global().watchdog_alerts();
+  if (aggregate.watchdog_alerts > 0) {
+    aggregate.healthy = false;
+    aggregate.reasons.push_back(watchdog_reason(aggregate.watchdog_alerts));
+  }
   for (const auto& tenant : tenants()) {
     const auto shard_health = health(tenant);
     if (!shard_health) continue;
     aggregate.windows += shard_health->windows;
     aggregate.alarms += shard_health->alarms;
-    aggregate.watchdog_alerts += shard_health->watchdog_alerts;
     aggregate.suppressed_changes += shard_health->suppressed_changes;
     aggregate.rejected_out_of_order += shard_health->rejected_out_of_order;
     aggregate.quality += shard_health->quality;
@@ -291,8 +299,12 @@ MonitorHealth MonitorManager::aggregate_health() const {
       if (shard_health->reasons.empty()) {
         aggregate.reasons.push_back(tenant + ": unhealthy");
       }
+      const std::string watchdog =
+          watchdog_reason(shard_health->watchdog_alerts);
       for (const auto& reason : shard_health->reasons) {
-        aggregate.reasons.push_back(tenant + ": " + reason);
+        if (reason != watchdog) {
+          aggregate.reasons.push_back(tenant + ": " + reason);
+        }
       }
     }
   }

@@ -136,7 +136,8 @@ class MonitorManager {
 
   /// Whole-daemon verdict: healthy iff every shard is healthy and none
   /// faulted. Reasons are prefixed with the tenant ("tenant2: ..."); the
-  /// counters and the stream quality are summed over the shards.
+  /// counters and the stream quality are summed over the shards, except
+  /// the process-wide watchdog count and reason, which appear once.
   [[nodiscard]] MonitorHealth aggregate_health() const;
 
   [[nodiscard]] std::size_t shard_count() const;

@@ -1,8 +1,6 @@
 #include "flowdiff/provenance.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <cstring>
 #include <map>
 
@@ -15,6 +13,7 @@ namespace flowdiff::core {
 namespace {
 
 using obs::json_number;
+using obs::JsonCursor;
 using obs::json_string;
 
 std::optional<SignatureKind> kind_from_string(std::string_view name) {
@@ -106,91 +105,23 @@ void accumulate_group(const std::vector<Change>& changes, bool suppressed,
   for (auto& fam : entries) out->push_back(std::move(fam));
 }
 
-std::string quality_json(const ingest::StreamQuality& q) {
-  return "{\"fed\": " + std::to_string(q.fed) +
-         ", \"kept\": " + std::to_string(q.kept) +
-         ", \"duplicates\": " + std::to_string(q.duplicates) +
-         ", \"reordered\": " + std::to_string(q.reordered) +
-         ", \"late_dropped\": " + std::to_string(q.late_dropped) +
-         ", \"truncated\": " + std::to_string(q.truncated) +
-         ", \"pairs_matched\": " + std::to_string(q.pairs_matched) +
-         ", \"orphan_packet_ins\": " + std::to_string(q.orphan_packet_ins) +
-         ", \"orphan_flow_mods\": " + std::to_string(q.orphan_flow_mods) + "}";
-}
+// --- Parser for render_provenance_json's output ----------------------------
 
-// --- Minimal parser for render_provenance_json's output --------------------
-
-struct Parser {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  void ws() {
-    while (pos < s.size() &&
-           (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-            s[pos] == '\r')) {
-      ++pos;
-    }
-  }
-  bool eat(char c) {
-    ws();
-    if (pos >= s.size() || s[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  bool peek(char c) {
-    ws();
-    return pos < s.size() && s[pos] == c;
-  }
-  std::optional<std::string> string() {
-    ws();
-    return obs::parse_json_string(s, pos);
-  }
-  std::optional<double> number() {
-    ws();
-    const std::size_t start = pos;
-    while (pos < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[pos])) != 0 ||
-            s[pos] == '-' || s[pos] == '+' || s[pos] == '.' ||
-            s[pos] == 'e' || s[pos] == 'E')) {
-      ++pos;
-    }
-    if (pos == start) return std::nullopt;
-    double value = 0.0;
-    if (std::sscanf(std::string(s.substr(start, pos - start)).c_str(), "%lf",
-                    &value) != 1) {
-      return std::nullopt;
-    }
-    return value;
-  }
-  std::optional<bool> boolean() {
-    ws();
-    if (s.substr(pos, 4) == "true") {
-      pos += 4;
-      return true;
-    }
-    if (s.substr(pos, 5) == "false") {
-      pos += 5;
-      return false;
-    }
-    return std::nullopt;
-  }
-};
-
-bool parse_u64(Parser& p, std::uint64_t* out) {
+bool parse_u64(JsonCursor& p, std::uint64_t* out) {
   const auto v = p.number();
   if (!v || *v < 0.0) return false;
   *out = static_cast<std::uint64_t>(*v);
   return true;
 }
 
-bool parse_size(Parser& p, std::size_t* out) {
+bool parse_size(JsonCursor& p, std::size_t* out) {
   std::uint64_t v = 0;
   if (!parse_u64(p, &v)) return false;
   *out = static_cast<std::size_t>(v);
   return true;
 }
 
-bool parse_quality(Parser& p, ingest::StreamQuality* q) {
+bool parse_quality(JsonCursor& p, ingest::StreamQuality* q) {
   if (!p.eat('{')) return false;
   if (!p.peek('}')) {
     do {
@@ -212,7 +143,7 @@ bool parse_quality(Parser& p, ingest::StreamQuality* q) {
   return p.eat('}');
 }
 
-bool parse_latency(Parser& p, StageLatency* lat) {
+bool parse_latency(JsonCursor& p, StageLatency* lat) {
   if (!p.eat('{')) return false;
   if (!p.peek('}')) {
     do {
@@ -233,7 +164,7 @@ bool parse_latency(Parser& p, StageLatency* lat) {
   return p.eat('}');
 }
 
-bool parse_contributor(Parser& p, ProvenanceContributor* c) {
+bool parse_contributor(JsonCursor& p, ProvenanceContributor* c) {
   if (!p.eat('{')) return false;
   if (!p.peek('}')) {
     do {
@@ -255,7 +186,7 @@ bool parse_contributor(Parser& p, ProvenanceContributor* c) {
   return p.eat('}');
 }
 
-bool parse_family(Parser& p, FamilyContribution* fam) {
+bool parse_family(JsonCursor& p, FamilyContribution* fam) {
   if (!p.eat('{')) return false;
   if (!p.peek('}')) {
     do {
@@ -301,7 +232,7 @@ bool parse_family(Parser& p, FamilyContribution* fam) {
   return p.eat('}');
 }
 
-bool parse_record(Parser& p, ProvenanceRecord* rec) {
+bool parse_record(JsonCursor& p, ProvenanceRecord* rec) {
   if (!p.eat('{')) return false;
   if (!p.peek('}')) {
     do {
@@ -462,7 +393,7 @@ std::string render_provenance_json(const ProvenanceRecord& rec) {
     }
     out += "]}";
   }
-  out += "], \"quality\": " + quality_json(rec.quality);
+  out += "], \"quality\": " + rec.quality.json();
   out += ", \"latency_ms\": {\"ingest\": " +
          json_number(rec.latency.ingest_ms) +
          ", \"model\": " + json_number(rec.latency.model_ms) +
@@ -487,10 +418,10 @@ std::string render_provenance_collection_json(
 
 std::optional<std::vector<ProvenanceRecord>> parse_provenance_json(
     std::string_view text) {
-  Parser p{text};
+  JsonCursor p{text};
   std::vector<ProvenanceRecord> records;
   // Collection form? Peek past the opening brace at the first key.
-  Parser probe = p;
+  JsonCursor probe = p;
   if (!probe.eat('{')) return std::nullopt;
   const auto first_key = probe.string();
   if (first_key && *first_key == "provenance_dropped") {

@@ -192,10 +192,14 @@ const std::vector<std::string>& priority_series() {
 std::string render_run_report(const MonitorSnapshot& snap,
                               const obs::Sampler& sampler,
                               const obs::FlightRecorder& recorder,
-                              const RunReportOptions& options) {
-  ReportBuilder doc(options.html);
-  doc.open_document(options.title);
-  doc.heading(1, options.title);
+                              bool html) {
+  constexpr const char* kTitle = "FlowDiff run report";
+  constexpr std::size_t kMaxSeries = 12;
+  constexpr std::size_t kMaxRowsPerSeries = 12;
+  constexpr std::size_t kRecorderTail = 40;
+  ReportBuilder doc(html);
+  doc.open_document(kTitle);
+  doc.heading(1, kTitle);
 
   // --- Summary -------------------------------------------------------------
   const auto warnings = recorder.events(obs::Severity::kWarn);
@@ -303,18 +307,17 @@ std::string render_run_report(const MonitorSnapshot& snap,
   std::vector<std::string> selected;
   std::set<std::string> taken;
   for (const std::string& name : priority_series()) {
-    if (selected.size() >= options.max_series) break;
+    if (selected.size() >= kMaxSeries) break;
     if (sampler.find(name).has_value() && taken.insert(name).second) {
       selected.push_back(name);
     }
   }
   for (const std::string& name : sampler.names()) {
-    if (selected.size() >= options.max_series) break;
+    if (selected.size() >= kMaxSeries) break;
     if (taken.insert(name).second) selected.push_back(name);
   }
   if (selected.empty()) {
-    doc.para("No series were sampled (run with observability enabled and "
-             "sample_metrics on).");
+    doc.para("No series were sampled (run with observability enabled).");
   } else {
     const std::size_t total_series = sampler.names().size();
     if (total_series > selected.size()) {
@@ -331,7 +334,7 @@ std::string render_run_report(const MonitorSnapshot& snap,
                std::to_string(series->total()) + " sample(s), stride " +
                std::to_string(series->stride()) + ")");
       std::vector<std::vector<std::string>> rows;
-      for (const auto& p : subsample(points, options.max_rows_per_series)) {
+      for (const auto& p : subsample(points, kMaxRowsPerSeries)) {
         rows.push_back({fmt_double(p.t_begin, 1), fmt_double(p.t_end, 1),
                         fmt_double(p.mean, 3), fmt_double(p.min, 3),
                         fmt_double(p.max, 3), std::to_string(p.count)});
@@ -355,7 +358,7 @@ std::string render_run_report(const MonitorSnapshot& snap,
       doc.code(warn_text);
     }
     doc.heading(3, "Event tail");
-    doc.code(recorder.render(options.recorder_tail));
+    doc.code(recorder.render(kRecorderTail));
   }
 
   doc.close_document();

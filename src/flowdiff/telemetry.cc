@@ -30,21 +30,6 @@ std::string csv_quote(std::string_view text) {
   return out;
 }
 
-std::string quality_json(const ingest::StreamQuality& q) {
-  std::string out = "{";
-  out += "\"fed\":" + std::to_string(q.fed);
-  out += ",\"kept\":" + std::to_string(q.kept);
-  out += ",\"duplicates\":" + std::to_string(q.duplicates);
-  out += ",\"reordered\":" + std::to_string(q.reordered);
-  out += ",\"late_dropped\":" + std::to_string(q.late_dropped);
-  out += ",\"truncated\":" + std::to_string(q.truncated);
-  out += ",\"pairs_matched\":" + std::to_string(q.pairs_matched);
-  out += ",\"orphan_packet_ins\":" + std::to_string(q.orphan_packet_ins);
-  out += ",\"orphan_flow_mods\":" + std::to_string(q.orphan_flow_mods);
-  out += "}";
-  return out;
-}
-
 std::optional<obs::Severity> parse_severity(std::string_view name) {
   if (name == "debug") return obs::Severity::kDebug;
   if (name == "info") return obs::Severity::kInfo;
@@ -122,7 +107,7 @@ std::string render_health_json(const MonitorHealth& health) {
          std::to_string(health.rejected_out_of_order);
   out += std::string(",\"stream_degraded\":") +
          (health.stream_degraded ? "true" : "false");
-  out += ",\"quality\":" + quality_json(health.quality);
+  out += ",\"quality\":" + health.quality.json();
   out += "}\n";
   return out;
 }
@@ -173,7 +158,7 @@ std::string render_audits_json(const MonitorSnapshot& snap) {
     out += ",\"suppressed\":" + std::to_string(audit.suppressed);
     out += std::string(",\"degraded\":") +
            (audit.quality.degraded() ? "true" : "false");
-    out += ",\"quality\":" + quality_json(audit.quality);
+    out += ",\"quality\":" + audit.quality.json();
     out += ",\"decision\":" + obs::json_string(audit.decision) + "}";
   }
   out += "]}\n";
@@ -196,42 +181,6 @@ std::string render_tenants_json(const std::vector<ShardStatus>& statuses) {
       out += ",\"fault\":" + obs::json_string(s.fault);
     }
     out += "}";
-  }
-  out += "]}\n";
-  return out;
-}
-
-std::string render_tenant_series_csv(const MonitorSnapshot& snap) {
-  std::string out =
-      "index,window_begin_s,window_end_s,events,changes,known,unknown,"
-      "suppressed\n";
-  for (const WindowAudit& audit : snap.audits) {
-    out += std::to_string(audit.index);
-    out += ',' + fmt_double(to_seconds(audit.window_begin), 3);
-    out += ',' + fmt_double(to_seconds(audit.window_end), 3);
-    out += ',' + std::to_string(audit.events);
-    out += ',' + std::to_string(audit.changes);
-    out += ',' + std::to_string(audit.known);
-    out += ',' + std::to_string(audit.unknown);
-    out += ',' + std::to_string(audit.suppressed);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string render_tenant_series_json(const MonitorSnapshot& snap) {
-  std::string out = "{\"series\":[";
-  for (std::size_t i = 0; i < snap.audits.size(); ++i) {
-    const WindowAudit& audit = snap.audits[i];
-    if (i > 0) out += ',';
-    out += "{\"index\":" + std::to_string(audit.index);
-    out += ",\"window_begin_s\":" + fmt_double(to_seconds(audit.window_begin), 3);
-    out += ",\"window_end_s\":" + fmt_double(to_seconds(audit.window_end), 3);
-    out += ",\"events\":" + std::to_string(audit.events);
-    out += ",\"changes\":" + std::to_string(audit.changes);
-    out += ",\"known\":" + std::to_string(audit.known);
-    out += ",\"unknown\":" + std::to_string(audit.unknown);
-    out += ",\"suppressed\":" + std::to_string(audit.suppressed) + "}";
   }
   out += "]}\n";
   return out;
@@ -352,12 +301,11 @@ obs::HttpResponse monitor_endpoint(
     if (format != "md" && format != "html") {
       return text_response(400, "unknown format: " + format + "\n");
     }
-    RunReportOptions options;
-    options.html = format == "html";
-    response.content_type = options.html ? "text/html; charset=utf-8"
-                                         : "text/markdown; charset=utf-8";
+    const bool html = format == "html";
+    response.content_type =
+        html ? "text/html; charset=utf-8" : "text/markdown; charset=utf-8";
     response.body = render_run_report(snapshot(), obs::Sampler::global(),
-                                      obs::FlightRecorder::global(), options);
+                                      obs::FlightRecorder::global(), html);
     return response;
   }
   return json_error(404, "no such endpoint: " + std::string(endpoint));
@@ -394,8 +342,7 @@ void TelemetryPlane::register_routes() {
         "  /tenants     multi-tenant shard registry (serve mode); per-tenant\n"
         "               /tenants/<id>/{healthz,audits,provenance,report} "
         "take\n"
-        "               the parameters above, plus /tenants/<id>/{series,"
-        "transcript}\n");
+        "               the parameters above, plus /tenants/<id>/transcript\n");
   });
 
   server_.handle("/metrics", [](const obs::HttpRequest&) {
@@ -527,18 +474,6 @@ obs::HttpResponse TelemetryPlane::handle_tenants(
   response.content_type = "application/json";
   if (endpoint.empty()) {
     response.body = render_tenants_json({*status});
-    return response;
-  }
-  if (endpoint == "series") {
-    const std::string format = request.param("format").value_or("csv");
-    if (format == "json") {
-      response.body = render_tenant_series_json(snapshot());
-    } else if (format == "csv") {
-      response.content_type = "text/csv; charset=utf-8";
-      response.body = render_tenant_series_csv(snapshot());
-    } else {
-      return text_response(400, "unknown format: " + format + "\n");
-    }
     return response;
   }
   if (endpoint == "transcript") {

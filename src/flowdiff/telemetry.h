@@ -109,13 +109,4 @@ class TelemetryPlane {
 [[nodiscard]] std::string render_tenants_json(
     const std::vector<ShardStatus>& statuses);
 
-/// A tenant's /series body, derived from its shard's audit trail (the
-/// global Sampler is process-wide, so per-tenant series come from the
-/// per-window audit counters instead). Columns/keys: index,
-/// window_begin_s, window_end_s, events, changes, known, unknown,
-/// suppressed.
-[[nodiscard]] std::string render_tenant_series_csv(const MonitorSnapshot& snap);
-[[nodiscard]] std::string render_tenant_series_json(
-    const MonitorSnapshot& snap);
-
 }  // namespace flowdiff::core

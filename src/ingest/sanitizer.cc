@@ -62,7 +62,7 @@ void StreamSanitizer::push_one(const of::ControlEvent& event,
   ++window_.fed;
   ++total_.fed;
 
-  if (config_.drop_truncated && is_truncated(event)) {
+  if (is_truncated(event)) {
     ++window_.truncated;
     ++total_.truncated;
     return;
@@ -77,7 +77,7 @@ void StreamSanitizer::push_one(const of::ControlEvent& event,
   }
 
   std::string identity;
-  if (config_.dedup && is_duplicate(event, identity)) {
+  if (is_duplicate(event, identity)) {
     ++window_.duplicates;
     ++total_.duplicates;
     return;

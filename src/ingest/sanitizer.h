@@ -56,10 +56,6 @@ struct SanitizerConfig {
   /// and still be restored to order. Larger horizons tolerate sloppier
   /// capture at the cost of buffering latency.
   SimDuration lateness_horizon = kSecond;
-  /// Suppress exact duplicates that arrive within the horizon.
-  bool dedup = true;
-  /// Drop records whose byte/packet counters contradict each other.
-  bool drop_truncated = true;
 };
 
 class StreamSanitizer {

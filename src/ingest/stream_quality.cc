@@ -42,6 +42,18 @@ std::string StreamQuality::summary() const {
          " est-loss " + pct(estimated_loss_rate());
 }
 
+std::string StreamQuality::json() const {
+  return "{\"fed\":" + std::to_string(fed) +
+         ",\"kept\":" + std::to_string(kept) +
+         ",\"duplicates\":" + std::to_string(duplicates) +
+         ",\"reordered\":" + std::to_string(reordered) +
+         ",\"late_dropped\":" + std::to_string(late_dropped) +
+         ",\"truncated\":" + std::to_string(truncated) +
+         ",\"pairs_matched\":" + std::to_string(pairs_matched) +
+         ",\"orphan_packet_ins\":" + std::to_string(orphan_packet_ins) +
+         ",\"orphan_flow_mods\":" + std::to_string(orphan_flow_mods) + "}";
+}
+
 StreamQuality& StreamQuality::operator+=(const StreamQuality& other) {
   fed += other.fed;
   kept += other.kept;

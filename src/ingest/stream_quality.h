@@ -62,6 +62,10 @@ struct StreamQuality {
   /// audit decisions, flight-recorder events, and report columns.
   [[nodiscard]] std::string summary() const;
 
+  /// The nine counters as one compact JSON object ({"fed":N,...}, in
+  /// declaration order), as /healthz, /audits and provenance JSON embed it.
+  [[nodiscard]] std::string json() const;
+
   StreamQuality& operator+=(const StreamQuality& other);
 };
 

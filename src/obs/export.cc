@@ -58,90 +58,46 @@ std::string prom_name(std::string_view prefix, std::string_view name) {
   return out;
 }
 
-// --- Minimal parser for render_json's output -------------------------------
-
-struct JsonParser {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  void ws() {
-    while (pos < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[pos])) != 0) {
-      ++pos;
-    }
-  }
-  bool eat(char c) {
-    ws();
-    if (pos >= s.size() || s[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  bool peek(char c) {
-    ws();
-    return pos < s.size() && s[pos] == c;
-  }
-  std::optional<std::string> string() {
-    ws();
-    return parse_json_string(s, pos);
-  }
-  std::optional<double> number() {
-    ws();
-    const std::size_t start = pos;
-    while (pos < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[pos])) != 0 ||
-            s[pos] == '-' || s[pos] == '+' || s[pos] == '.' ||
-            s[pos] == 'e' || s[pos] == 'E')) {
-      ++pos;
-    }
-    if (pos == start) return std::nullopt;
-    double value = 0.0;
-    if (std::sscanf(std::string(s.substr(start, pos - start)).c_str(), "%lf",
-                    &value) != 1) {
-      return std::nullopt;
-    }
-    return value;
-  }
-
-  /// Parses {"key": <number>, ...} into the given field map; every listed
-  /// key must appear. `counts` (if non-null) receives an optional
-  /// "counts": [..] array member.
-  bool fields(std::initializer_list<std::pair<const char*, double*>> wanted,
-              std::vector<std::uint64_t>* counts) {
-    if (!eat('{')) return false;
-    std::size_t found = 0;
-    if (!peek('}')) {
-      do {
-        const auto key = string();
-        if (!key || !eat(':')) return false;
-        if (counts != nullptr && *key == "counts") {
-          if (!eat('[')) return false;
-          if (!peek(']')) {
-            do {
-              const auto v = number();
-              if (!v) return false;
-              counts->push_back(static_cast<std::uint64_t>(*v));
-            } while (eat(','));
-          }
-          if (!eat(']')) return false;
-          continue;
-        }
-        bool matched = false;
-        for (const auto& [name, slot] : wanted) {
-          if (*key == name) {
-            const auto v = number();
+/// Parses {"key": <number>, ...} into the given field map; every listed
+/// key must appear. `counts` (if non-null) receives an optional
+/// "counts": [..] array member.
+bool json_fields(JsonCursor& p,
+                 std::initializer_list<std::pair<const char*, double*>> wanted,
+                 std::vector<std::uint64_t>* counts) {
+  if (!p.eat('{')) return false;
+  std::size_t found = 0;
+  if (!p.peek('}')) {
+    do {
+      const auto key = p.string();
+      if (!key || !p.eat(':')) return false;
+      if (counts != nullptr && *key == "counts") {
+        if (!p.eat('[')) return false;
+        if (!p.peek(']')) {
+          do {
+            const auto v = p.number();
             if (!v) return false;
-            *slot = *v;
-            matched = true;
-            ++found;
-            break;
-          }
+            counts->push_back(static_cast<std::uint64_t>(*v));
+          } while (p.eat(','));
         }
-        if (!matched) return false;
-      } while (eat(','));
-    }
-    return eat('}') && found == wanted.size();
+        if (!p.eat(']')) return false;
+        continue;
+      }
+      bool matched = false;
+      for (const auto& [name, slot] : wanted) {
+        if (*key == name) {
+          const auto v = p.number();
+          if (!v) return false;
+          *slot = *v;
+          matched = true;
+          ++found;
+          break;
+        }
+      }
+      if (!matched) return false;
+    } while (p.eat(','));
   }
-};
+  return p.eat('}') && found == wanted.size();
+}
 
 }  // namespace
 
@@ -249,6 +205,59 @@ std::optional<std::string> parse_json_string(std::string_view text,
   if (pos >= text.size()) return std::nullopt;
   ++pos;  // The closing quote.
   return out;
+}
+
+void JsonCursor::ws() {
+  while (pos < s.size() &&
+         std::isspace(static_cast<unsigned char>(s[pos])) != 0) {
+    ++pos;
+  }
+}
+
+bool JsonCursor::eat(char c) {
+  if (!peek(c)) return false;
+  ++pos;
+  return true;
+}
+
+bool JsonCursor::peek(char c) {
+  ws();
+  return pos < s.size() && s[pos] == c;
+}
+
+std::optional<std::string> JsonCursor::string() {
+  ws();
+  return parse_json_string(s, pos);
+}
+
+std::optional<double> JsonCursor::number() {
+  ws();
+  const std::size_t start = pos;
+  while (pos < s.size() &&
+         (std::isdigit(static_cast<unsigned char>(s[pos])) != 0 ||
+          s[pos] == '-' || s[pos] == '+' || s[pos] == '.' || s[pos] == 'e' ||
+          s[pos] == 'E')) {
+    ++pos;
+  }
+  if (pos == start) return std::nullopt;
+  double value = 0.0;
+  if (std::sscanf(std::string(s.substr(start, pos - start)).c_str(), "%lf",
+                  &value) != 1) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<bool> JsonCursor::boolean() {
+  ws();
+  for (const bool value : {true, false}) {
+    const std::string_view word = value ? "true" : "false";
+    if (s.substr(pos, word.size()) == word) {
+      pos += word.size();
+      return value;
+    }
+  }
+  return std::nullopt;
 }
 
 Snapshot snapshot() {
@@ -458,7 +467,7 @@ std::string render_prometheus(const Snapshot& snap, std::string_view prefix) {
 }
 
 std::optional<Snapshot> parse_json(std::string_view text) {
-  JsonParser p{text};
+  JsonCursor p{text};
   Snapshot snap;
   if (!p.eat('{')) return std::nullopt;
 
@@ -487,7 +496,7 @@ std::optional<Snapshot> parse_json(std::string_view text) {
       if (!name || !p.eat(':')) return std::nullopt;
       double value = 0.0;
       double peak = 0.0;
-      if (!p.fields({{"value", &value}, {"peak", &peak}}, nullptr)) {
+      if (!json_fields(p, {{"value", &value}, {"peak", &peak}}, nullptr)) {
         return std::nullopt;
       }
       snap.gauges.emplace_back(
@@ -504,13 +513,14 @@ std::optional<Snapshot> parse_json(std::string_view text) {
       if (!name || !p.eat(':')) return std::nullopt;
       HistogramSnapshot h;
       double count = 0.0;
-      if (!p.fields({{"bin_width", &h.bin_width},
-                     {"origin", &h.origin},
-                     {"count", &count},
-                     {"sum", &h.sum},
-                     {"min", &h.min},
-                     {"max", &h.max}},
-                    &h.counts)) {
+      if (!json_fields(p,
+                       {{"bin_width", &h.bin_width},
+                        {"origin", &h.origin},
+                        {"count", &count},
+                        {"sum", &h.sum},
+                        {"min", &h.min},
+                        {"max", &h.max}},
+                       &h.counts)) {
         return std::nullopt;
       }
       h.count = static_cast<std::uint64_t>(count);
@@ -526,10 +536,11 @@ std::optional<Snapshot> parse_json(std::string_view text) {
       if (!name || !p.eat(':')) return std::nullopt;
       SpanAggregate s;
       double count = 0.0;
-      if (!p.fields({{"count", &count},
-                     {"total_ms", &s.total_ms},
-                     {"max_ms", &s.max_ms}},
-                    nullptr)) {
+      if (!json_fields(
+              p,
+              {{"count", &count}, {"total_ms", &s.total_ms},
+               {"max_ms", &s.max_ms}},
+              nullptr)) {
         return std::nullopt;
       }
       s.count = static_cast<std::uint64_t>(count);

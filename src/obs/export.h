@@ -47,6 +47,24 @@ void update_process_gauges();
 [[nodiscard]] std::optional<std::string> parse_json_string(
     std::string_view text, std::size_t& pos);
 
+/// Forward cursor over JSON text: the one reader behind parse_json,
+/// parse_series_json and parse_provenance_json. Every call skips
+/// whitespace (std::isspace) before its token and advances past what it
+/// consumed; a failed call leaves `pos` somewhere inside the bad token.
+struct JsonCursor {
+  std::string_view s;
+  std::size_t pos = 0;
+
+  void ws();
+  /// Consumes `c`; false if the next token is something else.
+  bool eat(char c);
+  /// True if the next token starts with `c` (consumes only whitespace).
+  bool peek(char c);
+  std::optional<std::string> string();
+  std::optional<double> number();
+  std::optional<bool> boolean();
+};
+
 [[nodiscard]] std::string render_table(const Snapshot& snap);
 [[nodiscard]] std::string render_json(const Snapshot& snap);
 /// Metric names are sanitized (non-alphanumerics -> '_') and prefixed,

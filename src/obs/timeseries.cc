@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdio>
+#include <limits>
 
 #include "obs/export.h"
+#include "obs/flight_recorder.h"
 
 namespace flowdiff::obs {
 
@@ -23,6 +24,12 @@ SeriesPoint merge(const SeriesPoint& a, const SeriesPoint& b) {
               b.mean * static_cast<double>(b.count)) /
              static_cast<double>(out.count);
   return out;
+}
+
+std::string fmt3(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", v);
+  return buf;
 }
 
 std::string num_compact(double v) {
@@ -83,60 +90,95 @@ void Series::clear() {
   total_ = 0;
 }
 
-Sampler::Sampler(SamplerConfig config) : config_(config) {}
-
 Sampler& Sampler::global() {
   static Sampler sampler;
   return sampler;
 }
 
 Series& Sampler::series_locked(const std::string& name) {
-  auto it = series_.find(name);
-  if (it == series_.end()) {
-    it = series_.emplace(name, Series(config_.capacity)).first;
-  }
-  return it->second;
+  return series_.try_emplace(name).first->second;
 }
 
 void Sampler::sample(double t) {
   if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  if (has_sampled_ && config_.min_interval > 0.0 &&
-      t - last_t_ < config_.min_interval) {
-    return;
-  }
+  if (!(t > last_t_)) return;  // One clock: never rewind.
   const Snapshot snap = Registry::global().snapshot();
   for (const auto& [name, value] : snap.counters) {
     const double v = static_cast<double>(value);
     series_locked(name).append(t, v);
-    if (config_.counter_rates) {
-      const auto prev = last_counter_.find(name);
-      if (prev != last_counter_.end() && t > prev->second.first) {
-        const double rate =
-            std::max(0.0, v - prev->second.second) / (t - prev->second.first);
-        series_locked(name + ".rate").append(t, rate);
-      }
-      last_counter_[name] = {t, v};
+    const auto prev = last_counter_.find(name);
+    if (prev != last_counter_.end()) {
+      const double rate =
+          std::max(0.0, v - prev->second.second) / (t - prev->second.first);
+      series_locked(name + ".rate").append(t, rate);
     }
+    last_counter_[name] = {t, v};
   }
   for (const auto& [name, g] : snap.gauges) {
     series_locked(name).append(t, static_cast<double>(g.value));
   }
   for (const auto& [name, h] : snap.histograms) {
-    if (!config_.histogram_stats) continue;
     series_locked(name + ".count").append(t, static_cast<double>(h.count));
     // A zero-count snapshot (registered histogram, idle window) has no
     // mean or quantiles; appending the 0.0 placeholders the snapshot
     // arithmetic falls back to would fabricate data points that drag the
-    // derived series (and any EWMA watchdog over them) toward zero.
+    // derived series (and the watchdog's EWMA over them) toward zero.
     if (h.count == 0) continue;
     series_locked(name + ".mean").append(t, h.mean());
     series_locked(name + ".p50").append(t, h.quantile(0.5));
     series_locked(name + ".p99").append(t, h.quantile(0.99));
   }
   last_t_ = t;
-  has_sampled_ = true;
   ++samples_;
+  watch_locked(t);
+}
+
+void Sampler::watch_locked(double t) {
+  struct Rule {
+    const char* series;
+    double factor;     ///< Alert when a sample exceeds factor * EWMA...
+    double min_value;  ///< ...and reaches this floor.
+  };
+  // The pipeline's own health series: event-queue depth, controller
+  // service-time p99, and the monitor's per-window modeling+diffing cost
+  // (its backlog proxy).
+  static constexpr Rule kRules[] = {
+      {"sim.queue.depth", 4.0, 64.0},
+      {"ctrl.service_time_us.p99", 3.0, 500.0},
+      {"monitor.window_ms.p99", 3.0, 5.0},
+  };
+  static_assert(std::size(kRules) == std::tuple_size_v<decltype(watches_)>);
+  constexpr double kAlpha = 0.25;     // EWMA weight of the newest sample.
+  constexpr std::size_t kWarmup = 3;  // Samples before alerting starts.
+  for (std::size_t i = 0; i < std::size(kRules); ++i) {
+    const Rule& rule = kRules[i];
+    const auto it = series_.find(std::string_view(rule.series));
+    // Only a point this sample appended is news.
+    if (it == series_.end() || it->second.last().t_end != t) continue;
+    const double value = it->second.last().mean;
+    Watch& watch = watches_[i];
+    // Judge against the history *before* folding the sample in, so a spike
+    // cannot mask itself.
+    if (watch.samples >= kWarmup && value >= rule.min_value &&
+        value > rule.factor * watch.ewma) {
+      ++watchdog_alerts_;
+      static Counter& alert_counter =
+          Registry::global().counter("obs.watchdog.alerts");
+      alert_counter.inc();
+      FlightRecorder::global().record(
+          Severity::kWarn, "watchdog",
+          std::string("pipeline series degraded: ") + rule.series,
+          {{"value", fmt3(value)},
+           {"ewma", fmt3(watch.ewma)},
+           {"factor", fmt3(rule.factor)}},
+          t);
+    }
+    watch.ewma = watch.samples == 0
+                     ? value
+                     : kAlpha * value + (1.0 - kAlpha) * watch.ewma;
+    ++watch.samples;
+  }
 }
 
 std::vector<std::string> Sampler::names() const {
@@ -167,13 +209,19 @@ std::uint64_t Sampler::samples_taken() const {
   return samples_;
 }
 
+std::uint64_t Sampler::watchdog_alerts() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return watchdog_alerts_;
+}
+
 void Sampler::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   series_.clear();
   last_counter_.clear();
-  last_t_ = 0.0;
-  has_sampled_ = false;
+  last_t_ = -std::numeric_limits<double>::infinity();
   samples_ = 0;
+  watches_ = {};
+  watchdog_alerts_ = 0;
 }
 
 std::string render_series_csv(
@@ -263,74 +311,33 @@ std::string render_series_json(
 
 namespace {
 
-/// Tiny recursive-descent reader for render_series_json's exact shape.
-struct SeriesJsonParser {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  void ws() {
-    while (pos < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[pos])) != 0) {
-      ++pos;
-    }
+/// One [t_begin, t_end, mean, min, max, count] point of
+/// render_series_json's output.
+std::optional<SeriesPoint> parse_point(JsonCursor& p) {
+  if (!p.eat('[')) return std::nullopt;
+  double vals[6] = {};
+  for (int i = 0; i < 6; ++i) {
+    if (i > 0 && !p.eat(',')) return std::nullopt;
+    const auto v = p.number();
+    if (!v) return std::nullopt;
+    vals[i] = *v;
   }
-  bool eat(char c) {
-    ws();
-    if (pos >= s.size() || s[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  bool peek(char c) {
-    ws();
-    return pos < s.size() && s[pos] == c;
-  }
-  std::optional<std::string> string() {
-    ws();
-    return parse_json_string(s, pos);
-  }
-  std::optional<double> number() {
-    ws();
-    const std::size_t start = pos;
-    while (pos < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[pos])) != 0 ||
-            s[pos] == '-' || s[pos] == '+' || s[pos] == '.' ||
-            s[pos] == 'e' || s[pos] == 'E')) {
-      ++pos;
-    }
-    if (pos == start) return std::nullopt;
-    double value = 0.0;
-    if (std::sscanf(std::string(s.substr(start, pos - start)).c_str(), "%lf",
-                    &value) != 1) {
-      return std::nullopt;
-    }
-    return value;
-  }
-  std::optional<SeriesPoint> point() {
-    if (!eat('[')) return std::nullopt;
-    double vals[6] = {};
-    for (int i = 0; i < 6; ++i) {
-      if (i > 0 && !eat(',')) return std::nullopt;
-      const auto v = number();
-      if (!v) return std::nullopt;
-      vals[i] = *v;
-    }
-    if (!eat(']')) return std::nullopt;
-    SeriesPoint p;
-    p.t_begin = vals[0];
-    p.t_end = vals[1];
-    p.mean = vals[2];
-    p.min = vals[3];
-    p.max = vals[4];
-    p.count = static_cast<std::uint64_t>(vals[5]);
-    return p;
-  }
-};
+  if (!p.eat(']')) return std::nullopt;
+  SeriesPoint point;
+  point.t_begin = vals[0];
+  point.t_end = vals[1];
+  point.mean = vals[2];
+  point.min = vals[3];
+  point.max = vals[4];
+  point.count = static_cast<std::uint64_t>(vals[5]);
+  return point;
+}
 
 }  // namespace
 
 std::optional<std::vector<std::pair<std::string, std::vector<SeriesPoint>>>>
 parse_series_json(std::string_view text) {
-  SeriesJsonParser p{text};
+  JsonCursor p{text};
   std::vector<std::pair<std::string, std::vector<SeriesPoint>>> out;
   if (!p.eat('{')) return std::nullopt;
   const auto section = p.string();
@@ -355,7 +362,7 @@ parse_series_json(std::string_view text) {
       std::vector<SeriesPoint> points;
       if (!p.peek(']')) {
         do {
-          const auto point = p.point();
+          const auto point = parse_point(p);
           if (!point) return std::nullopt;
           points.push_back(*point);
         } while (p.eat(','));

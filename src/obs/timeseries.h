@@ -1,22 +1,35 @@
 // Temporal observability: fixed-memory time series over the metrics
-// registry.
+// registry, and the self-watchdog drawn from them.
 //
 // The registry (obs/metrics.h) only answers "what is the value now"; the
 // paper's evaluation (Figs. 9-12) and any long monitor run need "how did it
 // evolve". A Sampler snapshots every registered counter/gauge/histogram at
 // a caller-chosen virtual-time cadence into per-metric Series ring buffers.
-// Each Series holds at most `capacity` points; on overflow adjacent points
-// are merged 2:1 (downsample-on-overflow), so memory stays fixed while the
-// whole run remains covered at halving resolution. Counters additionally
-// get a derived "<name>.rate" per-second series, histograms derived
-// ".count"/".mean"/".p50"/".p99" series.
+// Each Series holds at most Series::kDefaultCapacity points; on overflow
+// adjacent points are merged 2:1 (downsample-on-overflow), so memory stays
+// fixed while the whole run remains covered at halving resolution.
+// Counters additionally get a derived "<name>.rate" per-second series,
+// histograms derived ".count"/".mean"/".p50"/".p99" series.
 //
-// Sampling is driven externally (e.g. the SlidingMonitor samples once per
-// closed window with the window's virtual end time); Sampler::sample() is a
-// no-op while obs is disabled, so instrumented paths pay nothing when off.
+// Sampling is driven externally: every SlidingMonitor samples the
+// process-wide Sampler::global() once per closed window with the window's
+// virtual end time. The sampler keeps one clock: a sample at or before the
+// last accepted one is refused, so every series is time-ordered and
+// tenants closing windows at the same end time share one registry
+// snapshot. Sampler::sample() is a no-op while obs is disabled, so
+// instrumented paths pay nothing when off.
+//
+// Self-watchdog: FlowDiff watches a data center; the Sampler watches
+// FlowDiff. Each accepted sample feeds an EWMA per pipeline health series
+// (event-queue depth, controller service-time p99, the monitor's
+// per-window modeling cost) and files a flight-recorder warning, counted
+// by obs.watchdog.alerts, when the newest value blows past the smoothed
+// history -- i.e. when the diagnoser itself starts to degrade.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -81,30 +94,18 @@ class Series {
   std::vector<SeriesPoint> points_;
 };
 
-struct SamplerConfig {
-  /// Ring capacity per series (points kept before 2:1 compaction).
-  std::size_t capacity = Series::kDefaultCapacity;
-  /// Minimum virtual-time spacing between samples, seconds; sample() calls
-  /// closer than this to the previous accepted one are dropped. 0 keeps
-  /// every call (per-window cadence).
-  double min_interval = 0.0;
-  /// Derive "<name>.rate" (per virtual second) series from counters.
-  bool counter_rates = true;
-  /// Derive ".count"/".mean"/".p50"/".p99" series from histograms.
-  bool histogram_stats = true;
-};
-
-/// Snapshots the metrics registry into named Series. All public entry
-/// points are thread safe; sample() is a no-op while obs is disabled.
+/// Snapshots the metrics registry into named Series and runs the
+/// self-watchdog over them. All public entry points are thread safe;
+/// sample() is a no-op while obs is disabled.
 class Sampler {
  public:
-  explicit Sampler(SamplerConfig config = {});
-
-  /// Process-wide instance: the SlidingMonitor feeds it once per window and
-  /// the CLI's --series/report paths read it back.
+  /// Process-wide instance: every SlidingMonitor feeds it once per window
+  /// and the CLI's --series/report paths and the telemetry plane read it.
   static Sampler& global();
 
-  /// Snapshots every registered metric at virtual time `t` (seconds).
+  /// Snapshots every registered metric at virtual time `t` (seconds), then
+  /// runs the watchdog over the points this sample appended. Refused (a
+  /// no-op) unless `t` is after the last accepted sample.
   void sample(double t);
 
   [[nodiscard]] std::vector<std::string> names() const;
@@ -113,20 +114,34 @@ class Sampler {
   [[nodiscard]] std::vector<std::pair<std::string, Series>> series() const;
   /// Accepted sample() calls (each covers the whole registry).
   [[nodiscard]] std::uint64_t samples_taken() const;
+  /// Watchdog warnings filed so far; each watched series is judged once
+  /// per accepted sample.
+  [[nodiscard]] std::uint64_t watchdog_alerts() const;
 
+  /// Drops every series, the clock and the watchdog state and count.
   void clear();
 
  private:
+  /// EWMA state of one watched series.
+  struct Watch {
+    double ewma = 0.0;
+    std::size_t samples = 0;
+  };
+
   Series& series_locked(const std::string& name);
+  /// Judges the watched series this sample appended to at `t`.
+  void watch_locked(double t);
 
   mutable std::mutex mu_;
-  SamplerConfig config_;
   std::map<std::string, Series, std::less<>> series_;
   std::map<std::string, std::pair<double, double>, std::less<>>
       last_counter_;  ///< name -> (t, value) of the previous sample.
-  double last_t_ = 0.0;
-  bool has_sampled_ = false;
+  /// Time of the last accepted sample; -inf until the first.
+  double last_t_ = -std::numeric_limits<double>::infinity();
   std::uint64_t samples_ = 0;
+  /// One per watched series, in the order of the rules in timeseries.cc.
+  std::array<Watch, 3> watches_{};
+  std::uint64_t watchdog_alerts_ = 0;
 };
 
 // --- Series exporters ------------------------------------------------------

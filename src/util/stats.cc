@@ -72,16 +72,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   return sxy / std::sqrt(sxx * syy);
 }
 
-double partial_correlation(std::span<const double> x, std::span<const double> y,
-                           std::span<const double> z) {
-  const double rxy = pearson(x, y);
-  const double rxz = pearson(x, z);
-  const double ryz = pearson(y, z);
-  const double denom = std::sqrt((1.0 - rxz * rxz) * (1.0 - ryz * ryz));
-  if (denom <= 1e-12) return rxy;
-  return (rxy - rxz * ryz) / denom;
-}
-
 double chi_squared(std::span<const double> observed,
                    std::span<const double> expected) {
   const std::size_t n = std::min(observed.size(), expected.size());

@@ -1,9 +1,9 @@
 // Statistical primitives used by the FlowDiff signatures.
 //
 // The paper compares behavioral models with a handful of classic statistics:
-// mean/standard deviation (ISL, CRT), Pearson and partial correlation (PC
-// signature), and a chi-squared fitness test (CI signature). All of them are
-// implemented here on contiguous ranges.
+// mean/standard deviation (ISL, CRT), Pearson correlation (the PC signature,
+// which the paper calls partial correlation), and a chi-squared fitness test
+// (CI signature). All of them are implemented here on contiguous ranges.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +41,6 @@ class RunningStats {
 /// Pearson correlation coefficient of two equal-length series.
 /// Returns 0 when either series has zero variance or fewer than 2 points.
 double pearson(std::span<const double> x, std::span<const double> y);
-
-/// First-order partial correlation of x and y controlling for z:
-///   r_xy.z = (r_xy - r_xz * r_yz) / sqrt((1 - r_xz^2)(1 - r_yz^2)).
-/// Falls back to pearson(x, y) when a denominator degenerates.
-double partial_correlation(std::span<const double> x, std::span<const double> y,
-                           std::span<const double> z);
 
 /// Chi-squared fitness statistic sum((O-E)^2 / E) over paired observed and
 /// expected values; cells with E == 0 contribute O (a bounded penalty for

@@ -148,7 +148,6 @@ TEST_P(CorruptionSweepTest, SanitizedMonitorSurvivesAndCountersReconcile) {
 
     core::MonitorConfig config;
     config.window = kSecond;
-    config.sample_metrics = false;
     config.sanitize = true;
     core::SlidingMonitor monitor(config);
     monitor.feed(arrivals);
@@ -413,7 +412,6 @@ TEST(HostileTimestamp, FarFutureEventSkipsIdleWindowsInOneStep) {
     core::MonitorConfig config;
     config.window = kWindow;
     config.sanitize = sanitize;
-    config.sample_metrics = false;
     core::SlidingMonitor monitor(config);
     const auto start = std::chrono::steady_clock::now();
     monitor.feed(hostile_packet_in(0, 1));
@@ -452,7 +450,6 @@ TEST(HostileTimestamp, GapEndingAtInt64MaxDoesNotOverflow) {
     core::MonitorConfig config;
     config.window = 40 * kSecond;
     config.sanitize = sanitize;
-    config.sample_metrics = false;
     core::SlidingMonitor monitor(config);
     const auto start = std::chrono::steady_clock::now();
     monitor.feed(hostile_packet_in(0, 1));
@@ -480,7 +477,6 @@ TEST(HostileTimestamp, NegativeTimestampsAreRejectedAndCounted) {
     core::MonitorConfig config;
     config.window = 40 * kSecond;
     config.sanitize = sanitize;
-    config.sample_metrics = false;
     core::SlidingMonitor monitor(config);
     for (std::uint64_t i = 0; i < kEvents; ++i) {
       const auto ts = -400'000 * kSecond + static_cast<SimTime>(i) * kSecond;
@@ -555,85 +551,6 @@ TEST_P(NoiseFloodTest, MigrationStillDetectedUnderNoise) {
 
 INSTANTIATE_TEST_SUITE_P(NoiseLevels, NoiseFloodTest,
                          ::testing::Values(0, 50, 200, 800, 2000));
-
-// ---------------------------------------------------------------------------
-// Partial-correlation option.
-
-TEST(PartialCorrelationOption, RemovesWorkloadCommonMode) {
-  // One bursty global workload drives two chains: client->a->backend (a
-  // per-request dependency) and a's cache refreshes a->cache whose *rate*
-  // follows the bursts but not individual requests. A second chain
-  // client2->b->backend2 follows the same bursts and supplies the control
-  // series. Pearson sees common-mode correlation on (client->a, a->cache);
-  // the partial option, controlling for the rest of the group, removes it
-  // while the true dependency pair keeps its correlation.
-  core::ParsedLog log;
-  log.begin = 0;
-  const Ipv4 client(10, 0, 0, 1);
-  const Ipv4 a(10, 0, 0, 2);
-  const Ipv4 cache(10, 0, 0, 3);
-  const Ipv4 backend(10, 0, 0, 4);
-  const Ipv4 client2(10, 0, 0, 5);
-  const Ipv4 b(10, 0, 0, 6);
-  const Ipv4 backend2(10, 0, 0, 7);
-  Rng rng(5);
-  std::uint16_t sport = 40000;
-  auto emit = [&](Ipv4 src, Ipv4 dst, std::uint16_t dport, SimTime t) {
-    core::FlowOccurrence occ;
-    occ.key = of::FlowKey{src, dst, sport++, dport, of::Proto::kTcp};
-    occ.first_ts = t;
-    log.occurrences.push_back(occ);
-  };
-  for (int epoch = 0; epoch < 80; ++epoch) {
-    const bool hot = rng.bernoulli(0.5);
-    const SimTime base = epoch * kSecond;
-    // Chain 1: each request triggers the backend call (true dependency),
-    // with per-epoch noise.
-    const auto n1 = (hot ? 7 : 1) + rng.uniform_int(0, 2);
-    for (int i = 0; i < n1; ++i) {
-      const SimTime t = base + i * 9 * kMillisecond;
-      emit(client, a, 80, t);
-      emit(a, backend, 3306, t + 5 * kMillisecond);
-    }
-    // a's cache refreshes follow the burst level with independent noise.
-    const auto nc = (hot ? 5 : 0) + rng.uniform_int(0, 3);
-    for (int i = 0; i < nc; ++i) {
-      emit(a, cache, 9000, base + 100 * kMillisecond + i * 11 * kMillisecond);
-    }
-    // Chain 2: same global bursts, independent noise — the control signal.
-    const auto n2 = (hot ? 7 : 1) + rng.uniform_int(0, 2);
-    for (int i = 0; i < n2; ++i) {
-      const SimTime t = base + 40 * kMillisecond + i * 9 * kMillisecond;
-      emit(client2, b, 80, t);
-      emit(b, backend2, 3306, t + 5 * kMillisecond);
-    }
-  }
-  std::sort(log.occurrences.begin(), log.occurrences.end(),
-            [](const core::FlowOccurrence& x, const core::FlowOccurrence& y) {
-              return x.first_ts < y.first_ts;
-            });
-  log.end = 80 * kSecond;
-
-  core::AppSignatureConfig plain;
-  plain.min_edge_flows = 5;
-  core::AppSignatureConfig partial = plain;
-  partial.pc_control_for_group = true;
-  const std::set<Ipv4> members{client, a, cache, backend,
-                               client2, b, backend2};
-
-  const auto sig_plain = extract_group_signatures(log, members, plain);
-  const auto sig_partial = extract_group_signatures(log, members, partial);
-  const core::EdgePair cross_pair{client, a, cache};   // Common-mode only.
-  const core::EdgePair true_pair{client, a, backend};  // Real dependency.
-  ASSERT_TRUE(sig_plain.pc.rho.contains(cross_pair));
-  ASSERT_TRUE(sig_partial.pc.rho.contains(cross_pair));
-  // Pearson sees the workload's common mode on the unrelated edge...
-  EXPECT_GT(sig_plain.pc.rho.at(cross_pair), 0.6);
-  // ...partial correlation slashes it while the real dependency survives.
-  EXPECT_LT(sig_partial.pc.rho.at(cross_pair),
-            sig_plain.pc.rho.at(cross_pair) - 0.25);
-  EXPECT_GT(sig_partial.pc.rho.at(true_pair), 0.5);
-}
 
 }  // namespace
 }  // namespace flowdiff

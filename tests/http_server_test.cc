@@ -51,7 +51,6 @@ core::MonitorConfig small_monitor_config() {
   core::MonitorConfig config;
   config.window = kSecond;
   config.rolling_baseline = true;
-  config.sample_metrics = false;
   return config;
 }
 
@@ -207,7 +206,6 @@ class TelemetryPlaneTest : public ::testing::Test {
 TEST_F(TelemetryPlaneTest, EndpointsServeAttachedMonitorRun) {
   obs::set_enabled(true);
   core::MonitorConfig config = small_monitor_config();
-  config.sample_metrics = true;
   core::SlidingMonitor monitor(config);
   core::TelemetryPlane plane;
   plane.attach(&monitor);
@@ -275,7 +273,6 @@ TEST_F(TelemetryPlaneTest, EndpointsServeAttachedMonitorRun) {
 TEST_F(TelemetryPlaneTest, SeriesAndAuditsAcceptTimeRangeFilters) {
   obs::set_enabled(true);
   core::MonitorConfig config = small_monitor_config();
-  config.sample_metrics = true;
   core::SlidingMonitor monitor(config);
   core::TelemetryPlane plane;
   plane.attach(&monitor);
@@ -333,21 +330,30 @@ TEST_F(TelemetryPlaneTest, MonitorlessPlaneAnswers503OnMonitorEndpoints) {
 
 TEST_F(TelemetryPlaneTest, HealthzFlipsTo503OnWatchdogWarning) {
   obs::set_enabled(true);
-  core::MonitorConfig config = small_monitor_config();
-  config.sample_metrics = true;
-  // A rule that any sampled value trips: the first closed window files a
-  // deterministic watchdog warning, which is the /healthz contract's
-  // "diagnoser degraded" condition.
-  config.watchdog.warmup = 0;
-  config.watchdog.rules = {{"monitor.windows", 0.0, 0.0}};
-  core::SlidingMonitor monitor(config);
+  const of::ControlLog& log = capture();  // Simulate before pinning depth.
+  core::SlidingMonitor monitor(small_monitor_config());
   core::TelemetryPlane plane;
   plane.attach(&monitor);
   ASSERT_TRUE(plane.start()) << plane.last_error();
 
-  monitor.feed(capture());
+  // Three windows at a steady event-queue depth warm the sampler's
+  // watchdog up; a 50x jump before the fourth window closes files the
+  // deterministic warning that is the /healthz contract's "diagnoser
+  // degraded" condition.
+  obs::Gauge& depth = obs::Registry::global().gauge("sim.queue.depth");
+  const SimTime split = log.events().front().ts + 3 * kSecond + kSecond / 2;
+  std::vector<of::ControlEvent> head;
+  std::vector<of::ControlEvent> tail;
+  for (const auto& event : log.events()) {
+    (event.ts < split ? head : tail).push_back(event);
+  }
+  depth.set(100);
+  monitor.feed(head);
+  ASSERT_EQ(monitor.windows_processed(), 3u);
+  depth.set(5000);
+  monitor.feed(tail);
   monitor.flush();
-  ASSERT_GT(monitor.watchdog_alerts(), 0u);
+  ASSERT_GT(obs::Sampler::global().watchdog_alerts(), 0u);
 
   const auto health = http_get(plane.port(), "/healthz");
   ASSERT_TRUE(health.has_value());

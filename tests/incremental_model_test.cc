@@ -79,15 +79,11 @@ TEST(IncrementalModel, RandomStreamsMatchOracleAfterEverySlide) {
 
 TEST(IncrementalModel, ConfigVariantsMatchOracle) {
   for (const std::uint64_t min_flows : {std::uint64_t{1}, std::uint64_t{3}}) {
-    for (const bool partial : {false, true}) {
-      ModelConfig config;
-      config.app.min_edge_flows = min_flows;
-      config.app.pc_control_for_group = partial;
-      config.stability_segments = 3;
-      const int n =
-          sweep_stream(random_stream(11, 6 * kSecond), config, kSecond);
-      EXPECT_GT(n, 0) << "min_flows=" << min_flows << " partial=" << partial;
-    }
+    ModelConfig config;
+    config.app.min_edge_flows = min_flows;
+    config.stability_segments = 3;
+    const int n = sweep_stream(random_stream(11, 6 * kSecond), config, kSecond);
+    EXPECT_GT(n, 0) << "min_flows=" << min_flows;
   }
 }
 
@@ -224,12 +220,11 @@ TEST(IncrementalModel, ResetClearsEverything) {
 /// Monitor transcripts (audits, alarms, provenance) with the incremental
 /// path on vs. off — the off mode forces every window through the
 /// from-scratch oracle, so equality here is end-to-end bit-identity.
-/// 1 s windows, rolling baseline, no metric sampling.
+/// 1 s windows, rolling baseline.
 MonitorConfig monitor_config(bool incremental, bool sanitize = false) {
   MonitorConfig config;
   config.window = kSecond;
   config.rolling_baseline = true;
-  config.sample_metrics = false;
   config.incremental = incremental;
   config.sanitize = sanitize;
   return config;

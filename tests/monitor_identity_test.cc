@@ -69,7 +69,6 @@ MonitorConfig monitor_config(bool sanitize = false, bool incremental = true) {
   MonitorConfig config;
   config.window = kSecond;
   config.rolling_baseline = true;
-  config.sample_metrics = false;
   config.sanitize = sanitize;
   config.incremental = incremental;
   return config;

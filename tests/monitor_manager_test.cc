@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <stdexcept>
@@ -13,6 +14,9 @@
 
 #include "experiment/corpus.h"
 #include "flowdiff/monitor.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/timeseries.h"
 #include "openflow/log_io.h"
 
 namespace flowdiff::core {
@@ -266,6 +270,104 @@ TEST(MonitorManager, AggregateHealthSumsShards) {
   const MonitorHealth aggregate = manager.aggregate_health();
   EXPECT_EQ(aggregate.windows, clean->windows + slow->windows);
   EXPECT_EQ(aggregate.alarms, clean->alarms + slow->alarms);
+}
+
+/// A fresh, enabled registry, sampler and recorder for one check.
+struct ObsScope {
+  ObsScope() {
+    clear();
+    obs::set_enabled(true);
+  }
+  ~ObsScope() {
+    obs::set_enabled(false);
+    clear();
+  }
+  ObsScope(const ObsScope&) = delete;
+  ObsScope& operator=(const ObsScope&) = delete;
+
+  static void clear() {
+    obs::Registry::global().reset();
+    obs::Sampler::global().clear();
+    obs::FlightRecorder::global().clear();
+  }
+};
+
+TEST(MonitorManager, OneSpikeFilesOneWatchdogAlert) {
+  // Tenants share the process-wide sampler and its watchdog: one spike of
+  // the event-queue depth is one alert, however many tenants close a
+  // window after it, and the shared series stay time-ordered even when
+  // the tenants' clocks disagree.
+  const CorpusFixture corpus("steady");
+  const std::vector<of::ControlEvent>& events = corpus.corpus_case.events;
+  ASSERT_FALSE(events.empty());
+  constexpr SimDuration kChunk = 10 * kSecond;
+  constexpr std::size_t kSpikeChunk = 6;
+  for (const int workers : {0, 2}) {
+    for (const SimDuration shift : {SimDuration{0}, 1000 * kSecond}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " shift=" + std::to_string(shift));
+      const ObsScope obs_scope;
+      // Pin the wall-clock rule: one 1 s window time up front keeps
+      // monitor.window_ms.p99 far above any real window, so only the
+      // gauge can fire.
+      obs::Registry::global().histogram("monitor.window_ms", 5.0).observe(
+          1000.0);
+      obs::Gauge& depth = obs::Registry::global().gauge("sim.queue.depth");
+      depth.set(100);
+
+      ManagerConfig config;
+      config.options = corpus.options();
+      config.options.window = kChunk;
+      config.workers = workers;
+      MonitorManager manager(config);
+
+      std::size_t chunk = 0;
+      for (auto it = events.begin(); it != events.end(); ++chunk) {
+        const SimTime end = events.front().ts +
+                            static_cast<SimTime>(chunk + 1) * kChunk;
+        const auto stop = std::find_if(
+            it, events.end(),
+            [end](const of::ControlEvent& e) { return e.ts >= end; });
+        std::vector<of::ControlEvent> a(it, stop);
+        std::vector<of::ControlEvent> b = a;
+        for (of::ControlEvent& e : b) e.ts += shift;
+        it = stop;
+        if (chunk == kSpikeChunk) depth.set(5000);
+        ASSERT_TRUE(manager.feed("a", a));
+        ASSERT_TRUE(manager.feed("b", b));
+        manager.drain("a");
+        manager.drain("b");
+      }
+      ASSERT_GT(chunk, kSpikeChunk + 1) << "steady.log too short";
+      manager.stop_all();
+
+      EXPECT_EQ(obs::Sampler::global().watchdog_alerts(), 1u);
+      EXPECT_EQ(
+          obs::Registry::global().counter("obs.watchdog.alerts").value(), 1u);
+      const MonitorHealth aggregate = manager.aggregate_health();
+      EXPECT_EQ(aggregate.watchdog_alerts, 1u);
+      EXPECT_EQ(std::count_if(aggregate.reasons.begin(),
+                              aggregate.reasons.end(),
+                              [](const std::string& reason) {
+                                return reason.find("watchdog filed") !=
+                                       std::string::npos;
+                              }),
+                1);
+      const auto warnings =
+          obs::FlightRecorder::global().events(obs::Severity::kWarn);
+      EXPECT_EQ(std::count_if(warnings.begin(), warnings.end(),
+                              [](const obs::FlightEvent& event) {
+                                return event.component == "watchdog";
+                              }),
+                1);
+      for (const auto& [name, series] : obs::Sampler::global().series()) {
+        const auto points = series.points();
+        for (std::size_t i = 1; i < points.size(); ++i) {
+          EXPECT_GT(points[i].t_begin, points[i - 1].t_begin) << name;
+        }
+      }
+    }
+  }
 }
 
 TEST(MonitorManager, AggregateHealthSumsStreamQuality) {

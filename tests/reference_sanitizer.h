@@ -38,7 +38,7 @@ class StreamSanitizer {
     ++window_.fed;
     ++total_.fed;
 
-    if (config_.drop_truncated && is_truncated(event)) {
+    if (is_truncated(event)) {
       ++window_.truncated;
       ++total_.truncated;
       return;
@@ -51,19 +51,17 @@ class StreamSanitizer {
     }
 
     std::string identity;
-    if (config_.dedup) {
-      const auto [lo, hi] = buffer_.equal_range(event.ts);
-      if (lo != hi) {
-        identity = of::serialize_event(event);
-        for (auto it = lo; it != hi; ++it) {
-          if (it->second.first.empty()) {
-            it->second.first = of::serialize_event(it->second.second);
-          }
-          if (it->second.first == identity) {
-            ++window_.duplicates;
-            ++total_.duplicates;
-            return;
-          }
+    const auto [lo, hi] = buffer_.equal_range(event.ts);
+    if (lo != hi) {
+      identity = of::serialize_event(event);
+      for (auto it = lo; it != hi; ++it) {
+        if (it->second.first.empty()) {
+          it->second.first = of::serialize_event(it->second.second);
+        }
+        if (it->second.first == identity) {
+          ++window_.duplicates;
+          ++total_.duplicates;
+          return;
         }
       }
     }

@@ -106,15 +106,13 @@ TEST_F(ReportTest, MarkdownJoinsTimelineSeriesAndRecorder) {
 TEST_F(ReportTest, HtmlModeProducesMarkup) {
   const auto monitor_ptr = run_lab_monitor();
   const SlidingMonitor& monitor = *monitor_ptr;
-  RunReportOptions options;
-  options.html = true;
-  options.title = "lab run";
   const std::string report =
       render_run_report(monitor.snapshot(), obs::Sampler::global(),
-                        obs::FlightRecorder::global(), options);
+                        obs::FlightRecorder::global(), /*html=*/true);
   EXPECT_EQ(report.rfind("<!DOCTYPE html>", 0), 0u);
-  EXPECT_NE(report.find("<title>lab run</title>"), std::string::npos);
-  EXPECT_NE(report.find("<h1>lab run</h1>"), std::string::npos);
+  EXPECT_NE(report.find("<title>FlowDiff run report</title>"),
+            std::string::npos);
+  EXPECT_NE(report.find("<h1>FlowDiff run report</h1>"), std::string::npos);
   EXPECT_NE(report.find("<table>"), std::string::npos);
   EXPECT_NE(report.find("<pre>"), std::string::npos);
   EXPECT_NE(report.find("</html>"), std::string::npos);

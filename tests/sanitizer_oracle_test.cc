@@ -2,7 +2,7 @@
 // StreamSanitizer (ring + side buffer, dedup prefilter, batched metrics)
 // against the original multimap implementation kept in
 // reference_sanitizer.h. A seeded sweep over StreamCorruptor profiles,
-// lateness horizons, dedup on/off and push chunk sizes requires the two to
+// lateness horizons and push chunk sizes requires the two to
 // agree on everything observable: the released event sequence and when
 // each event is released, buffered() and watermark_lag() after every
 // chunk, take_window_quality() at cut points, and total().
@@ -152,21 +152,17 @@ void expect_identical(const std::vector<of::ControlEvent>& arrivals,
   }
 }
 
-/// Every horizon x dedup x chunk-size setting over one arrival sequence.
+/// Every horizon x chunk-size setting over one arrival sequence.
 void sweep_settings(const std::vector<of::ControlEvent>& arrivals) {
   for (const SimDuration horizon : {SimDuration{0}, kMillisecond, kSecond}) {
-    for (const bool dedup : {true, false}) {
-      for (const std::size_t chunk : {std::size_t{1}, std::size_t{35},
-                                      std::size_t{4096}}) {
-        SCOPED_TRACE("horizon=" + std::to_string(horizon) +
-                     " dedup=" + std::to_string(dedup) +
-                     " chunk=" + std::to_string(chunk));
-        SanitizerConfig config;
-        config.lateness_horizon = horizon;
-        config.dedup = dedup;
-        expect_identical(arrivals, config, chunk);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{35},
+                                    std::size_t{4096}}) {
+      SCOPED_TRACE("horizon=" + std::to_string(horizon) +
+                   " chunk=" + std::to_string(chunk));
+      SanitizerConfig config;
+      config.lateness_horizon = horizon;
+      expect_identical(arrivals, config, chunk);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }

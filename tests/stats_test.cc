@@ -99,32 +99,6 @@ TEST(Pearson, IndependentSeriesNearZero) {
   EXPECT_LT(std::abs(pearson(x, y)), 0.05);
 }
 
-TEST(PartialCorrelation, RemovesConfounder) {
-  // x and y are both driven by z; controlling for z should slash the
-  // apparent correlation.
-  Rng rng(11);
-  std::vector<double> x;
-  std::vector<double> y;
-  std::vector<double> z;
-  for (int i = 0; i < 4000; ++i) {
-    const double zi = rng.normal(0, 1);
-    z.push_back(zi);
-    x.push_back(zi + rng.normal(0, 0.3));
-    y.push_back(zi + rng.normal(0, 0.3));
-  }
-  const double raw = pearson(x, y);
-  const double partial = partial_correlation(x, y, z);
-  EXPECT_GT(raw, 0.8);
-  EXPECT_LT(std::abs(partial), 0.2);
-}
-
-TEST(PartialCorrelation, FallsBackWhenControlDegenerate) {
-  std::vector<double> x{1, 2, 3, 4};
-  std::vector<double> y{2, 4, 6, 8};
-  std::vector<double> z{5, 5, 5, 5};
-  EXPECT_NEAR(partial_correlation(x, y, z), pearson(x, y), 1e-12);
-}
-
 TEST(ChiSquared, IdenticalDistributionsAreZero) {
   std::vector<double> o{0.5, 0.3, 0.2};
   EXPECT_DOUBLE_EQ(chi_squared(o, o), 0.0);

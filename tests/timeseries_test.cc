@@ -1,17 +1,18 @@
 // Time-series sampling (src/obs/timeseries.*): ring-buffer compaction
 // invariants, sampler-derived counter/histogram series, exporter
-// round-trips, and the EWMA watchdog over sampled series.
+// round-trips, the sampler's one clock, and the EWMA self-watchdog it runs
+// over the pipeline's own series.
 #include "obs/timeseries.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/watchdog.h"
 
 namespace flowdiff::obs {
 namespace {
@@ -222,15 +223,24 @@ TEST_F(TimeseriesTest, SeriesCsvParserRejectsGarbage) {
           .has_value());
 }
 
-TEST_F(TimeseriesTest, SamplerRespectsMinInterval) {
+TEST_F(TimeseriesTest, SamplerRefusesSamplesNotAfterTheLast) {
+  // Two tenants closing windows on their own clocks share one sampler: a
+  // sample at or before the last accepted one is refused, so every series
+  // stays time-ordered and one window end costs one registry snapshot.
   Registry::global().gauge("ts.g").set(7);
-  SamplerConfig config;
-  config.min_interval = 1.0;
-  Sampler sampler(config);
-  sampler.sample(0.0);
-  sampler.sample(0.5);  // Too close: dropped.
-  sampler.sample(1.5);
-  EXPECT_EQ(sampler.samples_taken(), 2u);
+  Registry::global().counter("ts.c").inc(3);
+  Sampler sampler;
+  sampler.sample(80.0);
+  sampler.sample(40.0);  // Earlier: refused.
+  sampler.sample(80.0);  // Same end time: refused.
+  EXPECT_EQ(sampler.samples_taken(), 1u);
+  for (const char* name : {"ts.g", "ts.c"}) {
+    const auto series = sampler.find(name);
+    ASSERT_TRUE(series.has_value()) << name;
+    EXPECT_EQ(series->points().size(), 1u) << name;
+    EXPECT_DOUBLE_EQ(series->last().t_end, 80.0) << name;
+  }
+  EXPECT_FALSE(sampler.find("ts.c.rate").has_value());
 }
 
 TEST_F(TimeseriesTest, SamplerIsNoOpWhileDisabled) {
@@ -283,60 +293,65 @@ TEST_F(TimeseriesTest, SeriesCsvHasHeaderAndRows) {
   EXPECT_NE(csv.find("\nts.csv,"), std::string::npos);
 }
 
-TEST_F(TimeseriesTest, WatchdogAlertsOnSpikeAfterWarmup) {
-  WatchdogConfig config;
-  config.warmup = 3;
-  config.rules = {{"ts.depth", 3.0, 10.0}};
-  Watchdog watchdog(config);
+// The watchdog's event-queue rule: a sample alerts when it is more than
+// 4x the EWMA (alpha 0.25) of the samples before it and at least 64, once
+// three samples have warmed the EWMA up.
 
-  // Warmup: even a large value cannot alert yet.
-  EXPECT_FALSE(watchdog.observe("ts.depth", 0.0, 100.0));
-  EXPECT_FALSE(watchdog.observe("ts.depth", 1.0, 100.0));
-  EXPECT_FALSE(watchdog.observe("ts.depth", 2.0, 100.0));
-  // Steady state stays quiet.
-  EXPECT_FALSE(watchdog.observe("ts.depth", 3.0, 110.0));
-  // A >3x spike past warmup fires and lands in the flight recorder.
-  EXPECT_TRUE(watchdog.observe("ts.depth", 4.0, 1000.0));
-  EXPECT_EQ(watchdog.alerts(), 1u);
+TEST_F(TimeseriesTest, WatchdogAlertsOnSpikeAfterWarmup) {
+  Gauge& depth = Registry::global().gauge("sim.queue.depth");
+  Sampler sampler;
+  double t = 0.0;
+  // Warmup: even a 10x jump on the third sample cannot alert yet.
+  for (const std::int64_t value : {100, 100, 1000}) {
+    depth.set(value);
+    sampler.sample(++t);
+  }
+  EXPECT_EQ(sampler.watchdog_alerts(), 0u);
+  // Steady state stays quiet (EWMA 325, so the bar is 1300).
+  depth.set(400);
+  sampler.sample(++t);
+  EXPECT_EQ(sampler.watchdog_alerts(), 0u);
+  // A spike past warmup fires and lands in the flight recorder.
+  depth.set(5000);
+  sampler.sample(++t);
+  EXPECT_EQ(sampler.watchdog_alerts(), 1u);
+  EXPECT_EQ(Registry::global().counter("obs.watchdog.alerts").value(), 1u);
   const auto warnings = FlightRecorder::global().events(Severity::kWarn);
-  ASSERT_FALSE(warnings.empty());
+  ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings.back().component, "watchdog");
-  EXPECT_NE(warnings.back().message.find("ts.depth"), std::string::npos);
+  EXPECT_EQ(warnings.back().message,
+            "pipeline series degraded: sim.queue.depth");
 }
 
 TEST_F(TimeseriesTest, WatchdogIgnoresSmallAbsoluteValues) {
-  WatchdogConfig config;
-  config.warmup = 1;
-  config.rules = {{"ts.tiny", 2.0, 50.0}};
-  Watchdog watchdog(config);
-  EXPECT_FALSE(watchdog.observe("ts.tiny", 0.0, 1.0));
-  // 10x the EWMA but under the absolute floor: noise, not an alert.
-  EXPECT_FALSE(watchdog.observe("ts.tiny", 1.0, 10.0));
-  EXPECT_EQ(watchdog.alerts(), 0u);
+  Gauge& depth = Registry::global().gauge("sim.queue.depth");
+  Sampler sampler;
+  depth.set(1);
+  for (int t = 1; t <= 3; ++t) sampler.sample(static_cast<double>(t));
+  // 50x the EWMA but under the floor of 64: noise, not an alert.
+  depth.set(50);
+  sampler.sample(4.0);
+  EXPECT_EQ(sampler.watchdog_alerts(), 0u);
 }
 
 TEST_F(TimeseriesTest, WatchdogChecksSamplerSeriesOncePerSample) {
   Gauge& depth = Registry::global().gauge("sim.queue.depth");
-  WatchdogConfig config;
-  config.warmup = 2;
-  config.rules = {{"sim.queue.depth", 3.0, 64.0}};
-  Watchdog watchdog(config);
   Sampler sampler;
-
   depth.set(100);
-  sampler.sample(1.0);
-  EXPECT_EQ(watchdog.check(sampler), 0u);
-  // Re-checking without a new sample must not double-count.
-  EXPECT_EQ(watchdog.check(sampler), 0u);
-
-  depth.set(110);
-  sampler.sample(2.0);
-  EXPECT_EQ(watchdog.check(sampler), 0u);
-
+  for (int t = 1; t <= 3; ++t) sampler.sample(static_cast<double>(t));
   depth.set(5000);
-  sampler.sample(3.0);
-  EXPECT_EQ(watchdog.check(sampler), 1u);
-  EXPECT_EQ(watchdog.alerts(), 1u);
+  sampler.sample(4.0);
+  EXPECT_EQ(sampler.watchdog_alerts(), 1u);
+  // Refused samples are not judged again...
+  sampler.sample(4.0);
+  sampler.sample(2.0);
+  EXPECT_EQ(sampler.watchdog_alerts(), 1u);
+  // ...and the spike has raised the bar for the next one.
+  sampler.sample(5.0);
+  EXPECT_EQ(sampler.watchdog_alerts(), 1u);
+  // clear() resets the count with the series.
+  sampler.clear();
+  EXPECT_EQ(sampler.watchdog_alerts(), 0u);
 }
 
 }  // namespace

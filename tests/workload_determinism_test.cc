@@ -57,7 +57,6 @@ std::string serialized_attack_window(Family family) {
   config.flowdiff = lab.flowdiff_config();
   config.window = 40 * kSecond;
   config.rolling_baseline = false;
-  config.sample_metrics = false;
   return serialize_corpus_case(config, capture.events());
 }
 

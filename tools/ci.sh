@@ -6,7 +6,7 @@
 #      so its verdict is visible on its own in the transcript;
 #   3. UndefinedBehaviorSanitizer pass: rebuild with
 #      FLOWDIFF_SANITIZE=undefined and rerun the obs-layer tests (the
-#      sampler/recorder/watchdog code paths PRs keep touching), plus the
+#      sampler, with the self-watchdog it runs, and the recorder), plus the
 #      ingest legs: the golden-trace corpus (ctest -L corpus) and the
 #      seeded-corruption fuzz suites (ctest -L fuzz) — corrupted captures
 #      are exactly where out-of-range arithmetic would hide — the
@@ -21,8 +21,8 @@
 #      the provenance-labeled suites (provenance records are built on the
 #      feeding thread and read from the serve thread and explain CLI), and
 #      the serve-labeled daemon suites: MonitorManager schedules
-#      per-tenant shards across a worker pool while the telemetry plane
-#      reads them;
+#      per-tenant shards across a worker pool, whose windows sample the
+#      one process-wide obs::Sampler, while the telemetry plane reads them;
 #   5. corruption sweep: run bench/corruption_sweep in the UBSan tree —
 #      diagnosis accuracy vs corruption rate, end to end under the
 #      sanitizer;

@@ -218,8 +218,6 @@ void print_serve_help(std::FILE* out) {
       "windows,\n"
       "                             alarms, health per tenant)\n"
       "  /tenants/<id>/healthz      per-tenant health verdict\n"
-      "  /tenants/<id>/series       per-window counters from the audit "
-      "trail\n"
       "  /tenants/<id>/audits       per-window audit trail (csv|json,\n"
       "                             ?from=/?to= seconds)\n"
       "  /tenants/<id>/provenance   alarm provenance records (?id=N or\n"
@@ -521,11 +519,10 @@ int feed_monitor_from_file(core::SlidingMonitor& monitor,
 /// `path` (or stdout when empty).
 int write_run_report(const core::SlidingMonitor& monitor,
                      const std::string& path, bool html) {
-  core::RunReportOptions options;
-  options.html = html || cli::has_suffix(path, ".html");
   const std::string report = core::render_run_report(
       monitor.snapshot(), obs::Sampler::global(),
-      obs::FlightRecorder::global(), options);
+      obs::FlightRecorder::global(),
+      html || cli::has_suffix(path, ".html"));
   if (path.empty()) {
     std::fputs(report.c_str(), stdout);
     return 0;

@@ -53,7 +53,6 @@ core::MonitorConfig corpus_config(const exp::LabExperiment& lab,
   config.flowdiff = lab.flowdiff_config();
   config.window = 40 * kSecond;
   config.rolling_baseline = false;
-  config.sample_metrics = false;
   config.sanitize = sanitize;
   return config;
 }
