@@ -47,7 +47,7 @@ int run() {
   det.service_ips = service_ips;
   auto matches = [&](const core::TaskAutomaton& automaton,
                      const of::FlowSequence& flows) {
-    return !core::TaskDetector({automaton}, det).detect(flows).empty();
+    return !core::detect_tasks({automaton}, det, flows).empty();
   };
 
   std::printf("=== Ablation: task-mining parameters ===\n");

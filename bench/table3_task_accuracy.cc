@@ -80,8 +80,7 @@ int run() {
 
   auto matches = [&](const core::TaskAutomaton& automaton,
                      const of::FlowSequence& log) {
-    const core::TaskDetector detector({automaton}, det_config);
-    return !detector.detect(log).empty();
+    return !core::detect_tasks({automaton}, det_config, log).empty();
   };
 
   std::printf("=== Table III: Accuracy of task signature matching ===\n");

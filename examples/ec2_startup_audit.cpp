@@ -73,8 +73,7 @@ int main() {
 
   core::DetectorConfig det;
   det.service_ips = service_ips;
-  const core::TaskDetector detector(automata, det);
-  const auto found = detector.detect(capture);
+  const auto found = core::detect_tasks(automata, det, capture);
 
   std::printf("detected %zu startup events:\n", found.size());
   for (const auto& occ : found) {

@@ -50,8 +50,8 @@ DiffReport FlowDiff::diff(const BehaviorModel& baseline,
 
   if (!tasks.empty()) {
     const obs::Span span("diff/tasks");
-    const TaskDetector detector(tasks, config_.detector);
-    report.detected_tasks = detector.detect(current.flow_starts);
+    report.detected_tasks =
+        detect_tasks(tasks, config_.detector, current.flow_starts);
   }
 
   {

@@ -1,8 +1,12 @@
 #include "flowdiff/task_automaton.h"
 
 #include <algorithm>
-#include <map>
+#include <charconv>
+#include <limits>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -65,14 +69,29 @@ std::string serialize_endpoint(const TokenEndpoint& ep) {
   return out;
 }
 
+/// A whole-token decimal in [0, max]: signs, trailing bytes and overflow
+/// reject.
+std::optional<int> parse_decimal(std::string_view text, int max) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < 0 || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::optional<TokenEndpoint> parse_endpoint(std::istringstream& in) {
   std::string addr;
   std::string port;
   if (!(in >> addr >> port)) return std::nullopt;
   TokenEndpoint ep;
   if (!addr.empty() && addr[0] == '#') {
+    const auto var = parse_decimal(std::string_view(addr).substr(1),
+                                   std::numeric_limits<int>::max());
+    if (!var) return std::nullopt;
     ep.kind = TokenEndpoint::Kind::kVariable;
-    ep.var = std::stoi(addr.substr(1));
+    ep.var = *var;
   } else {
     const auto ip = Ipv4::parse(addr);
     if (!ip) return std::nullopt;
@@ -82,7 +101,10 @@ std::optional<TokenEndpoint> parse_endpoint(std::istringstream& in) {
   if (port == "*") {
     ep.port_any = true;
   } else {
-    ep.port = static_cast<std::uint16_t>(std::stoul(port));
+    const auto value =
+        parse_decimal(port, std::numeric_limits<std::uint16_t>::max());
+    if (!value) return std::nullopt;
+    ep.port = static_cast<std::uint16_t>(*value);
   }
   return ep;
 }
@@ -163,7 +185,11 @@ std::optional<TaskAutomaton> TaskAutomaton::parse(std::string_view text) {
     }
   }
   if (!saw_task) return std::nullopt;
-  // Transition targets must be valid states.
+  // Every state needs a token to match (the miner never emits an empty
+  // one), and transition targets must be valid states.
+  for (const auto& tokens : automaton.states) {
+    if (tokens.empty()) return std::nullopt;
+  }
   for (const auto& outs : automaton.transitions) {
     for (int succ : outs) {
       if (succ < 0 || succ >= static_cast<int>(automaton.states.size())) {
@@ -204,165 +230,435 @@ bool TaskAutomaton::accepts(const std::vector<FlowToken>& tokens) const {
 
 namespace {
 
-struct Matcher {
-  int automaton = 0;
-  int state = 0;
-  std::size_t offset = 0;  ///< Next token to match within the state.
-  std::map<int, Ipv4> bindings;
-  std::set<std::uint32_t> bound_ips;  ///< Injectivity of subject bindings.
-  SimTime begin = 0;
-  SimTime last_progress = 0;
-  std::set<Ipv4> involved;
+// The detector runs on a flat compilation of the automata, built once per
+// detect call. Each automaton's variables get dense slots, and every
+// matcher carries one binding record of `width` words:
+//
+//   [value of variable 0 .. value of variable vars-1][bitset]
+//
+// Bit v < vars of the bitset says variable v is bound; bit vars + j says
+// the automaton's j-th literal address was touched. A token matches a
+// variable endpoint only by binding it (or by its bound value) and a
+// literal endpoint only by its own address, so the hosts a matcher has
+// touched are exactly its bound values plus its touched literals.
+
+/// A pattern endpoint compiled against its automaton's binding record.
+struct FlatEndpoint {
+  std::uint32_t ip = 0;  ///< Literal endpoints only.
+  /// Variable: its slot, which is also its bound bit. Literal: the touched
+  /// bit of its address.
+  std::uint32_t bit = 0;
+  std::uint16_t port = 0;
+  bool port_any = false;
+  bool variable = false;
 };
 
-/// Matches one endpoint of a pattern token against a concrete endpoint,
-/// updating the matcher's bindings on success. The caller works on a copy
-/// and commits only if the whole token matches.
-bool match_endpoint(const TokenEndpoint& pattern, Ipv4 ip, std::uint16_t port,
-                    Matcher& m, const DetectorConfig& config) {
+struct FlatToken {
+  FlatEndpoint src;
+  FlatEndpoint dst;
+  of::Proto proto = of::Proto::kTcp;
+};
+
+struct FlatState {
+  std::uint32_t token_begin = 0;  ///< Into CompiledTasks::tokens.
+  std::uint32_t token_end = 0;
+  std::uint32_t succ_begin = 0;   ///< Into CompiledTasks::successors.
+  std::uint32_t succ_end = 0;
+  bool accept = false;
+};
+
+struct FlatAutomaton {
+  std::uint32_t vars = 0;
+  std::uint32_t literal_begin = 0;  ///< Into CompiledTasks::literals.
+  std::uint32_t literals = 0;
+  std::uint32_t width = 0;  ///< Binding-record words.
+  /// Start states that hold a token: the match attempts one flow costs
+  /// the automaton while it is below its matcher cap.
+  std::uint32_t starts = 0;
+};
+
+/// A start state, keyed by the protocol and destination port of its first
+/// token (a wildcard port has its own key).
+struct StartEntry {
+  std::uint32_t key = 0;
+  std::uint32_t automaton = 0;
+  std::uint32_t rank = 0;  ///< Among its automaton's start states.
+  std::uint32_t state = 0;
+};
+
+constexpr std::uint32_t kAnyPort = 1U << 16;
+
+constexpr std::uint32_t start_key(of::Proto proto, std::uint32_t port) {
+  return (static_cast<std::uint32_t>(proto) << 17) | port;
+}
+
+struct CompiledTasks {
+  std::vector<FlatAutomaton> automata;
+  std::vector<FlatState> states;
+  std::vector<FlatToken> tokens;
+  std::vector<std::uint32_t> successors;
+  std::vector<std::uint32_t> literals;  ///< Sorted per automaton.
+  std::vector<StartEntry> starts;       ///< Sorted by key, then order.
+  std::uint32_t max_width = 0;
+};
+
+/// Flattens the automata. Token-less states can never match: they are
+/// dropped from the start states and the successor lists (TaskAutomaton::
+/// parse rejects them, and the miner never emits one).
+CompiledTasks compile(const std::vector<TaskAutomaton>& automata) {
+  CompiledTasks c;
+  std::size_t states = 0;
+  std::size_t tokens = 0;
+  std::size_t successors = 0;
+  std::size_t starts = 0;
+  for (const auto& automaton : automata) {
+    states += automaton.states.size();
+    for (const auto& seq : automaton.states) tokens += seq.size();
+    for (const auto& outs : automaton.transitions) successors += outs.size();
+    starts += automaton.start_states.size();
+  }
+  c.automata.reserve(automata.size());
+  c.states.reserve(states);
+  c.tokens.reserve(tokens);
+  c.successors.reserve(successors);
+  c.literals.reserve(2 * tokens);
+  c.starts.reserve(starts);
+  std::vector<int> vars;  // One automaton's variable ids, sorted.
+  vars.reserve(2 * tokens);
+
+  for (std::uint32_t a = 0; a < automata.size(); ++a) {
+    const auto& automaton = automata[a];
+    const auto count = static_cast<int>(automaton.states.size());
+    const auto holds_tokens = [&](int s) {
+      return s >= 0 && s < count &&
+             !automaton.states[static_cast<std::size_t>(s)].empty();
+    };
+    FlatAutomaton flat;
+    flat.literal_begin = static_cast<std::uint32_t>(c.literals.size());
+    vars.clear();
+    for (const auto& seq : automaton.states) {
+      for (const auto& token : seq) {
+        for (const auto* ep : {&token.src, &token.dst}) {
+          if (ep->kind == TokenEndpoint::Kind::kVariable) {
+            vars.push_back(ep->var);
+          } else {
+            c.literals.push_back(ep->ip.raw());
+          }
+        }
+      }
+    }
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    const auto literals = c.literals.begin() + flat.literal_begin;
+    std::sort(literals, c.literals.end());
+    c.literals.erase(std::unique(literals, c.literals.end()),
+                     c.literals.end());
+    flat.vars = static_cast<std::uint32_t>(vars.size());
+    flat.literals =
+        static_cast<std::uint32_t>(c.literals.size()) - flat.literal_begin;
+    flat.width = flat.vars + (flat.vars + flat.literals + 31) / 32;
+    c.max_width = std::max(c.max_width, flat.width);
+
+    const auto compile_endpoint = [&](const TokenEndpoint& ep) {
+      FlatEndpoint out;
+      out.port = ep.port;
+      out.port_any = ep.port_any;
+      if (ep.kind == TokenEndpoint::Kind::kVariable) {
+        out.variable = true;
+        out.bit = static_cast<std::uint32_t>(
+            std::lower_bound(vars.begin(), vars.end(), ep.var) - vars.begin());
+      } else {
+        out.ip = ep.ip.raw();
+        const auto begin = c.literals.begin() + flat.literal_begin;
+        out.bit = flat.vars + static_cast<std::uint32_t>(
+                                  std::lower_bound(begin, c.literals.end(),
+                                                   out.ip) -
+                                  begin);
+      }
+      return out;
+    };
+
+    const auto first = static_cast<std::uint32_t>(c.states.size());
+    for (int s = 0; s < count; ++s) {
+      FlatState state;
+      state.accept = automaton.accept_states.contains(s);
+      state.token_begin = static_cast<std::uint32_t>(c.tokens.size());
+      for (const auto& token : automaton.states[static_cast<std::size_t>(s)]) {
+        c.tokens.push_back({compile_endpoint(token.src),
+                            compile_endpoint(token.dst), token.proto});
+      }
+      state.token_end = static_cast<std::uint32_t>(c.tokens.size());
+      state.succ_begin = static_cast<std::uint32_t>(c.successors.size());
+      if (static_cast<std::size_t>(s) < automaton.transitions.size()) {
+        for (int succ : automaton.transitions[static_cast<std::size_t>(s)]) {
+          if (holds_tokens(succ)) {
+            c.successors.push_back(first + static_cast<std::uint32_t>(succ));
+          }
+        }
+      }
+      state.succ_end = static_cast<std::uint32_t>(c.successors.size());
+      c.states.push_back(state);
+    }
+    for (int s : automaton.start_states) {
+      if (!holds_tokens(s)) continue;
+      const FlatToken& head = c.tokens[c.states[first + s].token_begin];
+      c.starts.push_back(
+          {start_key(head.proto, head.dst.port_any ? kAnyPort : head.dst.port),
+           a, flat.starts++, first + static_cast<std::uint32_t>(s)});
+    }
+    c.automata.push_back(flat);
+  }
+  std::sort(c.starts.begin(), c.starts.end(),
+            [](const StartEntry& x, const StartEntry& y) {
+              return std::tie(x.key, x.automaton, x.rank) <
+                     std::tie(y.key, y.automaton, y.rank);
+            });
+  return c;
+}
+
+/// One matcher: a trivially copyable header whose binding record lives in
+/// the MatcherBuffer that holds it.
+struct Matcher {
+  std::uint32_t automaton = 0;
+  std::uint32_t state = 0;   ///< Into CompiledTasks::states.
+  std::uint32_t offset = 0;  ///< Next token to match within the state.
+  std::uint32_t record = 0;  ///< First word of its binding record.
+  SimTime begin = 0;
+  SimTime last_progress = 0;
+};
+static_assert(std::is_trivially_copyable_v<Matcher>);
+
+/// Matchers in scan order with their binding records. The detector keeps
+/// two and swaps them on every flow; clear() keeps the capacity.
+struct MatcherBuffer {
+  std::vector<Matcher> matchers;
+  std::vector<std::uint32_t> words;
+
+  void push(Matcher m, const std::uint32_t* record, std::uint32_t width) {
+    m.record = static_cast<std::uint32_t>(words.size());
+    words.insert(words.end(), record, record + width);
+    matchers.push_back(m);
+  }
+  void clear() {
+    matchers.clear();
+    words.clear();
+  }
+  void reserve(std::size_t count, std::uint32_t width) {
+    matchers.reserve(count);
+    words.reserve(count * width);
+  }
+};
+
+/// A binding record viewed in place (see the layout above).
+struct Record {
+  std::uint32_t* words;
+  std::uint32_t vars;
+
+  [[nodiscard]] bool has(std::uint32_t bit) const {
+    return ((words[vars + bit / 32] >> (bit % 32)) & 1U) != 0;
+  }
+  void set(std::uint32_t bit) const {
+    words[vars + bit / 32] |= 1U << (bit % 32);
+  }
+  void reset(std::uint32_t bit) const {
+    words[vars + bit / 32] &= ~(1U << (bit % 32));
+  }
+};
+
+constexpr std::uint32_t kNoBinding = ~0U;
+
+/// Matches one endpoint of a pattern token against a concrete endpoint.
+/// A variable that binds here reports its slot in `bound`, so that the
+/// caller can roll the binding back if the token's other endpoint fails.
+bool match_endpoint(const FlatEndpoint& pattern, Ipv4 ip, std::uint16_t port,
+                    Record record, const DetectorConfig& config,
+                    std::uint32_t& bound) {
   if (pattern.port_any) {
     if (port < config.ephemeral_floor) return false;
   } else if (pattern.port != port) {
     return false;
   }
-  if (pattern.kind == TokenEndpoint::Kind::kLiteral) {
-    return pattern.ip == ip;
-  }
+  if (!pattern.variable) return pattern.ip == ip.raw();
   // Subject variables only bind to non-service hosts, injectively.
   if (config.service_ips.contains(ip)) return false;
-  auto it = m.bindings.find(pattern.var);
-  if (it != m.bindings.end()) return it->second == ip;
-  if (m.bound_ips.contains(ip.raw())) return false;
-  m.bindings.emplace(pattern.var, ip);
-  m.bound_ips.insert(ip.raw());
+  if (record.has(pattern.bit)) return record.words[pattern.bit] == ip.raw();
+  for (std::uint32_t v = 0; v < record.vars; ++v) {
+    if (record.has(v) && record.words[v] == ip.raw()) return false;
+  }
+  record.words[pattern.bit] = ip.raw();
+  record.set(pattern.bit);
+  bound = pattern.bit;
   return true;
 }
 
-bool match_token(const FlowToken& pattern, const of::FlowKey& key, Matcher& m,
-                 const DetectorConfig& config) {
-  detector_metrics().transitions_evaluated.inc();
+/// Tries one token on a record in place: a match marks the touched
+/// literals; a miss leaves the record as it was.
+bool match_token(const FlatToken& pattern, const of::FlowKey& key,
+                 Record record, const DetectorConfig& config) {
   if (pattern.proto != key.proto) return false;
-  Matcher trial = m;
-  if (!match_endpoint(pattern.src, key.src_ip, key.src_port, trial, config) ||
-      !match_endpoint(pattern.dst, key.dst_ip, key.dst_port, trial, config)) {
+  std::uint32_t bound = kNoBinding;
+  if (!match_endpoint(pattern.src, key.src_ip, key.src_port, record, config,
+                      bound)) {
     return false;
   }
-  m = std::move(trial);
+  std::uint32_t unused = kNoBinding;
+  if (!match_endpoint(pattern.dst, key.dst_ip, key.dst_port, record, config,
+                      unused)) {
+    if (bound != kNoBinding) record.reset(bound);
+    return false;
+  }
+  if (!pattern.src.variable) record.set(pattern.src.bit);
+  if (!pattern.dst.variable) record.set(pattern.dst.bit);
   return true;
+}
+
+TaskOccurrence make_occurrence(const std::string& task,
+                               const CompiledTasks& c,
+                               const FlatAutomaton& automaton, Record record,
+                               SimTime begin, SimTime end) {
+  TaskOccurrence occ;
+  occ.task = task;
+  occ.begin = begin;
+  occ.end = end;
+  const std::uint32_t bits = automaton.vars + automaton.literals;
+  std::size_t touched = 0;
+  for (std::uint32_t bit = 0; bit < bits; ++bit) touched += record.has(bit);
+  occ.involved.reserve(touched);
+  for (std::uint32_t v = 0; v < automaton.vars; ++v) {
+    if (record.has(v)) occ.involved.emplace_back(record.words[v]);
+  }
+  for (std::uint32_t j = 0; j < automaton.literals; ++j) {
+    if (record.has(automaton.vars + j)) {
+      occ.involved.emplace_back(c.literals[automaton.literal_begin + j]);
+    }
+  }
+  std::sort(occ.involved.begin(), occ.involved.end());
+  occ.involved.erase(std::unique(occ.involved.begin(), occ.involved.end()),
+                     occ.involved.end());
+  return occ;
 }
 
 }  // namespace
 
-TaskDetector::TaskDetector(std::vector<TaskAutomaton> automata,
-                           DetectorConfig config)
-    : automata_(std::move(automata)), config_(config) {}
-
-std::vector<TaskOccurrence> TaskDetector::detect(
-    const of::FlowSequence& flows) const {
+std::vector<TaskOccurrence> detect_tasks(
+    const std::vector<TaskAutomaton>& automata, const DetectorConfig& config,
+    const of::FlowSequence& flows) {
+  const CompiledTasks c = compile(automata);
   std::vector<TaskOccurrence> occurrences;
-  std::vector<Matcher> active;
-  std::vector<std::size_t> active_per_task(automata_.size(), 0);
+  std::vector<std::size_t> active_per_task(automata.size(), 0);
+  // Room for a typical window's live matchers, so that most calls never
+  // grow the buffers.
+  constexpr std::size_t kInitialMatchers = 64;
+  MatcherBuffer active;
+  MatcherBuffer next;
+  active.reserve(kInitialMatchers, c.max_width);
+  next.reserve(kInitialMatchers, c.max_width);
+  std::vector<std::uint32_t> fresh(c.max_width);
+  std::uint64_t evaluated = 0;
+  std::uint64_t spawned = 0;
+  std::uint64_t expired = 0;
 
   // Consumes a matcher whose current state just completed: either records
   // an occurrence (accept state) or branches into the state's successors.
-  auto on_state_complete = [&](Matcher m, SimTime ts,
-                               std::vector<Matcher>& out) {
-    const auto& automaton = automata_[static_cast<std::size_t>(m.automaton)];
-    if (automaton.accept_states.contains(m.state)) {
-      TaskOccurrence occ;
-      occ.task = automaton.name;
-      occ.begin = m.begin;
-      occ.end = ts;
-      occ.involved.assign(m.involved.begin(), m.involved.end());
-      occurrences.push_back(std::move(occ));
-      detector_metrics().accepted.inc();
+  const auto on_state_complete = [&](Matcher m, std::uint32_t* words,
+                                     SimTime ts) {
+    const FlatState& state = c.states[m.state];
+    const FlatAutomaton& automaton = c.automata[m.automaton];
+    if (state.accept) {
+      occurrences.push_back(make_occurrence(automata[m.automaton].name, c,
+                                            automaton,
+                                            {words, automaton.vars}, m.begin,
+                                            ts));
       return;
     }
-    for (int succ :
-         automaton.transitions[static_cast<std::size_t>(m.state)]) {
-      Matcher branch = m;
-      branch.state = succ;
-      branch.offset = 0;
-      out.push_back(std::move(branch));
+    for (std::uint32_t i = state.succ_begin; i < state.succ_end; ++i) {
+      m.state = c.successors[i];
+      m.offset = 0;
+      ++active_per_task[m.automaton];
+      next.push(m, words, automaton.width);
     }
   };
 
   for (const auto& flow : flows) {
-    detector_metrics().flows_scanned.inc();
-    // Age out matchers that made no progress within the threshold.
-    std::erase_if(active, [&](const Matcher& m) {
-      if (flow.ts - m.last_progress <= config_.interleave_threshold) {
-        return false;
+    next.clear();
+    for (Matcher m : active.matchers) {
+      // Age out matchers that made no progress within the threshold.
+      if (flow.ts - m.last_progress > config.interleave_threshold) {
+        --active_per_task[m.automaton];
+        ++expired;
+        continue;
       }
-      --active_per_task[static_cast<std::size_t>(m.automaton)];
-      detector_metrics().matchers_expired.inc();
-      return true;
-    });
-
-    std::vector<Matcher> next_active;
-    next_active.reserve(active.size() + 4);
-    for (auto& m : active) {
-      const auto& automaton =
-          automata_[static_cast<std::size_t>(m.automaton)];
-      const auto& seq = automaton.states[static_cast<std::size_t>(m.state)];
-      Matcher advanced = m;
-      if (match_token(seq[advanced.offset], flow.key, advanced, config_)) {
-        --active_per_task[static_cast<std::size_t>(m.automaton)];
-        advanced.last_progress = flow.ts;
-        advanced.involved.insert(flow.key.src_ip);
-        advanced.involved.insert(flow.key.dst_ip);
-        ++advanced.offset;
-        if (advanced.offset == seq.size()) {
-          std::vector<Matcher> branches;
-          on_state_complete(std::move(advanced), flow.ts, branches);
-          for (auto& b : branches) {
-            ++active_per_task[static_cast<std::size_t>(b.automaton)];
-            next_active.push_back(std::move(b));
-          }
-        } else {
-          ++active_per_task[static_cast<std::size_t>(advanced.automaton)];
-          next_active.push_back(std::move(advanced));
-        }
-      } else {
+      ++evaluated;
+      const FlatState& state = c.states[m.state];
+      const FlatAutomaton& automaton = c.automata[m.automaton];
+      std::uint32_t* words = active.words.data() + m.record;
+      if (!match_token(c.tokens[state.token_begin + m.offset], flow.key,
+                       {words, automaton.vars}, config)) {
         // Interleaved unrelated flow: the matcher waits (until timeout).
-        next_active.push_back(std::move(m));
+        next.push(m, words, automaton.width);
+        continue;
+      }
+      m.last_progress = flow.ts;
+      if (state.token_begin + ++m.offset == state.token_end) {
+        --active_per_task[m.automaton];
+        on_state_complete(m, words, flow.ts);
+      } else {
+        next.push(m, words, automaton.width);
       }
     }
-    active = std::move(next_active);
 
-    // Spawn fresh matchers at any automaton whose start state opens with
-    // this flow.
-    for (std::size_t a = 0; a < automata_.size(); ++a) {
-      if (active_per_task[a] >= config_.max_matchers_per_task) continue;
-      const auto& automaton = automata_[a];
-      for (int s : automaton.start_states) {
-        const auto& seq = automaton.states[static_cast<std::size_t>(s)];
-        if (seq.empty()) continue;
-        Matcher fresh;
-        fresh.automaton = static_cast<int>(a);
-        fresh.state = s;
-        fresh.offset = 0;
-        fresh.begin = flow.ts;
-        fresh.last_progress = flow.ts;
-        if (!match_token(seq[0], flow.key, fresh, config_)) continue;
-        detector_metrics().matchers_spawned.inc();
-        fresh.involved.insert(flow.key.src_ip);
-        fresh.involved.insert(flow.key.dst_ip);
-        fresh.offset = 1;
-        if (fresh.offset == seq.size()) {
-          std::vector<Matcher> branches;
-          on_state_complete(std::move(fresh), flow.ts, branches);
-          for (auto& b : branches) {
-            ++active_per_task[a];
-            active.push_back(std::move(b));
-          }
-        } else {
-          ++active_per_task[a];
-          active.push_back(std::move(fresh));
-        }
-        if (active_per_task[a] >= config_.max_matchers_per_task) break;
+    // Spawn fresh matchers at start states whose first token has this
+    // flow's protocol and destination port (or a wildcard port). Every
+    // automaton below its cap is charged all its start states, as if each
+    // were tried; a cap reached mid-automaton refunds the rest.
+    for (std::size_t a = 0; a < c.automata.size(); ++a) {
+      if (active_per_task[a] < config.max_matchers_per_task) {
+        evaluated += c.automata[a].starts;
       }
     }
+    const auto first_at = [&](std::uint32_t key) {
+      return std::lower_bound(
+          c.starts.begin(), c.starts.end(), key,
+          [](const StartEntry& e, std::uint32_t k) { return e.key < k; });
+    };
+    const auto range = [&](std::uint32_t port) {
+      const std::uint32_t key = start_key(flow.key.proto, port);
+      return std::pair{first_at(key), first_at(key + 1)};
+    };
+    auto [exact, exact_end] = range(flow.key.dst_port);
+    auto [wild, wild_end] = flow.key.dst_port >= config.ephemeral_floor
+                                ? range(kAnyPort)
+                                : std::pair{c.starts.end(), c.starts.end()};
+    while (exact != exact_end || wild != wild_end) {
+      // Merge the two candidate lists back into (automaton, rank) order.
+      const bool take_exact =
+          wild == wild_end ||
+          (exact != exact_end &&
+           std::tie(exact->automaton, exact->rank) <
+               std::tie(wild->automaton, wild->rank));
+      const StartEntry& entry = take_exact ? *exact++ : *wild++;
+      auto& live = active_per_task[entry.automaton];
+      if (live >= config.max_matchers_per_task) continue;
+      const FlatAutomaton& automaton = c.automata[entry.automaton];
+      const FlatState& state = c.states[entry.state];
+      std::fill_n(fresh.begin(), automaton.width, 0U);
+      if (!match_token(c.tokens[state.token_begin], flow.key,
+                       {fresh.data(), automaton.vars}, config)) {
+        continue;
+      }
+      ++spawned;
+      const Matcher m{entry.automaton, entry.state, 1, 0, flow.ts, flow.ts};
+      if (state.token_begin + 1 == state.token_end) {
+        on_state_complete(m, fresh.data(), flow.ts);
+      } else {
+        ++live;
+        next.push(m, fresh.data(), automaton.width);
+      }
+      if (live >= config.max_matchers_per_task) {
+        evaluated -= automaton.starts - (entry.rank + 1);
+      }
+    }
+    std::swap(active, next);
   }
 
   // De-duplicate: overlapping detections of the same task with the same
@@ -380,7 +676,14 @@ std::vector<TaskOccurrence> TaskDetector::detect(
         });
     if (!duplicate) deduped.push_back(std::move(occ));
   }
-  detector_metrics().deduped.inc(occurrences.size() - deduped.size());
+
+  DetectorMetrics& metrics = detector_metrics();
+  metrics.flows_scanned.inc(flows.size());
+  metrics.transitions_evaluated.inc(evaluated);
+  metrics.matchers_spawned.inc(spawned);
+  metrics.matchers_expired.inc(expired);
+  metrics.accepted.inc(occurrences.size());
+  metrics.deduped.inc(occurrences.size() - deduped.size());
   return deduped;
 }
 

@@ -59,23 +59,14 @@ struct DetectorConfig {
   std::size_t max_matchers_per_task = 256;
 };
 
-/// Online matcher for a set of task automata over a flow-start stream.
-class TaskDetector {
- public:
-  TaskDetector(std::vector<TaskAutomaton> automata, DetectorConfig config);
-
-  /// Scans a time-ordered flow sequence; returns detected occurrences (the
-  /// paper's task time series).
-  [[nodiscard]] std::vector<TaskOccurrence> detect(
-      const of::FlowSequence& flows) const;
-
-  [[nodiscard]] const std::vector<TaskAutomaton>& automata() const {
-    return automata_;
-  }
-
- private:
-  std::vector<TaskAutomaton> automata_;
-  DetectorConfig config_;
-};
+/// Online matching of task automata over a time-ordered flow-start
+/// stream: returns the detected occurrences (the paper's task time
+/// series), earliest first. Each call compiles the automata into flat
+/// arrays and runs every matcher as a fixed-size binding record in two
+/// swapped buffers, so matching allocates nothing per flow and the
+/// automata are never copied.
+[[nodiscard]] std::vector<TaskOccurrence> detect_tasks(
+    const std::vector<TaskAutomaton>& automata, const DetectorConfig& config,
+    const of::FlowSequence& flows);
 
 }  // namespace flowdiff::core

@@ -537,8 +537,7 @@ TEST_P(NoiseFloodTest, MigrationStillDetectedUnderNoise) {
 
   core::DetectorConfig det;
   det.service_ips = service_ips;
-  const core::TaskDetector detector({automaton}, det);
-  const auto found = detector.detect(stream);
+  const auto found = core::detect_tasks({automaton}, det, stream);
   bool hit = false;
   for (const auto& occ : found) {
     for (const Ipv4 ip : occ.involved) {

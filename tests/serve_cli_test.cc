@@ -415,5 +415,37 @@ TEST(ServeCli, WorkersIsUnknownOutsideServe) {
   EXPECT_EQ(child.wait_exit(), 2);
 }
 
+TEST(ServeCli, MalformedAutomatonIsAUsageErrorNotAnAbort) {
+  // A non-numeric variable index or port, a port past 65535 and a
+  // token-less state all fail parsing, so `detect` and `monitor --task`
+  // exit with "malformed automaton" (2) instead of dying on an exception.
+  const Corpus corpus("steady");
+  const fs::path dir = fs::path(::testing::TempDir()) / "malformed_automaton";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string state = "TASK bad\nSTATE 0 start accept\n";
+  const std::vector<std::string> automata = {
+      state + "TOKEN #x * 10.0.10.1 2049 6\nTRANS\n",
+      state + "TOKEN #0 * 10.0.10.1 http 6\nTRANS\n",
+      state + "TOKEN #0 * 10.0.10.1 70000 6\nTRANS\n",
+      "TASK bad\nSTATE 0 start\nTOKEN #0 * 10.0.10.1 2049 6\nTRANS 1\n"
+      "STATE 1 accept\nTRANS\n",
+  };
+  for (std::size_t i = 0; i < automata.size(); ++i) {
+    SCOPED_TRACE(automata[i]);
+    const std::string path =
+        (dir / ("bad" + std::to_string(i) + ".automaton")).string();
+    ASSERT_TRUE(of::write_file(path, automata[i]));
+    Child detect =
+        spawn_cli({"detect", path, "--in", corpus.log_path.string()});
+    ASSERT_GT(detect.pid, 0);
+    EXPECT_EQ(detect.wait_exit(), 2);
+    Child monitor =
+        spawn_cli({"monitor", corpus.log_path.string(), "--task", path});
+    ASSERT_GT(monitor.pid, 0);
+    EXPECT_EQ(monitor.wait_exit(), 2);
+  }
+}
+
 }  // namespace
 }  // namespace flowdiff

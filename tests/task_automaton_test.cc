@@ -61,8 +61,8 @@ TEST(TaskDetector, DetectsFreshRunOfLearnedTask) {
   const auto fresh = wl::expand_task(wl::vm_migration_profile(),
                                      {kVmA, kVmB}, services(), rng,
                                      5 * kSecond);
-  const TaskDetector detector({automaton}, detector_config());
-  const auto occurrences = detector.detect(fresh.flows);
+  const auto occurrences = 
+      detect_tasks({automaton}, detector_config(), fresh.flows);
   ASSERT_FALSE(occurrences.empty());
   EXPECT_EQ(occurrences[0].task, "vm_migration");
   EXPECT_GE(occurrences[0].begin, 5 * kSecond);
@@ -74,8 +74,8 @@ TEST(TaskDetector, OccurrenceRecordsInvolvedHosts) {
   Rng rng(99);
   const auto fresh = wl::expand_task(wl::vm_migration_profile(),
                                      {kVmA, kVmB}, services(), rng, 0);
-  const TaskDetector detector({automaton}, detector_config());
-  const auto occurrences = detector.detect(fresh.flows);
+  const auto occurrences = 
+      detect_tasks({automaton}, detector_config(), fresh.flows);
   ASSERT_FALSE(occurrences.empty());
   const auto& involved = occurrences[0].involved;
   EXPECT_NE(std::find(involved.begin(), involved.end(), kVmA),
@@ -93,8 +93,7 @@ TEST(TaskDetector, ToleratesInterleavedNoise) {
   const auto noise = wl::background_noise({kVmC, kVmD}, 60, kSecond,
                                           fresh.end + kSecond, rng);
   const auto mixed = wl::merge_sequences({fresh.flows, noise});
-  const TaskDetector detector({automaton}, detector_config());
-  EXPECT_FALSE(detector.detect(mixed).empty());
+  EXPECT_FALSE(detect_tasks({automaton}, detector_config(), mixed).empty());
 }
 
 TEST(TaskDetector, KillsMatcherAfterInterleaveThreshold) {
@@ -107,8 +106,7 @@ TEST(TaskDetector, KillsMatcherAfterInterleaveThreshold) {
   for (std::size_t i = 0; i < stretched.size(); ++i) {
     stretched[i].ts = static_cast<SimTime>(i) * 3 * kSecond;
   }
-  const TaskDetector detector({automaton}, detector_config());
-  EXPECT_TRUE(detector.detect(stretched).empty());
+  EXPECT_TRUE(detect_tasks({automaton}, detector_config(), stretched).empty());
 }
 
 TEST(TaskDetector, InterleaveThresholdIsConfigurable) {
@@ -122,8 +120,7 @@ TEST(TaskDetector, InterleaveThresholdIsConfigurable) {
   }
   DetectorConfig generous = detector_config();
   generous.interleave_threshold = 10 * kSecond;
-  const TaskDetector detector({automaton}, generous);
-  EXPECT_FALSE(detector.detect(stretched).empty());
+  EXPECT_FALSE(detect_tasks({automaton}, generous, stretched).empty());
 }
 
 TEST(TaskDetector, UnmaskedAutomatonDoesNotMatchOtherVms) {
@@ -132,8 +129,8 @@ TEST(TaskDetector, UnmaskedAutomatonDoesNotMatchOtherVms) {
   Rng rng(7);
   const auto other = wl::expand_task(wl::vm_migration_profile(),
                                      {kVmC, kVmD}, services(), rng, 0);
-  const TaskDetector detector({automaton}, detector_config());
-  EXPECT_TRUE(detector.detect(other.flows).empty());
+  EXPECT_TRUE(
+      detect_tasks({automaton}, detector_config(), other.flows).empty());
 }
 
 TEST(TaskDetector, MaskedAutomatonGeneralizesAcrossVms) {
@@ -141,8 +138,8 @@ TEST(TaskDetector, MaskedAutomatonGeneralizesAcrossVms) {
   Rng rng(7);
   const auto other = wl::expand_task(wl::vm_migration_profile(),
                                      {kVmC, kVmD}, services(), rng, 0);
-  const TaskDetector detector({automaton}, detector_config());
-  const auto occurrences = detector.detect(other.flows);
+  const auto occurrences = 
+      detect_tasks({automaton}, detector_config(), other.flows);
   ASSERT_FALSE(occurrences.empty());
   const auto& involved = occurrences[0].involved;
   EXPECT_NE(std::find(involved.begin(), involved.end(), kVmC),
@@ -165,8 +162,7 @@ TEST(TaskDetector, VariableBindingIsConsistent) {
       first = false;
     }
   }
-  const TaskDetector detector({automaton}, detector_config());
-  EXPECT_TRUE(detector.detect(run.flows).empty());
+  EXPECT_TRUE(detect_tasks({automaton}, detector_config(), run.flows).empty());
 }
 
 TEST(TaskDetector, MultipleAutomataIndependent) {
@@ -184,7 +180,6 @@ TEST(TaskDetector, MultipleAutomataIndependent) {
   config.service_ips = service_set();
   const auto mount = mine_task("mount_nfs", mount_runs, config).automaton;
 
-  const TaskDetector detector({migration, mount}, detector_config());
   Rng rng2(55);
   const auto mig_run = wl::expand_task(wl::vm_migration_profile(),
                                        {kVmC, kVmD}, services(), rng2, 0);
@@ -192,7 +187,8 @@ TEST(TaskDetector, MultipleAutomataIndependent) {
       wl::mount_nfs_profile(), {kVmC}, services(), rng2,
       mig_run.end + 5 * kSecond);
   const auto merged = wl::merge_sequences({mig_run.flows, mount_run.flows});
-  const auto occurrences = detector.detect(merged);
+  const auto occurrences = 
+      detect_tasks({migration, mount}, detector_config(), merged);
   std::set<std::string> names;
   for (const auto& o : occurrences) names.insert(o.task);
   EXPECT_TRUE(names.contains("vm_migration"));
@@ -204,11 +200,34 @@ TEST(TaskDetector, DuplicateDetectionsAreCollapsed) {
   Rng rng(99);
   const auto fresh = wl::expand_task(wl::vm_migration_profile(),
                                      {kVmA, kVmB}, services(), rng, 0);
-  const TaskDetector detector({automaton}, detector_config());
-  const auto occurrences = detector.detect(fresh.flows);
+  const auto occurrences = 
+      detect_tasks({automaton}, detector_config(), fresh.flows);
   // One physical run: at most a couple of (non-identical) detections, not
   // one per spawned matcher.
   EXPECT_LE(occurrences.size(), 2u);
+}
+
+TEST(TaskDetector, TokenlessStateNeverMatches) {
+  // Built directly (parse rejects it): state 1 is reachable but empty. The
+  // detector must neither read past its tokens nor accept through it.
+  TaskAutomaton automaton;
+  automaton.name = "hollow";
+  FlowToken mount;
+  mount.src.kind = TokenEndpoint::Kind::kVariable;
+  mount.src.port_any = true;
+  mount.dst.ip = services().nfs;
+  mount.dst.port = 2049;
+  automaton.states = {{mount}, {}};
+  automaton.transitions = {{1}, {}};
+  automaton.start_states = {0, 1};
+  automaton.accept_states = {1};
+  of::FlowSequence flows;
+  for (int i = 0; i < 4; ++i) {
+    flows.push_back({i * 10 * kMillisecond,
+                     of::FlowKey{kVmA, services().nfs, 40000, 2049,
+                                 of::Proto::kTcp}});
+  }
+  EXPECT_TRUE(detect_tasks({automaton}, detector_config(), flows).empty());
 }
 
 TEST(TaskAutomaton, SerializeParseRoundTrip) {
@@ -224,9 +243,8 @@ TEST(TaskAutomaton, SerializeParseRoundTrip) {
         masked ? std::vector<Ipv4>{kVmC, kVmD}
                : std::vector<Ipv4>{kVmA, kVmB},
         services(), rng, 0);
-    const TaskDetector a({original}, detector_config());
-    const TaskDetector b({*parsed}, detector_config());
-    EXPECT_EQ(a.detect(run.flows).size(), b.detect(run.flows).size());
+    EXPECT_EQ(detect_tasks({original}, detector_config(), run.flows).size(),
+              detect_tasks({*parsed}, detector_config(), run.flows).size());
   }
 }
 
@@ -240,6 +258,35 @@ TEST(TaskAutomaton, ParseRejectsMalformed) {
   EXPECT_FALSE(TaskAutomaton::parse("TASK x\nSTATE 0\nTRANS 7\n")
                    .has_value());  // Dangling transition.
   EXPECT_FALSE(TaskAutomaton::parse("TASK x\nGARBAGE\n").has_value());
+  // Variable indices and ports are whole decimals in range: no exception,
+  // no silent wrap of a port past 65535.
+  const auto token = [](const std::string& src, const std::string& port) {
+    return "TASK x\nSTATE 0 start accept\nTOKEN " + src + " * 10.0.10.1 " +
+           port + " 6\nTRANS\n";
+  };
+  ASSERT_TRUE(TaskAutomaton::parse(token("#0", "80")).has_value());
+  ASSERT_TRUE(TaskAutomaton::parse(token("#3", "65535")).has_value());
+  for (const char* var : {"#x", "#", "#-1", "#1a", "#99999999999"}) {
+    EXPECT_FALSE(TaskAutomaton::parse(token(var, "80")).has_value()) << var;
+  }
+  for (const char* port : {"http", "70000", "65536", "-1", "80x", "+80"}) {
+    EXPECT_FALSE(TaskAutomaton::parse(token("#0", port)).has_value())
+        << port;
+  }
+}
+
+TEST(TaskAutomaton, ParseRejectsTokenlessStates) {
+  // A state without tokens could be entered but never matched; the miner
+  // never emits one.
+  const std::string head =
+      "TASK x\nSTATE 0 start\nTOKEN #0 * 10.0.10.1 2049 6\nTRANS 1\n"
+      "STATE 1 accept\n";
+  EXPECT_FALSE(TaskAutomaton::parse(head + "TRANS\n").has_value());
+  EXPECT_TRUE(
+      TaskAutomaton::parse(head + "TOKEN #0 * 10.0.10.1 111 6\nTRANS\n")
+          .has_value());
+  EXPECT_FALSE(TaskAutomaton::parse("TASK x\nSTATE 0 start accept\nTRANS\n")
+                   .has_value());
 }
 
 TEST(TaskAutomaton, ParseToleratesCommentsAndBlankLines) {

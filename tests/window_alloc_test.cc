@@ -3,8 +3,9 @@
 // sanitizer's pair tracking must not allocate. IncrementalWindowState::
 // reset() must neither allocate nor free. The one release rule (a buffer
 // whose capacity exceeds 4x what the closing window used is freed) must
-// fire after a burst window and at no other time. This binary replaces the
-// global operator new/delete with counting versions.
+// fire after a burst window and at no other time. Task detection allocates
+// per call, never per flow. This binary replaces the global operator
+// new/delete with counting versions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 
 #include "flowdiff/incremental_model.h"
 #include "flowdiff/model.h"
+#include "flowdiff/task_automaton.h"
 #include "incremental_stream.h"
 #include "ingest/sanitizer.h"
 #include "openflow/control_log.h"
@@ -245,6 +247,54 @@ TEST(WindowAlloc, SanitizerPairTrackingAllocatesNothingForAWindowAlreadySeen) {
   EXPECT_EQ(next.allocs, 0u);
   EXPECT_EQ(next.frees, 0u);
   EXPECT_GT(quality.pairs_matched, 0u);
+}
+
+/// One occurrence of a two-token task, then `count` flows that keep
+/// spawning matchers that time out (and unrelated noise) but finish no
+/// second occurrence. The live matcher count never passes ten, whatever
+/// `count` is.
+of::FlowSequence probe_stream(std::size_t count) {
+  const Ipv4 nfs(10, 0, 10, 1);
+  const auto flow = [](SimTime ts, Ipv4 src, Ipv4 dst, std::uint16_t port) {
+    return of::TimedFlow{ts, of::FlowKey{src, dst, 40000, port,
+                                         of::Proto::kTcp}};
+  };
+  of::FlowSequence flows = {flow(0, Ipv4(10, 0, 0, 1), nfs, 2049),
+                            flow(10 * kMillisecond, Ipv4(10, 0, 0, 1), nfs,
+                                 111)};
+  for (std::size_t i = 0; flows.size() < count; ++i) {
+    const SimTime ts = static_cast<SimTime>(i + 1) * 100 * kMillisecond;
+    const Ipv4 host(10, 0, 1, static_cast<std::uint8_t>(i % 8));
+    flows.push_back(i % 2 == 0 ? flow(ts, host, nfs, 2049)
+                               : flow(ts, host, Ipv4(10, 0, 2, 1), 80));
+  }
+  return flows;
+}
+
+TEST(WindowAlloc, TaskDetectionAllocationsDoNotGrowWithFlows) {
+  const auto automaton = TaskAutomaton::parse(
+      "TASK probe\nSTATE 0 start\nTOKEN #0 * 10.0.10.1 2049 6\nTRANS 1\n"
+      "STATE 1 accept\nTOKEN #0 * 10.0.10.1 111 6\nTRANS\n");
+  ASSERT_TRUE(automaton.has_value());
+  const std::vector<TaskAutomaton> automata = {*automaton};
+  DetectorConfig config;
+  config.service_ips = {Ipv4(10, 0, 10, 1)};
+  const auto small = probe_stream(1000);
+  const auto large = probe_stream(10000);
+  // Warm-up: registers the task.* counters.
+  EXPECT_EQ(detect_tasks(automata, config, large).size(), 1u);
+
+  std::size_t found_small = 0;
+  std::size_t found_large = 0;
+  const Heap one_k = count_heap(
+      [&] { found_small = detect_tasks(automata, config, small).size(); });
+  const Heap ten_k = count_heap(
+      [&] { found_large = detect_tasks(automata, config, large).size(); });
+  EXPECT_EQ(found_small, 1u);
+  EXPECT_EQ(found_large, 1u);
+  EXPECT_EQ(one_k.allocs, ten_k.allocs);
+  EXPECT_EQ(one_k.frees, ten_k.frees);
+  EXPECT_LE(ten_k.allocs, 24u);
 }
 
 }  // namespace

@@ -34,7 +34,9 @@
 #      suites and rerun them (ctest -L incremental) with bounds-checked
 #      container indexing, plus the simulator's controller and RNG suites
 #      (standard-library distribution preconditions are only checked
-#      there).
+#      there) and the task-detector suites with their oracle sweep (a
+#      matcher indexing past its state's tokens reads inside a vector's
+#      capacity, which only an assertion sees).
 #
 # Performance is measured by perfbench/ (see perfbench/README.md), not
 # here. CI writes nothing inside the source tree outside its build trees.
@@ -171,7 +173,7 @@ if [[ "$skip_tsan" -eq 0 ]]; then
     --no-tests=error -L incremental
 fi
 
-echo "== Debug (-O0): hostile order + hostile timestamps + controller + rng =="
+echo "== Debug (-O0): hostile order + hostile timestamps + controller + rng + task detection =="
 # Only the robustness suite and the incremental-labeled suites are built;
 # other suites' tests register as NOT_BUILT placeholders, which the -R and
 # -L filters leave out. _GLIBCXX_ASSERTIONS bounds-checks every container
@@ -182,10 +184,10 @@ cmake -B "$repo/build-ci-debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 cmake --build "$repo/build-ci-debug" -j "$jobs" --target fuzz_robustness_test \
   incremental_model_test monitor_identity_test window_alloc_test \
-  controller_test rng_test
+  controller_test rng_test task_automaton_test task_detector_oracle_test
 ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
   --no-tests=error --timeout 60 \
-  -R '^(HostileOrder|HostileTimestamp|Controller|DistributedControllerSet|Rng)\.'
+  -R '^(HostileOrder|HostileTimestamp|Controller|DistributedControllerSet|Rng|TaskDetector|TaskAutomaton|TaskDetectorOracle)\.'
 echo "== Debug (-O0, _GLIBCXX_ASSERTIONS): incremental window modeling =="
 ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
   --no-tests=error -L incremental

@@ -432,8 +432,7 @@ int cmd_detect(std::vector<std::string> args) {
   const auto capture = of::parse_flow_sequence(*capture_text);
   if (!capture) return fail("malformed capture " + capture_path);
 
-  const core::TaskDetector detector(automata, config);
-  const auto found = detector.detect(*capture);
+  const auto found = core::detect_tasks(automata, config, *capture);
   for (const auto& occ : found) {
     std::printf("%-20s t=[%.3fs, %.3fs] hosts:", occ.task.c_str(),
                 to_seconds(occ.begin), to_seconds(occ.end));
