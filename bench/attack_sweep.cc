@@ -154,22 +154,15 @@ SweepResult sweep_one(Family family, double intensity, std::size_t trials) {
   result.attack_windows = trials;
   result.steady_windows = trials;
   const core::ProblemClass expected = expected_class(family);
-  for (const auto& alarm : snapshot.alarms) {
-    // Each 40 s capture lands in exactly one monitor window; the audit
-    // trail maps the alarm's window back to its position in the feed
-    // order: index 0 is the baseline, then trials of
+  for (const auto& entry : snapshot.explained) {
+    if (!entry.report) continue;
+    const core::DiffReport& report = *entry.report;
+    // Each 40 s capture lands in exactly one monitor window, so the
+    // window's index is its position in the feed order: index 0 is the
+    // baseline (which never alarms), then trials of
     // [attack, recovery, steady control]. Recovery windows are judged
     // neither way.
-    std::size_t window_index = 0;
-    bool matched = false;
-    for (const auto& audit : snapshot.audits) {
-      if (audit.window_begin == alarm.window_begin) {
-        window_index = audit.index;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched || window_index == 0) continue;
+    const std::size_t window_index = entry.provenance.window_index;
     const std::size_t phase = (window_index - 1) % 3;
     if (phase == 1) continue;  // Recovery window.
     const bool on_attack = phase == 0;
@@ -178,15 +171,14 @@ SweepResult sweep_one(Family family, double intensity, std::size_t trials) {
       if (std::getenv("ATTACK_SWEEP_DEBUG") != nullptr) {
         std::fprintf(stderr, "false alarm: %s intensity=%.2f window=%zu\n",
                      family_name(family), intensity, window_index);
-        for (const auto& change : alarm.report.unknown) {
+        for (const auto& change : report.unknown) {
           std::fprintf(stderr, "  %s\n", change.description.c_str());
         }
       }
       continue;
     }
     const auto ranked = core::classify(
-        core::build_dependency_matrix(alarm.report.unknown),
-        alarm.report.unknown);
+        core::build_dependency_matrix(report.unknown), report.unknown);
     if (ranked.empty() || ranked[0].cls != expected) continue;
     ++result.recalled;
   }

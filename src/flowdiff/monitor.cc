@@ -187,33 +187,22 @@ void SlidingMonitor::flush() {
   }
 }
 
-bool SlidingMonitor::has_baseline() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return baseline_ != nullptr;
-}
-
-std::size_t SlidingMonitor::audits_dropped() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return audits_dropped_;
-}
-
-std::uint64_t SlidingMonitor::provenance_dropped() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return provenance_dropped_;
-}
-
 std::size_t SlidingMonitor::windows_processed() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return windows_;
 }
 
-SimTime SlidingMonitor::baseline_captured_at() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return baseline_begin_;
-}
-
 ingest::StreamQuality SlidingMonitor::stream_quality() const {
   return sanitizer_ ? sanitizer_->total() : ingest::StreamQuality{};
+}
+
+std::vector<ProvenanceRecord> MonitorSnapshot::provenance() const {
+  std::vector<ProvenanceRecord> records;
+  records.reserve(explained.size());
+  for (const ExplainedWindow& entry : explained) {
+    records.push_back(entry.provenance);
+  }
+  return records;
 }
 
 MonitorSnapshot SlidingMonitor::snapshot() const {
@@ -225,8 +214,9 @@ MonitorSnapshot SlidingMonitor::snapshot() const {
   snap.audits.assign(audits_.begin(), audits_.end());
   snap.audits_dropped = audits_dropped_;
   snap.alarms = alarms_;
-  snap.provenance.assign(provenance_.begin(), provenance_.end());
+  snap.explained.assign(explained_.begin(), explained_.end());
   snap.provenance_dropped = provenance_dropped_;
+  snap.alarms_dropped = alarms_dropped_;
   return snap;
 }
 
@@ -236,7 +226,7 @@ MonitorHealth SlidingMonitor::health() const {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     health.windows = windows_;
-    health.alarms = alarms_.size();
+    health.alarms = alarms_;
     health.suppressed_changes = suppressed_total_;
     health.quality = quality_total_;
   }
@@ -313,11 +303,9 @@ void SlidingMonitor::process_window(
         obs::Severity::kWarn, "monitor", "window stream degraded",
         {{"quality", quality.summary()}}, to_seconds(begin));
   }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    audit.index = windows_;
-    ++windows_;
-  }
+  // Only this thread writes windows_; it counts the window when the audit
+  // commits, so a snapshot never shows a window without its audit.
+  audit.index = windows_;
   metrics().windows.inc();
   metrics().events.inc(audit.events);
   metrics().events_per_window.observe(static_cast<double>(audit.events));
@@ -373,15 +361,16 @@ void SlidingMonitor::process_window(
   // alarmed windows explain what fired, suppressed-only windows explain
   // why nothing did. The id is assigned here but the record commits with
   // the audit under the lock.
-  std::optional<ProvenanceRecord> record;
+  std::optional<ExplainedWindow> explained;
   if (!report.unknown.empty() || !report.suppressed.empty()) {
-    record = build_provenance(report);
-    record->id = ++provenance_seq_;
-    record->window_index = audit.index;
-    record->window_begin = begin;
-    record->window_end = window_end;
-    record->events = audit.events;
-    record->alarmed = !clean;
+    explained = ExplainedWindow{build_provenance(report), std::nullopt};
+    ProvenanceRecord& record = explained->provenance;
+    record.id = ++provenance_seq_;
+    record.window_index = audit.index;
+    record.window_begin = begin;
+    record.window_end = window_end;
+    record.events = audit.events;
+    record.alarmed = !clean;
   }
   audit.changes = report.changes.size();
   audit.known = report.known.size();
@@ -408,9 +397,7 @@ void SlidingMonitor::process_window(
            {"families", family_breakdown(report.unknown)}},
           to_seconds(begin));
     }
-    const std::lock_guard<std::mutex> lock(mu_);
-    alarms_.push_back(MonitorAlarm{begin, window_end, std::move(report),
-                                   record ? record->id : 0});
+    explained->report = std::move(report);  // Unknowns: always explained.
   } else {
     metrics().clean.inc();
     if (report.changes.empty()) {
@@ -440,26 +427,27 @@ void SlidingMonitor::process_window(
     audit.decision += "; baseline rolled forward";
     metrics().rebaselines.inc();
   }
-  if (record) {
+  if (explained) {
     // The verdict is the final decision string (rolling-baseline and
     // DEGRADED annotations included), so all three surfaces — transcript,
     // /provenance, `flowdiff explain` — agree with the audit trail.
-    record->verdict = audit.decision;
+    ProvenanceRecord& record = explained->provenance;
+    record.verdict = audit.decision;
     const auto decided = std::chrono::steady_clock::now();
-    record->latency = latency;
-    record->latency.decide_ms = wall_ms(diff_done, decided);
-    record->latency.total_ms = wall_ms(feed_wall_, decided);
-    metrics().latency_decide.observe(record->latency.decide_ms);
-    if (record->alarmed) {
-      metrics().latency_event_to_alarm.observe(record->latency.total_ms);
+    record.latency = latency;
+    record.latency.decide_ms = wall_ms(diff_done, decided);
+    record.latency.total_ms = wall_ms(feed_wall_, decided);
+    metrics().latency_decide.observe(record.latency.decide_ms);
+    if (record.alarmed) {
+      metrics().latency_event_to_alarm.observe(record.latency.total_ms);
     }
   }
-  finish_audit(std::move(audit), wall_start, std::move(record));
+  finish_audit(std::move(audit), wall_start, std::move(explained));
 }
 
 void SlidingMonitor::finish_audit(
     WindowAudit audit, std::chrono::steady_clock::time_point wall_start,
-    std::optional<ProvenanceRecord> record) {
+    std::optional<ExplainedWindow> explained) {
   const std::chrono::duration<double, std::milli> wall =
       std::chrono::steady_clock::now() - wall_start;
   audit.wall_ms = wall.count();
@@ -468,20 +456,22 @@ void SlidingMonitor::finish_audit(
   std::size_t dropped = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
+    ++windows_;
     suppressed_total_ += audit.suppressed;
+    if (audit.alarmed) ++alarms_;
     audits_.push_back(std::move(audit));
     // Rotation keeps week-long runs at fixed memory: oldest audits leave,
     // the gauge records how much history the trail no longer covers.
-    while (config_.max_audits > 0 && audits_.size() > config_.max_audits) {
+    if (audits_.size() > kMaxAudits) {
       audits_.pop_front();
       ++audits_dropped_;
     }
     dropped = audits_dropped_;
-    if (record) {
-      provenance_.push_back(std::move(*record));
-      while (config_.max_provenance > 0 &&
-             provenance_.size() > config_.max_provenance) {
-        provenance_.pop_front();
+    if (explained) {
+      explained_.push_back(std::move(*explained));
+      if (explained_.size() > kMaxExplained) {
+        if (explained_.front().report) ++alarms_dropped_;
+        explained_.pop_front();
         ++provenance_dropped_;
       }
     }
@@ -505,7 +495,7 @@ std::string render_monitor_transcript(const MonitorSnapshot& snap) {
   std::string out;
   out += "=== monitor transcript ===\n";
   out += "windows=" + std::to_string(snap.windows) +
-         " alarms=" + std::to_string(snap.alarms.size()) +
+         " alarms=" + std::to_string(snap.alarms) +
          " audits_dropped=" + std::to_string(snap.audits_dropped) + "\n";
   for (const auto& audit : snap.audits) {
     out += "[" + std::to_string(audit.index) + "] " +
@@ -514,12 +504,14 @@ std::string render_monitor_transcript(const MonitorSnapshot& snap) {
            "s events=" + std::to_string(audit.events) + " " +
            audit.decision + "\n";
   }
-  std::size_t alarm_no = 0;
-  for (const auto& alarm : snap.alarms) {
+  // Retained alarms keep their run-wide numbers.
+  std::size_t alarm_no = snap.alarms_dropped;
+  for (const auto& entry : snap.explained) {
+    if (!entry.report) continue;
     out += "\n--- alarm " + std::to_string(++alarm_no) + ": window " +
-           fmt_double(to_seconds(alarm.window_begin), 1) + "s.." +
-           fmt_double(to_seconds(alarm.window_end), 1) + "s ---\n";
-    out += alarm.report.render();
+           fmt_double(to_seconds(entry.provenance.window_begin), 1) + "s.." +
+           fmt_double(to_seconds(entry.provenance.window_end), 1) + "s ---\n";
+    out += entry.report->render();
   }
   return out;
 }
@@ -531,12 +523,14 @@ std::string render_monitor_transcript(const SlidingMonitor& monitor) {
 std::string render_provenance_transcript(const SlidingMonitor& monitor) {
   // Like render_monitor_transcript: wall-clock latency fields omitted, so
   // identical runs produce identical text.
+  const MonitorSnapshot snap = monitor.snapshot();
   std::string out;
   out += "=== provenance transcript ===\n";
-  out += "records=" + std::to_string(monitor.provenance().size()) +
-         " dropped=" + std::to_string(monitor.provenance_dropped()) + "\n";
-  for (const auto& rec : monitor.provenance()) {
-    out += "\n" + render_provenance_text(rec, /*with_latency=*/false);
+  out += "records=" + std::to_string(snap.explained.size()) +
+         " dropped=" + std::to_string(snap.provenance_dropped) + "\n";
+  for (const auto& entry : snap.explained) {
+    out += "\n" + render_provenance_text(entry.provenance,
+                                          /*with_latency=*/false);
   }
   return out;
 }

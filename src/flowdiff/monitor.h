@@ -34,9 +34,6 @@ struct MonitorConfig {
   /// rebaseline, so a persistent fault keeps alarming).
   bool rolling_baseline = false;
   std::vector<TaskAutomaton> tasks;
-  /// Audit records retained (oldest rotate out; audits_dropped() counts
-  /// them). 0 keeps everything — unbounded, for short offline runs only.
-  std::size_t max_audits = 4096;
   /// Route feed() through an ingest::StreamSanitizer: raw capture
   /// arrivals may be out of order, duplicated, or truncated; the monitor
   /// then windows the *sanitized* stream, stamps each WindowAudit with its
@@ -46,10 +43,6 @@ struct MonitorConfig {
   bool sanitize = false;
   /// Sanitizer tuning (lateness horizon etc.); used when sanitize is set.
   ingest::SanitizerConfig ingest;
-  /// Provenance records retained (every window whose diff produced unknown
-  /// or suppressed changes gets one; oldest rotate out, counted by
-  /// provenance_dropped()). 0 keeps everything — short offline runs only.
-  std::size_t max_provenance = 256;
   /// Maintain per-window signature aggregates incrementally at feed time
   /// (the facade's core::IncrementalModeler) and keep nothing else per
   /// window: a closing window only runs the cheap finalize, bit-identical
@@ -59,13 +52,13 @@ struct MonitorConfig {
   bool incremental = true;
 };
 
-struct MonitorAlarm {
-  SimTime window_begin = 0;
-  SimTime window_end = 0;
-  DiffReport report;
-  /// Id of the ProvenanceRecord explaining this alarm (0 = none; the
-  /// record may have rotated out of the bounded ring).
-  std::uint64_t provenance_id = 0;
+/// A window whose diff produced unknown or suppressed changes: the
+/// provenance record explaining its verdict and, when it alarmed, its diff
+/// report. Both rotate out of the monitor together.
+struct ExplainedWindow {
+  ProvenanceRecord provenance;
+  /// Engaged exactly when provenance.alarmed.
+  std::optional<DiffReport> report;
 };
 
 /// Per-window audit record: why the monitor alarmed (or stayed silent) on
@@ -101,10 +94,16 @@ struct MonitorSnapshot {
   SimTime baseline_begin = -1;
   std::vector<WindowAudit> audits;   ///< Retained trail, oldest first.
   std::size_t audits_dropped = 0;
-  std::vector<MonitorAlarm> alarms;
-  /// Retained provenance ring, oldest first (see SlidingMonitor docs).
-  std::vector<ProvenanceRecord> provenance;
+  /// Alarms raised over the whole run, retained or not.
+  std::size_t alarms = 0;
+  /// Retained explained windows, oldest first (see SlidingMonitor docs).
+  std::vector<ExplainedWindow> explained;
   std::uint64_t provenance_dropped = 0;
+  /// Alarm reports rotated out with their explained windows.
+  std::size_t alarms_dropped = 0;
+
+  /// The retained provenance records, oldest first.
+  [[nodiscard]] std::vector<ProvenanceRecord> provenance() const;
 };
 
 /// Live self-assessment of the monitor, the /healthz contract: healthy
@@ -137,12 +136,17 @@ struct MonitorHealth {
 /// fed the event closing it, then sampled into obs::Sampler::global() at
 /// its virtual end time (a no-op while obs is disabled; the sampler runs
 /// the process's self-watchdog and refuses an end time it has passed, so
-/// monitors sharing a process share one clock). alarms()/audits()/
-/// provenance() are for that thread; readers on other threads (the
-/// telemetry plane, the serve manager) use snapshot()/health(), which copy
-/// under the commit lock.
+/// monitors sharing a process share one clock). audits() is for that
+/// thread; readers on other threads (the telemetry plane, the serve
+/// manager) use snapshot()/health(), which copy under the commit lock.
+/// Retention is fixed: the newest kMaxAudits audits and kMaxExplained
+/// explained windows are kept, so an alarm's report rotates out with its
+/// provenance record and no stream grows the monitor without bound.
 class SlidingMonitor {
  public:
+  static constexpr std::size_t kMaxAudits = 4096;
+  static constexpr std::size_t kMaxExplained = 256;
+
   explicit SlidingMonitor(MonitorConfig config);
   /// Constructs from the validated public option bundle (the API the CLI
   /// and the per-tenant serve shards share). The caller is expected to
@@ -177,35 +181,18 @@ class SlidingMonitor {
   /// Closes the current partial window (end of stream / shutdown).
   void flush();
 
-  [[nodiscard]] bool has_baseline() const;
-  [[nodiscard]] const std::vector<MonitorAlarm>& alarms() const {
-    return alarms_;
-  }
-  /// Retained audit records (newest max_audits windows), explaining each
+  /// Retained audit records (newest kMaxAudits windows), explaining each
   /// window's outcome.
   [[nodiscard]] const std::deque<WindowAudit>& audits() const {
     return audits_;
   }
-  /// Audit records rotated out by the max_audits cap.
-  [[nodiscard]] std::size_t audits_dropped() const;
-  /// Provenance records retained (newest max_provenance), oldest first:
-  /// one per window whose diff produced unknown or suppressed changes,
-  /// explaining what drove (or withheld) the alarm. Call after flush();
-  /// concurrent readers should use snapshot().
-  [[nodiscard]] const std::deque<ProvenanceRecord>& provenance() const {
-    return provenance_;
-  }
-  /// Provenance records rotated out by the max_provenance cap.
-  [[nodiscard]] std::uint64_t provenance_dropped() const;
   [[nodiscard]] std::size_t windows_processed() const;
-  [[nodiscard]] SimTime baseline_captured_at() const;
   /// Whole-run sanitizer totals (all-zero when sanitize is off). After
   /// flush(), fed == kept + duplicates + late_dropped + truncated.
   [[nodiscard]] ingest::StreamQuality stream_quality() const;
 
   /// Coherent copy of every committed result, safe to call from any thread
-  /// at any time (the telemetry scrape path). After flush() it is
-  /// equivalent to reading alarms()/audits() directly.
+  /// at any time (the telemetry scrape path).
   [[nodiscard]] MonitorSnapshot snapshot() const;
   /// Live health verdict (see MonitorHealth); safe from any thread.
   [[nodiscard]] MonitorHealth health() const;
@@ -238,10 +225,10 @@ class SlidingMonitor {
                       const ingest::StreamQuality& quality,
                       std::uint64_t rejected);
   /// Stamps the wall time onto the audit record and files it, together
-  /// with the window's provenance record (if the diff produced one).
+  /// with the window's explanation (if the diff produced one).
   void finish_audit(WindowAudit audit,
                     std::chrono::steady_clock::time_point wall_start,
-                    std::optional<ProvenanceRecord> record);
+                    std::optional<ExplainedWindow> explained);
 
   MonitorConfig config_;
   FlowDiff flowdiff_;
@@ -278,12 +265,13 @@ class SlidingMonitor {
   /// Wall time of the most recent feed()/push batch: the arrival stamp of
   /// the newest event, the first detection-latency clock edge.
   std::chrono::steady_clock::time_point feed_wall_;
-  std::vector<MonitorAlarm> alarms_;
   std::deque<WindowAudit> audits_;
   std::size_t audits_dropped_ = 0;
-  /// Provenance ring (guarded by mu_ like audits_); the sequence counter
-  /// is touched only by the feed thread.
-  std::deque<ProvenanceRecord> provenance_;
+  std::size_t alarms_ = 0;
+  std::size_t alarms_dropped_ = 0;
+  /// Explained-window ring (guarded by mu_ like audits_); the sequence
+  /// counter is touched only by the feed thread.
+  std::deque<ExplainedWindow> explained_;
   std::uint64_t provenance_dropped_ = 0;
   std::uint64_t provenance_seq_ = 0;
   std::size_t windows_ = 0;
@@ -292,7 +280,7 @@ class SlidingMonitor {
   ingest::StreamQuality quality_total_;
   std::uint64_t suppressed_total_ = 0;
 
-  /// Guards the committed results (baseline, alarms, audits, provenance,
+  /// Guards the committed results (baseline, audits, explained windows,
   /// counters) against snapshot()/health() readers on other threads.
   mutable std::mutex mu_;
 };
@@ -301,10 +289,11 @@ class SlidingMonitor {
 /// `alerts` warnings.
 [[nodiscard]] std::string watchdog_reason(std::uint64_t alerts);
 
-/// Renders the monitor's audits and alarms as a deterministic transcript:
-/// identical runs produce identical text (wall-clock fields are omitted),
-/// which is what the golden-trace corpus commits and diffs against. Call
-/// after flush().
+/// Renders the monitor's audits and retained alarms as a deterministic
+/// transcript: identical runs produce identical text (wall-clock fields
+/// are omitted), which is what the golden-trace corpus commits and diffs
+/// against. Alarms keep their run-wide numbers after older ones rotate
+/// out. Call after flush().
 [[nodiscard]] std::string render_monitor_transcript(
     const SlidingMonitor& monitor);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/timeseries.h"
+#include "util/flat_map.h"
 
 namespace flowdiff::core {
 
@@ -68,8 +69,9 @@ void MonitorManager::run_shard(const std::shared_ptr<Shard>& shard) {
       }
       // Take the whole queue by trading buffers: the feeder refills the
       // capacity the last batch leaves behind, so the steady state copies
-      // each event once (into pending) and allocates nothing.
-      shard->batch.clear();
+      // each event once (into pending) and allocates nothing; recycle()
+      // frees a burst's buffer once it carries a small batch.
+      recycle(shard->batch);
       shard->batch.swap(shard->pending);
     }
     // shard->batch is touched only by the shard's one task in flight.

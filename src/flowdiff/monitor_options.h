@@ -9,8 +9,8 @@
 // message naming the offending pair), and monitor_config() lowers the
 // validated bundle onto the internal MonitorConfig that SlidingMonitor —
 // and every per-tenant shard a MonitorManager creates — actually runs.
-// Retention is not an option: every monitor built from MonitorOptions keeps
-// MonitorConfig's bounded defaults (4096 audits, 256 provenance records).
+// Retention is not an option: every monitor keeps 4096 audits and 256
+// explained windows; an alarm's report rotates out with its provenance.
 #pragma once
 
 #include <optional>

@@ -212,7 +212,7 @@ std::string render_run_report(const MonitorSnapshot& snap,
   } else {
     summary.push_back("no baseline captured (empty stream)");
   }
-  summary.push_back("alarms: " + std::to_string(snap.alarms.size()));
+  summary.push_back("alarms: " + std::to_string(snap.alarms));
   summary.push_back("audit records retained: " +
                     std::to_string(snap.audits.size()) + " (rotated out: " +
                     std::to_string(snap.audits_dropped) + ")");
@@ -271,34 +271,36 @@ std::string render_run_report(const MonitorSnapshot& snap,
 
   // --- Alarms and diagnosis ------------------------------------------------
   doc.heading(2, "Alarms");
-  if (snap.alarms.empty()) {
+  if (snap.alarms == 0) {
     doc.para("No alarms: every window matched the baseline or was "
              "explained by operator tasks.");
   } else {
-    for (const MonitorAlarm& alarm : snap.alarms) {
+    if (snap.alarms_dropped > 0) {
+      doc.para("Oldest " + std::to_string(snap.alarms_dropped) +
+               " alarm(s) rotated out with their provenance records.");
+    }
+    for (const ExplainedWindow& entry : snap.explained) {
+      if (!entry.report) continue;
+      const DiffReport& report = *entry.report;
+      const ProvenanceRecord& rec = entry.provenance;
       doc.heading(3, "Alarm window " +
-                         window_label(alarm.window_begin, alarm.window_end));
-      std::string counts = std::to_string(alarm.report.unknown.size()) +
+                         window_label(rec.window_begin, rec.window_end));
+      std::string counts = std::to_string(report.unknown.size()) +
                            " unknown change(s), " +
-                           std::to_string(alarm.report.known.size()) +
+                           std::to_string(report.known.size()) +
                            " task-explained.";
-      if (alarm.report.degraded()) {
-        counts += " Stream DEGRADED (" + alarm.report.quality.summary() +
-                  "); " + std::to_string(alarm.report.suppressed.size()) +
+      if (report.degraded()) {
+        counts += " Stream DEGRADED (" + report.quality.summary() + "); " +
+                  std::to_string(report.suppressed.size()) +
                   " low-confidence change(s) suppressed.";
       }
       doc.para(counts);
-      doc.code(render_diagnosis_summary(alarm.report.unknown));
+      doc.code(render_diagnosis_summary(report.unknown));
       // Provenance: the same record /provenance and `flowdiff explain`
       // render, here with the detection-latency breakdown (the report
       // already exposes wall-clock fields via the audit table).
-      for (const ProvenanceRecord& rec : snap.provenance) {
-        if (alarm.provenance_id != 0 && rec.id == alarm.provenance_id) {
-          doc.heading(4, "Why this alarm fired");
-          doc.code(render_provenance_text(rec, /*with_latency=*/true));
-          break;
-        }
-      }
+      doc.heading(4, "Why this alarm fired");
+      doc.code(render_provenance_text(rec, /*with_latency=*/true));
     }
   }
 

@@ -156,10 +156,10 @@ std::optional<TaskAutomaton> TaskAutomaton::parse(std::string_view text) {
       automaton.states.emplace_back();
       automaton.transitions.emplace_back();
       current_state = index;
-      std::string flag;
-      while (in >> flag) {
-        if (flag == "start") automaton.start_states.insert(index);
-        if (flag == "accept") automaton.accept_states.insert(index);
+      for (std::string flag; in >> flag;) {
+        if (flag != "start" && flag != "accept") return std::nullopt;
+        (flag == "start" ? automaton.start_states : automaton.accept_states)
+            .insert(index);
       }
     } else if (kind == "TOKEN") {
       if (current_state < 0) return std::nullopt;
@@ -167,18 +167,22 @@ std::optional<TaskAutomaton> TaskAutomaton::parse(std::string_view text) {
       const auto src = parse_endpoint(in);
       const auto dst = parse_endpoint(in);
       int proto = 0;
-      if (!src || !dst || !(in >> proto)) return std::nullopt;
+      std::string extra;
+      if (!src || !dst || !(in >> proto) || in >> extra) return std::nullopt;
+      if (proto != 1 && proto != 6 && proto != 17) return std::nullopt;
       token.src = *src;
       token.dst = *dst;
-      token.proto = static_cast<of::Proto>(proto);
+      token.proto = static_cast<of::Proto>(proto);  // ICMP, TCP or UDP.
       automaton.states[static_cast<std::size_t>(current_state)].push_back(
           token);
     } else if (kind == "TRANS") {
       if (current_state < 0) return std::nullopt;
-      int succ = 0;
-      while (in >> succ) {
+      for (std::string field; in >> field;) {
+        const auto succ =
+            parse_decimal(field, std::numeric_limits<int>::max());
+        if (!succ) return std::nullopt;
         automaton.transitions[static_cast<std::size_t>(current_state)]
-            .insert(succ);
+            .insert(*succ);
       }
     } else {
       return std::nullopt;

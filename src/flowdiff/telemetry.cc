@@ -270,9 +270,9 @@ obs::HttpResponse monitor_endpoint(
                                    request.param("id").value_or(""));
       }
       const MonitorSnapshot snap = snapshot();
-      for (const ProvenanceRecord& record : snap.provenance) {
-        if (record.id == id) {
-          response.body = render_provenance_json(record) + "\n";
+      for (const ExplainedWindow& entry : snap.explained) {
+        if (entry.provenance.id == id) {
+          response.body = render_provenance_json(entry.provenance) + "\n";
           return response;
         }
       }
@@ -286,14 +286,14 @@ obs::HttpResponse monitor_endpoint(
                                  request.param("limit").value_or(""));
     }
     MonitorSnapshot snap = snapshot();
-    if (limit < snap.provenance.size()) {
+    if (limit < snap.explained.size()) {
       // Newest N: the ring is oldest-first.
-      snap.provenance.erase(snap.provenance.begin(),
-                            snap.provenance.end() -
-                                static_cast<std::ptrdiff_t>(limit));
+      snap.explained.erase(snap.explained.begin(),
+                           snap.explained.end() -
+                               static_cast<std::ptrdiff_t>(limit));
     }
     response.body = render_provenance_collection_json(
-        snap.provenance, snap.provenance_dropped);
+        snap.provenance(), snap.provenance_dropped);
     return response;
   }
   if (endpoint == "report") {

@@ -168,8 +168,10 @@ TEST_P(CorruptionSweepTest, SanitizedMonitorSurvivesAndCountersReconcile) {
     }
     EXPECT_LE(window_fed, q.fed);
     // Alarm reports over a corrupted stream carry the quality record.
-    for (const auto& alarm : monitor.alarms()) {
-      EXPECT_FALSE(alarm.report.render().empty());
+    for (const auto& entry : monitor.snapshot().explained) {
+      if (entry.report) {
+        EXPECT_FALSE(entry.report->render().empty());
+      }
     }
   }
 }

@@ -51,9 +51,11 @@ std::vector<std::string> transcript_of(const SlidingMonitor& monitor) {
                          std::to_string(audit.rebaselined) + "|" +
                          audit.decision);
   }
-  for (const auto& alarm : monitor.alarms()) {
-    transcript.push_back("alarm@" + std::to_string(alarm.window_begin) +
-                         "\n" + alarm.report.render());
+  for (const auto& entry : monitor.snapshot().explained) {
+    if (!entry.report) continue;
+    transcript.push_back("alarm@" +
+                         std::to_string(entry.provenance.window_begin) +
+                         "\n" + entry.report->render());
   }
   // Provenance records are part of the determinism contract too: same
   // ids, contributors, scores, and verdicts (stage latencies are

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "experiment/lab_experiment.h"
+#include "retention_stream.h"
 #include "workload/tasks.h"
 
 namespace flowdiff::core {
@@ -25,11 +26,11 @@ MonitorConfig monitor_config(const exp::LabExperiment& lab,
 TEST(SlidingMonitor, FirstWindowBecomesBaseline) {
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
   SlidingMonitor monitor(monitor_config(lab));
-  EXPECT_FALSE(monitor.has_baseline());
+  EXPECT_FALSE(monitor.snapshot().has_baseline);
   monitor.feed(lab.run_window());
   monitor.flush();
-  EXPECT_TRUE(monitor.has_baseline());
-  EXPECT_TRUE(monitor.alarms().empty());
+  EXPECT_TRUE(monitor.snapshot().has_baseline);
+  EXPECT_EQ(monitor.snapshot().alarms, 0u);
 }
 
 TEST(SlidingMonitor, HealthyStreamRaisesNoAlarms) {
@@ -40,7 +41,7 @@ TEST(SlidingMonitor, HealthyStreamRaisesNoAlarms) {
     monitor.flush();
   }
   EXPECT_EQ(monitor.windows_processed(), 3u);
-  EXPECT_TRUE(monitor.alarms().empty());
+  EXPECT_EQ(monitor.snapshot().alarms, 0u);
 }
 
 TEST(SlidingMonitor, FaultWindowAlarmsAndLocatesInTime) {
@@ -58,13 +59,15 @@ TEST(SlidingMonitor, FaultWindowAlarmsAndLocatesInTime) {
   monitor.feed(lab.run_window());        // Healthy again.
   monitor.flush();
 
-  ASSERT_FALSE(monitor.alarms().empty());
+  const MonitorSnapshot snap = monitor.snapshot();
+  ASSERT_GT(snap.alarms, 0u);
   // Every alarm lies within the faulty wall-clock region (the fault window
   // plus its drain), and at least one carries a DD change.
   bool dd_seen = false;
-  for (const auto& alarm : monitor.alarms()) {
-    EXPECT_GE(alarm.window_end, fault_begin);
-    for (const auto& change : alarm.report.unknown) {
+  for (const auto& entry : snap.explained) {
+    if (!entry.report) continue;
+    EXPECT_GE(entry.provenance.window_end, fault_begin);
+    for (const auto& change : entry.report->unknown) {
       if (change.kind == SignatureKind::kDd) dd_seen = true;
     }
   }
@@ -78,10 +81,10 @@ TEST(SlidingMonitor, RollingBaselineAdvancesOnCleanWindows) {
   SlidingMonitor monitor(config);
   monitor.feed(lab.run_window());
   monitor.flush();
-  const SimTime first_baseline = monitor.baseline_captured_at();
+  const SimTime first_baseline = monitor.snapshot().baseline_begin;
   monitor.feed(lab.run_window());
   monitor.flush();
-  EXPECT_GT(monitor.baseline_captured_at(), first_baseline);
+  EXPECT_GT(monitor.snapshot().baseline_begin, first_baseline);
 }
 
 TEST(SlidingMonitor, TaskSignaturesSuppressMigrationAlarm) {
@@ -114,7 +117,7 @@ TEST(SlidingMonitor, TaskSignaturesSuppressMigrationAlarm) {
     wl::run_task_on_network(fresh.net(), migration);
     monitor.feed(fresh.run_window());
     monitor.flush();
-    return monitor.alarms().size();
+    return monitor.snapshot().alarms;
   };
 
   EXPECT_GT(run_stream(false), 0u);   // Blind monitor pages the operator.
@@ -153,48 +156,91 @@ TEST(SlidingMonitor, AuditTrailMatchesAlarmStream) {
   EXPECT_TRUE(audits.front().baseline_capture);
   EXPECT_FALSE(audits.front().alarmed);
 
-  // Alarmed audits correspond 1:1 with the alarm stream, in order.
-  ASSERT_EQ(alarmed, monitor.alarms().size());
+  // Alarmed audits correspond 1:1 with the retained alarm reports, in
+  // order.
+  const MonitorSnapshot snap = monitor.snapshot();
+  ASSERT_EQ(alarmed, snap.alarms);
+  std::vector<const ExplainedWindow*> alarms;
+  for (const auto& entry : snap.explained) {
+    if (entry.report) alarms.push_back(&entry);
+  }
+  ASSERT_EQ(alarms.size(), alarmed);
   std::size_t next_alarm = 0;
   for (const auto& audit : audits) {
     if (!audit.alarmed) continue;
-    const MonitorAlarm& alarm = monitor.alarms()[next_alarm++];
-    EXPECT_EQ(audit.window_begin, alarm.window_begin);
-    EXPECT_EQ(audit.window_end, alarm.window_end);
-    EXPECT_EQ(audit.unknown, alarm.report.unknown.size());
+    const ExplainedWindow& alarm = *alarms[next_alarm++];
+    EXPECT_EQ(audit.index, alarm.provenance.window_index);
+    EXPECT_EQ(audit.window_begin, alarm.provenance.window_begin);
+    EXPECT_EQ(audit.window_end, alarm.provenance.window_end);
+    EXPECT_EQ(audit.unknown, alarm.report->unknown.size());
     EXPECT_GT(audit.unknown, 0u);
     EXPECT_NE(audit.decision.find("ALARM"), std::string::npos);
   }
 }
 
-TEST(SlidingMonitor, AuditTrailRotatesAtCap) {
-  exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  MonitorConfig config = monitor_config(lab);
-  config.max_audits = 2;
+TEST(SlidingMonitor, RetentionStaysBoundedPastBothCaps) {
+  // 4400 windows, 275 of them alarmed: both rings rotate, and the alarm
+  // reports rotate out with their explained windows.
+  constexpr std::size_t kWindows = 4400;
+  constexpr std::size_t kAlarms = 275;
+  MonitorConfig config;
+  config.window = kRetentionWindow;
   SlidingMonitor monitor(config);
-  for (int w = 0; w < 5; ++w) {
-    monitor.feed(lab.run_window());
-    monitor.flush();
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    monitor.feed(retention_window(w, retention_alarms(w)));
   }
-  EXPECT_EQ(monitor.windows_processed(), 5u);
-  EXPECT_EQ(monitor.audits().size(), 2u);
-  EXPECT_EQ(monitor.audits_dropped(), 3u);
-  // The newest windows survive, still indexed by processing order.
-  EXPECT_EQ(monitor.audits().front().index, 3u);
-  EXPECT_EQ(monitor.audits().back().index, 4u);
-}
+  monitor.flush();
 
-TEST(SlidingMonitor, UnboundedAuditTrailWhenCapIsZero) {
-  exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  MonitorConfig config = monitor_config(lab);
-  config.max_audits = 0;
-  SlidingMonitor monitor(config);
-  for (int w = 0; w < 3; ++w) {
-    monitor.feed(lab.run_window());
-    monitor.flush();
+  const MonitorSnapshot snap = monitor.snapshot();
+  EXPECT_EQ(snap.windows, kWindows);
+  EXPECT_EQ(snap.alarms, kAlarms);
+  EXPECT_EQ(monitor.health().alarms, kAlarms);
+  ASSERT_EQ(snap.audits.size(), SlidingMonitor::kMaxAudits);
+  EXPECT_EQ(snap.audits_dropped, kWindows - SlidingMonitor::kMaxAudits);
+  // The newest windows survive, still indexed by processing order.
+  EXPECT_EQ(snap.audits.front().index, kWindows - SlidingMonitor::kMaxAudits);
+  EXPECT_EQ(snap.audits.back().index, kWindows - 1);
+
+  // Every explained window here alarmed, so each carries its report.
+  ASSERT_EQ(snap.explained.size(), SlidingMonitor::kMaxExplained);
+  EXPECT_EQ(snap.provenance_dropped, kAlarms - SlidingMonitor::kMaxExplained);
+  EXPECT_EQ(snap.alarms_dropped, kAlarms - SlidingMonitor::kMaxExplained);
+  EXPECT_EQ(snap.explained.front().provenance.id,
+            kAlarms - SlidingMonitor::kMaxExplained + 1);
+  EXPECT_EQ(snap.explained.back().provenance.id, kAlarms);
+  for (const ExplainedWindow& entry : snap.explained) {
+    EXPECT_TRUE(entry.provenance.alarmed);
+    ASSERT_TRUE(entry.report.has_value());
+    EXPECT_EQ(entry.report->unknown.size(), entry.provenance.unknown);
   }
-  EXPECT_EQ(monitor.audits().size(), 3u);
-  EXPECT_EQ(monitor.audits_dropped(), 0u);
+
+  // Every retained alarmed audit has its explained window, with a report.
+  std::size_t next = 0;
+  std::size_t alarmed = 0;
+  for (const WindowAudit& audit : snap.audits) {
+    EXPECT_EQ(audit.alarmed, retention_alarms(audit.index)) << audit.index;
+    if (!audit.alarmed) continue;
+    ++alarmed;
+    while (next < snap.explained.size() &&
+           snap.explained[next].provenance.window_index < audit.index) {
+      ++next;
+    }
+    ASSERT_LT(next, snap.explained.size()) << audit.index;
+    EXPECT_EQ(snap.explained[next].provenance.window_index, audit.index);
+    EXPECT_TRUE(snap.explained[next].report.has_value()) << audit.index;
+  }
+  EXPECT_EQ(alarmed, SlidingMonitor::kMaxExplained);
+
+  // The transcript counts every alarm and numbers the retained ones as the
+  // run did.
+  const std::string transcript = render_monitor_transcript(snap);
+  EXPECT_NE(transcript.find("windows=4400 alarms=275 audits_dropped=304\n"),
+            std::string::npos);
+  EXPECT_EQ(transcript.find("--- alarm 19:"), std::string::npos);
+  EXPECT_NE(transcript.find("--- alarm 20: window 305.0s..306.0s ---"),
+            std::string::npos);
+  EXPECT_NE(transcript.find("--- alarm 275: window 4385.0s..4386.0s ---"),
+            std::string::npos);
 }
 
 TEST(SlidingMonitor, IdleGapsSkipEmptyWindows) {
@@ -212,7 +258,7 @@ TEST(SlidingMonitor, IdleGapsSkipEmptyWindows) {
   monitor.feed(log);
   monitor.feed(shifted);
   monitor.flush();
-  EXPECT_TRUE(monitor.alarms().empty());
+  EXPECT_EQ(monitor.snapshot().alarms, 0u);
   EXPECT_LT(monitor.windows_processed(), 20u);  // Not one per empty slot.
 }
 

@@ -1,25 +1,33 @@
 // Alarm provenance plane: corpus-pinned golden transcripts, record
 // completeness (every diverging family carries ranked contributors and a
-// full stage-latency breakdown), JSON round-trips, provenance-ring bounds,
-// the /provenance endpoint, and both `flowdiff explain` paths (artifacts
-// on disk and a live telemetry plane) rendering the same record.
+// full stage-latency breakdown), JSON round-trips, provenance-ring bounds
+// (also under concurrent scrapes), the /provenance endpoint, and both
+// `flowdiff explain` paths (artifacts on disk and a live telemetry plane)
+// rendering the same record.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdlib>
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "experiment/corpus.h"
 #include "flowdiff/monitor.h"
+#include "flowdiff/monitor_manager.h"
 #include "flowdiff/provenance.h"
 #include "flowdiff/telemetry.h"
 #include "http_test_util.h"
 #include "openflow/log_io.h"
+#include "retention_stream.h"
 
 namespace flowdiff {
 namespace {
@@ -38,8 +46,8 @@ std::optional<exp::CorpusCase> load_case(const std::string& name) {
 /// out.
 std::optional<core::ProvenanceRecord> find_record(
     const core::SlidingMonitor& monitor, std::uint64_t id) {
-  for (const auto& record : monitor.provenance()) {
-    if (record.id == id) return record;
+  for (const auto& entry : monitor.snapshot().explained) {
+    if (entry.provenance.id == id) return entry.provenance;
   }
   return std::nullopt;
 }
@@ -68,15 +76,24 @@ TEST(Provenance, EveryCorpusAlarmHasRankedContributorsAndFullLatency) {
     core::SlidingMonitor monitor(parsed->config);
     monitor.feed(parsed->events);
     monitor.flush();
-    for (const auto& alarm : monitor.alarms()) {
+    const core::MonitorSnapshot snap = monitor.snapshot();
+    std::size_t reports = 0;
+    for (const auto& entry : snap.explained) {
+      // A report is kept exactly for the alarmed windows.
+      EXPECT_EQ(entry.report.has_value(), entry.provenance.alarmed) << name;
+      if (!entry.report) continue;
+      ++reports;
       any_alarm = true;
-      ASSERT_NE(alarm.provenance_id, 0u)
-          << name << ": alarm without a provenance record";
-      const auto record = find_record(monitor, alarm.provenance_id);
-      ASSERT_TRUE(record.has_value()) << name;
-      EXPECT_TRUE(record->alarmed) << name;
-      EXPECT_EQ(record->window_begin, alarm.window_begin) << name;
-      EXPECT_EQ(record->window_end, alarm.window_end) << name;
+      const core::ProvenanceRecord* record = &entry.provenance;
+      EXPECT_EQ(record->unknown, entry.report->unknown.size()) << name;
+      const auto audit = std::find_if(
+          snap.audits.begin(), snap.audits.end(), [&](const auto& a) {
+            return a.index == record->window_index;
+          });
+      ASSERT_NE(audit, snap.audits.end()) << name;
+      EXPECT_TRUE(audit->alarmed) << name;
+      EXPECT_EQ(record->window_begin, audit->window_begin) << name;
+      EXPECT_EQ(record->window_end, audit->window_end) << name;
       EXPECT_FALSE(record->verdict.empty()) << name;
       EXPECT_FALSE(record->families.empty())
           << name << ": alarm explained by zero families";
@@ -93,6 +110,8 @@ TEST(Provenance, EveryCorpusAlarmHasRankedContributorsAndFullLatency) {
           << " decide=" << record->latency.decide_ms
           << " total=" << record->latency.total_ms << ")";
     }
+    EXPECT_EQ(reports, snap.alarms)
+        << name << ": an alarm without its explained window";
   }
   EXPECT_TRUE(any_alarm) << "corpus produced no alarms; the test lost its "
                             "point";
@@ -104,24 +123,24 @@ TEST(Provenance, CollectionJsonRoundTripsLosslessly) {
   core::SlidingMonitor monitor(parsed->config);
   monitor.feed(parsed->events);
   monitor.flush();
-  const core::MonitorSnapshot snap = monitor.snapshot();
-  ASSERT_FALSE(snap.provenance.empty());
+  const std::vector<core::ProvenanceRecord> records =
+      monitor.snapshot().provenance();
+  ASSERT_FALSE(records.empty());
+  const std::uint64_t dropped = monitor.snapshot().provenance_dropped;
 
-  const std::string json = core::render_provenance_collection_json(
-      snap.provenance, snap.provenance_dropped);
+  const std::string json =
+      core::render_provenance_collection_json(records, dropped);
   const auto back = core::parse_provenance_json(json);
   ASSERT_TRUE(back.has_value()) << json;
-  ASSERT_EQ(back->size(), snap.provenance.size());
+  ASSERT_EQ(back->size(), records.size());
   for (std::size_t i = 0; i < back->size(); ++i) {
     // Text renders (latency included) must survive the JSON round trip
     // byte for byte: the shortest-round-trip number format guarantees the
     // parsed doubles are the originals.
     EXPECT_EQ(core::render_provenance_text((*back)[i], true),
-              core::render_provenance_text(snap.provenance[i], true));
+              core::render_provenance_text(records[i], true));
   }
-  EXPECT_EQ(core::render_provenance_collection_json(*back,
-                                                    snap.provenance_dropped),
-            json);
+  EXPECT_EQ(core::render_provenance_collection_json(*back, dropped), json);
 }
 
 TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
@@ -132,8 +151,9 @@ TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
   core::SlidingMonitor monitor(parsed->config);
   monitor.feed(parsed->events);
   monitor.flush();
-  ASSERT_FALSE(monitor.provenance().empty());
-  core::ProvenanceRecord rec = monitor.provenance().front();
+  const core::MonitorSnapshot snap = monitor.snapshot();
+  ASSERT_FALSE(snap.explained.empty());
+  core::ProvenanceRecord rec = snap.explained.front().provenance;
   ASSERT_FALSE(rec.families.empty());
   ASSERT_FALSE(rec.families[0].top.empty());
   rec.verdict = std::string("bell\x07 quote\" tab\t nul") + '\0';
@@ -163,30 +183,167 @@ TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
 }
 
 TEST(Provenance, RingRotationDropsOldestRecords) {
-  // corrupted_slowdown yields one suppressed-family record per degraded
-  // window — several records, enough to exercise rotation.
-  const auto parsed = load_case("corrupted_slowdown");
-  ASSERT_TRUE(parsed.has_value());
-  core::SlidingMonitor unbounded(parsed->config);
-  unbounded.feed(parsed->events);
-  unbounded.flush();
-  const std::size_t total = unbounded.provenance().size();
-  if (total < 2) {
-    GTEST_SKIP() << "slowdown produced " << total
-                 << " record(s); rotation needs at least 2";
+  // 300 alarmed windows after the baseline: the oldest 44 explained
+  // windows rotate out, each taking its alarm report along.
+  constexpr std::size_t kAlarmed = 300;
+  constexpr std::size_t kKept = core::SlidingMonitor::kMaxExplained;
+  core::MonitorConfig config;
+  config.window = core::kRetentionWindow;
+  core::SlidingMonitor monitor(config);
+  for (std::size_t w = 0; w <= kAlarmed; ++w) {
+    monitor.feed(core::retention_window(w, /*alarmed=*/w > 0));
   }
+  monitor.flush();
 
-  core::MonitorConfig bounded_config = parsed->config;
-  bounded_config.max_provenance = total - 1;
-  core::SlidingMonitor bounded(bounded_config);
-  bounded.feed(parsed->events);
-  bounded.flush();
-  EXPECT_EQ(bounded.provenance().size(), total - 1);
-  EXPECT_EQ(bounded.provenance_dropped(), 1u);
-  EXPECT_FALSE(find_record(bounded, 1).has_value())
+  const core::MonitorSnapshot snap = monitor.snapshot();
+  EXPECT_EQ(snap.alarms, kAlarmed);
+  ASSERT_EQ(snap.explained.size(), kKept);
+  EXPECT_EQ(snap.provenance_dropped, kAlarmed - kKept);
+  EXPECT_FALSE(find_record(monitor, 1).has_value())
       << "oldest record must rotate out";
-  EXPECT_TRUE(
-      find_record(bounded, bounded.provenance().back().id).has_value());
+  EXPECT_FALSE(find_record(monitor, kAlarmed - kKept).has_value());
+  EXPECT_TRUE(find_record(monitor, kAlarmed - kKept + 1).has_value());
+  EXPECT_TRUE(find_record(monitor, kAlarmed).has_value());
+  EXPECT_EQ(core::render_provenance_transcript(monitor).rfind(
+                "=== provenance transcript ===\nrecords=256 dropped=44\n", 0),
+            0u);
+}
+
+/// The value after `key` in `text` (e.g. "alarms=" -> 275); nullopt when
+/// the key is missing.
+std::optional<std::uint64_t> field_after(const std::string& text,
+                                         const std::string& key) {
+  const auto at = text.find(key);
+  if (at == std::string::npos) return std::nullopt;
+  return std::strtoull(text.c_str() + at + key.size(), nullptr, 10);
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+/// One scrape of the tenant's transcript, audit trail and newest
+/// provenance record; each must show one whole committed state. Returns
+/// false (after recording a failure) on a response that does not.
+bool scrape_is_coherent(std::uint16_t port) {
+  const auto transcript = testing::http_get(port, "/tenants/t/transcript");
+  const auto audits = testing::http_get(port, "/tenants/t/audits");
+  if (!transcript || !audits || transcript->status != 200 ||
+      audits->status != 200) {
+    ADD_FAILURE() << "scrape failed";
+    return false;
+  }
+  const std::string& text = transcript->body;
+  const auto windows = field_after(text, "windows=");
+  const auto alarms = field_after(text, " alarms=");
+  const auto dropped = field_after(text, " audits_dropped=");
+  if (!windows || !alarms || !dropped) {
+    ADD_FAILURE() << "transcript header missing: " << text.substr(0, 80);
+    return false;
+  }
+  const std::size_t audit_lines = count_of(text, " events=");
+  const std::size_t alarm_sections = count_of(text, "\n--- alarm ");
+  EXPECT_EQ(audit_lines, *windows - *dropped);
+  EXPECT_LE(audit_lines, core::SlidingMonitor::kMaxAudits);
+  EXPECT_EQ(alarm_sections,
+            std::min<std::uint64_t>(*alarms,
+                                    core::SlidingMonitor::kMaxExplained));
+  if (*alarms > 0) {
+    // The newest alarm keeps its run-wide number.
+    EXPECT_NE(text.find("\n--- alarm " + std::to_string(*alarms) + ":"),
+              std::string::npos);
+    const auto newest = testing::http_get(
+        port, "/tenants/t/provenance?id=" + std::to_string(*alarms));
+    if (!newest || (newest->status != 200 && newest->status != 404)) {
+      ADD_FAILURE() << "provenance scrape failed";
+      return false;
+    }
+    if (newest->status == 200) {
+      const auto records = core::parse_provenance_json(newest->body);
+      EXPECT_TRUE(records && records->size() == 1 &&
+                  (*records)[0].id == *alarms)
+          << newest->body;
+    }
+  }
+  // The audit trail is contiguous from the first retained index.
+  const std::string& json = audits->body;
+  const auto audits_dropped = field_after(json, "\"audits_dropped\":");
+  const std::size_t entries = count_of(json, "{\"index\":");
+  EXPECT_LE(entries, core::SlidingMonitor::kMaxAudits);
+  if (audits_dropped && entries > 0) {
+    EXPECT_EQ(field_after(json, "{\"index\":"), *audits_dropped);
+    EXPECT_NE(json.find("{\"index\":" +
+                        std::to_string(*audits_dropped + entries - 1) + ","),
+              std::string::npos);
+  }
+  return !::testing::Test::HasFailure();
+}
+
+TEST(Provenance, ScrapesStayCoherentWhileBothRingsRotate) {
+  // A served tenant is fed past both retention caps while another thread
+  // scrapes it; every scrape must see whole windows. The feeder waits for
+  // one scrape per 100 windows, so scrapes span the whole rotation.
+  constexpr std::size_t kWindows = 4400;
+  constexpr std::size_t kChunk = 100;
+  core::ManagerConfig config;
+  config.options.window = core::kRetentionWindow;
+  core::MonitorManager manager(config);
+  ASSERT_TRUE(manager.register_tenant("t"));
+  core::TelemetryPlane plane;
+  plane.attach_manager(&manager);
+  ASSERT_TRUE(plane.start()) << plane.last_error();
+
+  std::atomic<std::size_t> scrapes{0};
+  std::atomic<bool> fed{false};
+  std::thread feeder([&] {
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      manager.feed("t", core::retention_window(w, core::retention_alarms(w)));
+      if ((w + 1) % kChunk != 0) continue;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (scrapes.load() < (w + 1) / kChunk &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    fed = true;
+  });
+  std::size_t rounds = 0;
+  while (!fed.load()) {
+    if (!scrape_is_coherent(plane.port())) {
+      scrapes = kWindows;  // Stop pacing the feeder; the test has failed.
+      break;
+    }
+    ++rounds;
+    ++scrapes;
+  }
+  feeder.join();
+  EXPECT_GE(rounds, kWindows / kChunk);
+
+  manager.stop("t");
+  EXPECT_TRUE(scrape_is_coherent(plane.port()));
+  const auto final_transcript =
+      testing::http_get(plane.port(), "/tenants/t/transcript");
+  ASSERT_TRUE(final_transcript.has_value());
+  EXPECT_EQ(final_transcript->body.rfind(
+                "=== monitor transcript ===\n"
+                "windows=4400 alarms=275 audits_dropped=304\n",
+                0),
+            0u);
+  const auto rotated =
+      testing::http_get(plane.port(), "/tenants/t/provenance?id=19");
+  ASSERT_TRUE(rotated.has_value());
+  EXPECT_EQ(rotated->status, 404);
+  const auto kept =
+      testing::http_get(plane.port(), "/tenants/t/provenance?id=20");
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->status, 200);
+  plane.stop();
 }
 
 TEST(Provenance, TelemetryPlaneServesRecordsAndErrors) {
@@ -195,7 +352,7 @@ TEST(Provenance, TelemetryPlaneServesRecordsAndErrors) {
   core::SlidingMonitor monitor(parsed->config);
   monitor.feed(parsed->events);
   monitor.flush();
-  ASSERT_FALSE(monitor.provenance().empty());
+  ASSERT_FALSE(monitor.snapshot().explained.empty());
 
   core::TelemetryPlane plane;
   plane.attach(&monitor);
@@ -290,7 +447,8 @@ TEST(Provenance, ExplainCliRoundTripsArtifacts) {
   monitor.feed(parsed->events);
   monitor.flush();
   const core::MonitorSnapshot snap = monitor.snapshot();
-  ASSERT_FALSE(snap.provenance.empty());
+  ASSERT_FALSE(snap.explained.empty());
+  const core::ProvenanceRecord& first = snap.explained.front().provenance;
 
   const fs::path dir =
       fs::path(::testing::TempDir()) / "flowdiff_explain_test";
@@ -298,17 +456,15 @@ TEST(Provenance, ExplainCliRoundTripsArtifacts) {
   fs::create_directories(dir);
   ASSERT_TRUE(of::write_file(
       (dir / "provenance.json").string(),
-      core::render_provenance_collection_json(snap.provenance,
+      core::render_provenance_collection_json(snap.provenance(),
                                               snap.provenance_dropped)));
 
   // What explain must print: the record as the JSON carries it, rendered
   // with its latency breakdown. Shortest-round-trip numbers make this
   // byte-identical to rendering the in-memory record.
   const std::string expected =
-      core::render_provenance_text(snap.provenance.front(),
-                                   /*with_latency=*/true);
-  const auto result = run_cli({"explain",
-                               std::to_string(snap.provenance.front().id),
+      core::render_provenance_text(first, /*with_latency=*/true);
+  const auto result = run_cli({"explain", std::to_string(first.id),
                                "--artifacts=" + dir.string()});
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->exit_code, 0) << result->out;
@@ -328,8 +484,9 @@ TEST(Provenance, ExplainCliReadsLivePlane) {
   core::SlidingMonitor monitor(parsed->config);
   monitor.feed(parsed->events);
   monitor.flush();
-  ASSERT_FALSE(monitor.provenance().empty());
-  const std::uint64_t id = monitor.provenance().front().id;
+  const core::MonitorSnapshot snap = monitor.snapshot();
+  ASSERT_FALSE(snap.explained.empty());
+  const std::uint64_t id = snap.explained.front().provenance.id;
   const auto record = find_record(monitor, id);
   ASSERT_TRUE(record.has_value());
 

@@ -63,7 +63,7 @@ std::unique_ptr<SlidingMonitor> run_lab_monitor() {
 TEST_F(ReportTest, MarkdownJoinsTimelineSeriesAndRecorder) {
   const auto monitor_ptr = run_lab_monitor();
   const SlidingMonitor& monitor = *monitor_ptr;
-  ASSERT_FALSE(monitor.alarms().empty());
+  ASSERT_GT(monitor.snapshot().alarms, 0u);
 
   const std::string report =
       render_run_report(monitor.snapshot(), obs::Sampler::global(),
@@ -139,22 +139,27 @@ TEST_F(ReportTest, DegradesWithoutTelemetry) {
 }
 
 TEST_F(ReportTest, AuditRotationIsReportedNotHidden) {
-  exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  MonitorConfig config = monitor_config(lab);
-  config.max_audits = 2;
-  SlidingMonitor monitor(config);
-  for (int w = 0; w < 4; ++w) {
-    monitor.feed(lab.run_window());
-    monitor.flush();
-  }
-  ASSERT_LE(monitor.audits().size(), 2u);
-  ASSERT_GE(monitor.audits_dropped(), 1u);
+  // A snapshot as a long run leaves it: the oldest audit and two alarms
+  // (with their explained windows) have rotated out.
+  const auto monitor_ptr = run_lab_monitor();
+  MonitorSnapshot snap = monitor_ptr->snapshot();
+  ASSERT_GT(snap.alarms, 0u);
+  snap.audits.erase(snap.audits.begin());
+  snap.audits_dropped = 1;
+  snap.alarms += 2;
+  snap.alarms_dropped = 2;
+  snap.provenance_dropped = 2;
 
-  const std::string report =
-      render_run_report(monitor.snapshot(), obs::Sampler::global(),
-                        obs::FlightRecorder::global());
-  EXPECT_NE(report.find("rotated out of the audit trail"),
+  const std::string report = render_run_report(
+      snap, obs::Sampler::global(), obs::FlightRecorder::global());
+  EXPECT_NE(report.find("alarms: " + std::to_string(snap.alarms)),
             std::string::npos);
+  EXPECT_NE(report.find("Oldest 1 window(s) rotated out of the audit trail"),
+            std::string::npos);
+  EXPECT_NE(report.find("Oldest 2 alarm(s) rotated out with their "
+                        "provenance records"),
+            std::string::npos);
+  EXPECT_NE(report.find("Why this alarm fired"), std::string::npos);
 }
 
 }  // namespace

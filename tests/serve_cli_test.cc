@@ -416,9 +416,11 @@ TEST(ServeCli, WorkersIsUnknownOutsideServe) {
 }
 
 TEST(ServeCli, MalformedAutomatonIsAUsageErrorNotAnAbort) {
-  // A non-numeric variable index or port, a port past 65535 and a
-  // token-less state all fail parsing, so `detect` and `monitor --task`
-  // exit with "malformed automaton" (2) instead of dying on an exception.
+  // A non-numeric variable index, port or successor, a port past 65535, a
+  // token-less state, an unknown state flag, a protocol other than 1, 6 or
+  // 17 and a trailing field all fail parsing, so `detect` and
+  // `monitor --task` exit with "malformed automaton" (2) instead of dying
+  // on an exception or running an automaton that never matches.
   const Corpus corpus("steady");
   const fs::path dir = fs::path(::testing::TempDir()) / "malformed_automaton";
   fs::remove_all(dir);
@@ -430,6 +432,12 @@ TEST(ServeCli, MalformedAutomatonIsAUsageErrorNotAnAbort) {
       state + "TOKEN #0 * 10.0.10.1 70000 6\nTRANS\n",
       "TASK bad\nSTATE 0 start\nTOKEN #0 * 10.0.10.1 2049 6\nTRANS 1\n"
       "STATE 1 accept\nTRANS\n",
+      "TASK bad\nSTATE 0 start\nTOKEN #0 * 10.0.10.1 2049 6\nTRANS 1 x 0\n"
+      "STATE 1 accept\nTOKEN #0 * 10.0.10.1 111 6\nTRANS\n",
+      "TASK bad\nSTATE 0 start strat\nTOKEN #0 * 10.0.10.1 2049 6\n"
+      "TRANS\n",
+      state + "TOKEN #0 * 10.0.10.1 2049 99\nTRANS\n",
+      state + "TOKEN #0 * 10.0.10.1 2049 6 extra\nTRANS\n",
   };
   for (std::size_t i = 0; i < automata.size(); ++i) {
     SCOPED_TRACE(automata[i]);

@@ -273,6 +273,48 @@ TEST(TaskAutomaton, ParseRejectsMalformed) {
     EXPECT_FALSE(TaskAutomaton::parse(token("#0", port)).has_value())
         << port;
   }
+  // Every field is checked: successors are whole decimals, state flags are
+  // `start` or `accept`, the protocol is ICMP, TCP or UDP, and a line ends
+  // after its last field.
+  const auto two_states = [](const std::string& state0,
+                             const std::string& token1,
+                             const std::string& trans0) {
+    return "TASK x\nSTATE 0 " + state0 + "\nTOKEN #0 * 10.0.10.1 2049 6\n" +
+           "TRANS " + trans0 + "\nSTATE 1 accept\nTOKEN " + token1 +
+           "\nTRANS\n";
+  };
+  const std::string ok_token = "#0 * 10.0.10.1 111 6";
+  ASSERT_TRUE(
+      TaskAutomaton::parse(two_states("start", ok_token, "1")).has_value());
+  ASSERT_TRUE(
+      TaskAutomaton::parse(two_states("start", ok_token, "0 1")).has_value());
+  for (const char* trans : {"1 x 0", "1x", "x", "-1", "+1", "1 0 ?"}) {
+    EXPECT_FALSE(
+        TaskAutomaton::parse(two_states("start", ok_token, trans)).has_value())
+        << "TRANS " << trans;
+  }
+  for (const char* flags : {"start strat", "strat", "start accept extra",
+                            "begin", "0"}) {
+    EXPECT_FALSE(
+        TaskAutomaton::parse(two_states(flags, ok_token, "1")).has_value())
+        << "STATE 0 " << flags;
+  }
+  for (const char* proto : {"1", "17"}) {
+    EXPECT_TRUE(TaskAutomaton::parse(two_states(
+                    "start", std::string("#0 * 10.0.10.1 111 ") + proto, "1"))
+                    .has_value())
+        << proto;
+  }
+  for (const char* proto : {"99", "0", "256", "-6", "tcp", "6 extra", "6 7"}) {
+    EXPECT_FALSE(TaskAutomaton::parse(two_states(
+                     "start", std::string("#0 * 10.0.10.1 111 ") + proto, "1"))
+                     .has_value())
+        << "TOKEN proto " << proto;
+  }
+  EXPECT_FALSE(
+      TaskAutomaton::parse("TASK x\nSTATE 0x start accept\n"
+                           "TOKEN #0 * 10.0.10.1 111 6\nTRANS\n")
+          .has_value());
 }
 
 TEST(TaskAutomaton, ParseRejectsTokenlessStates) {

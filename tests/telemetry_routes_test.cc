@@ -112,7 +112,8 @@ TEST(TelemetryRoutes, TenantRoutesMatchMonitorRoutes) {
   // Provenance: same status and record ids. The JSON carries wall-clock
   // latency, which differs between the two monitors, so bodies are not
   // compared.
-  ASSERT_GE(monitor.provenance().size(), 2u)
+  const MonitorSnapshot snap = monitor.snapshot();
+  ASSERT_GE(snap.explained.size(), 2u)
       << "the corpus case must produce provenance records";
   for (const char* target :
        {"/provenance", "/provenance?id=1", "/provenance?id=999999",
@@ -130,7 +131,7 @@ TEST(TelemetryRoutes, TenantRoutesMatchMonitorRoutes) {
   EXPECT_TRUE(record_ids(none.tenant).empty())
       << "?limit=0 must return no records";
   EXPECT_EQ(record_ids(get_both("/provenance?limit=1").tenant),
-            std::vector<std::uint64_t>{monitor.provenance().back().id});
+            std::vector<std::uint64_t>{snap.explained.back().provenance.id});
 
   // Report: same status per format (the document carries wall time).
   for (const char* target : {"/report?format=md", "/report?format=html",

@@ -3,10 +3,12 @@
 // sanitizer's pair tracking must not allocate. IncrementalWindowState::
 // reset() must neither allocate nor free. The one release rule (a buffer
 // whose capacity exceeds 4x what the closing window used is freed) must
-// fire after a burst window and at no other time. Task detection allocates
-// per call, never per flow. This binary replaces the global operator
-// new/delete with counting versions.
+// fire after a burst window and at no other time; the monitor manager's
+// batch buffers follow it too. Task detection allocates per call, never per
+// flow. This binary replaces the global operator new/delete with counting
+// versions, which also track the live heap.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -17,6 +19,7 @@
 
 #include "flowdiff/incremental_model.h"
 #include "flowdiff/model.h"
+#include "flowdiff/monitor_manager.h"
 #include "flowdiff/task_automaton.h"
 #include "incremental_stream.h"
 #include "ingest/sanitizer.h"
@@ -27,16 +30,26 @@ namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
+/// Counted allocations of at least g_big_size bytes.
+std::atomic<std::uint64_t> g_big_allocs{0};
+std::atomic<std::size_t> g_big_size{SIZE_MAX};
+/// Usable bytes of every live operator-new block, counted or not.
+std::atomic<std::int64_t> g_live_bytes{0};
 
 void* counted_alloc(std::size_t size, std::size_t align) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (size >= g_big_size.load(std::memory_order_relaxed)) {
+      g_big_allocs.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   if (size == 0) size = 1;
   void* p = align > alignof(std::max_align_t)
                 ? std::aligned_alloc(align, (size + align - 1) / align * align)
                 : std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
   return p;
 }
 
@@ -45,6 +58,8 @@ void counted_free(void* p) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_frees.fetch_add(1, std::memory_order_relaxed);
   }
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
   std::free(p);
 }
 
@@ -93,6 +108,7 @@ namespace {
 struct Heap {
   std::uint64_t allocs = 0;
   std::uint64_t frees = 0;
+  std::uint64_t big_allocs = 0;
 };
 
 /// Heap calls made by `body`, which must not let a gtest assertion allocate
@@ -101,10 +117,11 @@ template <typename Body>
 Heap count_heap(Body&& body) {
   g_allocs = 0;
   g_frees = 0;
+  g_big_allocs = 0;
   g_counting = true;
   body();
   g_counting = false;
-  return Heap{g_allocs.load(), g_frees.load()};
+  return Heap{g_allocs.load(), g_frees.load(), g_big_allocs.load()};
 }
 
 ModelConfig sparse_config() {
@@ -195,6 +212,48 @@ TEST(WindowAlloc, BurstBuffersAreReleasedAfterAQuietWindowOnly) {
     EXPECT_EQ(count_heap([&] { state.reset(); }).frees, 0u);
     EXPECT_EQ(count_heap([&] { feed_all(inc, state, quiet); }).allocs, 0u);
   }
+}
+
+TEST(WindowAlloc, ManagerFreesABurstBatchBufferAndReusesSteadyOnes) {
+  // Echo replies are counted but not modeled, and they all share one
+  // window, so the monitor keeps nothing per event: what the live heap
+  // gains is the manager's batch buffers.
+  const auto echoes = [](std::size_t n) {
+    of::EchoReply echo;
+    echo.sw = SwitchId{1};
+    return std::vector<of::ControlEvent>(
+        n, of::ControlEvent{0, ControllerId{0}, echo});
+  };
+  const auto small = echoes(64);
+  const auto burst = echoes(64 * 1024);
+  const auto burst_bytes =
+      static_cast<std::int64_t>(burst.size() * sizeof(of::ControlEvent));
+  ManagerConfig config;  // No workers: each batch is fed inline.
+  config.options.window = kSecond;
+  MonitorManager manager(config);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(manager.feed("t", small));
+
+  // Steady batches trade two warm buffers and never grow one.
+  g_big_size = small.size() * sizeof(of::ControlEvent);
+  const Heap steady = count_heap([&] {
+    for (int i = 0; i < 100; ++i) manager.feed("t", small);
+  });
+  EXPECT_EQ(steady.big_allocs, 0u);
+
+  const std::int64_t before = g_live_bytes.load();
+  ASSERT_TRUE(manager.feed("t", burst));
+  const std::int64_t held = g_live_bytes.load() - before;
+  EXPECT_GT(held, burst_bytes * 9 / 10);  // Less the small buffer it replaced.
+  // The burst buffer is refilled by small batches and freed after it has
+  // carried one, rather than pinned for the shard's life.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(manager.feed("t", small));
+  EXPECT_LT(g_live_bytes.load() - before, burst_bytes / 8);
+  const Heap after = count_heap([&] {
+    for (int i = 0; i < 100; ++i) manager.feed("t", small);
+  });
+  EXPECT_EQ(after.big_allocs, 0u);
+  g_big_size = SIZE_MAX;
+  manager.stop_all();
 }
 
 /// An in-order, duplicate-free PacketIn/FlowMod stream with flow uids:

@@ -19,7 +19,8 @@
 #      plus the http-labeled telemetry-plane suite — scraping a live
 #      monitor is the cross-thread read path most likely to hide a race —
 #      the provenance-labeled suites (provenance records are built on the
-#      feeding thread and read from the serve thread and explain CLI), and
+#      feeding thread and read from the serve thread and explain CLI,
+#      including while both retention rings rotate), and
 #      the serve-labeled daemon suites: MonitorManager schedules
 #      per-tenant shards across a worker pool, whose windows sample the
 #      one process-wide obs::Sampler, while the telemetry plane reads them;
@@ -126,7 +127,10 @@ if [[ "$skip_ubsan" -eq 0 ]]; then
   ctest --test-dir "$repo/build-ci-ubsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L attack
   # serve/provenance previously reran only under ASan/TSan; integer-heavy
-  # demux and stage-latency math deserve the UBSan pass too.
+  # demux and stage-latency math deserve the UBSan pass too, and so does
+  # ring rotation: the provenance suites feed both retention rings (4096
+  # audits, 256 explained windows) past their caps, one of them while a
+  # second thread scrapes.
   echo "== UBSan: serve daemon + alarm provenance (ctest -L serve/provenance) =="
   ctest --test-dir "$repo/build-ci-ubsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L 'serve|provenance'
@@ -155,7 +159,9 @@ if [[ "$skip_tsan" -eq 0 ]]; then
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L http
   # Provenance rings commit on the feeding thread and are read
-  # concurrently by /provenance scrapes and the explain CLI.
+  # concurrently by /provenance scrapes and the explain CLI; one suite
+  # rotates both retention rings past their caps while another thread
+  # scrapes /provenance?id=, /audits and the transcript.
   echo "== TSan: alarm provenance (ctest -L provenance) =="
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure -j "$jobs" \
     --no-tests=error -L provenance

@@ -540,7 +540,7 @@ int write_provenance_artifact(const core::SlidingMonitor& monitor) {
   const core::MonitorSnapshot snap = monitor.snapshot();
   const std::string path = g_opts.artifacts_dir + "/provenance.json";
   const std::string text = core::render_provenance_collection_json(
-      snap.provenance, snap.provenance_dropped);
+      snap.provenance(), snap.provenance_dropped);
   if (!of::write_file(path, text)) return fail("cannot write " + path);
   return 0;
 }
@@ -576,17 +576,16 @@ int run_file_monitor(
   if (plane) plane->stop();
   if (const int rc = finish(monitor); rc != 0) return rc;
   if (const int rc = write_provenance_artifact(monitor); rc != 0) return rc;
-  return monitor.alarms().empty() ? 0 : 1;
+  return monitor.health().alarms == 0 ? 0 : 1;
 }
 
 /// `monitor`'s output for a finished run: the summary line, the audit
 /// table (with obs on), each alarm's report, and the --report file.
 int print_monitor_run(const core::SlidingMonitor& monitor,
                       const MonitorCliArgs& parsed) {
+  const core::MonitorSnapshot snap = monitor.snapshot();
   std::printf("windows: %zu (baseline captured at t=%.1fs), alarms: %zu\n",
-              monitor.windows_processed(),
-              to_seconds(monitor.baseline_captured_at()),
-              monitor.alarms().size());
+              snap.windows, to_seconds(snap.baseline_begin), snap.alarms);
   if (const std::uint64_t rejected = monitor.health().rejected_out_of_order;
       rejected > 0) {
     std::fprintf(stderr,
@@ -629,11 +628,12 @@ int print_monitor_run(const core::SlidingMonitor& monitor,
     }
     std::printf("\nper-window audit trail:\n%s", table.render().c_str());
   }
-  for (const auto& alarm : monitor.alarms()) {
+  for (const auto& entry : snap.explained) {
+    if (!entry.report) continue;
     std::printf("\n=== ALARM window [%.1fs, %.1fs] ===\n",
-                to_seconds(alarm.window_begin),
-                to_seconds(alarm.window_end));
-    std::fputs(alarm.report.render().c_str(), stdout);
+                to_seconds(entry.provenance.window_begin),
+                to_seconds(entry.provenance.window_end));
+    std::fputs(entry.report->render().c_str(), stdout);
   }
   if (parsed.report_path.empty()) return 0;
   return write_run_report(monitor, parsed.report_path, parsed.html);
