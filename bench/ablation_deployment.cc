@@ -81,8 +81,7 @@ ModeResult run_mode(const std::string& mode) {
 
   core::FlowDiffConfig fd_config;
   const auto specials = lab.services.special_nodes();
-  fd_config.set_special_nodes(
-      std::set<Ipv4>(specials.begin(), specials.end()));
+  fd_config.model.special_nodes = {specials.begin(), specials.end()};
   const core::FlowDiff flowdiff(fd_config);
   const auto baseline = flowdiff.model(baseline_log);
   const auto current = flowdiff.model(faulty_log);

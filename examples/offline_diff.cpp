@@ -50,7 +50,7 @@ int diff_files(const std::string& baseline_path,
       if (end == std::string::npos) break;
       pos = end + 1;
     }
-    config.set_special_nodes(std::move(services));
+    config.model.special_nodes = std::move(services);
   }
 
   const core::FlowDiff flowdiff(config);

@@ -91,7 +91,7 @@ std::optional<CorpusCase> parse_corpus_case(std::string_view text) {
     }
     // Unknown keys are ignored so old binaries can replay newer corpora.
   }
-  out.config.flowdiff.set_special_nodes(services);
+  out.config.flowdiff.model.special_nodes = std::move(services);
 
   auto events = of::parse_control_events(text.substr(eol + 1));
   if (!events) return std::nullopt;

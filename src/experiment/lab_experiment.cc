@@ -77,7 +77,7 @@ of::ControlLog LabExperiment::run_window(faults::FaultInjector* fault) {
 core::FlowDiffConfig LabExperiment::flowdiff_config() const {
   core::FlowDiffConfig config;
   const auto specials = lab_.services.special_nodes();
-  config.set_special_nodes({specials.begin(), specials.end()});
+  config.model.special_nodes = {specials.begin(), specials.end()};
   return config;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "obs/trace.h"
@@ -14,6 +15,11 @@ ConnectivityGraph::Diff ConnectivityGraph::diff(
   d.added = graph.edges_only_in(current.graph);
   d.removed = current.graph.edges_only_in(graph);
   return d;
+}
+
+SimTime flow_rate_end(SimTime begin, SimTime end) {
+  constexpr SimTime kLast = std::numeric_limits<SimTime>::max();
+  return std::max(end, begin > kLast - kSecond ? kLast : begin + kSecond);
 }
 
 double ComponentInteractionSig::chi2_at_node(const NodeCi& expected,
@@ -152,7 +158,7 @@ GroupSignatures extract_group_signatures(const ParsedLog& log,
   // --- FS group-wide flow rate -------------------------------------------
   if (!starts.empty()) {
     const SimTime begin = log.begin;
-    const SimTime end = std::max(log.end, begin + kSecond);
+    const SimTime end = flow_rate_end(begin, log.end);
     const auto buckets =
         static_cast<std::size_t>((end - begin) / kSecond) + 1;
     std::vector<double> per_sec(buckets, 0.0);
@@ -186,14 +192,14 @@ GroupSignatures extract_group_signatures(const ParsedLog& log,
   family_span.emplace("model/sig/PC");
   if (!starts.empty() && log.end > log.begin) {
     const auto epochs = static_cast<std::size_t>(
-                            (log.end - log.begin) / config.pc_epoch) +
+                            (log.end - log.begin) / kPcEpoch) +
                         1;
     std::map<HostEdge, std::vector<double>> series;
     for (const auto& tf : starts) {
       auto& s = series[HostEdge{tf.key.src_ip, tf.key.dst_ip}];
       if (s.empty()) s.assign(epochs, 0.0);
       const auto e =
-          static_cast<std::size_t>((tf.ts - log.begin) / config.pc_epoch);
+          static_cast<std::size_t>((tf.ts - log.begin) / kPcEpoch);
       if (e < epochs) s[e] += 1.0;
     }
     for (const auto& [in_edge, in_series] : series) {

@@ -31,9 +31,11 @@ struct AppSignatureConfig {
   /// Pairing window for delays. Tight enough that coincidental in/out
   /// pairings do not drown the genuine dependency delays.
   SimDuration dd_window = 500 * kMillisecond;
-  SimDuration pc_epoch = kSecond;     ///< Epoch for flow-count series.
   std::uint64_t min_edge_flows = 5;   ///< Ignore sparser edges.
 };
+
+/// Epoch of the per-edge flow-count series that PC correlates.
+inline constexpr SimDuration kPcEpoch = kSecond;
 
 // --- Connectivity graph -----------------------------------------------------
 
@@ -60,6 +62,10 @@ struct FlowStatsSig {
   std::map<HostEdge, EdgeStats> per_edge;
   RunningStats flows_per_sec;  ///< Over one-second buckets, group-wide.
 };
+
+/// End of the group-wide flow rate's one-second buckets over [begin, end):
+/// at least one second past `begin`, saturating at the largest SimTime.
+[[nodiscard]] SimTime flow_rate_end(SimTime begin, SimTime end);
 
 // --- Component interaction ---------------------------------------------------
 

@@ -92,12 +92,44 @@ Confidence change_confidence(SignatureKind kind,
 
 namespace {
 
+// The diff policy, one gate per family (DESIGN.md section 7 tabulates it).
+// Every mean compared needs kMinSamples observations on both sides.
+constexpr std::uint64_t kMinSamples = 5;
+constexpr double kCiChi2 = 0.5;           ///< Node interaction chi-squared.
+constexpr double kDdPeakShiftMs = 25.0;   ///< More than one 20 ms bin.
+/// Largest per-bin mass difference of the delay histograms: tail growth
+/// (e.g. retransmissions) moves mass without moving the mode.
+constexpr double kDdShapeDelta = 0.15;
+constexpr double kPcDelta = 0.35;         ///< Correlation change.
+/// FS: relative shifts of the per-entry means, which must also clear
+/// kFsSigma baseline stddevs, and of the group flow rate.
+constexpr double kFsBytesRel = 0.15;
+constexpr double kFsDurationRel = 0.75;
+constexpr double kFsSigma = 1.5;
+constexpr double kFsRateRel = 0.75;
+/// ISL and CRT: the mean must move past max(floor, sigma x stddev).
+constexpr double kIslShiftMs = 1.0;
+constexpr double kIslSigma = 4.0;
+constexpr double kCrtShiftMs = 0.5;
+constexpr double kCrtSigma = 4.0;
+constexpr double kUtilRel = 0.75;
+constexpr double kUtilFloorMbps = 1.0;    ///< Idle-switch noise below this.
+
+std::string edge_label(const HostEdge& e) {
+  return e.first.to_string() + "->" + e.second.to_string();
+}
+
 ComponentRef edge_component(const HostEdge& e) {
-  return ComponentRef{e.first.to_string() + "->" + e.second.to_string(),
-                      {e.first, e.second}};
+  return ComponentRef{edge_label(e), {e.first, e.second}};
 }
 
 ComponentRef node_component(Ipv4 ip) { return ComponentRef{ip.to_string(), {ip}}; }
+
+std::vector<ComponentRef> node_components(const std::set<Ipv4>& members) {
+  std::vector<ComponentRef> components;
+  for (const Ipv4 ip : members) components.push_back(node_component(ip));
+  return components;
+}
 
 std::string pair_label(const EdgePair& p) {
   return std::get<0>(p).to_string() + "->" + std::get<1>(p).to_string() +
@@ -115,35 +147,53 @@ SimTime edge_first_ts(const GroupModel& group, const HostEdge& e) {
   return it == group.sig.fs.per_edge.end() ? -1 : it->second.first_ts;
 }
 
+/// Both means rest on at least kMinSamples observations.
+bool comparable(const RunningStats& base, const RunningStats& cur) {
+  return base.count() >= kMinSamples && cur.count() >= kMinSamples;
+}
+
+/// The relative shift of a mean when it exceeds `rel_gate` and the
+/// absolute shift exceeds `sigmas` baseline stddevs; 0 otherwise.
+double relative_shift(const RunningStats& base, const RunningStats& cur,
+                      double rel_gate, double sigmas) {
+  if (!comparable(base, cur) || !(base.mean() > 0.0)) return 0.0;
+  const double delta = std::abs(cur.mean() - base.mean());
+  const double rel = delta / base.mean();
+  return rel > rel_gate && delta > sigmas * base.stddev() ? rel : 0.0;
+}
+
+/// The mean shift of a latency baseline (ISL, CRT) when it exceeds the
+/// larger of an absolute floor and `sigmas` baseline stddevs; 0 otherwise.
+double latency_shift(const RunningStats& base, const RunningStats& cur,
+                     double floor_ms, double sigmas) {
+  if (!comparable(base, cur)) return 0.0;
+  const double shift = std::abs(cur.mean() - base.mean());
+  return shift > std::max(floor_ms, sigmas * base.stddev()) ? shift : 0.0;
+}
+
 void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
-                const DiffThresholds& t, std::vector<Change>& out) {
+                std::vector<Change>& out) {
   std::optional<obs::Span> family_span;
 
   // --- CG --------------------------------------------------------------
   family_span.emplace("diff/CG");
   const auto cg_diff = base.sig.cg.diff(cur.sig.cg);
   for (const auto& e : cg_diff.added) {
-    Change c;
-    c.kind = SignatureKind::kCg;
-    c.direction = ChangeDirection::kAdded;
-    c.description = "new edge " + e.first.to_string() + "->" +
-                    e.second.to_string();
-    c.components = {edge_component(e)};
-    c.approx_time = edge_first_ts(cur, e);
-    c.group_index = group_idx;
-    c.magnitude = 1.0;
-    out.push_back(std::move(c));
+    out.push_back({.kind = SignatureKind::kCg,
+                   .direction = ChangeDirection::kAdded,
+                   .description = "new edge " + edge_label(e),
+                   .magnitude = 1.0,
+                   .components = {edge_component(e)},
+                   .approx_time = edge_first_ts(cur, e),
+                   .group_index = group_idx});
   }
   for (const auto& e : cg_diff.removed) {
-    Change c;
-    c.kind = SignatureKind::kCg;
-    c.direction = ChangeDirection::kRemoved;
-    c.description = "missing edge " + e.first.to_string() + "->" +
-                    e.second.to_string();
-    c.components = {edge_component(e)};
-    c.group_index = group_idx;
-    c.magnitude = 1.0;
-    out.push_back(std::move(c));
+    out.push_back({.kind = SignatureKind::kCg,
+                   .direction = ChangeDirection::kRemoved,
+                   .description = "missing edge " + edge_label(e),
+                   .magnitude = 1.0,
+                   .components = {edge_component(e)},
+                   .group_index = group_idx});
   }
 
   // --- FS --------------------------------------------------------------
@@ -152,64 +202,38 @@ void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
     const auto it = cur.sig.fs.per_edge.find(edge);
     if (it == cur.sig.fs.per_edge.end()) continue;
     const auto& cur_stats = it->second;
-    if (base_stats.bytes.count() >= t.min_samples &&
-        cur_stats.bytes.count() >= t.min_samples &&
-        base_stats.bytes.mean() > 0.0) {
-      const double delta =
-          std::abs(cur_stats.bytes.mean() - base_stats.bytes.mean());
-      const double rel = delta / base_stats.bytes.mean();
-      // The sigma gate suppresses edges whose per-entry byte counts are
-      // naturally noisy (heavily reused connections aggregate a variable
-      // number of requests per flow entry).
-      if (rel > t.fs_bytes_rel &&
-          delta > t.fs_sigma * base_stats.bytes.stddev()) {
-        Change c;
-        c.kind = SignatureKind::kFs;
-        c.description = "byte count on " + edge.first.to_string() + "->" +
-                        edge.second.to_string() + " changed " +
-                        std::to_string(static_cast<int>(rel * 100)) + "%";
-        c.magnitude = rel;
-        c.components = {edge_component(edge)};
-        c.group_index = group_idx;
-        out.push_back(std::move(c));
-      }
+    // The sigma gate suppresses edges whose per-entry counters are
+    // naturally noisy (heavily reused connections aggregate a variable
+    // number of requests per flow entry).
+    if (const double rel = relative_shift(base_stats.bytes, cur_stats.bytes,
+                                          kFsBytesRel, kFsSigma)) {
+      out.push_back({.kind = SignatureKind::kFs,
+                     .description =
+                         "byte count on " + edge_label(edge) + " changed " +
+                         std::to_string(static_cast<int>(rel * 100)) + "%",
+                     .magnitude = rel,
+                     .components = {edge_component(edge)},
+                     .group_index = group_idx});
     }
-    if (base_stats.duration_ms.count() >= t.min_samples &&
-        cur_stats.duration_ms.count() >= t.min_samples &&
-        base_stats.duration_ms.mean() > 0.0) {
-      const double ddelta = std::abs(cur_stats.duration_ms.mean() -
-                                     base_stats.duration_ms.mean());
-      const double rel = ddelta / base_stats.duration_ms.mean();
-      if (rel > t.fs_duration_rel &&
-          ddelta > t.fs_sigma * base_stats.duration_ms.stddev()) {
-        Change c;
-        c.kind = SignatureKind::kFs;
-        c.description = "flow duration on " + edge.first.to_string() + "->" +
-                        edge.second.to_string() + " changed";
-        c.magnitude = rel;
-        c.components = {edge_component(edge)};
-        c.group_index = group_idx;
-        out.push_back(std::move(c));
-      }
+    if (const double rel =
+            relative_shift(base_stats.duration_ms, cur_stats.duration_ms,
+                           kFsDurationRel, kFsSigma)) {
+      out.push_back({.kind = SignatureKind::kFs,
+                     .description =
+                         "flow duration on " + edge_label(edge) + " changed",
+                     .magnitude = rel,
+                     .components = {edge_component(edge)},
+                     .group_index = group_idx});
     }
   }
-  if (base.sig.fs.flows_per_sec.count() >= t.min_samples &&
-      cur.sig.fs.flows_per_sec.count() >= t.min_samples &&
-      base.sig.fs.flows_per_sec.mean() > 0.0) {
-    const double rel = std::abs(cur.sig.fs.flows_per_sec.mean() -
-                                base.sig.fs.flows_per_sec.mean()) /
-                       base.sig.fs.flows_per_sec.mean();
-    if (rel > t.fs_rate_rel) {
-      Change c;
-      c.kind = SignatureKind::kFs;
-      c.description = "group flow rate changed";
-      c.magnitude = rel;
-      for (const Ipv4 ip : base.sig.members) {
-        c.components.push_back(node_component(ip));
-      }
-      c.group_index = group_idx;
-      out.push_back(std::move(c));
-    }
+  if (const double rel =
+          relative_shift(base.sig.fs.flows_per_sec, cur.sig.fs.flows_per_sec,
+                         kFsRateRel, 0.0)) {
+    out.push_back({.kind = SignatureKind::kFs,
+                   .description = "group flow rate changed",
+                   .magnitude = rel,
+                   .components = node_components(base.sig.members),
+                   .group_index = group_idx});
   }
 
   // --- CI (chi-squared fitness; unstable nodes skipped) -----------------
@@ -218,20 +242,19 @@ void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
     if (base.unstable_ci_nodes.contains(node)) continue;
     const auto it = cur.sig.ci.per_node.find(node);
     if (it == cur.sig.ci.per_node.end()) continue;
-    if (base_ci.total < t.min_samples || it->second.total < t.min_samples) {
+    if (base_ci.total < kMinSamples || it->second.total < kMinSamples) {
       continue;
     }
     const double chi2 =
         ComponentInteractionSig::chi2_at_node(base_ci, it->second);
-    if (chi2 > t.ci_chi2) {
-      Change c;
-      c.kind = SignatureKind::kCi;
-      c.description =
-          "component interaction at " + node.to_string() + " changed";
-      c.magnitude = chi2;
-      c.components = {node_component(node)};
-      c.group_index = group_idx;
-      out.push_back(std::move(c));
+    if (chi2 > kCiChi2) {
+      out.push_back(
+          {.kind = SignatureKind::kCi,
+           .description =
+               "component interaction at " + node.to_string() + " changed",
+           .magnitude = chi2,
+           .components = {node_component(node)},
+           .group_index = group_idx});
     }
   }
 
@@ -250,25 +273,20 @@ void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
         base.shape_unstable_dd_pairs.contains(pair)
             ? 0.0
             : dd_shape_distance(base_dd, it->second);
-    if (peak_shift > t.dd_peak_shift_ms || shape_delta > t.dd_shape_delta) {
-      const bool by_peak = peak_shift > t.dd_peak_shift_ms;
-      Change c;
-      c.kind = SignatureKind::kDd;
-      if (by_peak) {
-        c.description = "delay peak at " + pair_label(pair) + " shifted " +
-                        std::to_string(static_cast<int>(peak_shift)) + "ms";
-        c.magnitude = peak_shift;
-      } else {
-        c.description = "delay distribution at " + pair_label(pair) +
-                        " reshaped (mass delta " +
-                        std::to_string(static_cast<int>(shape_delta * 100)) +
-                        "%)";
-        c.magnitude = shape_delta;
-      }
-      c.components = {pair_component(pair)};
-      c.group_index = group_idx;
-      out.push_back(std::move(c));
-    }
+    const bool by_peak = peak_shift > kDdPeakShiftMs;
+    if (!by_peak && !(shape_delta > kDdShapeDelta)) continue;
+    out.push_back(
+        {.kind = SignatureKind::kDd,
+         .description =
+             by_peak ? "delay peak at " + pair_label(pair) + " shifted " +
+                           std::to_string(static_cast<int>(peak_shift)) + "ms"
+                     : "delay distribution at " + pair_label(pair) +
+                           " reshaped (mass delta " +
+                           std::to_string(static_cast<int>(shape_delta * 100)) +
+                           "%)",
+         .magnitude = by_peak ? peak_shift : shape_delta,
+         .components = {pair_component(pair)},
+         .group_index = group_idx});
   }
 
   // --- PC ----------------------------------------------------------------
@@ -278,14 +296,13 @@ void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
     const auto it = cur.sig.pc.rho.find(pair);
     if (it == cur.sig.pc.rho.end()) continue;
     const double delta = std::abs(it->second - base_rho);
-    if (delta > t.pc_delta) {
-      Change c;
-      c.kind = SignatureKind::kPc;
-      c.description = "correlation at " + pair_label(pair) + " changed";
-      c.magnitude = delta;
-      c.components = {pair_component(pair)};
-      c.group_index = group_idx;
-      out.push_back(std::move(c));
+    if (delta > kPcDelta) {
+      out.push_back({.kind = SignatureKind::kPc,
+                     .description =
+                         "correlation at " + pair_label(pair) + " changed",
+                     .magnitude = delta,
+                     .components = {pair_component(pair)},
+                     .group_index = group_idx});
     }
   }
 }
@@ -293,8 +310,7 @@ void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
 }  // namespace
 
 std::vector<Change> diff_models(const BehaviorModel& baseline,
-                                const BehaviorModel& current,
-                                const DiffThresholds& thresholds) {
+                                const BehaviorModel& current) {
   const obs::Span span("diff");
   static obs::LatencyHistogram& run_ms =
       obs::Registry::global().histogram("diff.run_ms", 1.0);
@@ -309,39 +325,33 @@ std::vector<Change> diff_models(const BehaviorModel& baseline,
   for (std::size_t g = 0; g < baseline.groups.size(); ++g) {
     const int match = match_group(current, baseline.groups[g].sig.members);
     if (match < 0) {
-      Change c;
-      c.kind = SignatureKind::kCg;
-      c.direction = ChangeDirection::kRemoved;
-      c.description = "application group disappeared";
-      for (const Ipv4 ip : baseline.groups[g].sig.members) {
-        c.components.push_back(ComponentRef{ip.to_string(), {ip}});
-      }
-      c.group_index = static_cast<int>(g);
-      c.magnitude = 1.0;
-      out.push_back(std::move(c));
+      out.push_back(
+          {.kind = SignatureKind::kCg,
+           .direction = ChangeDirection::kRemoved,
+           .description = "application group disappeared",
+           .magnitude = 1.0,
+           .components = node_components(baseline.groups[g].sig.members),
+           .group_index = static_cast<int>(g)});
       continue;
     }
     current_matched[static_cast<std::size_t>(match)] = true;
     diff_group(baseline.groups[g],
                current.groups[static_cast<std::size_t>(match)],
-               static_cast<int>(g), thresholds, out);
+               static_cast<int>(g), out);
   }
   for (std::size_t g = 0; g < current.groups.size(); ++g) {
     if (current_matched[g]) continue;
-    Change c;
-    c.kind = SignatureKind::kCg;
-    c.direction = ChangeDirection::kAdded;
-    c.description = "new application group appeared";
     SimTime earliest = -1;
-    for (const Ipv4 ip : current.groups[g].sig.members) {
-      c.components.push_back(ComponentRef{ip.to_string(), {ip}});
-    }
     for (const auto& [edge, stats] : current.groups[g].sig.fs.per_edge) {
       if (earliest < 0 || stats.first_ts < earliest) earliest = stats.first_ts;
     }
-    c.approx_time = earliest;
-    c.magnitude = 1.0;
-    out.push_back(std::move(c));
+    out.push_back(
+        {.kind = SignatureKind::kCg,
+         .direction = ChangeDirection::kAdded,
+         .description = "new application group appeared",
+         .magnitude = 1.0,
+         .components = node_components(current.groups[g].sig.members),
+         .approx_time = earliest});
   }
 
   // --- PT ------------------------------------------------------------------
@@ -362,21 +372,19 @@ std::vector<Change> diff_models(const BehaviorModel& baseline,
     return false;
   };
   auto pt_change = [&out](const std::pair<PtNode, PtNode>& e, bool added) {
-    Change c;
-    c.kind = SignatureKind::kPt;
-    c.direction = added ? ChangeDirection::kAdded : ChangeDirection::kRemoved;
-    c.description = std::string(added ? "new" : "missing") +
-                    " physical link " + e.first + "->" + e.second;
-    ComponentRef ref;
-    ref.label = e.first + "->" + e.second;
+    ComponentRef ref{e.first + "->" + e.second, {}};
     for (const auto& node : {e.first, e.second}) {
       if (node.starts_with("host:")) {
         if (auto ip = Ipv4::parse(node.substr(5))) ref.ips.push_back(*ip);
       }
     }
-    c.components = {std::move(ref)};
-    c.magnitude = 1.0;
-    out.push_back(std::move(c));
+    out.push_back(
+        {.kind = SignatureKind::kPt,
+         .direction = added ? ChangeDirection::kAdded : ChangeDirection::kRemoved,
+         .description = std::string(added ? "new" : "missing") +
+                        " physical link " + e.first + "->" + e.second,
+         .magnitude = 1.0,
+         .components = {std::move(ref)}});
   };
   // A missing edge is only evidence of change when both endpoints are
   // still visible in the current window — an entirely dark switch is a
@@ -397,13 +405,12 @@ std::vector<Change> diff_models(const BehaviorModel& baseline,
   for (const auto& node : baseline.infra.pt.graph.nodes()) {
     if (!node.starts_with("sw:")) continue;
     if (current.infra.pt.graph.has_node(node)) continue;
-    Change c;
-    c.kind = SignatureKind::kPt;
-    c.direction = ChangeDirection::kRemoved;
-    c.description = "switch " + node + " disappeared from control traffic";
-    c.components = {ComponentRef{node, {}}};
-    c.magnitude = 1.0;
-    out.push_back(std::move(c));
+    out.push_back({.kind = SignatureKind::kPt,
+                   .direction = ChangeDirection::kRemoved,
+                   .description =
+                       "switch " + node + " disappeared from control traffic",
+                   .magnitude = 1.0,
+                   .components = {ComponentRef{node, {}}}});
   }
 
   // --- ISL -------------------------------------------------------------------
@@ -411,27 +418,16 @@ std::vector<Change> diff_models(const BehaviorModel& baseline,
   for (const auto& [pair, base_stats] : baseline.infra.isl.latency_ms) {
     const auto it = current.infra.isl.latency_ms.find(pair);
     if (it == current.infra.isl.latency_ms.end()) continue;
-    if (base_stats.count() < thresholds.min_samples ||
-        it->second.count() < thresholds.min_samples) {
-      continue;
-    }
-    const double shift = std::abs(it->second.mean() - base_stats.mean());
-    const double gate = std::max(thresholds.isl_shift_ms,
-                                 thresholds.isl_sigma * base_stats.stddev());
-    if (shift > gate) {
-      Change c;
-      c.kind = SignatureKind::kIsl;
-      c.description = "inter-switch latency sw" +
-                      std::to_string(pair.first) + "->sw" +
-                      std::to_string(pair.second) + " shifted " +
-                      std::to_string(shift) + "ms";
-      c.magnitude = shift;
-      c.components = {ComponentRef{
-          "sw" + std::to_string(pair.first) + "->sw" +
-              std::to_string(pair.second),
-          {}}};
-      out.push_back(std::move(c));
-    }
+    const double shift =
+        latency_shift(base_stats, it->second, kIslShiftMs, kIslSigma);
+    if (shift == 0.0) continue;
+    const std::string label = "sw" + std::to_string(pair.first) + "->sw" +
+                              std::to_string(pair.second);
+    out.push_back({.kind = SignatureKind::kIsl,
+                   .description = "inter-switch latency " + label +
+                                  " shifted " + std::to_string(shift) + "ms",
+                   .magnitude = shift,
+                   .components = {ComponentRef{label, {}}}});
   }
 
   // --- Polled utilization ---------------------------------------------------
@@ -439,45 +435,33 @@ std::vector<Change> diff_models(const BehaviorModel& baseline,
   for (const auto& [sw, base_load] : baseline.infra.load.mbps) {
     const auto it = current.infra.load.mbps.find(sw);
     if (it == current.infra.load.mbps.end()) continue;
-    if (base_load.count() < thresholds.min_samples ||
-        it->second.count() < thresholds.min_samples) {
-      continue;
-    }
+    if (!comparable(base_load, it->second)) continue;
     const double delta = std::abs(it->second.mean() - base_load.mean());
-    if (delta < thresholds.util_floor_mbps) continue;
+    if (delta < kUtilFloorMbps) continue;
     const double base_mean = std::max(base_load.mean(), 0.1);
-    if (delta / base_mean > thresholds.util_rel) {
-      Change c;
-      c.kind = SignatureKind::kUtil;
-      c.description = "polled throughput at sw" + std::to_string(sw) +
-                      " changed " + std::to_string(base_load.mean()) +
-                      " -> " + std::to_string(it->second.mean()) + " Mbps";
-      c.magnitude = delta / base_mean;
-      c.components = {ComponentRef{"sw" + std::to_string(sw), {}}};
-      out.push_back(std::move(c));
+    if (delta / base_mean > kUtilRel) {
+      out.push_back({.kind = SignatureKind::kUtil,
+                     .description = "polled throughput at sw" +
+                                    std::to_string(sw) + " changed " +
+                                    std::to_string(base_load.mean()) + " -> " +
+                                    std::to_string(it->second.mean()) +
+                                    " Mbps",
+                     .magnitude = delta / base_mean,
+                     .components = {ComponentRef{"sw" + std::to_string(sw),
+                                                 {}}}});
     }
   }
 
   // --- CRT --------------------------------------------------------------------
-  {
-    family_span.emplace("diff/CRT");
-    const auto& base_crt = baseline.infra.crt.response_ms;
-    const auto& cur_crt = current.infra.crt.response_ms;
-    if (base_crt.count() >= thresholds.min_samples &&
-        cur_crt.count() >= thresholds.min_samples) {
-      const double shift = std::abs(cur_crt.mean() - base_crt.mean());
-      const double gate = std::max(thresholds.crt_shift_ms,
-                                   thresholds.crt_sigma * base_crt.stddev());
-      if (shift > gate) {
-        Change c;
-        c.kind = SignatureKind::kCrt;
-        c.description = "controller response time shifted " +
-                        std::to_string(shift) + "ms";
-        c.magnitude = shift;
-        c.components = {ComponentRef{"controller", {}}};
-        out.push_back(std::move(c));
-      }
-    }
+  family_span.emplace("diff/CRT");
+  if (const double shift =
+          latency_shift(baseline.infra.crt.response_ms,
+                        current.infra.crt.response_ms, kCrtShiftMs, kCrtSigma)) {
+    out.push_back({.kind = SignatureKind::kCrt,
+                   .description = "controller response time shifted " +
+                                  std::to_string(shift) + "ms",
+                   .magnitude = shift,
+                   .components = {ComponentRef{"controller", {}}}});
   }
   family_span.reset();
 

@@ -1,6 +1,9 @@
 // Signature diffing (paper SectionIV-A): compares two behavior models and
 // emits a list of Changes, each tagged with the signature kind and the
-// physical/logical components involved.
+// physical/logical components involved. Each family is judged by one fixed
+// test (chi-squared for CI, peak shift and shape for DD, correlation delta
+// for PC, mean shifts for FS/ISL/CRT/UTIL) whose cut-offs are constants
+// next to the code in diff.cc; no caller tunes them.
 #pragma once
 
 #include <cstdint>
@@ -75,31 +78,9 @@ struct Change {
   Confidence confidence = Confidence::kHigh;
 };
 
-struct DiffThresholds {
-  double ci_chi2 = 0.5;
-  double dd_peak_shift_ms = 25.0;    ///< > one 20 ms bin.
-  /// Largest per-bin probability-mass difference between the two delay
-  /// histograms. Catches tail growth (e.g. retransmissions) that moves
-  /// mass without moving the mode.
-  double dd_shape_delta = 0.15;
-  double pc_delta = 0.35;
-  double fs_bytes_rel = 0.15;        ///< Relative mean bytes/entry change.
-  double fs_duration_rel = 0.75;
-  double fs_sigma = 1.5;             ///< And the shift must clear this many
-                                     ///< baseline stddevs (noise gate).
-  double fs_rate_rel = 0.75;         ///< Group flow-rate change.
-  double isl_shift_ms = 1.0;
-  double util_rel = 0.75;            ///< Relative polled-throughput change.
-  double util_floor_mbps = 1.0;      ///< Ignore idle-switch noise below this.
-  double isl_sigma = 4.0;            ///< Or this many baseline stddevs.
-  double crt_shift_ms = 0.5;
-  double crt_sigma = 4.0;
-  std::uint64_t min_samples = 5;
-};
 
-/// Diffs `current` against the `baseline` model.
+/// Diffs `current` against `baseline` (DESIGN.md section 7 lists the gates).
 std::vector<Change> diff_models(const BehaviorModel& baseline,
-                                const BehaviorModel& current,
-                                const DiffThresholds& thresholds);
+                                const BehaviorModel& current);
 
 }  // namespace flowdiff::core

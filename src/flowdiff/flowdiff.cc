@@ -2,19 +2,15 @@
 
 #include <algorithm>
 
+#include "flowdiff/validate.h"
 #include "obs/trace.h"
 #include "util/table.h"
 
 namespace flowdiff::core {
 
-void FlowDiffConfig::set_special_nodes(std::set<Ipv4> nodes) {
-  model.special_nodes = nodes;
-  validation.service_ips = nodes;
-  detector.service_ips = std::move(nodes);
-}
-
 FlowDiff::FlowDiff(FlowDiffConfig config)
     : config_(std::move(config)),
+      detector_{.service_ips = config_.model.special_nodes},
       modeler_(config_.model),
       incremental_(config_.model) {}
 
@@ -46,21 +42,22 @@ DiffReport FlowDiff::diff(const BehaviorModel& baseline,
   const obs::Span report_span("report");
   DiffReport report;
   if (quality != nullptr) report.quality = *quality;
-  report.changes = diff_models(baseline, current, config_.thresholds);
+  std::vector<Change> changes = diff_models(baseline, current);
 
   if (!tasks.empty()) {
     const obs::Span span("diff/tasks");
     report.detected_tasks =
-        detect_tasks(tasks, config_.detector, current.flow_starts);
+        detect_tasks(tasks, detector_, current.flow_starts);
   }
 
   {
     const obs::Span span("diff/validate");
-    const ValidatedChanges validated = validate_changes(
-        report.changes, report.detected_tasks, config_.validation);
-    report.known = validated.known;
-    report.known_explanations = validated.explanations;
-    report.unknown = validated.unknown;
+    ValidatedChanges validated =
+        validate_changes(std::move(changes), report.detected_tasks,
+                         config_.model.special_nodes);
+    report.known = std::move(validated.known);
+    report.known_explanations = std::move(validated.explanations);
+    report.unknown = std::move(validated.unknown);
   }
 
   if (report.degraded()) {
@@ -68,22 +65,16 @@ DiffReport FlowDiff::diff(const BehaviorModel& baseline,
     // tolerance, then withhold low-confidence unknowns from diagnosis —
     // an FS shift measured over a 5%-corrupted stream is as likely an
     // artifact of the capture as of the data center.
-    const auto grade = [&report](std::vector<Change>& changes) {
-      for (auto& change : changes) {
-        change.confidence = change_confidence(change.kind, report.quality);
-      }
-    };
-    grade(report.changes);
-    grade(report.known);
-    grade(report.unknown);
+    for (auto& change : report.known) {
+      change.confidence = change_confidence(change.kind, report.quality);
+    }
     std::vector<Change> trusted;
     trusted.reserve(report.unknown.size());
     for (auto& change : report.unknown) {
-      if (change.confidence == Confidence::kLow) {
-        report.suppressed.push_back(std::move(change));
-      } else {
-        trusted.push_back(std::move(change));
-      }
+      change.confidence = change_confidence(change.kind, report.quality);
+      auto& to = change.confidence == Confidence::kLow ? report.suppressed
+                                                       : trusted;
+      to.push_back(std::move(change));
     }
     report.unknown = std::move(trusted);
     static obs::Counter& suppressed =
@@ -110,11 +101,10 @@ DiffReport FlowDiff::diff(const BehaviorModel& baseline,
 MinedTask FlowDiff::learn_task(const std::string& name,
                                const std::vector<of::FlowSequence>& runs,
                                bool mask_subjects) const {
-  MiningConfig mining;
-  mining.mask_subjects = mask_subjects;
-  mining.service_ips = config_.detector.service_ips;
-  mining.ephemeral_floor = config_.detector.ephemeral_floor;
-  return mine_task(name, runs, mining);
+  return mine_task(name, runs,
+                   {.mask_subjects = mask_subjects,
+                    .service_ips = config_.model.special_nodes,
+                    .ephemeral_floor = detector_.ephemeral_floor});
 }
 
 std::string DiffReport::render() const {
@@ -123,7 +113,7 @@ std::string DiffReport::render() const {
   // whether or not a sanitizer sat in front of the diff.
   std::string out;
   out += "=== FlowDiff report ===\n";
-  out += "changes: " + std::to_string(changes.size()) + " (known " +
+  out += "changes: " + std::to_string(change_count()) + " (known " +
          std::to_string(known.size()) + ", unknown " +
          std::to_string(unknown.size()) + ")\n";
   if (degraded()) {

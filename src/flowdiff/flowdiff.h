@@ -6,9 +6,11 @@
 //   auto report = fd.diff(baseline, current, learned_task_automata);
 //   std::cout << report.render();
 //
-// The report lists every signature change, splits known (task-explained)
-// from unknown changes, classifies the likely problem type via the
-// dependency matrix, and ranks the implicated components.
+// The report splits the changes into known (task-explained), unknown and
+// suppressed ones, classifies the likely problem type via the dependency
+// matrix, and ranks the implicated components. Every tolerance is a
+// constant; the one domain input is the service set,
+// config.model.special_nodes, read by modeling, detection and validation.
 #pragma once
 
 #include <string>
@@ -20,22 +22,16 @@
 #include "flowdiff/model.h"
 #include "flowdiff/task_automaton.h"
 #include "flowdiff/task_mining.h"
-#include "flowdiff/validate.h"
 
 namespace flowdiff::core {
 
 struct FlowDiffConfig {
   ModelConfig model;
-  DiffThresholds thresholds;
-  ValidationConfig validation;
-  DetectorConfig detector;
-
-  /// Propagates the special-node list into every sub-config that needs it.
-  void set_special_nodes(std::set<Ipv4> nodes);
 };
 
+/// Every change the diff found sits in exactly one of known, unknown and
+/// suppressed.
 struct DiffReport {
-  std::vector<Change> changes;              ///< Everything the diff found.
   std::vector<Change> known;                ///< Task-explained changes.
   std::vector<std::string> known_explanations;
   std::vector<Change> unknown;              ///< Needs operator attention.
@@ -51,6 +47,10 @@ struct DiffReport {
   ingest::StreamQuality quality;
 
   [[nodiscard]] bool clean() const { return unknown.empty(); }
+  /// Number of changes the diff found.
+  [[nodiscard]] std::size_t change_count() const {
+    return known.size() + unknown.size() + suppressed.size();
+  }
   /// The capture stream showed hard corruption evidence; confidence
   /// grades and the suppressed list are meaningful.
   [[nodiscard]] bool degraded() const { return quality.degraded(); }
@@ -82,12 +82,11 @@ class FlowDiff {
       const std::vector<TaskAutomaton>& tasks = {},
       const ingest::StreamQuality* quality = nullptr) const;
 
-  /// Convenience: learn a task automaton with the facade's service list.
+  /// Convenience: learn a task automaton with the facade's service set.
   [[nodiscard]] MinedTask learn_task(
       const std::string& name, const std::vector<of::FlowSequence>& runs,
       bool mask_subjects) const;
 
-  [[nodiscard]] const FlowDiffConfig& config() const { return config_; }
   /// The from-scratch modeler (the oracle; see Modeler): only the
   /// monitor's oracle mode and the identity tests run it.
   [[nodiscard]] const Modeler& modeler() const { return modeler_; }
@@ -99,6 +98,8 @@ class FlowDiff {
 
  private:
   FlowDiffConfig config_;
+  /// Detection settings: the service set, other fields at their defaults.
+  DetectorConfig detector_;
   Modeler modeler_;
   IncrementalModeler incremental_;
 };

@@ -78,7 +78,7 @@ void add_ci(const std::vector<EdgeSlice>& slices,
   }
 }
 
-/// PC over `epochs` epochs of `app.pc_epoch` from `t0`, exactly as the
+/// PC over `epochs` epochs of `kPcEpoch` from `t0`, exactly as the
 /// from-scratch extractor computes it on the same flow starts.
 void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
             std::size_t epochs, const AppSignatureConfig& app,
@@ -87,7 +87,7 @@ void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
                                           std::vector<double>(epochs, 0.0));
   for (std::size_t i = 0; i < slices.size(); ++i) {
     for (const SimTime ts : slices[i].starts) {
-      const auto ep = static_cast<std::size_t>((ts - t0) / app.pc_epoch);
+      const auto ep = static_cast<std::size_t>((ts - t0) / kPcEpoch);
       if (ep < epochs) series[i][ep] += 1.0;
     }
   }
@@ -111,8 +111,7 @@ void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
 void assemble_group(const State& st, const std::vector<EdgeView>& views,
                     const GroupWork& work, const std::set<Ipv4>& members,
                     SimTime begin, SimTime end, int segments,
-                    const ModelConfig& config, GroupModel& out) {
-  const AppSignatureConfig& app = config.app;
+                    const AppSignatureConfig& app, GroupModel& out) {
   GroupSignatures& sig = out.sig;
   sig.members = members;
 
@@ -139,7 +138,7 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
 
   // --- FS group-wide flow rate --------------------------------------------
   if (!slices.empty()) {
-    const SimTime rate_end = std::max(end, begin + kSecond);
+    const SimTime rate_end = flow_rate_end(begin, end);
     const auto buckets =
         static_cast<std::size_t>((rate_end - begin) / kSecond) + 1;
     std::vector<double> per_sec(buckets, 0.0);
@@ -175,7 +174,7 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
   // --- PC window-wide ------------------------------------------------------
   if (!slices.empty() && end > begin) {
     add_pc(slices, begin,
-           static_cast<std::size_t>((end - begin) / app.pc_epoch) + 1, app,
+           static_cast<std::size_t>((end - begin) / kPcEpoch) + 1, app,
            sig.pc);
   }
 
@@ -194,7 +193,7 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
     slice_edges(work, t0, t1, slices);
     add_ci(slices, seg.ci);
     if (!slices.empty() && t1 > t0) {
-      add_pc(slices, t0, static_cast<std::size_t>((t1 - t0) / app.pc_epoch) + 1,
+      add_pc(slices, t0, static_cast<std::size_t>((t1 - t0) / kPcEpoch) + 1,
              app, seg.pc);
     }
     for (const TripleView* t : survivors) {
@@ -206,7 +205,7 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
     }
   }
 
-  analyze_group_stability(per_segment, config, out);
+  analyze_group_stability(per_segment, out);
 }
 
 /// Infrastructure signatures from the incremental state. CRT and UTIL are
@@ -562,7 +561,7 @@ BehaviorModel IncrementalModeler::finalize(const State& st) const {
     const obs::Span sig_span("model/signatures");
     for (std::size_t g = 0; g < group_count; ++g) {
       assemble_group(st, views, work[g], groups.groups[g], model.begin,
-                     model.end, segments, config_, model.groups[g]);
+                     model.end, segments, config_.app, model.groups[g]);
     }
   }
   return model;

@@ -40,13 +40,23 @@ GroupSignatures extract_segment_signatures(const ParsedLog& parsed,
                                   config.app);
 }
 
+// Stability tolerances: how far a component may wander across segments
+// before the diff skips it (DESIGN.md section 7).
+constexpr double kCiStabilityChi2 = 0.3;  ///< Between any two segments.
+constexpr double kDdStabilityMs = 25.0;   ///< Peak spread.
+constexpr double kDdShapeStability = 0.2; ///< Pairs-per-in-flow wobble.
+/// Visible out-flows per in-flow below which reuse hides most of the
+/// dependency, so only the DD peak is compared.
+constexpr double kDdVisibilityRatio = 0.7;
+constexpr double kPcStabilitySd = 0.25;   ///< Stddev of segment rhos.
+
 }  // namespace
 
 /// Pure reduction: reads the full-window signatures in `group.sig` and the
 /// per-segment sub-models, writes only the unstable sets
 /// (std::set — insertion order is irrelevant to the result).
 void analyze_group_stability(const std::vector<GroupSignatures>& per_segment,
-                             const ModelConfig& config, GroupModel& group) {
+                             GroupModel& group) {
   const int segments = static_cast<int>(per_segment.size());
 
   // CI: any segment pair with a large chi-squared marks the node unstable.
@@ -59,7 +69,7 @@ void analyze_group_stability(const std::vector<GroupSignatures>& per_segment,
         const auto ib = per_segment[b].ci.per_node.find(node);
         if (ib == per_segment[b].ci.per_node.end()) continue;
         if (ComponentInteractionSig::chi2_at_node(ia->second, ib->second) >
-            config.ci_stability_chi2) {
+            kCiStabilityChi2) {
           unstable = true;
           break;
         }
@@ -76,8 +86,7 @@ void analyze_group_stability(const std::vector<GroupSignatures>& per_segment,
     // in-flows, the shape of the delay histogram is dominated by *which*
     // out-flows happened to be visible — only the peak is trustworthy.
     if (static_cast<double>(window_dd.out_flows) <
-        config.dd_visibility_ratio *
-            static_cast<double>(window_dd.in_flows)) {
+        kDdVisibilityRatio * static_cast<double>(window_dd.in_flows)) {
       group.shape_unstable_dd_pairs.insert(pair);
     }
     double lo = 0.0;
@@ -97,14 +106,13 @@ void analyze_group_stability(const std::vector<GroupSignatures>& per_segment,
       }
       ++present;
     }
-    if (present >= 2 && hi - lo > config.dd_stability_ms) {
+    if (present >= 2 && hi - lo > kDdStabilityMs) {
       group.unstable_dd_pairs.insert(pair);
       continue;
     }
     for (std::size_t a = 0; a < seen.size(); ++a) {
       for (std::size_t b = a + 1; b < seen.size(); ++b) {
-        if (dd_shape_distance(*seen[a], *seen[b]) >
-            config.dd_shape_stability) {
+        if (dd_shape_distance(*seen[a], *seen[b]) > kDdShapeStability) {
           group.shape_unstable_dd_pairs.insert(pair);
           a = seen.size();
           break;
@@ -120,7 +128,7 @@ void analyze_group_stability(const std::vector<GroupSignatures>& per_segment,
       const auto it = seg.pc.rho.find(pair);
       if (it != seg.pc.rho.end()) stats.add(it->second);
     }
-    if (stats.count() >= 2 && stats.stddev() > config.pc_stability_sd) {
+    if (stats.count() >= 2 && stats.stddev() > kPcStabilitySd) {
       group.unstable_pc_pairs.insert(pair);
     }
   }
@@ -212,7 +220,7 @@ BehaviorModel Modeler::build(const of::ControlLog& log) const {
       per_segment.push_back(extract_segment_signatures(
           per_group[g], groups.groups[g], config, s, segments));
     }
-    analyze_group_stability(per_segment, config, group);
+    analyze_group_stability(per_segment, group);
   }
   return model;
 }

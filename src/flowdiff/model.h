@@ -5,7 +5,9 @@
 // Stability (paper SectionIII-B): the log is partitioned into segments and a
 // signature component is only trusted for diffing if it is consistent
 // across segments; e.g. component interaction under non-uniform load
-// balancing is excluded to avoid false positives.
+// balancing is excluded to avoid false positives. The tolerances of that
+// test are constants in model.cc, shared by the from-scratch and the
+// incremental modeler through analyze_group_stability.
 #pragma once
 
 #include <set>
@@ -20,17 +22,9 @@ namespace flowdiff::core {
 
 struct ModelConfig {
   AppSignatureConfig app;
-  std::set<Ipv4> special_nodes;  ///< Domain knowledge: service IPs.
+  /// Service IPs, the facade's one service set (detection, validation).
+  std::set<Ipv4> special_nodes;
   int stability_segments = 4;
-  double ci_stability_chi2 = 0.3;
-  double dd_stability_ms = 25.0;   ///< Peak wander tolerated across segments.
-  /// Max histogram-shape wobble (pairs-per-in-flow delta) tolerated across
-  /// segments; noisier pairs (reuse-hidden dependencies) are excluded.
-  double dd_shape_stability = 0.2;
-  /// Minimum visible out-flows per in-flow for the delay *shape* to be
-  /// compared; below this, reuse hides most of the dependency.
-  double dd_visibility_ratio = 0.7;
-  double pc_stability_sd = 0.25;
 };
 
 struct GroupModel {
@@ -78,7 +72,7 @@ int match_group(const BehaviorModel& model, const std::set<Ipv4>& members);
 /// finalize, which reconstructs the same per-segment inputs from its
 /// aggregates — keep the read set in sync with both producers.
 void analyze_group_stability(const std::vector<GroupSignatures>& per_segment,
-                             const ModelConfig& config, GroupModel& group);
+                             GroupModel& group);
 
 /// Deterministic, lossless dump of every BehaviorModel field (doubles in
 /// hexfloat). Two models are bit-identical iff their descriptions are

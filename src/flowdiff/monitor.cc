@@ -372,7 +372,7 @@ void SlidingMonitor::process_window(
     record.events = audit.events;
     record.alarmed = !clean;
   }
-  audit.changes = report.changes.size();
+  audit.changes = report.change_count();
   audit.known = report.known.size();
   audit.unknown = report.unknown.size();
   audit.suppressed = report.suppressed.size();
@@ -400,7 +400,7 @@ void SlidingMonitor::process_window(
     explained->report = std::move(report);  // Unknowns: always explained.
   } else {
     metrics().clean.inc();
-    if (report.changes.empty()) {
+    if (report.change_count() == 0) {
       audit.decision = "clean: no signature changes vs baseline";
     } else if (report.suppressed.empty()) {
       audit.decision = "clean: " + std::to_string(report.known.size()) +

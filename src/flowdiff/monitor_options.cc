@@ -40,7 +40,7 @@ MonitorConfig MonitorOptions::monitor_config() const {
   config.sanitize = sanitize;
   if (lateness) config.ingest.lateness_horizon = *lateness;
   config.incremental = incremental;
-  config.flowdiff.set_special_nodes(services);
+  config.flowdiff.model.special_nodes = services;
   config.tasks = tasks;
   return config;
 }

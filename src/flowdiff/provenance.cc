@@ -304,7 +304,7 @@ ProvenanceRecord build_provenance(const DiffReport& report,
                                   std::size_t top_k) {
   if (top_k == 0) top_k = 1;
   ProvenanceRecord rec;
-  rec.changes = report.changes.size();
+  rec.changes = report.change_count();
   rec.known = report.known.size();
   rec.unknown = report.unknown.size();
   rec.suppressed = report.suppressed.size();

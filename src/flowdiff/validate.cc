@@ -6,6 +6,10 @@ namespace flowdiff::core {
 
 namespace {
 
+/// How far outside a task occurrence's span a change's first observation
+/// may lie and still count as that task's footprint.
+constexpr SimDuration kTimeSlack = 5 * kSecond;
+
 /// Only structural changes can be the direct footprint of an operator task;
 /// performance signatures (DD/PC/ISL/CRT) are never task-explained.
 bool task_explainable(SignatureKind kind) {
@@ -14,11 +18,11 @@ bool task_explainable(SignatureKind kind) {
 }
 
 bool explains(const TaskOccurrence& task, const Change& change,
-              const ValidationConfig& config) {
+              const std::set<Ipv4>& service_ips) {
   // Every non-service host the change touches must be involved in the task.
   for (const auto& component : change.components) {
     for (const Ipv4 ip : component.ips) {
-      if (config.service_ips.contains(ip)) continue;
+      if (service_ips.contains(ip)) continue;
       if (std::find(task.involved.begin(), task.involved.end(), ip) ==
           task.involved.end()) {
         return false;
@@ -26,8 +30,8 @@ bool explains(const TaskOccurrence& task, const Change& change,
     }
   }
   if (change.approx_time >= 0) {
-    if (change.approx_time < task.begin - config.time_slack ||
-        change.approx_time > task.end + config.time_slack) {
+    if (change.approx_time < task.begin - kTimeSlack ||
+        change.approx_time > task.end + kTimeSlack) {
       return false;
     }
   }
@@ -36,28 +40,28 @@ bool explains(const TaskOccurrence& task, const Change& change,
 
 }  // namespace
 
-ValidatedChanges validate_changes(const std::vector<Change>& changes,
+ValidatedChanges validate_changes(std::vector<Change> changes,
                                   const std::vector<TaskOccurrence>& tasks,
-                                  const ValidationConfig& config) {
+                                  const std::set<Ipv4>& service_ips) {
   ValidatedChanges out;
-  for (const auto& change : changes) {
+  for (auto& change : changes) {
     const TaskOccurrence* match = nullptr;
     if (task_explainable(change.kind)) {
       for (const auto& task : tasks) {
-        if (explains(task, change, config)) {
+        if (explains(task, change, service_ips)) {
           match = &task;
           break;
         }
       }
     }
     if (match != nullptr) {
-      out.known.push_back(change);
+      out.known.push_back(std::move(change));
       out.explanations.push_back("explained by task '" + match->task +
                                  "' at t=" +
                                  std::to_string(to_seconds(match->begin)) +
                                  "s");
     } else {
-      out.unknown.push_back(change);
+      out.unknown.push_back(std::move(change));
     }
   }
   return out;

@@ -1,6 +1,7 @@
 #include "ingest/sanitizer.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.h"
 #include "openflow/log_io.h"
@@ -92,10 +93,13 @@ void StreamSanitizer::push_one(const of::ControlEvent& event,
   if (ring_count_ > 0 && event.ts < ring_at(ring_count_ - 1).event.ts) {
     side_.emplace(event.ts, Slot{event, std::move(identity)});
   } else {
-    if (ring_count_ == ring_.size()) ring_grow();
+    if (ring_count_ == ring_.size()) {
+      ring_resize(std::max<std::size_t>(64, 2 * ring_.size()));
+    }
     Slot& slot = ring_at(ring_count_++);
     slot.event = event;
     slot.identity = std::move(identity);
+    ring_peak_ = std::max(ring_peak_, ring_count_);
   }
   depth_peak_ = std::max(depth_peak_, buffered());
   max_ts_ = std::max(max_ts_, event.ts);
@@ -174,14 +178,23 @@ void StreamSanitizer::release(SimTime watermark, const Sink& sink) {
     }
   }
   released_up_to_ = std::max(released_up_to_, watermark);
+  if (ring_cut_) {
+    // recycle(): a ring over 4x the closed window's peak shrinks to the
+    // power of two (at least 64) that holds that peak.
+    if (ring_.size() > std::max<std::size_t>(64, 4 * ring_peak_)) {
+      ring_resize(std::max<std::size_t>(64, std::bit_ceil(ring_peak_)));
+    }
+    ring_peak_ = ring_count_;
+    ring_cut_ = false;
+  }
 }
 
-void StreamSanitizer::ring_grow() {
-  std::vector<Slot> grown(ring_.empty() ? 64 : 2 * ring_.size());
+void StreamSanitizer::ring_resize(std::size_t size) {
+  std::vector<Slot> resized(size);
   for (std::size_t i = 0; i < ring_count_; ++i) {
-    grown[i] = std::move(ring_at(i));
+    resized[i] = std::move(ring_at(i));
   }
-  ring_.swap(grown);
+  ring_.swap(resized);
   ring_head_ = 0;
 }
 
@@ -232,6 +245,7 @@ StreamQuality StreamSanitizer::take_window_quality() {
   total_.orphan_flow_mods += window_.orphan_flow_mods;
   StreamQuality out = window_;
   window_ = StreamQuality{};
+  ring_cut_ = true;
   return out;
 }
 

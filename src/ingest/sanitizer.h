@@ -14,7 +14,8 @@
 //     timestamp order; arrivals behind an already-released watermark are
 //     dropped and counted (late_dropped). In-order arrivals — nearly all
 //     of a live capture — append to a reused ring; only displaced ones
-//     pay for an ordered side buffer;
+//     pay for an ordered side buffer. The ring follows the recycle() rule
+//     of util/flat_map.h at each window cut, so one burst cannot pin it;
 //   * duplicate suppression — an arrival identical to a buffered event
 //     with the same timestamp (same message type, switch, flow key,
 //     xid/cookie-equivalent uid, counters) is dropped and counted;
@@ -78,7 +79,8 @@ class StreamSanitizer {
   /// Takes the counters accumulated since the last call (plus the
   /// PacketIn/FlowMod reconciliation of the events released in between)
   /// and resets them. Events still buffered have been counted as fed but
-  /// not yet kept; the totals reconcile once flush() has run.
+  /// not yet kept; the totals reconcile once flush() has run. Each call is
+  /// a window cut for the reorder ring's recycle() rule.
   [[nodiscard]] StreamQuality take_window_quality();
 
   /// Whole-run totals (never reset). After flush(),
@@ -134,7 +136,8 @@ class StreamSanitizer {
   [[nodiscard]] Slot& ring_at(std::size_t i) {
     return ring_[(ring_head_ + i) & (ring_.size() - 1)];
   }
-  void ring_grow();
+  /// Moves the buffered slots, in order, into a ring of `size` slots.
+  void ring_resize(std::size_t size);
 
   SanitizerConfig config_;
   /// Reorder buffer, in two parts whose merge by (ts, arrival order) is
@@ -152,6 +155,11 @@ class StreamSanitizer {
   std::vector<Slot> ring_;
   std::size_t ring_head_ = 0;
   std::size_t ring_count_ = 0;
+  /// Deepest ring_count_ of the open window. A window cut only sets
+  /// ring_cut_: a monitor cuts from inside the sink, while release() still
+  /// holds a ring slot, so the ring is judged at the end of that release.
+  std::size_t ring_peak_ = 0;
+  bool ring_cut_ = false;
   std::multimap<SimTime, Slot> side_;
   /// Timestamps are signed and a corrupted capture can legally parse to a
   /// negative one, so -1 is not a safe "nothing yet" sentinel: it would

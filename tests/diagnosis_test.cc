@@ -256,7 +256,7 @@ TEST(DdMean, NothingDownstreamDependsOnMeanMs) {
     return m;
   };
   auto outputs = [](const BehaviorModel& base, const BehaviorModel& cur) {
-    const auto changes = diff_models(base, cur, DiffThresholds{});
+    const auto changes = diff_models(base, cur);
     std::string out = build_dependency_matrix(changes).render();
     for (const auto& c : changes) {
       out += to_string(c.kind) + std::string("|") + c.description + "|" +

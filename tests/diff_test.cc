@@ -60,7 +60,7 @@ std::set<SignatureKind> kinds_of(const std::vector<Change>& changes) {
 TEST(DiffModels, IdenticalModelsProduceNoChanges) {
   const auto base = model_from(chain_log(30, 50 * kMillisecond, kSecond));
   const auto cur = model_from(chain_log(30, 50 * kMillisecond, kSecond));
-  EXPECT_TRUE(diff_models(base, cur, DiffThresholds{}).empty());
+  EXPECT_TRUE(diff_models(base, cur).empty());
 }
 
 TEST(DiffModels, NewCgEdgeDetectedWithTimestamp) {
@@ -72,7 +72,7 @@ TEST(DiffModels, NewCgEdgeDetectedWithTimestamp) {
             static_cast<std::uint16_t>(42000 + i)));
   }
   const auto changes =
-      diff_models(base, model_from(cur_log), DiffThresholds{});
+      diff_models(base, model_from(cur_log));
   const auto* cg = [&]() -> const Change* {
     for (const auto& c : changes) {
       if (c.kind == SignatureKind::kCg &&
@@ -95,7 +95,7 @@ TEST(DiffModels, MissingCgEdgeDetected) {
     return o.key.src_ip == kB;
   });
   const auto changes =
-      diff_models(base, model_from(cur_log), DiffThresholds{});
+      diff_models(base, model_from(cur_log));
   bool missing_edge = false;
   for (const auto& c : changes) {
     if (c.kind == SignatureKind::kCg &&
@@ -111,7 +111,7 @@ TEST(DiffModels, MissingCgEdgeDetected) {
 TEST(DiffModels, DdPeakShiftDetected) {
   const auto base = model_from(chain_log(40, 50 * kMillisecond, kSecond));
   const auto cur = model_from(chain_log(40, 130 * kMillisecond, kSecond));
-  const auto changes = diff_models(base, cur, DiffThresholds{});
+  const auto changes = diff_models(base, cur);
   ASSERT_TRUE(kinds_of(changes).contains(SignatureKind::kDd));
   for (const auto& c : changes) {
     if (c.kind == SignatureKind::kDd) {
@@ -123,7 +123,7 @@ TEST(DiffModels, DdPeakShiftDetected) {
 TEST(DiffModels, SmallDdShiftIgnored) {
   const auto base = model_from(chain_log(40, 50 * kMillisecond, kSecond));
   const auto cur = model_from(chain_log(40, 58 * kMillisecond, kSecond));
-  const auto changes = diff_models(base, cur, DiffThresholds{});
+  const auto changes = diff_models(base, cur);
   EXPECT_FALSE(kinds_of(changes).contains(SignatureKind::kDd));
 }
 
@@ -131,7 +131,7 @@ TEST(DiffModels, UnstableDdPairSkipped) {
   auto base = model_from(chain_log(40, 50 * kMillisecond, kSecond));
   base.groups[0].unstable_dd_pairs.insert(EdgePair{kA, kB, kC});
   const auto cur = model_from(chain_log(40, 130 * kMillisecond, kSecond));
-  const auto changes = diff_models(base, cur, DiffThresholds{});
+  const auto changes = diff_models(base, cur);
   EXPECT_FALSE(kinds_of(changes).contains(SignatureKind::kDd));
 }
 
@@ -150,10 +150,10 @@ TEST(DiffModels, FsByteChangeDetected) {
     return model_from(log);
   };
   const auto changes =
-      diff_models(make(10000), make(18000), DiffThresholds{});
+      diff_models(make(10000), make(18000));
   ASSERT_TRUE(kinds_of(changes).contains(SignatureKind::kFs));
   const auto no_changes =
-      diff_models(make(10000), make(11000), DiffThresholds{});
+      diff_models(make(10000), make(11000));
   EXPECT_FALSE(kinds_of(no_changes).contains(SignatureKind::kFs));
 }
 
@@ -162,7 +162,7 @@ TEST(DiffModels, GroupRateChangeDetected) {
   // Same duration, 5x the arrival rate.
   const auto cur =
       model_from(chain_log(100, 50 * kMillisecond, kSecond / 5));
-  const auto changes = diff_models(base, cur, DiffThresholds{});
+  const auto changes = diff_models(base, cur);
   bool rate_change = false;
   for (const auto& c : changes) {
     if (c.kind == SignatureKind::kFs &&
@@ -178,7 +178,7 @@ TEST(DiffModels, DisappearedGroupReported) {
   BehaviorModel empty;
   empty.begin = 0;
   empty.end = 30 * kSecond;
-  const auto changes = diff_models(base, empty, DiffThresholds{});
+  const auto changes = diff_models(base, empty);
   ASSERT_EQ(changes.size(), 1u);
   EXPECT_EQ(changes[0].kind, SignatureKind::kCg);
   EXPECT_NE(changes[0].description.find("disappeared"), std::string::npos);
@@ -187,7 +187,7 @@ TEST(DiffModels, DisappearedGroupReported) {
 TEST(DiffModels, NewGroupReported) {
   BehaviorModel empty;
   const auto cur = model_from(chain_log(30, 50 * kMillisecond, kSecond));
-  const auto changes = diff_models(empty, cur, DiffThresholds{});
+  const auto changes = diff_models(empty, cur);
   ASSERT_EQ(changes.size(), 1u);
   EXPECT_NE(changes[0].description.find("new application group"),
             std::string::npos);
@@ -208,10 +208,10 @@ TEST(DiffModels, IslShiftDetected) {
     return model_from(log);
   };
   const auto changes =
-      diff_models(with_isl(0.5), with_isl(5.0), DiffThresholds{});
+      diff_models(with_isl(0.5), with_isl(5.0));
   EXPECT_TRUE(kinds_of(changes).contains(SignatureKind::kIsl));
   const auto no_changes =
-      diff_models(with_isl(0.5), with_isl(0.6), DiffThresholds{});
+      diff_models(with_isl(0.5), with_isl(0.6));
   EXPECT_FALSE(kinds_of(no_changes).contains(SignatureKind::kIsl));
 }
 
@@ -224,7 +224,7 @@ TEST(DiffModels, CrtShiftDetected) {
     return model_from(log);
   };
   const auto changes =
-      diff_models(with_crt(0.2), with_crt(4.0), DiffThresholds{});
+      diff_models(with_crt(0.2), with_crt(4.0));
   EXPECT_TRUE(kinds_of(changes).contains(SignatureKind::kCrt));
 }
 

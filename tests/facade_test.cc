@@ -1,5 +1,5 @@
-// FlowDiff facade: configuration propagation, report rendering paths, and
-// the learn_task convenience wrapper.
+// FlowDiff facade: the one service set, report rendering paths, and the
+// learn_task convenience wrapper.
 #include <gtest/gtest.h>
 
 #include "experiment/lab_experiment.h"
@@ -9,13 +9,79 @@
 namespace flowdiff::core {
 namespace {
 
-TEST(FlowDiffConfig, SetSpecialNodesPropagatesEverywhere) {
+// The facade's one service set is model.special_nodes: validation and
+// task detection both read it from there.
+const Ipv4 kVm(10, 0, 1, 1);
+const Ipv4 kHost(10, 0, 2, 1);
+const Ipv4 kNfs(10, 0, 10, 1);
+
+FlowDiff facade_serving(Ipv4 service) {
   FlowDiffConfig config;
-  const std::set<Ipv4> nodes{Ipv4(1, 2, 3, 4), Ipv4(5, 6, 7, 8)};
-  config.set_special_nodes(nodes);
-  EXPECT_EQ(config.model.special_nodes, nodes);
-  EXPECT_EQ(config.validation.service_ips, nodes);
-  EXPECT_EQ(config.detector.service_ips, nodes);
+  config.model.special_nodes = {service};
+  return FlowDiff(config);
+}
+
+TaskAutomaton automaton(const std::string& text) {
+  auto parsed = TaskAutomaton::parse(text);
+  EXPECT_TRUE(parsed.has_value()) << text;
+  return parsed.value_or(TaskAutomaton{});
+}
+
+of::TimedFlow flow(SimTime ts, Ipv4 src, std::uint16_t sport, Ipv4 dst,
+                   std::uint16_t dport) {
+  return {ts, of::FlowKey{src, dst, sport, dport, of::Proto::kTcp}};
+}
+
+TEST(FlowDiffFacade, ValidationReadsTheServiceSet) {
+  // A migration from kVm to kHost explains a new edge kVm -> kNfs: the
+  // task does not involve kNfs, which only the service set excuses.
+  const TaskAutomaton migrate = automaton(
+      "TASK migrate\n"
+      "STATE 0 start accept\nTOKEN #0 * #1 8002 6\nTRANS\n");
+  GroupModel group;
+  group.sig.members = {kVm, kHost, kNfs};
+  group.sig.cg.graph.add_edge(kVm, kHost);
+  BehaviorModel baseline;
+  baseline.groups = {group};
+  BehaviorModel current = baseline;
+  current.groups[0].sig.cg.graph.add_edge(kVm, kNfs);
+  current.groups[0].sig.fs.per_edge[HostEdge{kVm, kNfs}].first_ts =
+      10 * kSecond;
+  current.flow_starts = {flow(9 * kSecond, kVm, 40000, kHost, 8002)};
+
+  const DiffReport report =
+      facade_serving(kNfs).diff(baseline, current, {migrate});
+  ASSERT_EQ(report.detected_tasks.size(), 1u);
+  EXPECT_EQ(report.change_count(), 1u);
+  ASSERT_EQ(report.known.size(), 1u);
+  EXPECT_EQ(report.known[0].description,
+            "new edge " + kVm.to_string() + "->" + kNfs.to_string());
+  EXPECT_TRUE(report.unknown.empty());
+  EXPECT_TRUE(report.clean());
+}
+
+TEST(FlowDiffFacade, DetectionReadsTheServiceSet) {
+  // kVm mounts kNfs, then copies to a host. A copy to the service itself
+  // comes first; a subject variable must not bind to the service.
+  const TaskAutomaton mount_then_copy = automaton(
+      "TASK mount_then_copy\n"
+      "STATE 0 start\nTOKEN #0 * 10.0.10.1 2049 6\nTRANS 1\n"
+      "STATE 1 accept\nTOKEN #0 * #1 8002 6\nTRANS\n");
+  BehaviorModel current;
+  current.flow_starts = {
+      flow(1000 * kMillisecond, kVm, 40000, kNfs, 2049),
+      flow(1100 * kMillisecond, kVm, 40001, kNfs, 8002),
+      flow(1200 * kMillisecond, kVm, 40002, kHost, 8002),
+  };
+
+  const DiffReport report =
+      facade_serving(kNfs).diff(BehaviorModel{}, current, {mount_then_copy});
+  ASSERT_EQ(report.detected_tasks.size(), 1u);
+  const TaskOccurrence& task = report.detected_tasks[0];
+  EXPECT_EQ(task.task, "mount_then_copy");
+  EXPECT_EQ(task.begin, 1000 * kMillisecond);
+  EXPECT_EQ(task.end, 1200 * kMillisecond);
+  EXPECT_EQ(task.involved, (std::vector<Ipv4>{kVm, kHost, kNfs}));
 }
 
 TEST(FlowDiffFacade, LearnTaskUsesConfiguredServices) {
@@ -104,8 +170,8 @@ TEST(FlowDiffFacade, ModelerMatchesFacade) {
   const FlowDiff flowdiff(config);
   const BehaviorModel via_facade = flowdiff.model(log);
   ASSERT_EQ(via_modeler.groups.size(), via_facade.groups.size());
-  EXPECT_TRUE(flowdiff.diff(via_modeler, via_facade).changes.empty());
-  EXPECT_TRUE(flowdiff.diff(via_facade, via_modeler).changes.empty());
+  EXPECT_EQ(flowdiff.diff(via_modeler, via_facade).change_count(), 0u);
+  EXPECT_EQ(flowdiff.diff(via_facade, via_modeler).change_count(), 0u);
 }
 
 TEST(FlowDiffFacade, ModelRespectsSignatureConfig) {

@@ -112,7 +112,7 @@ TEST_P(RandomLogTest, PipelineNeverChokesAndSelfDiffIsClean) {
   const auto model = flowdiff.model(log);
   // Self-diff must be clean whatever garbage went in.
   const auto report = flowdiff.diff(model, model);
-  EXPECT_TRUE(report.changes.empty());
+  EXPECT_EQ(report.change_count(), 0u);
   // Rendering must not throw on any content.
   EXPECT_FALSE(report.render().empty());
 }
@@ -198,7 +198,7 @@ TEST(ByteLevelCorruption, LineCorruptedLogStillParsesAndModels) {
     EXPECT_EQ(sanitized.quality.fed, events->size());
     const core::FlowDiff flowdiff{core::FlowDiffConfig{}};
     const auto model = flowdiff.model(sanitized.log);
-    EXPECT_TRUE(flowdiff.diff(model, model).changes.empty());
+    EXPECT_EQ(flowdiff.diff(model, model).change_count(), 0u);
   }
 }
 
@@ -303,7 +303,7 @@ TEST(AdversarialNumericSweep, EveryNumericFieldFailsCleanlyOrSurvives) {
             << mutated;
         const core::FlowDiff flowdiff{core::FlowDiffConfig{}};
         const auto model = flowdiff.model(sanitized.log);
-        EXPECT_TRUE(flowdiff.diff(model, model).changes.empty()) << mutated;
+        EXPECT_EQ(flowdiff.diff(model, model).change_count(), 0u) << mutated;
       };
 
       for (const std::string& sub : substitutions) {
@@ -444,8 +444,7 @@ TEST(HostileTimestamp, GapEndingAtInt64MaxDoesNotOverflow) {
   // Window arithmetic right at the top of the range: the far event is the
   // last timestamp whose window still ends inside int64 (the flush closes
   // it at INT64_MAX), and the gap before it spans most of the range. It is
-  // an echo, which no signature family models: the modelers' flow-rate
-  // horizon (one second past the window start) is not range-safe up here.
+  // an echo, which no signature family models.
   constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
   for (const bool sanitize : {false, true}) {
     SCOPED_TRACE(sanitize ? "sanitized" : "unsanitized");
@@ -467,6 +466,33 @@ TEST(HostileTimestamp, GapEndingAtInt64MaxDoesNotOverflow) {
     EXPECT_GT(monitor.audits()[1].window_begin, kMax - 40 * kSecond);
     EXPECT_EQ(monitor.audits()[1].window_end, kMax);
   }
+}
+
+TEST(HostileTimestamp, CaptureStartingNearInt64MaxModelsLikeTheOracle) {
+  // The first 100 events of the steady corpus capture, moved to within a
+  // second of INT64_MAX: each modeler's one-second flow-rate horizon past
+  // the capture start must saturate, not overflow, and the facade must
+  // still match the from-scratch build.
+  constexpr SimTime kShift = 9'223'372'036'854'000'000;
+  const auto text =
+      of::read_file(std::string(FLOWDIFF_CORPUS_DIR) + "/steady.log");
+  ASSERT_TRUE(text.has_value());
+  const auto events = of::parse_control_events(*text);
+  ASSERT_TRUE(events.has_value());
+  ASSERT_GE(events->size(), 100u);
+  of::ControlLog log;
+  for (std::size_t i = 0; i < 100; ++i) {
+    of::ControlEvent event = (*events)[i];
+    ASSERT_LE(event.ts, std::numeric_limits<SimTime>::max() - kShift);
+    event.ts += kShift;
+    log.append(event);
+  }
+  const core::FlowDiff flowdiff(core::FlowDiffConfig{});
+  const core::BehaviorModel model = flowdiff.model(log);
+  ASSERT_FALSE(model.groups.empty());
+  EXPECT_GT(model.groups.front().sig.fs.flows_per_sec.count(), 0u);
+  EXPECT_EQ(core::describe_model(model),
+            core::describe_model(flowdiff.modeler().build(log)));
 }
 
 TEST(HostileTimestamp, NegativeTimestampsAreRejectedAndCounted) {

@@ -4,7 +4,8 @@
 // as the from-scratch oracle, and the same model for every window; the
 // ingest sanitizer must be invisible on a clean stream, and a telemetry
 // scraper on another thread must never perturb (or tear) what the monitor
-// commits.
+// commits. A corrupted capture cycling every fault family, fed in 50 ms
+// chunks through a serve tenant, must match the oracle window by window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,12 +18,20 @@
 #include <vector>
 
 #include "experiment/corpus.h"
+#include "experiment/lab_experiment.h"
 #include "experiment/scalability.h"
+#include "faults/corruptor.h"
+#include "faults/faults.h"
 #include "flowdiff/monitor.h"
+#include "flowdiff/monitor_manager.h"
 #include "flowdiff/telemetry.h"
 #include "http_test_util.h"
 #include "incremental_stream.h"
 #include "openflow/log_io.h"
+#include "workload/fingerprint.h"
+#include "workload/flood.h"
+#include "workload/incast.h"
+#include "workload/tasks.h"
 
 namespace flowdiff::core {
 namespace {
@@ -268,6 +277,176 @@ TEST(MonitorIdentity, SanitizedTranscriptRenderIsInvariant) {
   const std::string plain = transcript(false);
   EXPECT_FALSE(plain.empty());
   EXPECT_EQ(transcript(true), plain);
+}
+
+// --- One incident storm cycle ----------------------------------------------
+
+/// One capture window of `lab` with one fault family active, the seven
+/// families an incident storm cycles through.
+of::ControlLog storm_fault_window(exp::LabExperiment& lab, int family) {
+  const auto& scenario = lab.lab();
+  const SimTime begin = lab.now();
+  switch (family) {
+    case 0: {
+      faults::ServerSlowdownFault f(lab.net(), scenario.host("S4"),
+                                    60 * kMillisecond, "logging");
+      return lab.run_window(&f);
+    }
+    case 1: {
+      faults::UnauthorizedAccessFault f(
+          lab.net(), scenario.host("S21"), scenario.host("S14"), 3306,
+          begin + 5 * kSecond, begin + 20 * kSecond, 20);
+      return lab.run_window(&f);
+    }
+    case 2: {
+      faults::LinkLossFault f(
+          lab.net(),
+          {lab.net().topology().host(scenario.host("S4")).links.front()},
+          0.2);
+      return lab.run_window(&f);
+    }
+    case 3: {
+      faults::ControllerOverloadFault f(lab.controller(), 40.0);
+      return lab.run_window(&f);
+    }
+    case 4: {
+      std::vector<HostId> botnet;
+      for (const char* name : {"S1", "S5", "S9", "S13", "S18", "S22"}) {
+        botnet.push_back(scenario.host(name));
+      }
+      wl::VolumetricFlood flood(lab.net(), std::move(botnet),
+                                scenario.ip("S7"), wl::FloodSpec{}, Rng(902));
+      flood.start(begin + 3 * kSecond, begin + 27 * kSecond);
+      return lab.run_window();
+    }
+    case 5: {
+      std::vector<HostId> workers;
+      for (const char* name : {"S1", "S2", "S5", "S6", "S8", "S9", "S11",
+                               "S13", "S16", "S17", "S21", "S22"}) {
+        workers.push_back(scenario.host(name));
+      }
+      wl::IncastTraffic incast(lab.net(), std::move(workers),
+                               scenario.host("S10"), wl::IncastSpec{},
+                               Rng(903));
+      incast.start(begin + 3 * kSecond, begin + 27 * kSecond);
+      return lab.run_window();
+    }
+    default: {
+      wl::FingerprintProber prober(lab.net(), scenario.host("S16"),
+                                   scenario.services.ntp,
+                                   wl::FingerprintSpec{}, Rng(901));
+      prober.start(begin + 3 * kSecond, begin + 27 * kSecond);
+      return lab.run_window();
+    }
+  }
+}
+
+struct StormCapture {
+  MonitorOptions options;
+  /// Arrival order, behind a 1% drop/dup/reorder/truncate capture point.
+  std::vector<of::ControlEvent> arrivals;
+};
+
+/// A healthy window, then a healthy and a fault window per family, with
+/// the monitor set up as a serve tenant: 40 s windows, sanitizer on, fixed
+/// baseline, the lab's services and a learned task automaton.
+const StormCapture& storm_capture() {
+  static const StormCapture capture = [] {
+    StormCapture out;
+    exp::LabExperimentConfig config;
+    config.seed = 300;
+    exp::LabExperiment lab(config);
+    const FlowDiff learner(lab.flowdiff_config());
+    Rng rng(17);
+    std::vector<of::FlowSequence> runs;
+    for (int i = 0; i < 10; ++i) {
+      runs.push_back(wl::expand_task(wl::vm_startup_profile(0),
+                                     {lab.lab().ip("VM1")},
+                                     lab.lab().services, rng, 0)
+                         .flows);
+    }
+    out.options.window = 40 * kSecond;
+    out.options.sanitize = true;
+    out.options.services = lab.flowdiff_config().model.special_nodes;
+    out.options.tasks = {
+        learner.learn_task("vm_startup_0", runs, true).automaton};
+
+    of::ControlLog merged;
+    const auto add = [&merged](const of::ControlLog& log) {
+      for (const auto& event : log.events()) merged.append(event);
+    };
+    add(lab.run_window());
+    for (int family = 0; family < 7; ++family) {
+      add(lab.run_window());
+      add(storm_fault_window(lab, family));
+    }
+    faults::StreamCorruptor corruptor(
+        faults::CorruptorConfig::uniform(0.01, 301));
+    out.arrivals = corruptor.corrupt(merged);
+    return out;
+  }();
+  return capture;
+}
+
+/// The arrivals a tail polled every `poll` of capture time finds: a chunk
+/// ends before the first event stamped at or after the next poll; events
+/// stamped earlier (reordered ones) stay in the chunk that is open.
+std::vector<std::vector<of::ControlEvent>> capture_chunks(
+    const std::vector<of::ControlEvent>& arrivals, SimDuration poll) {
+  std::vector<std::vector<of::ControlEvent>> chunks(1);
+  if (arrivals.empty()) return chunks;
+  const SimTime first = arrivals.front().ts;
+  SimTime next_poll = first + poll;
+  for (const auto& event : arrivals) {
+    if (event.ts >= next_poll) {
+      chunks.emplace_back();
+      next_poll = first + ((event.ts - first) / poll + 1) * poll;
+    }
+    chunks.back().push_back(event);
+  }
+  return chunks;
+}
+
+bool accounting_holds(const ingest::StreamQuality& q) {
+  return q.fed == q.kept + q.duplicates + q.late_dropped + q.truncated;
+}
+
+TEST(MonitorIdentity, CorruptedIncidentStormTenantMatchesOracle) {
+  const StormCapture& capture = storm_capture();
+  const auto chunks = capture_chunks(capture.arrivals, 50 * kMillisecond);
+  ASSERT_GT(chunks.size(), 1000u);
+
+  ManagerConfig manager_config;
+  manager_config.options = capture.options;
+  MonitorManager manager(manager_config);
+  MonitorOptions oracle_options = capture.options;
+  oracle_options.incremental = false;
+  SlidingMonitor oracle(oracle_options);
+  for (const auto& chunk : chunks) {
+    ASSERT_TRUE(manager.feed("storm", chunk));
+    oracle.feed(chunk);
+  }
+  manager.stop_all();
+  oracle.flush();
+
+  const auto snapshot = manager.snapshot("storm");
+  const auto health = manager.health("storm");
+  ASSERT_TRUE(snapshot.has_value());
+  ASSERT_TRUE(health.has_value());
+  // Every window of the cycle committed, and the faults alarmed.
+  EXPECT_EQ(oracle.windows_processed(), 15u);
+  EXPECT_GE(snapshot->alarms, 5u);
+  EXPECT_EQ(render_monitor_transcript(*snapshot),
+            render_monitor_transcript(oracle));
+
+  const std::uint64_t fed = capture.arrivals.size();
+  EXPECT_TRUE(accounting_holds(health->quality));
+  EXPECT_EQ(health->quality.fed, fed);
+  EXPECT_TRUE(accounting_holds(oracle.stream_quality()));
+  EXPECT_EQ(oracle.stream_quality().fed, fed);
+  // The capture point did corrupt the stream.
+  EXPECT_GT(oracle.stream_quality().duplicates, 0u);
+  EXPECT_GT(oracle.stream_quality().truncated, 0u);
 }
 
 }  // namespace

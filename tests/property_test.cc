@@ -207,11 +207,11 @@ TEST_P(SelfDiffTest, ModelDiffedAgainstItselfIsEmpty) {
 
   FlowDiffConfig config;
   const auto specials = lab.services.special_nodes();
-  config.set_special_nodes(std::set<Ipv4>(specials.begin(), specials.end()));
+  config.model.special_nodes = {specials.begin(), specials.end()};
   const FlowDiff flowdiff(config);
   const auto model = flowdiff.model(controller.log());
   const auto report = flowdiff.diff(model, model);
-  EXPECT_TRUE(report.changes.empty());
+  EXPECT_EQ(report.change_count(), 0u);
   EXPECT_TRUE(report.clean());
 }
 

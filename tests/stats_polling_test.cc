@@ -109,7 +109,7 @@ TEST(StatsPolling, UtilizationChangeDetectedByDiff) {
   const auto baseline = run(14600);
   const auto loaded = run(146000);  // 10x heavier flows.
   const auto changes =
-      core::diff_models(baseline, loaded, core::DiffThresholds{});
+      core::diff_models(baseline, loaded);
   bool util_change = false;
   for (const auto& c : changes) {
     if (c.kind == core::SignatureKind::kUtil) util_change = true;
@@ -119,7 +119,7 @@ TEST(StatsPolling, UtilizationChangeDetectedByDiff) {
   // Same load twice: no utilization alarm.
   const auto again = run(14600);
   for (const auto& c :
-       core::diff_models(baseline, again, core::DiffThresholds{})) {
+       core::diff_models(baseline, again)) {
     EXPECT_NE(c.kind, core::SignatureKind::kUtil) << c.description;
   }
 }

@@ -30,16 +30,12 @@ TaskOccurrence migration(SimTime begin, SimTime end) {
   return t;
 }
 
-ValidationConfig config() {
-  ValidationConfig c;
-  c.service_ips = {kNfs};
-  return c;
-}
+const std::set<Ipv4> kServices{kNfs};
 
 TEST(Validate, TaskExplainsMatchingChange) {
   const auto result = validate_changes(
       {cg_change({kVm, kHost}, 10 * kSecond)},
-      {migration(9 * kSecond, 12 * kSecond)}, config());
+      {migration(9 * kSecond, 12 * kSecond)}, kServices);
   ASSERT_EQ(result.known.size(), 1u);
   EXPECT_TRUE(result.unknown.empty());
   EXPECT_NE(result.explanations[0].find("vm_migration"), std::string::npos);
@@ -49,7 +45,7 @@ TEST(Validate, ServiceIpsNeedNotBeInvolved) {
   TaskOccurrence task = migration(9 * kSecond, 12 * kSecond);
   task.involved = {kVm, kHost};  // NFS not listed.
   const auto result = validate_changes(
-      {cg_change({kVm, kNfs}, 10 * kSecond)}, {task}, config());
+      {cg_change({kVm, kNfs}, 10 * kSecond)}, {task}, kServices);
   EXPECT_EQ(result.known.size(), 1u);
 }
 
@@ -57,7 +53,7 @@ TEST(Validate, UninvolvedHostStaysUnknown) {
   const Ipv4 intruder(10, 0, 9, 9);
   const auto result = validate_changes(
       {cg_change({intruder, kHost}, 10 * kSecond)},
-      {migration(9 * kSecond, 12 * kSecond)}, config());
+      {migration(9 * kSecond, 12 * kSecond)}, kServices);
   EXPECT_TRUE(result.known.empty());
   ASSERT_EQ(result.unknown.size(), 1u);
 }
@@ -65,20 +61,20 @@ TEST(Validate, UninvolvedHostStaysUnknown) {
 TEST(Validate, TimeWindowMatters) {
   const auto late = validate_changes(
       {cg_change({kVm, kHost}, 60 * kSecond)},
-      {migration(9 * kSecond, 12 * kSecond)}, config());
+      {migration(9 * kSecond, 12 * kSecond)}, kServices);
   EXPECT_TRUE(late.known.empty());
 
   // Inside the slack window: explained.
   const auto near = validate_changes(
       {cg_change({kVm, kHost}, 15 * kSecond)},
-      {migration(9 * kSecond, 12 * kSecond)}, config());
+      {migration(9 * kSecond, 12 * kSecond)}, kServices);
   EXPECT_EQ(near.known.size(), 1u);
 }
 
 TEST(Validate, ChangeWithoutTimestampValidatedByComponentsOnly) {
   const auto result = validate_changes(
       {cg_change({kVm, kHost}, -1)},
-      {migration(9 * kSecond, 12 * kSecond)}, config());
+      {migration(9 * kSecond, 12 * kSecond)}, kServices);
   EXPECT_EQ(result.known.size(), 1u);
 }
 
@@ -91,14 +87,14 @@ TEST(Validate, PerformanceChangesAreNeverTaskExplained) {
   dd.components = {ref};
   dd.approx_time = 10 * kSecond;
   const auto result = validate_changes(
-      {dd}, {migration(9 * kSecond, 12 * kSecond)}, config());
+      {dd}, {migration(9 * kSecond, 12 * kSecond)}, kServices);
   EXPECT_TRUE(result.known.empty());
   EXPECT_EQ(result.unknown.size(), 1u);
 }
 
 TEST(Validate, NoTasksMeansEverythingUnknown) {
   const auto result =
-      validate_changes({cg_change({kVm, kHost}, 10 * kSecond)}, {}, config());
+      validate_changes({cg_change({kVm, kHost}, 10 * kSecond)}, {}, kServices);
   EXPECT_TRUE(result.known.empty());
   EXPECT_EQ(result.unknown.size(), 1u);
 }
@@ -108,7 +104,7 @@ TEST(Validate, MixedChangesSplitCorrectly) {
   const auto result = validate_changes(
       {cg_change({kVm, kHost}, 10 * kSecond),
        cg_change({intruder, kHost}, 11 * kSecond)},
-      {migration(9 * kSecond, 12 * kSecond)}, config());
+      {migration(9 * kSecond, 12 * kSecond)}, kServices);
   EXPECT_EQ(result.known.size(), 1u);
   EXPECT_EQ(result.unknown.size(), 1u);
   EXPECT_EQ(result.explanations.size(), result.known.size());

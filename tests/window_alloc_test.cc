@@ -4,7 +4,7 @@
 // reset() must neither allocate nor free. The one release rule (a buffer
 // whose capacity exceeds 4x what the closing window used is freed) must
 // fire after a burst window and at no other time; the monitor manager's
-// batch buffers follow it too. Task detection allocates per call, never per
+// batch buffers and the sanitizer's reorder ring follow it too. Task detection allocates per call, never per
 // flow. This binary replaces the global operator new/delete with counting
 // versions, which also track the live heap.
 #include <gtest/gtest.h>
@@ -306,6 +306,84 @@ TEST(WindowAlloc, SanitizerPairTrackingAllocatesNothingForAWindowAlreadySeen) {
   EXPECT_EQ(next.allocs, 0u);
   EXPECT_EQ(next.frees, 0u);
   EXPECT_GT(quality.pairs_matched, 0u);
+}
+
+/// `n` PacketIns of distinct flows without a uid, `spacing` apart from
+/// `t0`: the sanitizer neither pairs nor deduplicates them.
+std::vector<of::ControlEvent> pin_train(SimTime t0, int n,
+                                        SimDuration spacing) {
+  std::vector<of::ControlEvent> events;
+  for (int i = 0; i < n; ++i) {
+    const of::FlowKey key{host(0, i % 7), host(1, i % 5),
+                          static_cast<std::uint16_t>(1024 + i % 50000), 80,
+                          of::Proto::kTcp};
+    events.push_back(pin(t0 + i * spacing, 1, key));
+  }
+  return events;
+}
+
+TEST(WindowAlloc, SanitizerRingShrinksAfterABurstAndKeepsSteadyOnes) {
+  // The sink cuts 2 s windows the way SlidingMonitor does: from inside the
+  // release, on the first event past the window's end.
+  constexpr SimDuration kWindow = 2 * kSecond;
+  ingest::StreamSanitizer sanitizer{ingest::SanitizerConfig{}};
+  SimTime window_end = kWindow;
+  SimTime last = 0;
+  std::uint64_t released = 0;
+  bool ordered = true;
+  const ingest::StreamSanitizer::Sink sink = [&](const of::ControlEvent& e) {
+    while (e.ts >= window_end) {
+      (void)sanitizer.take_window_quality();
+      window_end += kWindow;
+    }
+    ordered = ordered && e.ts >= last;
+    last = e.ts;
+    ++released;
+  };
+  // A steady window: 400 events 5 ms apart, about 200 of them buffered
+  // in the 1 s horizon at any time.
+  const auto steady = [](int window) {
+    return pin_train(window * kWindow, 400, 5 * kMillisecond);
+  };
+  std::uint64_t pushed = 0;
+  const auto push = [&](const std::vector<of::ControlEvent>& events) {
+    sanitizer.push(events, sink);
+    pushed += events.size();
+  };
+  push(steady(0));
+  push(steady(1));
+  const auto window2 = steady(2);
+  const Heap warm = count_heap([&] { push(window2); });
+  EXPECT_EQ(warm.allocs, 0u);
+  EXPECT_EQ(warm.frees, 0u);
+
+  // Window 3 is a burst: 30,000 events within 0.6 s, all buffered at once.
+  constexpr int kBurst = 30000;
+  const auto burst_bytes =
+      static_cast<std::int64_t>(kBurst * sizeof(of::ControlEvent));
+  const std::int64_t before = g_live_bytes.load();
+  push(pin_train(3 * kWindow, kBurst, 20));
+  EXPECT_GT(g_live_bytes.load() - before, burst_bytes);
+
+  // Small windows again. Window 3's cut still sees the burst buffered;
+  // window 4's cut, whose peak is a steady one, shrinks the ring.
+  for (int window = 4; window < 7; ++window) push(steady(window));
+  EXPECT_LT(g_live_bytes.load() - before, burst_bytes / 8);
+
+  // The shrunk ring is the steady size: steady windows allocate nothing.
+  for (int window = 7; window < 9; ++window) {
+    SCOPED_TRACE(window);
+    const auto events = steady(window);
+    const Heap heap = count_heap([&] { push(events); });
+    EXPECT_EQ(heap.allocs, 0u);
+    EXPECT_EQ(heap.frees, 0u);
+  }
+
+  // Nothing lost or reordered across the shrink.
+  sanitizer.flush(sink);
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(released, pushed);
+  EXPECT_EQ(sanitizer.total().kept, pushed);
 }
 
 /// One occurrence of a two-token task, then `count` flows that keep

@@ -266,7 +266,7 @@ int cmd_summary(const std::vector<std::string>& args) {
   if (!services_path.empty()) {
     auto services = cli::load_services(services_path);
     if (!services) return fail("cannot load services " + services_path);
-    config.set_special_nodes(std::move(*services));
+    config.model.special_nodes = std::move(*services);
   }
   const core::FlowDiff flowdiff(config);
   std::uint64_t rejected = 0;
@@ -319,7 +319,7 @@ int cmd_diff(std::vector<std::string> args) {
   if (!services_path.empty()) {
     auto services = cli::load_services(services_path);
     if (!services) return fail("cannot load services " + services_path);
-    config.set_special_nodes(std::move(*services));
+    config.model.special_nodes = std::move(*services);
   }
   std::vector<core::TaskAutomaton> tasks;
   for (const auto& path : task_paths) {
