@@ -17,7 +17,6 @@
 // sanitizer CI legs (registered as the ctest case labeled `bench`).
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -155,26 +154,19 @@ SweepResult sweep_one(Family family, double intensity, std::size_t trials) {
   result.steady_windows = trials;
   const core::ProblemClass expected = expected_class(family);
   for (const auto& entry : snapshot.explained) {
-    if (!entry.report) continue;
-    const core::DiffReport& report = *entry.report;
+    if (!entry->report) continue;
+    const core::DiffReport& report = *entry->report;
     // Each 40 s capture lands in exactly one monitor window, so the
     // window's index is its position in the feed order: index 0 is the
     // baseline (which never alarms), then trials of
     // [attack, recovery, steady control]. Recovery windows are judged
     // neither way.
-    const std::size_t window_index = entry.provenance.window_index;
+    const std::size_t window_index = entry->provenance.window_index;
     const std::size_t phase = (window_index - 1) % 3;
     if (phase == 1) continue;  // Recovery window.
     const bool on_attack = phase == 0;
     if (!on_attack) {
       ++result.false_alarms;
-      if (std::getenv("ATTACK_SWEEP_DEBUG") != nullptr) {
-        std::fprintf(stderr, "false alarm: %s intensity=%.2f window=%zu\n",
-                     family_name(family), intensity, window_index);
-        for (const auto& change : report.unknown) {
-          std::fprintf(stderr, "  %s\n", change.description.c_str());
-        }
-      }
       continue;
     }
     const auto ranked = core::classify(

@@ -196,15 +196,6 @@ ingest::StreamQuality SlidingMonitor::stream_quality() const {
   return sanitizer_ ? sanitizer_->total() : ingest::StreamQuality{};
 }
 
-std::vector<ProvenanceRecord> MonitorSnapshot::provenance() const {
-  std::vector<ProvenanceRecord> records;
-  records.reserve(explained.size());
-  for (const ExplainedWindow& entry : explained) {
-    records.push_back(entry.provenance);
-  }
-  return records;
-}
-
 MonitorSnapshot SlidingMonitor::snapshot() const {
   MonitorSnapshot snap;
   const std::lock_guard<std::mutex> lock(mu_);
@@ -347,7 +338,7 @@ void SlidingMonitor::process_window(
           obs::Severity::kInfo, "monitor", "baseline adopted",
           {{"events", std::to_string(audit.events)}}, to_seconds(begin));
     }
-    finish_audit(std::move(audit), wall_start, std::nullopt);
+    finish_audit(std::move(audit), wall_start, nullptr);
     return;
   }
 
@@ -360,10 +351,11 @@ void SlidingMonitor::process_window(
   // Any unknown or suppressed change earns the window a provenance record:
   // alarmed windows explain what fired, suppressed-only windows explain
   // why nothing did. The id is assigned here but the record commits with
-  // the audit under the lock.
-  std::optional<ExplainedWindow> explained;
+  // the audit under the lock, and is never written after that.
+  std::shared_ptr<ExplainedWindow> explained;
   if (!report.unknown.empty() || !report.suppressed.empty()) {
-    explained = ExplainedWindow{build_provenance(report), std::nullopt};
+    explained = std::make_shared<ExplainedWindow>(
+        ExplainedWindow{build_provenance(report), std::nullopt});
     ProvenanceRecord& record = explained->provenance;
     record.id = ++provenance_seq_;
     record.window_index = audit.index;
@@ -447,7 +439,7 @@ void SlidingMonitor::process_window(
 
 void SlidingMonitor::finish_audit(
     WindowAudit audit, std::chrono::steady_clock::time_point wall_start,
-    std::optional<ExplainedWindow> explained) {
+    std::shared_ptr<const ExplainedWindow> explained) {
   const std::chrono::duration<double, std::milli> wall =
       std::chrono::steady_clock::now() - wall_start;
   audit.wall_ms = wall.count();
@@ -468,9 +460,9 @@ void SlidingMonitor::finish_audit(
     }
     dropped = audits_dropped_;
     if (explained) {
-      explained_.push_back(std::move(*explained));
+      explained_.push_back(std::move(explained));
       if (explained_.size() > kMaxExplained) {
-        if (explained_.front().report) ++alarms_dropped_;
+        if (explained_.front()->report) ++alarms_dropped_;
         explained_.pop_front();
         ++provenance_dropped_;
       }
@@ -507,11 +499,11 @@ std::string render_monitor_transcript(const MonitorSnapshot& snap) {
   // Retained alarms keep their run-wide numbers.
   std::size_t alarm_no = snap.alarms_dropped;
   for (const auto& entry : snap.explained) {
-    if (!entry.report) continue;
+    if (!entry->report) continue;
     out += "\n--- alarm " + std::to_string(++alarm_no) + ": window " +
-           fmt_double(to_seconds(entry.provenance.window_begin), 1) + "s.." +
-           fmt_double(to_seconds(entry.provenance.window_end), 1) + "s ---\n";
-    out += entry.report->render();
+           fmt_double(to_seconds(entry->provenance.window_begin), 1) + "s.." +
+           fmt_double(to_seconds(entry->provenance.window_end), 1) + "s ---\n";
+    out += entry->report->render();
   }
   return out;
 }
@@ -529,7 +521,7 @@ std::string render_provenance_transcript(const SlidingMonitor& monitor) {
   out += "records=" + std::to_string(snap.explained.size()) +
          " dropped=" + std::to_string(snap.provenance_dropped) + "\n";
   for (const auto& entry : snap.explained) {
-    out += "\n" + render_provenance_text(entry.provenance,
+    out += "\n" + render_provenance_text(entry->provenance,
                                           /*with_latency=*/false);
   }
   return out;

@@ -52,15 +52,6 @@ struct MonitorConfig {
   bool incremental = true;
 };
 
-/// A window whose diff produced unknown or suppressed changes: the
-/// provenance record explaining its verdict and, when it alarmed, its diff
-/// report. Both rotate out of the monitor together.
-struct ExplainedWindow {
-  ProvenanceRecord provenance;
-  /// Engaged exactly when provenance.alarmed.
-  std::optional<DiffReport> report;
-};
-
 /// Per-window audit record: why the monitor alarmed (or stayed silent) on
 /// each window it processed. One entry per processed window, in order —
 /// the structured counterpart of the alarm stream, and the paper's
@@ -84,10 +75,11 @@ struct WindowAudit {
   ingest::StreamQuality quality;
 };
 
-/// Coherent copy of the monitor's committed results, taken under the same
+/// Coherent view of the monitor's committed results, taken under the same
 /// lock every window commit holds — the telemetry plane's /audits and
 /// /report endpoints read this, so a concurrent scrape observes whole
-/// windows only, never a half-committed one.
+/// windows only, never a half-committed one. The explained windows are
+/// shared, not copied: they outlive rotation and the monitor.
 struct MonitorSnapshot {
   std::size_t windows = 0;
   bool has_baseline = false;
@@ -96,14 +88,12 @@ struct MonitorSnapshot {
   std::size_t audits_dropped = 0;
   /// Alarms raised over the whole run, retained or not.
   std::size_t alarms = 0;
-  /// Retained explained windows, oldest first (see SlidingMonitor docs).
-  std::vector<ExplainedWindow> explained;
+  /// Retained explained windows, oldest first; ids are contiguous, from
+  /// provenance_dropped + 1.
+  std::vector<std::shared_ptr<const ExplainedWindow>> explained;
   std::uint64_t provenance_dropped = 0;
   /// Alarm reports rotated out with their explained windows.
   std::size_t alarms_dropped = 0;
-
-  /// The retained provenance records, oldest first.
-  [[nodiscard]] std::vector<ProvenanceRecord> provenance() const;
 };
 
 /// Live self-assessment of the monitor, the /healthz contract: healthy
@@ -138,7 +128,8 @@ struct MonitorHealth {
 /// the process's self-watchdog and refuses an end time it has passed, so
 /// monitors sharing a process share one clock). audits() is for that
 /// thread; readers on other threads (the telemetry plane, the serve
-/// manager) use snapshot()/health(), which copy under the commit lock.
+/// manager) use snapshot()/health(), which copy under the commit lock (the
+/// explained windows as pointers: committed records are immutable).
 /// Retention is fixed: the newest kMaxAudits audits and kMaxExplained
 /// explained windows are kept, so an alarm's report rotates out with its
 /// provenance record and no stream grows the monitor without bound.
@@ -228,7 +219,7 @@ class SlidingMonitor {
   /// with the window's explanation (if the diff produced one).
   void finish_audit(WindowAudit audit,
                     std::chrono::steady_clock::time_point wall_start,
-                    std::optional<ExplainedWindow> explained);
+                    std::shared_ptr<const ExplainedWindow> explained);
 
   MonitorConfig config_;
   FlowDiff flowdiff_;
@@ -271,7 +262,7 @@ class SlidingMonitor {
   std::size_t alarms_dropped_ = 0;
   /// Explained-window ring (guarded by mu_ like audits_); the sequence
   /// counter is touched only by the feed thread.
-  std::deque<ExplainedWindow> explained_;
+  std::deque<std::shared_ptr<const ExplainedWindow>> explained_;
   std::uint64_t provenance_dropped_ = 0;
   std::uint64_t provenance_seq_ = 0;
   std::size_t windows_ = 0;

@@ -44,8 +44,7 @@ std::shared_ptr<MonitorManager::Shard> MonitorManager::find_or_create(
     return it->second;
   }
   auto shard = std::make_shared<Shard>(tenant);
-  shard->monitor =
-      std::make_unique<SlidingMonitor>(config_.options);
+  shard->monitor = std::make_shared<SlidingMonitor>(config_.options);
   shard->last_fed_tick = tick_;
   shards_.emplace(tenant, shard);
   if (created) *created = true;
@@ -253,10 +252,15 @@ std::optional<MonitorSnapshot> MonitorManager::snapshot(
     const std::string& tenant) const {
   auto shard = find(tenant);
   if (!shard) return std::nullopt;
-  std::lock_guard<std::mutex> lock(shard->mu);
-  if (shard->monitor) return shard->monitor->snapshot();
-  if (shard->tombstone_snapshot) return *shard->tombstone_snapshot;
-  return MonitorSnapshot{};
+  std::shared_ptr<const SlidingMonitor> monitor;
+  {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    if (!shard->monitor) {
+      return shard->tombstone_snapshot.value_or(MonitorSnapshot{});
+    }
+    monitor = shard->monitor;
+  }
+  return monitor->snapshot();  // Coherent under the monitor's own lock.
 }
 
 std::optional<MonitorHealth> MonitorManager::health(

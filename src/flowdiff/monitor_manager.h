@@ -127,8 +127,9 @@ class MonitorManager {
   [[nodiscard]] std::vector<ShardStatus> statuses() const;
 
   /// Per-tenant results; nullopt for unknown tenants. For live shards
-  /// these copy under the monitor's commit lock (safe any time); for
-  /// evicted shards they serve the tombstone.
+  /// these copy under the monitor's commit lock (safe any time), snapshot()
+  /// after releasing the shard lock feed() takes; for evicted shards they
+  /// serve the tombstone.
   [[nodiscard]] std::optional<MonitorSnapshot> snapshot(
       const std::string& tenant) const;
   [[nodiscard]] std::optional<MonitorHealth> health(
@@ -149,7 +150,8 @@ class MonitorManager {
     const std::string tenant;
     mutable std::mutex mu;
     std::condition_variable idle_cv;  ///< pending empty and no task running.
-    std::unique_ptr<SlidingMonitor> monitor;
+    /// Shared so snapshot() can read it after releasing `mu`.
+    std::shared_ptr<SlidingMonitor> monitor;
     ShardState state = ShardState::kRunning;
     /// Events fed but not yet taken by a shard task.
     std::vector<of::ControlEvent> pending;

@@ -404,15 +404,16 @@ std::string render_provenance_json(const ProvenanceRecord& rec) {
 }
 
 std::string render_provenance_collection_json(
-    const std::vector<ProvenanceRecord>& records, std::uint64_t dropped) {
+    std::span<const std::shared_ptr<const ExplainedWindow>> entries,
+    std::uint64_t dropped) {
   std::string out =
       "{\"provenance_dropped\": " + std::to_string(dropped) +
       ", \"records\": [";
-  for (std::size_t i = 0; i < records.size(); ++i) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\n  " + render_provenance_json(records[i]);
+    out += "\n  " + render_provenance_json(entries[i]->provenance);
   }
-  out += records.empty() ? "]}\n" : "\n]}\n";
+  out += entries.empty() ? "]}\n" : "\n]}\n";
   return out;
 }
 

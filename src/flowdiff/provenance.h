@@ -26,7 +26,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,15 @@ struct ProvenanceRecord {
   StageLatency latency;
 };
 
+/// A window whose diff produced unknown or suppressed changes: the
+/// provenance record explaining its verdict and, when it alarmed, its diff
+/// report. The monitor commits each once, shared and immutable.
+struct ExplainedWindow {
+  ProvenanceRecord provenance;
+  /// Engaged exactly when provenance.alarmed.
+  std::optional<DiffReport> report;
+};
+
 /// Derives the deterministic part of a record from a diff report: family
 /// contributions (unknown first, then suppressed; score desc, name asc),
 /// top-K contributors per family, quality, and the change counts. Window
@@ -116,7 +127,7 @@ struct ProvenanceRecord {
 /// {"provenance_dropped": N, "records": [...]} — the /provenance route's
 /// list form and the provenance.json artifact.
 [[nodiscard]] std::string render_provenance_collection_json(
-    const std::vector<ProvenanceRecord>& records,
+    std::span<const std::shared_ptr<const ExplainedWindow>> entries,
     std::uint64_t dropped);
 
 /// Inverse of the collection (or a single record object wrapped in a

@@ -279,10 +279,10 @@ std::string render_run_report(const MonitorSnapshot& snap,
       doc.para("Oldest " + std::to_string(snap.alarms_dropped) +
                " alarm(s) rotated out with their provenance records.");
     }
-    for (const ExplainedWindow& entry : snap.explained) {
-      if (!entry.report) continue;
-      const DiffReport& report = *entry.report;
-      const ProvenanceRecord& rec = entry.provenance;
+    for (const auto& entry : snap.explained) {
+      if (!entry->report) continue;
+      const DiffReport& report = *entry->report;
+      const ProvenanceRecord& rec = entry->provenance;
       doc.heading(3, "Alarm window " +
                          window_label(rec.window_begin, rec.window_end));
       std::string counts = std::to_string(report.unknown.size()) +

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -242,18 +243,11 @@ obs::HttpResponse monitor_endpoint(
       return text_response(400, "unknown format: " + format + "\n");
     }
     MonitorSnapshot snap = snapshot();
-    if (request.param("from").has_value() ||
-        request.param("to").has_value()) {
-      // Keep audits whose window overlaps [from, to] seconds.
-      std::vector<WindowAudit> kept;
-      for (WindowAudit& audit : snap.audits) {
-        if (to_seconds(audit.window_end) >= from &&
-            to_seconds(audit.window_begin) <= to) {
-          kept.push_back(std::move(audit));
-        }
-      }
-      snap.audits = std::move(kept);
-    }
+    // Keep audits whose window overlaps [from, to] seconds.
+    std::erase_if(snap.audits, [from, to](const WindowAudit& audit) {
+      return !(to_seconds(audit.window_end) >= from &&
+               to_seconds(audit.window_begin) <= to);
+    });
     if (format == "json") {
       response.body = render_audits_json(snap);
     } else {
@@ -269,8 +263,12 @@ obs::HttpResponse monitor_endpoint(
         return json_error(400, "unparseable id: " +
                                    request.param("id").value_or(""));
       }
+      // Ids are sequential and the ring contiguous.
       const MonitorSnapshot snap = snapshot();
-      for (const ExplainedWindow& entry : snap.explained) {
+      if (id > snap.provenance_dropped &&
+          id - snap.provenance_dropped <= snap.explained.size()) {
+        const ExplainedWindow& entry =
+            *snap.explained[id - snap.provenance_dropped - 1];
         if (entry.provenance.id == id) {
           response.body = render_provenance_json(entry.provenance) + "\n";
           return response;
@@ -285,15 +283,13 @@ obs::HttpResponse monitor_endpoint(
       return json_error(400, "unparseable limit: " +
                                  request.param("limit").value_or(""));
     }
-    MonitorSnapshot snap = snapshot();
-    if (limit < snap.explained.size()) {
-      // Newest N: the ring is oldest-first.
-      snap.explained.erase(snap.explained.begin(),
-                           snap.explained.end() -
-                               static_cast<std::ptrdiff_t>(limit));
-    }
-    response.body = render_provenance_collection_json(
-        snap.provenance(), snap.provenance_dropped);
+    const MonitorSnapshot snap = snapshot();
+    std::span<const std::shared_ptr<const ExplainedWindow>> entries(
+        snap.explained);
+    // Newest N: the ring is oldest-first.
+    if (limit < entries.size()) entries = entries.last(limit);
+    response.body =
+        render_provenance_collection_json(entries, snap.provenance_dropped);
     return response;
   }
   if (endpoint == "report") {

@@ -297,8 +297,7 @@ std::size_t SocketSource::poll(std::vector<of::ControlEvent>& out) {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) break;
-    if (static_cast<int>(clients_.size()) >= config_.max_clients ||
-        !set_nonblocking(fd)) {
+    if (clients_.size() >= kMaxClients || !set_nonblocking(fd)) {
       ::close(fd);
       ++stats_.disconnects;
       continue;

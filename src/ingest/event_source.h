@@ -163,13 +163,14 @@ struct SocketSourceConfig {
   /// Non-empty selects an AF_UNIX listening socket at this path instead
   /// (the path is unlinked on bind and on shutdown).
   std::string unix_path;
-  /// Concurrent producer connections; extras are accepted and immediately
-  /// closed (counted as disconnects).
-  int max_clients = 16;
 };
 
 class SocketSource : public EventSource {
  public:
+  /// Concurrent producer connections; extras are accepted and immediately
+  /// closed (counted as disconnects).
+  static constexpr std::size_t kMaxClients = 16;
+
   SocketSource(std::string tenant, SocketSourceConfig config);
   ~SocketSource() override;
 

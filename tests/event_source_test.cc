@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -342,6 +343,62 @@ TEST(SocketSource, ReconnectContinuesTheSameTenantStream) {
 
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(source.stats().accepts, 2u);
+}
+
+TEST(SocketSource, ProducersPastTheCapAreClosedAndCounted) {
+  SocketSource source("t", SocketSourceConfig{});
+  ASSERT_TRUE(source.start()) << source.last_error();
+  std::vector<of::ControlEvent> events;
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < SocketSource::kMaxClients; ++i) {
+    fds.push_back(flowdiff::testing::http_connect(source.port()));
+    ASSERT_GE(fds.back(), 0);
+  }
+  for (int i = 0; i < 500 && source.clients() < SocketSource::kMaxClients;
+       ++i) {
+    source.poll(events);
+    ::usleep(2000);
+  }
+  ASSERT_EQ(source.clients(), SocketSource::kMaxClients);
+
+  // One producer past the cap is accepted and closed at once.
+  const int extra = flowdiff::testing::http_connect(source.port());
+  ASSERT_GE(extra, 0);
+  for (int i = 0; i < 500 && source.stats().disconnects == 0; ++i) {
+    source.poll(events);
+    ::usleep(2000);
+  }
+  EXPECT_EQ(source.stats().disconnects, 1u);
+  EXPECT_EQ(source.stats().accepts, SocketSource::kMaxClients);
+  EXPECT_EQ(source.clients(), SocketSource::kMaxClients);
+  ssize_t got = -1;
+  char byte = 0;
+  for (int i = 0; i < 500 && got < 0; ++i) {
+    got = ::recv(extra, &byte, 1, MSG_DONTWAIT);
+    if (got < 0) ::usleep(2000);
+  }
+  EXPECT_EQ(got, 0) << "the producer past the cap must see end of stream";
+  ::close(extra);
+
+  // The producers within the cap keep streaming lines that parse.
+  std::vector<SimTime> sent;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      const long long ts = 1000 * (round * 100 + static_cast<long long>(i) + 1);
+      send_all(fds[i], pin_line(ts, 0, static_cast<int>(i)));
+      sent.push_back(SimTime{ts});
+    }
+  }
+  poll_until(source, events, sent.size());
+  ASSERT_EQ(events.size(), sent.size());
+  std::vector<SimTime> received;
+  for (const auto& event : events) received.push_back(event.ts);
+  std::sort(received.begin(), received.end());
+  std::sort(sent.begin(), sent.end());
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(source.stats().lines_rejected, 0u);
+  EXPECT_EQ(source.stats().disconnects, 1u);
+  for (const int fd : fds) ::close(fd);
 }
 
 TEST(SocketSource, UnixDomainSocketRoundTrips) {

@@ -169,8 +169,8 @@ TEST_P(CorruptionSweepTest, SanitizedMonitorSurvivesAndCountersReconcile) {
     EXPECT_LE(window_fed, q.fed);
     // Alarm reports over a corrupted stream carry the quality record.
     for (const auto& entry : monitor.snapshot().explained) {
-      if (entry.report) {
-        EXPECT_FALSE(entry.report->render().empty());
+      if (entry->report) {
+        EXPECT_FALSE(entry->report->render().empty());
       }
     }
   }

@@ -61,10 +61,10 @@ std::vector<std::string> transcript_of(const SlidingMonitor& monitor) {
                          audit.decision);
   }
   for (const auto& entry : monitor.snapshot().explained) {
-    if (!entry.report) continue;
+    if (!entry->report) continue;
     transcript.push_back("alarm@" +
-                         std::to_string(entry.provenance.window_begin) +
-                         "\n" + entry.report->render());
+                         std::to_string(entry->provenance.window_begin) +
+                         "\n" + entry->report->render());
   }
   // Provenance records are part of the determinism contract too: same
   // ids, contributors, scores, and verdicts (stage latencies are

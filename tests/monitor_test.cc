@@ -65,9 +65,9 @@ TEST(SlidingMonitor, FaultWindowAlarmsAndLocatesInTime) {
   // plus its drain), and at least one carries a DD change.
   bool dd_seen = false;
   for (const auto& entry : snap.explained) {
-    if (!entry.report) continue;
-    EXPECT_GE(entry.provenance.window_end, fault_begin);
-    for (const auto& change : entry.report->unknown) {
+    if (!entry->report) continue;
+    EXPECT_GE(entry->provenance.window_end, fault_begin);
+    for (const auto& change : entry->report->unknown) {
       if (change.kind == SignatureKind::kDd) dd_seen = true;
     }
   }
@@ -162,7 +162,7 @@ TEST(SlidingMonitor, AuditTrailMatchesAlarmStream) {
   ASSERT_EQ(alarmed, snap.alarms);
   std::vector<const ExplainedWindow*> alarms;
   for (const auto& entry : snap.explained) {
-    if (entry.report) alarms.push_back(&entry);
+    if (entry->report) alarms.push_back(entry.get());
   }
   ASSERT_EQ(alarms.size(), alarmed);
   std::size_t next_alarm = 0;
@@ -205,13 +205,13 @@ TEST(SlidingMonitor, RetentionStaysBoundedPastBothCaps) {
   ASSERT_EQ(snap.explained.size(), SlidingMonitor::kMaxExplained);
   EXPECT_EQ(snap.provenance_dropped, kAlarms - SlidingMonitor::kMaxExplained);
   EXPECT_EQ(snap.alarms_dropped, kAlarms - SlidingMonitor::kMaxExplained);
-  EXPECT_EQ(snap.explained.front().provenance.id,
+  EXPECT_EQ(snap.explained.front()->provenance.id,
             kAlarms - SlidingMonitor::kMaxExplained + 1);
-  EXPECT_EQ(snap.explained.back().provenance.id, kAlarms);
-  for (const ExplainedWindow& entry : snap.explained) {
-    EXPECT_TRUE(entry.provenance.alarmed);
-    ASSERT_TRUE(entry.report.has_value());
-    EXPECT_EQ(entry.report->unknown.size(), entry.provenance.unknown);
+  EXPECT_EQ(snap.explained.back()->provenance.id, kAlarms);
+  for (const auto& entry : snap.explained) {
+    EXPECT_TRUE(entry->provenance.alarmed);
+    ASSERT_TRUE(entry->report.has_value());
+    EXPECT_EQ(entry->report->unknown.size(), entry->provenance.unknown);
   }
 
   // Every retained alarmed audit has its explained window, with a report.
@@ -222,12 +222,12 @@ TEST(SlidingMonitor, RetentionStaysBoundedPastBothCaps) {
     if (!audit.alarmed) continue;
     ++alarmed;
     while (next < snap.explained.size() &&
-           snap.explained[next].provenance.window_index < audit.index) {
+           snap.explained[next]->provenance.window_index < audit.index) {
       ++next;
     }
     ASSERT_LT(next, snap.explained.size()) << audit.index;
-    EXPECT_EQ(snap.explained[next].provenance.window_index, audit.index);
-    EXPECT_TRUE(snap.explained[next].report.has_value()) << audit.index;
+    EXPECT_EQ(snap.explained[next]->provenance.window_index, audit.index);
+    EXPECT_TRUE(snap.explained[next]->report.has_value()) << audit.index;
   }
   EXPECT_EQ(alarmed, SlidingMonitor::kMaxExplained);
 

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -47,9 +48,21 @@ std::optional<exp::CorpusCase> load_case(const std::string& name) {
 std::optional<core::ProvenanceRecord> find_record(
     const core::SlidingMonitor& monitor, std::uint64_t id) {
   for (const auto& entry : monitor.snapshot().explained) {
-    if (entry.provenance.id == id) return entry.provenance;
+    if (entry->provenance.id == id) return entry->provenance;
   }
   return std::nullopt;
+}
+
+/// Each record shared as an explained window without a report: the form
+/// the collection renderer reads.
+std::vector<std::shared_ptr<const core::ExplainedWindow>> as_entries(
+    const std::vector<core::ProvenanceRecord>& records) {
+  std::vector<std::shared_ptr<const core::ExplainedWindow>> entries;
+  for (const core::ProvenanceRecord& record : records) {
+    entries.push_back(std::make_shared<const core::ExplainedWindow>(
+        core::ExplainedWindow{record, std::nullopt}));
+  }
+  return entries;
 }
 
 constexpr const char* kCases[] = {"steady", "slowdown", "unauthorized",
@@ -80,12 +93,13 @@ TEST(Provenance, EveryCorpusAlarmHasRankedContributorsAndFullLatency) {
     std::size_t reports = 0;
     for (const auto& entry : snap.explained) {
       // A report is kept exactly for the alarmed windows.
-      EXPECT_EQ(entry.report.has_value(), entry.provenance.alarmed) << name;
-      if (!entry.report) continue;
+      EXPECT_EQ(entry->report.has_value(), entry->provenance.alarmed)
+          << name;
+      if (!entry->report) continue;
       ++reports;
       any_alarm = true;
-      const core::ProvenanceRecord* record = &entry.provenance;
-      EXPECT_EQ(record->unknown, entry.report->unknown.size()) << name;
+      const core::ProvenanceRecord* record = &entry->provenance;
+      EXPECT_EQ(record->unknown, entry->report->unknown.size()) << name;
       const auto audit = std::find_if(
           snap.audits.begin(), snap.audits.end(), [&](const auto& a) {
             return a.index == record->window_index;
@@ -123,24 +137,26 @@ TEST(Provenance, CollectionJsonRoundTripsLosslessly) {
   core::SlidingMonitor monitor(parsed->config);
   monitor.feed(parsed->events);
   monitor.flush();
-  const std::vector<core::ProvenanceRecord> records =
-      monitor.snapshot().provenance();
-  ASSERT_FALSE(records.empty());
-  const std::uint64_t dropped = monitor.snapshot().provenance_dropped;
+  const core::MonitorSnapshot snap = monitor.snapshot();
+  const auto& entries = snap.explained;
+  ASSERT_FALSE(entries.empty());
+  const std::uint64_t dropped = snap.provenance_dropped;
 
   const std::string json =
-      core::render_provenance_collection_json(records, dropped);
+      core::render_provenance_collection_json(entries, dropped);
   const auto back = core::parse_provenance_json(json);
   ASSERT_TRUE(back.has_value()) << json;
-  ASSERT_EQ(back->size(), records.size());
+  ASSERT_EQ(back->size(), entries.size());
   for (std::size_t i = 0; i < back->size(); ++i) {
     // Text renders (latency included) must survive the JSON round trip
     // byte for byte: the shortest-round-trip number format guarantees the
     // parsed doubles are the originals.
     EXPECT_EQ(core::render_provenance_text((*back)[i], true),
-              core::render_provenance_text(records[i], true));
+              core::render_provenance_text(entries[i]->provenance, true));
   }
-  EXPECT_EQ(core::render_provenance_collection_json(*back, dropped), json);
+  EXPECT_EQ(core::render_provenance_collection_json(as_entries(*back),
+                                                    dropped),
+            json);
 }
 
 TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
@@ -153,13 +169,14 @@ TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
   monitor.flush();
   const core::MonitorSnapshot snap = monitor.snapshot();
   ASSERT_FALSE(snap.explained.empty());
-  core::ProvenanceRecord rec = snap.explained.front().provenance;
+  core::ProvenanceRecord rec = snap.explained.front()->provenance;
   ASSERT_FALSE(rec.families.empty());
   ASSERT_FALSE(rec.families[0].top.empty());
   rec.verdict = std::string("bell\x07 quote\" tab\t nul") + '\0';
   rec.families[0].top[0].label = "unit\x1fsep\\back\nline";
 
-  const std::string json = core::render_provenance_collection_json({rec}, 0);
+  const std::string json =
+      core::render_provenance_collection_json(as_entries({rec}), 0);
   EXPECT_NE(json.find("bell\\u0007 quote\\\" tab\\t nul\\u0000"),
             std::string::npos)
       << json;
@@ -175,7 +192,8 @@ TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
   EXPECT_EQ((*back)[0].verdict, rec.verdict);
   EXPECT_EQ((*back)[0].families[0].top[0].label,
             rec.families[0].top[0].label);
-  EXPECT_EQ(core::render_provenance_collection_json(*back, 0), json);
+  EXPECT_EQ(core::render_provenance_collection_json(as_entries(*back), 0),
+            json);
   // Only the escapes json_string writes are read: \u00XX below 0x80.
   std::string wide = json;
   wide.replace(wide.find("\\u0007"), 6, "\\u00e9");
@@ -343,7 +361,69 @@ TEST(Provenance, ScrapesStayCoherentWhileBothRingsRotate) {
       testing::http_get(plane.port(), "/tenants/t/provenance?id=20");
   ASSERT_TRUE(kept.has_value());
   EXPECT_EQ(kept->status, 200);
+
+  // The lookup indexes the ring by id - provenance_dropped - 1: ids at or
+  // below the dropped count, past the newest, or at the top of the range
+  // must answer 404 without leaving the ring, and the retained ends must
+  // answer with their record.
+  const core::MonitorSnapshot snap = manager.snapshot("t").value();
+  ASSERT_EQ(snap.provenance_dropped, 19u);
+  ASSERT_EQ(snap.explained.size(), core::SlidingMonitor::kMaxExplained);
+  const core::ProvenanceRecord& oldest = snap.explained.front()->provenance;
+  const core::ProvenanceRecord& newest = snap.explained.back()->provenance;
+  EXPECT_EQ(oldest.id, 20u);
+  EXPECT_EQ(newest.id, 275u);
+  for (const core::ProvenanceRecord* record : {&oldest, &newest}) {
+    const auto got = testing::http_get(
+        plane.port(),
+        "/tenants/t/provenance?id=" + std::to_string(record->id));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->status, 200) << record->id;
+    EXPECT_EQ(got->body, core::render_provenance_json(*record) + "\n");
+  }
+  for (const std::string& id :
+       {std::string("0"), std::to_string(newest.id + 1),
+        std::string("18446744073709551615")}) {
+    const auto got =
+        testing::http_get(plane.port(), "/tenants/t/provenance?id=" + id);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->status, 404) << id;
+  }
   plane.stop();
+}
+
+TEST(Provenance, HeldSnapshotOutlivesRotationAndEviction) {
+  // A snapshot shares the monitor's explained windows rather than copying
+  // them. Rotating every one of them out of the ring, then evicting the
+  // tenant (which frees its monitor), must leave what the held snapshot
+  // renders byte for byte as it was.
+  core::ManagerConfig config;
+  config.options.window = core::kRetentionWindow;
+  core::MonitorManager manager(config);
+  std::size_t w = 0;
+  for (; w < 600; ++w) {
+    manager.feed("t", core::retention_window(w, core::retention_alarms(w)));
+  }
+  const core::MonitorSnapshot held = manager.snapshot("t").value();
+  ASSERT_FALSE(held.explained.empty());
+  const std::string transcript = core::render_monitor_transcript(held);
+  const std::string records = core::render_provenance_collection_json(
+      held.explained, held.provenance_dropped);
+
+  const std::uint64_t newest_held = held.explained.back()->provenance.id;
+  while (manager.snapshot("t")->provenance_dropped < newest_held) {
+    for (const std::size_t end = w + 100; w < end; ++w) {
+      manager.feed("t", core::retention_window(w, core::retention_alarms(w)));
+    }
+  }
+  manager.tick();
+  ASSERT_EQ(manager.evict_idle(1), std::vector<std::string>{"t"});
+  ASSERT_EQ(manager.status("t")->state, core::ShardState::kEvicted);
+
+  EXPECT_EQ(core::render_monitor_transcript(held), transcript);
+  EXPECT_EQ(core::render_provenance_collection_json(held.explained,
+                                                    held.provenance_dropped),
+            records);
 }
 
 TEST(Provenance, TelemetryPlaneServesRecordsAndErrors) {
@@ -448,7 +528,7 @@ TEST(Provenance, ExplainCliRoundTripsArtifacts) {
   monitor.flush();
   const core::MonitorSnapshot snap = monitor.snapshot();
   ASSERT_FALSE(snap.explained.empty());
-  const core::ProvenanceRecord& first = snap.explained.front().provenance;
+  const core::ProvenanceRecord& first = snap.explained.front()->provenance;
 
   const fs::path dir =
       fs::path(::testing::TempDir()) / "flowdiff_explain_test";
@@ -456,7 +536,7 @@ TEST(Provenance, ExplainCliRoundTripsArtifacts) {
   fs::create_directories(dir);
   ASSERT_TRUE(of::write_file(
       (dir / "provenance.json").string(),
-      core::render_provenance_collection_json(snap.provenance(),
+      core::render_provenance_collection_json(snap.explained,
                                               snap.provenance_dropped)));
 
   // What explain must print: the record as the JSON carries it, rendered
@@ -486,7 +566,7 @@ TEST(Provenance, ExplainCliReadsLivePlane) {
   monitor.flush();
   const core::MonitorSnapshot snap = monitor.snapshot();
   ASSERT_FALSE(snap.explained.empty());
-  const std::uint64_t id = snap.explained.front().provenance.id;
+  const std::uint64_t id = snap.explained.front()->provenance.id;
   const auto record = find_record(monitor, id);
   ASSERT_TRUE(record.has_value());
 

@@ -3,6 +3,7 @@
 // (audits and explained windows) past their caps in well under a second.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -13,11 +14,13 @@ namespace flowdiff::core {
 inline constexpr SimDuration kRetentionWindow = kSecond;
 
 /// Window `w` of the stream: five answered flows a -> b, plus, when
-/// `alarmed`, five a -> c (an edge the baseline lacks, so the window
-/// alarms with an unknown connectivity change). Windows start at
-/// `w * kRetentionWindow`.
+/// `alarmed`, five a -> c for each of `destinations` hosts c (edges the
+/// baseline lacks, so the window alarms with unknown connectivity
+/// changes: two with one destination, one more per further destination).
+/// Windows start at `w * kRetentionWindow`.
 inline std::vector<of::ControlEvent> retention_window(std::size_t w,
-                                                      bool alarmed) {
+                                                      bool alarmed,
+                                                      int destinations = 1) {
   const SimTime t0 = static_cast<SimTime>(w) * kRetentionWindow;
   std::vector<of::ControlEvent> events;
   const auto add_flows = [&](Ipv4 dst, SimTime start) {
@@ -31,7 +34,15 @@ inline std::vector<of::ControlEvent> retention_window(std::size_t w,
     }
   };
   add_flows(host(0, 1), t0);
-  if (alarmed) add_flows(host(0, 2), t0 + 500 * kMillisecond);
+  if (alarmed) {
+    for (int d = 0; d < destinations; ++d) {
+      add_flows(host(0, 2 + d), t0 + 500 * kMillisecond + d);
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const of::ControlEvent& a, const of::ControlEvent& b) {
+                     return a.ts < b.ts;
+                   });
   return events;
 }
 

@@ -90,7 +90,8 @@ TEST(TelemetryRoutes, TenantRoutesMatchMonitorRoutes) {
        {"/healthz", "/audits", "/audits?format=csv", "/audits?format=json",
         "/audits?from=500&to=900", "/audits?from=50&to=90",
         "/audits?format=json&from=50&to=90",
-        "/audits?from=abc", "/audits?to=", "/audits?format=xml"}) {
+        "/audits?format=json&from=500&to=900", "/audits?from=abc",
+        "/audits?to=", "/audits?format=xml"}) {
     const Answers got = get_both(target);
     EXPECT_EQ(got.direct.head, got.tenant.head) << target;
     EXPECT_EQ(got.direct.body, got.tenant.body) << target;
@@ -108,6 +109,21 @@ TEST(TelemetryRoutes, TenantRoutesMatchMonitorRoutes) {
   EXPECT_EQ(line_count(get_both("/audits?from=500&to=900").tenant.body), 1u)
       << "?from=/?to= must filter the tenant's audit trail";
   EXPECT_EQ(get_both("/audits?from=abc").tenant.status, 400);
+  // The range keeps exactly those windows, rendered as in the whole trail,
+  // in both forms; an empty range keeps none.
+  MonitorSnapshot trail = monitor.snapshot();
+  ASSERT_EQ(trail.audits.size(), 4u);
+  EXPECT_EQ(get_both("/audits?format=json").tenant.body,
+            render_audits_json(trail));
+  MonitorSnapshot in_range = trail;
+  in_range.audits = {trail.audits[1], trail.audits[2]};
+  EXPECT_EQ(get_both("/audits?from=50&to=90").tenant.body,
+            render_audits_csv(in_range));
+  EXPECT_EQ(get_both("/audits?format=json&from=50&to=90").tenant.body,
+            render_audits_json(in_range));
+  in_range.audits.clear();
+  EXPECT_EQ(get_both("/audits?format=json&from=500&to=900").tenant.body,
+            render_audits_json(in_range));
 
   // Provenance: same status and record ids. The JSON carries wall-clock
   // latency, which differs between the two monitors, so bodies are not
@@ -131,7 +147,7 @@ TEST(TelemetryRoutes, TenantRoutesMatchMonitorRoutes) {
   EXPECT_TRUE(record_ids(none.tenant).empty())
       << "?limit=0 must return no records";
   EXPECT_EQ(record_ids(get_both("/provenance?limit=1").tenant),
-            std::vector<std::uint64_t>{snap.explained.back().provenance.id});
+            std::vector<std::uint64_t>{snap.explained.back()->provenance.id});
 
   // Report: same status per format (the document carries wall time).
   for (const char* target : {"/report?format=md", "/report?format=html",

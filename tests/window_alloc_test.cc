@@ -4,16 +4,20 @@
 // reset() must neither allocate nor free. The one release rule (a buffer
 // whose capacity exceeds 4x what the closing window used is freed) must
 // fire after a burst window and at no other time; the monitor manager's
-// batch buffers and the sanitizer's reorder ring follow it too. Task detection allocates per call, never per
-// flow. This binary replaces the global operator new/delete with counting
-// versions, which also track the live heap.
+// batch buffers and the sanitizer's reorder ring follow it too. Task
+// detection allocates per call, never per flow. A monitor snapshot
+// allocates the same whatever its alarms hold. This binary replaces the
+// global operator new/delete with counting versions, which also track the
+// live heap.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "flowdiff/task_automaton.h"
 #include "incremental_stream.h"
 #include "ingest/sanitizer.h"
+#include "retention_stream.h"
 #include "openflow/control_log.h"
 
 namespace {
@@ -406,6 +411,53 @@ of::FlowSequence probe_stream(std::size_t count) {
                                : flow(ts, host, Ipv4(10, 0, 2, 1), 80));
   }
   return flows;
+}
+
+TEST(WindowAlloc, SnapshotSharesExplainedWindowsWhateverTheirSize) {
+  // Both rings full: a snapshot copies the audits and one pointer per
+  // explained window, so its heap calls do not depend on how many changes
+  // each alarm carries, and successive snapshots hold the same records.
+  constexpr std::size_t kWindows = SlidingMonitor::kMaxAudits + 32;
+  const auto full_monitor = [](int destinations) {
+    MonitorConfig config;
+    config.window = kRetentionWindow;
+    auto monitor = std::make_unique<SlidingMonitor>(config);
+    for (std::size_t w = 0; w < kWindows; ++w) {
+      monitor->feed(retention_window(w, retention_alarms(w), destinations));
+    }
+    return monitor;
+  };
+  const auto small = full_monitor(1);
+  const auto large = full_monitor(100);
+  for (const SlidingMonitor* monitor : {small.get(), large.get()}) {
+    const MonitorSnapshot snap = monitor->snapshot();
+    ASSERT_EQ(snap.audits.size(), SlidingMonitor::kMaxAudits);
+    ASSERT_EQ(snap.explained.size(), SlidingMonitor::kMaxExplained);
+    ASSERT_GT(snap.provenance_dropped, 0u);
+  }
+  const auto changes = [](const SlidingMonitor& monitor) {
+    return monitor.snapshot().explained.back()->report->change_count();
+  };
+  ASSERT_EQ(changes(*small), 2u);
+  ASSERT_GE(changes(*large), 100u);
+
+  std::optional<MonitorSnapshot> small_snap;
+  std::optional<MonitorSnapshot> large_snap;
+  const Heap small_heap =
+      count_heap([&] { small_snap.emplace(small->snapshot()); });
+  const Heap large_heap =
+      count_heap([&] { large_snap.emplace(large->snapshot()); });
+  EXPECT_EQ(small_heap.allocs, large_heap.allocs);
+  // The audit vector, one decision string per audit, the pointer array.
+  EXPECT_LE(large_heap.allocs, SlidingMonitor::kMaxAudits + 2);
+
+  const MonitorSnapshot again = large->snapshot();
+  ASSERT_EQ(again.explained.size(), large_snap->explained.size());
+  std::size_t shared = 0;
+  for (std::size_t i = 0; i < again.explained.size(); ++i) {
+    if (again.explained[i].get() == large_snap->explained[i].get()) ++shared;
+  }
+  EXPECT_EQ(shared, SlidingMonitor::kMaxExplained);
 }
 
 TEST(WindowAlloc, TaskDetectionAllocationsDoNotGrowWithFlows) {

@@ -540,7 +540,7 @@ int write_provenance_artifact(const core::SlidingMonitor& monitor) {
   const core::MonitorSnapshot snap = monitor.snapshot();
   const std::string path = g_opts.artifacts_dir + "/provenance.json";
   const std::string text = core::render_provenance_collection_json(
-      snap.provenance(), snap.provenance_dropped);
+      snap.explained, snap.provenance_dropped);
   if (!of::write_file(path, text)) return fail("cannot write " + path);
   return 0;
 }
@@ -629,11 +629,11 @@ int print_monitor_run(const core::SlidingMonitor& monitor,
     std::printf("\nper-window audit trail:\n%s", table.render().c_str());
   }
   for (const auto& entry : snap.explained) {
-    if (!entry.report) continue;
+    if (!entry->report) continue;
     std::printf("\n=== ALARM window [%.1fs, %.1fs] ===\n",
-                to_seconds(entry.provenance.window_begin),
-                to_seconds(entry.provenance.window_end));
-    std::fputs(entry.report->render().c_str(), stdout);
+                to_seconds(entry->provenance.window_begin),
+                to_seconds(entry->provenance.window_end));
+    std::fputs(entry->report->render().c_str(), stdout);
   }
   if (parsed.report_path.empty()) return 0;
   return write_run_report(monitor, parsed.report_path, parsed.html);
