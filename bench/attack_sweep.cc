@@ -127,12 +127,12 @@ struct SweepResult {
 
 SweepResult sweep_one(Family family, double intensity, std::size_t trials) {
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  core::MonitorConfig config;
-  config.flowdiff = lab.flowdiff_config();
-  config.window = 40 * kSecond;
-  config.rolling_baseline = false;
+  core::MonitorOptions options;
+  options.services = lab.flowdiff_config().model.special_nodes;
+  options.window = 40 * kSecond;
+  options.rolling_baseline = false;
 
-  core::SlidingMonitor monitor(config);
+  core::SlidingMonitor monitor(options);
   Attackers holders;
   monitor.feed(lab.run_window());  // Baseline.
   for (std::size_t trial = 0; trial < trials; ++trial) {

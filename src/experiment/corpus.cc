@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "flowdiff/monitor.h"
 #include "openflow/log_io.h"
 
 namespace flowdiff::exp {
@@ -32,21 +33,20 @@ std::optional<std::int64_t> parse_int(std::string_view text) {
 
 }  // namespace
 
-std::string corpus_header(const core::MonitorConfig& config) {
+std::string corpus_header(const core::MonitorOptions& options) {
   std::ostringstream out;
-  out << "# corpus window_us=" << config.window
-      << " sanitize=" << (config.sanitize ? 1 : 0)
-      << " lateness_us=" << config.ingest.lateness_horizon
-      << " rolling=" << (config.rolling_baseline ? 1 : 0)
-      << " services=" << render_services(config.flowdiff.model.special_nodes)
-      << "\n";
+  out << "# corpus window_us=" << options.window
+      << " sanitize=" << (options.sanitize ? 1 : 0)
+      << " lateness_us=" << options.monitor_config().ingest.lateness_horizon
+      << " rolling=" << (options.rolling_baseline ? 1 : 0)
+      << " services=" << render_services(options.services) << "\n";
   return out.str();
 }
 
 std::string serialize_corpus_case(
-    const core::MonitorConfig& config,
+    const core::MonitorOptions& options,
     const std::vector<of::ControlEvent>& events) {
-  return corpus_header(config) + of::serialize(events);
+  return corpus_header(options) + of::serialize(events);
 }
 
 std::optional<CorpusCase> parse_corpus_case(std::string_view text) {
@@ -58,8 +58,6 @@ std::optional<CorpusCase> parse_corpus_case(std::string_view text) {
   header.remove_prefix(kPrefix.size());
 
   CorpusCase out;
-  out.config.rolling_baseline = false;
-  std::set<Ipv4> services;
   std::istringstream fields{std::string(header)};
   std::string field;
   while (fields >> field) {
@@ -69,16 +67,18 @@ std::optional<CorpusCase> parse_corpus_case(std::string_view text) {
     const std::string value = field.substr(eq + 1);
     if (key == "window_us") {
       const auto parsed = parse_int(value);
-      if (!parsed || *parsed <= 0) return std::nullopt;
-      out.config.window = *parsed;
+      if (!parsed) return std::nullopt;
+      out.options.window = *parsed;
     } else if (key == "sanitize") {
-      out.config.sanitize = value == "1";
+      out.options.sanitize = value == "1";
     } else if (key == "lateness_us") {
       const auto parsed = parse_int(value);
-      if (!parsed || *parsed <= 0) return std::nullopt;
-      out.config.ingest.lateness_horizon = *parsed;
+      if (!parsed) return std::nullopt;
+      if (*parsed != ingest::SanitizerConfig{}.lateness_horizon) {
+        out.options.lateness = *parsed;
+      }
     } else if (key == "rolling") {
-      out.config.rolling_baseline = value == "1";
+      out.options.rolling_baseline = value == "1";
     } else if (key == "services") {
       if (value == "-") continue;
       std::istringstream ips(value);
@@ -86,12 +86,12 @@ std::optional<CorpusCase> parse_corpus_case(std::string_view text) {
       while (std::getline(ips, ip_text, ',')) {
         const auto ip = Ipv4::parse(ip_text);
         if (!ip) return std::nullopt;
-        services.insert(*ip);
+        out.options.services.insert(*ip);
       }
     }
     // Unknown keys are ignored so old binaries can replay newer corpora.
   }
-  out.config.flowdiff.model.special_nodes = std::move(services);
+  if (out.options.validate()) return std::nullopt;
 
   auto events = of::parse_control_events(text.substr(eol + 1));
   if (!events) return std::nullopt;
@@ -100,14 +100,14 @@ std::optional<CorpusCase> parse_corpus_case(std::string_view text) {
 }
 
 std::string replay_corpus_case(const CorpusCase& corpus_case) {
-  core::SlidingMonitor monitor(corpus_case.config);
+  core::SlidingMonitor monitor(corpus_case.options);
   monitor.feed(corpus_case.events);
   monitor.flush();
   return core::render_monitor_transcript(monitor);
 }
 
 std::string replay_corpus_provenance(const CorpusCase& corpus_case) {
-  core::SlidingMonitor monitor(corpus_case.config);
+  core::SlidingMonitor monitor(corpus_case.options);
   monitor.feed(corpus_case.events);
   monitor.flush();
   return core::render_provenance_transcript(monitor);

@@ -2,7 +2,7 @@
 // monitor transcripts are committed alongside them.
 //
 // A corpus case is one control-log file with a `# corpus ...` header line
-// encoding the replay configuration (window length, whether the ingest
+// encoding the replay options (window length, whether the ingest
 // sanitizer is on, the deployment's service IPs), followed by ordinary
 // log_io event lines *in arrival order* — corrupted captures keep their
 // deliberate disorder across the disk round-trip. Replaying a case feeds
@@ -21,30 +21,36 @@
 #include <string_view>
 #include <vector>
 
-#include "flowdiff/monitor.h"
+#include "flowdiff/monitor_options.h"
 #include "openflow/control_log.h"
 
 namespace flowdiff::exp {
 
-/// One parsed corpus file: the monitor configuration its header encodes
-/// plus the capture's events in file (arrival) order.
+/// One parsed corpus file: the monitor options its header encodes plus
+/// the capture's events in file (arrival) order.
 struct CorpusCase {
-  core::MonitorConfig config;
+  core::MonitorOptions options;
   std::vector<of::ControlEvent> events;
 };
 
 /// The `# corpus ...` header line (with trailing newline) describing how
-/// to replay a capture: window/lateness in microseconds, sanitize flag,
-/// and the comma-separated service IPs wired into FlowDiffConfig.
-[[nodiscard]] std::string corpus_header(const core::MonitorConfig& config);
+/// to replay a capture: window and lateness horizon in microseconds (the
+/// horizon the options lower to, so the SanitizerConfig default when
+/// unset, sanitized or not), sanitize and rolling flags, and the
+/// comma-separated service IPs.
+[[nodiscard]] std::string corpus_header(const core::MonitorOptions& options);
 
 /// Serializes a full corpus case: header + events in the order given.
 [[nodiscard]] std::string serialize_corpus_case(
-    const core::MonitorConfig& config,
+    const core::MonitorOptions& options,
     const std::vector<of::ControlEvent>& events);
 
-/// Parses a corpus file; nullopt if the header is missing/malformed or
-/// any event line fails to parse.
+/// Parses a corpus file; nullopt if the header is missing or malformed,
+/// encodes options MonitorOptions::validate() rejects, or any event line
+/// fails to parse. A `lateness_us` equal to the SanitizerConfig default
+/// reads as unset (what corpus_header writes for unset); any other value
+/// sets MonitorOptions::lateness, so validate() rejects it without
+/// `sanitize=1` and when it is not shorter than the window.
 [[nodiscard]] std::optional<CorpusCase> parse_corpus_case(
     std::string_view text);
 

@@ -6,8 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "flowdiff/monitor_options.h"
-
 #include "obs/flight_recorder.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -83,17 +81,14 @@ std::string family_breakdown(const std::vector<Change>& changes) {
 
 }  // namespace
 
-SlidingMonitor::SlidingMonitor(MonitorConfig config)
-    : config_(std::move(config)),
-      flowdiff_(config_.flowdiff),
+SlidingMonitor::SlidingMonitor(const MonitorOptions& options)
+    : options_(validated(options)),
+      flowdiff_(options_.monitor_config().flowdiff),
       ingest_sink_([this](const of::ControlEvent& e) { ingest_event(e); }),
       feed_wall_(std::chrono::steady_clock::now()) {
-  if (config_.sanitize) sanitizer_.emplace(config_.ingest);
-  if (config_.incremental) inc_ = &flowdiff_.incremental_modeler();
+  if (options_.sanitize) sanitizer_.emplace(options_.monitor_config().ingest);
+  if (options_.incremental) inc_ = &flowdiff_.incremental_modeler();
 }
-
-SlidingMonitor::SlidingMonitor(const MonitorOptions& options)
-    : SlidingMonitor(options.monitor_config()) {}
 
 void SlidingMonitor::feed(const of::ControlEvent& event) {
   feed_wall_ = std::chrono::steady_clock::now();
@@ -130,13 +125,13 @@ void SlidingMonitor::ingest_event(const of::ControlEvent& event) {
   }
   newest_ts_ = event.ts;
   // Unsigned distances: exact for any pair of int64 timestamps.
-  const auto window = static_cast<std::uint64_t>(config_.window);
+  const auto window = static_cast<std::uint64_t>(options_.window);
   const auto since_start = [&] {
     return static_cast<std::uint64_t>(event.ts) -
            static_cast<std::uint64_t>(window_start_);
   };
   if (event.ts >= window_start_ && since_start() >= window) {
-    close_window(window_start_ + config_.window);  // <= event.ts: no overflow.
+    close_window(window_start_ + options_.window);  // <= event.ts: no overflow.
     if (const std::uint64_t idle = since_start() / window; idle > 0) {
       skip_idle_windows(idle);
     }
@@ -152,7 +147,7 @@ void SlidingMonitor::skip_idle_windows(std::uint64_t count) {
   const SimTime from = window_start_;
   window_start_ = static_cast<SimTime>(
       static_cast<std::uint64_t>(window_start_) +
-      count * static_cast<std::uint64_t>(config_.window));
+      count * static_cast<std::uint64_t>(options_.window));
   metrics().idle_windows_skipped.inc(count);
   if (obs::enabled()) {
     obs::FlightRecorder::global().record(
@@ -342,7 +337,7 @@ void SlidingMonitor::process_window(
     return;
   }
 
-  DiffReport report = flowdiff_.diff(*baseline_, *model, config_.tasks,
+  DiffReport report = flowdiff_.diff(*baseline_, *model, options_.tasks,
                                      &quality);
   const auto diff_done = std::chrono::steady_clock::now();
   latency.diff_ms = wall_ms(model_done, diff_done);
@@ -409,7 +404,7 @@ void SlidingMonitor::process_window(
     }
   }
   audit.decision += notes;
-  if (clean && config_.rolling_baseline) {
+  if (clean && options_.rolling_baseline) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       baseline_ = model;

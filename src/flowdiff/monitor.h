@@ -20,37 +20,11 @@
 
 #include "flowdiff/flowdiff.h"
 #include "flowdiff/incremental_model.h"
+#include "flowdiff/monitor_options.h"
 #include "flowdiff/provenance.h"
 #include "ingest/sanitizer.h"
 
 namespace flowdiff::core {
-
-struct MonitorOptions;  // flowdiff/monitor_options.h
-
-struct MonitorConfig {
-  FlowDiffConfig flowdiff;
-  SimDuration window = 30 * kSecond;
-  /// Adopt each *clean* window as the new baseline (alarmed windows never
-  /// rebaseline, so a persistent fault keeps alarming).
-  bool rolling_baseline = false;
-  std::vector<TaskAutomaton> tasks;
-  /// Route feed() through an ingest::StreamSanitizer: raw capture
-  /// arrivals may be out of order, duplicated, or truncated; the monitor
-  /// then windows the *sanitized* stream, stamps each WindowAudit with its
-  /// StreamQuality, and diffs in degraded mode (confidence grading, alarm
-  /// suppression) when the window shows corruption. Over a clean stream
-  /// this is invariant: identical alarms, audits, and reports.
-  bool sanitize = false;
-  /// Sanitizer tuning (lateness horizon etc.); used when sanitize is set.
-  ingest::SanitizerConfig ingest;
-  /// Maintain per-window signature aggregates incrementally at feed time
-  /// (the facade's core::IncrementalModeler) and keep nothing else per
-  /// window: a closing window only runs the cheap finalize, bit-identical
-  /// to the from-scratch build. Off, the monitor keeps each window's raw
-  /// events and runs Modeler::build on them — the oracle mode the identity
-  /// tests compare against.
-  bool incremental = true;
-};
 
 /// Per-window audit record: why the monitor alarmed (or stayed silent) on
 /// each window it processed. One entry per processed window, in order —
@@ -71,7 +45,7 @@ struct WindowAudit {
   std::size_t suppressed = 0;  ///< Unknowns withheld (degraded stream).
   std::string decision;        ///< Human-readable explanation.
   /// Ingest sanitizer's tally for this window (all-zero when
-  /// MonitorConfig::sanitize is off).
+  /// MonitorOptions::sanitize is off).
   ingest::StreamQuality quality;
 };
 
@@ -122,6 +96,7 @@ struct MonitorHealth {
   ingest::StreamQuality quality;
 };
 
+/// Built only from validated MonitorOptions (see the constructor).
 /// Every closed window is modeled, diffed and committed on the thread that
 /// fed the event closing it, then sampled into obs::Sampler::global() at
 /// its virtual end time (a no-op while obs is disabled; the sampler runs
@@ -138,11 +113,10 @@ class SlidingMonitor {
   static constexpr std::size_t kMaxAudits = 4096;
   static constexpr std::size_t kMaxExplained = 256;
 
-  explicit SlidingMonitor(MonitorConfig config);
-  /// Constructs from the validated public option bundle (the API the CLI
-  /// and the per-tenant serve shards share). The caller is expected to
-  /// have run MonitorOptions::validate() first; the options' `listen`
-  /// field is outside the monitor's scope and ignored here.
+  /// Throws std::invalid_argument with MonitorOptions::validate()'s
+  /// message when the options are incoherent, so every monitor runs on a
+  /// checked window and sanitizer horizon. `listen` is validated but
+  /// otherwise outside the monitor's scope.
   explicit SlidingMonitor(const MonitorOptions& options);
 
   SlidingMonitor(const SlidingMonitor&) = delete;
@@ -152,12 +126,11 @@ class SlidingMonitor {
   /// a sanitizer events must arrive in time order: an event with `ts < 0`,
   /// or older than the newest one already ingested, is rejected and counted
   /// (MonitorHealth::rejected_out_of_order, a note on the window's audit
-  /// decision), never modeled. With
-  /// MonitorConfig::sanitize they may arrive in raw capture order
-  /// (displaced up to the lateness horizon) and the monitor windows the
-  /// restored stream. Closing a window (a sanitized event's timestamp
-  /// crossing the boundary) models and diffs the window that just ended,
-  /// inline. Idle windows in a timestamp gap
+  /// decision), never modeled. With MonitorOptions::sanitize they may
+  /// arrive in raw capture order (displaced up to the lateness horizon)
+  /// and the monitor windows the restored stream. Closing a window (a
+  /// sanitized event's timestamp crossing the boundary) models and diffs
+  /// the window that just ended, inline. Idle windows in a timestamp gap
   /// are skipped in one step, however long the gap (counted by
   /// monitor.idle_windows_skipped).
   void feed(const of::ControlEvent& event);
@@ -221,15 +194,15 @@ class SlidingMonitor {
                     std::chrono::steady_clock::time_point wall_start,
                     std::shared_ptr<const ExplainedWindow> explained);
 
-  MonitorConfig config_;
+  const MonitorOptions options_;
   FlowDiff flowdiff_;
-  /// flowdiff_'s incremental modeler, set when config_.incremental and the
-  /// model config supports it; null in oracle mode.
+  /// flowdiff_'s incremental modeler, set when options_.incremental; null
+  /// in oracle mode.
   const IncrementalModeler* inc_ = nullptr;
   /// Aggregates of the window currently being fed (incremental mode), the
   /// window's only copy. Its storage is reused across windows.
   IncrementalWindowState inc_state_;
-  /// Engaged when config_.sanitize; feed() pushes raw arrivals through it
+  /// Engaged when options_.sanitize; feed() pushes raw arrivals through it
   /// and ingest_event() consumes the restored stream.
   std::optional<ingest::StreamSanitizer> sanitizer_;
   /// Built once in the constructor: the sanitizer's Sink is a

@@ -24,7 +24,8 @@ const char* to_string(ShardState state) {
 }
 
 MonitorManager::MonitorManager(ManagerConfig config)
-    : config_(std::move(config)), executor_(config_.workers) {}
+    : config_((validated(config.options), std::move(config))),
+      executor_(config_.workers) {}
 
 MonitorManager::~MonitorManager() { stop_all(); }
 

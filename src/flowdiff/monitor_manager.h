@@ -82,6 +82,9 @@ struct ManagerConfig {
 
 class MonitorManager {
  public:
+  /// Validates the shard option template once, before any worker starts:
+  /// throws std::invalid_argument with MonitorOptions::validate()'s
+  /// message, so no shard is ever built from unchecked options.
   explicit MonitorManager(ManagerConfig config);
   ~MonitorManager();
 

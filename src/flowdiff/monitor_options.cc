@@ -1,5 +1,8 @@
 #include "flowdiff/monitor_options.h"
 
+#include <stdexcept>
+#include <utility>
+
 #include "obs/http_server.h"
 
 namespace flowdiff::core {
@@ -35,14 +38,16 @@ std::optional<std::string> MonitorOptions::validate() const {
 
 MonitorConfig MonitorOptions::monitor_config() const {
   MonitorConfig config;
-  config.window = window;
-  config.rolling_baseline = rolling_baseline;
-  config.sanitize = sanitize;
-  if (lateness) config.ingest.lateness_horizon = *lateness;
-  config.incremental = incremental;
   config.flowdiff.model.special_nodes = services;
-  config.tasks = tasks;
+  if (lateness) config.ingest.lateness_horizon = *lateness;
   return config;
+}
+
+const MonitorOptions& validated(const MonitorOptions& options) {
+  if (auto error = options.validate()) {
+    throw std::invalid_argument(std::move(*error));
+  }
+  return options;
 }
 
 }  // namespace flowdiff::core

@@ -1,14 +1,15 @@
-// MonitorOptions: the one validated bundle of monitoring knobs.
+// MonitorOptions: the one validated bundle of monitoring knobs, and the
+// only way to build a monitor.
 //
-// Before this existed every entry point (CLI monitor/report, tests, the
-// serve daemon's per-tenant shards) assembled its own MonitorConfig from
-// loose flags — sanitize here, lateness there, window length somewhere
-// else — and inconsistent combinations were silently clamped or ignored.
-// MonitorOptions is the API boundary instead: callers fill in the public
-// knobs, validate() rejects combinations that make no sense (with a
-// message naming the offending pair), and monitor_config() lowers the
-// validated bundle onto the internal MonitorConfig that SlidingMonitor —
-// and every per-tenant shard a MonitorManager creates — actually runs.
+// Every entry point (CLI monitor/report, the serve daemon's per-tenant
+// shards, the corpus replayer, tests, benches) fills in the public knobs
+// and hands the bundle to SlidingMonitor or MonitorManager, whose
+// constructors run validate() and throw std::invalid_argument with its
+// message, so no monitor exists whose window, sanitizer horizon or other
+// knobs were not checked together. validate() rejects combinations that
+// make no sense (with a message naming the offending pair); nothing is
+// silently clamped or ignored. monitor_config() lowers the bundle onto
+// the two sub-configs the monitor's modeler and sanitizer are built from.
 // Retention is not an option: every monitor keeps 4096 audits and 256
 // explained windows; an alarm's report rotates out with its provenance.
 #pragma once
@@ -18,18 +19,31 @@
 #include <string>
 #include <vector>
 
-#include "flowdiff/monitor.h"
+#include "flowdiff/flowdiff.h"
 #include "flowdiff/task_automaton.h"
+#include "ingest/sanitizer.h"
 
 namespace flowdiff::core {
+
+/// What MonitorOptions lowers to: the modeling/diff facade's config (the
+/// service set) and the ingest sanitizer's (the lateness horizon).
+struct MonitorConfig {
+  FlowDiffConfig flowdiff;
+  ingest::SanitizerConfig ingest;
+};
 
 struct MonitorOptions {
   /// Window length (event time). Must be positive.
   SimDuration window = 30 * kSecond;
-  /// Roll the baseline forward on clean windows.
+  /// Adopt each *clean* window as the new baseline (alarmed windows never
+  /// rebaseline, so a persistent fault keeps alarming).
   bool rolling_baseline = false;
-  /// Route ingest through the StreamSanitizer (raw arrival order in,
-  /// restored order out, per-window StreamQuality, degraded-mode diffs).
+  /// Route ingest through the StreamSanitizer: raw capture arrivals may be
+  /// out of order, duplicated, or truncated; the monitor then windows the
+  /// restored stream, stamps each WindowAudit with its StreamQuality, and
+  /// diffs in degraded mode (confidence grading, alarm suppression) when
+  /// the window shows corruption. Over a clean stream this is invariant:
+  /// identical alarms, audits, and reports.
   bool sanitize = false;
   /// Sanitizer reorder horizon. Setting it without `sanitize` is an error
   /// (validate() rejects it rather than silently ignoring the horizon);
@@ -47,7 +61,8 @@ struct MonitorOptions {
   /// it. (serve's cross-tenant pool is ManagerConfig::workers.)
   int workers = 0;
   /// Telemetry-plane endpoint ("ADDR:PORT", ":PORT", or "PORT"); empty
-  /// serves nothing. Must parse via obs::parse_listen_address.
+  /// serves nothing. Must parse via obs::parse_listen_address. Outside the
+  /// monitor's own scope: only validated there.
   std::string listen;
   /// Domain knowledge: special-purpose service IPs.
   std::set<Ipv4> services;
@@ -59,9 +74,14 @@ struct MonitorOptions {
   /// up — the caller decides how to surface the rejection.
   [[nodiscard]] std::optional<std::string> validate() const;
 
-  /// Lowers the validated bundle onto the internal config SlidingMonitor
-  /// consumes. Call only after validate() returned nullopt.
+  /// The modeler and sanitizer configs these options lower to (the
+  /// SanitizerConfig default horizon when `lateness` is unset).
   [[nodiscard]] MonitorConfig monitor_config() const;
 };
+
+/// Returns `options` when validate() accepts them; otherwise throws
+/// std::invalid_argument carrying validate()'s message. The monitor and
+/// manager constructors run it first.
+const MonitorOptions& validated(const MonitorOptions& options);
 
 }  // namespace flowdiff::core

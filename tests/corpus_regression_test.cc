@@ -75,7 +75,7 @@ TEST(CorpusRegression, EveryCaseReplaysToItsGolden) {
     // to the same golden, so the corpus holds both modeling paths to one
     // spec rather than only to each other.
     auto oracle_case = *corpus_case;
-    oracle_case.config.incremental = false;
+    oracle_case.options.incremental = false;
     EXPECT_EQ(replay_corpus_case(oracle_case), *golden)
         << "oracle-mode transcript drifted from " << golden_path.filename();
   }
@@ -98,15 +98,39 @@ TEST(CorpusRegression, SerializationRoundTripsLosslessly) {
   // serialize(parse(file)) == file for every committed case — arrival
   // order (including the corrupted case's deliberate disorder) must
   // survive the disk round trip, or the corpus silently re-sorts itself.
+  // The header alone round-trips through MonitorOptions too, including
+  // the default lateness_us the unsanitized cases carry.
+  std::string body;
   for (const auto& log_path : corpus_logs()) {
     SCOPED_TRACE(log_path.filename().string());
     const auto text = of::read_file(log_path.string());
     ASSERT_TRUE(text.has_value());
     const auto corpus_case = parse_corpus_case(*text);
     ASSERT_TRUE(corpus_case.has_value());
-    EXPECT_EQ(serialize_corpus_case(corpus_case->config,
+    EXPECT_EQ(serialize_corpus_case(corpus_case->options,
                                     corpus_case->events),
               *text);
+    const std::size_t eol = text->find('\n');
+    ASSERT_NE(eol, std::string::npos);
+    EXPECT_EQ(corpus_header(corpus_case->options), text->substr(0, eol + 1));
+    body = text->substr(eol + 1);
+  }
+
+  // A header encodes options, so one that MonitorOptions::validate()
+  // rejects does not parse; the same events under a coherent header do.
+  const std::string sanitized =
+      "# corpus window_us=40000000 sanitize=1 rolling=0 services=-";
+  EXPECT_TRUE(parse_corpus_case(sanitized + " lateness_us=39999999\n" + body)
+                  .has_value());
+  for (const std::string& header :
+       {sanitized + " lateness_us=40000000",  // Horizon == window.
+        sanitized + " lateness_us=0",
+        std::string("# corpus window_us=0 sanitize=0 services=-"),
+        // A non-default horizon without the sanitizer it applies to.
+        std::string("# corpus window_us=40000000 sanitize=0 "
+                    "lateness_us=2000000 services=-")}) {
+    SCOPED_TRACE(header);
+    EXPECT_FALSE(parse_corpus_case(header + "\n" + body).has_value());
   }
 }
 
@@ -202,10 +226,10 @@ TEST(CorpusRegression, ZeroIntensityAttacksAreInvisible) {
     EXPECT_EQ(incast.flows_sent(), 0u);
   }
 
-  EXPECT_EQ(serialize_corpus_case(steady_case->config, stream),
+  EXPECT_EQ(serialize_corpus_case(steady_case->options, stream),
             *steady_text)
       << "zero-intensity generators perturbed the steady capture";
-  const CorpusCase control{steady_case->config, std::move(stream)};
+  const CorpusCase control{steady_case->options, std::move(stream)};
   const std::string transcript = replay_corpus_case(control);
   EXPECT_NE(transcript.find("alarms=0"), std::string::npos);
   const auto steady_golden = of::read_file(dir + "/steady.golden");

@@ -146,10 +146,10 @@ TEST_P(CorruptionSweepTest, SanitizedMonitorSurvivesAndCountersReconcile) {
         faults::CorruptorConfig::uniform(rate, seed));
     const auto arrivals = corruptor.corrupt(log);
 
-    core::MonitorConfig config;
-    config.window = kSecond;
-    config.sanitize = true;
-    core::SlidingMonitor monitor(config);
+    core::MonitorOptions options;
+    options.window = kSecond;
+    options.sanitize = true;
+    core::SlidingMonitor monitor(options);
     monitor.feed(arrivals);
     monitor.flush();
 
@@ -411,10 +411,10 @@ TEST(HostileTimestamp, FarFutureEventSkipsIdleWindowsInOneStep) {
     SCOPED_TRACE(sanitize ? "sanitized" : "unsanitized");
     obs::Registry::global().reset();
     obs::set_enabled(true);
-    core::MonitorConfig config;
-    config.window = kWindow;
-    config.sanitize = sanitize;
-    core::SlidingMonitor monitor(config);
+    core::MonitorOptions options;
+    options.window = kWindow;
+    options.sanitize = sanitize;
+    core::SlidingMonitor monitor(options);
     const auto start = std::chrono::steady_clock::now();
     monitor.feed(hostile_packet_in(0, 1));
     monitor.feed(hostile_packet_in(kFar, 2));
@@ -448,10 +448,10 @@ TEST(HostileTimestamp, GapEndingAtInt64MaxDoesNotOverflow) {
   constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
   for (const bool sanitize : {false, true}) {
     SCOPED_TRACE(sanitize ? "sanitized" : "unsanitized");
-    core::MonitorConfig config;
-    config.window = 40 * kSecond;
-    config.sanitize = sanitize;
-    core::SlidingMonitor monitor(config);
+    core::MonitorOptions options;
+    options.window = 40 * kSecond;
+    options.sanitize = sanitize;
+    core::SlidingMonitor monitor(options);
     const auto start = std::chrono::steady_clock::now();
     monitor.feed(hostile_packet_in(0, 1));
     of::EchoReply echo;
@@ -502,10 +502,10 @@ TEST(HostileTimestamp, NegativeTimestampsAreRejectedAndCounted) {
   constexpr std::uint64_t kEvents = 200;
   for (const bool sanitize : {false, true}) {
     SCOPED_TRACE(sanitize ? "sanitized" : "unsanitized");
-    core::MonitorConfig config;
-    config.window = 40 * kSecond;
-    config.sanitize = sanitize;
-    core::SlidingMonitor monitor(config);
+    core::MonitorOptions options;
+    options.window = 40 * kSecond;
+    options.sanitize = sanitize;
+    core::SlidingMonitor monitor(options);
     for (std::uint64_t i = 0; i < kEvents; ++i) {
       const auto ts = -400'000 * kSecond + static_cast<SimTime>(i) * kSecond;
       monitor.feed(hostile_packet_in(ts, i + 1));

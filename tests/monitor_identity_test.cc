@@ -76,18 +76,19 @@ std::vector<std::string> transcript_of(const SlidingMonitor& monitor) {
 /// 1 s windows with a rolling baseline.
 /// `incremental = false` forces every window through the from-scratch
 /// model build (the oracle mode the identity tests compare against).
-MonitorConfig monitor_config(bool sanitize = false, bool incremental = true) {
-  MonitorConfig config;
-  config.window = kSecond;
-  config.rolling_baseline = true;
-  config.sanitize = sanitize;
-  config.incremental = incremental;
-  return config;
+MonitorOptions monitor_options(bool sanitize = false,
+                               bool incremental = true) {
+  MonitorOptions options;
+  options.window = kSecond;
+  options.rolling_baseline = true;
+  options.sanitize = sanitize;
+  options.incremental = incremental;
+  return options;
 }
 
 std::vector<std::string> monitor_transcript(bool sanitize = false,
                                             bool incremental = true) {
-  SlidingMonitor monitor(monitor_config(sanitize, incremental));
+  SlidingMonitor monitor(monitor_options(sanitize, incremental));
   monitor.feed(capture());
   monitor.flush();
   return transcript_of(monitor);
@@ -102,12 +103,12 @@ exp::CorpusCase steady_repeated(std::size_t repeats) {
   if (!text) return {};
   auto steady = exp::parse_corpus_case(*text);
   if (!steady || steady->events.empty()) return {};
-  const SimDuration window = steady->config.window;
+  const SimDuration window = steady->options.window;
   const SimTime span = steady->events.back().ts - steady->events.front().ts;
   const SimTime step = (span / window + 2) * window;
   exp::CorpusCase repeated;
-  repeated.config = steady->config;
-  repeated.config.rolling_baseline = true;
+  repeated.options = steady->options;
+  repeated.options.rolling_baseline = true;
   repeated.events.reserve(steady->events.size() * repeats);
   for (std::size_t rep = 0; rep < repeats; ++rep) {
     for (of::ControlEvent event : steady->events) {
@@ -136,8 +137,8 @@ TEST(MonitorIdentity, IncrementalMatchesFromScratchOracle) {
   auto steady = steady_repeated(3);
   ASSERT_FALSE(steady.events.empty()) << "steady.log missing or empty";
   const auto steady_transcript = [&steady](bool incremental) {
-    steady.config.incremental = incremental;
-    SlidingMonitor monitor(steady.config);
+    steady.options.incremental = incremental;
+    SlidingMonitor monitor(steady.options);
     monitor.feed(steady.events);
     monitor.flush();
     return render_monitor_transcript(monitor) +
@@ -158,8 +159,8 @@ TEST(MonitorIdentity, PerWindowModelsMatchOracle) {
                              const std::string& what) {
     std::vector<std::string> models[2];
     for (const bool incremental : {true, false}) {
-      corpus_case.config.incremental = incremental;
-      SlidingMonitor monitor(corpus_case.config);
+      corpus_case.options.incremental = incremental;
+      SlidingMonitor monitor(corpus_case.options);
       models[incremental ? 0 : 1] =
           feed_window_models(monitor, corpus_case.events);
     }
@@ -179,7 +180,7 @@ TEST(MonitorIdentity, PerWindowModelsMatchOracle) {
     auto corpus_case = exp::parse_corpus_case(*text);
     ASSERT_TRUE(corpus_case.has_value()) << path;
     for (const bool sanitize : {false, true}) {
-      corpus_case->config.sanitize = sanitize;
+      corpus_case->options.sanitize = sanitize;
       both_modes(*corpus_case, path.filename().string() +
                                    (sanitize ? " sanitized" : " plain"));
     }
@@ -205,7 +206,7 @@ TEST(MonitorIdentity, ScrapeUnderLoadKeepsTranscriptIdentical) {
   const std::vector<std::string> plain = monitor_transcript();
   ASSERT_FALSE(plain.empty());
 
-  auto monitor = std::make_unique<SlidingMonitor>(monitor_config());
+  auto monitor = std::make_unique<SlidingMonitor>(monitor_options());
   TelemetryPlane plane;
   plane.attach(monitor.get());
   ASSERT_TRUE(plane.start()) << plane.last_error();
@@ -269,7 +270,7 @@ TEST(MonitorIdentity, SanitizedTranscriptRenderIsInvariant) {
   // Same invariance through the corpus renderer (the exact text the
   // golden-trace corpus diffs byte for byte).
   const auto transcript = [](bool sanitize) {
-    SlidingMonitor monitor(monitor_config(sanitize));
+    SlidingMonitor monitor(monitor_options(sanitize));
     monitor.feed(capture());
     monitor.flush();
     return render_monitor_transcript(monitor);

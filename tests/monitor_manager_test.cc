@@ -24,8 +24,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Loads one committed corpus case (its events and the monitor
-/// configuration its header encodes) plus the golden transcript it pins.
+/// Loads one committed corpus case (its events and the monitor options
+/// its header encodes) plus the golden transcript it pins.
 struct CorpusFixture {
   explicit CorpusFixture(const std::string& stem) {
     const fs::path log = fs::path(FLOWDIFF_CORPUS_DIR) / (stem + ".log");
@@ -39,19 +39,6 @@ struct CorpusFixture {
     const auto golden_text = of::read_file(golden_path.string());
     if (!golden_text) ADD_FAILURE() << "unreadable: " << golden_path;
     golden = *golden_text;
-  }
-
-  /// The corpus header lowered onto the MonitorOptions API surface.
-  [[nodiscard]] MonitorOptions options() const {
-    MonitorOptions opts;
-    opts.window = corpus_case.config.window;
-    opts.rolling_baseline = corpus_case.config.rolling_baseline;
-    opts.sanitize = corpus_case.config.sanitize;
-    if (corpus_case.config.sanitize) {
-      opts.lateness = corpus_case.config.ingest.lateness_horizon;
-    }
-    opts.services = corpus_case.config.flowdiff.model.special_nodes;
-    return opts;
   }
 
   exp::CorpusCase corpus_case;
@@ -68,10 +55,37 @@ std::string tenant_transcript(const MonitorManager& manager,
   return render_monitor_transcript(*snap);
 }
 
+TEST(MonitorManager, ConstructionRejectsInvalidOptions) {
+  // The shard template is validated once, up front: a manager whose
+  // shards would run on rejected options is never built.
+  std::vector<MonitorOptions> invalid(4);
+  invalid[0].window = 0;
+  invalid[1].sanitize = true;
+  invalid[1].lateness = invalid[1].window;
+  invalid[2].lateness = kSecond;
+  invalid[3].workers = 1;
+  for (const MonitorOptions& options : invalid) {
+    const auto message = options.validate();
+    ASSERT_TRUE(message.has_value());
+    SCOPED_TRACE(*message);
+    for (const int workers : {0, 2}) {
+      ManagerConfig config;
+      config.options = options;
+      config.workers = workers;
+      try {
+        MonitorManager manager(config);
+        ADD_FAILURE() << "built a manager from rejected options";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(e.what(), *message);
+      }
+    }
+  }
+}
+
 TEST(MonitorManager, SingleTenantMatchesGoldenTranscript) {
   const CorpusFixture corpus("steady");
   ManagerConfig config;
-  config.options = corpus.options();
+  config.options = corpus.corpus_case.options;
   MonitorManager manager(config);
 
   EXPECT_TRUE(manager.register_tenant("a"));
@@ -93,7 +107,7 @@ TEST(MonitorManager, TwoTenantInterleavedDemuxMatchesSingleTenant) {
   // dedicated single-tenant monitor (the committed golden) produces.
   const CorpusFixture corpus("steady");
   ManagerConfig config;
-  config.options = corpus.options();
+  config.options = corpus.corpus_case.options;
   MonitorManager manager(config);
 
   for (const auto& event : corpus.corpus_case.events) {
@@ -112,7 +126,7 @@ TEST(MonitorManager, ParallelWorkersMatchSerialTranscripts) {
   // per-tenant order is preserved by the single-in-flight-task rule.
   const CorpusFixture corpus("slowdown");
   ManagerConfig config;
-  config.options = corpus.options();
+  config.options = corpus.corpus_case.options;
   config.workers = 4;
   MonitorManager manager(config);
 
@@ -142,7 +156,7 @@ TEST(MonitorManager, OversizedBatchMatchesEventByEventFeeding) {
   std::string one_by_one;
   {
     ManagerConfig config;
-    config.options = corpus.options();
+    config.options = corpus.corpus_case.options;
     MonitorManager manager(config);
     for (const auto& event : events) ASSERT_TRUE(manager.feed("t", event));
     manager.stop_all();
@@ -153,7 +167,7 @@ TEST(MonitorManager, OversizedBatchMatchesEventByEventFeeding) {
   for (const int workers : {0, 2}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ManagerConfig config;
-    config.options = corpus.options();
+    config.options = corpus.corpus_case.options;
     config.workers = workers;
     std::vector<std::string> seen;  // Written by the shard's one task.
     config.feed_hook = [&seen](const std::string&,
@@ -173,7 +187,7 @@ TEST(MonitorManager, OversizedBatchMatchesEventByEventFeeding) {
 TEST(MonitorManager, FaultIsOneTenantsProblem) {
   const CorpusFixture corpus("steady");
   ManagerConfig config;
-  config.options = corpus.options();
+  config.options = corpus.corpus_case.options;
   std::atomic<int> bad_events{0};
   config.feed_hook = [&](const std::string& tenant,
                          const of::ControlEvent&) {
@@ -212,7 +226,7 @@ TEST(MonitorManager, FaultIsOneTenantsProblem) {
 TEST(MonitorManager, IdleEvictionLeavesAReadableTombstone) {
   const CorpusFixture corpus("steady");
   ManagerConfig config;
-  config.options = corpus.options();
+  config.options = corpus.corpus_case.options;
   MonitorManager manager(config);
 
   ASSERT_TRUE(manager.feed("quiet", corpus.corpus_case.events));
@@ -242,7 +256,7 @@ TEST(MonitorManager, IdleEvictionLeavesAReadableTombstone) {
 TEST(MonitorManager, StopAllIsIdempotentAndKeepsResults) {
   const CorpusFixture corpus("steady");
   ManagerConfig config;
-  config.options = corpus.options();
+  config.options = corpus.corpus_case.options;
   MonitorManager manager(config);
   ASSERT_TRUE(manager.feed("a", corpus.corpus_case.events));
   manager.stop_all();
@@ -255,7 +269,7 @@ TEST(MonitorManager, AggregateHealthSumsShards) {
   const CorpusFixture steady("steady");
   const CorpusFixture slowdown("slowdown");
   ManagerConfig config;
-  config.options = steady.options();
+  config.options = steady.corpus_case.options;
   MonitorManager manager(config);
   ASSERT_TRUE(manager.feed("clean", steady.corpus_case.events));
   ASSERT_TRUE(manager.feed("slow", slowdown.corpus_case.events));
@@ -316,7 +330,7 @@ TEST(MonitorManager, OneSpikeFilesOneWatchdogAlert) {
       depth.set(100);
 
       ManagerConfig config;
-      config.options = corpus.options();
+      config.options = corpus.corpus_case.options;
       config.options.window = kChunk;
       config.workers = workers;
       MonitorManager manager(config);
@@ -376,7 +390,7 @@ TEST(MonitorManager, AggregateHealthSumsStreamQuality) {
   // an all-zero record.
   const CorpusFixture corrupted("corrupted_slowdown");
   ManagerConfig config;
-  config.options = corrupted.options();
+  config.options = corrupted.corpus_case.options;
   ASSERT_TRUE(config.options.sanitize);
   MonitorManager manager(config);
   const auto& events = corrupted.corpus_case.events;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "experiment/lab_experiment.h"
 #include "retention_stream.h"
 #include "workload/tasks.h"
@@ -15,17 +18,39 @@ namespace {
 // Each lab run_window() production (window + drain) is treated as one
 // monitor window by flushing after feeding it; the large window size keeps
 // feed() from splitting a single capture at an arbitrary boundary.
-MonitorConfig monitor_config(const exp::LabExperiment& lab,
-                             SimDuration window = 300 * kSecond) {
-  MonitorConfig config;
-  config.flowdiff = lab.flowdiff_config();
-  config.window = window;
-  return config;
+MonitorOptions monitor_options(const exp::LabExperiment& lab,
+                               SimDuration window = 300 * kSecond) {
+  MonitorOptions options;
+  options.services = lab.flowdiff_config().model.special_nodes;
+  options.window = window;
+  return options;
+}
+
+TEST(SlidingMonitor, ConstructionRejectsInvalidOptions) {
+  // A zero window once divided by zero on the first fed event; no monitor
+  // may exist whose options validate() rejects.
+  std::vector<MonitorOptions> invalid(4);
+  invalid[0].window = 0;
+  invalid[1].sanitize = true;
+  invalid[1].lateness = invalid[1].window;
+  invalid[2].lateness = kSecond;
+  invalid[3].workers = 1;
+  for (const MonitorOptions& options : invalid) {
+    const auto message = options.validate();
+    ASSERT_TRUE(message.has_value());
+    SCOPED_TRACE(*message);
+    try {
+      SlidingMonitor monitor(options);
+      ADD_FAILURE() << "built a monitor from rejected options";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), *message);
+    }
+  }
 }
 
 TEST(SlidingMonitor, FirstWindowBecomesBaseline) {
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  SlidingMonitor monitor(monitor_config(lab));
+  SlidingMonitor monitor(monitor_options(lab));
   EXPECT_FALSE(monitor.snapshot().has_baseline);
   monitor.feed(lab.run_window());
   monitor.flush();
@@ -35,7 +60,7 @@ TEST(SlidingMonitor, FirstWindowBecomesBaseline) {
 
 TEST(SlidingMonitor, HealthyStreamRaisesNoAlarms) {
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  SlidingMonitor monitor(monitor_config(lab));
+  SlidingMonitor monitor(monitor_options(lab));
   for (int w = 0; w < 3; ++w) {
     monitor.feed(lab.run_window());
     monitor.flush();
@@ -46,7 +71,7 @@ TEST(SlidingMonitor, HealthyStreamRaisesNoAlarms) {
 
 TEST(SlidingMonitor, FaultWindowAlarmsAndLocatesInTime) {
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  SlidingMonitor monitor(monitor_config(lab));
+  SlidingMonitor monitor(monitor_options(lab));
   monitor.feed(lab.run_window());  // Baseline.
   monitor.flush();
   monitor.feed(lab.run_window());  // Healthy.
@@ -76,9 +101,9 @@ TEST(SlidingMonitor, FaultWindowAlarmsAndLocatesInTime) {
 
 TEST(SlidingMonitor, RollingBaselineAdvancesOnCleanWindows) {
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  MonitorConfig config = monitor_config(lab);
-  config.rolling_baseline = true;
-  SlidingMonitor monitor(config);
+  MonitorOptions options = monitor_options(lab);
+  options.rolling_baseline = true;
+  SlidingMonitor monitor(options);
   monitor.feed(lab.run_window());
   monitor.flush();
   const SimTime first_baseline = monitor.snapshot().baseline_begin;
@@ -104,9 +129,9 @@ TEST(SlidingMonitor, TaskSignaturesSuppressMigrationAlarm) {
 
   auto run_stream = [&](bool with_tasks) {
     exp::LabExperiment fresh{exp::LabExperimentConfig{}};
-    MonitorConfig config = monitor_config(fresh);
-    if (with_tasks) config.tasks = {mined.automaton};
-    SlidingMonitor monitor(config);
+    MonitorOptions options = monitor_options(fresh);
+    if (with_tasks) options.tasks = {mined.automaton};
+    SlidingMonitor monitor(options);
     monitor.feed(fresh.run_window());  // Baseline.
     monitor.flush();
     const SimTime start = fresh.now() + 5 * kSecond;
@@ -126,7 +151,7 @@ TEST(SlidingMonitor, TaskSignaturesSuppressMigrationAlarm) {
 
 TEST(SlidingMonitor, AuditTrailMatchesAlarmStream) {
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  SlidingMonitor monitor(monitor_config(lab));
+  SlidingMonitor monitor(monitor_options(lab));
   monitor.feed(lab.run_window());  // Baseline.
   monitor.flush();
   monitor.feed(lab.run_window());  // Healthy.
@@ -183,9 +208,9 @@ TEST(SlidingMonitor, RetentionStaysBoundedPastBothCaps) {
   // reports rotate out with their explained windows.
   constexpr std::size_t kWindows = 4400;
   constexpr std::size_t kAlarms = 275;
-  MonitorConfig config;
-  config.window = kRetentionWindow;
-  SlidingMonitor monitor(config);
+  MonitorOptions options;
+  options.window = kRetentionWindow;
+  SlidingMonitor monitor(options);
   for (std::size_t w = 0; w < kWindows; ++w) {
     monitor.feed(retention_window(w, retention_alarms(w)));
   }
@@ -246,7 +271,7 @@ TEST(SlidingMonitor, RetentionStaysBoundedPastBothCaps) {
 TEST(SlidingMonitor, IdleGapsSkipEmptyWindows) {
   // A long silent gap must not produce empty-window alarms.
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  SlidingMonitor monitor(monitor_config(lab, 50 * kSecond));
+  SlidingMonitor monitor(monitor_options(lab, 50 * kSecond));
   auto log = lab.run_window();
   // Shift a copy far into the future to create a multi-window gap.
   of::ControlLog shifted;

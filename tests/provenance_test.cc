@@ -86,7 +86,7 @@ TEST(Provenance, EveryCorpusAlarmHasRankedContributorsAndFullLatency) {
   for (const char* name : kCases) {
     const auto parsed = load_case(name);
     ASSERT_TRUE(parsed.has_value()) << name;
-    core::SlidingMonitor monitor(parsed->config);
+    core::SlidingMonitor monitor(parsed->options);
     monitor.feed(parsed->events);
     monitor.flush();
     const core::MonitorSnapshot snap = monitor.snapshot();
@@ -134,7 +134,7 @@ TEST(Provenance, EveryCorpusAlarmHasRankedContributorsAndFullLatency) {
 TEST(Provenance, CollectionJsonRoundTripsLosslessly) {
   const auto parsed = load_case("slowdown");
   ASSERT_TRUE(parsed.has_value());
-  core::SlidingMonitor monitor(parsed->config);
+  core::SlidingMonitor monitor(parsed->options);
   monitor.feed(parsed->events);
   monitor.flush();
   const core::MonitorSnapshot snap = monitor.snapshot();
@@ -164,7 +164,7 @@ TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
   // JSON escape (raw ones make the document invalid) and come back intact.
   const auto parsed = load_case("slowdown");
   ASSERT_TRUE(parsed.has_value());
-  core::SlidingMonitor monitor(parsed->config);
+  core::SlidingMonitor monitor(parsed->options);
   monitor.feed(parsed->events);
   monitor.flush();
   const core::MonitorSnapshot snap = monitor.snapshot();
@@ -205,9 +205,9 @@ TEST(Provenance, RingRotationDropsOldestRecords) {
   // windows rotate out, each taking its alarm report along.
   constexpr std::size_t kAlarmed = 300;
   constexpr std::size_t kKept = core::SlidingMonitor::kMaxExplained;
-  core::MonitorConfig config;
-  config.window = core::kRetentionWindow;
-  core::SlidingMonitor monitor(config);
+  core::MonitorOptions options;
+  options.window = core::kRetentionWindow;
+  core::SlidingMonitor monitor(options);
   for (std::size_t w = 0; w <= kAlarmed; ++w) {
     monitor.feed(core::retention_window(w, /*alarmed=*/w > 0));
   }
@@ -429,7 +429,7 @@ TEST(Provenance, HeldSnapshotOutlivesRotationAndEviction) {
 TEST(Provenance, TelemetryPlaneServesRecordsAndErrors) {
   const auto parsed = load_case("slowdown");
   ASSERT_TRUE(parsed.has_value());
-  core::SlidingMonitor monitor(parsed->config);
+  core::SlidingMonitor monitor(parsed->options);
   monitor.feed(parsed->events);
   monitor.flush();
   ASSERT_FALSE(monitor.snapshot().explained.empty());
@@ -523,7 +523,7 @@ TEST(Provenance, ExplainCliRoundTripsArtifacts) {
   namespace fs = std::filesystem;
   const auto parsed = load_case("slowdown");
   ASSERT_TRUE(parsed.has_value());
-  core::SlidingMonitor monitor(parsed->config);
+  core::SlidingMonitor monitor(parsed->options);
   monitor.feed(parsed->events);
   monitor.flush();
   const core::MonitorSnapshot snap = monitor.snapshot();
@@ -561,7 +561,7 @@ TEST(Provenance, ExplainCliRoundTripsArtifacts) {
 TEST(Provenance, ExplainCliReadsLivePlane) {
   const auto parsed = load_case("slowdown");
   ASSERT_TRUE(parsed.has_value());
-  core::SlidingMonitor monitor(parsed->config);
+  core::SlidingMonitor monitor(parsed->options);
   monitor.feed(parsed->events);
   monitor.flush();
   const core::MonitorSnapshot snap = monitor.snapshot();

@@ -33,11 +33,11 @@ class ReportTest : public ::testing::Test {
   }
 };
 
-MonitorConfig monitor_config(const exp::LabExperiment& lab) {
-  MonitorConfig config;
-  config.flowdiff = lab.flowdiff_config();
-  config.window = 300 * kSecond;
-  return config;
+MonitorOptions monitor_options(const exp::LabExperiment& lab) {
+  MonitorOptions options;
+  options.services = lab.flowdiff_config().model.special_nodes;
+  options.window = 300 * kSecond;
+  return options;
 }
 
 /// Baseline + healthy + faulty + healthy windows, sampled per window.
@@ -45,7 +45,7 @@ MonitorConfig monitor_config(const exp::LabExperiment& lab) {
 /// neither copyable nor movable.)
 std::unique_ptr<SlidingMonitor> run_lab_monitor() {
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  auto monitor_ptr = std::make_unique<SlidingMonitor>(monitor_config(lab));
+  auto monitor_ptr = std::make_unique<SlidingMonitor>(monitor_options(lab));
   SlidingMonitor& monitor = *monitor_ptr;
   monitor.feed(lab.run_window());
   monitor.flush();
@@ -125,7 +125,7 @@ TEST_F(ReportTest, DegradesWithoutTelemetry) {
   // report must still render a coherent summary-only document.
   obs::set_enabled(false);
   exp::LabExperiment lab{exp::LabExperimentConfig{}};
-  SlidingMonitor monitor(monitor_config(lab));
+  SlidingMonitor monitor(monitor_options(lab));
   monitor.feed(lab.run_window());
   monitor.flush();
   obs::set_enabled(true);

@@ -52,7 +52,7 @@ struct Corpus {
   /// Writes the header's service IPs one per line for --services.
   [[nodiscard]] std::string write_services(const fs::path& path) const {
     std::string text;
-    for (const Ipv4 ip : corpus_case.config.flowdiff.model.special_nodes) {
+    for (const Ipv4 ip : corpus_case.options.services) {
       text += ip.to_string() + "\n";
     }
     EXPECT_TRUE(of::write_file(path.string(), text));
@@ -61,7 +61,7 @@ struct Corpus {
 
   [[nodiscard]] std::string window_seconds() const {
     return std::to_string(
-        static_cast<long long>(to_seconds(corpus_case.config.window)));
+        static_cast<long long>(to_seconds(corpus_case.options.window)));
   }
 
   fs::path log_path;
@@ -357,10 +357,9 @@ TEST(ServeCli, ByControllerTenantsMatchPerEventDemux) {
   EXPECT_GE(child.wait_exit(), 0);
 
   core::ManagerConfig config;
-  config.options.window = corpus.corpus_case.config.window;
+  config.options.window = corpus.corpus_case.options.window;
   config.options.sanitize = true;
-  config.options.services =
-      corpus.corpus_case.config.flowdiff.model.special_nodes;
+  config.options.services = corpus.corpus_case.options.services;
   core::MonitorManager reference(config);
   for (const auto& event : events) {
     reference.feed("ctrl" + std::to_string(event.controller.value), event);

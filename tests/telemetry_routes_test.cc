@@ -52,7 +52,7 @@ TEST(TelemetryRoutes, TenantRoutesMatchMonitorRoutes) {
   MonitorOptions options;
   options.window = 40 * kSecond;
   options.sanitize = true;
-  options.services = corpus->config.flowdiff.model.special_nodes;
+  options.services = corpus->options.services;
   ASSERT_FALSE(options.validate().has_value());
 
   SlidingMonitor monitor(options);

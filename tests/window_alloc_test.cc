@@ -419,9 +419,9 @@ TEST(WindowAlloc, SnapshotSharesExplainedWindowsWhateverTheirSize) {
   // each alarm carries, and successive snapshots hold the same records.
   constexpr std::size_t kWindows = SlidingMonitor::kMaxAudits + 32;
   const auto full_monitor = [](int destinations) {
-    MonitorConfig config;
-    config.window = kRetentionWindow;
-    auto monitor = std::make_unique<SlidingMonitor>(config);
+    MonitorOptions options;
+    options.window = kRetentionWindow;
+    auto monitor = std::make_unique<SlidingMonitor>(options);
     for (std::size_t w = 0; w < kWindows; ++w) {
       monitor->feed(retention_window(w, retention_alarms(w), destinations));
     }

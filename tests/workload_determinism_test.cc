@@ -53,11 +53,11 @@ std::string serialized_attack_window(Family family) {
   }
   const auto capture = lab.run_window();
 
-  core::MonitorConfig config;
-  config.flowdiff = lab.flowdiff_config();
-  config.window = 40 * kSecond;
-  config.rolling_baseline = false;
-  return serialize_corpus_case(config, capture.events());
+  core::MonitorOptions options;
+  options.services = lab.flowdiff_config().model.special_nodes;
+  options.window = 40 * kSecond;
+  options.rolling_baseline = false;
+  return serialize_corpus_case(options, capture.events());
 }
 
 TEST(WorkloadDeterminism, SameSeedReproducesIdenticalCaptureBytes) {

@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
 # Minimal CI for FlowDiff:
 #   1. tier-1 verify: configure, build, and run the full test suite;
-#   2. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
+#   2. perfbench build: configure perfbench/ (the benchmark's stand-alone
+#      build of src/ plus flowbench) and build flowbench without running
+#      it, so a library change that breaks the API the benchmark uses
+#      (MonitorOptions, SlidingMonitor, MonitorManager, monitor_config())
+#      fails here rather than only when the benchmark runs;
+#   3. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
 #      rerun ctest, then rerun the telemetry-plane suite (ctest -L http)
 #      so its verdict is visible on its own in the transcript;
-#   3. UndefinedBehaviorSanitizer pass: rebuild with
+#   4. UndefinedBehaviorSanitizer pass: rebuild with
 #      FLOWDIFF_SANITIZE=undefined and rerun the obs-layer tests (the
 #      sampler, with the self-watchdog it runs, and the recorder), plus the
 #      ingest legs: the golden-trace corpus (ctest -L corpus) and the
@@ -13,7 +18,7 @@
 #      adversarial-scenario suites (ctest -L attack: attack generators,
 #      diagnosis refinement, determinism pins), and the serve/provenance
 #      suites, which previously only reran under ASan/TSan;
-#   4. ThreadSanitizer pass: rebuild with FLOWDIFF_SANITIZE=thread and
+#   5. ThreadSanitizer pass: rebuild with FLOWDIFF_SANITIZE=thread and
 #      rerun the concurrency-heavy suites (executor pool, sliding monitor,
 #      incremental model, the scrape-under-load identity suite, obs layer),
 #      plus the http-labeled telemetry-plane suite — scraping a live
@@ -24,10 +29,10 @@
 #      the serve-labeled daemon suites: MonitorManager schedules
 #      per-tenant shards across a worker pool, whose windows sample the
 #      one process-wide obs::Sampler, while the telemetry plane reads them;
-#   5. corruption sweep: run bench/corruption_sweep in the UBSan tree —
+#   6. corruption sweep: run bench/corruption_sweep in the UBSan tree —
 #      diagnosis accuracy vs corruption rate, end to end under the
 #      sanitizer;
-#   6. unoptimized (Debug, -O0) pass with -D_GLIBCXX_ASSERTIONS: rebuild
+#   7. unoptimized (Debug, -O0) pass with -D_GLIBCXX_ASSERTIONS: rebuild
 #      the robustness suite without optimization and rerun the
 #      hostile-input cases under a ctest timeout — the optimizer once
 #      deleted a loop that walked every idle window of a timestamp gap, so
@@ -44,7 +49,7 @@
 #
 # Usage: tools/ci.sh [--skip-asan] [--skip-ubsan] [--skip-tsan]
 # Run from anywhere; build trees land in
-# <repo>/build-ci{,-asan,-ubsan,-tsan,-debug}.
+# <repo>/build-ci{,-perfbench,-asan,-ubsan,-tsan,-debug}.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -92,6 +97,10 @@ echo "== bench: adversarial recall/false-alarm sweep (BENCH_attack.json) =="
 # byte; a change that moves the sweep's figures commits the new file.
 "$repo/build-ci/bench/attack_sweep" --out="$repo/build-ci/BENCH_attack.json"
 cmp "$repo/build-ci/BENCH_attack.json" "$repo/BENCH_attack.json"
+
+echo "== perfbench: build flowbench (not run) =="
+cmake -B "$repo/build-ci-perfbench" -S "$repo/perfbench"
+cmake --build "$repo/build-ci-perfbench" -j "$jobs" --target flowbench
 
 if [[ "$skip_asan" -eq 0 ]]; then
   echo "== ASan: build + ctest (FLOWDIFF_SANITIZE=address) =="

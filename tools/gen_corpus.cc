@@ -47,14 +47,14 @@ namespace {
 /// All corpus cases replay with the lab's monitor setup: one 40 s monitor
 /// window per run_window() production (30 s window + 8 s drain + 2 s
 /// settle), no rolling baseline, no global obs sampling.
-core::MonitorConfig corpus_config(const exp::LabExperiment& lab,
-                                  bool sanitize) {
-  core::MonitorConfig config;
-  config.flowdiff = lab.flowdiff_config();
-  config.window = 40 * kSecond;
-  config.rolling_baseline = false;
-  config.sanitize = sanitize;
-  return config;
+core::MonitorOptions corpus_options(const exp::LabExperiment& lab,
+                                    bool sanitize) {
+  core::MonitorOptions options;
+  options.services = lab.flowdiff_config().model.special_nodes;
+  options.window = 40 * kSecond;
+  options.rolling_baseline = false;
+  options.sanitize = sanitize;
+  return options;
 }
 
 void append_capture(std::vector<of::ControlEvent>& stream,
@@ -188,9 +188,9 @@ int run(const std::string& out_dir) {
     // The header only needs the monitor knobs, which are identical for
     // every lab; build a throwaway lab to get the service IPs.
     exp::LabExperiment lab{exp::LabExperimentConfig{}};
-    const core::MonitorConfig config = corpus_config(lab, spec.sanitize);
+    const core::MonitorOptions options = corpus_options(lab, spec.sanitize);
     const std::string text =
-        exp::serialize_corpus_case(config, spec.stream());
+        exp::serialize_corpus_case(options, spec.stream());
 
     // Golden text comes from the exact parse+replay path the regression
     // test uses, so generator and test cannot disagree.
