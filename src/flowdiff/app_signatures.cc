@@ -55,10 +55,10 @@ double dd_shape_distance(const DelayDistributionSig::PairDd& a,
 }
 
 bool dd_gate(std::uint64_t in_flows, std::uint64_t out_flows,
-             std::uint64_t samples, const AppSignatureConfig& config) {
-  return in_flows >= config.min_edge_flows &&
-         out_flows >= config.min_edge_flows &&
-         samples >= config.min_edge_flows && samples > 0;
+             std::uint64_t samples) {
+  static_assert(kMinEdgeFlows > 0, "a pair without delays must fail");
+  return in_flows >= kMinEdgeFlows && out_flows >= kMinEdgeFlows &&
+         samples >= kMinEdgeFlows;
 }
 
 void summarize_delays(DelayDistributionSig::PairDd& pair) {
@@ -73,13 +73,11 @@ void summarize_delays(DelayDistributionSig::PairDd& pair) {
 
 bool pair_delays(std::span<const SimTime> in_times,
                  std::span<const SimTime> out_times,
-                 const AppSignatureConfig& config,
                  DelayDistributionSig::PairDd& pair) {
-  if (in_times.size() < config.min_edge_flows ||
-      out_times.size() < config.min_edge_flows) {
+  if (in_times.size() < kMinEdgeFlows || out_times.size() < kMinEdgeFlows) {
     return false;  // Fails the gate whatever the pairing finds.
   }
-  pair.hist = Histogram{config.dd_bin_ms};
+  pair.hist = Histogram{kDdBinMs};
   pair.in_flows = in_times.size();
   pair.out_flows = out_times.size();
   pair.samples = 0;
@@ -90,12 +88,12 @@ bool pair_delays(std::span<const SimTime> in_times,
     while (lo < out_times.size() && out_times[lo] < t_in) ++lo;
     for (std::size_t j = lo; j < out_times.size(); ++j) {
       const SimDuration delta = out_times[j] - t_in;
-      if (delta > config.dd_window) break;
+      if (delta > kDdWindow) break;
       pair.hist.add(to_millis(delta));
       ++pair.samples;
     }
   }
-  if (!dd_gate(pair.in_flows, pair.out_flows, pair.samples, config)) {
+  if (!dd_gate(pair.in_flows, pair.out_flows, pair.samples)) {
     return false;
   }
   summarize_delays(pair);
@@ -103,8 +101,7 @@ bool pair_delays(std::span<const SimTime> in_times,
 }
 
 GroupSignatures extract_group_signatures(const ParsedLog& log,
-                                         const std::set<Ipv4>& members,
-                                         const AppSignatureConfig& config) {
+                                         const std::set<Ipv4>& members) {
   GroupSignatures out;
   out.members = members;
 
@@ -131,7 +128,7 @@ GroupSignatures extract_group_signatures(const ParsedLog& log,
     ++fs.flow_count;
   }
   for (const auto& [e, n] : edge_flows) {
-    if (n < config.min_edge_flows) continue;
+    if (n < kMinEdgeFlows) continue;
     out.cg.graph.add_edge(e.first, e.second);
   }
   for (const auto& [e, n] : edge_flows) {
@@ -182,7 +179,7 @@ GroupSignatures extract_group_signatures(const ParsedLog& log,
       if (out_edge.first != node) continue;
       if (out_edge.second == in_edge.first) continue;  // Skip pure replies.
       DelayDistributionSig::PairDd pair;
-      if (!pair_delays(in_times, out_times, config, pair)) continue;
+      if (!pair_delays(in_times, out_times, pair)) continue;
       out.dd.per_pair[EdgePair{in_edge.first, node, out_edge.second}] =
           std::move(pair);
     }
@@ -204,11 +201,11 @@ GroupSignatures extract_group_signatures(const ParsedLog& log,
     }
     for (const auto& [in_edge, in_series] : series) {
       const Ipv4 node = in_edge.second;
-      if (edge_flows[in_edge] < config.min_edge_flows) continue;
+      if (edge_flows[in_edge] < kMinEdgeFlows) continue;
       for (const auto& [out_edge, out_series] : series) {
         if (out_edge.first != node) continue;
         if (out_edge.second == in_edge.first) continue;
-        if (edge_flows[out_edge] < config.min_edge_flows) continue;
+        if (edge_flows[out_edge] < kMinEdgeFlows) continue;
         out.pc.rho[EdgePair{in_edge.first, node, out_edge.second}] =
             pearson(in_series, out_series);
       }

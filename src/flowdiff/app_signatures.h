@@ -26,14 +26,14 @@ using HostEdge = std::pair<Ipv4, Ipv4>;
 /// An adjacent edge pair at a node: (a -> b, b -> c).
 using EdgePair = std::tuple<Ipv4, Ipv4, Ipv4>;
 
-struct AppSignatureConfig {
-  double dd_bin_ms = 20.0;            ///< Paper uses 20 ms bins.
-  /// Pairing window for delays. Tight enough that coincidental in/out
-  /// pairings do not drown the genuine dependency delays.
-  SimDuration dd_window = 500 * kMillisecond;
-  std::uint64_t min_edge_flows = 5;   ///< Ignore sparser edges.
-};
-
+/// DD histogram bin width; the paper uses 20 ms bins.
+inline constexpr double kDdBinMs = 20.0;
+/// Pairing window for delays. Tight enough that coincidental in/out
+/// pairings do not drown the genuine dependency delays.
+inline constexpr SimDuration kDdWindow = 500 * kMillisecond;
+/// Flow starts an edge needs to enter CG, PC and DD; sparser edges are
+/// ignored.
+inline constexpr std::uint64_t kMinEdgeFlows = 5;
 /// Epoch of the per-edge flow-count series that PC correlates.
 inline constexpr SimDuration kPcEpoch = kSecond;
 
@@ -97,7 +97,7 @@ struct ComponentInteractionSig {
 
 struct DelayDistributionSig {
   struct PairDd {
-    Histogram hist{20.0};
+    Histogram hist{kDdBinMs};
     double peak_ms = 0.0;
     /// Histogram mean from bin *midpoints* (origin + (b + 0.5) * width —
     /// bin-origin weighting would bias it low by half a bin). Informational
@@ -116,23 +116,21 @@ struct DelayDistributionSig {
 };
 
 /// The DD gate every producer applies: both edges and the pair's sample
-/// count reach `min_edge_flows`, and the pair has at least one sample (a
-/// pair without delays has no peak or mean to compare).
+/// count reach `kMinEdgeFlows` (so a pair without delays, which has no
+/// peak or mean to compare, never passes).
 [[nodiscard]] bool dd_gate(std::uint64_t in_flows, std::uint64_t out_flows,
-                           std::uint64_t samples,
-                           const AppSignatureConfig& config);
+                           std::uint64_t samples);
 
 /// Sets `pair.peak_ms` and `pair.mean_ms` from `pair.hist` (non-empty).
 void summarize_delays(DelayDistributionSig::PairDd& pair);
 
 /// The DD of one adjacent edge pair from its two edges' flow starts, each
-/// in time order: every (t_in, t_out) with 0 <= t_out - t_in <= dd_window
+/// in time order: every (t_in, t_out) with 0 <= t_out - t_in <= kDdWindow
 /// is one sample. False when the pair fails dd_gate (`pair` is then
 /// unspecified). The from-scratch extractor pairs whole logs with it; the
 /// incremental finalize pairs each stability segment's slices.
 bool pair_delays(std::span<const SimTime> in_times,
                  std::span<const SimTime> out_times,
-                 const AppSignatureConfig& config,
                  DelayDistributionSig::PairDd& pair);
 
 /// Max per-bin difference of pairs-per-in-flow rates between two delay
@@ -164,7 +162,6 @@ struct GroupSignatures {
 /// Computes all five signatures for one group from the parsed log. Only
 /// flows with both endpoints inside `members` contribute.
 GroupSignatures extract_group_signatures(const ParsedLog& log,
-                                         const std::set<Ipv4>& members,
-                                         const AppSignatureConfig& config);
+                                         const std::set<Ipv4>& members);
 
 }  // namespace flowdiff::core

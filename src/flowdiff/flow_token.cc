@@ -15,11 +15,8 @@ std::string FlowToken::to_string() const {
          of::to_string(proto);
 }
 
-FlowTokenizer::FlowTokenizer(bool mask_subjects, std::set<Ipv4> service_ips,
-                             std::uint16_t ephemeral_floor)
-    : mask_subjects_(mask_subjects),
-      service_ips_(std::move(service_ips)),
-      ephemeral_floor_(ephemeral_floor) {}
+FlowTokenizer::FlowTokenizer(bool mask_subjects, std::set<Ipv4> service_ips)
+    : mask_subjects_(mask_subjects), service_ips_(std::move(service_ips)) {}
 
 TokenEndpoint FlowTokenizer::make_endpoint(
     Ipv4 ip, std::uint16_t port, std::map<Ipv4, int>& subjects) const {
@@ -35,7 +32,7 @@ TokenEndpoint FlowTokenizer::make_endpoint(
     ep.kind = TokenEndpoint::Kind::kLiteral;
     ep.ip = ip;
   }
-  if (port >= ephemeral_floor_) {
+  if (port >= kEphemeralFloor) {
     ep.port_any = true;
   } else {
     ep.port = port;

@@ -16,6 +16,10 @@
 
 namespace flowdiff::core {
 
+/// Ports at or above this are ephemeral: tokens wildcard them and the task
+/// detector lets a wildcard match only them.
+inline constexpr std::uint16_t kEphemeralFloor = 10000;
+
 struct TokenEndpoint {
   enum class Kind : std::uint8_t { kLiteral, kVariable };
   Kind kind = Kind::kLiteral;
@@ -45,9 +49,8 @@ struct FlowToken {
 class FlowTokenizer {
  public:
   /// `mask_subjects`: replace non-service IPs with positional variables.
-  /// Ports >= ephemeral_floor are wildcarded.
-  FlowTokenizer(bool mask_subjects, std::set<Ipv4> service_ips,
-                std::uint16_t ephemeral_floor = 10000);
+  /// Ports >= kEphemeralFloor are wildcarded.
+  FlowTokenizer(bool mask_subjects, std::set<Ipv4> service_ips);
 
   /// Tokenizes one flow; `subjects` carries the per-log variable bindings
   /// (IP -> variable index, assigned in order of first appearance).
@@ -56,9 +59,6 @@ class FlowTokenizer {
 
   [[nodiscard]] bool masking() const { return mask_subjects_; }
   [[nodiscard]] const std::set<Ipv4>& services() const { return service_ips_; }
-  [[nodiscard]] std::uint16_t ephemeral_floor() const {
-    return ephemeral_floor_;
-  }
 
  private:
   [[nodiscard]] TokenEndpoint make_endpoint(Ipv4 ip, std::uint16_t port,
@@ -66,7 +66,6 @@ class FlowTokenizer {
 
   bool mask_subjects_;
   std::set<Ipv4> service_ips_;
-  std::uint16_t ephemeral_floor_;
 };
 
 }  // namespace flowdiff::core

@@ -103,8 +103,7 @@ MinedTask FlowDiff::learn_task(const std::string& name,
                                bool mask_subjects) const {
   return mine_task(name, runs,
                    {.mask_subjects = mask_subjects,
-                    .service_ips = config_.model.special_nodes,
-                    .ephemeral_floor = detector_.ephemeral_floor});
+                    .service_ips = config_.model.special_nodes});
 }
 
 std::string DiffReport::render() const {

@@ -81,8 +81,7 @@ void add_ci(const std::vector<EdgeSlice>& slices,
 /// PC over `epochs` epochs of `kPcEpoch` from `t0`, exactly as the
 /// from-scratch extractor computes it on the same flow starts.
 void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
-            std::size_t epochs, const AppSignatureConfig& app,
-            PartialCorrelationSig& pc) {
+            std::size_t epochs, PartialCorrelationSig& pc) {
   std::vector<std::vector<double>> series(slices.size(),
                                           std::vector<double>(epochs, 0.0));
   for (std::size_t i = 0; i < slices.size(); ++i) {
@@ -93,12 +92,12 @@ void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
   }
   for (std::size_t i = 0; i < slices.size(); ++i) {
     const HostEdge& in = *slices[i].edge;
-    if (slices[i].starts.size() < app.min_edge_flows) continue;
+    if (slices[i].starts.size() < kMinEdgeFlows) continue;
     for (std::size_t o = 0; o < slices.size(); ++o) {
       const HostEdge& out = *slices[o].edge;
       if (out.first != in.second) continue;
       if (out.second == in.first) continue;
-      if (slices[o].starts.size() < app.min_edge_flows) continue;
+      if (slices[o].starts.size() < kMinEdgeFlows) continue;
       pc.rho[EdgePair{in.first, in.second, out.second}] =
           pearson(series[i], series[o]);
     }
@@ -110,8 +109,7 @@ void add_pc(const std::vector<EdgeSlice>& slices, SimTime t0,
 /// indexed by edge id.
 void assemble_group(const State& st, const std::vector<EdgeView>& views,
                     const GroupWork& work, const std::set<Ipv4>& members,
-                    SimTime begin, SimTime end, int segments,
-                    const AppSignatureConfig& app, GroupModel& out) {
+                    SimTime begin, SimTime end, GroupModel& out) {
   GroupSignatures& sig = out.sig;
   sig.members = members;
 
@@ -119,7 +117,7 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
   for (const EdgeView* e : work.edges) {
     const HostEdge& edge = e->edge;
     const auto n = static_cast<std::uint64_t>(e->starts.size());
-    if (n > 0 && n >= app.min_edge_flows) {
+    if (n >= kMinEdgeFlows) {
       sig.cg.graph.add_edge(edge.first, edge.second);
     }
     if (n > 0 || e->agg->removed > 0) {
@@ -160,7 +158,7 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
     const auto out_n =
         static_cast<std::uint64_t>(views[t->out_edge].starts.size());
     const Histogram& hist = st.dd_hists[t->id];
-    if (!dd_gate(in_n, out_n, hist.total(), app)) continue;
+    if (!dd_gate(in_n, out_n, hist.total())) continue;
     DelayDistributionSig::PairDd pair;
     pair.hist = hist;
     pair.in_flows = in_n;
@@ -174,8 +172,7 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
   // --- PC window-wide ------------------------------------------------------
   if (!slices.empty() && end > begin) {
     add_pc(slices, begin,
-           static_cast<std::size_t>((end - begin) / kPcEpoch) + 1, app,
-           sig.pc);
+           static_cast<std::size_t>((end - begin) / kPcEpoch) + 1, sig.pc);
   }
 
   // --- Per-segment stability sub-models ------------------------------------
@@ -185,21 +182,21 @@ void assemble_group(const State& st, const std::vector<EdgeView>& views,
   // a pair counts in a segment only when both its flows start in it.
   // Stability only reads CI/DD/PC of the segments.
   const SimTime span_us = std::max<SimTime>(end - begin, 1);
-  std::vector<GroupSignatures> per_segment(static_cast<std::size_t>(segments));
-  for (int s = 0; s < segments; ++s) {
-    const SimTime t0 = begin + span_us * s / segments;
-    const SimTime t1 = begin + span_us * (s + 1) / segments;
+  std::vector<GroupSignatures> per_segment(kStabilitySegments);
+  for (int s = 0; s < kStabilitySegments; ++s) {
+    const SimTime t0 = begin + span_us * s / kStabilitySegments;
+    const SimTime t1 = begin + span_us * (s + 1) / kStabilitySegments;
     GroupSignatures& seg = per_segment[static_cast<std::size_t>(s)];
     slice_edges(work, t0, t1, slices);
     add_ci(slices, seg.ci);
     if (!slices.empty() && t1 > t0) {
       add_pc(slices, t0, static_cast<std::size_t>((t1 - t0) / kPcEpoch) + 1,
-             app, seg.pc);
+             seg.pc);
     }
     for (const TripleView* t : survivors) {
       DelayDistributionSig::PairDd pair;
       if (pair_delays(slice(views[t->in_edge].starts, t0, t1),
-                      slice(views[t->out_edge].starts, t0, t1), app, pair)) {
+                      slice(views[t->out_edge].starts, t0, t1), pair)) {
         seg.dd.per_pair[t->triple] = std::move(pair);
       }
     }
@@ -333,7 +330,7 @@ void IncrementalModeler::feed(State& st, const of::ControlEvent& event) const {
     const auto [slot, inserted] = st.open.insert(pin->key);
     std::uint32_t index = st.open.at(slot).value;
     if (inserted ||
-        event.ts - st.occurrences[index].last_ts > grouping_window_) {
+        event.ts - st.occurrences[index].last_ts > kGroupingWindow) {
       index = start_occurrence(st, pin->key, event.ts);
       st.open.at(slot).value = index;
     }
@@ -377,7 +374,7 @@ void IncrementalModeler::feed(State& st, const of::ControlEvent& event) const {
 
 std::uint32_t IncrementalModeler::start_occurrence(State& st,
                                                    const of::FlowKey& key,
-                                                   SimTime ts) const {
+                                                   SimTime ts) {
   const std::uint32_t edge = intern_edge(st, key);
   State::EdgeAgg& agg = st.edges.at(edge).value;
   ++agg.starts;
@@ -385,15 +382,14 @@ std::uint32_t IncrementalModeler::start_occurrence(State& st,
   const std::uint32_t dst = agg.dst;
 
   // Streaming DD pairing. Every (in-flow, out-flow) pair the from-scratch
-  // extractor would form with 0 <= t_out - t_in <= dd_window is recorded
+  // extractor would form with 0 <= t_out - t_in <= kDdWindow is recorded
   // exactly once, at the arrival of the later of the two flows. The chains
   // run newest-first, so each walk stops at the first flow out of reach.
-  const SimDuration window = config_.app.dd_window;
   // This start is the out-flow of `src`: pair with earlier flows into it.
   for (std::uint32_t i = st.hosts.at(src).value.newest_in; i != State::kNone;
        i = st.occurrences[i].prev_in) {
     const State::Occurrence& in = st.occurrences[i];
-    if (ts - in.first_ts > window) break;
+    if (ts - in.first_ts > kDdWindow) break;
     // Pure replies carry no dependency signal.
     if (st.edges.at(in.edge).value.src == dst) continue;
     record_pair(st, in.edge, edge, in.first_ts, ts);
@@ -434,20 +430,17 @@ std::uint32_t IncrementalModeler::intern_edge(State& st,
 
 void IncrementalModeler::record_pair(State& st, std::uint32_t in_edge,
                                      std::uint32_t out_edge, SimTime t_in,
-                                     SimTime t_out) const {
+                                     SimTime t_out) {
   const auto [id, inserted] =
       st.triples.insert(std::uint64_t{in_edge} << 32 | out_edge);
   State::TripleAgg& agg = st.triples.at(id).value;
   if (inserted) {
     agg.in_edge = in_edge;
     agg.out_edge = out_edge;
-    const double bin_ms = config_.app.dd_bin_ms;
     if (id == st.dd_hists.size()) {
-      st.dd_hists.emplace_back(bin_ms);
-    } else if (st.dd_hists[id].bin_width() == bin_ms) {
-      st.dd_hists[id].clear();
+      st.dd_hists.emplace_back(kDdBinMs);
     } else {
-      st.dd_hists[id] = Histogram{bin_ms};
+      st.dd_hists[id].clear();
     }
   }
   st.dd_hists[id].add(to_millis(t_out - t_in));
@@ -556,12 +549,11 @@ BehaviorModel IncrementalModeler::finalize(const State& st) const {
   }
 
   model.groups.resize(group_count);
-  const int segments = std::max(2, config_.stability_segments);
   {
     const obs::Span sig_span("model/signatures");
     for (std::size_t g = 0; g < group_count; ++g) {
       assemble_group(st, views, work[g], groups.groups[g], model.begin,
-                     model.end, segments, config_.app, model.groups[g]);
+                     model.end, model.groups[g]);
     }
   }
   return model;

@@ -24,7 +24,7 @@
 // pairs, not the log.
 //
 // The oracle-identity invariant: `finalize` is BIT-IDENTICAL to
-// `Modeler::build` on the same window, for every config. Every divergence
+// `Modeler::build` on the same window, for every service set. Every divergence
 // risk is engineered away (aggregates replay the exact floating-point add
 // sequences of the from-scratch extractors, and both sides share the DD
 // pairing and gate of app_signatures.h) or named: events must be fed in
@@ -163,24 +163,20 @@ class IncrementalModeler {
   [[nodiscard]] BehaviorModel finalize(
       const IncrementalWindowState& state) const;
 
-  [[nodiscard]] const ModelConfig& config() const { return config_; }
-
  private:
   /// Appends a new occurrence of `key` starting at `ts`, counts it on its
   /// edge and pairs it against its hosts' recency chains (streaming DD).
   /// Returns its index.
-  std::uint32_t start_occurrence(IncrementalWindowState& state,
-                                 const of::FlowKey& key, SimTime ts) const;
+  static std::uint32_t start_occurrence(IncrementalWindowState& state,
+                                        const of::FlowKey& key, SimTime ts);
   /// Edge id of (key.src_ip, key.dst_ip), interning both hosts.
   static std::uint32_t intern_edge(IncrementalWindowState& state,
                                    const of::FlowKey& key);
-  void record_pair(IncrementalWindowState& state, std::uint32_t in_edge,
-                   std::uint32_t out_edge, SimTime t_in, SimTime t_out) const;
+  static void record_pair(IncrementalWindowState& state,
+                          std::uint32_t in_edge, std::uint32_t out_edge,
+                          SimTime t_in, SimTime t_out);
 
   ModelConfig config_;
-  /// Same 5-tuple re-appearing further apart than this opens a new
-  /// occurrence — must match parse_log's default for oracle identity.
-  SimDuration grouping_window_ = 2 * kSecond;
 };
 
 }  // namespace flowdiff::core

@@ -14,7 +14,7 @@ of::FlowSequence ParsedLog::flow_starts() const {
   return out;
 }
 
-ParsedLog parse_log(const of::ControlLog& log, SimDuration grouping_window) {
+ParsedLog parse_log(const of::ControlLog& log) {
   ParsedLog parsed;
   parsed.begin = log.begin_time();
   parsed.end = log.end_time();
@@ -32,7 +32,7 @@ ParsedLog parse_log(const of::ControlLog& log, SimDuration grouping_window) {
     if (const auto* pin = std::get_if<of::PacketIn>(&event.msg)) {
       auto it = open.find(pin->key);
       if (it == open.end() ||
-          event.ts - it->second.last_ts > grouping_window) {
+          event.ts - it->second.last_ts > kGroupingWindow) {
         FlowOccurrence occ;
         occ.key = pin->key;
         occ.first_ts = event.ts;

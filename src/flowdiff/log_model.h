@@ -68,11 +68,14 @@ struct ParsedLog {
   [[nodiscard]] of::FlowSequence flow_starts() const;
 };
 
+/// Same 5-tuple re-appearing further apart than this opens a new
+/// occurrence. Read by parse_log and by the incremental modeler's parse.
+inline constexpr SimDuration kGroupingWindow = 2 * kSecond;
+
 /// Parses a control log. PacketIns belonging to one flow are grouped by
-/// 5-tuple within a grouping window (distinct occurrences of the same
+/// 5-tuple within kGroupingWindow (distinct occurrences of the same
 /// 5-tuple further apart than the window stay separate), exactly as an
 /// analysis of a real controller log would group them.
-ParsedLog parse_log(const of::ControlLog& log,
-                    SimDuration grouping_window = 2 * kSecond);
+ParsedLog parse_log(const of::ControlLog& log);
 
 }  // namespace flowdiff::core

@@ -27,17 +27,15 @@ ParsedLog slice_parsed(const ParsedLog& log, SimTime t0, SimTime t1) {
   return out;
 }
 
-/// Extracts the stability sub-model for segment `s` of `segments`.
+/// Extracts the stability sub-model for segment `s` of kStabilitySegments.
 GroupSignatures extract_segment_signatures(const ParsedLog& parsed,
                                            const std::set<Ipv4>& members,
-                                           const ModelConfig& config, int s,
-                                           int segments) {
+                                           int s) {
   const SimTime begin = parsed.begin;
   const SimTime span = std::max<SimTime>(parsed.end - parsed.begin, 1);
-  const SimTime t0 = begin + span * s / segments;
-  const SimTime t1 = begin + span * (s + 1) / segments;
-  return extract_group_signatures(slice_parsed(parsed, t0, t1), members,
-                                  config.app);
+  const SimTime t0 = begin + span * s / kStabilitySegments;
+  const SimTime t1 = begin + span * (s + 1) / kStabilitySegments;
+  return extract_group_signatures(slice_parsed(parsed, t0, t1), members);
 }
 
 // Stability tolerances: how far a component may wander across segments
@@ -141,7 +139,6 @@ BehaviorModel Modeler::build(const of::ControlLog& log) const {
   static obs::LatencyHistogram& build_ms =
       obs::Registry::global().histogram("model.build_ms", 5.0);
   const obs::ScopedTimer timer(build_ms);
-  const ModelConfig& config = config_;
 
   BehaviorModel model;
   const ParsedLog parsed = [&log] {
@@ -160,7 +157,7 @@ BehaviorModel Modeler::build(const of::ControlLog& log) const {
 
   const AppGroups groups = [&] {
     const obs::Span groups_span("model/groups");
-    return discover_groups(model.flow_starts, config.special_nodes);
+    return discover_groups(model.flow_starts, config_.special_nodes);
   }();
 
   // Partition the log per group up front so modeling stays linear in the
@@ -207,18 +204,16 @@ BehaviorModel Modeler::build(const of::ControlLog& log) const {
 
   // Per group: the full-window signatures, then the stability sub-models
   // of each segment, then the stability judgement over them.
-  const int segments = std::max(2, config.stability_segments);
   model.groups.resize(group_count);
   const obs::Span sig_span("model/signatures");
   for (std::size_t g = 0; g < group_count; ++g) {
     GroupModel& group = model.groups[g];
-    group.sig =
-        extract_group_signatures(per_group[g], groups.groups[g], config.app);
+    group.sig = extract_group_signatures(per_group[g], groups.groups[g]);
     std::vector<GroupSignatures> per_segment;
-    per_segment.reserve(static_cast<std::size_t>(segments));
-    for (int s = 0; s < segments; ++s) {
-      per_segment.push_back(extract_segment_signatures(
-          per_group[g], groups.groups[g], config, s, segments));
+    per_segment.reserve(kStabilitySegments);
+    for (int s = 0; s < kStabilitySegments; ++s) {
+      per_segment.push_back(
+          extract_segment_signatures(per_group[g], groups.groups[g], s));
     }
     analyze_group_stability(per_segment, group);
   }

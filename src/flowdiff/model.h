@@ -21,11 +21,13 @@
 namespace flowdiff::core {
 
 struct ModelConfig {
-  AppSignatureConfig app;
   /// Service IPs, the facade's one service set (detection, validation).
   std::set<Ipv4> special_nodes;
-  int stability_segments = 4;
 };
+
+/// Segments the window is cut into for the stability judgement; both
+/// modelers extract one sub-model per segment.
+inline constexpr int kStabilitySegments = 4;
 
 struct GroupModel {
   GroupSignatures sig;
@@ -47,7 +49,8 @@ struct BehaviorModel {
 };
 
 /// Builds BehaviorModels from control logs, from scratch. It is the oracle
-/// for IncrementalModeler, which is bit-identical to it for every config:
+/// for IncrementalModeler, which is bit-identical to it for every service
+/// set:
 /// the identity tests compare against it, and only the monitor's oracle
 /// mode (`incremental = false`) runs it in src/.
 class Modeler {
@@ -55,8 +58,6 @@ class Modeler {
   explicit Modeler(ModelConfig config);
 
   [[nodiscard]] BehaviorModel build(const of::ControlLog& log) const;
-
-  [[nodiscard]] const ModelConfig& config() const { return config_; }
 
  private:
   ModelConfig config_;

@@ -23,11 +23,15 @@ std::optional<std::string> MonitorOptions::validate() const {
     return "lateness horizon must be positive (got " +
            std::to_string(*lateness) + "us)";
   }
-  if (lateness && sanitize && *lateness >= window) {
-    return "lateness horizon (" + std::to_string(*lateness) +
-           "us) must be shorter than the window (" + std::to_string(window) +
-           "us): the sanitizer would hold every event past its window's "
-           "close";
+  if (sanitize) {
+    const SimDuration horizon = monitor_config().ingest.lateness_horizon;
+    if (horizon >= window) {
+      return "lateness horizon (" + std::to_string(horizon) +
+             "us) must be shorter than the window (" +
+             std::to_string(window) +
+             "us): the sanitizer would hold every event past its window's "
+             "close";
+    }
   }
   if (!listen.empty() && !obs::parse_listen_address(listen)) {
     return "malformed listen address '" + listen +

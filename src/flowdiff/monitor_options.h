@@ -47,7 +47,8 @@ struct MonitorOptions {
   bool sanitize = false;
   /// Sanitizer reorder horizon. Setting it without `sanitize` is an error
   /// (validate() rejects it rather than silently ignoring the horizon);
-  /// unset with `sanitize` uses the SanitizerConfig default (1s).
+  /// unset with `sanitize` uses the SanitizerConfig default (1s). Either
+  /// way, the horizon the sanitizer uses must be shorter than `window`.
   std::optional<SimDuration> lateness;
   /// Maintain window aggregates incrementally at feed time, as the only
   /// per-window store, so closing a window runs the cheap finalize instead

@@ -478,7 +478,7 @@ bool match_endpoint(const FlatEndpoint& pattern, Ipv4 ip, std::uint16_t port,
                     Record record, const DetectorConfig& config,
                     std::uint32_t& bound) {
   if (pattern.port_any) {
-    if (port < config.ephemeral_floor) return false;
+    if (port < kEphemeralFloor) return false;
   } else if (pattern.port != port) {
     return false;
   }
@@ -630,7 +630,7 @@ std::vector<TaskOccurrence> detect_tasks(
       return std::pair{first_at(key), first_at(key + 1)};
     };
     auto [exact, exact_end] = range(flow.key.dst_port);
-    auto [wild, wild_end] = flow.key.dst_port >= config.ephemeral_floor
+    auto [wild, wild_end] = flow.key.dst_port >= kEphemeralFloor
                                 ? range(kAnyPort)
                                 : std::pair{c.starts.end(), c.starts.end()};
     while (exact != exact_end || wild != wild_end) {

@@ -55,7 +55,6 @@ struct TaskOccurrence {
 struct DetectorConfig {
   SimDuration interleave_threshold = kSecond;
   std::set<Ipv4> service_ips;
-  std::uint16_t ephemeral_floor = 10000;
   std::size_t max_matchers_per_task = 256;
 };
 

@@ -169,8 +169,7 @@ MinedTask mine_task(const std::string& name,
   MinedTask mined;
   mined.name = name;
 
-  const FlowTokenizer tokenizer(config.mask_subjects, config.service_ips,
-                                config.ephemeral_floor);
+  const FlowTokenizer tokenizer(config.mask_subjects, config.service_ips);
   std::vector<std::vector<FlowToken>> token_runs;
   token_runs.reserve(runs.size());
   for (const auto& run : runs) {

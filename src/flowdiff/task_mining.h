@@ -24,7 +24,6 @@ struct MiningConfig {
   double min_sup = 0.6;
   bool mask_subjects = false;
   std::set<Ipv4> service_ips;
-  std::uint16_t ephemeral_floor = 10000;
 };
 
 struct PatternWithSupport {

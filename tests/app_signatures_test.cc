@@ -38,15 +38,9 @@ ParsedLog chain_log(int n, SimDuration proc_delay, SimDuration gap,
   return log;
 }
 
-AppSignatureConfig config() {
-  AppSignatureConfig c;
-  c.min_edge_flows = 3;
-  return c;
-}
-
 TEST(ConnectivityGraphSig, BuildsEdgesAboveMinFlows) {
   const ParsedLog log = chain_log(10, 50 * kMillisecond, kSecond);
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   EXPECT_TRUE(sig.cg.graph.has_edge(kA, kB));
   EXPECT_TRUE(sig.cg.graph.has_edge(kB, kC));
   EXPECT_FALSE(sig.cg.graph.has_edge(kA, kC));
@@ -55,13 +49,13 @@ TEST(ConnectivityGraphSig, BuildsEdgesAboveMinFlows) {
 TEST(ConnectivityGraphSig, SparseEdgesFiltered) {
   ParsedLog log = chain_log(10, 50 * kMillisecond, kSecond);
   log.occurrences.push_back(occ(kA, kC, 100));  // One-off flow.
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   EXPECT_FALSE(sig.cg.graph.has_edge(kA, kC));
 }
 
 TEST(ConnectivityGraphSig, DiffFindsAddedAndRemoved) {
   const auto base = extract_group_signatures(
-      chain_log(10, 50 * kMillisecond, kSecond), {kA, kB, kC}, config());
+      chain_log(10, 50 * kMillisecond, kSecond), {kA, kB, kC});
   ParsedLog other_log = chain_log(10, 50 * kMillisecond, kSecond);
   // Remove B->C flows, add C->A.
   std::erase_if(other_log.occurrences, [](const FlowOccurrence& o) {
@@ -72,7 +66,7 @@ TEST(ConnectivityGraphSig, DiffFindsAddedAndRemoved) {
         occ(kC, kA, i * kSecond, static_cast<std::uint16_t>(41000 + i)));
   }
   const auto cur =
-      extract_group_signatures(other_log, {kA, kB, kC}, config());
+      extract_group_signatures(other_log, {kA, kB, kC});
   const auto diff = base.cg.diff(cur.cg);
   ASSERT_EQ(diff.added.size(), 1u);
   EXPECT_EQ(diff.added[0], (HostEdge{kC, kA}));
@@ -82,7 +76,7 @@ TEST(ConnectivityGraphSig, DiffFindsAddedAndRemoved) {
 
 TEST(FlowStatsSig, CountsAndRate) {
   const ParsedLog log = chain_log(20, 50 * kMillisecond, kSecond / 2);
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   const auto& ab = sig.fs.per_edge.at(HostEdge{kA, kB});
   EXPECT_EQ(ab.flow_count, 20u);
   EXPECT_EQ(ab.first_ts, 0);
@@ -101,7 +95,7 @@ TEST(FlowStatsSig, BytesFromFlowRemoved) {
     rec.duration = 200 * kMillisecond;
     log.removed.push_back(rec);
   }
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   const auto& ab = sig.fs.per_edge.at(HostEdge{kA, kB});
   EXPECT_EQ(ab.bytes.count(), 6u);
   EXPECT_NEAR(ab.bytes.mean(), 10250.0, 1.0);
@@ -110,7 +104,7 @@ TEST(FlowStatsSig, BytesFromFlowRemoved) {
 
 TEST(ComponentInteractionSig, NormalizedCounts) {
   const ParsedLog log = chain_log(10, 50 * kMillisecond, kSecond);
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   const auto& b = sig.ci.per_node.at(kB);
   // B sees 10 in (A->B) and 10 out (B->C).
   EXPECT_EQ(b.total, 20u);
@@ -121,9 +115,9 @@ TEST(ComponentInteractionSig, NormalizedCounts) {
 
 TEST(ComponentInteractionSig, Chi2ZeroForIdenticalShape) {
   const auto a = extract_group_signatures(
-      chain_log(10, 50 * kMillisecond, kSecond), {kA, kB, kC}, config());
+      chain_log(10, 50 * kMillisecond, kSecond), {kA, kB, kC});
   const auto b = extract_group_signatures(
-      chain_log(40, 50 * kMillisecond, kSecond / 4), {kA, kB, kC}, config());
+      chain_log(40, 50 * kMillisecond, kSecond / 4), {kA, kB, kC});
   // Four times the traffic, same shape: normalized chi2 ~ 0.
   EXPECT_NEAR(ComponentInteractionSig::chi2_at_node(
                   a.ci.per_node.at(kB), b.ci.per_node.at(kB)),
@@ -132,14 +126,14 @@ TEST(ComponentInteractionSig, Chi2ZeroForIdenticalShape) {
 
 TEST(ComponentInteractionSig, Chi2DetectsShapeShift) {
   const auto base = extract_group_signatures(
-      chain_log(10, 50 * kMillisecond, kSecond), {kA, kB, kC}, config());
+      chain_log(10, 50 * kMillisecond, kSecond), {kA, kB, kC});
   // Now B stops forwarding: only incoming flows remain.
   ParsedLog broken = chain_log(10, 50 * kMillisecond, kSecond);
   std::erase_if(broken.occurrences, [](const FlowOccurrence& o) {
     return o.key.src_ip == kB;
   });
   const auto cur =
-      extract_group_signatures(broken, {kA, kB, kC}, config());
+      extract_group_signatures(broken, {kA, kB, kC});
   EXPECT_GT(ComponentInteractionSig::chi2_at_node(base.ci.per_node.at(kB),
                                                   cur.ci.per_node.at(kB)),
             0.4);
@@ -148,7 +142,7 @@ TEST(ComponentInteractionSig, Chi2DetectsShapeShift) {
 TEST(DelayDistributionSig, RecoversProcessingDelayPeak) {
   // 55 ms processing at B with 20 ms bins: peak bin center 50 ms.
   const ParsedLog log = chain_log(50, 55 * kMillisecond, kSecond / 2);
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   const auto& dd = sig.dd.per_pair.at(EdgePair{kA, kB, kC});
   EXPECT_GT(dd.samples, 40u);
   EXPECT_DOUBLE_EQ(dd.peak_ms, 50.0);
@@ -165,16 +159,15 @@ TEST(DelayDistributionSig, SkipsReplyPairs) {
         occ(kB, kA, i * kSecond + 30 * kMillisecond, sport));
   }
   log.end = 10 * kSecond;
-  const auto sig = extract_group_signatures(log, {kA, kB}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB});
   EXPECT_FALSE(sig.dd.per_pair.contains(EdgePair{kA, kB, kA}));
 }
 
 TEST(DelayDistributionSig, PeakShiftTracksExtraDelay) {
   const auto base = extract_group_signatures(
-      chain_log(50, 55 * kMillisecond, kSecond / 2), {kA, kB, kC}, config());
+      chain_log(50, 55 * kMillisecond, kSecond / 2), {kA, kB, kC});
   const auto slowed = extract_group_signatures(
-      chain_log(50, 115 * kMillisecond, kSecond / 2), {kA, kB, kC},
-      config());
+      chain_log(50, 115 * kMillisecond, kSecond / 2), {kA, kB, kC});
   const double shift =
       slowed.dd.per_pair.at(EdgePair{kA, kB, kC}).peak_ms -
       base.dd.per_pair.at(EdgePair{kA, kB, kC}).peak_ms;
@@ -204,7 +197,7 @@ TEST(PartialCorrelationSig, DependentEdgesCorrelate) {
               return a.first_ts < b.first_ts;
             });
   log.end = 30 * kSecond;
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   ASSERT_TRUE(sig.pc.rho.contains(EdgePair{kA, kB, kC}));
   EXPECT_GT(sig.pc.rho.at(EdgePair{kA, kB, kC}), 0.9);
 }
@@ -229,7 +222,7 @@ TEST(PartialCorrelationSig, IndependentEdgesDoNot) {
               return a.first_ts < b.first_ts;
             });
   log.end = 40 * kSecond;
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   ASSERT_TRUE(sig.pc.rho.contains(EdgePair{kA, kB, kC}));
   EXPECT_LT(std::abs(sig.pc.rho.at(EdgePair{kA, kB, kC})), 0.5);
 }
@@ -240,7 +233,7 @@ TEST(GroupSignatures, OnlyMemberFlowsContribute) {
   for (int i = 0; i < 10; ++i) {
     log.occurrences.push_back(occ(outsider, kA, i * kSecond));
   }
-  const auto sig = extract_group_signatures(log, {kA, kB, kC}, config());
+  const auto sig = extract_group_signatures(log, {kA, kB, kC});
   EXPECT_FALSE(sig.cg.graph.has_node(outsider));
   EXPECT_FALSE(sig.fs.per_edge.contains(HostEdge{outsider, kA}));
 }

@@ -248,9 +248,7 @@ TEST(DdMean, NothingDownstreamDependsOnMeanMs) {
     m.begin = log.begin;
     m.end = log.end;
     GroupModel g;
-    AppSignatureConfig config;
-    config.min_edge_flows = 3;
-    g.sig = extract_group_signatures(log, {a, b, c}, config);
+    g.sig = extract_group_signatures(log, {a, b, c});
     m.groups.push_back(std::move(g));
     m.infra = extract_infra_signatures(log);
     return m;

@@ -36,9 +36,7 @@ ParsedLog chain_log(int n, SimDuration proc, SimDuration gap) {
 
 GroupModel group_from(const ParsedLog& log) {
   GroupModel g;
-  AppSignatureConfig config;
-  config.min_edge_flows = 3;
-  g.sig = extract_group_signatures(log, {kA, kB, kC, kX}, config);
+  g.sig = extract_group_signatures(log, {kA, kB, kC, kX});
   return g;
 }
 

@@ -465,6 +465,7 @@ TEST(SocketSource, DisconnectGapSurfacesAsSanitizerOrphans) {
   core::MonitorOptions options;
   options.window = 1 * kSecond;
   options.sanitize = true;
+  options.lateness = 500 * kMillisecond;
   ASSERT_FALSE(options.validate().has_value());
   core::SlidingMonitor monitor(options);
   monitor.feed(events);

@@ -62,7 +62,7 @@ TEST(FlowTokenizer, UnmaskedTokensFromDifferentVmsDiffer) {
 }
 
 TEST(FlowTokenizer, WellKnownPortsStayLiteral) {
-  FlowTokenizer tok(true, {kNfs}, 10000);
+  FlowTokenizer tok(true, {kNfs});
   std::map<Ipv4, int> subjects;
   const auto t = tok.tokenize(
       of::FlowKey{kVm, kVm2, 8002, 8002, of::Proto::kTcp}, subjects);

@@ -149,6 +149,7 @@ TEST_P(CorruptionSweepTest, SanitizedMonitorSurvivesAndCountersReconcile) {
     core::MonitorOptions options;
     options.window = kSecond;
     options.sanitize = true;
+    options.lateness = 500 * kMillisecond;
     core::SlidingMonitor monitor(options);
     monitor.feed(arrivals);
     monitor.flush();

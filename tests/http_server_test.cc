@@ -364,6 +364,7 @@ TEST_F(TelemetryPlaneTest, HealthzFlipsTo503OnWatchdogWarning) {
 TEST_F(TelemetryPlaneTest, HealthzFlipsTo503OnDegradedStream) {
   core::MonitorOptions options = small_monitor_options();
   options.sanitize = true;
+  options.lateness = 500 * kMillisecond;
   core::SlidingMonitor monitor(options);
   core::TelemetryPlane plane;
   plane.attach(&monitor);

@@ -36,22 +36,52 @@ struct OraclePair {
   IncrementalModeler inc;
 };
 
+/// What a sweep's windows reached, read off the oracle's models. An
+/// identity over inputs that never reach a gate shows nothing about it.
+struct Coverage {
+  int windows = 0;
+  int edges_below_gate = 0;  ///< Edges with kMinEdgeFlows - 1 flow starts.
+  int edges_at_gate = 0;     ///< Edges with exactly kMinEdgeFlows.
+  int dd_pairs = 0;          ///< DD entries with a non-empty histogram.
+  int unstable_ci = 0;       ///< Unstable CI nodes.
+  int unstable_dd = 0;       ///< Peak-unstable DD pairs.
+  int shape_unstable_dd = 0;
+
+  void add(const BehaviorModel& model) {
+    ++windows;
+    for (const GroupModel& group : model.groups) {
+      for (const auto& [edge, fs] : group.sig.fs.per_edge) {
+        if (fs.flow_count == kMinEdgeFlows - 1) ++edges_below_gate;
+        if (fs.flow_count == kMinEdgeFlows) ++edges_at_gate;
+      }
+      for (const auto& [triple, dd] : group.sig.dd.per_pair) {
+        if (dd.hist.total() > 0) ++dd_pairs;
+      }
+      unstable_ci += static_cast<int>(group.unstable_ci_nodes.size());
+      unstable_dd += static_cast<int>(group.unstable_dd_pairs.size());
+      shape_unstable_dd +=
+          static_cast<int>(group.shape_unstable_dd_pairs.size());
+    }
+  }
+};
+
 /// Cuts `events` into `window`-sized tumbling windows and checks, at every
 /// slide, that the incremental finalize is byte-identical to the
-/// from-scratch build of the same window. Returns windows compared.
-int sweep_stream(const std::vector<of::ControlEvent>& events,
-                 const ModelConfig& config, SimDuration window) {
+/// from-scratch build of the same window. Returns `covered` plus what the
+/// compared windows covered.
+Coverage sweep_stream(const std::vector<of::ControlEvent>& events,
+                      const ModelConfig& config, SimDuration window,
+                      Coverage covered = {}) {
   OraclePair o(config);
-  int compared = 0;
   of::ControlLog log;
   IncrementalWindowState state;
   SimTime window_start = events.empty() ? 0 : events.front().ts;
   auto close = [&] {
     if (log.empty()) return;  // Empty window: nothing to compare.
-    const std::string got = describe_model(o.inc.finalize(state));
-    const std::string want = describe_model(o.modeler.build(log));
-    EXPECT_EQ(got, want) << "window " << compared << " diverged";
-    ++compared;
+    const BehaviorModel want = o.modeler.build(log);
+    EXPECT_EQ(describe_model(o.inc.finalize(state)), describe_model(want))
+        << "window " << covered.windows << " diverged";
+    covered.add(want);
     log.clear();
     state.reset();
   };
@@ -64,26 +94,35 @@ int sweep_stream(const std::vector<of::ControlEvent>& events,
     o.inc.feed(state, event);
   }
   close();
-  return compared;
+  return covered;
 }
 
 TEST(IncrementalModel, RandomStreamsMatchOracleAfterEverySlide) {
-  ModelConfig config;
-  config.app.min_edge_flows = 1;  // Sparse edges stay visible.
-  int total = 0;
+  Coverage total;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    total += sweep_stream(random_stream(seed, 8 * kSecond), config, kSecond);
+    total = sweep_stream(random_stream(seed, 8 * kSecond), ModelConfig{},
+                         kSecond, total);
   }
-  EXPECT_GE(total, 20) << "sweep degenerated; streams too short";
+  EXPECT_GE(total.windows, 20) << "sweep degenerated; streams too short";
+  // Both sides of the edge gate, and every stability family, are met.
+  EXPECT_GT(total.edges_below_gate, 0);
+  EXPECT_GT(total.edges_at_gate, 0);
+  EXPECT_GT(total.dd_pairs, 0);
+  EXPECT_GT(total.unstable_ci, 0);
+  EXPECT_GT(total.unstable_dd, 0);
+  EXPECT_GT(total.shape_unstable_dd, 0);
 }
 
 TEST(IncrementalModel, ConfigVariantsMatchOracle) {
-  for (const std::uint64_t min_flows : {std::uint64_t{1}, std::uint64_t{3}}) {
-    ModelConfig config;
-    config.app.min_edge_flows = min_flows;
-    config.stability_segments = 3;
-    const int n = sweep_stream(random_stream(11, 6 * kSecond), config, kSecond);
-    EXPECT_GT(n, 0) << "min_flows=" << min_flows;
+  // The service set is the one modeling setting: declaring a host of each
+  // app a service changes the groups both modelers discover.
+  ModelConfig services;
+  services.special_nodes = {host(0, 3), host(1, 3), host(2, 3)};
+  for (const ModelConfig& config : {ModelConfig{}, services}) {
+    const Coverage c =
+        sweep_stream(random_stream(11, 6 * kSecond), config, kSecond);
+    EXPECT_GT(c.windows, 0);
+    EXPECT_GT(c.dd_pairs, 0);
   }
 }
 
@@ -92,9 +131,7 @@ TEST(IncrementalModel, PairAtTheLastTimestampMatchesOracle) {
   // timestamp: a zero-delay pair whose t_in and t_out are both the window
   // end, which the half-open stability segments leave out of every
   // segment.
-  ModelConfig config;
-  config.app.min_edge_flows = 1;
-  OraclePair o(config);
+  OraclePair o(ModelConfig{});
   const Ipv4 a = host(0, 0);
   const Ipv4 b = host(0, 1);
   const Ipv4 c = host(0, 2);
@@ -120,40 +157,48 @@ TEST(IncrementalModel, PairAtTheLastTimestampMatchesOracle) {
             describe_model(o.modeler.build(log)));
 }
 
-/// Two flows through 10.0.0.2, 8 s apart: adjacent edges whose only
-/// combination lies far outside the DD pairing window.
+/// kMinEdgeFlows flows into 10.0.0.2, then as many out of it, each out-flow
+/// more than kDdWindow after the last in-flow: adjacent edges that both
+/// pass the edge gate but whose combinations all lie outside the DD
+/// pairing window.
 std::vector<of::ControlEvent> unpaired_chain() {
-  return {pin(1 * kSecond, 1,
-              of::FlowKey{Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 1000, 80,
-                          of::Proto::kTcp}),
-          pin(9 * kSecond, 1,
-              of::FlowKey{Ipv4(10, 0, 0, 2), Ipv4(10, 0, 0, 3), 1001, 80,
-                          of::Proto::kTcp})};
+  std::vector<of::ControlEvent> events;
+  std::uint16_t port = 1000;
+  SimTime t = kSecond;
+  for (std::uint64_t i = 0; i < kMinEdgeFlows; ++i, t += kMillisecond) {
+    events.push_back(pin(t, 1,
+                         of::FlowKey{Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2),
+                                     port++, 80, of::Proto::kTcp}));
+  }
+  t += kDdWindow;
+  for (std::uint64_t i = 0; i < kMinEdgeFlows; ++i, t += kMillisecond) {
+    events.push_back(pin(t, 1,
+                         of::FlowKey{Ipv4(10, 0, 0, 2), Ipv4(10, 0, 0, 3),
+                                     port++, 80, of::Proto::kTcp}));
+  }
+  return events;
 }
 
 TEST(IncrementalModel, ZeroMinEdgeFlowsMatchesOracle) {
-  // With min_edge_flows == 0 every adjacent edge pair passes the edge
-  // gates, but a pair without a single delay has nothing to summarize: the
-  // DD gate refuses it on both sides.
-  ModelConfig config;
-  config.app.min_edge_flows = 0;
-  OraclePair o(config);
+  // Both edges of the chain pass the edge gate, but the pair has no delay
+  // inside the pairing window and so nothing to summarize: the DD gate
+  // refuses it on both sides.
+  OraclePair o(ModelConfig{});
   IncrementalWindowState state;
   of::ControlLog log;
   for (const auto& event : unpaired_chain()) {
     log.append(event);
     o.inc.feed(state, event);
   }
-  const std::string want = describe_model(o.modeler.build(log));
+  const BehaviorModel model = o.modeler.build(log);
+  ASSERT_EQ(model.groups.size(), 1u);
+  EXPECT_TRUE(model.groups[0].sig.cg.graph.has_edge(Ipv4(10, 0, 0, 1),
+                                                    Ipv4(10, 0, 0, 2)));
+  EXPECT_TRUE(model.groups[0].sig.cg.graph.has_edge(Ipv4(10, 0, 0, 2),
+                                                    Ipv4(10, 0, 0, 3)));
+  const std::string want = describe_model(model);
   EXPECT_EQ(want.find("\ndd "), std::string::npos) << want;
   EXPECT_EQ(describe_model(o.inc.finalize(state)), want);
-
-  EXPECT_GT(sweep_stream(random_stream(12, 4 * kSecond), config, kSecond), 0);
-  // No stored delay bounds the pairing window any more: one past 2^32 µs
-  // pairs every in/out combination of a window.
-  config.app.min_edge_flows = 1;
-  config.app.dd_window = SimDuration{1} << 32;
-  EXPECT_GT(sweep_stream(random_stream(13, 4 * kSecond), config, kSecond), 0);
 }
 
 TEST(IncrementalModel, FreshStateIsNotReady) {
@@ -168,9 +213,7 @@ TEST(IncrementalModel, FreshStateIsNotReady) {
 }
 
 TEST(IncrementalModel, ResetClearsEverything) {
-  ModelConfig config;
-  config.app.min_edge_flows = 1;
-  OraclePair o(config);
+  OraclePair o(ModelConfig{});
   IncrementalWindowState state;
   for (const auto& event : random_stream(7, 2 * kSecond)) {
     o.inc.feed(state, event);
@@ -259,16 +302,25 @@ TEST(IncrementalModel, SanitizerDegradedStreamMatchesOracleMode) {
   arrivals.reserve(events.size() + events.size() / 10);
   for (std::size_t i = 0; i < events.size(); ++i) {
     arrivals.push_back(events[i]);
-    if (rng.bernoulli(0.05) && i > 20) {
+    if (rng.bernoulli(0.05) && i > 100) {
       // Re-emit an old event now: late past the horizon -> dropped.
-      arrivals.push_back(events[i - 20]);
+      arrivals.push_back(events[i - 100]);
     }
     if (rng.bernoulli(0.05)) arrivals.push_back(events[i]);  // Duplicate.
   }
-  const std::string oracle =
-      run_monitor(monitor_options(false, true), arrivals);
+  MonitorOptions options = monitor_options(false, true);
+  options.lateness = 10 * kMillisecond;
+  {
+    SlidingMonitor monitor(options);
+    monitor.feed(arrivals);
+    monitor.flush();
+    EXPECT_GT(monitor.stream_quality().late_dropped, 0u);
+    EXPECT_GT(monitor.stream_quality().duplicates, 0u);
+  }
+  const std::string oracle = run_monitor(options, arrivals);
   ASSERT_FALSE(oracle.empty());
-  EXPECT_EQ(run_monitor(monitor_options(true, true), arrivals), oracle);
+  options.incremental = true;
+  EXPECT_EQ(run_monitor(options, arrivals), oracle);
 }
 
 /// Counters only count while obs is on: a fresh, enabled registry for the
@@ -349,51 +401,41 @@ TEST(FacadeModel, NegativeTimestampsAreDroppedAndCounted) {
   const auto corpus_case = exp::parse_corpus_case(*text);
   ASSERT_TRUE(corpus_case.has_value());
   const auto& events = corpus_case->events;
-  for (const std::uint64_t min_flows : {std::uint64_t{5}, std::uint64_t{0}}) {
-    SCOPED_TRACE("min_edge_flows=" + std::to_string(min_flows));
-    FlowDiffConfig config = corpus_case->options.monitor_config().flowdiff;
-    config.model.app.min_edge_flows = min_flows;
-    const FlowDiff fd(config);
+  const FlowDiff fd(corpus_case->options.monitor_config().flowdiff);
 
-    // The whole capture before t = 0: nothing is modeled. (Unchecked, the
-    // negative FlowMod times read as unanswered hops: 30 topology edges
-    // and no ISL pairs instead of the capture's 36 and 10.)
-    const of::ControlLog early = shifted_log(events, -400000 * kSecond);
-    std::uint64_t rejected = 0;
-    EXPECT_EQ(describe_model(fd.model(early, &rejected)),
-              describe_model(fd.model(of::ControlLog{})));
-    EXPECT_EQ(rejected, events.size());
+  // The whole capture before t = 0: nothing is modeled. (Unchecked, the
+  // negative FlowMod times read as unanswered hops: 30 topology edges and
+  // no ISL pairs instead of the capture's 36 and 10.)
+  const of::ControlLog early = shifted_log(events, -400000 * kSecond);
+  std::uint64_t rejected = 0;
+  EXPECT_EQ(describe_model(fd.model(early, &rejected)),
+            describe_model(fd.model(of::ControlLog{})));
+  EXPECT_EQ(rejected, events.size());
 
-    // Straddling t = 0: exactly the non-negative suffix is modeled.
-    const of::ControlLog whole = shifted_log(events, 0);
-    const SimTime mid = whole.events()[whole.size() / 2].ts;
-    const of::ControlLog straddling = shifted_log(events, -mid);
-    const of::ControlLog kept = whole.slice(mid, whole.end_time() + 1);
-    const of::ControlLog kept_shifted = shifted_log(kept.events(), -mid);
-    EXPECT_EQ(describe_model(fd.model(straddling, &rejected)),
-              describe_model(fd.model(kept_shifted)));
-    EXPECT_EQ(rejected, whole.size() - kept.size());
-    EXPECT_GT(rejected, 0u);
-  }
+  // Straddling t = 0: exactly the non-negative suffix is modeled.
+  const of::ControlLog whole = shifted_log(events, 0);
+  const SimTime mid = whole.events()[whole.size() / 2].ts;
+  const of::ControlLog straddling = shifted_log(events, -mid);
+  const of::ControlLog kept = whole.slice(mid, whole.end_time() + 1);
+  const of::ControlLog kept_shifted = shifted_log(kept.events(), -mid);
+  EXPECT_EQ(describe_model(fd.model(straddling, &rejected)),
+            describe_model(fd.model(kept_shifted)));
+  EXPECT_EQ(rejected, whole.size() - kept.size());
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(FacadeModel, ShuffledRandomStreamMatchesOracle) {
-  for (const std::uint64_t min_flows : {std::uint64_t{1}, std::uint64_t{5}}) {
-    FlowDiffConfig config;
-    config.model.app.min_edge_flows = min_flows;
-    const FlowDiff fd(config);
-    auto events = random_stream(41, 6 * kSecond);
-    Rng rng(43);
-    for (std::size_t i = events.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(events[i - 1], events[j]);
-    }
-    of::ControlLog log;
-    for (const auto& event : events) log.append(event);
-    expect_facade_matches_oracle(fd, log,
-                                 "min_edge_flows=" + std::to_string(min_flows));
+  const FlowDiff fd(FlowDiffConfig{});
+  auto events = random_stream(41, 6 * kSecond);
+  Rng rng(43);
+  for (std::size_t i = events.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(events[i - 1], events[j]);
   }
+  of::ControlLog log;
+  for (const auto& event : events) log.append(event);
+  expect_facade_matches_oracle(fd, log, "shuffled");
 }
 
 TEST(FacadeModel, EmptyLogMatchesOracle) {
@@ -402,15 +444,13 @@ TEST(FacadeModel, EmptyLogMatchesOracle) {
 }
 
 TEST(FacadeModel, ZeroMinEdgeFlowsMatchesOracle) {
-  FlowDiffConfig config;
-  config.model.app.min_edge_flows = 0;
-  const FlowDiff fd(config);
+  const FlowDiff fd(FlowDiffConfig{});
   of::ControlLog random;
   for (const auto& event : random_stream(45, 3 * kSecond)) random.append(event);
   of::ControlLog chain;
   for (const auto& event : unpaired_chain()) chain.append(event);
   const ObsScope obs_on;
-  expect_facade_matches_oracle(fd, random, "min_edge_flows=0");
+  expect_facade_matches_oracle(fd, random, "random stream");
   // The oracle once kept the chain's delay-less pair, with a NaN mean.
   const std::string model = describe_model(fd.model(chain));
   EXPECT_EQ(model.find("nan"), std::string::npos) << model;

@@ -73,13 +73,19 @@ inline of::ControlEvent fstats(SimTime ts, std::uint32_t sw,
 inline std::vector<of::ControlEvent> random_stream(std::uint64_t seed,
                                                    SimTime duration) {
   Rng rng(seed);
+  // Host 0 of an app is the busiest and host 3 the quietest, so edge rates
+  // span from hot edges to edges near the kMinEdgeFlows gate.
+  const auto skewed_host = [&rng] {
+    return static_cast<int>(
+        std::min(rng.uniform_int(0, 3), rng.uniform_int(0, 3)));
+  };
   std::vector<of::ControlEvent> events;
   SimTime now = 0;
   std::uint16_t next_port = 20000;
   while (now < duration) {
     const int app = static_cast<int>(rng.uniform_int(0, 2));
-    const int a = static_cast<int>(rng.uniform_int(0, 3));
-    int b = static_cast<int>(rng.uniform_int(0, 3));
+    const int a = skewed_host();
+    int b = skewed_host();
     if (rng.bernoulli(0.05)) b = a;  // Occasional self-flow (x, x).
     const of::FlowKey key{host(app, a), host(app, b), next_port++, 80,
                           of::Proto::kTcp};
@@ -95,7 +101,7 @@ inline std::vector<of::ControlEvent> random_stream(std::uint64_t seed,
       t += rng.uniform_int(0, 5 * kMillisecond);
     }
     if (rng.bernoulli(0.7)) {  // Chain: the dependency DD should pair.
-      const int c = static_cast<int>(rng.uniform_int(0, 3));
+      const int c = skewed_host();
       const of::FlowKey out{host(app, b), host(app, c), next_port++, 80,
                             of::Proto::kTcp};
       events.push_back(pin(t + rng.uniform_int(0, 400 * kMillisecond),
@@ -122,8 +128,8 @@ inline std::vector<of::ControlEvent> random_stream(std::uint64_t seed,
     }
     // Duplicate timestamps are the norm here: ~1/3 of iterations do not
     // advance time at all.
-    if (!rng.bernoulli(0.35)) now += rng.uniform_int(1, 40 * kMillisecond);
-    if (rng.bernoulli(0.01)) now += 3 * kSecond;  // Multi-window gap.
+    if (!rng.bernoulli(0.35)) now += rng.uniform_int(1, 4 * kMillisecond);
+    if (rng.bernoulli(0.0005)) now += 3 * kSecond;  // Multi-window gap.
   }
   std::stable_sort(events.begin(), events.end(),
                    [](const of::ControlEvent& x, const of::ControlEvent& y) {

@@ -48,8 +48,9 @@ TEST(ParseLog, GroupsPacketInsByFlow) {
 TEST(ParseLog, SameKeyBeyondWindowIsNewOccurrence) {
   of::ControlLog log;
   log.append(pin(100, 1, key()));
-  log.append(pin(100 + 3 * kSecond, 1, key()));
-  const ParsedLog parsed = parse_log(log, 2 * kSecond);
+  log.append(pin(100 + kGroupingWindow, 1, key()));  // Still the same flow.
+  log.append(pin(100 + 2 * kGroupingWindow + 1, 1, key()));
+  const ParsedLog parsed = parse_log(log);
   EXPECT_EQ(parsed.occurrences.size(), 2u);
 }
 

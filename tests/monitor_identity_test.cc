@@ -73,15 +73,17 @@ std::vector<std::string> transcript_of(const SlidingMonitor& monitor) {
   return transcript;
 }
 
-/// 1 s windows with a rolling baseline.
-/// `incremental = false` forces every window through the from-scratch
-/// model build (the oracle mode the identity tests compare against).
+/// 1 s windows with a rolling baseline; a sanitized run reorders within
+/// half a window. `incremental = false` forces every window through the
+/// from-scratch model build (the oracle mode the identity tests compare
+/// against).
 MonitorOptions monitor_options(bool sanitize = false,
                                bool incremental = true) {
   MonitorOptions options;
   options.window = kSecond;
   options.rolling_baseline = true;
   options.sanitize = sanitize;
+  if (sanitize) options.lateness = 500 * kMillisecond;
   options.incremental = incremental;
   return options;
 }

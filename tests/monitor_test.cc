@@ -29,12 +29,16 @@ MonitorOptions monitor_options(const exp::LabExperiment& lab,
 TEST(SlidingMonitor, ConstructionRejectsInvalidOptions) {
   // A zero window once divided by zero on the first fed event; no monitor
   // may exist whose options validate() rejects.
-  std::vector<MonitorOptions> invalid(4);
+  std::vector<MonitorOptions> invalid(5);
   invalid[0].window = 0;
   invalid[1].sanitize = true;
   invalid[1].lateness = invalid[1].window;
   invalid[2].lateness = kSecond;
   invalid[3].workers = 1;
+  // No horizon set: the sanitizer's default (1 s) is no shorter than the
+  // window.
+  invalid[4].sanitize = true;
+  invalid[4].window = kSecond;
   for (const MonitorOptions& options : invalid) {
     const auto message = options.validate();
     ASSERT_TRUE(message.has_value());

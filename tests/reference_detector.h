@@ -60,7 +60,7 @@ inline bool match_endpoint(const TokenEndpoint& pattern, Ipv4 ip,
                            std::uint16_t port, Matcher& m,
                            const DetectorConfig& config) {
   if (pattern.port_any) {
-    if (port < config.ephemeral_floor) return false;
+    if (port < kEphemeralFloor) return false;
   } else if (pattern.port != port) {
     return false;
   }

@@ -130,8 +130,9 @@ struct Child {
 };
 
 /// fork/execs `flowdiff <args>` with stdout piped back (non-blocking so
-/// wait_for_line can poll).
-Child spawn_cli(const std::vector<std::string>& args) {
+/// wait_for_line can poll) and, given `stderr_path`, stderr written there.
+Child spawn_cli(const std::vector<std::string>& args,
+                const std::string& stderr_path = {}) {
   Child child;
   int out_pipe[2];
   if (::pipe(out_pipe) != 0) return child;
@@ -139,6 +140,11 @@ Child spawn_cli(const std::vector<std::string>& args) {
   if (pid < 0) return child;
   if (pid == 0) {
     ::dup2(out_pipe[1], STDOUT_FILENO);
+    if (!stderr_path.empty()) {
+      const int err_fd =
+          ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      if (err_fd >= 0) ::dup2(err_fd, STDERR_FILENO);
+    }
     ::close(out_pipe[0]);
     ::close(out_pipe[1]);
     std::vector<char*> argv;
@@ -159,9 +165,10 @@ Child spawn_cli(const std::vector<std::string>& args) {
   return child;
 }
 
-Child spawn_serve(std::vector<std::string> args) {
+Child spawn_serve(std::vector<std::string> args,
+                  const std::string& stderr_path = {}) {
   args.insert(args.begin(), "serve");
-  return spawn_cli(args);
+  return spawn_cli(args, stderr_path);
 }
 
 std::uint16_t parse_trailing_port(const std::string& line) {
@@ -398,6 +405,49 @@ TEST(ServeCli, RejectsMalformedWorkerCountsBeforeStartingAPool) {
   }
   Child accepted = spawn_serve({"--follow", "/dev/null@t0", "--workers", "2",
                                 "--exit-after-idle", "0.2"});
+  ASSERT_GT(accepted.pid, 0);
+  EXPECT_EQ(accepted.wait_exit(), 0);
+}
+
+TEST(ServeCli, RejectsMalformedNumericFlagsNamingTheFlag) {
+  // A numeric flag is read whole: a finite value in range with no trailing
+  // junk, or exit 2 naming the flag. Never a parsed prefix ("5x" as 5), a
+  // silent 0 that switches a feature off, or an out-of-range double cast
+  // to an integer. The valid --exit-after-idle comes first, so a bad value
+  // that slipped through would run (or, for --exit-after-idle itself,
+  // never exit) instead of failing.
+  const std::pair<const char*, const char*> bad[] = {
+      {"--poll-ms", "5x"},
+      {"--poll-ms", "0"},
+      {"--poll-ms", "1e3"},
+      {"--evict-idle", "abc"},
+      {"--evict-idle", "1e300"},
+      {"--evict-idle", "-1"},
+      {"--exit-after-idle", "bogus"},
+      {"--exit-after-idle", "nan"},
+      {"--window", "nan"},
+      {"--window", "1e300"},
+      {"--window", "10s"},
+      {"--lateness", "inf"},
+  };
+  const fs::path err = fs::path(::testing::TempDir()) / "serve_numeric.err";
+  for (const auto& [flag, value] : bad) {
+    SCOPED_TRACE(std::string(flag) + " " + value);
+    Child child = spawn_serve({"--follow", "/dev/null@t0", "--exit-after-idle",
+                               "0.2", flag, value},
+                              err.string());
+    ASSERT_GT(child.pid, 0);
+    EXPECT_EQ(child.wait_exit(10), 2);
+    const auto message = of::read_file(err.string());
+    ASSERT_TRUE(message.has_value());
+    EXPECT_NE(message->find(std::string(flag) + " must be"),
+              std::string::npos)
+        << *message;
+  }
+  fs::remove(err);
+  Child accepted =
+      spawn_serve({"--follow", "/dev/null@t0", "--poll-ms", "5",
+                   "--evict-idle", "1.5", "--exit-after-idle", "0.2"});
   ASSERT_GT(accepted.pid, 0);
   EXPECT_EQ(accepted.wait_exit(), 0);
 }

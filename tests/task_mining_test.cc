@@ -144,7 +144,6 @@ TEST(MineTask, EndToEndOnVmMigrationRuns) {
   MiningConfig config;
   config.mask_subjects = true;
   config.service_ips = {services.nfs};
-  config.ephemeral_floor = 10000;
   const MinedTask mined = mine_task("vm_migration", runs, config);
 
   EXPECT_FALSE(mined.common_flows.empty());

@@ -129,12 +129,6 @@ Heap count_heap(Body&& body) {
   return Heap{g_allocs.load(), g_frees.load(), g_big_allocs.load()};
 }
 
-ModelConfig sparse_config() {
-  ModelConfig config;
-  config.app.min_edge_flows = 1;
-  return config;
-}
-
 void feed_all(const IncrementalModeler& inc, IncrementalWindowState& state,
               const std::vector<of::ControlEvent>& events) {
   for (const auto& event : events) inc.feed(state, event);
@@ -146,7 +140,7 @@ std::vector<of::ControlEvent> prefix(const std::vector<of::ControlEvent>& all,
 }
 
 TEST(WindowAlloc, FeedAllocatesNothingForAWindowAlreadySeen) {
-  const IncrementalModeler inc(sparse_config());
+  const IncrementalModeler inc(ModelConfig{});
   const auto window = random_stream(3, 2 * kSecond);
   IncrementalWindowState state;
   feed_all(inc, state, window);
@@ -167,11 +161,11 @@ TEST(WindowAlloc, FeedAllocatesNothingForAWindowAlreadySeen) {
   of::ControlLog log;
   for (const auto& event : half) log.append(event);
   EXPECT_EQ(describe_model(inc.finalize(state)),
-            describe_model(Modeler(sparse_config()).build(log)));
+            describe_model(Modeler(ModelConfig{}).build(log)));
 }
 
 TEST(WindowAlloc, ResetNeitherAllocatesNorFrees) {
-  const IncrementalModeler inc(sparse_config());
+  const IncrementalModeler inc(ModelConfig{});
   IncrementalWindowState state;
   EXPECT_EQ(count_heap([&] { state.reset(); }).allocs, 0u);  // Never fed.
   const auto window = random_stream(5, 2 * kSecond);
@@ -190,7 +184,7 @@ TEST(WindowAlloc, ResetNeitherAllocatesNorFrees) {
 }
 
 TEST(WindowAlloc, BurstBuffersAreReleasedAfterAQuietWindowOnly) {
-  const IncrementalModeler inc(sparse_config());
+  const IncrementalModeler inc(ModelConfig{});
   const auto burst = random_stream(13, 8 * kSecond);
   IncrementalWindowState state;
   feed_all(inc, state, burst);

@@ -42,7 +42,10 @@
 #      (standard-library distribution preconditions are only checked
 #      there) and the task-detector suites with their oracle sweep (a
 #      matcher indexing past its state's tokens reads inside a vector's
-#      capacity, which only an assertion sees).
+#      capacity, which only an assertion sees);
+#   8. knob count (informational, gates nothing): tools/knob_count.py
+#      prints the settable fields of every *Config/*Options/*Thresholds
+#      struct in src/ headers, by struct, and their total.
 #
 # Performance is measured by perfbench/ (see perfbench/README.md), not
 # here. CI writes nothing inside the source tree outside its build trees.
@@ -206,5 +209,8 @@ ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
 echo "== Debug (-O0, _GLIBCXX_ASSERTIONS): incremental window modeling =="
 ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
   --no-tests=error -L incremental
+
+echo "== knobs: settable Config/Options/Thresholds fields (informational) =="
+python3 "$repo/tools/knob_count.py" || true
 
 echo "CI passed."

@@ -1,5 +1,7 @@
 #include "cli_args.h"
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -23,15 +25,6 @@ int emit(const std::string& path, const std::string& text) {
   return 0;
 }
 
-bool parse_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 volatile std::sig_atomic_t g_shutdown = 0;
 
 void on_shutdown_signal(int) { g_shutdown = 1; }
@@ -41,6 +34,35 @@ void on_shutdown_signal(int) { g_shutdown = 1; }
 int fail(const std::string& message) {
   std::fprintf(stderr, "flowdiff: %s\n", message.c_str());
   return 2;
+}
+
+std::optional<double> parse_seconds(const char* flag, const std::string& text,
+                                    std::string* error) {
+  double value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
+      value < 0 || value > kMaxFlagSeconds) {
+    *error = std::string(flag) + " must be a number of seconds from 0 to " +
+             std::to_string(static_cast<long>(kMaxFlagSeconds)) + " (got '" +
+             text + "')";
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<long> parse_integer(const char* flag, const std::string& text,
+                                  long lo, long hi, std::string* error) {
+  long value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    *error = std::string(flag) + " must be an integer from " +
+             std::to_string(lo) + " to " + std::to_string(hi) + " (got '" +
+             text + "')";
+    return std::nullopt;
+  }
+  return value;
 }
 
 bool has_suffix(const std::string& str, const char* suffix) {
@@ -179,27 +201,21 @@ std::optional<MonitorFlags> parse_monitor_flags(
     } else if (flag_value(args, &i, "--task", &value)) {
       task_paths.push_back(value);
     } else if (flag_value(args, &i, "--window", &value)) {
-      double seconds = 0;
-      if (!parse_double(value, &seconds)) {
-        *error = "unparseable --window value: " + value;
-        return std::nullopt;
-      }
-      parsed.options.window = from_seconds(seconds);
+      const auto seconds = parse_seconds("--window", value, error);
+      if (!seconds) return std::nullopt;
+      parsed.options.window = from_seconds(*seconds);
     } else if (args[i] == "--rolling") {
       parsed.options.rolling_baseline = true;
     } else if (args[i] == "--sanitize") {
       parsed.options.sanitize = true;
     } else if (flag_value(args, &i, "--lateness", &value)) {
-      double seconds = 0;
-      if (!parse_double(value, &seconds)) {
-        *error = "unparseable --lateness value: " + value;
-        return std::nullopt;
-      }
+      const auto seconds = parse_seconds("--lateness", value, error);
+      if (!seconds) return std::nullopt;
       // Flag-layer sugar: an explicit horizon only makes sense with the
       // sanitizer, so asking for one opts in (validate() would otherwise
       // reject the pair).
       parsed.options.sanitize = true;
-      parsed.options.lateness = from_seconds(seconds);
+      parsed.options.lateness = from_seconds(*seconds);
     } else if (flag_value(args, &i, "--listen", &value)) {
       parsed.options.listen = value;
     } else {

@@ -38,6 +38,22 @@ bool flag_value(const std::vector<std::string>& args, std::size_t* i,
 /// True (after printing why) when `arg` is a `--flag` no parser consumed.
 bool reject_unknown_flag(const std::string& arg);
 
+// --- checked numeric flag values --------------------------------------------
+
+/// Largest seconds value a flag takes: about 31 years, past any capture
+/// and far inside SimTime's range.
+inline constexpr double kMaxFlagSeconds = 1e9;
+
+/// Parses the whole of `text` as a finite number of seconds in
+/// [0, kMaxFlagSeconds]. Otherwise nullopt, with *error naming `flag`.
+std::optional<double> parse_seconds(const char* flag, const std::string& text,
+                                    std::string* error);
+
+/// Parses the whole of `text` as a plain decimal integer in [lo, hi].
+/// Otherwise nullopt, with *error naming `flag`.
+std::optional<long> parse_integer(const char* flag, const std::string& text,
+                                  long lo, long hi, std::string* error);
+
 // --- global flags (--artifacts / --stats / --trace / --series) ------------
 
 struct GlobalOptions {

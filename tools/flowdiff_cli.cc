@@ -31,7 +31,6 @@
 // cli_args.h — one parser, one validation pass (MonitorOptions::validate),
 // identical behavior across monitor/report/serve.
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -690,19 +689,10 @@ struct ServeCliArgs {
 /// Largest --workers serve accepts: far past any speedup the cross-tenant
 /// pool has shown, and small enough that a typo cannot ask for thousands
 /// of threads.
-constexpr int kMaxServeWorkers = 64;
+constexpr long kMaxServeWorkers = 64;
 
-/// Parses a --workers value: a plain decimal in [0, kMaxServeWorkers].
-std::optional<int> parse_worker_count(const std::string& text) {
-  int value = 0;
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || value < 0 ||
-      value > kMaxServeWorkers) {
-    return std::nullopt;
-  }
-  return value;
-}
+/// Longest --poll-ms: a minute between polls of an idle source.
+constexpr long kMaxPollMs = 60 * 1000;
 
 /// Splits "TARGET@TENANT" at the last '@' (targets may contain none).
 ServeSourceSpec split_source(ServeSourceSpec::Kind kind,
@@ -734,13 +724,13 @@ std::optional<ServeCliArgs> parse_serve_args(
   for (std::size_t i = 0; i < rest.size(); ++i) {
     std::string value;
     if (cli::flag_value(rest, &i, "--workers", &value)) {
-      const auto workers = parse_worker_count(value);
+      const auto workers =
+          cli::parse_integer("--workers", value, 0, kMaxServeWorkers, &error);
       if (!workers) {
-        fail("--workers must be an integer from 0 to " +
-             std::to_string(kMaxServeWorkers) + " (got '" + value + "')");
+        fail(error);
         return std::nullopt;
       }
-      parsed.workers = *workers;
+      parsed.workers = static_cast<int>(*workers);
     } else if (rest[i] == "--follow" && i + 1 < rest.size()) {
       auto spec = split_source(ServeSourceSpec::Kind::kFile, rest[++i]);
       if (spec.tenant.empty()) {
@@ -767,15 +757,28 @@ std::optional<ServeCliArgs> parse_serve_args(
     } else if (rest[i] == "--from-end") {
       parsed.from_end = true;
     } else if (rest[i] == "--poll-ms" && i + 1 < rest.size()) {
-      parsed.poll_ms = std::strtol(rest[++i].c_str(), nullptr, 10);
-      if (parsed.poll_ms <= 0) {
-        fail("--poll-ms must be a positive integer");
+      const auto ms =
+          cli::parse_integer("--poll-ms", rest[++i], 1, kMaxPollMs, &error);
+      if (!ms) {
+        fail(error);
         return std::nullopt;
       }
+      parsed.poll_ms = *ms;
     } else if (rest[i] == "--evict-idle" && i + 1 < rest.size()) {
-      parsed.evict_idle_s = std::strtod(rest[++i].c_str(), nullptr);
+      const auto seconds = cli::parse_seconds("--evict-idle", rest[++i], &error);
+      if (!seconds) {
+        fail(error);
+        return std::nullopt;
+      }
+      parsed.evict_idle_s = *seconds;
     } else if (rest[i] == "--exit-after-idle" && i + 1 < rest.size()) {
-      parsed.exit_after_idle_s = std::strtod(rest[++i].c_str(), nullptr);
+      const auto seconds =
+          cli::parse_seconds("--exit-after-idle", rest[++i], &error);
+      if (!seconds) {
+        fail(error);
+        return std::nullopt;
+      }
+      parsed.exit_after_idle_s = *seconds;
     } else if (rest[i] == "--transcripts" && i + 1 < rest.size()) {
       parsed.transcripts_dir = rest[++i];
     } else {
