@@ -432,17 +432,24 @@ TEST(ServeCli, RejectsMalformedNumericFlagsNamingTheFlag) {
   };
   const fs::path err = fs::path(::testing::TempDir()) / "serve_numeric.err";
   for (const auto& [flag, value] : bad) {
-    SCOPED_TRACE(std::string(flag) + " " + value);
-    Child child = spawn_serve({"--follow", "/dev/null@t0", "--exit-after-idle",
-                               "0.2", flag, value},
-                              err.string());
-    ASSERT_GT(child.pid, 0);
-    EXPECT_EQ(child.wait_exit(10), 2);
-    const auto message = of::read_file(err.string());
-    ASSERT_TRUE(message.has_value());
-    EXPECT_NE(message->find(std::string(flag) + " must be"),
-              std::string::npos)
-        << *message;
+    for (const bool joined : {false, true}) {
+      std::vector<std::string> args = {"--follow", "/dev/null@t0",
+                                       "--exit-after-idle", "0.2"};
+      if (joined) {
+        args.push_back(std::string(flag) + "=" + value);
+      } else {
+        args.insert(args.end(), {flag, value});
+      }
+      SCOPED_TRACE(args.back());
+      Child child = spawn_serve(args, err.string());
+      ASSERT_GT(child.pid, 0);
+      EXPECT_EQ(child.wait_exit(10), 2);
+      const auto message = of::read_file(err.string());
+      ASSERT_TRUE(message.has_value());
+      EXPECT_NE(message->find(std::string(flag) + " must be"),
+                std::string::npos)
+          << *message;
+    }
   }
   fs::remove(err);
   Child accepted =
@@ -450,6 +457,159 @@ TEST(ServeCli, RejectsMalformedNumericFlagsNamingTheFlag) {
                    "--evict-idle", "1.5", "--exit-after-idle", "0.2"});
   ASSERT_GT(accepted.pid, 0);
   EXPECT_EQ(accepted.wait_exit(), 0);
+}
+
+struct CliRun {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+/// Runs `flowdiff <args>` to completion, keeping its stdout and stderr.
+CliRun run_cli(const std::vector<std::string>& args) {
+  const fs::path err = fs::path(::testing::TempDir()) /
+                       ("serve_cli_run" + std::to_string(::getpid()) + ".err");
+  Child child = spawn_cli(args, err.string());
+  CliRun run;
+  run.exit_code = child.wait_exit();
+  char buf[512];
+  ssize_t n = 0;
+  while ((n = ::read(child.out_fd, buf, sizeof(buf))) > 0) {
+    child.seen.append(buf, static_cast<std::size_t>(n));
+  }
+  run.out = child.seen;
+  run.err = of::read_file(err.string()).value_or("");
+  fs::remove(err);
+  return run;
+}
+
+/// `text` without its table rows: monitor's audit trail (printed once
+/// --report turns the obs layer on) carries each window's wall time.
+std::string without_table_rows(const std::string& text) {
+  std::string kept;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    const std::size_t end = std::min(text.find('\n', begin), text.size());
+    if (text.compare(begin, 1, "|") != 0) {
+      kept.append(text, begin, end - begin + 1);
+    }
+    begin = end + 1;
+  }
+  return kept;
+}
+
+TEST(ServeCli, EveryValueFlagTakesBothSpellings) {
+  // `--flag VALUE` and `--flag=VALUE` are one flag in every command: the
+  // same exit code, the same stdout, the same file written.
+  const Corpus corpus("steady");
+  const fs::path dir = fs::path(::testing::TempDir()) / "both_spellings";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string log = corpus.log_path.string();
+  const std::string services = corpus.write_services(dir / "services.txt");
+  const std::string run = (dir / "run.flows").string();
+  ASSERT_TRUE(of::write_file(run,
+                             "FLOW 0 10.0.1.1 40001 10.0.10.1 2049 6\n"
+                             "FLOW 1000 10.0.1.1 40002 10.0.10.2 111 17\n"));
+  const std::string task = (dir / "t.task").string();
+  ASSERT_TRUE(of::write_file(task,
+                             "TASK t\nSTATE 0 start accept\n"
+                             "TOKEN #0 * 10.0.10.1 2049 6\n"
+                             "TOKEN #0 * 10.0.10.2 111 17\nTRANS\n"));
+  const std::string slowdown = Corpus("slowdown").log_path.string();
+  struct Case {
+    std::vector<std::string> args;
+    std::string flag;
+    std::string value;
+    bool writes_value = false;  ///< The value is a file the run writes.
+  };
+  const std::vector<Case> cases = {
+      {{"summary", log}, "--services", services},
+      {{"diff", log, slowdown}, "--task", task},
+      {{"mine", "t", run, run, "--mask"},
+       "--out", (dir / "mined.task").string(), true},
+      {{"detect", task}, "--in", run},
+      {{"monitor", log, "--window", "40"},
+       "--report", (dir / "monitor.md").string(), true},
+      {{"report", log, "--window", "40"},
+       "--out", (dir / "report.md").string(), true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args.front() + " " + c.flag);
+    std::vector<CliRun> runs;
+    std::vector<std::string> written;
+    for (const bool joined : {false, true}) {
+      std::vector<std::string> args = c.args;
+      if (joined) {
+        args.push_back(c.flag + "=" + c.value);
+      } else {
+        args.insert(args.end(), {c.flag, c.value});
+      }
+      runs.push_back(run_cli(args));
+      if (c.writes_value) {
+        const auto text = of::read_file(c.value);
+        ASSERT_TRUE(text.has_value()) << args.back() << " wrote nothing";
+        written.push_back(*text);
+        fs::remove(c.value);
+      }
+    }
+    EXPECT_NE(runs[0].exit_code, 2) << runs[0].err;
+    EXPECT_EQ(runs[1].exit_code, runs[0].exit_code) << runs[1].err;
+    EXPECT_EQ(without_table_rows(runs[1].out),
+              without_table_rows(runs[0].out));
+    // A run report carries wall-clock timings; the mined automaton must
+    // match byte for byte.
+    if (c.args.front() == "mine") {
+      EXPECT_EQ(written[1], written[0]);
+    }
+  }
+
+  // The two-token run of SingleTenantFollowIsByteIdenticalToMonitorGolden,
+  // spelled with '='.
+  const fs::path transcripts = dir / "transcripts";
+  Child child = spawn_serve(
+      {"--follow=" + log + "@t0", "--window=" + corpus.window_seconds(),
+       "--services=" + services, "--transcripts=" + transcripts.string(),
+       "--exit-after-idle=0.5"});
+  ASSERT_GT(child.pid, 0);
+  EXPECT_EQ(child.wait_exit(), 0);
+  const auto transcript =
+      of::read_file((transcripts / "t0.transcript").string());
+  ASSERT_TRUE(transcript.has_value());
+  EXPECT_EQ(*transcript, corpus.golden);
+}
+
+TEST(ServeCli, UsageErrorsNameTheFlagInEveryCommand) {
+  // A value flag given last, an unknown flag and a malformed alarm id exit
+  // 2 naming what was wrong, the same way in every command; none of them
+  // is read as an operand or a file. An alarm id is a whole unsigned
+  // 64-bit integer.
+  const std::string log = Corpus("steady").log_path.string();
+  const std::string missing =
+      (fs::path(::testing::TempDir()) / "no_such_dir").string();
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"summary", log, "--services"}, "--services needs a value"},
+      {{"diff", log, log, "--task"}, "--task needs a value"},
+      {{"mine", "t", "missing.flows", "--out"}, "--out needs a value"},
+      {{"mine", "t", "--bogus"}, "unknown argument: --bogus"},
+      {{"detect", "--bogus", "--in", "missing.flows"},
+       "unknown argument: --bogus"},
+      {{"monitor", log, "--report"}, "--report needs a value"},
+      {{"report", log, "--out"}, "--out needs a value"},
+      {{"serve", "--follow", "/dev/null@t0", "--transcripts"},
+       "--transcripts needs a value"},
+      {{"explain", "1", "--from"}, "--from needs a value"},
+      {{"explain", " 1", "--artifacts", missing}, "alarm id must be"},
+      {{"explain", "+1", "--artifacts", missing}, "alarm id must be"},
+      {{"explain", "18446744073709551615", "--artifacts", missing},
+       "cannot read " + missing},
+  };
+  for (const auto& [args, message] : cases) {
+    SCOPED_TRACE(args.front() + " ... " + args.back());
+    const CliRun run = run_cli(args);
+    EXPECT_EQ(run.exit_code, 2);
+    EXPECT_NE(run.err.find(message), std::string::npos) << run.err;
+  }
 }
 
 TEST(ServeCli, WorkersIsUnknownOutsideServe) {

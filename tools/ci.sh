@@ -1,15 +1,21 @@
 #!/usr/bin/env bash
 # Minimal CI for FlowDiff:
 #   1. tier-1 verify: configure, build, and run the full test suite;
-#   2. perfbench build: configure perfbench/ (the benchmark's stand-alone
+#   2. paper benches: in the tier-1 tree, run each of the ten deterministic
+#      paper-figure benches (table1-3, fig2b, fig9-12, both ablations)
+#      twice and cmp the two outputs, so a bench that crashes or stops
+#      being deterministic fails CI; fig13_scalability prints wall-clock
+#      times, so it runs once, for its exit status only. No value is
+#      pinned;
+#   3. perfbench build: configure perfbench/ (the benchmark's stand-alone
 #      build of src/ plus flowbench) and build flowbench without running
 #      it, so a library change that breaks the API the benchmark uses
 #      (MonitorOptions, SlidingMonitor, MonitorManager, monitor_config())
 #      fails here rather than only when the benchmark runs;
-#   3. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
+#   4. AddressSanitizer pass: rebuild with FLOWDIFF_SANITIZE=address and
 #      rerun ctest, then rerun the telemetry-plane suite (ctest -L http)
 #      so its verdict is visible on its own in the transcript;
-#   4. UndefinedBehaviorSanitizer pass: rebuild with
+#   5. UndefinedBehaviorSanitizer pass: rebuild with
 #      FLOWDIFF_SANITIZE=undefined and rerun the obs-layer tests (the
 #      sampler, with the self-watchdog it runs, and the recorder), plus the
 #      ingest legs: the golden-trace corpus (ctest -L corpus) and the
@@ -18,7 +24,7 @@
 #      adversarial-scenario suites (ctest -L attack: attack generators,
 #      diagnosis refinement, determinism pins), and the serve/provenance
 #      suites, which previously only reran under ASan/TSan;
-#   5. ThreadSanitizer pass: rebuild with FLOWDIFF_SANITIZE=thread and
+#   6. ThreadSanitizer pass: rebuild with FLOWDIFF_SANITIZE=thread and
 #      rerun the concurrency-heavy suites (executor pool, sliding monitor,
 #      incremental model, the scrape-under-load identity suite, obs layer),
 #      plus the http-labeled telemetry-plane suite — scraping a live
@@ -29,10 +35,10 @@
 #      the serve-labeled daemon suites: MonitorManager schedules
 #      per-tenant shards across a worker pool, whose windows sample the
 #      one process-wide obs::Sampler, while the telemetry plane reads them;
-#   6. corruption sweep: run bench/corruption_sweep in the UBSan tree —
+#   7. corruption sweep: run bench/corruption_sweep in the UBSan tree —
 #      diagnosis accuracy vs corruption rate, end to end under the
 #      sanitizer;
-#   7. unoptimized (Debug, -O0) pass with -D_GLIBCXX_ASSERTIONS: rebuild
+#   8. unoptimized (Debug, -O0) pass with -D_GLIBCXX_ASSERTIONS: rebuild
 #      the robustness suite without optimization and rerun the
 #      hostile-input cases under a ctest timeout — the optimizer once
 #      deleted a loop that walked every idle window of a timestamp gap, so
@@ -43,7 +49,7 @@
 #      there) and the task-detector suites with their oracle sweep (a
 #      matcher indexing past its state's tokens reads inside a vector's
 #      capacity, which only an assertion sees);
-#   8. knob count (informational, gates nothing): tools/knob_count.py
+#   9. knob count (informational, gates nothing): tools/knob_count.py
 #      prints the settable fields of every *Config/*Options/*Thresholds
 #      struct in src/ headers, by struct, and their total.
 #
@@ -100,6 +106,16 @@ echo "== bench: adversarial recall/false-alarm sweep (BENCH_attack.json) =="
 # byte; a change that moves the sweep's figures commits the new file.
 "$repo/build-ci/bench/attack_sweep" --out="$repo/build-ci/BENCH_attack.json"
 cmp "$repo/build-ci/BENCH_attack.json" "$repo/BENCH_attack.json"
+
+echo "== paper benches: exit status + run-to-run determinism =="
+for bench in table1_problems table2_cases table3_task_accuracy \
+  fig2b_problem_classes fig9_fault_cdfs fig10_dd_robustness \
+  fig11_pc_stability fig12_ci_stability ablation_deployment ablation_mining; do
+  "$repo/build-ci/bench/$bench" >"$repo/build-ci/$bench.1.txt"
+  "$repo/build-ci/bench/$bench" >"$repo/build-ci/$bench.2.txt"
+  cmp "$repo/build-ci/$bench.1.txt" "$repo/build-ci/$bench.2.txt"
+done
+"$repo/build-ci/bench/fig13_scalability" >/dev/null
 
 echo "== perfbench: build flowbench (not run) =="
 cmake -B "$repo/build-ci-perfbench" -S "$repo/perfbench"

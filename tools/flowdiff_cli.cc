@@ -1,42 +1,18 @@
-// flowdiff — command-line front end to the library.
-//
-//   flowdiff summary <log> [--services FILE]       model one control log
-//   flowdiff diff <baseline.log> <current.log>     diff two control logs
-//        [--services FILE] [--task AUTOMATON]...
-//   flowdiff mine <name> <run.flows>... [--mask]   learn a task automaton
-//        [--services FILE] [--out FILE]
-//   flowdiff detect <AUTOMATON>... --in <capture.flows> [--services FILE]
-//   flowdiff monitor <log> [--window SECONDS] [--services FILE]
-//        [--task AUTOMATON]... [--rolling] [--report FILE]
-//   flowdiff report <log> [--window SECONDS] [--services FILE]
-//        [--task AUTOMATON]... [--rolling] [--out FILE] [--html]
-//   flowdiff serve (--follow FILE[@TENANT] | --socket ADDR:PORT[@TENANT]
-//        | --unix PATH[@TENANT])... [monitor knobs] [--listen ADDR:PORT]
-//   flowdiff explain <alarm-id> (--artifacts DIR | --from ADDR:PORT)
+// flowdiff — command-line front end to the library; `flowdiff help [CMD]`
+// lists the commands and each command's flags.
 //
 // Control logs use the openflow/log_io.h text format; flow-sequence files
 // hold FLOW lines; automata use TaskAutomaton::serialize(). A services
 // file lists special-purpose node IPs, one per line.
 //
-// Every subcommand accepts the global flag --artifacts=DIR, which collects
-// every run artifact under one directory:
-// stats.txt, trace.json, series.csv and (monitor/report) report.md. The
-// older per-artifact flags --stats[=FILE], --trace[=FILE] and
-// --series[=FILE] remain as aliases and override the corresponding
-// artifacts path; `flowdiff help` documents the mapping. monitor/report
-// runs with an artifacts directory also write DIR/provenance.json — the
-// alarm provenance records `flowdiff explain` reads back.
-//
-// Flag parsing for the global set and the shared monitor knob set lives in
-// cli_args.h — one parser, one validation pass (MonitorOptions::validate),
-// identical behavior across monitor/report/serve.
-#include <cerrno>
+// Each command declares its flags once, as a table of cli::Flag rows
+// (cli_args.h), and parses, prints its usage line and prints its help
+// from that one table.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -61,180 +37,72 @@ namespace {
 using namespace flowdiff;
 using cli::fail;
 
-void print_help(std::FILE* out) {
-  std::fputs(
-      "usage:\n"
-      "  flowdiff summary <log> [--services FILE]\n"
-      "  flowdiff diff <baseline.log> <current.log> [--services FILE] "
-      "[--task FILE]...\n"
-      "  flowdiff mine <name> <run.flows>... [--mask] [--services FILE] "
-      "[--out FILE]\n"
-      "  flowdiff detect <automaton>... --in <capture.flows> "
-      "[--services FILE]\n"
-      "  flowdiff monitor <log> [--window SECONDS] [--services FILE] "
-      "[--task FILE]... [--rolling] [--sanitize] "
-      "[--lateness SEC] [--listen ADDR:PORT] [--report FILE]\n"
-      "  flowdiff report <log> [--window SECONDS] [--services FILE] "
-      "[--task FILE]... [--rolling] [--sanitize] "
-      "[--lateness SEC] [--listen ADDR:PORT] [--out FILE] [--html]\n"
-      "  flowdiff serve (--follow FILE[@TENANT] | --socket "
-      "ADDR:PORT[@TENANT] | --unix PATH[@TENANT])... [monitor knobs] "
-      "[--by-controller] [--workers N] [--listen ADDR:PORT] "
-      "[--transcripts DIR]\n"
-      "  flowdiff explain <alarm-id> (--artifacts DIR | --from "
-      "ADDR:PORT)\n"
-      "  flowdiff help [serve]\n"
-      "global flags (any subcommand):\n"
-      "  --artifacts=DIR  write every run artifact into DIR (created if "
-      "missing):\n"
-      "                     DIR/stats.txt   metrics registry "
-      "(--stats=DIR/stats.txt)\n"
-      "                     DIR/trace.json  span tree "
-      "(--trace=DIR/trace.json)\n"
-      "                     DIR/series.csv  sampled series "
-      "(--series=DIR/series.csv)\n"
-      "                     DIR/report.md   run report, monitor/report "
-      "only\n"
-      "                                     (--report/--out "
-      "DIR/report.md)\n"
-      "                     DIR/provenance.json  alarm provenance "
-      "records,\n"
-      "                                     monitor/report only (read "
-      "back by\n"
-      "                                     `flowdiff explain`)\n"
-      "                   the per-artifact aliases below override the\n"
-      "                   corresponding DIR path when both are given\n"
-      "  --stats[=FILE]   dump metrics after the run (.json/.prom/table "
-      "by extension; default stderr)\n"
-      "  --trace[=FILE]   dump the tracing span tree (.json for machine-"
-      "readable; default stderr)\n"
-      "  --series[=FILE]  dump sampled metric time series (.json else "
-      "CSV; default stderr)\n"
-      "monitor/report/serve knobs (parsed identically everywhere):\n"
-      "  --window SECONDS window length (default 30)\n"
-      "  --rolling        roll the baseline forward on clean windows\n"
-      "  --sanitize       run ingest through the stream sanitizer: raw "
-      "arrival\n"
-      "                   order in, duplicates and truncated records "
-      "dropped,\n"
-      "                   bounded reordering repaired, per-window stream-"
-      "quality\n"
-      "                   records, degraded-mode alarm suppression. Clean\n"
-      "                   streams are unaffected.\n"
-      "  --lateness SEC   sanitizer reorder horizon in seconds (default 1; "
-      "implies\n"
-      "                   --sanitize; rejected without it or >= --window)\n"
-      "  --listen ADDR:PORT  serve the live telemetry plane over HTTP "
-      "(/metrics\n"
-      "                   /healthz /series /recorder /audits /provenance "
-      "/report;\n"
-      "                   serve adds /tenants and /tenants/<id>/...; "
-      "\":PORT\"\n"
-      "                   binds all interfaces, port 0 picks one)\n"
-      "explain flags:\n"
-      "  --artifacts DIR  read DIR/provenance.json written by an earlier\n"
-      "                   monitor/report run and print the record whose id\n"
-      "                   matches <alarm-id> (the provenance id shown in "
-      "the\n"
-      "                   run report and on /provenance)\n"
-      "  --from ADDR:PORT fetch the record from a live telemetry plane "
-      "via\n"
-      "                   GET /provenance?id=<alarm-id> instead\n"
-      "exit status: 0 ok/clean, 1 unknown changes or alarms (diff, "
-      "monitor, report, serve), 2 usage or I/O error\n",
-      out);
-}
+/// What main asks of a command: run it, or print its usage line or its
+/// full help, each from the flag table the command declares.
+enum class Mode { kRun, kUsage, kHelp };
 
-void print_serve_help(std::FILE* out) {
-  std::fputs(
-      "flowdiff serve — long-running multi-tenant monitoring daemon\n"
-      "\n"
-      "Tails one or more live control-log sources, demultiplexes events\n"
-      "into per-tenant monitor shards (each with its own baseline, windows,\n"
-      "alarms, and provenance), and serves per-tenant telemetry over HTTP.\n"
-      "Runs until SIGINT/SIGTERM, then flushes every shard's final window\n"
-      "and reports per-tenant results.\n"
-      "\n"
-      "sources (repeatable; at least one required):\n"
-      "  --follow FILE[@TENANT]     tail a control-log file, surviving\n"
-      "                             rename rotation and in-place "
-      "truncation;\n"
-      "                             a missing file is waited for. Default\n"
-      "                             tenant: the file name.\n"
-      "  --socket ADDR:PORT[@TENANT] accept line-oriented control-log "
-      "text\n"
-      "                             over TCP (port 0 picks one; the bound\n"
-      "                             port is announced on stdout).\n"
-      "  --unix PATH[@TENANT]       same over a unix-domain socket.\n"
-      "  --workers N                threads shared by the tenant shards "
-      "(0-64;\n"
-      "                             default 0 runs every shard inline on "
-      "the\n"
-      "                             poll thread). Each shard models its\n"
-      "                             windows serially.\n"
-      "routing:\n"
-      "  --by-controller            ignore tenant labels and route every\n"
-      "                             event by its controller id to tenant\n"
-      "                             \"ctrl<N>\" — one shard per "
-      "controller\n"
-      "                             in an interleaved multi-controller "
-      "feed.\n"
-      "daemon knobs:\n"
-      "  --from-end                 start tailing files at EOF (attach to "
-      "a\n"
-      "                             growing log) instead of replaying "
-      "their\n"
-      "                             current contents from the start.\n"
-      "  --poll-ms MS               source poll interval when idle "
-      "(default 50)\n"
-      "  --evict-idle SECONDS       evict shards idle for SECONDS: flush "
-      "the\n"
-      "                             final window, keep results as a "
-      "tombstone,\n"
-      "                             free the monitor (0 = never, the "
-      "default)\n"
-      "  --exit-after-idle SECONDS  exit once every source has been idle "
-      "for\n"
-      "                             SECONDS (replay/test mode; 0 = run "
-      "until\n"
-      "                             signalled, the default)\n"
-      "  --transcripts DIR          on shutdown write each tenant's\n"
-      "                             deterministic monitor transcript to\n"
-      "                             DIR/<tenant>.transcript (single-"
-      "tenant\n"
-      "                             serve over a corpus log is byte-"
-      "identical\n"
-      "                             to `flowdiff monitor` on the same "
-      "log)\n"
-      "monitor knobs: --window --rolling --sanitize --lateness --services\n"
-      "  --task (see `flowdiff help`); each shard gets the same "
-      "configuration.\n"
-      "telemetry (--listen ADDR:PORT):\n"
-      "  /healthz                   aggregate verdict — 503 as soon as "
-      "ANY\n"
-      "                             shard degrades or faults\n"
-      "  /tenants                   shard registry (state, events, "
-      "windows,\n"
-      "                             alarms, health per tenant)\n"
-      "  /tenants/<id>/healthz      per-tenant health verdict\n"
-      "  /tenants/<id>/audits       per-window audit trail (csv|json,\n"
-      "                             ?from=/?to= seconds)\n"
-      "  /tenants/<id>/provenance   alarm provenance records (?id=N or\n"
-      "                             ?limit=N)\n"
-      "  /tenants/<id>/report       run report (md|html)\n"
-      "  /tenants/<id>/transcript   deterministic monitor transcript\n"
-      "exit status: 0 clean, 1 any shard alarmed, 2 usage or I/O error\n",
-      out);
-}
+struct Command;
+
+struct Invocation {
+  Invocation(const Command* command, Mode mode, std::FILE* out = stdout,
+             std::vector<std::string> args = {})
+      : command(command), mode(mode), out(out), args(std::move(args)) {}
+
+  const Command* command;
+  Mode mode;
+  std::FILE* out;  ///< Where kUsage/kHelp print.
+  std::vector<std::string> args;
+  cli::GlobalOptions global;
+  std::vector<std::string> operands;  ///< What parse() left of args.
+
+  /// Runs the command's table `flags`, followed by the global rows unless
+  /// `with_global` is false: in kRun, parses args into the rows' targets
+  /// and `operands` and prepares the artifacts directory; otherwise
+  /// prints. Returns the exit status when the command stops here, nullopt
+  /// when it should go on and run.
+  std::optional<int> parse(std::vector<cli::Flag> flags,
+                           bool with_global = true);
+};
+
+struct Command {
+  const char* name;
+  const char* operands;  ///< The usage line's text before the flags.
+  const char* about;     ///< What `flowdiff help NAME` says before the flags.
+  int (*run)(Invocation&);
+};
+
+void print_help(std::FILE* out);
 
 int usage() {
   print_help(stderr);
   return 2;
 }
 
-/// Set by main() before the subcommand runs; subcommands read the
-/// artifacts directory (for the default report path) here.
-cli::GlobalOptions g_opts;
+std::optional<int> Invocation::parse(std::vector<cli::Flag> flags,
+                                     bool with_global) {
+  std::string head = std::string("flowdiff ") + command->name;
+  if (*command->operands != '\0') head += std::string(" ") + command->operands;
+  if (mode == Mode::kUsage) {
+    cli::print_usage_line(out, head, flags);
+    return 0;
+  }
+  if (with_global) {
+    std::vector<cli::Flag> global_rows = cli::global_flags(&global);
+    flags.insert(flags.end(), global_rows.begin(), global_rows.end());
+  }
+  if (mode == Mode::kHelp) {
+    std::fputs("usage:\n", out);
+    cli::print_usage_line(out, head, flags);
+    std::fprintf(out, "\n%s\nflags:\n", command->about);
+    cli::print_flags(out, flags);
+    return 0;
+  }
+  auto parsed = cli::parse_flags(args, flags);
+  if (!parsed) return 2;
+  operands = std::move(*parsed);
+  if (const int rc = cli::prepare_artifacts(global); rc != 0) return rc;
+  return std::nullopt;
+}
 
 /// Offline modeling drops events with a negative timestamp; say how many.
 void report_negative_timestamps(const std::string& path,
@@ -246,31 +114,20 @@ void report_negative_timestamps(const std::string& path,
                path.c_str(), static_cast<unsigned long long>(rejected));
 }
 
-int cmd_summary(const std::vector<std::string>& args) {
-  std::string services_path;
-  std::vector<std::string> positional;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--services" && i + 1 < args.size()) {
-      services_path = args[++i];
-    } else if (cli::reject_unknown_flag(args[i])) {
-      return 2;
-    } else {
-      positional.push_back(args[i]);
-    }
-  }
-  if (positional.size() != 1) return usage();
-  const auto log = cli::load_log(positional[0]);
-  if (!log) return fail("cannot load control log " + positional[0]);
+int cmd_summary(Invocation& in) {
   core::FlowDiffConfig config;
-  if (!services_path.empty()) {
-    auto services = cli::load_services(services_path);
-    if (!services) return fail("cannot load services " + services_path);
-    config.model.special_nodes = std::move(*services);
+  if (const auto done =
+          in.parse({cli::services_flag(&config.model.special_nodes)})) {
+    return *done;
   }
+  if (in.operands.size() != 1) return usage();
+  const std::string& path = in.operands[0];
+  const auto log = cli::load_log(path);
+  if (!log) return fail("cannot load control log " + path);
   const core::FlowDiff flowdiff(config);
   std::uint64_t rejected = 0;
   const auto model = flowdiff.model(*log, &rejected);
-  report_negative_timestamps(positional[0], rejected);
+  report_negative_timestamps(path, rejected);
   std::printf("log: %zu events over %.1fs (%zu PacketIn, %zu FlowMod, "
               "%zu FlowRemoved)\n",
               log->size(), to_seconds(log->end_time() - log->begin_time()),
@@ -297,40 +154,17 @@ int cmd_summary(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_diff(std::vector<std::string> args) {
-  std::string services_path;
-  std::vector<std::string> task_paths;
-  std::vector<std::string> positional;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--services" && i + 1 < args.size()) {
-      services_path = args[++i];
-    } else if (args[i] == "--task" && i + 1 < args.size()) {
-      task_paths.push_back(args[++i]);
-    } else if (cli::reject_unknown_flag(args[i])) {
-      return 2;
-    } else {
-      positional.push_back(args[i]);
-    }
-  }
-  if (positional.size() != 2) return usage();
-
+int cmd_diff(Invocation& in) {
   core::FlowDiffConfig config;
-  if (!services_path.empty()) {
-    auto services = cli::load_services(services_path);
-    if (!services) return fail("cannot load services " + services_path);
-    config.model.special_nodes = std::move(*services);
-  }
   std::vector<core::TaskAutomaton> tasks;
-  for (const auto& path : task_paths) {
-    const auto text = of::read_file(path);
-    if (!text) return fail("cannot read automaton " + path);
-    auto automaton = core::TaskAutomaton::parse(*text);
-    if (!automaton) return fail("malformed automaton " + path);
-    tasks.push_back(std::move(*automaton));
+  if (const auto done =
+          in.parse({cli::services_flag(&config.model.special_nodes),
+                    cli::task_flag(&tasks)})) {
+    return *done;
   }
-
-  const auto baseline = cli::load_log(positional[0]);
-  const auto current = cli::load_log(positional[1]);
+  if (in.operands.size() != 2) return usage();
+  const auto baseline = cli::load_log(in.operands[0]);
+  const auto current = cli::load_log(in.operands[1]);
   if (!baseline || !current) return fail("cannot load control logs");
 
   const core::FlowDiff flowdiff(config);
@@ -338,43 +172,30 @@ int cmd_diff(std::vector<std::string> args) {
   std::uint64_t rejected_current = 0;
   const auto baseline_model = flowdiff.model(*baseline, &rejected_baseline);
   const auto current_model = flowdiff.model(*current, &rejected_current);
-  report_negative_timestamps(positional[0], rejected_baseline);
-  report_negative_timestamps(positional[1], rejected_current);
+  report_negative_timestamps(in.operands[0], rejected_baseline);
+  report_negative_timestamps(in.operands[1], rejected_current);
   const auto report = flowdiff.diff(baseline_model, current_model, tasks);
   std::fputs(report.render().c_str(), stdout);
   return report.clean() ? 0 : 1;
 }
 
-int cmd_mine(std::vector<std::string> args) {
-  if (args.empty()) return usage();
-  const std::string name = args.front();
-  args.erase(args.begin());
-  bool mask = false;
-  std::string services_path;
-  std::string out_path;
-  std::vector<std::string> run_paths;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--mask") {
-      mask = true;
-    } else if (args[i] == "--services" && i + 1 < args.size()) {
-      services_path = args[++i];
-    } else if (args[i] == "--out" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else {
-      run_paths.push_back(args[i]);
-    }
-  }
-  if (run_paths.empty()) return usage();
-
+int cmd_mine(Invocation& in) {
   core::MiningConfig mining;
-  mining.mask_subjects = mask;
-  if (!services_path.empty()) {
-    auto services = cli::load_services(services_path);
-    if (!services) return fail("cannot load services " + services_path);
-    mining.service_ips = std::move(*services);
+  std::string out_path;
+  if (const auto done = in.parse({
+          cli::switch_flag("--mask", &mining.mask_subjects,
+                           "mask non-service IPs as variables"),
+          cli::services_flag(&mining.service_ips),
+          cli::text_flag("--out", "FILE", &out_path,
+                         "write the automaton to FILE (default stdout)"),
+      })) {
+    return *done;
   }
+  if (in.operands.size() < 2) return usage();
+  const std::string& name = in.operands[0];
   std::vector<of::FlowSequence> runs;
-  for (const auto& path : run_paths) {
+  for (std::size_t i = 1; i < in.operands.size(); ++i) {
+    const std::string& path = in.operands[i];
     const auto text = of::read_file(path);
     if (!text) return fail("cannot read run " + path);
     auto flows = of::parse_flow_sequence(*text);
@@ -397,34 +218,22 @@ int cmd_mine(std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_detect(std::vector<std::string> args) {
-  std::string services_path;
-  std::string capture_path;
-  std::vector<std::string> automaton_paths;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--services" && i + 1 < args.size()) {
-      services_path = args[++i];
-    } else if (args[i] == "--in" && i + 1 < args.size()) {
-      capture_path = args[++i];
-    } else {
-      automaton_paths.push_back(args[i]);
-    }
-  }
-  if (automaton_paths.empty() || capture_path.empty()) return usage();
-
+int cmd_detect(Invocation& in) {
   core::DetectorConfig config;
-  if (!services_path.empty()) {
-    auto services = cli::load_services(services_path);
-    if (!services) return fail("cannot load services " + services_path);
-    config.service_ips = std::move(*services);
+  std::string capture_path;
+  if (const auto done = in.parse({
+          cli::text_flag("--in", "FILE", &capture_path,
+                         "flow capture to scan (required)"),
+          cli::services_flag(&config.service_ips),
+      })) {
+    return *done;
   }
+  if (in.operands.empty() || capture_path.empty()) return usage();
   std::vector<core::TaskAutomaton> automata;
-  for (const auto& path : automaton_paths) {
-    const auto text = of::read_file(path);
-    if (!text) return fail("cannot read automaton " + path);
-    auto automaton = core::TaskAutomaton::parse(*text);
-    if (!automaton) return fail("malformed automaton " + path);
-    automata.push_back(std::move(*automaton));
+  for (const auto& path : in.operands) {
+    if (const auto error = cli::load_automaton(path, &automata)) {
+      return fail(*error);
+    }
   }
   const auto capture_text = of::read_file(capture_path);
   if (!capture_text) return fail("cannot read capture " + capture_path);
@@ -446,52 +255,29 @@ int cmd_detect(std::vector<std::string> args) {
 
 // --- monitor / report ------------------------------------------------------
 
-// Mode-specific leftovers after the shared knob set was parsed.
+/// What `monitor` and `report` parse.
 struct MonitorCliArgs {
   core::MonitorOptions options;
   std::string log_path;
-  std::string report_path;  ///< monitor --report FILE (empty = none)
-  std::string out_path;     ///< report --out FILE (empty = stdout)
-  bool html = false;        ///< report --html (or --report *.html)
+  std::string report_path;  ///< monitor --report / report --out FILE
+  bool html = false;        ///< report --html (or a *.html report path)
 };
 
-std::optional<MonitorCliArgs> parse_monitor_args(
-    const std::vector<std::string>& args, bool report_mode) {
-  std::string error;
-  const auto shared = cli::parse_monitor_flags(args, &error);
-  if (!shared) {
-    fail(error);
-    return std::nullopt;
+/// Parses `monitor` or `report`: the monitor rows plus the command's
+/// `own`, one <log> operand, options that validate(), and --artifacts'
+/// default report path, which an explicit --report/--out overrides.
+std::optional<int> parse_file_monitor(Invocation& in, MonitorCliArgs& parsed,
+                                      const std::vector<cli::Flag>& own) {
+  std::vector<cli::Flag> flags = cli::monitor_flags(&parsed.options);
+  flags.insert(flags.end(), own.begin(), own.end());
+  if (const auto done = in.parse(std::move(flags))) return done;
+  if (in.operands.size() != 1) return usage();
+  if (const auto rejected = parsed.options.validate()) return fail(*rejected);
+  parsed.log_path = in.operands[0];
+  if (parsed.report_path.empty() && !in.global.artifacts_dir.empty()) {
+    parsed.report_path = in.global.artifacts_dir + "/report.md";
   }
-  MonitorCliArgs parsed;
-  parsed.options = shared->options;
-  std::vector<std::string> positional;
-  const auto& rest = shared->rest;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (!report_mode && rest[i] == "--report" && i + 1 < rest.size()) {
-      parsed.report_path = rest[++i];
-    } else if (report_mode && rest[i] == "--out" && i + 1 < rest.size()) {
-      parsed.out_path = rest[++i];
-    } else if (report_mode && rest[i] == "--html") {
-      parsed.html = true;
-    } else if (cli::reject_unknown_flag(rest[i])) {
-      return std::nullopt;
-    } else {
-      positional.push_back(rest[i]);
-    }
-  }
-  if (positional.size() != 1) return std::nullopt;
-  parsed.log_path = positional[0];
-  // --artifacts=DIR supplies the default report destination; an explicit
-  // --report/--out still wins.
-  if (!g_opts.artifacts_dir.empty()) {
-    const std::string fallback = g_opts.artifacts_dir + "/report.md";
-    if (report_mode && parsed.out_path.empty()) parsed.out_path = fallback;
-    if (!report_mode && parsed.report_path.empty()) {
-      parsed.report_path = fallback;
-    }
-  }
-  return parsed;
+  return std::nullopt;
 }
 
 /// Feeds the log file into the monitor. With --sanitize the file is parsed
@@ -531,13 +317,14 @@ int write_run_report(const core::SlidingMonitor& monitor,
 }
 
 /// Writes the monitor's provenance ring to DIR/provenance.json when an
-/// artifacts directory was requested; `flowdiff explain --artifacts DIR`
-/// reads it back. A run with no records still writes the (empty)
+/// artifacts directory `dir` was requested; `flowdiff explain --artifacts
+/// DIR` reads it back. A run with no records still writes the (empty)
 /// collection so explain can distinguish "no alarms" from "no artifact".
-int write_provenance_artifact(const core::SlidingMonitor& monitor) {
-  if (g_opts.artifacts_dir.empty()) return 0;
+int write_provenance_artifact(const core::SlidingMonitor& monitor,
+                              const std::string& dir) {
+  if (dir.empty()) return 0;
   const core::MonitorSnapshot snap = monitor.snapshot();
-  const std::string path = g_opts.artifacts_dir + "/provenance.json";
+  const std::string path = dir + "/provenance.json";
   const std::string text = core::render_provenance_collection_json(
       snap.explained, snap.provenance_dropped);
   if (!of::write_file(path, text)) return fail("cannot write " + path);
@@ -552,7 +339,7 @@ int write_provenance_artifact(const core::SlidingMonitor& monitor) {
 /// operator or a supervisor signals, and only then flushes the final
 /// window. Exits 1 when the run alarmed.
 int run_file_monitor(
-    const MonitorCliArgs& parsed,
+    const Invocation& in, const MonitorCliArgs& parsed,
     const std::function<int(const core::SlidingMonitor&)>& finish) {
   core::SlidingMonitor monitor(parsed.options);
   // Declared after the monitor: the plane destructs (joining its server
@@ -574,7 +361,11 @@ int run_file_monitor(
   monitor.flush();
   if (plane) plane->stop();
   if (const int rc = finish(monitor); rc != 0) return rc;
-  if (const int rc = write_provenance_artifact(monitor); rc != 0) return rc;
+  if (const int rc =
+          write_provenance_artifact(monitor, in.global.artifacts_dir);
+      rc != 0) {
+    return rc;
+  }
   return monitor.health().alarms == 0 ? 0 : 1;
 }
 
@@ -638,45 +429,61 @@ int print_monitor_run(const core::SlidingMonitor& monitor,
   return write_run_report(monitor, parsed.report_path, parsed.html);
 }
 
-int cmd_monitor(std::vector<std::string> args) {
-  const auto parsed = parse_monitor_args(args, /*report_mode=*/false);
-  if (!parsed) return usage();
+int cmd_monitor(Invocation& in) {
+  MonitorCliArgs parsed;
+  if (const auto done = parse_file_monitor(
+          in, parsed,
+          {cli::text_flag("--report", "FILE", &parsed.report_path,
+                          "also write the run report (HTML for *.html)")})) {
+    return *done;
+  }
   // The report joins sampled series and flight-recorder events; without
   // the obs layer there would be nothing to join. The telemetry plane
   // serves the same stack, so --listen implies it too.
-  if (!parsed->report_path.empty() || !parsed->options.listen.empty()) {
+  if (!parsed.report_path.empty() || !parsed.options.listen.empty()) {
     obs::set_enabled(true);
   }
-  return run_file_monitor(*parsed, [&parsed](const core::SlidingMonitor& m) {
-    return print_monitor_run(m, *parsed);
-  });
+  return run_file_monitor(in, parsed,
+                          [&parsed](const core::SlidingMonitor& monitor) {
+                            return print_monitor_run(monitor, parsed);
+                          });
 }
 
-int cmd_report(std::vector<std::string> args) {
-  const auto parsed = parse_monitor_args(args, /*report_mode=*/true);
-  if (!parsed) return usage();
+int cmd_report(Invocation& in) {
+  MonitorCliArgs parsed;
+  if (const auto done = parse_file_monitor(
+          in, parsed,
+          {cli::text_flag("--out", "FILE", &parsed.report_path,
+                          "write the report to FILE (default stdout)"),
+           cli::switch_flag("--html", &parsed.html,
+                            "render HTML, not Markdown")})) {
+    return *done;
+  }
   // The report exists to explain a run after the fact, so the telemetry
   // that feeds it is always on here, and a crash mid-run still leaves the
   // flight-recorder tail on stderr.
   obs::set_enabled(true);
   obs::FlightRecorder::install_abnormal_exit_dump();
   return run_file_monitor(
-      *parsed, [&parsed](const core::SlidingMonitor& monitor) {
-        return write_run_report(monitor, parsed->out_path, parsed->html);
+      in, parsed, [&parsed](const core::SlidingMonitor& monitor) {
+        return write_run_report(monitor, parsed.report_path, parsed.html);
       });
 }
 
 // --- serve: the multi-tenant live-source daemon ----------------------------
 
+enum class SourceKind { kFile, kTcp, kUnix };
+
 struct ServeSourceSpec {
-  enum class Kind { kFile, kTcp, kUnix } kind = Kind::kFile;
   std::string target;  ///< file path, ADDR:PORT, or unix path
-  std::string tenant;  ///< empty = derived default
+  std::string tenant;
+  std::optional<ingest::SocketSourceConfig> socket;  ///< nullopt: a file
 };
 
 struct ServeCliArgs {
   core::MonitorOptions options;
   std::vector<ServeSourceSpec> sources;
+  std::size_t sockets = 0;  ///< --socket/--unix sources, for default tenants.
   bool by_controller = false;
   bool from_end = false;
   long poll_ms = 50;
@@ -694,103 +501,42 @@ constexpr long kMaxServeWorkers = 64;
 /// Longest --poll-ms: a minute between polls of an idle source.
 constexpr long kMaxPollMs = 60 * 1000;
 
-/// Splits "TARGET@TENANT" at the last '@' (targets may contain none).
-ServeSourceSpec split_source(ServeSourceSpec::Kind kind,
-                             const std::string& value) {
-  ServeSourceSpec spec;
-  spec.kind = kind;
-  const auto at = value.rfind('@');
-  if (at == std::string::npos || at == 0) {
-    spec.target = value;
-  } else {
-    spec.target = value.substr(0, at);
-    spec.tenant = value.substr(at + 1);
-  }
-  return spec;
-}
-
-std::optional<ServeCliArgs> parse_serve_args(
-    const std::vector<std::string>& args) {
-  std::string error;
-  const auto shared = cli::parse_monitor_flags(args, &error);
-  if (!shared) {
-    fail(error);
-    return std::nullopt;
-  }
-  ServeCliArgs parsed;
-  parsed.options = shared->options;
-  const auto& rest = shared->rest;
-  std::size_t sockets = 0;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    std::string value;
-    if (cli::flag_value(rest, &i, "--workers", &value)) {
-      const auto workers =
-          cli::parse_integer("--workers", value, 0, kMaxServeWorkers, &error);
-      if (!workers) {
-        fail(error);
+/// A repeatable source row: "TARGET[@TENANT]" at the last '@' (targets
+/// may contain none). A file's default tenant is its name, a socket's
+/// "socket<N>" for the N-th socket source.
+cli::Flag source_flag(const char* name, const char* metavar, SourceKind kind,
+                      std::string help, ServeCliArgs* parsed) {
+  return cli::value_flag(
+      name, metavar, std::move(help),
+      [kind, parsed](const std::string& value) -> cli::FlagError {
+        ServeSourceSpec spec;
+        const auto at = value.rfind('@');
+        const bool tagged = at != std::string::npos && at != 0;
+        spec.target = tagged ? value.substr(0, at) : value;
+        if (tagged) spec.tenant = value.substr(at + 1);
+        if (kind == SourceKind::kFile) {
+          if (spec.tenant.empty()) {
+            spec.tenant = std::filesystem::path(spec.target).filename();
+          }
+          parsed->sources.push_back(std::move(spec));
+          return std::nullopt;
+        }
+        spec.socket.emplace();
+        if (kind == SourceKind::kUnix) {
+          spec.socket->unix_path = spec.target;
+        } else if (const auto addr = obs::parse_listen_address(spec.target)) {
+          spec.socket->address = addr->first;
+          spec.socket->port = addr->second;
+        } else {
+          return "malformed --socket address: " + spec.target;
+        }
+        if (spec.tenant.empty()) {
+          spec.tenant = "socket" + std::to_string(parsed->sockets);
+        }
+        ++parsed->sockets;
+        parsed->sources.push_back(std::move(spec));
         return std::nullopt;
-      }
-      parsed.workers = static_cast<int>(*workers);
-    } else if (rest[i] == "--follow" && i + 1 < rest.size()) {
-      auto spec = split_source(ServeSourceSpec::Kind::kFile, rest[++i]);
-      if (spec.tenant.empty()) {
-        spec.tenant =
-            std::filesystem::path(spec.target).filename().string();
-      }
-      parsed.sources.push_back(std::move(spec));
-    } else if (rest[i] == "--socket" && i + 1 < rest.size()) {
-      auto spec = split_source(ServeSourceSpec::Kind::kTcp, rest[++i]);
-      if (spec.tenant.empty()) {
-        spec.tenant = "socket" + std::to_string(sockets);
-      }
-      ++sockets;
-      parsed.sources.push_back(std::move(spec));
-    } else if (rest[i] == "--unix" && i + 1 < rest.size()) {
-      auto spec = split_source(ServeSourceSpec::Kind::kUnix, rest[++i]);
-      if (spec.tenant.empty()) {
-        spec.tenant = "socket" + std::to_string(sockets);
-      }
-      ++sockets;
-      parsed.sources.push_back(std::move(spec));
-    } else if (rest[i] == "--by-controller") {
-      parsed.by_controller = true;
-    } else if (rest[i] == "--from-end") {
-      parsed.from_end = true;
-    } else if (rest[i] == "--poll-ms" && i + 1 < rest.size()) {
-      const auto ms =
-          cli::parse_integer("--poll-ms", rest[++i], 1, kMaxPollMs, &error);
-      if (!ms) {
-        fail(error);
-        return std::nullopt;
-      }
-      parsed.poll_ms = *ms;
-    } else if (rest[i] == "--evict-idle" && i + 1 < rest.size()) {
-      const auto seconds = cli::parse_seconds("--evict-idle", rest[++i], &error);
-      if (!seconds) {
-        fail(error);
-        return std::nullopt;
-      }
-      parsed.evict_idle_s = *seconds;
-    } else if (rest[i] == "--exit-after-idle" && i + 1 < rest.size()) {
-      const auto seconds =
-          cli::parse_seconds("--exit-after-idle", rest[++i], &error);
-      if (!seconds) {
-        fail(error);
-        return std::nullopt;
-      }
-      parsed.exit_after_idle_s = *seconds;
-    } else if (rest[i] == "--transcripts" && i + 1 < rest.size()) {
-      parsed.transcripts_dir = rest[++i];
-    } else {
-      fail("unknown serve argument: " + rest[i]);
-      return std::nullopt;
-    }
-  }
-  if (parsed.sources.empty()) {
-    fail("serve needs at least one --follow / --socket / --unix source");
-    return std::nullopt;
-  }
-  return parsed;
+      });
 }
 
 double monotonic_seconds() {
@@ -800,68 +546,86 @@ double monotonic_seconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-int cmd_serve(std::vector<std::string> args) {
-  const auto parsed = parse_serve_args(args);
-  if (!parsed) return 2;
-  if (!parsed->options.listen.empty()) obs::set_enabled(true);
+int cmd_serve(Invocation& in) {
+  using Kind = SourceKind;
+  ServeCliArgs parsed;
+  std::vector<cli::Flag> flags = cli::monitor_flags(&parsed.options);
+  flags.insert(flags.end(), {
+      source_flag("--follow", "FILE[@TENANT]", Kind::kFile,
+                  "tail a file across rotation and truncation (default "
+                  "tenant: the file name)",
+                  &parsed),
+      source_flag("--socket", "ADDR:PORT[@TENANT]", Kind::kTcp,
+                  "accept log lines over TCP (port 0 picks one)", &parsed),
+      source_flag("--unix", "PATH[@TENANT]", Kind::kUnix,
+                  "accept log lines over a unix-domain socket", &parsed),
+      cli::integer_flag(
+          "--workers", "N", 0, kMaxServeWorkers,
+          "threads shared by the shards (default " +
+              std::to_string(parsed.workers) + ": inline)",
+          [&parsed](long n) { parsed.workers = static_cast<int>(n); }),
+      cli::switch_flag("--by-controller", &parsed.by_controller,
+                       "route each event to tenant ctrl<N> by controller"),
+      cli::switch_flag("--from-end", &parsed.from_end,
+                       "tail files from EOF, not from the start"),
+      cli::integer_flag("--poll-ms", "MS", 1, kMaxPollMs,
+                        "idle poll interval (default " +
+                            std::to_string(parsed.poll_ms) + ")",
+                        [&parsed](long ms) { parsed.poll_ms = ms; }),
+      cli::seconds_flag("--evict-idle", "SECONDS",
+                        "flush and free shards idle this long (default " +
+                            cli::number_text(parsed.evict_idle_s) +
+                            ": never)",
+                        [&parsed](double s) { parsed.evict_idle_s = s; }),
+      cli::seconds_flag("--exit-after-idle", "SECONDS",
+                        "exit once all sources idle this long (default " +
+                            cli::number_text(parsed.exit_after_idle_s) +
+                            ": never)",
+                        [&parsed](double s) { parsed.exit_after_idle_s = s; }),
+      cli::text_flag("--transcripts", "DIR", &parsed.transcripts_dir,
+                     "write DIR/<tenant>.transcript on shutdown"),
+  });
+  if (const auto done = in.parse(std::move(flags))) return *done;
+  if (!in.operands.empty()) return usage();
+  if (const auto rejected = parsed.options.validate()) return fail(*rejected);
+  if (parsed.sources.empty()) {
+    return fail("serve needs at least one --follow / --socket / --unix source");
+  }
+  if (!parsed.options.listen.empty()) obs::set_enabled(true);
 
   // Build the sources. Sockets bind before the manager starts so their
   // announced ports are live by the time anything connects.
   std::vector<std::unique_ptr<ingest::EventSource>> sources;
-  for (const ServeSourceSpec& spec : parsed->sources) {
-    switch (spec.kind) {
-      case ServeSourceSpec::Kind::kFile: {
-        ingest::FileTailConfig config;
-        config.path = spec.target;
-        config.from_start = !parsed->from_end;
-        sources.push_back(std::make_unique<ingest::FileTailSource>(
-            spec.tenant, std::move(config)));
-        break;
-      }
-      case ServeSourceSpec::Kind::kTcp: {
-        const auto addr = obs::parse_listen_address(spec.target);
-        if (!addr) {
-          return fail("malformed --socket address: " + spec.target);
-        }
-        ingest::SocketSourceConfig config;
-        config.address = addr->first;
-        config.port = addr->second;
-        auto source = std::make_unique<ingest::SocketSource>(
-            spec.tenant, std::move(config));
-        if (!source->start()) {
-          return fail("cannot listen on " + spec.target + ": " +
-                      source->last_error());
-        }
-        sources.push_back(std::move(source));
-        break;
-      }
-      case ServeSourceSpec::Kind::kUnix: {
-        ingest::SocketSourceConfig config;
-        config.unix_path = spec.target;
-        auto source = std::make_unique<ingest::SocketSource>(
-            spec.tenant, std::move(config));
-        if (!source->start()) {
-          return fail("cannot listen on " + spec.target + ": " +
-                      source->last_error());
-        }
-        sources.push_back(std::move(source));
-        break;
-      }
+  for (const ServeSourceSpec& spec : parsed.sources) {
+    if (!spec.socket) {
+      ingest::FileTailConfig config;
+      config.path = spec.target;
+      config.from_start = !parsed.from_end;
+      sources.push_back(std::make_unique<ingest::FileTailSource>(
+          spec.tenant, std::move(config)));
+      continue;
     }
+    auto source = std::make_unique<ingest::SocketSource>(spec.tenant,
+                                                         *spec.socket);
+    if (!source->start()) {
+      return fail("cannot listen on " + spec.target + ": " +
+                  source->last_error());
+    }
+    sources.push_back(std::move(source));
   }
 
   core::ManagerConfig manager_config;
-  manager_config.options = parsed->options;
-  manager_config.workers = parsed->workers;
+  manager_config.options = parsed.options;
+  manager_config.workers = parsed.workers;
   core::MonitorManager manager(manager_config);
   for (const auto& source : sources) {
-    if (!parsed->by_controller) manager.register_tenant(source->tenant());
+    if (!parsed.by_controller) manager.register_tenant(source->tenant());
   }
 
   std::optional<core::TelemetryPlane> plane;  // Destructs before manager.
-  if (!parsed->options.listen.empty()) {
+  if (!parsed.options.listen.empty()) {
     if (const int rc = cli::start_telemetry_plane(plane,
-                                                  parsed->options.listen);
+                                                  parsed.options.listen);
         rc != 0) {
       return rc;
     }
@@ -878,10 +642,10 @@ int cmd_serve(std::vector<std::string> args) {
   std::fflush(stdout);
 
   const std::uint64_t evict_ticks =
-      parsed->evict_idle_s > 0
+      parsed.evict_idle_s > 0
           ? static_cast<std::uint64_t>(
-                parsed->evict_idle_s * 1000.0 /
-                static_cast<double>(parsed->poll_ms)) +
+                parsed.evict_idle_s * 1000.0 /
+                static_cast<double>(parsed.poll_ms)) +
                 1
           : 0;
   double last_event_at = monotonic_seconds();
@@ -899,7 +663,7 @@ int cmd_serve(std::vector<std::string> args) {
       source->poll(batch);
       if (batch.empty()) continue;
       produced += batch.size();
-      if (parsed->by_controller) {
+      if (parsed.by_controller) {
         // Demux by controller id: each event lands in its controller's
         // shard regardless of which source carried it. The poll's batch is
         // split into per-controller runs (arrival order kept within each)
@@ -936,12 +700,12 @@ int cmd_serve(std::vector<std::string> args) {
       last_event_at = now;
       continue;  // Drain hot sources without sleeping.
     }
-    if (parsed->exit_after_idle_s > 0 &&
-        now - last_event_at >= parsed->exit_after_idle_s) {
+    if (parsed.exit_after_idle_s > 0 &&
+        now - last_event_at >= parsed.exit_after_idle_s) {
       break;
     }
-    struct timespec delay = {parsed->poll_ms / 1000,
-                             (parsed->poll_ms % 1000) * 1000000L};
+    struct timespec delay = {parsed.poll_ms / 1000,
+                             (parsed.poll_ms % 1000) * 1000000L};
     nanosleep(&delay, nullptr);
   }
 
@@ -949,18 +713,18 @@ int cmd_serve(std::vector<std::string> args) {
   // drain and flush every shard's final window, then report.
   manager.stop_all();
 
-  if (!parsed->transcripts_dir.empty()) {
+  if (!parsed.transcripts_dir.empty()) {
     std::error_code ec;
-    std::filesystem::create_directories(parsed->transcripts_dir, ec);
+    std::filesystem::create_directories(parsed.transcripts_dir, ec);
     if (ec) {
       return fail("cannot create transcripts directory " +
-                  parsed->transcripts_dir + ": " + ec.message());
+                  parsed.transcripts_dir + ": " + ec.message());
     }
     for (const std::string& tenant : manager.tenants()) {
       const auto snap = manager.snapshot(tenant);
       if (!snap) continue;
       const std::string path =
-          parsed->transcripts_dir + "/" + tenant + ".transcript";
+          parsed.transcripts_dir + "/" + tenant + ".transcript";
       if (!of::write_file(path, core::render_monitor_transcript(*snap))) {
         return fail("cannot write " + path);
       }
@@ -999,40 +763,29 @@ int cmd_serve(std::vector<std::string> args) {
 
 // --- explain: print one provenance record from artifacts or a live plane ---
 
-/// `flowdiff explain <id> (--artifacts DIR | --from ADDR:PORT)`. Parses its
-/// own flags (deliberately not extract_global_options(): an explain run must
-/// never overwrite the stats/trace/series files the monitor run left in the
-/// artifacts directory it is reading).
-int cmd_explain(const std::vector<std::string>& args) {
+/// `flowdiff explain <id> (--artifacts DIR | --from ADDR:PORT)`. Its table
+/// leaves out the global rows: an explain run must never overwrite the
+/// stats/trace/series files the monitor run left in the artifacts
+/// directory it is reading.
+int cmd_explain(Invocation& in) {
   std::string artifacts_dir;
   std::string from;
-  std::vector<std::string> positional;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--artifacts" && i + 1 < args.size()) {
-      artifacts_dir = args[++i];
-    } else if (args[i].rfind("--artifacts=", 0) == 0) {
-      artifacts_dir = args[i].substr(std::strlen("--artifacts="));
-    } else if (args[i] == "--from" && i + 1 < args.size()) {
-      from = args[++i];
-    } else if (args[i].rfind("--from=", 0) == 0) {
-      from = args[i].substr(std::strlen("--from="));
-    } else {
-      positional.push_back(args[i]);
-    }
+  if (const auto done = in.parse(
+          {cli::text_flag("--artifacts", "DIR", &artifacts_dir,
+                          "read DIR/provenance.json of a monitor run"),
+           cli::text_flag("--from", "ADDR:PORT", &from,
+                          "fetch the record from a live telemetry plane")},
+          /*with_global=*/false)) {
+    return *done;
   }
-  if (positional.size() != 1 || artifacts_dir.empty() == from.empty()) {
+  if (in.operands.size() != 1 || artifacts_dir.empty() == from.empty()) {
     return usage();
   }
   std::uint64_t id = 0;
-  {
-    const std::string& text = positional[0];
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || errno != 0 || text[0] == '-') {
-      return fail("malformed alarm id '" + text + "' (expected an integer)");
-    }
-    id = parsed;
+  if (const auto error = cli::parse_integer(
+          "alarm id", in.operands[0], std::uint64_t{0},
+          std::numeric_limits<std::uint64_t>::max(), &id)) {
+    return fail(*error);
   }
 
   std::string source;  // For the not-found message.
@@ -1075,55 +828,87 @@ int cmd_explain(const std::vector<std::string>& args) {
               source + " (unknown or rotated out)");
 }
 
+constexpr const char* kServeAbout =
+    "Long-running multi-tenant monitoring daemon. Tails live control-log\n"
+    "sources (at least one --follow, --socket or --unix), feeds each tenant's\n"
+    "events to its own monitor shard (baseline, windows, alarms, provenance;\n"
+    "every shard takes the same monitor flags), and serves per-tenant\n"
+    "telemetry. On SIGINT/SIGTERM it flushes every shard's final window and\n"
+    "reports per-tenant results.\n"
+    "\n"
+    "telemetry (--listen ADDR:PORT):\n"
+    "  /healthz                  503 as soon as ANY shard degrades or faults\n"
+    "  /tenants                  state, events, windows, alarms and health\n"
+    "  /tenants/<id>/healthz     per-tenant health verdict\n"
+    "  /tenants/<id>/audits      audit trail (csv|json, ?from=/?to=)\n"
+    "  /tenants/<id>/provenance  alarm provenance records (?id=N or ?limit=N)\n"
+    "  /tenants/<id>/report      run report (md|html)\n"
+    "  /tenants/<id>/transcript  deterministic monitor transcript\n";
+
+const Command kCommands[] = {
+    {"summary", "<log>", "Models one control log.\n", cmd_summary},
+    {"diff", "<baseline.log> <current.log>", "Diffs two control logs.\n",
+     cmd_diff},
+    {"mine", "<name> <run.flows>...", "Learns a task automaton.\n", cmd_mine},
+    {"detect", "<automaton>...", "Finds task occurrences in a capture.\n",
+     cmd_detect},
+    {"monitor", "<log>", "Replays a log through the monitor.\n", cmd_monitor},
+    {"report", "<log>", "Writes a monitor run's report.\n", cmd_report},
+    {"serve", "", kServeAbout, cmd_serve},
+    {"explain", "<alarm-id>",
+     "Prints why an alarm fired. Takes exactly one of --artifacts and "
+     "--from.\n",
+     cmd_explain},
+};
+
+const Command* find_command(const std::string& name) {
+  for (const Command& command : kCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
+constexpr const char* kExitStatus =
+    "exit status: 0 ok/clean, 1 unknown changes or alarms (diff, monitor,\n"
+    "report, serve), 2 usage or I/O error\n";
+
+void print_help(std::FILE* out) {
+  std::fputs("usage:\n", out);
+  for (const Command& command : kCommands) {
+    Invocation in(&command, Mode::kUsage, out);
+    command.run(in);
+  }
+  std::fputs("  flowdiff help [CMD]\n"
+             "\n"
+             "Every value flag takes --flag VALUE or --flag=VALUE; "
+             "`flowdiff help CMD`\n"
+             "lists CMD's flags. Global flags (every command but explain):\n",
+             out);
+  cli::GlobalOptions unused;
+  cli::print_flags(out, cli::global_flags(&unused));
+  std::fputs(kExitStatus, out);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using flowdiff::cli::fail;
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (command == "help" || command == "--help" || command == "-h") {
-    if (argc > 2 && std::string(argv[2]) == "serve") {
-      print_serve_help(stdout);
-    } else {
+  const std::string name = argv[1];
+  if (name == "help" || name == "--help" || name == "-h") {
+    if (argc == 2) {
       print_help(stdout);
+      return 0;
     }
-    return 0;
+    Invocation in(find_command(argv[2]), Mode::kHelp);
+    if (in.command == nullptr) return usage();
+    const int rc = in.command->run(in);
+    std::fputs(kExitStatus, stdout);
+    return rc;
   }
-  std::vector<std::string> args(argv + 2, argv + argc);
-  // explain parses --artifacts itself (it reads that directory; the global
-  // flag would make dump_observability() overwrite its contents).
-  if (command == "explain") return cmd_explain(args);
-  const flowdiff::cli::GlobalOptions obs_opts =
-      flowdiff::cli::extract_global_options(args);
-  g_opts = obs_opts;
-  if (!obs_opts.artifacts_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(obs_opts.artifacts_dir, ec);
-    if (ec) {
-      return fail("cannot create artifacts directory " +
-                  obs_opts.artifacts_dir + ": " + ec.message());
-    }
-  }
-
-  int rc = 2;
-  if (command == "summary") {
-    rc = cmd_summary(args);
-  } else if (command == "diff") {
-    rc = cmd_diff(std::move(args));
-  } else if (command == "mine") {
-    rc = cmd_mine(std::move(args));
-  } else if (command == "detect") {
-    rc = cmd_detect(std::move(args));
-  } else if (command == "monitor") {
-    rc = cmd_monitor(std::move(args));
-  } else if (command == "report") {
-    rc = cmd_report(std::move(args));
-  } else if (command == "serve") {
-    rc = cmd_serve(std::move(args));
-  } else {
-    return usage();
-  }
-
-  const int obs_rc = flowdiff::cli::dump_observability(obs_opts);
+  Invocation in(find_command(name), Mode::kRun, stdout,
+                {argv + 2, argv + argc});
+  if (in.command == nullptr) return usage();
+  const int rc = in.command->run(in);
+  const int obs_rc = cli::dump_observability(in.global);
   return rc != 0 ? rc : obs_rc;
 }
