@@ -11,6 +11,10 @@
 
 namespace flowdiff::exp {
 
+/// Modeling calls timed per log; the fastest one is reported, so one
+/// scheduling hiccup on a shared host cannot flip the growth verdict.
+constexpr int kModelTimingRuns = 5;
+
 of::ControlLog capture_scalability_log(const ScalabilityConfig& config) {
   wl::TreeScenario tree = wl::build_tree_320();
   sim::NetworkConfig net_config;
@@ -61,12 +65,14 @@ ScalabilityResult run_scalability(const ScalabilityConfig& config) {
   }
 
   const core::FlowDiff flowdiff{core::FlowDiffConfig{}};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto model = flowdiff.model(log);
-  const auto t1 = std::chrono::steady_clock::now();
-  result.processing_sec =
-      std::chrono::duration<double>(t1 - t0).count();
-  result.groups_found = model.groups.size();
+  for (int run = 0; run < kModelTimingRuns; ++run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto model = flowdiff.model(log);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double sec = std::chrono::duration<double>(t1 - t0).count();
+    if (run == 0 || sec < result.processing_sec) result.processing_sec = sec;
+    result.groups_found = model.groups.size();
+  }
   return result;
 }
 

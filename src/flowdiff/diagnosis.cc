@@ -2,155 +2,99 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <map>
+#include <utility>
 
 namespace flowdiff::core {
 
-const char* to_string(ProblemClass cls) {
-  switch (cls) {
-    case ProblemClass::kHostFailure:
-      return "host failure";
-    case ProblemClass::kHostPerformance:
-      return "host performance";
-    case ProblemClass::kAppFailure:
-      return "application failure";
-    case ProblemClass::kAppPerformance:
-      return "application performance";
-    case ProblemClass::kNetworkDisconnectivity:
-      return "network disconnectivity";
-    case ProblemClass::kNetworkBottleneck:
-      return "network bottleneck / congestion";
-    case ProblemClass::kSwitchMisconfig:
-      return "switch misconfiguration";
-    case ProblemClass::kSwitchOverhead:
-      return "switch overhead";
-    case ProblemClass::kControllerOverhead:
-      return "controller overhead";
-    case ProblemClass::kSwitchFailure:
-      return "switch failure";
-    case ProblemClass::kControllerFailure:
-      return "controller failure";
-    case ProblemClass::kUnauthorizedAccess:
-      return "unauthorized access";
-    case ProblemClass::kFingerprinting:
-      return "controller fingerprinting (timing probes)";
-    case ProblemClass::kVolumetricFlood:
-      return "volumetric packet-in flood";
-    case ProblemClass::kIncast:
-      return "incast (many-to-one burst)";
+namespace {
+
+constexpr KindSet kinds(std::initializer_list<SignatureKind> members) {
+  unsigned long long bits = 0;
+  for (const SignatureKind k : members) bits |= 1ULL << static_cast<int>(k);
+  return KindSet(bits);
+}
+
+using K = SignatureKind;
+
+// The class table, indexed by ProblemClass: name and Fig. 2(b) profile.
+constexpr std::array<ProblemClassInfo, kProblemClassCount> kClasses{{
+    {"host failure", kinds({K::kCg, K::kPc, K::kCi, K::kFs, K::kDd})},
+    {"host performance", kinds({K::kDd, K::kPc, K::kFs})},
+    {"application failure", kinds({K::kCg, K::kPc, K::kCi, K::kFs})},
+    {"application performance", kinds({K::kDd, K::kPc, K::kFs})},
+    {"network disconnectivity",
+     kinds({K::kCg, K::kPc, K::kCi, K::kFs, K::kPt})},
+    {"network bottleneck / congestion",
+     kinds({K::kDd, K::kPc, K::kFs, K::kIsl})},
+    {"switch misconfiguration",
+     kinds({K::kCg, K::kPc, K::kCi, K::kFs, K::kDd, K::kPt})},
+    {"switch overhead", kinds({K::kDd, K::kPc, K::kFs, K::kIsl})},
+    {"controller overhead", kinds({K::kDd, K::kPc, K::kFs, K::kCrt})},
+    {"switch failure", kinds({K::kCg, K::kPc, K::kCi, K::kFs, K::kPt})},
+    {"controller failure",
+     kinds({K::kCg, K::kPc, K::kCi, K::kFs, K::kDd, K::kCrt})},
+    {"unauthorized access", kinds({K::kCg, K::kCi, K::kFs})},
+    // Adversarial families. Fingerprinting probes target service hosts
+    // the app-group extractor excludes, so only infrastructure
+    // signatures move; floods add CRT pressure on top of the
+    // unauthorized-access shape; incast congests the aggregator's access
+    // path, dragging DD (and ISL when workers cross the fabric) along
+    // with the fan-in.
+    {"controller fingerprinting (timing probes)", kinds({K::kCrt, K::kIsl})},
+    {"volumetric packet-in flood",
+     kinds({K::kCg, K::kCi, K::kFs, K::kCrt})},
+    {"incast (many-to-one burst)",
+     kinds({K::kCg, K::kCi, K::kFs, K::kDd, K::kIsl})},
+}};
+
+/// The Fig. 8 header of a dependency-matrix row (or column).
+const char* slot_label(int row, int col) {
+  for (std::size_t i = 0; i < kSignatureKindCount; ++i) {
+    const SignatureFamily& f = signature_family(static_cast<SignatureKind>(i));
+    if (f.matrix_row == row && f.matrix_col == col) return f.matrix_label;
   }
   return "?";
 }
 
-const std::vector<ProblemClass>& all_problem_classes() {
-  static const std::vector<ProblemClass> kAll = {
-      ProblemClass::kHostFailure,        ProblemClass::kHostPerformance,
-      ProblemClass::kAppFailure,         ProblemClass::kAppPerformance,
-      ProblemClass::kNetworkDisconnectivity,
-      ProblemClass::kNetworkBottleneck,  ProblemClass::kSwitchMisconfig,
-      ProblemClass::kSwitchOverhead,     ProblemClass::kControllerOverhead,
-      ProblemClass::kSwitchFailure,      ProblemClass::kControllerFailure,
-      ProblemClass::kUnauthorizedAccess, ProblemClass::kFingerprinting,
-      ProblemClass::kVolumetricFlood,    ProblemClass::kIncast,
-  };
-  return kAll;
-}
-
-const std::map<ProblemClass, std::set<SignatureKind>>& problem_profiles() {
-  using K = SignatureKind;
-  static const std::map<ProblemClass, std::set<SignatureKind>> kProfiles = {
-      {ProblemClass::kHostFailure, {K::kCg, K::kPc, K::kCi, K::kFs, K::kDd}},
-      {ProblemClass::kHostPerformance, {K::kDd, K::kPc, K::kFs}},
-      {ProblemClass::kAppFailure, {K::kCg, K::kPc, K::kCi, K::kFs}},
-      {ProblemClass::kAppPerformance, {K::kDd, K::kPc, K::kFs}},
-      {ProblemClass::kNetworkDisconnectivity,
-       {K::kCg, K::kPc, K::kCi, K::kFs, K::kPt}},
-      {ProblemClass::kNetworkBottleneck, {K::kDd, K::kPc, K::kFs, K::kIsl}},
-      {ProblemClass::kSwitchMisconfig,
-       {K::kCg, K::kPc, K::kCi, K::kFs, K::kDd, K::kPt}},
-      {ProblemClass::kSwitchOverhead, {K::kDd, K::kPc, K::kFs, K::kIsl}},
-      {ProblemClass::kControllerOverhead, {K::kDd, K::kPc, K::kFs, K::kCrt}},
-      {ProblemClass::kSwitchFailure,
-       {K::kCg, K::kPc, K::kCi, K::kFs, K::kPt}},
-      {ProblemClass::kControllerFailure,
-       {K::kCg, K::kPc, K::kCi, K::kFs, K::kDd, K::kCrt}},
-      {ProblemClass::kUnauthorizedAccess, {K::kCg, K::kCi, K::kFs}},
-      // Adversarial families. Fingerprinting probes target service hosts
-      // the app-group extractor excludes, so only infrastructure
-      // signatures move; floods add CRT pressure on top of the
-      // unauthorized-access shape; incast congests the aggregator's access
-      // path, dragging DD (and ISL when workers cross the fabric) along
-      // with the fan-in.
-      {ProblemClass::kFingerprinting, {K::kCrt, K::kIsl}},
-      {ProblemClass::kVolumetricFlood, {K::kCg, K::kCi, K::kFs, K::kCrt}},
-      {ProblemClass::kIncast, {K::kCg, K::kCi, K::kFs, K::kDd, K::kIsl}},
-  };
-  return kProfiles;
-}
-
-namespace {
-
-int app_row(SignatureKind kind) {
-  switch (kind) {
-    case SignatureKind::kCg:
-      return 0;
-    case SignatureKind::kDd:
-      return 1;
-    case SignatureKind::kCi:
-      return 2;
-    case SignatureKind::kPc:
-      return 3;
-    case SignatureKind::kFs:
-      return 4;
-    default:
-      return -1;
-  }
-}
-
-int infra_col(SignatureKind kind) {
-  switch (kind) {
-    case SignatureKind::kPt:
-      return 0;
-    case SignatureKind::kIsl:
-    case SignatureKind::kUtil:
-      return 1;
-    case SignatureKind::kCrt:
-      return 2;
-    default:
-      return -1;
-  }
-}
-
-constexpr const char* kRowNames[5] = {"CG", "DD", "CI", "PC", "FS"};
-constexpr const char* kColNames[3] = {"PT", "ISL", "CC"};
-
 }  // namespace
 
-std::set<SignatureKind> DependencyMatrix::changed_kinds() const {
-  static constexpr SignatureKind kRows[5] = {
-      SignatureKind::kCg, SignatureKind::kDd, SignatureKind::kCi,
-      SignatureKind::kPc, SignatureKind::kFs};
-  static constexpr SignatureKind kCols[3] = {
-      SignatureKind::kPt, SignatureKind::kIsl, SignatureKind::kCrt};
-  std::set<SignatureKind> out;
-  for (int r = 0; r < 5; ++r) {
-    if (app_changed[static_cast<std::size_t>(r)]) out.insert(kRows[r]);
-  }
-  for (int c = 0; c < 3; ++c) {
-    if (infra_changed[static_cast<std::size_t>(c)]) out.insert(kCols[c]);
+const ProblemClassInfo& problem_class_info(ProblemClass cls) {
+  return kClasses[static_cast<std::size_t>(cls)];
+}
+
+const char* to_string(ProblemClass cls) { return problem_class_info(cls).name; }
+
+KindSet DependencyMatrix::changed_kinds() const {
+  // Each changed slot is reported once, by the first family in the table
+  // that occupies it (UTIL folds into ISL's column).
+  std::array<bool, kMatrixRows> rows = app_changed;
+  std::array<bool, kMatrixCols> cols = infra_changed;
+  KindSet out;
+  for (std::size_t i = 0; i < kSignatureKindCount; ++i) {
+    const SignatureFamily& f = signature_family(static_cast<SignatureKind>(i));
+    bool& slot =
+        f.matrix_row >= 0 ? rows[static_cast<std::size_t>(f.matrix_row)]
+                          : cols[static_cast<std::size_t>(f.matrix_col)];
+    if (std::exchange(slot, false)) out.set(i);
   }
   return out;
 }
 
 std::string DependencyMatrix::render() const {
-  std::string out = "      PT  ISL  CC\n";
-  for (int r = 0; r < 5; ++r) {
+  std::string out = "    ";
+  for (std::size_t c = 0; c < kMatrixCols; ++c) {
     out += "  ";
-    out += kRowNames[r];
+    out += slot_label(-1, static_cast<int>(c));
+  }
+  out += "\n";
+  for (std::size_t r = 0; r < kMatrixRows; ++r) {
     out += "  ";
-    for (int c = 0; c < 3; ++c) {
-      out += cells[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)]
-                 ? "  1 "
-                 : "  0 ";
+    out += slot_label(static_cast<int>(r), -1);
+    out += "  ";
+    for (std::size_t c = 0; c < kMatrixCols; ++c) {
+      out += cells[r][c] ? "  1 " : "  0 ";
     }
     out += "\n";
   }
@@ -160,18 +104,18 @@ std::string DependencyMatrix::render() const {
 DependencyMatrix build_dependency_matrix(const std::vector<Change>& unknown) {
   DependencyMatrix m;
   for (const auto& change : unknown) {
-    const int r = app_row(change.kind);
-    if (r >= 0) m.app_changed[static_cast<std::size_t>(r)] = true;
-    const int c = infra_col(change.kind);
-    if (c >= 0) m.infra_changed[static_cast<std::size_t>(c)] = true;
+    const SignatureFamily& family = signature_family(change.kind);
+    if (family.matrix_row >= 0) {
+      m.app_changed[static_cast<std::size_t>(family.matrix_row)] = true;
+    } else {
+      m.infra_changed[static_cast<std::size_t>(family.matrix_col)] = true;
+    }
   }
   // A_ij = 1 when application signature i and infrastructure signature j
   // both changed (the co-occurrence the paper keys problem types on).
-  for (int r = 0; r < 5; ++r) {
-    for (int c = 0; c < 3; ++c) {
-      m.cells[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] =
-          m.app_changed[static_cast<std::size_t>(r)] &&
-          m.infra_changed[static_cast<std::size_t>(c)];
+  for (std::size_t r = 0; r < kMatrixRows; ++r) {
+    for (std::size_t c = 0; c < kMatrixCols; ++c) {
+      m.cells[r][c] = m.app_changed[r] && m.infra_changed[c];
     }
   }
   return m;
@@ -268,17 +212,15 @@ std::vector<ProblemScore> classify(const DependencyMatrix& matrix,
 }
 
 std::vector<ProblemScore> classify(const DependencyMatrix& matrix) {
-  const std::set<SignatureKind> observed = matrix.changed_kinds();
+  const KindSet observed = matrix.changed_kinds();
   std::vector<ProblemScore> out;
-  if (observed.empty()) return out;
-  for (const auto& [cls, profile] : problem_profiles()) {
-    std::size_t inter = 0;
-    for (const SignatureKind k : observed) {
-      if (profile.contains(k)) ++inter;
-    }
-    const std::size_t uni = profile.size() + observed.size() - inter;
+  if (observed.none()) return out;
+  for (std::size_t i = 0; i < kProblemClassCount; ++i) {
+    const KindSet& profile = kClasses[i].profile;
+    const std::size_t inter = (profile & observed).count();
+    const std::size_t uni = (profile | observed).count();
     ProblemScore score;
-    score.cls = cls;
+    score.cls = static_cast<ProblemClass>(i);
     score.score = uni == 0 ? 0.0
                            : static_cast<double>(inter) /
                                  static_cast<double>(uni);

@@ -5,8 +5,7 @@
 #pragma once
 
 #include <array>
-#include <map>
-#include <set>
+#include <bitset>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,23 +35,31 @@ enum class ProblemClass : std::uint8_t {
   kIncast,
 };
 
+inline constexpr std::size_t kProblemClassCount =
+    static_cast<std::size_t>(ProblemClass::kIncast) + 1;
+
+/// A set of signature kinds, bit i standing for SignatureKind i.
+using KindSet = std::bitset<kSignatureKindCount>;
+
+/// Every per-class fact, stated once in the class table (diagnosis.cc),
+/// indexed by ProblemClass: the twelve classes of Fig. 2(b) in paper
+/// order, then the adversarial families.
+struct ProblemClassInfo {
+  const char* name;
+  KindSet profile;  ///< Kinds that change under the class (Fig. 2(b)).
+};
+
+[[nodiscard]] const ProblemClassInfo& problem_class_info(ProblemClass cls);
 [[nodiscard]] const char* to_string(ProblemClass cls);
 
-/// All fifteen classes: the twelve of Fig. 2(b) in paper order, then the
-/// adversarial families.
-[[nodiscard]] const std::vector<ProblemClass>& all_problem_classes();
-
-/// Signature kinds that change under each problem class (Fig. 2(b)).
-[[nodiscard]] const std::map<ProblemClass, std::set<SignatureKind>>&
-problem_profiles();
-
 struct DependencyMatrix {
-  /// Rows: CG, DD, CI, PC, FS. Columns: PT, ISL, CRT (the paper's CC).
-  std::array<std::array<bool, 3>, 5> cells{};
-  std::array<bool, 5> app_changed{};
-  std::array<bool, 3> infra_changed{};
+  /// Rows and columns as laid out by the family table (SignatureFamily).
+  std::array<std::array<bool, kMatrixCols>, kMatrixRows> cells{};
+  std::array<bool, kMatrixRows> app_changed{};
+  std::array<bool, kMatrixCols> infra_changed{};
 
-  [[nodiscard]] std::set<SignatureKind> changed_kinds() const;
+  /// The family heading each changed row and column.
+  [[nodiscard]] KindSet changed_kinds() const;
   [[nodiscard]] std::string render() const;
 };
 

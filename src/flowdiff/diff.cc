@@ -1,6 +1,7 @@
 #include "flowdiff/diff.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 
@@ -8,33 +9,48 @@
 
 namespace flowdiff::core {
 
-const char* to_string(SignatureKind kind) {
-  switch (kind) {
-    case SignatureKind::kCg:
-      return "CG";
-    case SignatureKind::kFs:
-      return "FS";
-    case SignatureKind::kCi:
-      return "CI";
-    case SignatureKind::kDd:
-      return "DD";
-    case SignatureKind::kPc:
-      return "PC";
-    case SignatureKind::kPt:
-      return "PT";
-    case SignatureKind::kIsl:
-      return "ISL";
-    case SignatureKind::kCrt:
-      return "CRT";
-    case SignatureKind::kUtil:
-      return "UTIL";
-  }
-  return "?";
+namespace {
+
+// The family table (paper SectionIV-A), indexed by SignatureKind; the
+// matrix slots and labels lay out Fig. 8. Only structural changes can be
+// the direct footprint of an operator task; performance signatures are
+// never task-explained.
+constexpr std::array<SignatureFamily, kSignatureKindCount> kFamilies{{
+    // name  row col  label  tolerance  task-explainable
+    //
+    // Connectivity edges re-announce with every flow between the pair, so
+    // they survive substantial loss before an edge genuinely vanishes.
+    {"CG", 0, -1, "CG", 0.10, true},
+    // Counter-derived statistics: every lost or truncated record moves the
+    // per-entry means directly.
+    {"FS", 4, -1, "FS", 0.02, true},
+    // Distribution shapes and latency baselines (CI, DD, PC, ISL, CRT):
+    // individual samples matter less, but a few percent loss still
+    // distorts tails.
+    {"CI", 2, -1, "CI", 0.05, true},
+    {"DD", 1, -1, "DD", 0.05, false},
+    {"PC", 3, -1, "PC", 0.05, false},
+    // Host attachments ride on sparse per-host evidence (heartbeat-scale):
+    // one window's drop pattern hides hosts another window shows, so even
+    // sub-percent loss flaps the topology diff in both directions — and
+    // measured corruption understates true loss (a dropped event never
+    // reaches the sanitizer). Any measurable corruption distrusts PT.
+    {"PT", -1, 0, "PT", 0.005, true},
+    {"ISL", -1, 1, "ISL", 0.05, false},
+    // The controller's column is the paper's "CC".
+    {"CRT", -1, 2, "CC", 0.05, false},
+    // Counter-derived like FS; shares the ISL column.
+    {"UTIL", -1, 1, "ISL", 0.02, false},
+}};
+
+}  // namespace
+
+const SignatureFamily& signature_family(SignatureKind kind) {
+  return kFamilies[static_cast<std::size_t>(kind)];
 }
 
-bool is_infra(SignatureKind kind) {
-  return kind == SignatureKind::kPt || kind == SignatureKind::kIsl ||
-         kind == SignatureKind::kCrt || kind == SignatureKind::kUtil;
+const char* to_string(SignatureKind kind) {
+  return signature_family(kind).name;
 }
 
 const char* to_string(Confidence confidence) {
@@ -49,41 +65,11 @@ const char* to_string(Confidence confidence) {
   return "?";
 }
 
-double corruption_tolerance(SignatureKind kind) {
-  switch (kind) {
-    // Counter-derived statistics: every lost or truncated record moves the
-    // per-entry means directly.
-    case SignatureKind::kFs:
-    case SignatureKind::kUtil:
-      return 0.02;
-    // Host attachments ride on sparse per-host evidence (heartbeat-scale):
-    // one window's drop pattern hides hosts another window shows, so even
-    // sub-percent loss flaps the topology diff in both directions — and
-    // measured corruption understates true loss (a dropped event never
-    // reaches the sanitizer). Any measurable corruption distrusts PT.
-    case SignatureKind::kPt:
-      return 0.005;
-    // Distribution shapes and latency baselines: individual samples matter
-    // less, but a few percent loss still distorts tails.
-    case SignatureKind::kDd:
-    case SignatureKind::kCi:
-    case SignatureKind::kPc:
-    case SignatureKind::kIsl:
-    case SignatureKind::kCrt:
-      return 0.05;
-    // Connectivity edges re-announce with every flow between the pair, so
-    // they survive substantial loss before an edge genuinely vanishes.
-    case SignatureKind::kCg:
-      return 0.10;
-  }
-  return 0.05;
-}
-
 Confidence change_confidence(SignatureKind kind,
                              const ingest::StreamQuality& quality) {
   if (!quality.degraded()) return Confidence::kHigh;
   const double effective = quality.effective_corruption_rate();
-  const double tolerance = corruption_tolerance(kind);
+  const double tolerance = signature_family(kind).corruption_tolerance;
   if (effective > tolerance) return Confidence::kLow;
   // Degraded but within what the family absorbs: trust the change, flag
   // the grade.
@@ -114,6 +100,46 @@ constexpr double kCrtShiftMs = 0.5;
 constexpr double kCrtSigma = 4.0;
 constexpr double kUtilRel = 0.75;
 constexpr double kUtilFloorMbps = 1.0;    ///< Idle-switch noise below this.
+
+/// The names a family's diff reports itself under: its trace span
+/// ("diff/CG") and its change counter ("diff.changes.CG").
+struct FamilyObsNames {
+  std::string span;
+  std::string counter;
+};
+
+const FamilyObsNames& obs_names(SignatureKind kind) {
+  static const auto kNames = [] {
+    std::array<FamilyObsNames, kSignatureKindCount> names;
+    for (std::size_t i = 0; i < kSignatureKindCount; ++i) {
+      names[i] = {std::string("diff/") + kFamilies[i].name,
+                  std::string("diff.changes.") + kFamilies[i].name};
+    }
+    return names;
+  }();
+  return kNames[static_cast<std::size_t>(kind)];
+}
+
+/// One linear merge over a keyed family's baseline and current maps: hands
+/// every key present on both sides to `gate(key, base, cur)`, in key
+/// order. A key on one side only is CG's or PT's business, not a gate's.
+template <typename Map, typename Gate>
+void for_each_common_key(const Map& base, const Map& cur, Gate gate) {
+  const auto less = base.key_comp();
+  auto b = base.begin();
+  auto c = cur.begin();
+  while (b != base.end() && c != cur.end()) {
+    if (less(b->first, c->first)) {
+      ++b;
+    } else if (less(c->first, b->first)) {
+      ++c;
+    } else {
+      gate(b->first, b->second, c->second);
+      ++b;
+      ++c;
+    }
+  }
+}
 
 std::string edge_label(const HostEdge& e) {
   return e.first.to_string() + "->" + e.second.to_string();
@@ -171,12 +197,23 @@ double latency_shift(const RunningStats& base, const RunningStats& cur,
   return shift > std::max(floor_ms, sigmas * base.stddev()) ? shift : 0.0;
 }
 
+/// Appends a change that names one component and has no direction.
+void emit(std::vector<Change>& out, SignatureKind kind,
+          std::string description, double magnitude, ComponentRef component,
+          int group_idx = -1) {
+  out.push_back({.kind = kind,
+                 .description = std::move(description),
+                 .magnitude = magnitude,
+                 .components = {std::move(component)},
+                 .group_index = group_idx});
+}
+
 void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
                 std::vector<Change>& out) {
   std::optional<obs::Span> family_span;
 
   // --- CG --------------------------------------------------------------
-  family_span.emplace("diff/CG");
+  family_span.emplace(obs_names(SignatureKind::kCg).span);
   const auto cg_diff = base.sig.cg.diff(cur.sig.cg);
   for (const auto& e : cg_diff.added) {
     out.push_back({.kind = SignatureKind::kCg,
@@ -197,35 +234,28 @@ void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
   }
 
   // --- FS --------------------------------------------------------------
-  family_span.emplace("diff/FS");
-  for (const auto& [edge, base_stats] : base.sig.fs.per_edge) {
-    const auto it = cur.sig.fs.per_edge.find(edge);
-    if (it == cur.sig.fs.per_edge.end()) continue;
-    const auto& cur_stats = it->second;
-    // The sigma gate suppresses edges whose per-entry counters are
-    // naturally noisy (heavily reused connections aggregate a variable
-    // number of requests per flow entry).
-    if (const double rel = relative_shift(base_stats.bytes, cur_stats.bytes,
-                                          kFsBytesRel, kFsSigma)) {
-      out.push_back({.kind = SignatureKind::kFs,
-                     .description =
-                         "byte count on " + edge_label(edge) + " changed " +
-                         std::to_string(static_cast<int>(rel * 100)) + "%",
-                     .magnitude = rel,
-                     .components = {edge_component(edge)},
-                     .group_index = group_idx});
-    }
-    if (const double rel =
-            relative_shift(base_stats.duration_ms, cur_stats.duration_ms,
-                           kFsDurationRel, kFsSigma)) {
-      out.push_back({.kind = SignatureKind::kFs,
-                     .description =
-                         "flow duration on " + edge_label(edge) + " changed",
-                     .magnitude = rel,
-                     .components = {edge_component(edge)},
-                     .group_index = group_idx});
-    }
-  }
+  family_span.emplace(obs_names(SignatureKind::kFs).span);
+  for_each_common_key(
+      base.sig.fs.per_edge, cur.sig.fs.per_edge,
+      [&](const HostEdge& edge, const auto& base_stats, const auto& cur_stats) {
+        // The sigma gate suppresses edges whose per-entry counters are
+        // naturally noisy (heavily reused connections aggregate a variable
+        // number of requests per flow entry).
+        if (const double rel = relative_shift(
+                base_stats.bytes, cur_stats.bytes, kFsBytesRel, kFsSigma)) {
+          emit(out, SignatureKind::kFs,
+               "byte count on " + edge_label(edge) + " changed " +
+                   std::to_string(static_cast<int>(rel * 100)) + "%",
+               rel, edge_component(edge), group_idx);
+        }
+        if (const double rel =
+                relative_shift(base_stats.duration_ms, cur_stats.duration_ms,
+                               kFsDurationRel, kFsSigma)) {
+          emit(out, SignatureKind::kFs,
+               "flow duration on " + edge_label(edge) + " changed", rel,
+               edge_component(edge), group_idx);
+        }
+      });
   if (const double rel =
           relative_shift(base.sig.fs.flows_per_sec, cur.sig.fs.flows_per_sec,
                          kFsRateRel, 0.0)) {
@@ -237,74 +267,64 @@ void diff_group(const GroupModel& base, const GroupModel& cur, int group_idx,
   }
 
   // --- CI (chi-squared fitness; unstable nodes skipped) -----------------
-  family_span.emplace("diff/CI");
-  for (const auto& [node, base_ci] : base.sig.ci.per_node) {
-    if (base.unstable_ci_nodes.contains(node)) continue;
-    const auto it = cur.sig.ci.per_node.find(node);
-    if (it == cur.sig.ci.per_node.end()) continue;
-    if (base_ci.total < kMinSamples || it->second.total < kMinSamples) {
-      continue;
-    }
-    const double chi2 =
-        ComponentInteractionSig::chi2_at_node(base_ci, it->second);
-    if (chi2 > kCiChi2) {
-      out.push_back(
-          {.kind = SignatureKind::kCi,
-           .description =
+  family_span.emplace(obs_names(SignatureKind::kCi).span);
+  for_each_common_key(
+      base.sig.ci.per_node, cur.sig.ci.per_node,
+      [&](Ipv4 node, const auto& base_ci, const auto& cur_ci) {
+        if (base.unstable_ci_nodes.contains(node)) return;
+        if (base_ci.total < kMinSamples || cur_ci.total < kMinSamples) return;
+        const double chi2 =
+            ComponentInteractionSig::chi2_at_node(base_ci, cur_ci);
+        if (chi2 > kCiChi2) {
+          emit(out, SignatureKind::kCi,
                "component interaction at " + node.to_string() + " changed",
-           .magnitude = chi2,
-           .components = {node_component(node)},
-           .group_index = group_idx});
-    }
-  }
+               chi2, node_component(node), group_idx);
+        }
+      });
 
   // --- DD (peak shift; unstable pairs skipped) ---------------------------
-  family_span.emplace("diff/DD");
-  for (const auto& [pair, base_dd] : base.sig.dd.per_pair) {
-    if (base.unstable_dd_pairs.contains(pair)) continue;
-    const auto it = cur.sig.dd.per_pair.find(pair);
-    if (it == cur.sig.dd.per_pair.end()) continue;
-    const double peak_shift = std::abs(it->second.peak_ms - base_dd.peak_ms);
-    // Histogram shape distance: max per-bin difference of pairs-per-in-flow
-    // rates. A dependency contributes ~1 pair per in-flow to its delay bin,
-    // so mass moving to a retransmission tail shows up as an O(loss-rate)
-    // delta while coincidental-pair noise stays small.
-    const double shape_delta =
-        base.shape_unstable_dd_pairs.contains(pair)
-            ? 0.0
-            : dd_shape_distance(base_dd, it->second);
-    const bool by_peak = peak_shift > kDdPeakShiftMs;
-    if (!by_peak && !(shape_delta > kDdShapeDelta)) continue;
-    out.push_back(
-        {.kind = SignatureKind::kDd,
-         .description =
-             by_peak ? "delay peak at " + pair_label(pair) + " shifted " +
-                           std::to_string(static_cast<int>(peak_shift)) + "ms"
-                     : "delay distribution at " + pair_label(pair) +
-                           " reshaped (mass delta " +
-                           std::to_string(static_cast<int>(shape_delta * 100)) +
-                           "%)",
-         .magnitude = by_peak ? peak_shift : shape_delta,
-         .components = {pair_component(pair)},
-         .group_index = group_idx});
-  }
+  family_span.emplace(obs_names(SignatureKind::kDd).span);
+  for_each_common_key(
+      base.sig.dd.per_pair, cur.sig.dd.per_pair,
+      [&](const EdgePair& pair, const auto& base_dd, const auto& cur_dd) {
+        if (base.unstable_dd_pairs.contains(pair)) return;
+        const double peak_shift = std::abs(cur_dd.peak_ms - base_dd.peak_ms);
+        // Histogram shape distance: max per-bin difference of
+        // pairs-per-in-flow rates. A dependency contributes ~1 pair per
+        // in-flow to its delay bin, so mass moving to a retransmission tail
+        // shows up as an O(loss-rate) delta while coincidental-pair noise
+        // stays small.
+        const double shape_delta =
+            base.shape_unstable_dd_pairs.contains(pair)
+                ? 0.0
+                : dd_shape_distance(base_dd, cur_dd);
+        if (peak_shift > kDdPeakShiftMs) {
+          emit(out, SignatureKind::kDd,
+               "delay peak at " + pair_label(pair) + " shifted " +
+                   std::to_string(static_cast<int>(peak_shift)) + "ms",
+               peak_shift, pair_component(pair), group_idx);
+        } else if (shape_delta > kDdShapeDelta) {
+          emit(out, SignatureKind::kDd,
+               "delay distribution at " + pair_label(pair) +
+                   " reshaped (mass delta " +
+                   std::to_string(static_cast<int>(shape_delta * 100)) + "%)",
+               shape_delta, pair_component(pair), group_idx);
+        }
+      });
 
   // --- PC ----------------------------------------------------------------
-  family_span.emplace("diff/PC");
-  for (const auto& [pair, base_rho] : base.sig.pc.rho) {
-    if (base.unstable_pc_pairs.contains(pair)) continue;
-    const auto it = cur.sig.pc.rho.find(pair);
-    if (it == cur.sig.pc.rho.end()) continue;
-    const double delta = std::abs(it->second - base_rho);
-    if (delta > kPcDelta) {
-      out.push_back({.kind = SignatureKind::kPc,
-                     .description =
-                         "correlation at " + pair_label(pair) + " changed",
-                     .magnitude = delta,
-                     .components = {pair_component(pair)},
-                     .group_index = group_idx});
-    }
-  }
+  family_span.emplace(obs_names(SignatureKind::kPc).span);
+  for_each_common_key(
+      base.sig.pc.rho, cur.sig.pc.rho,
+      [&](const EdgePair& pair, double base_rho, double cur_rho) {
+        if (base.unstable_pc_pairs.contains(pair)) return;
+        const double delta = std::abs(cur_rho - base_rho);
+        if (delta > kPcDelta) {
+          emit(out, SignatureKind::kPc,
+               "correlation at " + pair_label(pair) + " changed", delta,
+               pair_component(pair), group_idx);
+        }
+      });
 }
 
 }  // namespace
@@ -356,7 +376,7 @@ std::vector<Change> diff_models(const BehaviorModel& baseline,
 
   // --- PT ------------------------------------------------------------------
   std::optional<obs::Span> family_span;
-  family_span.emplace("diff/PT");
+  family_span.emplace(obs_names(SignatureKind::kPt).span);
   const auto pt_diff = baseline.infra.pt.diff(current.infra.pt);
   // A host-attachment edge for a host the reference side never observed is
   // new *visibility*, not a topology change (the link existed all along);
@@ -414,66 +434,65 @@ std::vector<Change> diff_models(const BehaviorModel& baseline,
   }
 
   // --- ISL -------------------------------------------------------------------
-  family_span.emplace("diff/ISL");
-  for (const auto& [pair, base_stats] : baseline.infra.isl.latency_ms) {
-    const auto it = current.infra.isl.latency_ms.find(pair);
-    if (it == current.infra.isl.latency_ms.end()) continue;
-    const double shift =
-        latency_shift(base_stats, it->second, kIslShiftMs, kIslSigma);
-    if (shift == 0.0) continue;
-    const std::string label = "sw" + std::to_string(pair.first) + "->sw" +
-                              std::to_string(pair.second);
-    out.push_back({.kind = SignatureKind::kIsl,
-                   .description = "inter-switch latency " + label +
-                                  " shifted " + std::to_string(shift) + "ms",
-                   .magnitude = shift,
-                   .components = {ComponentRef{label, {}}}});
-  }
+  family_span.emplace(obs_names(SignatureKind::kIsl).span);
+  for_each_common_key(
+      baseline.infra.isl.latency_ms, current.infra.isl.latency_ms,
+      [&out](const auto& link, const auto& base_stats, const auto& cur_stats) {
+        const double shift =
+            latency_shift(base_stats, cur_stats, kIslShiftMs, kIslSigma);
+        if (shift == 0.0) return;
+        const std::string label = "sw" + std::to_string(link.first) +
+                                  "->sw" + std::to_string(link.second);
+        emit(out, SignatureKind::kIsl,
+             "inter-switch latency " + label + " shifted " +
+                 std::to_string(shift) + "ms",
+             shift, ComponentRef{label, {}});
+      });
 
   // --- Polled utilization ---------------------------------------------------
-  family_span.emplace("diff/UTIL");
-  for (const auto& [sw, base_load] : baseline.infra.load.mbps) {
-    const auto it = current.infra.load.mbps.find(sw);
-    if (it == current.infra.load.mbps.end()) continue;
-    if (!comparable(base_load, it->second)) continue;
-    const double delta = std::abs(it->second.mean() - base_load.mean());
-    if (delta < kUtilFloorMbps) continue;
-    const double base_mean = std::max(base_load.mean(), 0.1);
-    if (delta / base_mean > kUtilRel) {
-      out.push_back({.kind = SignatureKind::kUtil,
-                     .description = "polled throughput at sw" +
-                                    std::to_string(sw) + " changed " +
-                                    std::to_string(base_load.mean()) + " -> " +
-                                    std::to_string(it->second.mean()) +
-                                    " Mbps",
-                     .magnitude = delta / base_mean,
-                     .components = {ComponentRef{"sw" + std::to_string(sw),
-                                                 {}}}});
-    }
-  }
+  family_span.emplace(obs_names(SignatureKind::kUtil).span);
+  for_each_common_key(
+      baseline.infra.load.mbps, current.infra.load.mbps,
+      [&out](std::uint32_t sw, const auto& base_load, const auto& cur_load) {
+        if (!comparable(base_load, cur_load)) return;
+        const double delta = std::abs(cur_load.mean() - base_load.mean());
+        if (delta < kUtilFloorMbps) return;
+        const double base_mean = std::max(base_load.mean(), 0.1);
+        if (delta / base_mean > kUtilRel) {
+          emit(out, SignatureKind::kUtil,
+               "polled throughput at sw" + std::to_string(sw) + " changed " +
+                   std::to_string(base_load.mean()) + " -> " +
+                   std::to_string(cur_load.mean()) + " Mbps",
+               delta / base_mean, ComponentRef{"sw" + std::to_string(sw), {}});
+        }
+      });
 
   // --- CRT --------------------------------------------------------------------
-  family_span.emplace("diff/CRT");
+  family_span.emplace(obs_names(SignatureKind::kCrt).span);
   if (const double shift =
           latency_shift(baseline.infra.crt.response_ms,
                         current.infra.crt.response_ms, kCrtShiftMs, kCrtSigma)) {
-    out.push_back({.kind = SignatureKind::kCrt,
-                   .description = "controller response time shifted " +
-                                  std::to_string(shift) + "ms",
-                   .magnitude = shift,
-                   .components = {ComponentRef{"controller", {}}}});
+    emit(out, SignatureKind::kCrt,
+         "controller response time shifted " + std::to_string(shift) + "ms",
+         shift, ComponentRef{"controller", {}});
   }
   family_span.reset();
 
   // Per-family change counters ("diff.changes.CG", ...), plus the total.
+  // A family's counter registers on its first change.
   static obs::Counter& total =
       obs::Registry::global().counter("diff.changes.total");
   total.inc(out.size());
   if (obs::enabled()) {
+    std::array<std::uint64_t, kSignatureKindCount> per_family{};
     for (const auto& change : out) {
+      ++per_family[static_cast<std::size_t>(change.kind)];
+    }
+    for (std::size_t i = 0; i < kSignatureKindCount; ++i) {
+      if (per_family[i] == 0) continue;
       obs::Registry::global()
-          .counter(std::string("diff.changes.") + to_string(change.kind))
-          .inc();
+          .counter(obs_names(static_cast<SignatureKind>(i)).counter)
+          .inc(per_family[i]);
     }
   }
 

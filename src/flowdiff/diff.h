@@ -6,6 +6,7 @@
 // next to the code in diff.cc; no caller tunes them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,8 +29,32 @@ enum class SignatureKind : std::uint8_t {
          ///< dependency matrix: both are network-performance baselines).
 };
 
+inline constexpr std::size_t kSignatureKindCount =
+    static_cast<std::size_t>(SignatureKind::kUtil) + 1;
+
+/// Application rows and infrastructure columns of the dependency matrix
+/// (paper Fig. 8).
+inline constexpr std::size_t kMatrixRows = 5;
+inline constexpr std::size_t kMatrixCols = 3;
+
+/// Every per-family fact, stated once in the family table (diff.cc),
+/// indexed by SignatureKind.
+struct SignatureFamily {
+  const char* name;  ///< Report, provenance and metric name ("CG", ...).
+  /// Application families own a row of the dependency matrix,
+  /// infrastructure families a column; the other index is -1.
+  int matrix_row;
+  int matrix_col;
+  const char* matrix_label;  ///< That row's or column's Fig. 8 header.
+  /// The effective corruption rate (measured + estimated capture loss)
+  /// the family tolerates before its changes become untrustworthy.
+  double corruption_tolerance;
+  /// Whether an operator task can explain the family's changes.
+  bool task_explainable;
+};
+
+[[nodiscard]] const SignatureFamily& signature_family(SignatureKind kind);
 [[nodiscard]] const char* to_string(SignatureKind kind);
-[[nodiscard]] bool is_infra(SignatureKind kind);
 
 /// How much a change found over a degraded capture stream can be trusted.
 /// Graded per signature family: a 5% event loss barely moves the
@@ -42,12 +67,6 @@ enum class Confidence : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(Confidence confidence);
-
-/// The effective corruption rate (measured + estimated capture loss) this
-/// signature family tolerates before changes in it become untrustworthy.
-/// Counter-based families (FS, Util) are the most fragile; redundant
-/// structural families (CG, PT) the most robust.
-[[nodiscard]] double corruption_tolerance(SignatureKind kind);
 
 /// Grades a change of `kind` against the window's stream quality. A
 /// non-degraded stream always yields kHigh, which keeps clean-log output

@@ -172,9 +172,10 @@ std::string DiffReport::render() const {
     out += "\nsuppressed changes (capture stream too corrupted for the "
            "family):\n";
     for (const auto& change : suppressed) {
-      out += "  [" + std::string(to_string(change.kind)) + "] " +
-             change.description + " (family tolerates " +
-             fmt_double(corruption_tolerance(change.kind) * 100.0, 0) +
+      const SignatureFamily& family = signature_family(change.kind);
+      out += "  [" + std::string(family.name) + "] " + change.description +
+             " (family tolerates " +
+             fmt_double(family.corruption_tolerance * 100.0, 0) +
              "% corruption)\n";
     }
   }

@@ -17,14 +17,9 @@ using obs::JsonCursor;
 using obs::json_string;
 
 std::optional<SignatureKind> kind_from_string(std::string_view name) {
-  static constexpr std::pair<const char*, SignatureKind> kKinds[] = {
-      {"CG", SignatureKind::kCg},   {"FS", SignatureKind::kFs},
-      {"CI", SignatureKind::kCi},   {"DD", SignatureKind::kDd},
-      {"PC", SignatureKind::kPc},   {"PT", SignatureKind::kPt},
-      {"ISL", SignatureKind::kIsl}, {"CRT", SignatureKind::kCrt},
-      {"UTIL", SignatureKind::kUtil}};
-  for (const auto& [label, kind] : kKinds) {
-    if (name == label) return kind;
+  for (std::size_t i = 0; i < kSignatureKindCount; ++i) {
+    const auto kind = static_cast<SignatureKind>(i);
+    if (name == to_string(kind)) return kind;
   }
   return std::nullopt;
 }

@@ -10,13 +10,6 @@ namespace {
 /// may lie and still count as that task's footprint.
 constexpr SimDuration kTimeSlack = 5 * kSecond;
 
-/// Only structural changes can be the direct footprint of an operator task;
-/// performance signatures (DD/PC/ISL/CRT) are never task-explained.
-bool task_explainable(SignatureKind kind) {
-  return kind == SignatureKind::kCg || kind == SignatureKind::kPt ||
-         kind == SignatureKind::kCi || kind == SignatureKind::kFs;
-}
-
 bool explains(const TaskOccurrence& task, const Change& change,
               const std::set<Ipv4>& service_ips) {
   // Every non-service host the change touches must be involved in the task.
@@ -46,7 +39,7 @@ ValidatedChanges validate_changes(std::vector<Change> changes,
   ValidatedChanges out;
   for (auto& change : changes) {
     const TaskOccurrence* match = nullptr;
-    if (task_explainable(change.kind)) {
+    if (signature_family(change.kind).task_explainable) {
       for (const auto& task : tasks) {
         if (explains(task, change, service_ips)) {
           match = &task;

@@ -224,11 +224,23 @@ void Sampler::clear() {
   watchdog_alerts_ = 0;
 }
 
-std::string render_series_csv(
-    const std::vector<std::pair<std::string, Series>>& series) {
+namespace {
+
+// A render entry is a live Series (its points and compaction stride) or a
+// filtered point slice, which has no single stride and reports 0.
+std::vector<SeriesPoint> points_of(const Series& s) { return s.points(); }
+const std::vector<SeriesPoint>& points_of(const std::vector<SeriesPoint>& p) {
+  return p;
+}
+std::uint64_t stride_of(const Series& s) { return s.stride(); }
+std::uint64_t stride_of(const std::vector<SeriesPoint>&) { return 0; }
+
+template <typename Entry>
+std::string series_csv(
+    const std::vector<std::pair<std::string, Entry>>& series) {
   std::string out = "series,t_begin,t_end,mean,min,max,count\n";
-  for (const auto& [name, s] : series) {
-    for (const SeriesPoint& p : s.points()) {
+  for (const auto& [name, entry] : series) {
+    for (const SeriesPoint& p : points_of(entry)) {
       out += name;
       out += ',' + num_compact(p.t_begin) + ',' + num_compact(p.t_end) + ',' +
              num_compact(p.mean) + ',' + num_compact(p.min) + ',' +
@@ -236,6 +248,38 @@ std::string render_series_csv(
     }
   }
   return out;
+}
+
+template <typename Entry>
+std::string series_json(
+    const std::vector<std::pair<std::string, Entry>>& series) {
+  std::string out = "{\n  \"series\": {";
+  bool first = true;
+  for (const auto& [name, entry] : series) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "    " + json_string(name) + ": {\"stride\": " +
+           std::to_string(stride_of(entry)) + ", \"points\": [";
+    bool first_point = true;
+    for (const SeriesPoint& p : points_of(entry)) {
+      if (!first_point) out += ", ";
+      first_point = false;
+      out += '[' + num_compact(p.t_begin) + ", " + num_compact(p.t_end) +
+             ", " + num_compact(p.mean) + ", " + num_compact(p.min) + ", " +
+             num_compact(p.max) + ", " + std::to_string(p.count) + ']';
+    }
+    out += "]}";
+  }
+  out += first ? "}\n" : "\n  }\n";
+  out += "}\n";
+  return out;
+}
+
+}  // namespace
+
+std::string render_series_csv(
+    const std::vector<std::pair<std::string, Series>>& series) {
+  return series_csv(series);
 }
 
 std::string render_series_csv(const Sampler& sampler) {
@@ -245,40 +289,12 @@ std::string render_series_csv(const Sampler& sampler) {
 std::string render_series_csv(
     const std::vector<std::pair<std::string, std::vector<SeriesPoint>>>&
         series) {
-  std::string out = "series,t_begin,t_end,mean,min,max,count\n";
-  for (const auto& [name, points] : series) {
-    for (const SeriesPoint& p : points) {
-      out += name;
-      out += ',' + num_compact(p.t_begin) + ',' + num_compact(p.t_end) + ',' +
-             num_compact(p.mean) + ',' + num_compact(p.min) + ',' +
-             num_compact(p.max) + ',' + std::to_string(p.count) + '\n';
-    }
-  }
-  return out;
+  return series_csv(series);
 }
 
 std::string render_series_json(
     const std::vector<std::pair<std::string, Series>>& series) {
-  std::string out = "{\n  \"series\": {";
-  bool first = true;
-  for (const auto& [name, s] : series) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    " + json_string(name) +
-           ": {\"stride\": " + std::to_string(s.stride()) + ", \"points\": [";
-    bool first_point = true;
-    for (const SeriesPoint& p : s.points()) {
-      if (!first_point) out += ", ";
-      first_point = false;
-      out += '[' + num_compact(p.t_begin) + ", " + num_compact(p.t_end) +
-             ", " + num_compact(p.mean) + ", " + num_compact(p.min) + ", " +
-             num_compact(p.max) + ", " + std::to_string(p.count) + ']';
-    }
-    out += "]}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+  return series_json(series);
 }
 
 std::string render_series_json(const Sampler& sampler) {
@@ -288,25 +304,7 @@ std::string render_series_json(const Sampler& sampler) {
 std::string render_series_json(
     const std::vector<std::pair<std::string, std::vector<SeriesPoint>>>&
         series) {
-  std::string out = "{\n  \"series\": {";
-  bool first = true;
-  for (const auto& [name, points] : series) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    " + json_string(name) + ": {\"stride\": 0, \"points\": [";
-    bool first_point = true;
-    for (const SeriesPoint& p : points) {
-      if (!first_point) out += ", ";
-      first_point = false;
-      out += '[' + num_compact(p.t_begin) + ", " + num_compact(p.t_end) +
-             ", " + num_compact(p.mean) + ", " + num_compact(p.min) + ", " +
-             num_compact(p.max) + ", " + std::to_string(p.count) + ']';
-    }
-    out += "]}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+  return series_json(series);
 }
 
 namespace {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 namespace flowdiff::core {
 namespace {
 
@@ -226,12 +230,170 @@ TEST(DiffModels, CrtShiftDetected) {
   EXPECT_TRUE(kinds_of(changes).contains(SignatureKind::kCrt));
 }
 
+Ipv4 ip(std::uint8_t last) { return Ipv4(10, 0, 0, last); }
+
+HostEdge edge(std::uint8_t a, std::uint8_t b) { return {ip(a), ip(b)}; }
+
+EdgePair triple(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
+  return {ip(a), ip(b), ip(c)};
+}
+
+/// Eight identical observations: zero spread, so only the relative and
+/// absolute cut-offs decide.
+RunningStats constant_stats(double value) {
+  RunningStats s;
+  for (int i = 0; i < 8; ++i) s.add(value);
+  return s;
+}
+
+FlowStatsSig::EdgeStats edge_stats(double bytes, double duration_ms) {
+  FlowStatsSig::EdgeStats stats;
+  stats.bytes = constant_stats(bytes);
+  stats.duration_ms = constant_stats(duration_ms);
+  return stats;
+}
+
+ComponentInteractionSig::NodeCi node_ci(std::uint64_t in, std::uint64_t out) {
+  ComponentInteractionSig::NodeCi ci;
+  ci.edge_counts = {{edge(1, 9), in}, {edge(9, 1), out}};
+  ci.total = in + out;
+  return ci;
+}
+
+DelayDistributionSig::PairDd dd_peak(double peak_ms) {
+  DelayDistributionSig::PairDd dd;
+  dd.peak_ms = peak_ms;
+  return dd;
+}
+
+TEST(DiffModels, KeyedFamiliesEmitCommonKeysInKeyOrder) {
+  // Every keyed family interleaves keys present only in the baseline, only
+  // in the current model, in both, and (CI/DD/PC) in both but unstable.
+  // Only common, stable keys reach a gate, in key order.
+  BehaviorModel base;
+  BehaviorModel cur;
+  base.groups.emplace_back();
+  cur.groups.emplace_back();
+  GroupModel& bg = base.groups[0];
+  GroupModel& cg = cur.groups[0];
+  bg.sig.members = cg.sig.members = {ip(1), ip(2), ip(3), ip(4), ip(5)};
+
+  bg.sig.fs.per_edge = {{edge(1, 2), edge_stats(1000, 10)},
+                        {edge(1, 3), edge_stats(1000, 10)},
+                        {edge(2, 4), edge_stats(1000, 10)},
+                        {edge(3, 5), edge_stats(1000, 10)}};
+  cg.sig.fs.per_edge = {{edge(1, 2), edge_stats(2000, 10)},
+                        {edge(2, 3), edge_stats(5000, 90)},
+                        {edge(2, 4), edge_stats(1000, 100)},
+                        {edge(3, 5), edge_stats(3000, 50)},
+                        {edge(4, 1), edge_stats(5000, 90)}};
+
+  bg.sig.ci.per_node = {{ip(1), node_ci(10, 10)},
+                        {ip(2), node_ci(10, 10)},
+                        {ip(3), node_ci(10, 10)},
+                        {ip(5), node_ci(10, 10)}};
+  cg.sig.ci.per_node = {{ip(1), node_ci(20, 0)},
+                        {ip(3), node_ci(20, 0)},
+                        {ip(4), node_ci(20, 0)},
+                        {ip(5), node_ci(0, 20)}};
+  bg.unstable_ci_nodes = {ip(3)};
+
+  bg.sig.dd.per_pair = {{triple(1, 2, 3), dd_peak(50)},
+                        {triple(1, 2, 4), dd_peak(50)},
+                        {triple(2, 3, 4), dd_peak(50)},
+                        {triple(4, 5, 1), dd_peak(50)}};
+  cg.sig.dd.per_pair = {{triple(1, 2, 3), dd_peak(150)},
+                        {triple(2, 3, 4), dd_peak(150)},
+                        {triple(3, 4, 5), dd_peak(150)},
+                        {triple(4, 5, 1), dd_peak(90)}};
+  bg.unstable_dd_pairs = {triple(2, 3, 4)};
+
+  bg.sig.pc.rho = {{triple(1, 2, 3), 0.9},
+                   {triple(2, 3, 4), 0.9},
+                   {triple(3, 4, 5), 0.9},
+                   {triple(4, 5, 1), 0.1}};
+  cg.sig.pc.rho = {{triple(1, 2, 3), 0.1},
+                   {triple(1, 2, 5), 0.9},
+                   {triple(3, 4, 5), 0.0},
+                   {triple(4, 5, 1), 0.9}};
+  bg.unstable_pc_pairs = {triple(3, 4, 5)};
+
+  base.infra.isl.latency_ms = {{{1, 2}, constant_stats(1.0)},
+                               {{1, 3}, constant_stats(1.0)},
+                               {{2, 3}, constant_stats(1.0)},
+                               {{3, 1}, constant_stats(2.0)}};
+  cur.infra.isl.latency_ms = {{{1, 2}, constant_stats(5.0)},
+                              {{2, 1}, constant_stats(9.0)},
+                              {{2, 3}, constant_stats(1.2)},
+                              {{3, 1}, constant_stats(10.0)}};
+
+  base.infra.load.mbps = {{1, constant_stats(10.0)},
+                          {2, constant_stats(10.0)},
+                          {4, constant_stats(10.0)},
+                          {5, constant_stats(20.0)}};
+  cur.infra.load.mbps = {{1, constant_stats(30.0)},
+                         {3, constant_stats(90.0)},
+                         {4, constant_stats(10.5)},
+                         {5, constant_stats(4.0)}};
+
+  std::vector<std::string> emitted;
+  for (const Change& c : diff_models(base, cur)) {
+    emitted.push_back(std::string(to_string(c.kind)) + " " + c.description);
+  }
+  const std::vector<std::string> expected = {
+      "FS byte count on 10.0.0.1->10.0.0.2 changed 100%",
+      "FS flow duration on 10.0.0.2->10.0.0.4 changed",
+      "FS byte count on 10.0.0.3->10.0.0.5 changed 200%",
+      "FS flow duration on 10.0.0.3->10.0.0.5 changed",
+      "CI component interaction at 10.0.0.1 changed",
+      "CI component interaction at 10.0.0.5 changed",
+      "DD delay peak at 10.0.0.1->10.0.0.2->10.0.0.3 shifted 100ms",
+      "DD delay peak at 10.0.0.4->10.0.0.5->10.0.0.1 shifted 40ms",
+      "PC correlation at 10.0.0.1->10.0.0.2->10.0.0.3 changed",
+      "PC correlation at 10.0.0.4->10.0.0.5->10.0.0.1 changed",
+      "ISL inter-switch latency sw1->sw2 shifted 4.000000ms",
+      "ISL inter-switch latency sw3->sw1 shifted 8.000000ms",
+      "UTIL polled throughput at sw1 changed 10.000000 -> 30.000000 Mbps",
+      "UTIL polled throughput at sw5 changed 20.000000 -> 4.000000 Mbps",
+  };
+  EXPECT_EQ(emitted, expected);
+}
+
 TEST(SignatureKindNames, AllNamed) {
-  EXPECT_STREQ(to_string(SignatureKind::kCg), "CG");
-  EXPECT_STREQ(to_string(SignatureKind::kCrt), "CRT");
-  EXPECT_TRUE(is_infra(SignatureKind::kPt));
-  EXPECT_TRUE(is_infra(SignatureKind::kIsl));
-  EXPECT_FALSE(is_infra(SignatureKind::kDd));
+  // Name, Fig. 8 slot (row or column, with its header) and whether a task
+  // can explain the family, for every kind.
+  struct Expected {
+    SignatureKind kind;
+    const char* name;
+    int row;
+    int col;
+    const char* label;
+    bool task_explainable;
+  };
+  const Expected expected[] = {
+      {SignatureKind::kCg, "CG", 0, -1, "CG", true},
+      {SignatureKind::kFs, "FS", 4, -1, "FS", true},
+      {SignatureKind::kCi, "CI", 2, -1, "CI", true},
+      {SignatureKind::kDd, "DD", 1, -1, "DD", false},
+      {SignatureKind::kPc, "PC", 3, -1, "PC", false},
+      {SignatureKind::kPt, "PT", -1, 0, "PT", true},
+      {SignatureKind::kIsl, "ISL", -1, 1, "ISL", false},
+      {SignatureKind::kCrt, "CRT", -1, 2, "CC", false},
+      {SignatureKind::kUtil, "UTIL", -1, 1, "ISL", false},
+  };
+  ASSERT_EQ(std::size(expected), kSignatureKindCount);
+  for (std::size_t i = 0; i < kSignatureKindCount; ++i) {
+    const Expected& e = expected[i];
+    ASSERT_EQ(static_cast<std::size_t>(e.kind), i);
+    const SignatureFamily& family = signature_family(e.kind);
+    EXPECT_STREQ(to_string(e.kind), e.name);
+    EXPECT_STREQ(family.name, e.name);
+    EXPECT_EQ(family.matrix_row, e.row) << e.name;
+    EXPECT_EQ(family.matrix_col, e.col) << e.name;
+    EXPECT_STREQ(family.matrix_label, e.label) << e.name;
+    EXPECT_EQ(family.task_explainable, e.task_explainable) << e.name;
+    EXPECT_GT(family.corruption_tolerance, 0.0) << e.name;
+  }
 }
 
 }  // namespace

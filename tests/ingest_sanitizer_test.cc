@@ -349,10 +349,13 @@ TEST(ConfidenceGrading, CleanQualityIsAlwaysHigh) {
 }
 
 TEST(ConfidenceGrading, TolerancesOrderFragileBelowRobustFamilies) {
-  EXPECT_LT(core::corruption_tolerance(core::SignatureKind::kFs),
-            core::corruption_tolerance(core::SignatureKind::kDd));
-  EXPECT_LT(core::corruption_tolerance(core::SignatureKind::kDd),
-            core::corruption_tolerance(core::SignatureKind::kCg));
+  const auto tolerance = [](core::SignatureKind kind) {
+    return core::signature_family(kind).corruption_tolerance;
+  };
+  EXPECT_LT(tolerance(core::SignatureKind::kFs),
+            tolerance(core::SignatureKind::kDd));
+  EXPECT_LT(tolerance(core::SignatureKind::kDd),
+            tolerance(core::SignatureKind::kCg));
 }
 
 TEST(ConfidenceGrading, DegradedStreamGradesByFamilyTolerance) {

@@ -159,6 +159,35 @@ TEST(Provenance, CollectionJsonRoundTripsLosslessly) {
             json);
 }
 
+TEST(Provenance, EveryFamilyRoundTripsThroughJson) {
+  // The parser reads a family back by its table name, for every kind.
+  for (std::size_t i = 0; i < core::kSignatureKindCount; ++i) {
+    const auto kind = static_cast<core::SignatureKind>(i);
+    core::ProvenanceRecord rec;
+    rec.id = 1;
+    rec.alarmed = true;
+    core::FamilyContribution fam;
+    fam.kind = kind;
+    fam.changes = 2;
+    fam.score = 1.5;
+    fam.share = 1.0;
+    fam.confidence = core::Confidence::kMedium;
+    fam.top.push_back({"controller", 1.5, 1.0});
+    rec.families.push_back(fam);
+
+    const std::string json = core::render_provenance_json(rec);
+    EXPECT_NE(json.find(std::string("\"") + core::to_string(kind) + "\""),
+              std::string::npos)
+        << json;
+    const auto back = core::parse_provenance_json(json);
+    ASSERT_TRUE(back.has_value()) << json;
+    ASSERT_EQ(back->size(), 1u);
+    ASSERT_EQ((*back)[0].families.size(), 1u);
+    EXPECT_EQ((*back)[0].families[0].kind, kind);
+    EXPECT_EQ(core::render_provenance_json((*back)[0]), json);
+  }
+}
+
 TEST(Provenance, ControlBytesAreEscapedAndReadBack) {
   // Verdicts and labels are free text: every control byte must leave as a
   // JSON escape (raw ones make the document invalid) and come back intact.

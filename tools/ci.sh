@@ -48,7 +48,10 @@
 #      (standard-library distribution preconditions are only checked
 #      there) and the task-detector suites with their oracle sweep (a
 #      matcher indexing past its state's tokens reads inside a vector's
-#      capacity, which only an assertion sees);
+#      capacity, which only an assertion sees), and the diff, diagnosis
+#      and validation suites (the family and problem-class tables are
+#      indexed by enum value, and only an assertion sees an index past
+#      their end);
 #   9. knob count (informational, gates nothing): tools/knob_count.py
 #      prints the settable fields of every *Config/*Options/*Thresholds
 #      struct in src/ headers, by struct, and their total.
@@ -207,8 +210,8 @@ if [[ "$skip_tsan" -eq 0 ]]; then
     --no-tests=error -L incremental
 fi
 
-echo "== Debug (-O0): hostile order + hostile timestamps + controller + rng + task detection =="
-# Only the robustness suite and the incremental-labeled suites are built;
+echo "== Debug (-O0): hostile order + hostile timestamps + controller + rng + task detection + family tables =="
+# Only the suites named in the build line below are built;
 # other suites' tests register as NOT_BUILT placeholders, which the -R and
 # -L filters leave out. _GLIBCXX_ASSERTIONS bounds-checks every container
 # index: the window state clears its buffers instead of freeing them, so
@@ -218,10 +221,11 @@ cmake -B "$repo/build-ci-debug" -S "$repo" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 cmake --build "$repo/build-ci-debug" -j "$jobs" --target fuzz_robustness_test \
   incremental_model_test monitor_identity_test window_alloc_test \
-  controller_test rng_test task_automaton_test task_detector_oracle_test
+  controller_test rng_test task_automaton_test task_detector_oracle_test \
+  diff_test diagnosis_test validate_test
 ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
   --no-tests=error --timeout 60 \
-  -R '^(HostileOrder|HostileTimestamp|Controller|DistributedControllerSet|Rng|TaskDetector|TaskAutomaton|TaskDetectorOracle)\.'
+  -R '^(HostileOrder|HostileTimestamp|Controller|DistributedControllerSet|Rng|TaskDetector|TaskAutomaton|TaskDetectorOracle|DiffModels|SignatureKindNames|DependencyMatrix|Classify|ProblemProfiles|Validate)\.'
 echo "== Debug (-O0, _GLIBCXX_ASSERTIONS): incremental window modeling =="
 ctest --test-dir "$repo/build-ci-debug" --output-on-failure -j "$jobs" \
   --no-tests=error -L incremental
